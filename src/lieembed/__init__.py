@@ -3,10 +3,11 @@ Dynkin classification, and embedding procedures for tori and ad-nilpotent
 subalgebras."""
 
 from .errors import (CenterObstruction, DegenerateRoot, ExtensionDegreeTooHigh,
-                     LieEmbedError, NoCompactFound, NoRealSemisimpleFound,
-                     NotASubalgebra, NotATorus, NotAbelianNilpotent, NotClosed,
-                     NotNilpotent, NotSplit, UnrecognizedBondPattern,
-                     UnrecognizedDiagram, VariableMismatch)
+                     InvalidStructureConstants, LieEmbedError, NoCompactFound,
+                     NoRealSemisimpleFound, NotASubalgebra, NotATorus,
+                     NotAbelianNilpotent, NotClosed, NotNilpotent, NotSplit,
+                     UnrecognizedBondPattern, UnrecognizedDiagram,
+                     VariableMismatch)
 from .exactlin import (ExactScalar, Matrix, Poly, Rational, char_poly,
                        determinant, eigenvalues, kernel, make_scalar, min_poly,
                        rref, solve_linear, symmetric_signature)

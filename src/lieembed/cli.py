@@ -2,9 +2,9 @@
 
 Commands: analyze, embed, roots, dynkin, vf-brackets, vf-invariants, verify.
 stdout carries data (JSON by default), stderr carries diagnostics.  Exit
-codes: 0 success, 1 verification mismatch, 2 parse error, 3 invariant
-violation in the input (bad Jacobi), 4 scalar-tower overflow, 5 embedding
-precondition failure.
+codes: 0 success, 1 verification mismatch, 2 parse error, 3 invalid
+structure constants in the input (index out of range or bad Jacobi), 4
+scalar-tower overflow, 5 embedding precondition failure.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (ExtensionDegreeTooHigh, NotAbelianNilpotent,
-                     NotATorus, NotNilpotent, NotSplit)
+from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
+                     NotAbelianNilpotent, NotATorus, NotNilpotent, NotSplit)
 from .exactlin import determinant, format_rat, rat
 from .liecore import (LieAlgebra, Subspace, killing_signature,
                       levi_decomposition, radical)
@@ -340,12 +340,9 @@ def main(argv=None) -> int:
     except (NotATorus, NotNilpotent, NotAbelianNilpotent, NotSplit) as exc:
         print(f"error: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
-        # LieAlgebra construction reports Jacobi violations as ValueError
-        if "Jacobi" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        raise
+    except InvalidStructureConstants as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

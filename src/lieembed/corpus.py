@@ -41,8 +41,12 @@ def _parse_subspace(L: LieAlgebra, vectors) -> Subspace:
     return Subspace(L, [L.element(list(map(rat, v))) for v in vectors])
 
 
-def _subspace_json(sub: Subspace):
-    return sub.to_json()
+def _lookup(find, name: str):
+    """A catalog or algebra by name; an unknown name fails the case."""
+    try:
+        return find(name)
+    except KeyError as exc:
+        raise LieEmbedError(exc.args[0]) from None
 
 
 def _diff(label: str, got, want, diffs: list) -> bool:
@@ -57,10 +61,10 @@ def run_case(case: dict) -> CaseResult:
     diffs: list = []
     try:
         if kind == "table":
-            L = structure_constants(catalog_by_name(case["catalog"]))
+            L = structure_constants(_lookup(catalog_by_name, case["catalog"]))
             _diff("table", L.to_json(), case["expect"], diffs)
         elif kind == "analyze":
-            L = algebra_by_name(case["algebra"])
+            L = _lookup(algebra_by_name, case["algebra"])
             exp = case["expect"]
             if "killing_signature" in exp:
                 _diff("killing_signature", list(killing_signature(L)),
@@ -73,7 +77,7 @@ def run_case(case: dict) -> CaseResult:
                       determinant(L.killing_matrix()) != 0,
                       exp["killing_det_nonzero"], diffs)
         elif kind == "embed":
-            L = algebra_by_name(case["algebra"])
+            L = _lookup(algebra_by_name, case["algebra"])
             sub = _parse_subspace(L, case["subspace"])
             mode = case["mode"]
             exp = case["expect"]
@@ -99,7 +103,7 @@ def run_case(case: dict) -> CaseResult:
             for key, want in exp.items():
                 _diff(key, got.get(key), want, diffs)
         elif kind == "roots":
-            L = algebra_by_name(case["algebra"])
+            L = _lookup(algebra_by_name, case["algebra"])
             basis = [L.element(list(map(rat, v))) for v in case["cartan"]]
             if case.get("ambient"):
                 ambient = _parse_subspace(L, case["ambient"])
@@ -124,7 +128,7 @@ def run_case(case: dict) -> CaseResult:
             if "zero_dim" in exp:
                 _diff("zero_dim", rsd.zero_space.dim, exp["zero_dim"], diffs)
         elif kind == "invariants":
-            cat = catalog_by_name(case["catalog"])
+            cat = _lookup(catalog_by_name, case["catalog"])
             names = [f.name for f in cat.fields]
             fields = []
             for combo in case["fields"]:

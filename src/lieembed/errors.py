@@ -5,6 +5,11 @@ class LieEmbedError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidStructureConstants(LieEmbedError, ValueError):
+    """A structure-constant table has an index outside the basis or fails
+    the Jacobi identity."""
+
+
 class ExtensionDegreeTooHigh(LieEmbedError):
     """Eigenvalues require an extension beyond a single quadratic field."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import ExtensionDegreeTooHigh
 
@@ -209,10 +209,6 @@ def scalar_to_json(x: Scalar) -> dict:
     return {"a": format_rat(a), "b": format_rat(b), "d": d}
 
 
-def scalar_from_json(obj) -> Scalar:
-    return make_scalar(rat(obj["a"]), rat(obj["b"]), obj["d"])
-
-
 # ----------------------------------------------------------------------------
 # vectors
 
@@ -326,9 +322,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.entries)
 
-    def is_symmetric(self) -> bool:
-        return self.entries == self.transpose().entries
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -408,6 +401,57 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     for r, p in enumerate(pivots):
         x[p] = reduced.entries[r][m.cols]
     return tuple(x)
+
+
+def full_rank_solver(m: Matrix) -> Callable[[Vector], Optional[Vector]]:
+    """Factor a full-column-rank rational matrix once for repeated solves.
+
+    Row reduction of ``[m | I]`` gives ``T`` with ``T m = [I_n; 0]``.  The
+    returned function maps ``b`` to the top n entries of ``T b``, summed
+    over the nonzero entries of ``b`` only, or to None when a lower entry
+    is nonzero (``b`` is outside the column span).  For every ``b`` this
+    equals ``solve_linear(m, b)``.  Raises ValueError if the columns of m
+    are dependent.
+    """
+    n = m.cols
+    # sparse rows of [m | I]: (entries of m, entries of the identity part)
+    rows = [({c: x for c, x in enumerate(row) if x}, {r: ONE})
+            for r, row in enumerate(m.entries)]
+    for c in range(n):
+        # the sparsest candidate keeps fill-in low; the solution is unique
+        pivot = min((i for i in range(c, len(rows)) if c in rows[i][0]),
+                    key=lambda i: len(rows[i][0]) + len(rows[i][1]), default=None)
+        if pivot is None:
+            raise ValueError("matrix columns are dependent")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = ONE / rows[c][0][c]
+        rows[c] = tuple({k: inv * x for k, x in part.items()} for part in rows[c])
+        for i, row in enumerate(rows):
+            f = row[0].get(c)
+            if f and i != c:
+                for dst, src in zip(row, rows[c]):
+                    for k, x in src.items():
+                        y = dst.get(k, ZERO) - f * x
+                        if y:
+                            dst[k] = y
+                        else:
+                            del dst[k]
+    t_columns: list[list] = [[] for _ in rows]
+    for i, (_, t_row) in enumerate(rows):
+        for r, x in t_row.items():
+            t_columns[r].append((i, x))
+
+    def solve(rhs: Vector) -> Optional[Vector]:
+        acc: dict = {}
+        for r, b in enumerate(rhs):
+            if b:
+                for i, x in t_columns[r]:
+                    acc[i] = acc.get(i, ZERO) + b * x
+        if any(x for i, x in acc.items() if i >= n):
+            return None
+        return tuple(acc.get(i, ZERO) for i in range(n))
+
+    return solve
 
 
 def determinant(m: Matrix):

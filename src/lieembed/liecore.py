@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import CenterObstruction, NotASubalgebra, NotATorus
+from .errors import (CenterObstruction, InvalidStructureConstants,
+                     NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
-                       format_rat, kernel, min_poly, poly_ext_gcd, poly_gcd,
-                       rat, row_space_basis, scalar_parts, solve_linear,
-                       squarefree_part, symmetric_signature, unit_vector,
-                       vec_add, vec_is_zero, vec_scale, vec_sub)
+                       format_rat, full_rank_solver, kernel, min_poly,
+                       poly_ext_gcd, poly_gcd, rat, row_space_basis,
+                       scalar_parts, solve_linear, squarefree_part,
+                       symmetric_signature, unit_vector, vec_add, vec_is_zero,
+                       vec_scale, vec_sub)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -29,8 +32,12 @@ class LieAlgebra:
     """Finite-dimensional real Lie algebra given by structure constants.
 
     ``brackets`` maps (i, j) with i < j to {k: c} for
-    [b_i, b_j] = sum_k c * b_k; antisymmetry is implied by storage and the
-    Jacobi identity is verified on construction.
+    [b_i, b_j] = sum_k c * b_k; antisymmetry is implied by storage.  Index
+    pairs and components outside the basis raise
+    :class:`InvalidStructureConstants`, and so does a Jacobi failure.  The
+    Jacobi identity is checked on construction over the integer table
+    ``D * c``, with ``D`` the lcm of all denominators: the identity is
+    homogeneous quadratic in the constants, so scaling keeps every verdict.
     """
 
     def __init__(self, dim: int, basis_names: Sequence[str],
@@ -44,8 +51,13 @@ class LieAlgebra:
         table = {}
         for (i, j), comp in brackets.items():
             if not (0 <= i < j < dim):
-                raise ValueError(f"bad bracket index pair {(i, j)}")
+                raise InvalidStructureConstants(f"bad bracket index pair {(i, j)}")
             comp = {k: rat(c) for k, c in comp.items() if rat(c) != 0}
+            for k in comp:
+                if not 0 <= k < dim:
+                    raise InvalidStructureConstants(
+                        f"bracket {(i, j)} has component index {k} outside "
+                        f"0..{dim - 1}")
             if comp:
                 table[(i, j)] = comp
         self.brackets = table
@@ -156,19 +168,28 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         n = self.dim
+        scale = lcm(*(c.denominator for comp in self.brackets.values()
+                      for c in comp.values()))
+        # table[a][b] = D * [b_a, b_b] as a sparse row, both orders stored
+        table: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j), comp in self.brackets.items():
+            row = {k: c.numerator * (scale // c.denominator) for k, c in comp.items()}
+            table[i][j] = row
+            table[j][i] = {k: -v for k, v in row.items()}
         for i in range(n):
-            ei = unit_vector(n, i)
+            ti = table[i]
             for j in range(i + 1, n):
-                ej = unit_vector(n, j)
-                bij = self.bracket(ei, ej)
+                tj, tij = table[j], ti[j]
                 for k in range(j + 1, n):
-                    ek = unit_vector(n, k)
-                    total = vec_add(
-                        vec_add(self.bracket(ei, self.bracket(ej, ek)),
-                                self.bracket(ej, self.bracket(ek, ei))),
-                        self.bracket(ek, bij))
-                    if not vec_is_zero(total):
-                        raise ValueError(
+                    tk = table[k]
+                    # [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]]
+                    total = [0] * n
+                    for inner, outer in ((tj[k], ti), (tk[i], tj), (tij, tk)):
+                        for m, v in inner.items():
+                            for l, w in outer[m].items():
+                                total[l] += v * w
+                    if any(total):
+                        raise InvalidStructureConstants(
                             f"Jacobi identity fails on basis triple "
                             f"({self.basis_names[i]}, {self.basis_names[j]}, "
                             f"{self.basis_names[k]})")
@@ -490,12 +511,12 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
 
     # structure constants of sub/rad in the images of xs: solve against the
     # combined (complement | radical) basis once
-    basis_cols = Matrix.from_columns([tuple(r) for r in comp.rows] +
-                                     [tuple(r) for r in rad.rows])
+    solve = full_rank_solver(Matrix.from_columns([tuple(r) for r in comp.rows] +
+                                                 [tuple(r) for r in rad.rows]))
     c_table = {}
     for i in range(s_dim):
         for j in range(i + 1, s_dim):
-            sol = solve_linear(basis_cols, L.bracket(xs[i], xs[j]))
+            sol = solve(L.bracket(xs[i], xs[j]))
             assert sol is not None
             c_table[(i, j)] = sol[:s_dim]
 

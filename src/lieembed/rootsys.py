@@ -38,11 +38,6 @@ class Root:
             return None
         return Root(vals)
 
-    def times(self, k: int) -> Optional["Root"]:
-        if k == 0:
-            return None
-        return Root(tuple(k * v for v in self.values))
-
     def conjugate(self) -> "Root":
         return Root(tuple(conj(v) for v in self.values))
 

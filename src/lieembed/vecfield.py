@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotClosed, VariableMismatch
-from .exactlin import (Matrix, ZERO, ONE, format_rat, rat, rref,
-                       solve_linear)
+from .exactlin import (Matrix, ZERO, ONE, format_rat, full_rank_solver, rat,
+                       rref)
 from .liecore import LieAlgebra
 
 _PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -220,9 +220,10 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
     table is validated for antisymmetry (by storage) and Jacobi."""
     matrix, coords = _field_coordinates(catalog)
     n = len(catalog.fields)
-    _, rank, _ = rref(matrix)
-    if rank != n:
-        raise ValueError(f"catalog {catalog.name!r} fields are dependent")
+    try:
+        solve = full_rank_solver(matrix)
+    except ValueError:
+        raise ValueError(f"catalog {catalog.name!r} fields are dependent") from None
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -234,7 +235,7 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
                     f"leaves the span (new monomial in component {bad[0]})",
                     pair=(catalog.fields[i].name, catalog.fields[j].name),
                     residual=bad)
-            sol = solve_linear(matrix, col)
+            sol = solve(col)
             if sol is None:
                 raise NotClosed(
                     f"[{catalog.fields[i].name}, {catalog.fields[j].name}] "

@@ -62,6 +62,17 @@ def test_bad_jacobi_exit_3(run, tmp_path):
     assert "Jacobi" in err
 
 
+def test_component_index_out_of_range_exit_3(run, tmp_path):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({
+        "dim": 2, "basis": ["a", "b"],
+        "brackets": [{"i": 0, "j": 1, "c": {"5": "1"}}]}))
+    code, _, err = run(["analyze", str(path)])
+    assert code == 3
+    assert "component index 5" in err
+    assert "Traceback" not in err
+
+
 def test_extension_too_high_exit_4(run, tmp_path):
     # ad(h) acts on <x, y, z> as the companion matrix of t^3 - 2
     path = tmp_path / "cubic.json"
@@ -163,6 +174,20 @@ def test_verify_corrupted_corpus(run, tmp_path, golden_corpus):
     code, out, _ = run(["verify", "--corpus", str(path)])
     assert code == 1
     assert "FAIL" in out and "radical_dim" in out
+
+
+def test_verify_unknown_catalog_fails_case(run, tmp_path, golden_corpus):
+    corpus = {"cases": [{"name": "nope-table", "kind": "table",
+                         "catalog": "nope", "expect": {}},
+                        next(c for c in golden_corpus["cases"]
+                             if c["kind"] == "analyze")]}
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(corpus))
+    code, out, err = run(["verify", "--corpus", str(path)])
+    assert code == 1
+    assert "FAIL  nope-table\n      error: unknown catalog 'nope'" in out
+    assert "1/2 cases passed" in out
+    assert "Traceback" not in err
 
 
 def test_verify_empty_corpus(run, tmp_path):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from lieembed.errors import ExtensionDegreeTooHigh
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
-                               determinant, eigenvalues, factor_roots, kernel,
-                               make_scalar, min_poly, poly_gcd, rational_roots,
-                               rref, solve_linear, squarefree_split,
-                               symmetric_signature, unit_vector)
+                               determinant, eigenvalues, factor_roots,
+                               full_rank_solver, kernel, make_scalar, min_poly,
+                               poly_gcd, rational_roots, rref, solve_linear,
+                               squarefree_split, symmetric_signature,
+                               unit_vector)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
@@ -122,6 +123,26 @@ def test_solve_linear():
     assert solve_linear(Matrix([[1, 2], [2, 4]]), (1, 3)) is None
     # underdetermined: canonical particular solution has free vars zero
     assert solve_linear(Matrix([[1, 1]]), (F(2),)) == (F(2), F(0))
+
+
+def test_full_rank_solver_matches_solve_linear():
+    rng = random.Random(7)
+    for _ in range(30):
+        rows, cols = rng.randint(2, 9), rng.randint(1, 5)
+        m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
+                     else F(0) for _ in range(cols)] for _ in range(rows)])
+        if rref(m)[1] < cols:
+            with pytest.raises(ValueError):
+                full_rank_solver(m)
+            continue
+        solve = full_rank_solver(m)
+        for _ in range(4):
+            if rng.random() < 0.5:  # inside the column span
+                x = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cols)]
+                b = m.apply(x)
+            else:
+                b = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
+            assert solve(b) == solve_linear(m, b)
 
 
 # --- characteristic / minimal polynomials -------------------------------------

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from lieembed.errors import NotATorus
-from lieembed.exactlin import (Matrix, determinant, vec_add, vec_is_zero,
-                               vec_scale, vec_sub)
+from lieembed.errors import InvalidStructureConstants, NotATorus
+from lieembed.exactlin import (Matrix, determinant, solve_linear, vec_add,
+                               vec_is_zero, vec_scale, vec_sub)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -325,6 +325,102 @@ def test_jacobi_validated_on_load():
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra(3, ["a", "b", "c"],
                    {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}})
+
+
+@pytest.mark.parametrize("brackets,match", [
+    ({(1, 0): {0: 1}}, "bad bracket index pair"),
+    ({(0, 2): {0: 1}}, "bad bracket index pair"),
+    ({(0, 1): {2: 1}}, "component index 2"),
+    ({(0, 1): {-1: 1}}, "component index -1"),
+])
+def test_table_indices_validated(brackets, match):
+    with pytest.raises(InvalidStructureConstants, match=match):
+        LieAlgebra(2, ["a", "b"], brackets)
+
+
+def _jacobi_reference(n, brackets):
+    """First basis triple i < j < k failing Jacobi, by the plain Fraction
+    definition; None if the identity holds."""
+    def basis_bracket(a, b):
+        if a < b:
+            return brackets.get((a, b), {})
+        return {k: -c for k, c in brackets.get((b, a), {}).items()}
+
+    def bracket(x, y):
+        out = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                if a != b:
+                    for k, c in basis_bracket(a, b).items():
+                        out[k] = out.get(k, F(0)) + xa * yb * c
+        return out
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = {i: F(1)}, {j: F(1)}, {k: F(1)}
+                total = {}
+                for term in (bracket(ei, bracket(ej, ek)),
+                             bracket(ej, bracket(ek, ei)),
+                             bracket(ek, bracket(ei, ej))):
+                    for m, c in term.items():
+                        total[m] = total.get(m, F(0)) + c
+                if any(total.values()):
+                    return i, j, k
+    return None
+
+
+def _dense_rebased(L, rng):
+    """Table of L in the basis f_a = s_a * sum_b P[a][b] e_b, with P unit
+    lower times unit upper (entries -1, 0, 1) and s_a in {1, 2, 1/3}."""
+    n = L.dim
+    lo = [[1 if a == b else rng.choice((-1, 0, 1)) if a > b else 0
+           for b in range(n)] for a in range(n)]
+    up = [[1 if a == b else rng.choice((-1, 0, 1)) if a < b else 0
+           for b in range(n)] for a in range(n)]
+    scales = [rng.choice((F(1), F(2), F(1, 3))) for _ in range(n)]
+    f = [tuple(scales[a] * sum(lo[a][t] * up[t][b] for t in range(n))
+               for b in range(n)) for a in range(n)]
+    to_f = Matrix.from_columns(f)
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = solve_linear(to_f, L.bracket(f[a], f[b]))
+            comp = {k: c for k, c in enumerate(coords) if c}
+            if comp:
+                table[(a, b)] = comp
+    return table
+
+
+def test_jacobi_check_matches_fraction_reference():
+    from lieembed.vecfield import so_pq_generators
+    rng = random.Random(2024)
+    bases = [so_pq_generators(2, 2), so_pq_generators(1, 3),
+             so_pq_generators(3, 2)]
+    failures = 0
+    for trial in range(24):
+        L = bases[trial % len(bases)]
+        n = L.dim
+        names = [f"f{a}" for a in range(n)]
+        table = _dense_rebased(L, rng)
+        if trial % 3:  # corrupt one entry
+            pair = rng.choice([(a, b) for a in range(n) for b in range(a + 1, n)])
+            k = rng.randrange(n)
+            comp = dict(table.get(pair, {}))
+            comp[k] = comp.get(k, F(0)) + F(rng.choice((-3, -1, 1, 2)),
+                                            rng.choice((1, 2, 5)))
+            table[pair] = comp
+        want = _jacobi_reference(n, table)
+        if want is None:
+            LieAlgebra(n, names, table)
+            continue
+        failures += 1
+        i, j, k = want
+        with pytest.raises(InvalidStructureConstants) as info:
+            LieAlgebra(n, names, table)
+        assert str(info.value) == (f"Jacobi identity fails on basis triple "
+                                   f"({names[i]}, {names[j]}, {names[k]})")
+    assert failures >= 12
 
 
 def test_solvable_derived_is_nilpotent(wave15, g2):

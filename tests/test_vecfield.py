@@ -98,6 +98,30 @@ def test_structure_constants_not_closed():
         structure_constants(cat)
 
 
+def test_structure_constants_leaves_span_known_monomials():
+    # [x d_y, d_x + d_y] = -d_y: every monomial is known, yet -d_y is not
+    # in the span of the two fields
+    x = MPoly.var(0, 2)
+    one = MPoly.const(1, 2)
+    zero = MPoly(2, {})
+    cat = GeneratorCatalog("skew", ("x0", "x1"),
+                           (_mk_field("a", 2, [zero, x]),
+                            _mk_field("b", 2, [one, one])))
+    with pytest.raises(NotClosed, match="leaves the span$") as info:
+        structure_constants(cat)
+    assert info.value.pair == ("a", "b")
+    assert info.value.residual is None
+
+
+def test_structure_constants_dependent_fields():
+    one = MPoly.const(1, 1)
+    cat = GeneratorCatalog("twice", ("x",),
+                           (PolyVectorField("a", ("x",), (one,)),
+                            PolyVectorField("b", ("x",), (2 * one,))))
+    with pytest.raises(ValueError, match="fields are dependent"):
+        structure_constants(cat)
+
+
 def test_wave15_closure_and_identity(wave15):
     assert wave15.dim == 15
     names = wave15.basis_names
