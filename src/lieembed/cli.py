@@ -4,7 +4,8 @@ Commands: analyze, embed, roots, dynkin, vf-brackets, vf-invariants, verify.
 stdout carries data (JSON by default), stderr carries diagnostics.  Exit
 codes: 0 success, 1 verification mismatch, 2 parse error, 3 invalid
 structure constants in the input (index out of range or bad Jacobi), 4
-scalar-tower overflow, 5 embedding precondition failure.
+scalar-tower overflow, 5 embedding precondition failure (including a
+candidate search that exhausts its budget).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import sys
 from fractions import Fraction
 
 from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
+                     NoCompactFound, NoRealSemisimpleFound,
                      NotAbelianNilpotent, NotATorus, NotNilpotent, NotSplit)
-from .exactlin import determinant, format_rat, rat
+from .exactlin import determinant, format_rat
 from .liecore import (LieAlgebra, Subspace, killing_signature,
                       levi_decomposition, radical)
 from .rootsys import (dynkin_type, is_positive, restricted_roots,
@@ -25,7 +27,7 @@ from .rootsys import (dynkin_type, is_positive, restricted_roots,
 from .embed import (embed_abelian_nilpotent, embed_compact_torus,
                     embed_nilpotent, embed_real_torus)
 from .vecfield import (algebra_by_name, catalog_by_name, invariant_count,
-                       structure_constants, vf_bracket)
+                       structure_constants)
 from . import corpus as corpus_mod
 
 EXIT_OK = 0
@@ -57,7 +59,11 @@ def parse_element(L: LieAlgebra, text: str):
             raise CliError(f"cannot parse element term at {text[pos:]!r}",
                            EXIT_PARSE)
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise CliError(f"zero denominator in {m.group('coef')!r}",
+                           EXIT_PARSE) from None
         name = m.group("name")
         if name not in L.basis_names:
             raise CliError(f"unknown basis name {name!r}", EXIT_PARSE)
@@ -78,6 +84,8 @@ def load_algebra(ref: str) -> LieAlgebra:
         return algebra_by_name(ref)
     except KeyError:
         pass
+    except ValueError as exc:  # a malformed so(p,q) name
+        raise CliError(f"invalid algebra name {ref!r}: {exc}", EXIT_PARSE)
     try:
         with open(ref) as fh:
             obj = json.load(fh)
@@ -89,7 +97,7 @@ def load_algebra(ref: str) -> LieAlgebra:
         return LieAlgebra.from_json(obj, name=ref)
     except ValueError as exc:
         raise CliError(f"invalid algebra: {exc}", EXIT_INVARIANT)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"malformed algebra JSON: {exc}", EXIT_PARSE)
 
 
@@ -140,34 +148,31 @@ def cmd_embed(args) -> int:
     vectors = parse_subspace_spec(L, args.subspace) if args.subspace else []
     sub = Subspace(L, vectors)
     opts = {"seed": args.seed, "budget": args.budget}
-    try:
-        if args.mode == "torus":
-            torus, cd, trace = embed_real_torus(L, sub, **opts)
-            payload = {"mode": args.mode, "max_real_torus": torus.to_json(),
-                       "cartan": cd.to_json(), "trace": trace.to_json()}
-            text = [f"maximal real torus: {_subspace_text(L, torus)}",
-                    f"cartan: {_subspace_text(L, cd.cartan)}",
-                    f"  real part: {_subspace_text(L, cd.real_part)}",
-                    f"  compact part: {_subspace_text(L, cd.compact_part)}"]
-        elif args.mode == "compact-torus":
-            cd = embed_compact_torus(L, sub, **opts)
-            payload = {"mode": args.mode, "cartan": cd.to_json()}
-            text = [f"maximally compact cartan: {_subspace_text(L, cd.cartan)}"]
-        elif args.mode == "abelian-nilpotent":
-            result, trace = embed_abelian_nilpotent(L, sub, **opts)
-            payload = {"mode": args.mode, "maximal": result.to_json(),
-                       "trace": trace.to_json()}
-            text = [f"maximal abelian nilpotent: {_subspace_text(L, result)}"]
-        else:
-            result, torus, cd, trace = embed_nilpotent(L, sub, **opts)
-            payload = {"mode": args.mode, "maximal": result.to_json(),
-                       "torus": torus.to_json(), "cartan": cd.to_json(),
-                       "trace": trace.to_json()}
-            text = [f"maximal nilpotent: {_subspace_text(L, result)}",
-                    f"torus: {_subspace_text(L, torus)}",
-                    f"split cartan: {_subspace_text(L, cd.cartan)}"]
-    except (NotATorus, NotNilpotent, NotAbelianNilpotent, NotSplit) as exc:
-        raise CliError(f"precondition failed: {exc}", EXIT_PRECONDITION)
+    if args.mode == "torus":
+        torus, cd, trace = embed_real_torus(L, sub, **opts)
+        payload = {"mode": args.mode, "max_real_torus": torus.to_json(),
+                   "cartan": cd.to_json(), "trace": trace.to_json()}
+        text = [f"maximal real torus: {_subspace_text(L, torus)}",
+                f"cartan: {_subspace_text(L, cd.cartan)}",
+                f"  real part: {_subspace_text(L, cd.real_part)}",
+                f"  compact part: {_subspace_text(L, cd.compact_part)}"]
+    elif args.mode == "compact-torus":
+        cd = embed_compact_torus(L, sub, **opts)
+        payload = {"mode": args.mode, "cartan": cd.to_json()}
+        text = [f"maximally compact cartan: {_subspace_text(L, cd.cartan)}"]
+    elif args.mode == "abelian-nilpotent":
+        result, trace = embed_abelian_nilpotent(L, sub, **opts)
+        payload = {"mode": args.mode, "maximal": result.to_json(),
+                   "trace": trace.to_json()}
+        text = [f"maximal abelian nilpotent: {_subspace_text(L, result)}"]
+    else:
+        result, torus, cd, trace = embed_nilpotent(L, sub, **opts)
+        payload = {"mode": args.mode, "maximal": result.to_json(),
+                   "torus": torus.to_json(), "cartan": cd.to_json(),
+                   "trace": trace.to_json()}
+        text = [f"maximal nilpotent: {_subspace_text(L, result)}",
+                f"torus: {_subspace_text(L, torus)}",
+                f"split cartan: {_subspace_text(L, cd.cartan)}"]
     _emit(payload, args.format, text)
     return EXIT_OK
 
@@ -337,7 +342,8 @@ def main(argv=None) -> int:
     except ExtensionDegreeTooHigh as exc:
         print(f"error: scalar tower exceeded: {exc}", file=sys.stderr)
         return EXIT_EXTENSION
-    except (NotATorus, NotNilpotent, NotAbelianNilpotent, NotSplit) as exc:
+    except (NotATorus, NotNilpotent, NotAbelianNilpotent, NotSplit,
+            NoCompactFound, NoRealSemisimpleFound) as exc:
         print(f"error: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InvalidStructureConstants as exc:

@@ -20,14 +20,13 @@ from typing import Optional, Sequence
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit)
-from .exactlin import (Matrix, Vector, ZERO, eigenvalues, factor_roots,
-                       format_rat, min_poly, scalar_d, scalar_parts, vec_add,
-                       vec_is_zero, vec_scale, vec_sub)
+from .exactlin import (Matrix, Vector, ZERO, eigenvalues, format_rat,
+                       scalar_parts, vec_add, vec_is_zero, vec_scale, vec_sub)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
                       jordan_decomposition, levi_decomposition, normalizer,
-                      center, subalgebra_generated, torus_split)
+                      center, spectrum, subalgebra_generated, torus_split)
 from .rootsys import RootSpaceDecomposition, _complete_sl2
 
 DEFAULT_SEED = 0
@@ -142,19 +141,14 @@ def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET,
         if vec_is_zero(v):
             continue
         try:
-            qualifies = classify_element(L, v) == REAL_SEMISIMPLE
+            # real semisimple implies ad(v) != 0: its min poly is not t^k
+            if classify_element(L, v) == REAL_SEMISIMPLE:
+                return v
         except ExtensionDegreeTooHigh:
             continue  # eigenvalues outside the tower: not representable
-        if qualifies and not L.ad(v).is_zero():
-            return v
     raise NoRealSemisimpleFound(
         f"no real-semisimple element in a {sub.dim}-dim subspace "
         f"within budget {budget}")
-
-
-def _eigen_d_values(L: LieAlgebra, v: Vector) -> set[int]:
-    roots = factor_roots(min_poly(L.ad(v)), single_extension=False)
-    return {scalar_d(r) for r, _ in roots if scalar_d(r) != 0}
 
 
 def find_compact(sub: Subspace, d_required: Optional[int] = None,
@@ -170,14 +164,13 @@ def find_compact(sub: Subspace, d_required: Optional[int] = None,
         try:
             if classify_element(L, v) != COMPACT_SEMISIMPLE:
                 continue
-            ds = _eigen_d_values(L, v)
         except ExtensionDegreeTooHigh:
             continue  # eigenvalues outside the tower: not representable
+        # classified, so the roots are factored; compact implies ad(v) != 0
+        ds = spectrum(L, v).extensions
         if len(ds) > 1:
             continue
         if d_required is not None and ds and ds != {d_required}:
-            continue
-        if L.ad(v).is_zero():
             continue
         return v
     raise NoCompactFound(
@@ -254,11 +247,11 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
     for r in T.rows:
         if classify_element(L, r) != COMPACT_SEMISIMPLE:
             raise NotATorus(f"{L.format_element(r)} is not compact")
-        ds = _eigen_d_values(L, r)
+        ds = spectrum(L, r).extensions
         if len(ds) > 1 or (d_ctx is not None and ds and ds != {d_ctx}):
             raise NotATorus("torus eigenvalues span two extensions")
         if ds:
-            d_ctx = ds.pop()
+            (d_ctx,) = ds
     current = T
     for _ in range(L.dim + 1):
         zc = centralizer(L, current)
@@ -268,8 +261,8 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
             return CartanData(zc, real_part, compact_part)
         new = find_compact(der, d_required=d_ctx, budget=budget, seed=seed)
         if d_ctx is None:
-            ds = _eigen_d_values(L, new)
-            d_ctx = ds.pop() if ds else None
+            ds = spectrum(L, new).extensions
+            d_ctx = next(iter(ds), None)
         current = current.with_vectors([new])
     raise NoCompactFound("compact embedding did not terminate")
 

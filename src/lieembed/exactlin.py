@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import ExtensionDegreeTooHigh
@@ -825,59 +825,77 @@ def _char_poly_generic(m: Matrix) -> Poly:
 
 
 def min_poly(m: Matrix) -> Poly:
-    """Minimal polynomial via Krylov annihilators of the standard basis."""
+    """Monic minimal polynomial of a rational square matrix.
+
+    Works on the integer matrix ``A = D*m``, with ``D`` the lcm of the
+    denominators, stored as sparse rows.  Each standard basis vector that
+    the polynomial found so far does not annihilate (integer Horner test)
+    contributes its Krylov annihilator, and the lcm of those is the minimal
+    polynomial of A; then ``mp_m(t) = mp_A(D*t) / (lead * D^k)``.  Raises
+    ValueError for a non-square matrix or one with extension scalars.
+    """
+    if m.rows != m.cols:
+        raise ValueError("square matrix required")
+    if not all(isinstance(x, Fraction) for row in m.entries for x in row):
+        raise ValueError("min_poly needs a rational matrix")
     n = m.rows
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    rows = [[(j, x.numerator * (scale // x.denominator))
+             for j, x in enumerate(row) if x] for row in m.entries]
     result = Poly([1])
+    ints = [1]  # primitive integer multiple of result
     for start in range(n):
         if result.degree >= 1:
-            # skip vectors already annihilated
-            if _annihilates(result, m, start):
+            acc = [0] * n  # Horner: acc = result(A) e_start, up to a scalar
+            acc[start] = ints[-1]
+            for c in reversed(ints[:-1]):
+                acc = _int_apply(rows, acc)
+                acc[start] += c
+            if not any(acc):
                 continue
-        ann = _cyclic_annihilator(m, start)
-        result = poly_lcm(result, ann)
+        result = poly_lcm(result, Poly(_krylov_annihilator(rows, start)))
+        ints = _int_clear(result)
         if result.degree == n:
             break
-    return result
+    k = result.degree
+    return Poly([Fraction(c, ints[-1] * scale ** (k - j))
+                 for j, c in enumerate(ints)])
 
 
-def _annihilates(p: Poly, m: Matrix, idx: int) -> bool:
-    # Horner over vectors: acc = p(m) e_idx
-    e = unit_vector(m.rows, idx)
-    acc = tuple([ZERO] * m.rows)
-    for c in reversed(p.coeffs):
-        acc = m.apply(acc)
-        acc = tuple(x + c * ei for x, ei in zip(acc, e))
-    return all(not x for x in acc)
+def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
+    return [sum(a * v[j] for j, a in row) for row in rows]
 
 
-def _cyclic_annihilator(m: Matrix, idx: int) -> Poly:
-    n = m.rows
-    v = unit_vector(n, idx)
-    rows: list[list] = []      # RREF rows of the Krylov vectors
-    combos: list[list] = []    # poly coefficients of each RREF row
-    powers = [v]
-    k = 0
+def _krylov_annihilator(rows: list[list[tuple[int, int]]], start: int) -> list[int]:
+    """Integer coefficients of the lowest-degree p with p(A) e_start = 0.
+
+    The Krylov vectors ``A^k e_start`` are reduced fraction-free against the
+    earlier ones; each reduced row carries its integer combination of the
+    powers of A, and row and combination are divided by their joint content
+    after every elimination step.
+    """
+    n = len(rows)
+    echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combo)
+    power = [0] * n
+    power[start] = 1
     while True:
-        w = powers[-1]
-        work = list(w)
-        combo = [ZERO] * (k + 1)
-        combo[k] = ONE
-        for row, rc in zip(rows, combos):
-            p = next((c for c in range(n) if row[c]), None)
-            if p is not None and work[p]:
-                f = work[p]
-                work = [x - f * y for x, y in zip(work, row)]
-                combo = [a - f * b for a, b in
-                         zip(combo, rc + [ZERO] * (len(combo) - len(rc)))]
-        if all(not x for x in work):
-            return Poly(combo).monic()
-        pivot = next(c for c in range(n) if work[c])
-        pv = work[pivot]
-        inv = (ONE / pv) if isinstance(pv, Fraction) else pv.inverse()
-        rows.append([inv * x for x in work])
-        combos.append([inv * x for x in combo])
-        powers.append(m.apply(w))
-        k += 1
+        work, combo = power, [0] * len(echelon) + [1]
+        for p, row, row_combo in echelon:
+            f = work[p]
+            if f:
+                g = row[p]
+                work = [g * x - f * y for x, y in zip(work, row)]
+                combo = [g * x - f * y for x, y in
+                         zip(combo, row_combo + [0] * (len(combo) - len(row_combo)))]
+                content = gcd(*work, *combo)
+                if content > 1:
+                    work = [x // content for x in work]
+                    combo = [x // content for x in combo]
+        pivot = next((j for j, x in enumerate(work) if x), None)
+        if pivot is None:
+            return combo
+        echelon.append((pivot, work, combo))
+        power = _int_apply(rows, power)
 
 
 # --- factorization over the scalar tower -------------------------------------

@@ -12,12 +12,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import (CenterObstruction, InvalidStructureConstants,
-                     NotASubalgebra, NotATorus)
+from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
+                     InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
                        format_rat, full_rank_solver, kernel, min_poly,
                        poly_ext_gcd, poly_gcd, rat, row_space_basis,
-                       scalar_parts, solve_linear, squarefree_part,
+                       scalar_d, scalar_parts, solve_linear, squarefree_part,
                        symmetric_signature, unit_vector, vec_add, vec_is_zero,
                        vec_scale, vec_sub)
 
@@ -64,6 +64,7 @@ class LieAlgebra:
         self._ad_basis: Optional[list[Matrix]] = None
         self._killing: Optional[Matrix] = None
         self._center_dim: Optional[int] = None
+        self._spectra: dict[Vector, Spectrum] = {}
         if validate:
             self._check_jacobi()
 
@@ -360,20 +361,8 @@ class Subspace:
 # structural operations
 
 
-def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    return L.bracket(x, y)
-
-
-def ad(L: LieAlgebra, x: Vector) -> Matrix:
-    return L.ad(x)
-
-
 def killing_form(L: LieAlgebra) -> Matrix:
     return L.killing_matrix()
-
-
-def span(L: LieAlgebra, vectors: Iterable[Vector]) -> Subspace:
-    return Subspace(L, vectors)
 
 
 def killing_signature(obj) -> tuple[int, int, int]:
@@ -587,13 +576,13 @@ class JordanPair:
     center_obstructed: bool = False
 
 
-def _semisimple_poly(m: Matrix) -> Poly:
-    """Polynomial p with p(m) the semisimple part of m (Newton iteration in
-    Q[t]/(minpoly))."""
-    mp = min_poly(m)
-    g = squarefree_part(mp)
-    if g == mp:
+def _semisimple_poly(s: Spectrum) -> Poly:
+    """Polynomial p with p(m) the semisimple part of the matrix m whose
+    spectrum is s (Newton iteration in Q[t]/(minpoly))."""
+    if s.semisimple:
         return Poly.x()
+    mp = s.min_poly
+    g = squarefree_part(mp)
     x = Poly.x() % mp
     for _ in range(mp.degree + 1):
         gx = g.compose_mod(x, mp)
@@ -612,7 +601,7 @@ def _semisimple_poly(m: Matrix) -> Poly:
 def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     """Jordan pair (semisimple, nilpotent) of x pulled back through ad."""
     m = L.ad(x)
-    p = _semisimple_poly(m)
+    p = _semisimple_poly(spectrum(L, x))
     if p == Poly.x():
         s_mat = m
     else:
@@ -632,17 +621,61 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     return JordanPair(semisimple, nilpotent, center_obstructed=obstructed)
 
 
-def classify_element(L: LieAlgebra, x: Vector) -> str:
-    """nilpotent / real_semisimple / compact_semisimple / mixed_semisimple /
-    general, from the minimal polynomial of ad(x)."""
-    m = L.ad(x)
-    mp = min_poly(m)
-    if all(not c for c in mp.coeffs[:-1]):
-        return NILPOTENT  # minimal polynomial t^k: all eigenvalues zero
-    squarefree = poly_gcd(mp, mp.derivative()).degree == 0
-    if not squarefree:
-        return GENERAL
-    roots = factor_roots(mp, single_extension=False)
+class Spectrum:
+    """Spectral summary of ad(x), read off its minimal polynomial.
+
+    ``nilpotent``: the minimal polynomial is t^k.  ``semisimple``: it is
+    squarefree.  ``kind`` (the :func:`classify_element` label) and
+    ``extensions`` (the set of d != 0 with sqrt(d) among the roots, which
+    may lie in several quadratic fields) come from one factorization of the
+    minimal polynomial on first use.  Only these are kept, not the roots,
+    which would pin many small objects for the life of the algebra.  When
+    the roots leave the scalar tower, every use of either raises
+    ExtensionDegreeTooHigh.
+    """
+
+    __slots__ = ("min_poly", "nilpotent", "semisimple", "_kind", "_extensions",
+                 "_failure")
+
+    def __init__(self, mp: Poly):
+        self.min_poly = mp
+        self.nilpotent = not any(mp.coeffs[:-1])
+        self.semisimple = poly_gcd(mp, mp.derivative()).degree == 0
+        self._kind: Optional[str] = None
+        self._extensions: Optional[frozenset] = None
+        # the exception's args only: a kept exception keeps its frames alive
+        self._failure: Optional[tuple] = None
+
+    def _factor(self):
+        if self._extensions is None and self._failure is None:
+            try:
+                roots = factor_roots(self.min_poly, single_extension=False)
+            except ExtensionDegreeTooHigh as exc:
+                self._failure = exc.args
+            else:
+                self._kind = _semisimple_kind(roots)
+                self._extensions = frozenset(scalar_d(r) for r, _ in roots
+                                             if scalar_d(r))
+        if self._failure is not None:
+            raise ExtensionDegreeTooHigh(*self._failure)
+
+    @property
+    def kind(self) -> str:
+        if self.nilpotent:
+            return NILPOTENT  # minimal polynomial t^k: all eigenvalues zero
+        if not self.semisimple:
+            return GENERAL
+        self._factor()
+        return self._kind
+
+    @property
+    def extensions(self) -> frozenset:
+        self._factor()
+        return self._extensions
+
+
+def _semisimple_kind(roots) -> str:
+    """Label of a semisimple element from its eigenvalues."""
     all_real = True
     all_imag = True
     for r, _ in roots:
@@ -665,9 +698,25 @@ def classify_element(L: LieAlgebra, x: Vector) -> str:
     return MIXED_SEMISIMPLE
 
 
+def spectrum(L: LieAlgebra, x: Vector) -> Spectrum:
+    """Spectrum of ad(x), computed once per element and kept on L.  The
+    element must have rational coordinates (see :func:`min_poly`)."""
+    s = L._spectra.get(x)
+    if s is None:
+        s = L._spectra[x] = Spectrum(min_poly(L.ad(x)))
+    return s
+
+
+def classify_element(L: LieAlgebra, x: Vector) -> str:
+    """nilpotent / real_semisimple / compact_semisimple / mixed_semisimple /
+    general, from the cached :func:`spectrum` of ad(x).  Raises
+    ExtensionDegreeTooHigh for a semisimple element whose eigenvalues leave
+    the scalar tower, on every call."""
+    return spectrum(L, x).kind
+
+
 def is_ad_nilpotent(L: LieAlgebra, x: Vector) -> bool:
-    mp = min_poly(L.ad(x))
-    return all(not c for c in mp.coeffs[:-1])
+    return spectrum(L, x).nilpotent
 
 
 def subalgebra_generated(L: LieAlgebra, vectors: Iterable[Vector]) -> Subspace:
@@ -689,8 +738,7 @@ def _check_torus(L: LieAlgebra, T: Subspace):
     if not T.is_abelian():
         raise NotATorus("subspace is not abelian")
     for r in T.rows:
-        mp = min_poly(L.ad(r))
-        if poly_gcd(mp, mp.derivative()).degree != 0:
+        if not spectrum(L, r).semisimple:
             raise NotATorus(f"element {L.format_element(r)} is not semisimple")
 
 

@@ -10,13 +10,13 @@ from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
                        eigenvalues, format_rat, is_complex_positive, kernel,
-                       min_poly, poly_gcd, scalar_d, scalar_sort_key,
-                       scalar_to_json, solve_linear, vec_is_zero, vec_scale)
+                       scalar_d, scalar_sort_key, scalar_to_json,
+                       solve_linear, vec_is_zero, vec_scale)
 
 
 def format_scalar(x: Scalar) -> str:
     return repr(x) if isinstance(x, ExactScalar) else format_rat(x)
-from .liecore import LieAlgebra, Subspace
+from .liecore import LieAlgebra, Subspace, spectrum
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def root_space_decomposition(L: LieAlgebra, cartan,
     if not torus.is_abelian():
         raise NotATorus("basis does not span an abelian subalgebra")
     for h in basis:
-        mp = min_poly(L.ad(h))
-        if poly_gcd(mp, mp.derivative()).degree != 0:
+        if not spectrum(L, h).semisimple:
             raise NotATorus(f"{L.format_element(h)} is not semisimple")
     spaces = joint_eigenspaces(L, basis, ambient)
     pairs = []
@@ -155,15 +154,7 @@ def root_space_decomposition(L: LieAlgebra, cartan,
 def restricted_roots(ambient: Subspace, torus) -> RootSpaceDecomposition:
     """Common eigenspaces of a real torus acting on an ambient subalgebra;
     eigenspace dimensions may exceed one."""
-    L = ambient.algebra
-    basis = _ordered_basis(torus)
-    for h in basis:
-        mp = min_poly(L.ad(h))
-        if poly_gcd(mp, mp.derivative()).degree != 0:
-            raise NotATorus(f"{L.format_element(h)} is not semisimple")
-    if not Subspace(L, basis).is_abelian():
-        raise NotATorus("basis does not span an abelian subalgebra")
-    return root_space_decomposition(L, basis, ambient=ambient)
+    return root_space_decomposition(ambient.algebra, torus, ambient=ambient)
 
 
 def is_positive(r: Root) -> bool:

@@ -93,6 +93,34 @@ def test_embed_precondition_exit_5(run):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "wave15", "--mode", "torus", "--subspace", "e2+1/0*e6"],
+    ["analyze", "so(1,0)"],
+    ["analyze", "so(x,2)"],
+])
+def test_malformed_input_exit_2(run, argv):
+    code, _, err = run(argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_zero_denominator_in_table_exit_2(run, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "dim": 2, "basis": ["a", "b"],
+        "brackets": [{"i": 0, "j": 1, "c": {"1": "1/0"}}]}))
+    code, _, err = run(["analyze", str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_search_budget_exhausted_exit_5(run):
+    code, _, err = run(["embed", "wave15", "--mode", "compact-torus",
+                        "--subspace", "e15", "--budget", "1"])
+    assert code == 5
+    assert "within budget 1" in err
+
+
 def test_embed_nilpotent_wave(run):
     code, out, _ = run(["embed", "wave15", "--mode", "nilpotent",
                         "--subspace", "e8,e10,e11,e12"])

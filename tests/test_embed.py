@@ -9,7 +9,8 @@ from lieembed.errors import (NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
 from lieembed.exactlin import vec_add, vec_is_zero, vec_scale, vec_sub
 from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
-                              Subspace, centralizer, classify_element,
+                              LieAlgebra, Subspace, centralizer,
+                              classify_element,
                               is_ad_nilpotent, killing_signature, normalizer,
                               restricted_killing_signature,
                               subalgebra_generated)
@@ -264,6 +265,26 @@ def test_find_compact_prefers_compatible_extension(wave15):
     found_any = find_compact(der)
     assert found_any == vec_add(E("e5"), E("e12"))
     assert classify_element(wave15, found_any) == COMPACT_SEMISIMPLE
+
+
+def test_find_compact_analyses_each_element_once(wave15, monkeypatch):
+    import lieembed.liecore as liecore
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
+    E = L.basis_vector
+    analysed = []
+    min_poly = liecore.min_poly
+    monkeypatch.setattr(liecore, "min_poly",
+                        lambda m: analysed.append(m) or min_poly(m))
+    der = span(L, E("e5"), E("e6"), E("e7m16"), E("e8"), E("e9"), E("e12"))
+    assert find_compact(der, d_required=-1) == vec_add(E("e5"), vec_scale(2, E("e12")))
+    assert analysed and len(analysed) == len(set(analysed))
+    # every candidate of a repeated search is already analysed
+    seen = len(analysed)
+    assert find_compact(der) == vec_add(E("e5"), E("e12"))
+    assert len(analysed) == seen
+    cd = embed_compact_torus(L, span(L, E("e15")))
+    assert cd.cartan.dim == 3
+    assert len(analysed) == len(set(analysed))
 
 
 # --- maximal compact ---------------------------------------------------------------

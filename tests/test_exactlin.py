@@ -11,9 +11,9 @@ from lieembed.errors import ExtensionDegreeTooHigh
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                determinant, eigenvalues, factor_roots,
                                full_rank_solver, kernel, make_scalar, min_poly,
-                               poly_gcd, rational_roots, rref, solve_linear,
-                               squarefree_split, symmetric_signature,
-                               unit_vector)
+                               poly_gcd, poly_lcm, rational_roots, rref,
+                               solve_linear, squarefree_split,
+                               symmetric_signature, unit_vector)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
@@ -214,6 +214,150 @@ def test_min_poly_divides_char_poly():
         mp, cp = min_poly(m), char_poly(m)
         assert (cp % mp).is_zero()
         assert mp.eval_matrix(m).is_zero()
+
+
+def _reference_min_poly(m):
+    """Krylov minimal polynomial over Fraction vectors (the algorithm
+    min_poly used before its integer rewrite), kept as the reference."""
+    n = m.rows
+    result = Poly([1])
+    for start in range(n):
+        if result.degree >= 1:
+            e = unit_vector(n, start)
+            acc = tuple([F(0)] * n)
+            for c in reversed(result.coeffs):
+                acc = tuple(x + c * ei for x, ei in zip(m.apply(acc), e))
+            if all(not x for x in acc):
+                continue
+        result = poly_lcm(result, _reference_annihilator(m, start))
+        if result.degree == n:
+            break
+    return result
+
+
+def _reference_annihilator(m, start):
+    n = m.rows
+    rows, combos = [], []  # echelon rows of the Krylov vectors, and their
+    power = unit_vector(n, start)  # coefficients in the powers of m
+    while True:
+        work = list(power)
+        combo = [F(0)] * len(rows) + [F(1)]
+        for row, rc in zip(rows, combos):
+            p = next(c for c in range(n) if row[c])
+            if work[p]:
+                f = work[p]
+                work = [x - f * y for x, y in zip(work, row)]
+                combo = [a - f * b for a, b in
+                         zip(combo, rc + [F(0)] * (len(combo) - len(rc)))]
+        if all(not x for x in work):
+            return Poly(combo).monic()
+        inv = 1 / next(x for x in work if x)
+        rows.append([inv * x for x in work])
+        combos.append([inv * x for x in combo])
+        power = m.apply(power)
+
+
+def _shear_conjugate(b, rng, shears=6):
+    """P b P^-1 for a random product P of integer shears I + c E_ij."""
+    n = b.rows
+    for _ in range(shears if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        s = [[F(int(r == k)) + (c if (r, k) == (i, j) else 0) for k in range(n)]
+             for r in range(n)]
+        s_inv = [[F(int(r == k)) - (c if (r, k) == (i, j) else 0) for k in range(n)]
+                 for r in range(n)]
+        b = Matrix(s) @ b @ Matrix(s_inv)
+    return b
+
+
+def _block_diag(blocks):
+    n = sum(len(bl) for bl in blocks)
+    out = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for bl in blocks:
+        for i, row in enumerate(bl):
+            for j, x in enumerate(row):
+                out[at + i][at + j] = F(x)
+        at += len(bl)
+    return Matrix(out)
+
+
+def _jordan(lam, k):
+    return [[lam if i == j else (1 if j == i + 1 else 0) for j in range(k)]
+            for i in range(k)]
+
+
+def _min_poly_cases(seed, count):
+    """Random rational matrices (1-20 bit numerators, mixed denominators,
+    some zero entries) and structured ones: zero, scalar, 1x1, nilpotent,
+    derogatory (repeated Jordan blocks) and diagonalizable with repeats."""
+    rng = random.Random(seed)
+    cases = [Matrix([[0] * n for _ in range(n)]) for n in (1, 2, 4)]
+    cases += [Matrix.identity(n).scale(F(-7, 3)) for n in (1, 3)]
+    cases += [Matrix([[F(rng.randint(-99, 99), rng.randint(1, 9))]]) for _ in range(3)]
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        bits = rng.randint(1, 20)
+        density = rng.choice((0.3, 0.7, 1.0))
+        cases.append(Matrix([[F(rng.randint(-2 ** bits, 2 ** bits),
+                                rng.choice((1, 1, 2, 3, 7, rng.randint(1, 2 ** bits))))
+                              if rng.random() < density else F(0)
+                              for _ in range(n)] for _ in range(n)]))
+    structured = [
+        _block_diag([_jordan(0, 3), _jordan(0, 2)]),             # nilpotent
+        _block_diag([_jordan(0, 4)]),
+        _block_diag([_jordan(F(2, 3), 2), _jordan(F(2, 3), 2)]),  # derogatory
+        _block_diag([_jordan(1, 2), _jordan(1, 1), _jordan(-5, 1), _jordan(-5, 1)]),
+        _block_diag([_jordan(3, 1)] * 3 + [_jordan(-1, 1)] * 2),  # repeated eigenvalues
+        _block_diag([[[0, -1], [1, 0]], [[0, -1], [1, 0]], _jordan(0, 1)]),
+    ]
+    cases += structured + [_shear_conjugate(b, rng) for b in structured]
+    return cases
+
+
+def test_min_poly_matches_fraction_reference():
+    for m in _min_poly_cases(seed=20, count=40):
+        assert min_poly(m) == _reference_min_poly(m), m.entries
+
+
+def test_min_poly_known_values():
+    t = Poly.x()
+    assert min_poly(Matrix([[0, 0], [0, 0]])) == t
+    assert min_poly(Matrix.identity(3).scale(F(5, 2))) == t - Poly([F(5, 2)])
+    assert min_poly(Matrix([[F(-3, 4)]])) == t + Poly([F(3, 4)])
+    assert min_poly(_block_diag([_jordan(0, 3), _jordan(0, 1)])) == t * t * t
+    assert min_poly(Matrix([])) == Poly([1])
+
+
+def test_min_poly_rejects_extension_scalars():
+    root2 = make_scalar(0, 1, 2)
+    with pytest.raises(ValueError, match="rational"):
+        min_poly(Matrix([[root2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        min_poly(Matrix([[1, 2]]))
+
+
+def test_min_poly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def evaluate(coeffs, mat):
+        acc = sympy.zeros(mat.rows, mat.cols)
+        for c in reversed(coeffs):
+            acc = acc * mat + c * sympy.eye(mat.rows)
+        return acc
+
+    for m in _min_poly_cases(seed=21, count=12):
+        mp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(min_poly(m).coeffs)], t)
+        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                             for x in row] for row in m.entries])
+        assert evaluate(mp.all_coeffs()[::-1], mat).is_zero_matrix
+        assert sympy.rem(mat.charpoly(t).as_expr(), mp.as_expr(), t) == 0
+        for f, _ in sympy.factor_list(mp.as_expr(), t)[1]:
+            smaller = sympy.Poly(sympy.quo(mp.as_expr(), f, t), t)
+            assert not evaluate(smaller.all_coeffs()[::-1], mat).is_zero_matrix
 
 
 # --- eigenvalues ----------------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from lieembed.errors import InvalidStructureConstants, NotATorus
+from lieembed.errors import (ExtensionDegreeTooHigh,
+                             InvalidStructureConstants, NotATorus)
 from lieembed.exactlin import (Matrix, determinant, solve_linear, vec_add,
                                vec_is_zero, vec_scale, vec_sub)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
@@ -275,6 +276,29 @@ def test_classify_examples(wave15, g2):
     assert classify_element(wave15, vec_add(E("e2"), E("e11"))) == GENERAL
     mixed = vec_add(E("e2"), vec_add(E("e7m16"), E("e14")))
     assert classify_element(wave15, mixed) == MIXED_SEMISIMPLE
+
+
+def test_classify_same_with_cold_and_warm_spectrum_cache(wave15, monkeypatch):
+    import lieembed.liecore as liecore
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
+    rng = random.Random(1)
+    elements = ([L.basis_vector(i) for i in range(L.dim)] +
+                [_rand_element(L, rng) for _ in range(60)])
+
+    def outcome(x):
+        try:
+            return classify_element(L, x)
+        except ExtensionDegreeTooHigh as exc:
+            return f"raises: {exc}"
+
+    cold = [outcome(x) for x in elements]
+    assert {NILPOTENT, GENERAL, REAL_SEMISIMPLE, COMPACT_SEMISIMPLE,
+            MIXED_SEMISIMPLE} <= set(cold)
+    assert sum(o.startswith("raises") for o in cold) >= 5
+    analysed = []
+    monkeypatch.setattr(liecore, "min_poly", analysed.append)
+    assert [outcome(x) for x in elements] == cold
+    assert analysed == []
 
 
 # --- generation / torus split ------------------------------------------------------
