@@ -5,7 +5,8 @@ stdout carries data (JSON by default), stderr carries diagnostics.  Exit
 codes: 0 success, 1 verification mismatch, 2 parse error, 3 invalid
 structure constants in the input (index out of range or bad Jacobi), 4
 scalar-tower overflow, 5 embedding precondition failure (including a
-candidate search that exhausts its budget).
+candidate search that exhausts its budget, and a root system that matches
+no Dynkin diagram).
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
-                     NoCompactFound, NoRealSemisimpleFound,
-                     NotAbelianNilpotent, NotATorus, NotNilpotent, NotSplit)
+from .errors import (DegenerateRoot, ExtensionDegreeTooHigh,
+                     InvalidStructureConstants, NoCompactFound,
+                     NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
+                     NotNilpotent, NotSplit, UnrecognizedBondPattern,
+                     UnrecognizedDiagram)
 from .exactlin import determinant, format_rat
 from .liecore import (LieAlgebra, Subspace, killing_signature,
                       levi_decomposition, radical)
@@ -95,9 +98,9 @@ def load_algebra(ref: str) -> LieAlgebra:
         raise CliError(f"invalid JSON in {ref!r}: {exc}", EXIT_PARSE)
     try:
         return LieAlgebra.from_json(obj, name=ref)
-    except ValueError as exc:
+    except InvalidStructureConstants as exc:
         raise CliError(f"invalid algebra: {exc}", EXIT_INVARIANT)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"malformed algebra JSON: {exc}", EXIT_PARSE)
 
 
@@ -343,7 +346,8 @@ def main(argv=None) -> int:
         print(f"error: scalar tower exceeded: {exc}", file=sys.stderr)
         return EXIT_EXTENSION
     except (NotATorus, NotNilpotent, NotAbelianNilpotent, NotSplit,
-            NoCompactFound, NoRealSemisimpleFound) as exc:
+            NoCompactFound, NoRealSemisimpleFound, DegenerateRoot,
+            UnrecognizedBondPattern, UnrecognizedDiagram) as exc:
         print(f"error: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InvalidStructureConstants as exc:

@@ -334,31 +334,122 @@ def _dot(u, v):
     return acc
 
 
+# A row over Z[sqrt d] is a pair of sparse integer rows (a, b), column -> int,
+# standing for a + b*sqrt(d); b is empty for rational rows.
+_IntRow = tuple[dict, dict]
+
+
+def _sub_multiple(dst: dict, f: int, src: dict) -> None:
+    """``dst -= f*src`` in place, dropping entries that cancel."""
+    for k, x in src.items():
+        y = dst.get(k, 0) - f * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _combine(p: int, row: _IntRow, fa: int, fb: int, prow: _IntRow,
+             d: int) -> _IntRow:
+    """``p*row - (fa + fb*sqrt d)*prow`` divided by its content."""
+    ra, rb = row
+    pa, pb = prow
+    if p == 1:
+        a, b = ra.copy(), rb.copy()
+    else:
+        a = {k: p * x for k, x in ra.items()}
+        b = {k: p * x for k, x in rb.items()}
+    if fa:
+        _sub_multiple(a, fa, pa)
+        _sub_multiple(b, fa, pb)
+    if fb:
+        _sub_multiple(a, fb * d, pb)
+        _sub_multiple(b, fb, pa)
+    g = gcd(*a.values(), *b.values())
+    if g > 1:
+        a = {k: x // g for k, x in a.items()}
+        b = {k: x // g for k, x in b.items()}
+    return a, b
+
+
 def _rref_rows(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form of the rows; returns (rows, pivot_columns).
+
+    Fraction-free Gauss-Jordan over Z[sqrt d] on sparse rows, with d = 0
+    for rational input.  Each row is scaled by the lcm of its denominators
+    to a pair of integer rows.  A pivot a + b*sqrt(d) with b != 0 becomes
+    the rational integer a^2 - d*b^2 by multiplying its row with the
+    conjugate.  For a pivot p, every other row with an entry f in the pivot
+    column becomes ``p*row - f*pivot_row`` (p and f first divided by their
+    gcd) and is divided by its content.  Only at the end is each pivot row
+    divided by its pivot.  RREF is unique, so the result does not depend on
+    the pivot rows chosen.  Raises ExtensionDegreeTooHigh if the entries
+    use two different d.
+    """
     if not rows:
         return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = (ONE / pv) if isinstance(pv, Fraction) else pv.inverse()
-            rows[r] = [inv * x for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
+    width = len(rows[0])
+    d = 0
+    pending: list[_IntRow] = []
+    for row in rows:
+        re, im = {}, {}
+        for c, x in enumerate(row):
+            if not x:
+                continue
+            if isinstance(x, ExactScalar):
+                if x.d != d:
+                    if d:
+                        raise ExtensionDegreeTooHigh(
+                            f"mixing sqrt({d}) with sqrt({x.d})")
+                    d = x.d
+                im[c] = x.b
+                if x.a:
+                    re[c] = x.a
+            else:
+                re[c] = x
+        if re or im:
+            scale = lcm(*(x.denominator for x in re.values()),
+                        *(x.denominator for x in im.values()))
+            pending.append(({c: x.numerator * (scale // x.denominator)
+                             for c, x in re.items()},
+                            {c: x.numerator * (scale // x.denominator)
+                             for c, x in im.items()}))
+    done: list[_IntRow] = []
+    pivots: list[int] = []
+    for c in range(width):
+        if not pending:
             break
-    return rows, pivots
+        # a rational pivot needs no conjugate; a sparse one keeps fill-in low
+        cands = [(c in b, len(a) + len(b), i)
+                 for i, (a, b) in enumerate(pending) if c in a or c in b]
+        if not cands:
+            continue
+        pivot = pending.pop(min(cands)[2])
+        if c in pivot[1]:
+            # (pa - pb*sqrt d) * pivot_row, written as 0*row - f*pivot_row
+            pivot = _combine(0, ({}, {}), -pivot[0].get(c, 0), pivot[1][c],
+                             pivot, d)
+        p = pivot[0][c]
+        for group in (done, pending):
+            for i, row in enumerate(group):
+                fa, fb = row[0].get(c, 0), row[1].get(c, 0)
+                if fa or fb:
+                    g = gcd(p, fa, fb)
+                    group[i] = _combine(p // g, row, fa // g, fb // g, pivot, d)
+        pending = [row for row in pending if row[0] or row[1]]
+        done.append(pivot)
+        pivots.append(c)
+    out = []
+    for (a, b), c in zip(done, pivots):
+        p = a[c]
+        row = [ZERO] * width
+        for k, x in a.items():
+            row[k] = Fraction(x, p)
+        for k, x in b.items():
+            row[k] = ExactScalar(row[k], Fraction(x, p), d)
+        out.append(row)
+    out.extend([ZERO] * width for _ in range(len(rows) - len(out)))
+    return out, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:

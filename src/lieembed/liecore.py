@@ -139,19 +139,21 @@ class LieAlgebra:
         return self._ad_basis
 
     def killing_matrix(self) -> Matrix:
+        """K_ij = trace(ad b_i ad b_j) = sum_{s,r} c_is^r c_jr^s, summed over
+        the integer table ``D * c`` and divided by ``D^2`` once."""
         if self._killing is None:
-            ads = self.ad_basis()
+            scale, table = self._scaled_table()
             n = self.dim
+            # nonzero entries (r, s) of D * ad(b_i), as (s, r, value)
+            ads = [[(s, r, v) for s, row in enumerate(table[i]) for r, v in row.items()]
+                   for i in range(n)]
             entries = [[ZERO] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    t = ZERO
-                    a, b = ads[i].entries, ads[j].entries
-                    for r in range(n):
-                        for s in range(n):
-                            if a[r][s] and b[s][r]:
-                                t = t + a[r][s] * b[s][r]
-                    entries[i][j] = entries[j][i] = t
+                    tj = table[j]
+                    t = sum(v * tj[r].get(s, 0) for s, r, v in ads[i])
+                    if t:
+                        entries[i][j] = entries[j][i] = Fraction(t, scale * scale)
             self._killing = Matrix(entries)
         return self._killing
 
@@ -167,16 +169,22 @@ class LieAlgebra:
             self._center_dim = len(kernel(Matrix.from_columns(cols)))
         return self._center_dim
 
-    def _check_jacobi(self):
+    def _scaled_table(self) -> tuple[int, list[list[dict]]]:
+        """(D, table) with D the lcm of all denominators and table[a][b] =
+        D * [b_a, b_b] as a sparse integer row, both orders stored."""
         n = self.dim
         scale = lcm(*(c.denominator for comp in self.brackets.values()
                       for c in comp.values()))
-        # table[a][b] = D * [b_a, b_b] as a sparse row, both orders stored
         table: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j), comp in self.brackets.items():
             row = {k: c.numerator * (scale // c.denominator) for k, c in comp.items()}
             table[i][j] = row
             table[j][i] = {k: -v for k, v in row.items()}
+        return scale, table
+
+    def _check_jacobi(self):
+        n = self.dim
+        _, table = self._scaled_table()
         for i in range(n):
             ti = table[i]
             for j in range(i + 1, n):

@@ -279,6 +279,8 @@ def so_pq_generators(p: int, q: int) -> LieAlgebra:
     """so(p, q) in the basis E_ij - E_ji (metric signs equal) and
     E_ij + E_ji (signs opposite), pairs (i, j) with i < j in lexicographic
     order; returned as a structure-constant algebra."""
+    if p < 0 or q < 0:
+        raise ValueError("p and q must not be negative")
     n = p + q
     if n < 2:
         raise ValueError("p + q must be at least 2")

@@ -97,6 +97,8 @@ def test_embed_precondition_exit_5(run):
     ["embed", "wave15", "--mode", "torus", "--subspace", "e2+1/0*e6"],
     ["analyze", "so(1,0)"],
     ["analyze", "so(x,2)"],
+    ["analyze", "so(-1,3)", "--format", "text"],
+    ["analyze", "so(3,-1)"],
 ])
 def test_malformed_input_exit_2(run, argv):
     code, _, err = run(argv)
@@ -112,6 +114,25 @@ def test_zero_denominator_in_table_exit_2(run, tmp_path):
     code, _, err = run(["analyze", str(path)])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_non_numeric_coefficient_in_table_exit_2(run, tmp_path):
+    path = tmp_path / "abc.json"
+    path.write_text(json.dumps({
+        "dim": 2, "basis": ["a", "b"],
+        "brackets": [{"i": 0, "j": 1, "c": {"1": "abc"}}]}))
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "abc" in err
+
+
+def test_unrecognized_root_system_exit_5(run):
+    code, out, err = run(["dynkin", "so(2,2)", "--cartan", "e1", "--cartan",
+                          "e6", "--positive-system", "as-given"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: precondition failed:")
+    assert "Traceback" not in err
 
 
 def test_search_budget_exhausted_exit_5(run):

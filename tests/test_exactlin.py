@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieembed import exactlin
 from lieembed.errors import ExtensionDegreeTooHigh
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                determinant, eigenvalues, factor_roots,
                                full_rank_solver, kernel, make_scalar, min_poly,
-                               poly_gcd, poly_lcm, rational_roots, rref,
-                               solve_linear, squarefree_split,
+                               poly_gcd, poly_lcm, rational_roots, row_space_basis,
+                               rref, solve_linear, squarefree_split,
                                symmetric_signature, unit_vector)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
@@ -143,6 +144,132 @@ def test_full_rank_solver_matches_solve_linear():
             else:
                 b = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
             assert solve(b) == solve_linear(m, b)
+
+
+def _reference_rref_rows(rows):
+    """Dense Gauss-Jordan over Fraction/ExactScalar entries (the loop
+    _rref_rows ran before its fraction-free rewrite), kept as the
+    reference."""
+    if not rows:
+        return rows, []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            inv = (1 / pv) if isinstance(pv, F) else pv.inverse()
+            rows[r] = [inv * x for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def _rand_rational(rng, bits):
+    return F(rng.randint(-2 ** bits, 2 ** bits),
+             rng.choice((1, 1, 2, 3, 7, rng.randint(1, 2 ** bits))))
+
+
+def _rref_cases(seed, count, d=0):
+    """Random matrices over Q (d = 0) or Q(sqrt d): 1-40-bit numerators,
+    mixed denominators, some zero entries, low-rank products, zero and
+    repeated rows, and 1xn, nx1, 1x0 and empty shapes."""
+    rng = random.Random(seed)
+
+    def entry(bits):
+        a = _rand_rational(rng, bits)
+        if d and rng.random() < 0.5:
+            return make_scalar(a, _rand_rational(rng, bits), d)
+        return a
+
+    cases = [Matrix([]), Matrix([[]]), Matrix.zero(3, 4), Matrix.zero(1, 1)]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        bits = rng.randint(1, 40)
+        density = rng.choice((0.2, 0.6, 1.0))
+        kind = rng.random()
+        if kind < 0.25:  # rank at most k: a product of rows x k and k x cols
+            k = rng.randint(1, min(rows, cols))
+            a = Matrix([[entry(bits) for _ in range(k)] for _ in range(rows)])
+            b = Matrix([[entry(bits) for _ in range(cols)] for _ in range(k)])
+            cases.append(a @ b)
+            continue
+        m = [[entry(bits) if rng.random() < density else F(0)
+              for _ in range(cols)] for _ in range(rows)]
+        if kind < 0.5:  # zero, repeated and rescaled rows
+            m.append([F(0)] * cols)
+            m.append(list(m[0]))
+            m.append([entry(3) * x for x in m[-1]])
+            rng.shuffle(m)
+        cases.append(Matrix(m))
+    for _ in range(4):
+        cases.append(Matrix([[entry(12) for _ in range(rng.randint(1, 9))]]))
+        cases.append(Matrix([[entry(12)] for _ in range(rng.randint(1, 9))]))
+    return cases
+
+
+def _same(x, y):
+    """Equal, and with the same scalar type entry for entry."""
+    return x == y and [type(e) for e in _flat(x)] == [type(e) for e in _flat(y)]
+
+
+def _flat(obj):
+    if isinstance(obj, Matrix):
+        obj = obj.entries
+    if isinstance(obj, (tuple, list)):
+        return [e for item in obj for e in _flat(item)]
+    return [obj]
+
+
+def _rref_results(m, rng):
+    rhs_in = m.apply([F(rng.randint(-5, 5)) for _ in range(m.cols)])
+    rhs_any = tuple(F(rng.randint(-3, 3)) for _ in range(m.rows))
+    return (rref(m), row_space_basis(m.entries, m.cols), kernel(m),
+            solve_linear(m, rhs_in), solve_linear(m, rhs_any))
+
+
+@pytest.mark.parametrize("d", [0, -1, 2, -3, 5])
+def test_rref_kernel_solve_match_fraction_reference(d, monkeypatch):
+    cases = _rref_cases(seed=40 + d, count=60, d=d)
+    got = [_rref_results(m, random.Random(i)) for i, m in enumerate(cases)]
+    monkeypatch.setattr(exactlin, "_rref_rows", _reference_rref_rows)
+    want = [_rref_results(m, random.Random(i)) for i, m in enumerate(cases)]
+    for m, g, w in zip(cases, got, want):
+        assert _same(g, w), m.entries
+
+
+def test_rref_mixed_extensions_rejected():
+    root2, root3 = make_scalar(0, 1, 2), make_scalar(1, 1, 3)
+    m = Matrix([[root2, 0], [0, root3]])
+    for call in (lambda: rref(m), lambda: kernel(m),
+                 lambda: row_space_basis(m.entries, 2),
+                 lambda: solve_linear(m, (F(1), F(1)))):
+        with pytest.raises(ExtensionDegreeTooHigh):
+            call()
+
+
+def test_rref_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _rref_cases(seed=41, count=40):
+        reduced, rank, pivots = rref(m)
+        if not m.rows or not m.cols:
+            continue
+        want, want_pivots = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row]
+             for row in m.entries]).rref()
+        assert list(want_pivots) == pivots and rank == len(pivots)
+        assert [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                for row in reduced.entries] == want.tolist()
 
 
 # --- characteristic / minimal polynomials -------------------------------------
@@ -300,10 +427,8 @@ def _min_poly_cases(seed, count):
         n = rng.randint(1, 7)
         bits = rng.randint(1, 20)
         density = rng.choice((0.3, 0.7, 1.0))
-        cases.append(Matrix([[F(rng.randint(-2 ** bits, 2 ** bits),
-                                rng.choice((1, 1, 2, 3, 7, rng.randint(1, 2 ** bits))))
-                              if rng.random() < density else F(0)
-                              for _ in range(n)] for _ in range(n)]))
+        cases.append(Matrix([[_rand_rational(rng, bits) if rng.random() < density
+                              else F(0) for _ in range(n)] for _ in range(n)]))
     structured = [
         _block_diag([_jordan(0, 3), _jordan(0, 2)]),             # nilpotent
         _block_diag([_jordan(0, 4)]),

@@ -447,6 +447,23 @@ def test_jacobi_check_matches_fraction_reference():
     assert failures >= 12
 
 
+def test_killing_matrix_matches_fraction_trace(wave15, g2):
+    """K_ij against trace(ad b_i ad b_j) over Fraction matrices, on the
+    catalog tables and on dense rebased so(p,q) tables with denominators."""
+    from lieembed.vecfield import so_pq_generators
+    rng = random.Random(2025)
+    algebras = [wave15, g2]
+    for p, q in ((2, 2), (1, 3), (4, 0), (3, 2)):
+        L = so_pq_generators(p, q)
+        algebras.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng)))
+    for L in algebras:
+        ads = L.ad_basis()
+        want = Matrix([[(ads[i] @ ads[j]).trace() for j in range(L.dim)]
+                       for i in range(L.dim)])
+        assert L.killing_matrix() == want
+        assert all(type(x) is F for row in L.killing_matrix().entries for x in row)
+
+
 def test_solvable_derived_is_nilpotent(wave15, g2):
     # derived algebra of the radical of a normalizer consists of nilpotents
     for L, names in ((wave15, ("e8", "e10", "e11", "e12")),
