@@ -181,10 +181,10 @@ def cmd_embed(args) -> int:
 
 
 def _decomposition(args, L):
-    basis = parse_subspace_spec(L, args.cartan)
-    if args.ambient:
-        ambient = Subspace(L, parse_subspace_spec(L, args.ambient))
-        return restricted_roots(ambient, basis)
+    basis = parse_subspace_spec(L, ",".join(args.cartan))
+    ambient = ",".join(args.ambient or ())
+    if ambient:
+        return restricted_roots(Subspace(L, parse_subspace_spec(L, ambient)), basis)
     return root_space_decomposition(L, basis)
 
 
@@ -297,17 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roots", help="root space decomposition")
     sp.add_argument("input")
-    sp.add_argument("--cartan", required=True,
-                    help="ordered torus basis, e.g. 'e7m16,e2'")
-    sp.add_argument("--ambient", default="",
-                    help="restrict to this subalgebra span")
+    sp.add_argument("--cartan", required=True, action="append",
+                    help="ordered torus basis, e.g. 'e7m16,e2'; repeated "
+                         "options are joined in order")
+    sp.add_argument("--ambient", action="append",
+                    help="restrict to this subalgebra span; repeated "
+                         "options are joined")
     common(sp)
     sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("dynkin", help="simple roots and diagram label")
     sp.add_argument("input")
-    sp.add_argument("--cartan", required=True)
-    sp.add_argument("--ambient", default="")
+    sp.add_argument("--cartan", required=True, action="append")
+    sp.add_argument("--ambient", action="append")
     sp.add_argument("--positive-system", choices=("first-nonzero", "as-given"),
                     default="first-nonzero", dest="positive_system",
                     help="'as-given' treats all decomposition roots as the "

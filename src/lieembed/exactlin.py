@@ -339,6 +339,50 @@ def _dot(u, v):
 _IntRow = tuple[dict, dict]
 
 
+def _same_d(d: int, e: int) -> int:
+    """The one extension of two operands (0 for rational ones)."""
+    if d and e and d != e:
+        raise ExtensionDegreeTooHigh(f"mixing sqrt({d}) with sqrt({e})")
+    return d or e
+
+
+def _scaled_vector(v: Vector) -> tuple[int, int, dict, dict]:
+    """(den, d, a, b) with ``den * v = a + b*sqrt(d)``: den is the lcm of
+    the denominators, a and b are sparse integer rows (index -> int), and
+    b is empty with d = 0 when v is rational.  Raises ExtensionDegreeTooHigh
+    if the entries use two different d."""
+    re, im, d = {}, {}, 0
+    for k, x in enumerate(v):
+        if not x:
+            continue
+        if isinstance(x, ExactScalar):
+            d = _same_d(d, x.d)
+            im[k] = x.b
+            if x.a:
+                re[k] = x.a
+        else:
+            re[k] = x
+    den = lcm(*(x.denominator for x in re.values()),
+              *(x.denominator for x in im.values()))
+    return (den, d, {k: x.numerator * (den // x.denominator) for k, x in re.items()},
+            {k: x.numerator * (den // x.denominator) for k, x in im.items()})
+
+
+def _unscaled_vector(den: int, d: int, a: Iterable[tuple[int, int]],
+                    b: Iterable[tuple[int, int]], width: int) -> Vector:
+    """The vector ``(a + b*sqrt(d)) / den`` of the given width, from the
+    (index, int) pairs of a and b, with canonical entries: a Fraction where
+    the surd part is zero, an ExactScalar elsewhere."""
+    out = [ZERO] * width
+    for k, x in a:
+        if x:
+            out[k] = Fraction(x, den)
+    for k, x in b:
+        if x:
+            out[k] = ExactScalar(out[k], Fraction(x, den), d)
+    return tuple(out)
+
+
 def _sub_multiple(dst: dict, f: int, src: dict) -> None:
     """``dst -= f*src`` in place, dropping entries that cancel."""
     for k, x in src.items():
@@ -372,7 +416,7 @@ def _combine(p: int, row: _IntRow, fa: int, fb: int, prow: _IntRow,
     return a, b
 
 
-def _rref_rows(rows: list[list]) -> tuple[list[list], list[int]]:
+def _rref_rows(rows: list[list]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form of the rows; returns (rows, pivot_columns).
 
     Fraction-free Gauss-Jordan over Z[sqrt d] on sparse rows, with d = 0
@@ -392,28 +436,10 @@ def _rref_rows(rows: list[list]) -> tuple[list[list], list[int]]:
     d = 0
     pending: list[_IntRow] = []
     for row in rows:
-        re, im = {}, {}
-        for c, x in enumerate(row):
-            if not x:
-                continue
-            if isinstance(x, ExactScalar):
-                if x.d != d:
-                    if d:
-                        raise ExtensionDegreeTooHigh(
-                            f"mixing sqrt({d}) with sqrt({x.d})")
-                    d = x.d
-                im[c] = x.b
-                if x.a:
-                    re[c] = x.a
-            else:
-                re[c] = x
-        if re or im:
-            scale = lcm(*(x.denominator for x in re.values()),
-                        *(x.denominator for x in im.values()))
-            pending.append(({c: x.numerator * (scale // x.denominator)
-                             for c, x in re.items()},
-                            {c: x.numerator * (scale // x.denominator)
-                             for c, x in im.items()}))
+        _, e, a, b = _scaled_vector(row)
+        d = _same_d(d, e)
+        if a or b:
+            pending.append((a, b))
     done: list[_IntRow] = []
     pivots: list[int] = []
     for c in range(width):
@@ -439,16 +465,9 @@ def _rref_rows(rows: list[list]) -> tuple[list[list], list[int]]:
         pending = [row for row in pending if row[0] or row[1]]
         done.append(pivot)
         pivots.append(c)
-    out = []
-    for (a, b), c in zip(done, pivots):
-        p = a[c]
-        row = [ZERO] * width
-        for k, x in a.items():
-            row[k] = Fraction(x, p)
-        for k, x in b.items():
-            row[k] = ExactScalar(row[k], Fraction(x, p), d)
-        out.append(row)
-    out.extend([ZERO] * width for _ in range(len(rows) - len(out)))
+    out = [_unscaled_vector(a[c], d, a.items(), b.items(), width)
+           for (a, b), c in zip(done, pivots)]
+    out.extend((ZERO,) * width for _ in range(len(rows) - len(out)))
     return out, pivots
 
 

@@ -19,7 +19,8 @@ from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
                        poly_ext_gcd, poly_gcd, rat, row_space_basis,
                        scalar_d, scalar_parts, solve_linear, squarefree_part,
                        symmetric_signature, unit_vector, vec_add, vec_is_zero,
-                       vec_scale, vec_sub)
+                       vec_scale, vec_sub, _same_d, _scaled_vector,
+                       _unscaled_vector)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -34,10 +35,14 @@ class LieAlgebra:
     ``brackets`` maps (i, j) with i < j to {k: c} for
     [b_i, b_j] = sum_k c * b_k; antisymmetry is implied by storage.  Index
     pairs and components outside the basis raise
-    :class:`InvalidStructureConstants`, and so does a Jacobi failure.  The
-    Jacobi identity is checked on construction over the integer table
-    ``D * c``, with ``D`` the lcm of all denominators: the identity is
-    homogeneous quadratic in the constants, so scaling keeps every verdict.
+    :class:`InvalidStructureConstants`, and so does a Jacobi failure.
+
+    The integer table ``D * c``, with ``D`` the lcm of all denominators, is
+    built once and kept on the algebra (:meth:`scaled_table`).
+    :meth:`bracket`, :meth:`ad`, the Jacobi check and the Killing matrix
+    all sum over it in plain ints and divide by the scale once per entry.
+    The Jacobi identity is checked on construction: it is homogeneous
+    quadratic in the constants, so scaling keeps every verdict.
     """
 
     def __init__(self, dim: int, basis_names: Sequence[str],
@@ -61,6 +66,7 @@ class LieAlgebra:
             if comp:
                 table[(i, j)] = comp
         self.brackets = table
+        self._table: Optional[tuple[int, list[list[dict]]]] = None
         self._ad_basis: Optional[list[Matrix]] = None
         self._killing: Optional[Matrix] = None
         self._center_dim: Optional[int] = None
@@ -110,28 +116,44 @@ class LieAlgebra:
 
     # -- core operations
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+    def _bracket_ints(self, x: Vector, y: Vector) -> tuple[int, int, list, list]:
+        """(den, d, a, b) with ``den * [x, y] = a + b*sqrt(d)``, a and b
+        dense integer lists.  Entries over Q(sqrt d) are split into their
+        rational and surd parts, on which the bracket is bilinear."""
+        dx, d, xa, xb = _scaled_vector(x)
+        dy, e, ya, yb = _scaled_vector(y)
+        d = _same_d(d, e)
+        scale, table = self.scaled_table()
+        a, b = [0] * self.dim, [0] * self.dim
+        _accumulate(table, xa, ya, 1, a)
+        if xb or yb:
+            _accumulate(table, xb, yb, d, a)
+            _accumulate(table, xa, yb, 1, b)
+            _accumulate(table, xb, ya, 1, b)
+        return scale * dx * dy, d, a, b
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj or i == j:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out[k] + xi * yj * c
-        return tuple(out)
+        den, d, a, b = self._bracket_ints(x, y)
+        return _unscaled_vector(den, d, enumerate(a), enumerate(b), self.dim)
 
     def ad(self, x: Vector) -> Matrix:
-        cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+        """Matrix of [x, -], filled as ``D * dx * ad(x)`` (dx the lcm of the
+        denominators of x) from the table rows of x's support."""
+        dx, d, xa, xb = _scaled_vector(x)
+        scale, table = self.scaled_table()
+        n = self.dim
+
+        def fill(xs):
+            m = [[0] * n for _ in range(n)]
+            for i, f in xs.items():
+                for j, row in enumerate(table[i]):
+                    for k, c in row.items():
+                        m[k][j] += f * c
+            return m
+
+        surd = fill(xb) if xb else [()] * n
+        return Matrix([_unscaled_vector(scale * dx, d, enumerate(ra), enumerate(rb), n)
+                       for ra, rb in zip(fill(xa), surd)])
 
     def ad_basis(self) -> list[Matrix]:
         if self._ad_basis is None:
@@ -142,7 +164,7 @@ class LieAlgebra:
         """K_ij = trace(ad b_i ad b_j) = sum_{s,r} c_is^r c_jr^s, summed over
         the integer table ``D * c`` and divided by ``D^2`` once."""
         if self._killing is None:
-            scale, table = self._scaled_table()
+            scale, table = self.scaled_table()
             n = self.dim
             # nonzero entries (r, s) of D * ad(b_i), as (s, r, value)
             ads = [[(s, r, v) for s, row in enumerate(table[i]) for r, v in row.items()]
@@ -169,22 +191,27 @@ class LieAlgebra:
             self._center_dim = len(kernel(Matrix.from_columns(cols)))
         return self._center_dim
 
-    def _scaled_table(self) -> tuple[int, list[list[dict]]]:
+    def scaled_table(self) -> tuple[int, list[list[dict]]]:
         """(D, table) with D the lcm of all denominators and table[a][b] =
-        D * [b_a, b_b] as a sparse integer row, both orders stored."""
-        n = self.dim
-        scale = lcm(*(c.denominator for comp in self.brackets.values()
-                      for c in comp.values()))
-        table: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-        for (i, j), comp in self.brackets.items():
-            row = {k: c.numerator * (scale // c.denominator) for k, c in comp.items()}
-            table[i][j] = row
-            table[j][i] = {k: -v for k, v in row.items()}
-        return scale, table
+        D * [b_a, b_b] as a sparse integer row, both orders stored; built on
+        first use and kept.  Zero brackets share one empty row."""
+        if self._table is None:
+            n = self.dim
+            scale = lcm(*(c.denominator for comp in self.brackets.values()
+                          for c in comp.values()))
+            empty: dict = {}
+            table: list[list[dict]] = [[empty] * n for _ in range(n)]
+            for (i, j), comp in self.brackets.items():
+                row = {k: c.numerator * (scale // c.denominator)
+                       for k, c in comp.items()}
+                table[i][j] = row
+                table[j][i] = {k: -v for k, v in row.items()}
+            self._table = scale, table
+        return self._table
 
     def _check_jacobi(self):
         n = self.dim
-        _, table = self._scaled_table()
+        _, table = self.scaled_table()
         for i in range(n):
             ti = table[i]
             for j in range(i + 1, n):
@@ -224,15 +251,53 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"
 
 
-class Subspace:
-    """Linear subspace of a LieAlgebra with canonical RREF basis rows."""
+def _scaled_rows(vectors: Sequence[Vector]) -> tuple[int, int, list[tuple[dict, dict]]]:
+    """(den, d, rows) with ``den * v_i = a_i + b_i*sqrt(d)`` for sparse
+    integer rows (a_i, b_i) and den the lcm over all vectors."""
+    parts = [_scaled_vector(v) for v in vectors]
+    den, d = lcm(*(p[0] for p in parts)), 0
+    rows = []
+    for vd, e, a, b in parts:
+        d = _same_d(d, e)
+        f = den // vd
+        rows.append(({k: f * x for k, x in a.items()},
+                     {k: f * x for k, x in b.items()}))
+    return den, d, rows
 
-    __slots__ = ("algebra", "rows", "pivots")
+
+def _int_dot(x: dict, y: dict) -> int:
+    return sum(v * y[k] for k, v in x.items() if k in y)
+
+
+def _accumulate(table: list[list[dict]], xs: dict, ys: dict, f: int,
+                out: list) -> None:
+    """``out += f * sum x_i y_j table[i][j]`` over sparse integer xs, ys."""
+    for i, a in xs.items():
+        ti = table[i]
+        for j, b in ys.items():
+            row = ti[j]
+            if row:
+                ab = f * a * b
+                for k, c in row.items():
+                    out[k] += ab * c
+
+
+class Subspace:
+    """Linear subspace of a LieAlgebra with canonical RREF basis rows.
+
+    The rows are in RREF, so the coordinates of a member v are v at the
+    pivot columns, and v is a member iff ``v - from_coords(v[pivots])`` is
+    zero.  Both are computed over the rows scaled to one common denominator
+    (``den * row = a + b*sqrt(d)``, integer a and b), in plain ints.
+    """
+
+    __slots__ = ("algebra", "rows", "pivots", "_scaled")
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector]):
         self.algebra = algebra
         self.rows = row_space_basis(vectors, algebra.dim)
         self.pivots = tuple(next(c for c, x in enumerate(r) if x) for r in self.rows)
+        self._scaled: Optional[tuple[int, int, list[tuple[dict, dict]]]] = None
 
     @classmethod
     def full(cls, algebra: LieAlgebra) -> "Subspace":
@@ -253,40 +318,74 @@ class Subspace:
     def __hash__(self):
         return hash(self.rows)
 
+    def _scaled_rows(self) -> tuple[int, int, list[tuple[dict, dict]]]:
+        """(den, d, rows): ``den * row_i = a_i + b_i*sqrt(d)`` with den
+        the lcm over all rows; computed on first use and kept."""
+        if self._scaled is None:
+            self._scaled = _scaled_rows(self.rows)
+        return self._scaled
+
+    def _combination(self, fa: dict, fb: dict, d: int, a: list,
+                     b: list) -> tuple[int, int]:
+        """``a + b*sqrt(d) += sum_i (fa_i + fb_i*sqrt d) * den * row_i`` for
+        integer coefficients keyed by row number; returns (den, d)."""
+        den, e, rows = self._scaled_rows()
+        d = _same_d(d, e)
+        for i, (ra, rb) in enumerate(rows):
+            f, g = fa.get(i, 0), fb.get(i, 0)
+            if f:
+                for k, x in ra.items():
+                    a[k] += f * x
+                for k, x in rb.items():
+                    b[k] += f * x
+            if g:
+                gd = g * d
+                for k, x in rb.items():
+                    a[k] += gd * x
+                for k, x in ra.items():
+                    b[k] += g * x
+        return den, d
+
+    def _residual(self, dv: int, d: int, va: dict,
+                  vb: dict) -> tuple[int, int, list, list]:
+        """(den, d, a, b) with ``den * (v - from_coords(v[pivots])) =
+        a + b*sqrt(d)`` for ``v = (va + vb*sqrt d) / dv`` (see
+        :func:`_scaled_vector`), a and b dense integer lists."""
+        n = self.algebra.dim
+        a, b = [0] * n, [0] * n
+        den, d = self._combination(
+            {i: -va[p] for i, p in enumerate(self.pivots) if p in va},
+            {i: -vb[p] for i, p in enumerate(self.pivots) if p in vb}, d, a, b)
+        for k, x in va.items():
+            a[k] += den * x
+        for k, x in vb.items():
+            b[k] += den * x
+        return den * dv, d, a, b
+
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after elimination against the basis rows."""
-        work = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if work[p]:
-                f = work[p]
-                work = [x - f * y for x, y in zip(work, row)]
-        return tuple(work)
+        den, d, a, b = self._residual(*_scaled_vector(v))
+        return _unscaled_vector(den, d, enumerate(a), enumerate(b), self.algebra.dim)
 
     def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+        _, _, a, b = self._residual(*_scaled_vector(v))
+        return not any(a) and not any(b)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
 
     def coords_of(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v in the basis rows, or None if outside."""
-        coords = []
-        work = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            f = work[p]
-            coords.append(f)
-            if f:
-                work = [x - f * y for x, y in zip(work, row)]
-        if not vec_is_zero(tuple(work)):
+        if not self.contains(v):
             return None
-        return tuple(coords)
+        return tuple(v[p] for p in self.pivots)
 
     def from_coords(self, coords: Sequence) -> Vector:
-        out = tuple([ZERO] * self.algebra.dim)
-        for c, row in zip(coords, self.rows):
-            if c:
-                out = vec_add(out, vec_scale(c, row))
-        return out
+        n = self.algebra.dim
+        dc, d, ca, cb = _scaled_vector(coords)
+        a, b = [0] * n, [0] * n
+        den, d = self._combination(ca, cb, d, a, b)
+        return _unscaled_vector(den * dc, d, enumerate(a), enumerate(b), n)
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.algebra, self.rows + other.rows)
@@ -324,19 +423,38 @@ class Subspace:
     def is_abelian(self) -> bool:
         for i, r in enumerate(self.rows):
             for s in self.rows[i + 1:]:
-                if not vec_is_zero(self.algebra.bracket(r, s)):
+                _, _, a, b = self.algebra._bracket_ints(r, s)
+                if any(a) or any(b):
                     return False
         return True
 
     def restrict(self, m: Matrix) -> Matrix:
         """Matrix of an endomorphism that maps this subspace into itself,
-        in the basis rows."""
+        in the basis rows.  The image of each row is summed in ints over m
+        and the rows scaled to common denominators."""
+        dm, d, mrows = _scaled_rows(m.entries)
+        den, e, rows = self._scaled_rows()
+        d = _same_d(d, e)
+        den *= dm
         cols = []
-        for r in self.rows:
-            c = self.coords_of(m.apply(r))
-            if c is None:
+        for ra, rb in rows:
+            # den * m(row) = wa + wb*sqrt(d)
+            wa, wb = {}, {}
+            for k, (xa, xb) in enumerate(mrows):
+                s, t = _int_dot(xa, ra), 0
+                if d:
+                    s += d * _int_dot(xb, rb)
+                    t = _int_dot(xa, rb) + _int_dot(xb, ra)
+                if s:
+                    wa[k] = s
+                if t:
+                    wb[k] = t
+            _, _, a, b = self._residual(den, d, wa, wb)
+            if any(a) or any(b):
                 raise ValueError("subspace is not invariant")
-            cols.append(c)
+            cols.append(_unscaled_vector(
+                den, d, [(i, wa.get(p, 0)) for i, p in enumerate(self.pivots)],
+                [(i, wb.get(p, 0)) for i, p in enumerate(self.pivots)], self.dim))
         return Matrix.from_columns(cols)
 
     def as_subalgebra(self) -> LieAlgebra:
@@ -419,8 +537,7 @@ def centralizer(L: LieAlgebra, sub: Subspace,
     # unknown x = c . within.rows; conditions [s, x] = 0 for basis s
     rows_out = []
     for s in sub.rows:
-        m = L.ad(s)
-        cols = [m.apply(r) for r in within.rows]
+        cols = [L.bracket(s, r) for r in within.rows]
         rows_out.extend(Matrix.from_columns(cols).entries)
     vecs = [within.from_coords(k) for k in kernel(Matrix(rows_out))]
     return Subspace(L, vecs)
@@ -434,7 +551,7 @@ def normalizer(L: LieAlgebra, sub: Subspace) -> Subspace:
     for s in sub.rows:
         m = L.ad(s)
         # residual of [x, s] modulo sub must vanish; [x,s] = -ad(s) x
-        cols = [sub.reduce(m.apply(unit_vector(L.dim, j))) for j in range(L.dim)]
+        cols = [sub.reduce(m.column(j)) for j in range(L.dim)]
         rows_out.extend(Matrix.from_columns(cols).entries)
     vecs = list(kernel(Matrix(rows_out)))
     return Subspace(L, vecs)
@@ -750,15 +867,6 @@ def _check_torus(L: LieAlgebra, T: Subspace):
             raise NotATorus(f"element {L.format_element(r)} is not semisimple")
 
 
-def torus_weights(L: LieAlgebra, T: Subspace,
-                  ambient: Optional[Subspace] = None):
-    """Joint eigenvalues of ad(t_i) for the ordered basis rows of T acting on
-    ambient (default: all of L): list of (weight tuple, Subspace)."""
-    from . import rootsys  # local import to avoid a cycle
-    basis = list(T.rows)
-    return rootsys.joint_eigenspaces(L, basis, ambient)
-
-
 def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
     """Split an algebraic torus into (real_part, compact_part).
 
@@ -766,10 +874,11 @@ def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
     real part is cut out by Im(w) = 0 and the compact part by Re(w) = 0,
     both linear conditions on torus coordinates.
     """
+    from .rootsys import joint_eigenspaces  # rootsys imports this module
     _check_torus(L, T)
     if T.dim == 0:
         return T, T
-    pairs = torus_weights(L, T)
+    pairs = joint_eigenspaces(L, list(T.rows))
     real_rows = []     # rows whose kernel is the real part
     compact_rows = []  # rows whose kernel is the compact part
     for weight, _space in pairs:

@@ -191,6 +191,27 @@ def test_roots_and_dynkin(run):
     assert json.loads(out)["type"] == "G2"
 
 
+def test_repeated_cartan_joins_values(run):
+    joined = run(["roots", "so(2,2)", "--cartan", "e1,e6", "--format", "text"])
+    repeated = run(["roots", "so(2,2)", "--cartan", "e1", "--cartan", "e6",
+                    "--format", "text"])
+    last_only = run(["roots", "so(2,2)", "--cartan", "e6", "--format", "text"])
+    assert repeated == joined
+    assert repeated[0] == 0 and repeated != last_only
+    assert len([ln for ln in repeated[1].splitlines() if ln.startswith("root ")]) == 4
+
+
+def test_repeated_ambient_joins_values(run):
+    base = ["dynkin", "g2", "--cartan", "X6,X8", "--positive-system", "as-given"]
+    joined = run(base + ["--ambient", "X5,X14,X13,X12,X11,X9"])
+    repeated = run(base + ["--ambient", "X5,X14,X13", "--ambient", "X12,X11,X9"])
+    assert repeated == joined
+    assert json.loads(repeated[1])["type"] == "G2"
+    # an empty --ambient still means the whole algebra
+    whole = ["roots", "so(2,2)", "--cartan", "e1,e6"]
+    assert run(whole + ["--ambient", ""]) == run(whole)
+
+
 def test_vf_brackets(run, golden_corpus):
     code, out, _ = run(["vf-brackets", "wave16"])
     assert code == 0

@@ -515,6 +515,75 @@ def test_eigenvalues_reconstruct_char_poly():
         assert sum(mult for _, mult in ev) == n
 
 
+def _eigen_cases(seed, bits, count):
+    """The structured min_poly cases (zero, scalar, nilpotent, derogatory,
+    repeated eigenvalues) and their shear conjugates; shear conjugates of
+    block matrices whose eigenvalues lie in one Q(sqrt d) (companion blocks
+    of t^2 - 2, t^2 + 1 and t^2 - 2t + 4 next to rational Jordan blocks or
+    repeated); and ``count`` random n x n matrices, n <= 6, with
+    ``bits``-bit numerators, mixed denominators and some zero entries."""
+    rng = random.Random(seed)
+    cases = _min_poly_cases(seed, count=0)
+    quadratic = {2: [[0, 2], [1, 0]], -1: [[0, -1], [1, 0]], -3: [[0, -4], [1, 2]]}
+    for d, block in quadratic.items():
+        for extra in ([_jordan(F(1, 2), 1)], [_jordan(0, 2)], [block, _jordan(-3, 1)]):
+            cases.append(_shear_conjugate(_block_diag([block] + extra), rng))
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        density = rng.choice((0.3, 0.7, 1.0))
+        cases.append(Matrix([[_rand_rational(rng, bits) if rng.random() < density
+                              else F(0) for _ in range(n)] for _ in range(n)]))
+    return cases
+
+
+def _sympy_scalar(sympy, x):
+    a, b, d = exactlin.scalar_parts(x)
+    return sympy.expand(sympy.Rational(a.numerator, a.denominator)
+                        + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(d))
+
+
+def test_char_poly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for m in _eigen_cases(seed=31, bits=20, count=24):
+        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in m.entries])
+        want = mat.charpoly(t).all_coeffs()[::-1]
+        got = char_poly(m).coeffs
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
+
+
+def test_eigenvalues_against_sympy():
+    """Eigenvalue multisets equal sympy's roots of the characteristic
+    polynomial when these lie in Q or one Q(sqrt d); ExtensionDegreeTooHigh
+    exactly when they do not.  The random entries have 2-bit numerators:
+    rational_roots trial-divides the scaled constant term, which does not
+    finish within 5 s for a 3 x 3 matrix of 17-bit entries."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    in_tower = 0
+    for m in _eigen_cases(seed=32, bits=2, count=40):
+        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in m.entries])
+        cp = mat.charpoly(t).as_expr()
+        factors = [sympy.Poly(f, t) for f, _ in sympy.factor_list(cp, t)[1]]
+        discs = [sympy.Rational(f.discriminant()) for f in factors if f.degree() == 2]
+        fields = {squarefree_split(r.p * r.q)[0] for r in discs}
+        fits = all(f.degree() <= 2 for f in factors) and len(fields) <= 1
+        if not fits:
+            with pytest.raises(ExtensionDegreeTooHigh):
+                eigenvalues(m)
+            continue
+        in_tower += 1
+        want = {sympy.expand(r): k for r, k in sympy.roots(cp, t).items()}
+        got = {}
+        for lam, mult in eigenvalues(m):
+            key = _sympy_scalar(sympy, lam)
+            got[key] = got.get(key, 0) + mult
+        assert got == want, m.entries
+    assert in_tower >= 20
+
+
 def test_eigenvalues_quartic_resolvent():
     # t^4 + 4 = (t^2+2t+2)(t^2-2t+2): roots (+-1 +- i)
     roots = factor_roots(Poly([4, 0, 0, 0, 1]))

@@ -516,3 +516,188 @@ def test_restricted_killing_signature(wave15):
     rot = span(wave15, E("e13"), E("e14"), E("e15"))
     # ambient form restricted to a compact subalgebra is negative definite
     assert restricted_killing_signature(rot) == (0, 3, 0)
+
+
+# --- the integer kernel against the Fraction loops it replaced ----------------
+# Reference copies of the Fraction loops of LieAlgebra.bracket/ad and
+# Subspace.reduce/coords_of/from_coords/restrict before they ran on the
+# integer table; outputs must agree in value and in entry type.
+
+def _ref_bracket(L, x, y):
+    def basis_bracket(i, j):
+        if i < j:
+            return L.brackets.get((i, j), {})
+        return {k: -c for k, c in L.brackets.get((j, i), {}).items()}
+
+    out = [F(0)] * L.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj or i == j:
+                continue
+            for k, c in basis_bracket(i, j).items():
+                out[k] = out[k] + xi * yj * c
+    return tuple(out)
+
+
+def _ref_ad(L, x):
+    return Matrix.from_columns([_ref_bracket(L, x, L.basis_vector(j))
+                                for j in range(L.dim)])
+
+
+def _ref_reduce(S, v):
+    work = list(v)
+    for row, p in zip(S.rows, S.pivots):
+        if work[p]:
+            f = work[p]
+            work = [x - f * y for x, y in zip(work, row)]
+    return tuple(work)
+
+
+def _ref_coords_of(S, v):
+    coords = []
+    work = list(v)
+    for row, p in zip(S.rows, S.pivots):
+        f = work[p]
+        coords.append(f)
+        if f:
+            work = [x - f * y for x, y in zip(work, row)]
+    if not vec_is_zero(tuple(work)):
+        return None
+    return tuple(coords)
+
+
+def _ref_from_coords(S, coords):
+    out = tuple([F(0)] * S.algebra.dim)
+    for c, row in zip(coords, S.rows):
+        if c:
+            out = vec_add(out, vec_scale(c, row))
+    return out
+
+
+def _ref_restrict(S, m):
+    cols = []
+    for r in S.rows:
+        c = _ref_coords_of(S, m.apply(r))
+        if c is None:
+            raise ValueError("subspace is not invariant")
+        cols.append(c)
+    return Matrix.from_columns(cols)
+
+
+def _typed(v):
+    """Entries with their types, so that 1/2 and an ExactScalar differ."""
+    if v is None:
+        return None
+    if isinstance(v, Matrix):
+        return [_typed(row) for row in v.entries]
+    return [(type(x).__name__, x) for x in v]
+
+
+def _rand_rat(rng, bits):
+    """Zero a quarter of the time, else a random p/q with |p| and q of up
+    to ``bits`` bits."""
+    if rng.random() < 0.25:
+        return F(0)
+    return F(rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, bits)),
+             rng.randint(1, 2 ** rng.randint(1, bits)))
+
+
+def _rand_vec(rng, n, bits, d=0):
+    """Random vector; over Q(sqrt d) (surd parts on about half the
+    entries) when d is nonzero."""
+    from lieembed.exactlin import make_scalar
+    if d == 0:
+        return tuple(_rand_rat(rng, bits) for _ in range(n))
+    return tuple(make_scalar(_rand_rat(rng, bits),
+                             _rand_rat(rng, bits) if rng.random() < 0.5 else 0, d)
+                 for _ in range(n))
+
+
+def _kernel_algebras(wave15, g2):
+    from lieembed.vecfield import so_pq_generators
+    rng = random.Random(2026)
+    algebras = [wave15, g2]
+    for p, q in ((2, 2), (1, 3), (4, 0), (3, 2)):
+        L = so_pq_generators(p, q)
+        algebras.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng),
+                                   name=f"rebased so({p},{q})"))
+    return algebras
+
+
+@pytest.mark.parametrize("d", [0, -1, 2])
+def test_integer_kernel_matches_fraction_reference(wave15, g2, d):
+    """bracket, ad, reduce, coords_of, from_coords and restrict against the
+    Fraction loops: rational vectors of 1-40 bits with mixed denominators
+    (d = 0) or vectors over Q(sqrt d), zero vectors, members and
+    non-members of random subspaces."""
+    rng = random.Random(7000 + d)
+    for L in _kernel_algebras(wave15, g2):
+        n = L.dim
+        for trial in range(6):
+            bits = (1, 8, 40)[trial % 3]
+            x = _rand_vec(rng, n, bits, d if trial % 2 else 0)
+            y = _rand_vec(rng, n, bits, d)
+            zero = tuple([F(0)] * n)
+            for a, b in ((x, y), (y, x), (x, zero), (zero, y)):
+                assert _typed(L.bracket(a, b)) == _typed(_ref_bracket(L, a, b))
+            if trial < 2:
+                assert _typed(L.ad(x)) == _typed(_ref_ad(L, x))
+                assert _typed(L.ad(zero)) == _typed(_ref_ad(L, zero))
+        for trial in range(6):
+            bits = (1, 8, 40)[trial % 3]
+            k = rng.randint(0, n - 1)
+            S = Subspace(L, [_rand_vec(rng, n, bits, d if trial % 2 else 0)
+                             for _ in range(k)])
+            coords = _rand_vec(rng, S.dim, bits, d)
+            member = S.from_coords(coords)
+            assert _typed(member) == _typed(_ref_from_coords(S, coords))
+            outside = _rand_vec(rng, n, bits, d)
+            for v in (member, outside, tuple([F(0)] * n)):
+                assert _typed(S.reduce(v)) == _typed(_ref_reduce(S, v))
+                assert _typed(S.coords_of(v)) == _typed(_ref_coords_of(S, v))
+                assert S.contains(v) == vec_is_zero(_ref_reduce(S, v))
+            assert S.coords_of(outside) is None  # a random vector is outside
+            assert _ref_coords_of(S, member) is not None
+
+
+def test_restrict_matches_fraction_reference(wave15, g2, so4):
+    from lieembed.rootsys import root_space_decomposition
+    rng = random.Random(7100)
+    cases = []
+    E = wave15.basis_vector
+    S = normalizer(wave15, span(wave15, E("e8"), E("e10"), E("e11"), E("e12")))
+    cases.append((wave15, S, S.from_coords(_rand_vec(rng, S.dim, 20))))
+    S = normalizer(g2, span(g2, *(g2.basis_vector(b) for b in ("X14", "X13", "X12"))))
+    cases.append((g2, S, S.from_coords(_rand_vec(rng, S.dim, 20))))
+    for L in _kernel_algebras(wave15, g2)[2:]:
+        full = Subspace.full(L)
+        cases.append((L, full, _rand_vec(rng, L.dim, 30)))
+    # root spaces over Q(sqrt -1), invariant under the Cartan
+    rsd = root_space_decomposition(so4, [so4.basis_vector("e1"), so4.basis_vector("e6")])
+    for _root, space in rsd.pairs:
+        cases.append((so4, space, so4.basis_vector("e1")))
+    for L, S, x in cases:
+        m = L.ad(x)
+        assert _typed(S.restrict(m)) == _typed(_ref_restrict(S, m))
+    outside = span(so4, so4.basis_vector("e2"))
+    with pytest.raises(ValueError, match="not invariant"):
+        outside.restrict(so4.ad(so4.basis_vector("e1")))
+
+
+def test_bracket_rejects_two_extensions(so4):
+    from lieembed.exactlin import make_scalar
+    x = tuple(make_scalar(0, 1, -1) if i == 0 else F(0) for i in range(so4.dim))
+    y = tuple(make_scalar(0, 1, 2) if i == 1 else F(0) for i in range(so4.dim))
+    with pytest.raises(ExtensionDegreeTooHigh):
+        so4.bracket(x, y)
+
+
+def test_scaled_table_is_built_once(wave15):
+    L = LieAlgebra(wave15.dim, wave15.basis_names, wave15.brackets)
+    table = L.scaled_table()
+    L.killing_matrix()
+    L.bracket(L.basis_vector(0), L.basis_vector(1))
+    L.ad(L.basis_vector(2))
+    assert L.scaled_table() is table
