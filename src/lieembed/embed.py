@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit)
-from .exactlin import (Matrix, Vector, ZERO, eigenvalues, format_rat,
-                       scalar_parts, vec_add, vec_is_zero, vec_scale, vec_sub)
+from .exactlin import (Matrix, Vector, ZERO, factor_roots, format_rat,
+                       kernel, min_poly, scalar_parts, vec_add, vec_is_zero,
+                       vec_scale, vec_sub)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
@@ -285,9 +286,8 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
     """Eigenspace of ad(alpha) on ``space`` for its largest positive real
     eigenvalue, or None when no nonzero real eigenvalue exists."""
     m = space.restrict(L.ad(alpha))
-    evs = eigenvalues(m)
     best = None
-    for lam, _ in evs:
+    for lam, _ in factor_roots(min_poly(m)):
         a, b, d = scalar_parts(lam)
         if d < 0:
             continue
@@ -298,7 +298,6 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
         return None
     shifted = Matrix([[m.entries[i][j] - (best if i == j else 0)
                        for j in range(m.cols)] for i in range(m.rows)])
-    from .exactlin import kernel
     vecs = [space.from_coords(k) for k in kernel(shifted)]
     return Subspace(L, vecs)
 

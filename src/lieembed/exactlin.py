@@ -295,9 +295,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries))) if self.rows else Matrix([[]])
-
     def __add__(self, other):
         return Matrix([vec_add(r, s) for r, s in zip(self.entries, other.entries)])
 
@@ -817,66 +814,39 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 # --- characteristic polynomial -----------------------------------------------
 
 
-class _IntPoly:
-    """Minimal integer polynomial helper for the fraction-free path."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = c
-
-    def is_zero(self):
-        return not self.c
-
-    def mul(self, other):
-        a, b = self.c, other.c
-        if not a or not b:
-            return _IntPoly([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _IntPoly(out)
-
-    def sub(self, other):
-        a, b = list(self.c), other.c
-        if len(a) < len(b):
-            a += [0] * (len(b) - len(a))
-        for i, cb in enumerate(b):
-            a[i] -= cb
-        return _IntPoly(a)
-
-    def exact_div(self, other):
-        a, b = list(self.c), other.c
-        if not a:
-            return _IntPoly([])
-        dq = len(a) - len(b)
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            q, r = divmod(a[len(b) - 1 + k], b[-1])
-            assert r == 0, "fraction-free division must be exact"
-            quo[k] = q
-            if q:
-                for i, cb in enumerate(b):
-                    a[i + k] -= q * cb
-        assert all(x == 0 for x in a), "fraction-free division must be exact"
-        return _IntPoly(quo)
-
-
 def _char_poly_bareiss_int(scaled: list[list[int]]) -> list[int]:
-    """char poly of an integer matrix via fraction-free (Bareiss) elimination
-    of t*I - M over Z[t]."""
+    """Coefficients (constant first) of det(tI - M) for an integer matrix M,
+    by fraction-free (Bareiss) elimination of tI - M over Z[t].  Each entry
+    is a plain integer coefficient list, trimmed, so ``[]`` is zero."""
+
+    def bareiss(p, q, r, s, div):
+        # (p*q - r*s) / div; the division is exact
+        num = [0] * (max(len(p) + len(q), len(r) + len(s)) - 1)
+        for f, g, sign in ((p, q, 1), (r, s, -1)):
+            for i, x in enumerate(f):
+                if x:
+                    for j, y in enumerate(g):
+                        num[i + j] += sign * x * y
+        while num and not num[-1]:
+            num.pop()
+        quo = [0] * max(len(num) - len(div) + 1, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c, rem = divmod(num[k + len(div) - 1], div[-1])
+            assert rem == 0, "fraction-free division must be exact"
+            quo[k] = c
+            for i, y in enumerate(div):
+                num[i + k] -= c * y
+        assert not any(num), "fraction-free division must be exact"
+        return quo
+
     n = len(scaled)
-    a = [[_IntPoly([-scaled[i][j]] if i != j else [-scaled[i][j], 1])
-          for j in range(n)] for i in range(n)]
-    prev = _IntPoly([1])
+    a = [[[-x, 1] if i == j else [-x] if x else []
+          for j, x in enumerate(row)] for i, row in enumerate(scaled)]
+    prev = [1]
     sign = 1
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 # impossible for tI - M: it would force a zero determinant
                 raise ArithmeticError("characteristic matrix went singular")
@@ -884,54 +854,28 @@ def _char_poly_bareiss_int(scaled: list[list[int]]) -> list[int]:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[k][k].mul(a[i][j]).sub(a[i][k].mul(a[k][j]))
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = _IntPoly([])
+                a[i][j] = bareiss(a[k][k], a[i][j], a[i][k], a[k][j], prev)
+            a[i][k] = []
         prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return [sign * c for c in det.c]
+    return [sign * c for c in a[n - 1][n - 1]]
 
 
 def char_poly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(tI - m), fraction-free."""
+    """Monic characteristic polynomial det(tI - m) of a rational square
+    matrix, fraction-free.  Raises ValueError for a non-square matrix or
+    one with extension scalars."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
+    if not all(isinstance(x, Fraction) for row in m.entries for x in row):
+        raise ValueError("char_poly needs a rational matrix")
     n = m.rows
     if n == 0:
         return Poly([1])
-    if all(isinstance(x, Fraction) for row in m.entries for x in row):
-        lcm = 1
-        for row in m.entries:
-            for x in row:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        scaled = [[int(x * lcm) for x in row] for row in m.entries]
-        coeffs = _char_poly_bareiss_int(scaled)
-        # char_M(t) = L^-n * char_{L M}(L t)
-        return Poly([Fraction(c * lcm ** k, lcm ** n) for k, c in enumerate(coeffs)])
-    return _char_poly_generic(m)
-
-
-def _char_poly_generic(m: Matrix) -> Poly:
-    """Bareiss over Poly entries for matrices with extension scalars."""
-    n = m.rows
-    a = [[Poly([-m.entries[i][j], 1]) if i == j else Poly([-m.entries[i][j]])
-          for j in range(n)] for i in range(n)]
-    prev = Poly([1])
-    sign = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                raise ArithmeticError("characteristic matrix went singular")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Poly([])
-        prev = a[k][k]
-    return (a[n - 1][n - 1] * sign).monic()
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    coeffs = _char_poly_bareiss_int([[x.numerator * (scale // x.denominator)
+                                      for x in row] for row in m.entries])
+    # char_m(t) = D^-n * char_{D m}(D t)
+    return Poly([Fraction(c * scale ** k, scale ** n) for k, c in enumerate(coeffs)])
 
 
 def min_poly(m: Matrix) -> Poly:
@@ -1180,14 +1124,3 @@ def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, i
 def eigenvalues(m: Matrix) -> list[tuple[Scalar, int]]:
     """Eigenvalues with multiplicities over Q or one quadratic extension."""
     return factor_roots(char_poly(m), single_extension=True)
-
-
-# --- simultaneous eigenspaces -------------------------------------------------
-
-
-def eigenspace(m: Matrix, lam: Scalar) -> list[Vector]:
-    """Kernel basis of (m - lam*I), over the extension if lam is irrational."""
-    n = m.rows
-    shifted = Matrix([[m.entries[i][j] - (lam if i == j else 0)
-                       for j in range(n)] for i in range(n)])
-    return kernel(shifted)

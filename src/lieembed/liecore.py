@@ -393,18 +393,6 @@ class Subspace:
     def with_vectors(self, vectors: Iterable[Vector]) -> "Subspace":
         return Subspace(self.algebra, self.rows + tuple(vectors))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.algebra)
-        # x = a . self.rows = b . other.rows: kernel of [self^T | -other^T]
-        cols = [tuple(r) for r in self.rows] + [vec_scale(-1, r) for r in other.rows]
-        m = Matrix.from_columns(cols)
-        vecs = []
-        for k in kernel(m):
-            coeffs = k[: self.dim]
-            vecs.append(self.from_coords(coeffs))
-        return Subspace(self.algebra, vecs)
-
     def complement_in(self, larger: "Subspace") -> "Subspace":
         """Canonical complement: rows of ``larger`` whose pivot is not ours."""
         if not larger.contains_subspace(self):
@@ -430,8 +418,11 @@ class Subspace:
 
     def restrict(self, m: Matrix) -> Matrix:
         """Matrix of an endomorphism that maps this subspace into itself,
-        in the basis rows.  The image of each row is summed in ints over m
-        and the rows scaled to common denominators."""
+        in the basis rows (0 x 0 for the zero subspace).  The image of each
+        row is summed in ints over m and the rows scaled to common
+        denominators."""
+        if not self.rows:
+            return Matrix([])
         dm, d, mrows = _scaled_rows(m.entries)
         den, e, rows = self._scaled_rows()
         d = _same_d(d, e)

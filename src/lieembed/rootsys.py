@@ -9,14 +9,14 @@ from typing import Optional, Sequence
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
-                       eigenvalues, format_rat, is_complex_positive, kernel,
-                       scalar_d, scalar_sort_key, scalar_to_json,
+                       factor_roots, format_rat, is_complex_positive, kernel,
+                       min_poly, scalar_d, scalar_sort_key, scalar_to_json,
                        solve_linear, vec_is_zero, vec_scale)
+from .liecore import LieAlgebra, Subspace, spectrum
 
 
 def format_scalar(x: Scalar) -> str:
     return repr(x) if isinstance(x, ExactScalar) else format_rat(x)
-from .liecore import LieAlgebra, Subspace, spectrum
 
 
 @dataclass(frozen=True)
@@ -88,39 +88,47 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     """Simultaneous eigenspaces of ad(h) for h in the ordered basis, acting
     on ambient (default all of L).
 
+    The basis spans an abelian subalgebra, so each weight space W found for
+    the earlier elements is invariant under the next ad(h): W splits into
+    the kernels of ad(h) restricted to W minus lambda, for each root lambda
+    of the minimal polynomial of ad(h) on the ambient.  Weights come sorted
+    within each space, spaces in order.
+
     Returns a list of (eigenvalue tuple, Subspace); raises NotATorus if the
-    action is not diagonalizable over the scalar tower.
+    ambient is not invariant or the action is not diagonalizable over the
+    scalar tower, and ExtensionDegreeTooHigh if the weights need two
+    quadratic extensions.
     """
-    if ambient is None:
-        ambient = Subspace.full(L)
-    spaces: list[tuple[tuple, Subspace]] = [((), ambient)]
-    seen_d = {0}
-    for h in basis:
-        # eigenvalues are always extracted from the rational restriction to
-        # the original ambient; refinement is by exact intersections, which
-        # stay valid over the quadratic extension
+    spaces: list[tuple[tuple, Subspace]] = [
+        ((), Subspace.full(L) if ambient is None else ambient)]
+    seen_d = set()
+    for step, h in enumerate(basis):
+        ad_h = L.ad(h)
         try:
-            restricted = ambient.restrict(L.ad(h))
+            if ambient is None:
+                blocks = [ad_h]
+                mp = spectrum(L, h).min_poly
+            else:
+                blocks = [ambient.restrict(ad_h)]
+                mp = min_poly(blocks[0])
+            if step:
+                blocks = [space.restrict(ad_h) for _, space in spaces]
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
-        eigens: list[tuple] = []
-        for lam, _mult in eigenvalues(restricted):
-            seen_d.add(scalar_d(lam))
-            if len(seen_d - {0}) > 1:
-                raise ExtensionDegreeTooHigh(
-                    "torus weights span two quadratic extensions")
-            shifted = Matrix([[restricted.entries[i][j] - (lam if i == j else 0)
-                               for j in range(restricted.cols)]
-                              for i in range(restricted.rows)])
-            vecs = [ambient.from_coords(kv) for kv in kernel(shifted)]
-            if vecs:
-                eigens.append((lam, Subspace(L, vecs)))
+        lams = [lam for lam, _mult in factor_roots(mp)]
+        seen_d.update(scalar_d(lam) for lam in lams if scalar_d(lam))
+        if len(seen_d) > 1:
+            raise ExtensionDegreeTooHigh(
+                "torus weights span two quadratic extensions")
         refined = []
-        for weight, space in spaces:
-            for lam, eig in eigens:
-                inter = space.intersect(eig)
-                if inter.dim:
-                    refined.append((weight + (lam,), inter))
+        for (weight, space), m in zip(spaces, blocks):
+            for lam in lams:
+                shifted = Matrix([[x - lam if i == j else x
+                                   for j, x in enumerate(row)]
+                                  for i, row in enumerate(m.entries)])
+                vecs = [space.from_coords(c) for c in kernel(shifted)]
+                if vecs:
+                    refined.append((weight + (lam,), Subspace(L, vecs)))
         if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
             raise NotATorus("action is not diagonalizable over the tower")
         spaces = refined

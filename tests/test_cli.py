@@ -212,6 +212,15 @@ def test_repeated_ambient_joins_values(run):
     assert run(whole + ["--ambient", ""]) == run(whole)
 
 
+def test_zero_ambient_gives_empty_decomposition(run):
+    args = ["roots", "so(2,2)", "--cartan", "e1,e6", "--ambient", "e1-e1"]
+    code, out, err = run(args)
+    assert code == 0 and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["roots"] == [] and payload["zero_space"] == []
+    assert run(args + ["--format", "text"])[1].strip() == "zero space: <>"
+
+
 def test_vf_brackets(run, golden_corpus):
     code, out, _ = run(["vf-brackets", "wave16"])
     assert code == 0

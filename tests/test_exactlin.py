@@ -463,6 +463,15 @@ def test_min_poly_rejects_extension_scalars():
         min_poly(Matrix([[1, 2]]))
 
 
+def test_char_poly_rejects_extension_scalars():
+    root2 = make_scalar(0, 1, 2)
+    with pytest.raises(ValueError, match="rational"):
+        char_poly(Matrix([[root2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        char_poly(Matrix([[1, 2]]))
+    assert char_poly(Matrix([])) == Poly([1])
+
+
 def test_min_poly_against_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")

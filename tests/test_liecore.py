@@ -395,16 +395,26 @@ def _jacobi_reference(n, brackets):
 
 
 def _dense_rebased(L, rng):
-    """Table of L in the basis f_a = s_a * sum_b P[a][b] e_b, with P unit
-    lower times unit upper (entries -1, 0, 1) and s_a in {1, 2, 1/3}."""
+    """Table of L in a random dense basis (see :func:`_dense_basis`)."""
+    return _table_in_basis(L, _dense_basis(L, rng))
+
+
+def _dense_basis(L, rng):
+    """Basis f_a = s_a * sum_b P[a][b] e_b of L, with P unit lower times
+    unit upper (entries -1, 0, 1) and s_a in {1, 2, 1/3}."""
     n = L.dim
     lo = [[1 if a == b else rng.choice((-1, 0, 1)) if a > b else 0
            for b in range(n)] for a in range(n)]
     up = [[1 if a == b else rng.choice((-1, 0, 1)) if a < b else 0
            for b in range(n)] for a in range(n)]
     scales = [rng.choice((F(1), F(2), F(1, 3))) for _ in range(n)]
-    f = [tuple(scales[a] * sum(lo[a][t] * up[t][b] for t in range(n))
-               for b in range(n)) for a in range(n)]
+    return [tuple(scales[a] * sum(lo[a][t] * up[t][b] for t in range(n))
+                  for b in range(n)) for a in range(n)]
+
+
+def _table_in_basis(L, f):
+    """Structure constants of L in the basis f (rows in L's basis)."""
+    n = L.dim
     to_f = Matrix.from_columns(f)
     table = {}
     for a in range(n):

@@ -1,17 +1,21 @@
 """Root space decompositions, positivity, bonds and diagram classification."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from lieembed.errors import (NotATorus, UnrecognizedBondPattern,
-                             UnrecognizedDiagram)
-from lieembed.exactlin import make_scalar, vec_add, vec_is_zero, vec_scale, vec_sub
-from lieembed.liecore import LieAlgebra, Subspace, normalizer
+from lieembed.errors import (ExtensionDegreeTooHigh, NotATorus,
+                             UnrecognizedBondPattern, UnrecognizedDiagram)
+from lieembed.exactlin import (Matrix, eigenvalues, kernel, make_scalar,
+                               scalar_d, solve_linear, vec_add, vec_is_zero,
+                               vec_scale, vec_sub)
+from lieembed.liecore import LieAlgebra, Subspace, normalizer, torus_split
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
-                              is_positive, restricted_roots,
+                              is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
                               sl2_triple)
+from test_liecore import _dense_basis, _table_in_basis, _typed
 
 I = make_scalar(0, 1, -1)
 MI = make_scalar(0, -1, -1)
@@ -347,3 +351,191 @@ def test_conjugation_so22_fixes(so22):
     rsd = root_space_decomposition(so22, [E("e2"), E("e5")])
     pairing = conjugation_pairing(rsd)
     assert all(s == r for r, s in pairing.items())
+
+
+# --- joint eigenspaces against the intersection algorithm they replaced --------
+# Reference copy of joint_eigenspaces before it refined by restriction: the
+# eigenvalues of each ad(h) on the ambient come from char_poly, and each
+# weight space is intersected with each eigenspace; Subspace.intersect is
+# kept here as _ref_intersect.
+
+def _ref_intersect(S, T):
+    if not S.rows or not T.rows:
+        return Subspace.zero(S.algebra)
+    cols = [tuple(r) for r in S.rows] + [vec_scale(-1, r) for r in T.rows]
+    return Subspace(S.algebra, [S.from_coords(k[: S.dim])
+                                for k in kernel(Matrix.from_columns(cols))])
+
+
+def _ref_joint_eigenspaces(L, basis, ambient=None):
+    if ambient is None:
+        ambient = Subspace.full(L)
+    spaces = [((), ambient)]
+    seen_d = {0}
+    for h in basis:
+        try:
+            restricted = ambient.restrict(L.ad(h))
+        except ValueError:
+            raise NotATorus("ambient space is not invariant under the torus")
+        eigens = []
+        for lam, _mult in eigenvalues(restricted):
+            seen_d.add(scalar_d(lam))
+            if len(seen_d - {0}) > 1:
+                raise ExtensionDegreeTooHigh(
+                    "torus weights span two quadratic extensions")
+            shifted = Matrix([[restricted.entries[i][j] - (lam if i == j else 0)
+                               for j in range(restricted.cols)]
+                              for i in range(restricted.rows)])
+            vecs = [ambient.from_coords(kv) for kv in kernel(shifted)]
+            if vecs:
+                eigens.append((lam, Subspace(L, vecs)))
+        refined = []
+        for weight, space in spaces:
+            for lam, eig in eigens:
+                inter = _ref_intersect(space, eig)
+                if inter.dim:
+                    refined.append((weight + (lam,), inter))
+        if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
+            raise NotATorus("action is not diagonalizable over the tower")
+        spaces = refined
+    return spaces
+
+
+def _typed_spaces(spaces):
+    return [(_typed(weight), [_typed(r) for r in space.rows])
+            for weight, space in spaces]
+
+
+def _joint_cases(wave15, g2):
+    """(label, algebra, torus basis, ambient or None)."""
+    from lieembed.liecore import subalgebra_generated
+    from lieembed.vecfield import so_pq_generators
+    E, X = wave15.basis_vector, g2.basis_vector
+    ut = span(wave15, E("e8"), E("e10"), E("e11"), E("e12"),
+              vec_sub(E("e4"), E("e15")), vec_sub(E("e6"), E("e13")))
+    g2_ut = span(g2, *(X(b) for b in ("X5", "X14", "X13", "X12", "X11", "X9")))
+    j1 = vec_add(X("X5"), X("X10"))
+    cases = [
+        ("wave15", wave15, [E("e7m16"), E("e2"), E("e14")], None),
+        ("wave15 normalizer(ut)", wave15, [E("e7m16"), E("e2")],
+         normalizer(wave15, ut)),
+        ("wave15 compact", wave15, [E("e15")], None),
+        ("g2", g2, [X("X6"), X("X8")], None),
+        ("g2 ut", g2, [X("X6"), X("X8")], g2_ut),
+        ("g2 compact, Q(sqrt -2)", g2, [j1], None),
+        ("g2 compact on K", g2, [j1],
+         subalgebra_generated(g2, [j1, vec_sub(X("X4"), X("X11"))])),
+    ]
+    # dense rebased tables; the tori are given in the original basis, and
+    # the mixed one of so(2,2) is a compact and a real element
+    tori = {
+        (2, 2): [("split", [{"e2": 1}, {"e5": 1}]),
+                 ("compact, Q(sqrt -1)", [{"e1": 1}, {"e6": 1}]),
+                 ("mixed", [{"e1": 1, "e6": 1},
+                            {"e1": 1, "e2": 1, "e3": 1, "e4": -1, "e5": 1, "e6": -1}]),
+                 ("mixed element", [{"e1": 2, "e2": 1, "e3": 1, "e4": -1, "e5": 1}])],
+        (1, 3): [("mixed", [{"e1": 1}, {"e6": 1}]), ("real", [{"e2": 1}])],
+        (4, 0): [("compact, Q(sqrt -1)", [{"e1": 1}, {"e6": 1}]),
+                 ("compact element", [{"e3": 2, "e4": 1}])],
+    }
+    rng = random.Random(6006)
+    for (p, q), named in tori.items():
+        L = so_pq_generators(p, q)
+        f = _dense_basis(L, rng)
+        M = LieAlgebra(L.dim, L.basis_names, _table_in_basis(L, f),
+                       name=f"rebased so({p},{q})")
+        to_f = Matrix.from_columns(f)
+        for label, specs in named:
+            basis = [solve_linear(to_f, L.element(x)) for x in specs]
+            cases.append((f"rebased so({p},{q}) {label}", M, basis, None))
+    return cases
+
+
+def test_joint_eigenspaces_match_intersection_reference(wave15, g2):
+    """Weights (values and entry types) and the rows of each space, in
+    order, against the intersection algorithm."""
+    kinds = set()
+    for label, L, basis, ambient in _joint_cases(wave15, g2):
+        got = joint_eigenspaces(L, basis, ambient)
+        assert _typed_spaces(got) == _typed_spaces(
+            _ref_joint_eigenspaces(L, basis, ambient)), label
+        assert sum(s.dim for _, s in got) == (L.dim if ambient is None
+                                               else ambient.dim), label
+        kinds.update(scalar_d(w) for weight, _ in got for w in weight)
+    assert kinds == {0, -1, -2}  # rational and both imaginary fields
+
+
+def test_mixed_torus_splits_into_real_and_compact(so22):
+    a = so22.element({"e1": 1, "e6": 1})
+    b = so22.element({"e1": 1, "e2": 1, "e3": 1, "e4": -1, "e5": 1, "e6": -1})
+    real, compact = torus_split(so22, span(so22, a, b))
+    assert (real.dim, compact.dim) == (1, 1)
+    # a + b has nonzero real and nonzero imaginary weights
+    weights = [w for (w,), _ in joint_eigenspaces(so22, [vec_add(a, b)])]
+    assert {scalar_d(w) for w in weights if w} == {0, -1}
+
+
+def test_joint_eigenspaces_rejections_match_reference(so22, wave15):
+    E = so22.basis_vector
+    not_invariant = span(so22, E("e2"))
+    nilpotent = wave15.basis_vector("e8")
+    for fn in (joint_eigenspaces, _ref_joint_eigenspaces):
+        with pytest.raises(NotATorus, match="not invariant"):
+            fn(so22, [E("e1")], not_invariant)
+        with pytest.raises(NotATorus, match="not diagonalizable"):
+            fn(wave15, [nilpotent])
+    # sl2 + sl2 with X - Y (weights +-2i) in the first factor and X + 2Y
+    # (weights +-2 sqrt 2) in the second
+    sl2 = {(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}}
+    table = dict(sl2)
+    table.update({(i + 3, j + 3): {k + 3: c for k, c in comp.items()}
+                  for (i, j), comp in sl2.items()})
+    L = LieAlgebra(6, ["X", "H", "Y", "X'", "H'", "Y'"], table)
+    u = [F(1), F(0), F(-1), F(0), F(0), F(0)]
+    v = [F(0), F(0), F(0), F(1), F(0), F(2)]
+    for basis in ([tuple(u), tuple(v)], [tuple(vec_add(u, v))]):
+        for fn in (joint_eigenspaces, _ref_joint_eigenspaces):
+            with pytest.raises(ExtensionDegreeTooHigh):
+                fn(L, basis)
+        with pytest.raises(ExtensionDegreeTooHigh):
+            root_space_decomposition(L, basis)
+    # each element alone stays in one field
+    for h, d in ((u, -1), (v, 2)):
+        weights = [w for (w,), _ in joint_eigenspaces(L, [tuple(h)])]
+        assert {scalar_d(w) for w in weights} == {0, d}
+
+
+def test_zero_ambient_gives_empty_decomposition(so22):
+    E = so22.basis_vector
+    basis = [E("e1"), E("e6")]
+    zero = Subspace.zero(so22)
+    assert zero.restrict(so22.ad(E("e1"))) == Matrix([])
+    rsd = restricted_roots(zero, basis)
+    assert rsd.pairs == () and rsd.zero_space.dim == 0
+    assert repr(rsd.zero_space) == "<0>"
+    assert joint_eigenspaces(so22, basis, zero) == []
+    assert joint_eigenspaces(so22, [], zero) == [((), zero)]
+
+
+def test_joint_eigenspaces_read_the_cached_spectra(wave15, monkeypatch):
+    import lieembed.liecore as liecore
+    import lieembed.rootsys as rootsys
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
+    E = L.basis_vector
+    basis = [E("e7m16"), E("e2"), E("e14")]
+    analysed = []
+    for module in (liecore, rootsys):
+        real = module.min_poly
+        monkeypatch.setattr(module, "min_poly",
+                            lambda m, real=real: analysed.append(m) or real(m))
+    # the semisimplicity checks compute one spectrum per element; the
+    # whole-algebra eigenspaces read those
+    root_space_decomposition(L, basis)
+    assert len(analysed) == len(basis)
+    joint_eigenspaces(L, basis)
+    torus_split(L, Subspace(L, basis))
+    assert len(analysed) == len(basis)
+    # a restricted ambient needs one minimal polynomial per element
+    ambient = normalizer(L, span(L, E("e8"), E("e10"), E("e11"), E("e12")))
+    joint_eigenspaces(L, basis[:2], ambient)
+    assert len(analysed) == len(basis) + 2
