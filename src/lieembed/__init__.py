@@ -6,8 +6,8 @@ from .errors import (CenterObstruction, DegenerateRoot, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, LieEmbedError, NoCompactFound,
                      NoRealSemisimpleFound, NotASubalgebra, NotATorus,
                      NotAbelianNilpotent, NotClosed, NotNilpotent, NotSplit,
-                     UnrecognizedBondPattern, UnrecognizedDiagram,
-                     VariableMismatch)
+                     ParseError, UnknownName, UnrecognizedBondPattern,
+                     UnrecognizedDiagram, VariableMismatch)
 from .exactlin import (ExactScalar, Matrix, Poly, Rational, char_poly,
                        determinant, eigenvalues, kernel, make_scalar, min_poly,
                        rref, solve_linear, symmetric_signature)

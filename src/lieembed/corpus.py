@@ -1,21 +1,39 @@
-"""Golden-corpus verification: run stored cases and diff against expected
-values.  Cases carry provenance metadata; the shipped corpus lives in
-``data/golden.json``."""
+"""Golden-corpus verification: each stored case runs the ``ops`` call that
+the CLI makes for the same inputs, and each expected key is diffed against
+one value read from the payload (``GOLDEN_KEYS``).  Cases carry provenance
+metadata; the shipped corpus lives in ``data/golden.json``."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from importlib import resources
-from .errors import LieEmbedError
+
+from . import ops
+from .errors import LieEmbedError, ParseError
 from .exactlin import rat
-from .liecore import LieAlgebra, Subspace, killing_signature, radical
-from .rootsys import (dynkin_type, restricted_roots,
-                      root_space_decomposition, simple_roots, is_positive)
-from .embed import (embed_abelian_nilpotent, embed_compact_torus,
-                    embed_nilpotent, embed_real_torus)
-from .vecfield import (algebra_by_name, catalog_by_name, invariant_count,
-                       structure_constants)
+from .vecfield import algebra_by_name
+
+# golden key -> its value in the payload of the case's ops call
+GOLDEN_KEYS = {
+    "dim": lambda p: p["dim"],
+    "basis": lambda p: p["basis"],
+    "brackets": lambda p: p["brackets"],
+    "killing_signature": lambda p: [p["killing"]["signature"][k]
+                                    for k in ("pos", "neg", "zero")],
+    "killing_det_nonzero": lambda p: p["killing"]["determinant"] != "0",
+    "radical_dim": lambda p: p["radical_dim"],
+    "torus": lambda p: p["max_real_torus"] if p["mode"] == "torus" else p["torus"],
+    "cartan": lambda p: p["cartan"]["cartan"],
+    "real_part": lambda p: p["cartan"]["real_part"],
+    "compact_part": lambda p: p["cartan"]["compact_part"],
+    "maximal": lambda p: p["maximal"],
+    "roots": lambda p: [{"root": r["root"], "dim": r["dim"]} for r in p["roots"]],
+    "spaces": lambda p: [r["space"] for r in p["roots"]],
+    "zero_dim": lambda p: len(p["zero_space"]),
+    "dynkin": lambda p: p["type"],
+    "count": lambda p: p["invariant_count"],
+}
 
 
 @dataclass
@@ -37,115 +55,55 @@ def load_shipped_corpus() -> dict:
     return json.loads(data)
 
 
-def _parse_subspace(L: LieAlgebra, vectors) -> Subspace:
-    return Subspace(L, [L.element(list(map(rat, v))) for v in vectors])
+def _vectors(L, rows) -> list:
+    return [L.element(list(map(rat, row))) for row in rows]
 
 
-def _lookup(find, name: str):
-    """A catalog or algebra by name; an unknown name fails the case."""
-    try:
-        return find(name)
-    except KeyError as exc:
-        raise LieEmbedError(exc.args[0]) from None
-
-
-def _diff(label: str, got, want, diffs: list) -> bool:
-    if got != want:
-        diffs.append(f"{label}: got {got!r}, expected {want!r}")
-        return False
-    return True
+def _payload(case: dict) -> dict:
+    """The payload of the ops call that a case's inputs make."""
+    kind = case["kind"]
+    if kind == "table":
+        return ops.vf_brackets(case["catalog"])[0]
+    if kind == "invariants":
+        combos = [{name: rat(c) for c, name in combo} for combo in case["fields"]]
+        return ops.vf_invariants(case["catalog"], combos)[0]
+    L = algebra_by_name(case["algebra"])
+    if kind == "analyze":
+        return ops.analyze(L)[0]
+    if kind == "embed":
+        return ops.embed(L, case["mode"], _vectors(L, case["subspace"]))[0]
+    if kind != "roots":
+        raise ParseError(f"unknown case kind {kind!r}")
+    ambient = case.get("ambient")
+    rsd = ops.decompose(L, _vectors(L, case["cartan"]),
+                        _vectors(L, ambient) if ambient else None)
+    payload = ops.roots(rsd)[0]
+    if "dynkin" in case["expect"]:
+        positive_system = case.get("positive_system", "first-nonzero")
+        payload.update(ops.dynkin(rsd, positive_system)[0])
+    return payload
 
 
 def run_case(case: dict) -> CaseResult:
-    kind = case["kind"]
+    """One case; a library error or a malformed case is a diff line."""
     diffs: list = []
     try:
-        if kind == "table":
-            L = structure_constants(_lookup(catalog_by_name, case["catalog"]))
-            _diff("table", L.to_json(), case["expect"], diffs)
-        elif kind == "analyze":
-            L = _lookup(algebra_by_name, case["algebra"])
-            exp = case["expect"]
-            if "killing_signature" in exp:
-                _diff("killing_signature", list(killing_signature(L)),
-                      exp["killing_signature"], diffs)
-            if "radical_dim" in exp:
-                _diff("radical_dim", radical(L).dim, exp["radical_dim"], diffs)
-            if "killing_det_nonzero" in exp:
-                from .exactlin import determinant
-                _diff("killing_det_nonzero",
-                      determinant(L.killing_matrix()) != 0,
-                      exp["killing_det_nonzero"], diffs)
-        elif kind == "embed":
-            L = _lookup(algebra_by_name, case["algebra"])
-            sub = _parse_subspace(L, case["subspace"])
-            mode = case["mode"]
-            exp = case["expect"]
-            if mode == "torus":
-                torus, cd, _ = embed_real_torus(L, sub)
-                got = {"torus": torus.to_json(), "cartan": cd.cartan.to_json(),
-                       "real_part": cd.real_part.to_json(),
-                       "compact_part": cd.compact_part.to_json()}
-            elif mode == "compact-torus":
-                cd = embed_compact_torus(L, sub)
-                got = {"cartan": cd.cartan.to_json(),
-                       "real_part": cd.real_part.to_json(),
-                       "compact_part": cd.compact_part.to_json()}
-            elif mode == "abelian-nilpotent":
-                result, _ = embed_abelian_nilpotent(L, sub)
-                got = {"maximal": result.to_json()}
-            elif mode == "nilpotent":
-                result, torus, cd, _ = embed_nilpotent(L, sub)
-                got = {"maximal": result.to_json(), "torus": torus.to_json(),
-                       "cartan": cd.cartan.to_json()}
-            else:
-                raise LieEmbedError(f"unknown embed mode {mode}")
-            for key, want in exp.items():
-                _diff(key, got.get(key), want, diffs)
-        elif kind == "roots":
-            L = _lookup(algebra_by_name, case["algebra"])
-            basis = [L.element(list(map(rat, v))) for v in case["cartan"]]
-            if case.get("ambient"):
-                ambient = _parse_subspace(L, case["ambient"])
-                rsd = restricted_roots(ambient, basis)
-            else:
-                rsd = root_space_decomposition(L, basis)
-            got_roots = [{"root": r.to_json(), "dim": s.dim}
-                         for r, s in rsd.pairs]
-            exp = case["expect"]
-            if "roots" in exp:
-                _diff("roots", got_roots, exp["roots"], diffs)
-            if "spaces" in exp:
-                got_spaces = [s.to_json() for _r, s in rsd.pairs]
-                _diff("spaces", got_spaces, exp["spaces"], diffs)
-            if "dynkin" in exp:
-                if case.get("positive_system") == "as-given":
-                    pos = rsd.roots
-                else:
-                    pos = [r for r in rsd.roots if is_positive(r)]
-                diag = dynkin_type(simple_roots(pos), pos)
-                _diff("dynkin", diag.type_label, exp["dynkin"], diffs)
-            if "zero_dim" in exp:
-                _diff("zero_dim", rsd.zero_space.dim, exp["zero_dim"], diffs)
-        elif kind == "invariants":
-            cat = _lookup(catalog_by_name, case["catalog"])
-            names = [f.name for f in cat.fields]
-            fields = []
-            for combo in case["fields"]:
-                coeffs = [rat(0)] * len(names)
-                for coef, name in combo:
-                    coeffs[names.index(name)] = rat(coef)
-                fields.append(cat.combination(coeffs))
-            got = invariant_count(fields, len(cat.variables))
-            _diff("count", got, case["expect"]["count"], diffs)
-        else:
-            raise LieEmbedError(f"unknown case kind {kind!r}")
+        payload = _payload(case)
+        for key, want in case["expect"].items():
+            got = GOLDEN_KEYS[key](payload)
+            if got != want:
+                diffs.append(f"{key}: got {got!r}, expected {want!r}")
     except LieEmbedError as exc:
-        diffs.append(f"error: {exc}")
-    return CaseResult(case["name"], not diffs, diffs)
+        diffs.append(ops.error_exit(exc)[1])
+    except ops.MALFORMED as exc:
+        diffs.append(f"error: malformed case: {exc!r}")
+    return CaseResult(str(case.get("name")), not diffs, diffs)
 
 
 def run_corpus(corpus: dict) -> tuple[list[CaseResult], bool]:
-    results = [run_case(c) for c in corpus.get("cases", [])]
+    cases = corpus.get("cases", []) if isinstance(corpus, dict) else None
+    if not (isinstance(cases, list) and all(isinstance(c, dict) for c in cases)):
+        raise ParseError("a corpus is an object whose 'cases' is a list of objects")
+    results = [run_case(c) for c in cases]
     results.sort(key=lambda r: r.name)
     return results, all(r.passed for r in results)

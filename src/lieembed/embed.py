@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
-                     NotNilpotent, NotSplit)
+                     NotNilpotent, NotSplit, ParseError)
 from .exactlin import (Matrix, Vector, ZERO, factor_roots, format_rat,
                        kernel, min_poly, scalar_parts, vec_add, vec_is_zero,
                        vec_scale, vec_sub)
@@ -45,7 +45,10 @@ RULE_NIL_EIGEN = "3.3/step4-eigenvector"
 
 def search_seed() -> int:
     env = os.environ.get("LIEEMBED_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ParseError(f"LIEEMBED_SEED must be an integer, got {env!r}") from None
 
 
 @dataclass

@@ -5,6 +5,16 @@ class LieEmbedError(Exception):
     """Base class for all library errors."""
 
 
+class ParseError(LieEmbedError, ValueError):
+    """Malformed input: element text, a JSON document, a name or a seed."""
+
+
+class UnknownName(LieEmbedError, KeyError):
+    """A catalog or algebra name that is not built in."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
+
 class InvalidStructureConstants(LieEmbedError, ValueError):
     """A structure-constant table has an index outside the basis or fails
     the Jacobi identity."""

@@ -470,8 +470,7 @@ class Subspace:
                  for x in row] for row in self.rows]
 
     def __repr__(self):
-        names = ", ".join(self.algebra.format_element(r) for r in self.rows)
-        return f"<{names}>" if names else "<0>"
+        return "<" + ", ".join(self.algebra.format_element(r) for r in self.rows) + ">"
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotClosed, VariableMismatch
+from .errors import NotClosed, UnknownName, VariableMismatch
 from .exactlin import (Matrix, ZERO, ONE, format_rat, full_rank_solver, rat,
                        rref)
 from .liecore import LieAlgebra
@@ -455,7 +455,7 @@ def catalog_by_name(name: str) -> GeneratorCatalog:
     key = name.lower()
     if key in _CATALOGS:
         return _CATALOGS[key]()
-    raise KeyError(f"unknown catalog {name!r}")
+    raise UnknownName(f"unknown catalog {name!r}")
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,14 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import settings
 
 from lieembed.liecore import LieAlgebra, Subspace
 from lieembed.vecfield import algebra_by_name, so_pq_generators
+
+# selected with --hypothesis-profile=ci (the CI workflow); without it the
+# hypothesis defaults apply
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

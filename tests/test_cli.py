@@ -50,6 +50,16 @@ def test_parse_error_exit_2(run, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("data", [b"[" * 100000 + b"]" * 100000,
+                                  b"\xff\xfe{}"])
+def test_unreadable_json_exit_2(run, tmp_path, data):
+    path = tmp_path / "deep.json"
+    path.write_bytes(data)
+    for argv in (["analyze", str(path)], ["verify", "--corpus", str(path)]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_bad_jacobi_exit_3(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -292,3 +302,68 @@ def test_embed_deterministic_byte_identical():
     second = subprocess.run(cmd, capture_output=True, text=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["vf-brackets", "nope"],
+    ["vf-invariants", "nope", "--fields", "e1"],
+])
+def test_unknown_catalog_exit_2(run, argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == "error: unknown catalog 'nope'\n"
+
+
+def test_vf_invariants_unknown_field_exit_2(run):
+    code, _, err = run(["vf-invariants", "wave16", "--fields", "e8,e99"])
+    assert code == 2
+    assert err == "error: unknown basis name 'e99'\n"
+
+
+def test_non_object_table_exit_2(run, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed algebra JSON:")
+
+
+@pytest.mark.parametrize("corpus", [[1, 2], {"cases": [1]}, {"cases": {}}])
+def test_verify_non_object_corpus_exit_2(run, tmp_path, corpus):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    code, out, err = run(["verify", "--corpus", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name,key,value,diff", [
+    ("so22-embed-torus", "subspace", None, "KeyError('subspace')"),
+    ("so22-embed-torus", "subspace", [["1", "0"]],
+     "ValueError('coordinate length != dim')"),
+    ("so22-roots", "cartan", [["1/0", "1", "0", "0", "0", "0"]],
+     "ZeroDivisionError('Fraction(1, 0)')"),
+])
+def test_verify_malformed_case_fails(run, tmp_path, golden_corpus, name, key,
+                                     value, diff):
+    case = json.loads(json.dumps(next(c for c in golden_corpus["cases"]
+                                      if c["name"] == name)))
+    case["name"] = "bad"
+    if value is None:
+        del case[key]
+    else:
+        case[key] = value
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"cases": [case]}))
+    code, out, err = run(["verify", "--corpus", str(path)])
+    assert code == 1 and err == ""
+    assert out == f"FAIL  bad\n      error: malformed case: {diff}\n0/1 cases passed\n"
+
+
+def test_non_integer_seed_exit_2(run, monkeypatch):
+    monkeypatch.setenv("LIEEMBED_SEED", "abc")
+    code, out, err = run(["embed", "wave15", "--mode", "compact-torus",
+                          "--subspace", "e15"])
+    assert code == 2 and out == ""
+    assert err == "error: LIEEMBED_SEED must be an integer, got 'abc'\n"
+

@@ -512,7 +512,7 @@ def test_zero_ambient_gives_empty_decomposition(so22):
     assert zero.restrict(so22.ad(E("e1"))) == Matrix([])
     rsd = restricted_roots(zero, basis)
     assert rsd.pairs == () and rsd.zero_space.dim == 0
-    assert repr(rsd.zero_space) == "<0>"
+    assert repr(rsd.zero_space) == "<>"
     assert joint_eigenspaces(so22, basis, zero) == []
     assert joint_eigenspaces(so22, [], zero) == [((), zero)]
 
