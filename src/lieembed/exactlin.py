@@ -9,27 +9,32 @@ Matrices and polynomials are generic over both scalar kinds.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import ExtensionDegreeTooHigh
+from .errors import ExtensionDegreeTooHigh, ParseError
 
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string like ``-3/4``, or Fraction to Fraction."""
+    """Coerce an int, string like ``-3/4``, or Fraction to Fraction.  Other
+    string forms (``1e3000000`` takes seconds) raise ParseError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        if not _RATIONAL_RE.fullmatch(x):
+            raise ParseError(f"not a rational p/q: {x[:40]!r}")
+        return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
 
 
@@ -474,11 +479,33 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix(rows), len(pivots), pivots
 
 
+def _is_rref(rows: list[Vector], width: int) -> bool:
+    """Whether nonzero rows are the RREF :func:`_rref_rows` would return:
+    increasing pivots equal to ``Fraction(1)``, zeros in the other pivot
+    columns, entries Fraction or ExactScalar (Fraction parts, one d)."""
+    pivots, ds = [], set()
+    for r in rows:
+        p = next(c for c, x in enumerate(r) if x)
+        if len(r) != width or r[p] != 1 or (pivots and p <= pivots[-1]):
+            return False
+        pivots.append(p)
+        for x in r:
+            if type(x) is ExactScalar and type(x.a) is type(x.b) is Fraction and x.b:
+                ds.add(x.d)
+            elif type(x) is not Fraction:
+                return False
+    return len(ds) <= 1 and 0 not in ds and all(
+        not r[p] for i, r in enumerate(rows) for j, p in enumerate(pivots) if i != j)
+
+
 def row_space_basis(vectors: Iterable[Vector], width: int) -> tuple[Vector, ...]:
-    """Canonical RREF basis of the span of the given row vectors."""
-    rows = [list(v) for v in vectors if not vec_is_zero(v)]
+    """Canonical RREF basis of the span of the given row vectors; rows that
+    are already that basis come back as they are."""
+    rows = [tuple(v) for v in vectors if not vec_is_zero(v)]
     if not rows:
         return ()
+    if _is_rref(rows, width):
+        return tuple(rows)
     reduced, pivots = _rref_rows(rows)
     return tuple(tuple(r) for r in reduced[: len(pivots)])
 

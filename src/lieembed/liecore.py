@@ -18,7 +18,7 @@ from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
                        format_rat, full_rank_solver, kernel, min_poly,
                        poly_ext_gcd, poly_gcd, rat, row_space_basis,
                        scalar_d, scalar_parts, solve_linear, squarefree_part,
-                       symmetric_signature, unit_vector, vec_add, vec_is_zero,
+                       symmetric_signature, unit_vector, vec_add,
                        vec_scale, vec_sub, _same_d, _scaled_vector,
                        _unscaled_vector)
 
@@ -566,7 +566,9 @@ def is_solvable(sub: Subspace) -> bool:
 
 def radical(obj) -> Subspace:
     """Maximal solvable ideal, via Killing-orthogonality to the derived
-    algebra (Cartan's criterion), verified solvable."""
+    algebra (Cartan's criterion), verified solvable.  Works in the subspace
+    as an algebra, which is L itself when the subspace is all of L; the
+    derived algebra is spanned a batch of brackets at a time until full."""
     if isinstance(obj, LieAlgebra):
         sub = Subspace.full(obj)
     else:
@@ -574,21 +576,22 @@ def radical(obj) -> Subspace:
     L = sub.algebra
     if sub.dim == 0:
         return sub
-    inner = sub.as_subalgebra()
-    der_rows = []
     k = sub.dim
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = inner.bracket(unit_vector(k, i), unit_vector(k, j))
-            if not vec_is_zero(w):
-                der_rows.append(w)
-    der = row_space_basis(der_rows, k)
+    whole = k == L.dim
+    inner = L if whole else sub.as_subalgebra()
+    comps = list(inner.brackets.values())
+    der: tuple = ()
+    for start in range(0, len(comps), k):
+        batch = [tuple(c.get(t, ZERO) for t in range(k)) for c in comps[start:start + k]]
+        der = row_space_basis(der + tuple(batch), k)
+        if len(der) == k:
+            break
     if not der:
         return sub  # abelian: the whole thing
     K = inner.killing_matrix()
-    rows = [K.apply(d) for d in der]
-    rad_coords = kernel(Matrix(rows))
-    result = Subspace(L, [sub.from_coords(c) for c in rad_coords])
+    # der is the identity at full rank, and K is symmetric
+    rad_coords = kernel(K if len(der) == k else Matrix([K.apply(d) for d in der]))
+    result = Subspace(L, rad_coords if whole else [sub.from_coords(c) for c in rad_coords])
     if not is_solvable(result):
         raise NotASubalgebra("Killing-orthogonal complement is not solvable")
     return result
@@ -740,39 +743,34 @@ class Spectrum:
     """Spectral summary of ad(x), read off its minimal polynomial.
 
     ``nilpotent``: the minimal polynomial is t^k.  ``semisimple``: it is
-    squarefree.  ``kind`` (the :func:`classify_element` label) and
-    ``extensions`` (the set of d != 0 with sqrt(d) among the roots, which
-    may lie in several quadratic fields) come from one factorization of the
-    minimal polynomial on first use.  Only these are kept, not the roots,
-    which would pin many small objects for the life of the algebra.  When
-    the roots leave the scalar tower, every use of either raises
-    ExtensionDegreeTooHigh.
+    squarefree.  ``roots`` is ``factor_roots(min_poly, single_extension=
+    False)``, computed on first use and kept; ``kind`` (the
+    :func:`classify_element` label) and ``extensions`` (the set of d != 0
+    with sqrt(d) among the roots, which may lie in several quadratic
+    fields) are read off it.  When the roots leave the scalar tower, every
+    use of any of the three raises ExtensionDegreeTooHigh.
     """
 
-    __slots__ = ("min_poly", "nilpotent", "semisimple", "_kind", "_extensions",
-                 "_failure")
+    __slots__ = ("min_poly", "nilpotent", "semisimple", "_roots", "_failure")
 
     def __init__(self, mp: Poly):
         self.min_poly = mp
         self.nilpotent = not any(mp.coeffs[:-1])
         self.semisimple = poly_gcd(mp, mp.derivative()).degree == 0
-        self._kind: Optional[str] = None
-        self._extensions: Optional[frozenset] = None
+        self._roots: Optional[list] = None
         # the exception's args only: a kept exception keeps its frames alive
         self._failure: Optional[tuple] = None
 
-    def _factor(self):
-        if self._extensions is None and self._failure is None:
+    @property
+    def roots(self) -> list:
+        if self._roots is None and self._failure is None:
             try:
-                roots = factor_roots(self.min_poly, single_extension=False)
+                self._roots = factor_roots(self.min_poly, single_extension=False)
             except ExtensionDegreeTooHigh as exc:
                 self._failure = exc.args
-            else:
-                self._kind = _semisimple_kind(roots)
-                self._extensions = frozenset(scalar_d(r) for r, _ in roots
-                                             if scalar_d(r))
         if self._failure is not None:
             raise ExtensionDegreeTooHigh(*self._failure)
+        return self._roots
 
     @property
     def kind(self) -> str:
@@ -780,13 +778,11 @@ class Spectrum:
             return NILPOTENT  # minimal polynomial t^k: all eigenvalues zero
         if not self.semisimple:
             return GENERAL
-        self._factor()
-        return self._kind
+        return _semisimple_kind(self.roots)
 
     @property
     def extensions(self) -> frozenset:
-        self._factor()
-        return self._extensions
+        return frozenset(scalar_d(r) for r, _ in self.roots if scalar_d(r))
 
 
 def _semisimple_kind(roots) -> str:

@@ -107,15 +107,15 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
         try:
             if ambient is None:
                 blocks = [ad_h]
-                mp = spectrum(L, h).min_poly
+                roots = spectrum(L, h).roots
             else:
                 blocks = [ambient.restrict(ad_h)]
-                mp = min_poly(blocks[0])
+                roots = factor_roots(min_poly(blocks[0]))
             if step:
                 blocks = [space.restrict(ad_h) for _, space in spaces]
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
-        lams = [lam for lam, _mult in factor_roots(mp)]
+        lams = [lam for lam, _mult in roots]
         seen_d.update(scalar_d(lam) for lam in lams if scalar_d(lam))
         if len(seen_d) > 1:
             raise ExtensionDegreeTooHigh(

@@ -136,6 +136,20 @@ def test_non_numeric_coefficient_in_table_exit_2(run, tmp_path):
     assert out == "" and err.startswith("error:") and "abc" in err
 
 
+@pytest.mark.parametrize("coef", ["1e3000000", "0.5", "1E2", "1_0"])
+def test_exponent_or_decimal_coefficient_in_table_exit_2(run, tmp_path, coef):
+    import time
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "dim": 2, "basis": ["a", "b"],
+        "brackets": [{"i": 0, "j": 1, "c": {"1": coef}}]}))
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and err.startswith("error:") and coef in err
+
+
 def test_unrecognized_root_system_exit_5(run):
     code, out, err = run(["dynkin", "so(2,2)", "--cartan", "e1", "--cartan",
                           "e6", "--positive-system", "as-given"])

@@ -8,18 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieembed import exactlin
-from lieembed.errors import ExtensionDegreeTooHigh
+from lieembed.errors import ExtensionDegreeTooHigh, ParseError
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                determinant, eigenvalues, factor_roots,
                                full_rank_solver, kernel, make_scalar, min_poly,
-                               poly_gcd, poly_lcm, rational_roots, row_space_basis,
-                               rref, solve_linear, squarefree_split,
-                               symmetric_signature, unit_vector)
+                               poly_gcd, poly_lcm, rat, rational_roots,
+                               row_space_basis, rref, solve_linear,
+                               squarefree_split, symmetric_signature,
+                               unit_vector)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
 
 # --- scalars -----------------------------------------------------------------
+
+def test_rat_accepts_only_p_over_q():
+    for text, value in (("3", F(3)), (" -3/4 ", F(-3, 4)), ("+0/5", F(0))):
+        assert rat(text) == value
+    for text in ("1e3000000", "1E5", "0.5", ".5", "2.", "1_000", "1/2/3",
+                 "1 /2", "٣", "", "nan", "inf"):
+        with pytest.raises(ParseError):
+            rat(text)
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+
 
 def test_squarefree_split():
     assert squarefree_split(12) == (3, 2)
@@ -256,6 +268,66 @@ def test_rref_mixed_extensions_rejected():
                  lambda: solve_linear(m, (F(1), F(1)))):
         with pytest.raises(ExtensionDegreeTooHigh):
             call()
+
+
+def _counting_rref_rows(monkeypatch):
+    """Replace _rref_rows by a wrapper that records each input."""
+    calls = []
+    real = exactlin._rref_rows
+    monkeypatch.setattr(exactlin, "_rref_rows",
+                        lambda rows: calls.append(rows) or real(rows))
+    return calls
+
+
+def _bogus_surd(a, d):
+    """An ExactScalar with b = 0, which the constructor refuses."""
+    x = object.__new__(ExactScalar)
+    for name, value in (("a", a), ("b", F(0)), ("d", d)):
+        object.__setattr__(x, name, value)
+    return x
+
+
+def test_row_space_basis_returns_rref_input_unchanged(monkeypatch):
+    r2 = make_scalar(F(1, 3), F(-2), 2)
+    cases = [
+        [unit_vector(4, i) for i in range(4)],
+        [(F(1), F(0), F(-7, 3), F(0)), (F(0), F(1), F(5), F(0))],
+        [(F(0), F(1), r2, F(0), F(2)), (F(0), F(0), F(0), F(1), -r2)],
+        kernel(Matrix([[F(1), F(2), F(3), F(4)], [F(2), F(-1), F(0), F(1, 5)]])),
+    ]
+    calls = _counting_rref_rows(monkeypatch)
+    for rows in cases:
+        got = row_space_basis(rows, len(rows[0]))
+        assert _same(got, tuple(rows))
+        assert all(g is r for g, r in zip(got, rows))
+    assert calls == []
+
+
+def test_row_space_basis_near_misses_are_reduced(monkeypatch):
+    """Rows one step off canonical RREF go through elimination, and match
+    the reference on the same numbers with canonical entry types."""
+    r2 = make_scalar(0, 1, 2)
+    near_misses = {
+        "pivot 2": [(F(2), F(0), F(1)), (F(0), F(1), F(3))],
+        "nonzero above a pivot": [(F(1), F(4), F(1)), (F(0), F(1), F(3))],
+        "int 1 pivot": [(1, F(0), F(1)), (F(0), F(1), F(3))],
+        "int 0 entry": [(F(1), 0, F(1)), (F(0), F(1), F(3))],
+        "surd with b = 0": [(F(1), F(0), _bogus_surd(F(1, 2), 2)), (F(0), F(1), r2)],
+        "pivots out of order": [(F(0), F(1), F(3)), (F(1), F(0), F(1))],
+        "repeated pivot": [(F(1), F(0), F(1)), (F(1), F(0), F(2))],
+    }
+    canonical = {int: F, ExactScalar: lambda x: make_scalar(x.a, x.b, x.d), F: F}
+    calls = _counting_rref_rows(monkeypatch)
+    for label, rows in near_misses.items():
+        got = row_space_basis(rows, 3)
+        assert len(calls) == 1, label
+        calls.clear()
+        fixed = [[canonical[type(x)](x) for x in r] for r in rows]
+        reduced, pivots = _reference_rref_rows(fixed)
+        assert _same(got, tuple(tuple(r) for r in reduced[:len(pivots)])), label
+    # RREF-shaped rows in two quadratic fields are rejected as before
+    with pytest.raises(ExtensionDegreeTooHigh):
+        row_space_basis([(F(1), F(0), r2), (F(0), F(1), make_scalar(0, 1, 3))], 3)
 
 
 def test_rref_against_sympy():

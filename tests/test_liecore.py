@@ -8,8 +8,9 @@ import pytest
 
 from lieembed.errors import (ExtensionDegreeTooHigh,
                              InvalidStructureConstants, NotATorus)
-from lieembed.exactlin import (Matrix, determinant, solve_linear, vec_add,
-                               vec_is_zero, vec_scale, vec_sub)
+from lieembed.exactlin import (Matrix, determinant, factor_roots, kernel,
+                               row_space_basis, solve_linear, unit_vector,
+                               vec_add, vec_is_zero, vec_scale, vec_sub)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -17,7 +18,7 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               is_negative_definite, jordan_decomposition,
                               killing_signature, levi_decomposition,
                               normalizer, radical, restricted_killing_signature,
-                              subalgebra_generated, torus_split)
+                              spectrum, subalgebra_generated, torus_split)
 
 
 def span(L, *vs):
@@ -711,3 +712,108 @@ def test_scaled_table_is_built_once(wave15):
     L.bracket(L.basis_vector(0), L.basis_vector(1))
     L.ad(L.basis_vector(2))
     assert L.scaled_table() is table
+
+
+# --- radical against the all-pairs routine it replaced ------------------------
+
+def _ref_radical(obj):
+    """radical before it worked in L itself and stopped at full rank: the
+    subspace copied through as_subalgebra and every bracket row-reduced."""
+    sub = Subspace.full(obj) if isinstance(obj, LieAlgebra) else obj
+    if sub.dim == 0:
+        return sub
+    inner = sub.as_subalgebra()
+    k = sub.dim
+    der_rows = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            w = inner.bracket(unit_vector(k, i), unit_vector(k, j))
+            if not vec_is_zero(w):
+                der_rows.append(w)
+    der = row_space_basis(der_rows, k)
+    if not der:
+        return sub
+    K = inner.killing_matrix()
+    rad_coords = kernel(Matrix([K.apply(d) for d in der]))
+    return Subspace(sub.algebra, [sub.from_coords(c) for c in rad_coords])
+
+
+def _borel(L, cartan):
+    """Normalizer of the sum of the positive root spaces."""
+    from lieembed.rootsys import is_positive, root_space_decomposition
+    rsd = root_space_decomposition(L, cartan)
+    return normalizer(L, Subspace(L, [row for root, space in rsd.pairs
+                                      if is_positive(root) for row in space.rows]))
+
+
+def test_radical_matches_all_pairs_reference(wave15, wave16, g2, so13, so22):
+    from lieembed.embed import embed_real_torus
+    from lieembed.vecfield import so_pq_generators
+    rng = random.Random(8080)
+    E, X = wave15.basis_vector, g2.basis_vector
+    cases = [wave15, wave16, g2]
+    for L in (so22, so13, so_pq_generators(4, 0), so_pq_generators(3, 2), wave16):
+        cases.append(LieAlgebra(L.dim, L.basis_names,
+                                _table_in_basis(L, _dense_basis(L, rng)),
+                                name=f"rebased {L.name}"))
+    cases += [
+        _borel(g2, [X("X6"), X("X8")]),
+        _borel(so22, [so22.basis_vector("e2"), so22.basis_vector("e5")]),
+        normalizer(wave15, span(wave15, E("e8"), E("e10"), E("e11"), E("e12"))),
+        normalizer(g2, span(g2, X("X14"), X("X13"), X("X12"))),
+        centralizer(wave15, embed_real_torus(wave15, span(wave15, E("e2")))[0]),
+        centralizer(wave15, span(wave15, E("e2"), E("e7m16"))),
+        centralizer(wave15, span(wave15, E("e14"))),
+        centralizer(so13, span(so13, so13.basis_vector("e1"))),
+        Subspace.zero(g2),
+    ]
+    dims = set()
+    for obj in cases:
+        got, want = radical(obj), _ref_radical(obj)
+        assert [_typed(r) for r in got.rows] == [_typed(r) for r in want.rows]
+        dims.add((got.dim, obj.dim))
+    # semisimple, reductive, solvable and mixed cases all occur
+    assert {(0, 14), (1, 16), (8, 8), (5, 11)} <= dims
+
+
+def test_radical_of_semisimple_algebra_copies_nothing(g2, monkeypatch):
+    import lieembed.liecore as liecore
+    rng = random.Random(8081)
+    L = LieAlgebra(g2.dim, g2.basis_names, _table_in_basis(g2, _dense_basis(g2, rng)))
+    k = L.dim
+    copies, brackets, fed = [], [], set()
+    monkeypatch.setattr(Subspace, "as_subalgebra",
+                        lambda self: copies.append(self))
+    real_bracket, real_basis = LieAlgebra._bracket_ints, liecore.row_space_basis
+    monkeypatch.setattr(LieAlgebra, "_bracket_ints",
+                        lambda self, x, y: brackets.append(x) or real_bracket(self, x, y))
+
+    def basis(vectors, width):
+        vectors = list(vectors)
+        fed.update(vectors)
+        return real_basis(vectors, width)
+    monkeypatch.setattr(liecore, "row_space_basis", basis)
+    assert radical(L).dim == 0
+    assert copies == [] and brackets == []
+    # the stored brackets that reached a row reduction: about k of them
+    stored = {tuple(c.get(t, F(0)) for t in range(k)) for c in L.brackets.values()}
+    assert len(stored) > k * (k - 1) // 3  # a dense table
+    assert len(fed & stored) <= 2 * k < k * (k - 1) // 2
+
+
+def test_spectrum_roots_are_the_factored_min_poly(wave15, g2):
+    rng = random.Random(8082)
+    for L in (wave15, g2):
+        elements = ([L.basis_vector(i) for i in range(L.dim)] +
+                    [_rand_element(L, rng) for _ in range(10)])
+        for x in elements:
+            s = spectrum(L, x)
+            try:
+                want = factor_roots(s.min_poly, single_extension=False)
+            except ExtensionDegreeTooHigh:
+                with pytest.raises(ExtensionDegreeTooHigh):
+                    s.roots
+                continue
+            assert [(_typed([r]), m) for r, m in s.roots] == \
+                [(_typed([r]), m) for r, m in want]
+            assert s.roots is s.roots  # factored once, kept

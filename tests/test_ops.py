@@ -105,7 +105,8 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12)
-_SCALAR = st.sampled_from(["0", "1", "-1", "1/2", "1/0", "abc", "2"])
+_SCALAR = st.sampled_from(["0", "1", "-1", "1/2", "1/0", "abc", "2", "1e3000000",
+                           "-2E5", "0.5", ".5", "1.5e2", "1_000"])
 _TABLE = st.fixed_dictionaries({
     "dim": st.integers(0, 3) | _JSON,
     "basis": st.lists(st.text(min_size=1, max_size=2), max_size=3) | _JSON,

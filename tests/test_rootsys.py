@@ -539,3 +539,52 @@ def test_joint_eigenspaces_read_the_cached_spectra(wave15, monkeypatch):
     ambient = normalizer(L, span(L, E("e8"), E("e10"), E("e11"), E("e12")))
     joint_eigenspaces(L, basis[:2], ambient)
     assert len(analysed) == len(basis) + 2
+
+
+def _sl2_sum():
+    """sl2 + sl2 in bases (X, H, Y) and (X', H', Y')."""
+    sl2 = {(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}}
+    table = dict(sl2)
+    table.update({(i + 3, j + 3): {k + 3: c for k, c in comp.items()}
+                  for (i, j), comp in sl2.items()})
+    return LieAlgebra(6, ["X", "H", "Y", "X'", "H'", "Y'"], table)
+
+
+def test_whole_algebra_eigenspaces_read_the_cached_roots(wave15, monkeypatch):
+    import lieembed.exactlin as exactlin
+    import lieembed.liecore as liecore
+    import lieembed.rootsys as rootsys
+    from lieembed.liecore import classify_element
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
+    E = L.basis_vector
+    basis = [E("e7m16"), E("e2"), E("e14")]
+    want = root_space_decomposition(wave15, basis).to_json()
+    factored = []
+    for module in (exactlin, liecore, rootsys):
+        real = module.factor_roots
+        monkeypatch.setattr(module, "factor_roots", lambda p, *a, real=real, **k:
+                            factored.append(p) or real(p, *a, **k))
+    for h in basis:
+        classify_element(L, h)
+    assert len(factored) == len(basis)
+    rsd = root_space_decomposition(L, basis)
+    assert len(factored) == len(basis)
+    assert rsd.to_json() == want
+    # a restricted ambient factors its own minimal polynomials
+    ambient = normalizer(L, span(L, E("e8"), E("e10"), E("e11"), E("e12")))
+    joint_eigenspaces(L, basis[:2], ambient)
+    assert len(factored) == len(basis) + 2
+
+
+def test_cached_roots_in_two_fields_still_raise():
+    from lieembed.liecore import MIXED_SEMISIMPLE, classify_element, spectrum
+    L = _sl2_sum()
+    # X - Y has weights +-2i, X' + 2Y' has weights +-2 sqrt 2
+    h = (F(1), F(0), F(-1), F(1), F(0), F(2))
+    assert classify_element(L, h) == MIXED_SEMISIMPLE
+    assert {scalar_d(r) for r, _ in spectrum(L, h).roots} == {0, -1, 2}
+    for call in (lambda: joint_eigenspaces(L, [h]),
+                 lambda: root_space_decomposition(L, [h]),
+                 lambda: torus_split(L, span(L, h))):
+        with pytest.raises(ExtensionDegreeTooHigh, match="two quadratic"):
+            call()
