@@ -142,10 +142,10 @@ def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET,
     L = sub.algebra
     seed = search_seed() if seed is None else seed
     for v in _candidates(sub, budget, seed):
-        if vec_is_zero(v):
+        # B(v,v) = sum of squared eigenvalues of ad(v) > 0 if real semisimple
+        if vec_is_zero(v) or L.killing(v, v) <= 0:
             continue
         try:
-            # real semisimple implies ad(v) != 0: its min poly is not t^k
             if classify_element(L, v) == REAL_SEMISIMPLE:
                 return v
         except ExtensionDegreeTooHigh:
@@ -163,7 +163,8 @@ def find_compact(sub: Subspace, d_required: Optional[int] = None,
     L = sub.algebra
     seed = search_seed() if seed is None else seed
     for v in _candidates(sub, budget, seed):
-        if vec_is_zero(v):
+        # B(v,v) = sum of squared eigenvalues of ad(v) < 0 if compact
+        if vec_is_zero(v) or L.killing(v, v) >= 0:
             continue
         try:
             if classify_element(L, v) != COMPACT_SEMISIMPLE:
@@ -407,11 +408,9 @@ def embed_nilpotent(L: LieAlgebra, U: Subspace,
             current = current.with_vectors(eig.rows)
             trace.record(RULE_NIL_EIGEN, list(eig.rows), current)
             continue
-        break
+        break  # current is unchanged: this pass's nm and ld still hold
     else:
         raise NotNilpotent("nilpotent embedding did not terminate")
-    nm = normalizer(L, current)
-    ld = levi_decomposition(nm)
     torus = current.complement_in(ld.radical)
     real_part, _compact = torus_split(L, torus)
     _, cartan, _ = embed_real_torus(L, real_part, budget=budget, seed=seed)

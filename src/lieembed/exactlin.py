@@ -537,39 +537,42 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     return tuple(x)
 
 
-def full_rank_solver(m: Matrix) -> Callable[[Vector], Optional[Vector]]:
-    """Factor a full-column-rank rational matrix once for repeated solves.
+def linear_solver(m: Matrix) -> tuple[int, Callable[[Vector], Optional[Vector]]]:
+    """Factor a rational matrix once for repeated solves: (rank, solve).
 
-    Row reduction of ``[m | I]`` gives ``T`` with ``T m = [I_n; 0]``.  The
-    returned function maps ``b`` to the top n entries of ``T b``, summed
-    over the nonzero entries of ``b`` only, or to None when a lower entry
-    is nonzero (``b`` is outside the column span).  For every ``b`` this
-    equals ``solve_linear(m, b)``.  Raises ValueError if the columns of m
-    are dependent.
+    Row reduction of ``[m | I]`` gives ``T`` with ``T m`` in reduced echelon
+    form.  ``solve`` maps ``b`` to the solution read off the pivot rows of
+    ``T b`` with free unknowns 0, summed over the nonzero entries of ``b``
+    only, or to None when a lower entry of ``T b`` is nonzero (``b`` is
+    outside the column span): for every ``b``, ``solve_linear(m, b)``.
     """
     n = m.cols
     # sparse rows of [m | I]: (entries of m, entries of the identity part)
     rows = [({c: x for c, x in enumerate(row) if x}, {r: ONE})
             for r, row in enumerate(m.entries)]
+    pivots: list[int] = []  # the pivot column of each pivot row
     for c in range(n):
+        r = len(pivots)
         # the sparsest candidate keeps fill-in low; the solution is unique
-        pivot = min((i for i in range(c, len(rows)) if c in rows[i][0]),
+        pivot = min((i for i in range(r, len(rows)) if c in rows[i][0]),
                     key=lambda i: len(rows[i][0]) + len(rows[i][1]), default=None)
         if pivot is None:
-            raise ValueError("matrix columns are dependent")
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = ONE / rows[c][0][c]
-        rows[c] = tuple({k: inv * x for k, x in part.items()} for part in rows[c])
+            continue  # a free column
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ONE / rows[r][0][c]
+        rows[r] = tuple({k: inv * x for k, x in part.items()} for part in rows[r])
         for i, row in enumerate(rows):
             f = row[0].get(c)
-            if f and i != c:
-                for dst, src in zip(row, rows[c]):
+            if f and i != r:
+                for dst, src in zip(row, rows[r]):
                     for k, x in src.items():
                         y = dst.get(k, ZERO) - f * x
                         if y:
                             dst[k] = y
                         else:
                             del dst[k]
+        pivots.append(c)
+    row_of = {c: i for i, c in enumerate(pivots)}
     t_columns: list[list] = [[] for _ in rows]
     for i, (_, t_row) in enumerate(rows):
         for r, x in t_row.items():
@@ -581,11 +584,11 @@ def full_rank_solver(m: Matrix) -> Callable[[Vector], Optional[Vector]]:
             if b:
                 for i, x in t_columns[r]:
                     acc[i] = acc.get(i, ZERO) + b * x
-        if any(x for i, x in acc.items() if i >= n):
+        if any(x for i, x in acc.items() if i >= len(pivots)):
             return None
-        return tuple(acc.get(i, ZERO) for i in range(n))
+        return tuple(acc.get(row_of.get(c), ZERO) for c in range(n))
 
-    return solve
+    return len(pivots), solve
 
 
 def determinant(m: Matrix):

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
-                       format_rat, full_rank_solver, kernel, min_poly,
+                       format_rat, kernel, linear_solver, min_poly,
                        poly_ext_gcd, poly_gcd, rat, row_space_basis,
                        scalar_d, scalar_parts, solve_linear, squarefree_part,
                        symmetric_signature, unit_vector, vec_add,
@@ -67,9 +67,8 @@ class LieAlgebra:
                 table[(i, j)] = comp
         self.brackets = table
         self._table: Optional[tuple[int, list[list[dict]]]] = None
-        self._ad_basis: Optional[list[Matrix]] = None
         self._killing: Optional[Matrix] = None
-        self._center_dim: Optional[int] = None
+        self._ad_solver: Optional[tuple[int, Callable]] = None
         self._spectra: dict[Vector, Spectrum] = {}
         if validate:
             self._check_jacobi()
@@ -155,11 +154,6 @@ class LieAlgebra:
         return Matrix([_unscaled_vector(scale * dx, d, enumerate(ra), enumerate(rb), n)
                        for ra, rb in zip(fill(xa), surd)])
 
-    def ad_basis(self) -> list[Matrix]:
-        if self._ad_basis is None:
-            self._ad_basis = [self.ad(unit_vector(self.dim, i)) for i in range(self.dim)]
-        return self._ad_basis
-
     def killing_matrix(self) -> Matrix:
         """K_ij = trace(ad b_i ad b_j) = sum_{s,r} c_is^r c_jr^s, summed over
         the integer table ``D * c`` and divided by ``D^2`` once."""
@@ -183,13 +177,18 @@ class LieAlgebra:
         K = self.killing_matrix()
         return sum((xi * kj for xi, kj in zip(x, K.apply(y)) if xi and kj), ZERO)
 
+    def ad_map(self) -> tuple[int, Callable]:
+        """(rank, solve) of y -> ad(y), the n*n x n matrix whose column i is
+        ad(b_i) read row by row (:func:`linear_solver`); factored once, kept."""
+        if self._ad_solver is None:
+            cols = [tuple(c for row in self.ad(unit_vector(self.dim, i)).entries
+                          for c in row) for i in range(self.dim)]
+            self._ad_solver = linear_solver(Matrix.from_columns(cols))
+        return self._ad_solver
+
     def center_dim(self) -> int:
         """Dimension of the center (kernel of the adjoint map)."""
-        if self._center_dim is None:
-            cols = [tuple(c for row in a.entries for c in row)
-                    for a in self.ad_basis()]
-            self._center_dim = len(kernel(Matrix.from_columns(cols)))
-        return self._center_dim
+        return self.dim - self.ad_map()[0]
 
     def scaled_table(self) -> tuple[int, list[list[dict]]]:
         """(D, table) with D the lcm of all denominators and table[a][b] =
@@ -618,7 +617,7 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
 
     # structure constants of sub/rad in the images of xs: solve against the
     # combined (complement | radical) basis once
-    solve = full_rank_solver(Matrix.from_columns([tuple(r) for r in comp.rows] +
+    _, solve = linear_solver(Matrix.from_columns([tuple(r) for r in comp.rows] +
                                                  [tuple(r) for r in rad.rows]))
     c_table = {}
     for i in range(s_dim):
@@ -724,11 +723,8 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
         s_mat = m
     else:
         s_mat = p.eval_matrix(m)
-    # solve sum_i y_i ad(b_i) = s_mat
-    ads = L.ad_basis()
-    cols = [tuple(c for row in a.entries for c in row) for a in ads]
-    target = tuple(c for row in s_mat.entries for c in row)
-    sol = solve_linear(Matrix.from_columns(cols), target)
+    # y with ad(y) = s_mat, free coordinates 0
+    sol = L.ad_map()[1](tuple(c for row in s_mat.entries for c in row))
     if sol is None:
         raise CenterObstruction("semisimple part lies outside ad(L)")
     # nontrivial center: the pair is only canonical modulo the center (the

@@ -15,7 +15,7 @@ from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
                      LieEmbedError, ParseError, UnknownName)
 from .exactlin import determinant, format_rat
 from .liecore import (LieAlgebra, Subspace, killing_signature,
-                      levi_decomposition, radical)
+                      levi_decomposition)
 from .rootsys import (dynkin_type, is_positive, restricted_roots,
                       root_space_decomposition, simple_roots)
 from .vecfield import algebra_by_name, catalog_by_name, invariant_count
@@ -47,8 +47,8 @@ def error_exit(exc: LieEmbedError) -> tuple[int, str]:
 def analyze(L: LieAlgebra):
     pos, neg, zero = killing_signature(L)
     det = format_rat(determinant(L.killing_matrix()))
-    rad = radical(L)
-    levi = levi_decomposition(Subspace.full(L)).levi
+    ld = levi_decomposition(Subspace.full(L))
+    rad, levi = ld.radical, ld.levi
     payload = {"algebra": L.name, "dim": L.dim, "basis": list(L.basis_names),
                "killing": {"determinant": det,
                            "signature": {"pos": pos, "neg": neg, "zero": zero}},

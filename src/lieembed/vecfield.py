@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotClosed, UnknownName, VariableMismatch
-from .exactlin import (Matrix, ZERO, ONE, format_rat, full_rank_solver, rat,
+from .exactlin import (Matrix, ZERO, ONE, format_rat, linear_solver, rat,
                        rref)
 from .liecore import LieAlgebra
 
@@ -220,10 +220,9 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
     table is validated for antisymmetry (by storage) and Jacobi."""
     matrix, coords = _field_coordinates(catalog)
     n = len(catalog.fields)
-    try:
-        solve = full_rank_solver(matrix)
-    except ValueError:
-        raise ValueError(f"catalog {catalog.name!r} fields are dependent") from None
+    rank, solve = linear_solver(matrix)
+    if rank < n:
+        raise ValueError(f"catalog {catalog.name!r} fields are dependent")
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):

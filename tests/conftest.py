@@ -1,11 +1,19 @@
 import json
+import os
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import lieembed
 from lieembed.liecore import LieAlgebra, Subspace
 from lieembed.vecfield import algebra_by_name, so_pq_generators
+
+# tests that run ``python -m lieembed`` in a subprocess get the package these
+# tests import, also when only pytest's ``pythonpath`` setting found it
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(lieembed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))
 
 # selected with --hypothesis-profile=ci (the CI workflow); without it the
 # hypothesis defaults apply

@@ -1,23 +1,29 @@
 """Embedding procedures: tori, abelian and general nilpotent algebras,
 maximal compact construction, canonical element search."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from lieembed.errors import (NoRealSemisimpleFound, NotATorus,
+from lieembed.errors import (ExtensionDegreeTooHigh, NoCompactFound,
+                             NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
 from lieembed.exactlin import vec_add, vec_is_zero, vec_scale, vec_sub
 from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
                               LieAlgebra, Subspace, centralizer,
-                              classify_element,
-                              is_ad_nilpotent, killing_signature, normalizer,
-                              restricted_killing_signature,
+                              classify_element, derived_algebra,
+                              is_ad_nilpotent, killing_signature,
+                              levi_decomposition, normalizer,
+                              restricted_killing_signature, spectrum,
                               subalgebra_generated)
 from lieembed.rootsys import restricted_roots
-from lieembed.embed import (embed_abelian_nilpotent, embed_compact_torus,
-                            embed_nilpotent, embed_real_torus, find_compact,
+from lieembed.embed import (_candidates, embed_abelian_nilpotent,
+                            embed_compact_torus, embed_nilpotent,
+                            embed_real_torus, find_compact,
                             find_real_semisimple, maximal_compact_split)
+from lieembed.vecfield import so_pq_generators
+from test_liecore import _dense_basis, _table_in_basis, _typed
 
 
 def span(L, *vs):
@@ -354,3 +360,202 @@ def test_traces_replay(wave15, g2, so22):
         assert len(trace.steps) <= trace.algebra.dim
         replayed = trace.replay()
         assert all(replayed.contains(v) for s in trace.steps for v in s.adjoined)
+
+
+# --- Killing-sign screen of the candidate search ----------------------------------
+
+def _rebased_so(p, q, rng):
+    L = so_pq_generators(p, q)
+    return LieAlgebra(L.dim, L.basis_names, _table_in_basis(L, _dense_basis(L, rng)),
+                      name=f"rebased so({p},{q})")
+
+
+def _rand_rational_element(L, rng):
+    v = [F(0)] * L.dim
+    for i in rng.sample(range(L.dim), rng.randint(1, min(4, L.dim))):
+        v[i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+    return tuple(v)
+
+
+def test_killing_norm_sign_of_real_and_compact_elements(wave15, wave16, g2):
+    """B(v,v) = tr(ad v)^2 is the sum of the squared eigenvalues: positive
+    for a real-semisimple element, negative for a compact one."""
+    rng = random.Random(9090)
+    algebras = [wave15, wave16, g2] + [_rebased_so(p, q, rng)
+                                       for p, q in ((2, 2), (1, 3), (4, 0))]
+    seen = {COMPACT_SEMISIMPLE: 0, REAL_SEMISIMPLE: 0}
+    for L in algebras:
+        elements = [L.basis_vector(i) for i in range(L.dim)]
+        elements += [_rand_rational_element(L, rng) for _ in range(12)]
+        for v in elements:
+            try:
+                kind = classify_element(L, v)
+            except ExtensionDegreeTooHigh:
+                continue
+            if kind == COMPACT_SEMISIMPLE:
+                assert L.killing(v, v) < 0
+            elif kind == REAL_SEMISIMPLE:
+                assert L.killing(v, v) > 0
+            else:
+                continue
+            seen[kind] += 1
+    assert min(seen.values()) >= 15
+
+
+def _ref_find_real_semisimple(sub, budget, seed=0):
+    """find_real_semisimple before the Killing-sign screen: every nonzero
+    candidate is classified."""
+    L = sub.algebra
+    for v in _candidates(sub, budget, seed):
+        if vec_is_zero(v):
+            continue
+        try:
+            if classify_element(L, v) == REAL_SEMISIMPLE:
+                return v
+        except ExtensionDegreeTooHigh:
+            continue
+    raise NoRealSemisimpleFound(
+        f"no real-semisimple element in a {sub.dim}-dim subspace "
+        f"within budget {budget}")
+
+
+def _ref_find_compact(sub, d_required, budget, seed=0):
+    """find_compact before the Killing-sign screen."""
+    L = sub.algebra
+    for v in _candidates(sub, budget, seed):
+        if vec_is_zero(v):
+            continue
+        try:
+            if classify_element(L, v) != COMPACT_SEMISIMPLE:
+                continue
+        except ExtensionDegreeTooHigh:
+            continue
+        ds = spectrum(L, v).extensions
+        if len(ds) > 1:
+            continue
+        if d_required is not None and ds and ds != {d_required}:
+            continue
+        return v
+    raise NoCompactFound(
+        f"no compatible compact element in a {sub.dim}-dim subspace "
+        f"within budget {budget}")
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return _typed(search(*args, **kwargs))
+    except (NoCompactFound, NoRealSemisimpleFound) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _search_subspaces(wave15, g2):
+    """The wave15 compact-torus chain's derived subspaces, the Levi parts of
+    the wave15 and g2 nilpotent cases, and so(p,q), as given and rebased."""
+    E, X = wave15.basis_vector, g2.basis_vector
+    subs = []
+    for start in ([E("e15")], [E("e14")], []):
+        current = Subspace(wave15, start)
+        d_ctx = -1 if start else None
+        for _ in range(wave15.dim):
+            der = derived_algebra(centralizer(wave15, current))
+            if der.dim == 0:
+                break
+            subs.append(der)
+            current = current.with_vectors([find_compact(der, d_required=d_ctx, seed=0)])
+    for L, names in ((wave15, ("e8", "e10", "e11", "e12")),
+                     (g2, ("X14", "X13", "X12"))):
+        U = Subspace(L, [L.basis_vector(b) for b in names])
+        subs.append(levi_decomposition(normalizer(L, U)).levi)
+    subs.append(Subspace.full(g2))
+    # sl(2) and so(3) with constants over 10: Killing norms of the basis in (-1, 1)
+    for table in ({(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}},
+                  {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}):
+        small = {ij: {k: F(c, 10) for k, c in comp.items()} for ij, comp in table.items()}
+        subs.append(Subspace.full(LieAlgebra(3, ["a", "b", "c"], small)))
+    rng = random.Random(9091)
+    for p, q in ((2, 2), (1, 3), (4, 0)):
+        subs.append(Subspace.full(so_pq_generators(p, q)))
+        subs.append(Subspace.full(_rebased_so(p, q, rng)))
+    return subs
+
+
+def test_screened_searches_match_unscreened_reference(wave15, g2):
+    """Same vector, or the same error after the same number of candidates,
+    with and without d_required; also with the budget cut just before and
+    just after the reference's answer."""
+    subs = _search_subspaces(wave15, g2)
+    assert len(subs) >= 12
+    found = 0
+    for sub in subs:
+        searches = [(find_real_semisimple, _ref_find_real_semisimple, {})]
+        searches += [(find_compact, _ref_find_compact, {"d_required": d})
+                     for d in (None, -1, -3, 2)]
+        for search, ref, kw in searches:
+            want = _outcome(ref, sub, budget=150, **kw)
+            assert _outcome(search, sub, budget=150, seed=0, **kw) == want
+            if isinstance(want, tuple):
+                continue
+            found += 1
+            pos = next(i for i, v in enumerate(_candidates(sub, 150, 0))
+                       if _typed(v) == want)
+            for budget in (pos, pos + 1):
+                assert (_outcome(search, sub, budget=budget, seed=0, **kw) ==
+                        _outcome(ref, sub, budget=budget, **kw))
+    assert found >= 15
+
+
+def test_classification_reached_only_by_candidates_of_the_right_sign(wave15,
+                                                                     monkeypatch):
+    import lieembed.embed as embed
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
+    E = L.basis_vector
+    reached = []
+    monkeypatch.setattr(embed, "classify_element",
+                        lambda L_, v: reached.append(v) or classify_element(L_, v))
+    der = span(L, E("e5"), E("e6"), E("e7m16"), E("e8"), E("e9"), E("e12"))
+    levi = span(L, E("e2"), E("e4"), E("e6"), E("e13"), E("e14"), E("e15"))
+    for search, sub, sign in ((find_compact, der, -1),
+                              (find_real_semisimple, levi, 1),
+                              (find_real_semisimple, der, 1)):
+        reached.clear()
+        found = search(sub, seed=0)
+        tried = []
+        for v in _candidates(sub, 10_000, 0):
+            tried.append(v)
+            if v == found:
+                break
+        right_sign = [v for v in tried if sign * L.killing(v, v) > 0]
+        assert reached == right_sign
+        assert len(reached) < len(tried) or len(tried) == 1
+    assert len(tried) > 1  # the third search screens candidates out
+
+
+def test_embed_nilpotent_reuses_the_last_passes_normalizer(wave15, g2, monkeypatch):
+    """One normalizer and one Levi decomposition per loop pass, none after
+    the loop; the results and traces are the ones pinned below."""
+    import lieembed.embed as embed
+    calls = []
+    real_nm, real_ld = embed.normalizer, embed.levi_decomposition
+    monkeypatch.setattr(embed, "normalizer",
+                        lambda L, sub: calls.append(("nm", sub)) or real_nm(L, sub))
+    monkeypatch.setattr(embed, "levi_decomposition",
+                        lambda sub: calls.append(("ld", sub)) or real_ld(sub))
+    cases = [
+        (wave15, ("e8", "e10", "e11", "e12"),
+         [("3.3/step4-eigenvector", ["e4-e15", "e6-e13"], 6)],
+         "<e4-e15, e6-e13, e8, e10, e11, e12> <e2, e7m16> <e2, e7m16, e14>"),
+        (g2, ("X14", "X13", "X12"),
+         [("3.3/step2-adjoin-derived", ["X9", "X11"], 5),
+          ("3.3/step4-eigenvector", ["X5"], 6)],
+         "<X5, X9, X11, X12, X13, X14> <X6, X8> <X6, X8>"),
+    ]
+    for L, names, steps, pinned in cases:
+        calls.clear()
+        U = Subspace(L, [L.basis_vector(b) for b in names])
+        result, torus, cd, trace = embed_nilpotent(L, U)
+        assert [(s.rule, [L.format_element(v) for v in s.adjoined], s.dim_after)
+                for s in trace.steps] == steps
+        assert f"{result} {torus} {cd.cartan}" == pinned
+        passes = len(trace.steps) + 1
+        assert [kind for kind, _ in calls] == ["nm", "ld"] * passes
+        assert calls[-2][1] == result  # the last pass already saw the result

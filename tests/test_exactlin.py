@@ -11,7 +11,7 @@ from lieembed import exactlin
 from lieembed.errors import ExtensionDegreeTooHigh, ParseError
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                determinant, eigenvalues, factor_roots,
-                               full_rank_solver, kernel, make_scalar, min_poly,
+                               kernel, linear_solver, make_scalar, min_poly,
                                poly_gcd, poly_lcm, rat, rational_roots,
                                row_space_basis, rref, solve_linear,
                                squarefree_split, symmetric_signature,
@@ -138,24 +138,35 @@ def test_solve_linear():
     assert solve_linear(Matrix([[1, 1]]), (F(2),)) == (F(2), F(0))
 
 
-def test_full_rank_solver_matches_solve_linear():
+def test_linear_solver_matches_solve_linear():
+    """Rank, solutions (free unknowns 0, entry types) and the None of a
+    right-hand side outside the column span, at full and lower rank."""
     rng = random.Random(7)
-    for _ in range(30):
+    deficient = 0
+    for trial in range(60):
         rows, cols = rng.randint(2, 9), rng.randint(1, 5)
         m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
                      else F(0) for _ in range(cols)] for _ in range(rows)])
-        if rref(m)[1] < cols:
-            with pytest.raises(ValueError):
-                full_rank_solver(m)
-            continue
-        solve = full_rank_solver(m)
+        if trial % 3 == 0:  # a dependent column: a combination of the others
+            k = rng.randrange(cols)
+            m = Matrix([[sum((F(j + 1) * row[j] for j in range(cols) if j != k), F(0))
+                         if c == k else x for c, x in enumerate(row)]
+                        for row in m.entries])
+        rank, solve = linear_solver(m)
+        assert rank == rref(m)[1]
+        deficient += rank < cols
         for _ in range(4):
             if rng.random() < 0.5:  # inside the column span
                 x = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cols)]
                 b = m.apply(x)
             else:
                 b = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
-            assert solve(b) == solve_linear(m, b)
+            got, want = solve(b), solve_linear(m, b)
+            assert got == want
+            assert got is None or all(type(x) is F for x in got)
+    assert deficient >= 20
+    assert linear_solver(Matrix([[0, 0], [0, 0]]))[0] == 0
+    assert linear_solver(Matrix([[0, 0], [0, 0]]))[1]((F(0), F(1))) is None
 
 
 def _reference_rref_rows(rows):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lieembed.errors import (ExtensionDegreeTooHigh,
+from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
                              InvalidStructureConstants, NotATorus)
 from lieembed.exactlin import (Matrix, determinant, factor_roots, kernel,
                                row_space_basis, solve_linear, unit_vector,
@@ -468,7 +468,7 @@ def test_killing_matrix_matches_fraction_trace(wave15, g2):
         L = so_pq_generators(p, q)
         algebras.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng)))
     for L in algebras:
-        ads = L.ad_basis()
+        ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
         want = Matrix([[(ads[i] @ ads[j]).trace() for j in range(L.dim)]
                        for i in range(L.dim)])
         assert L.killing_matrix() == want
@@ -817,3 +817,90 @@ def test_spectrum_roots_are_the_factored_min_poly(wave15, g2):
             assert [(_typed([r]), m) for r, m in s.roots] == \
                 [(_typed([r]), m) for r, m in want]
             assert s.roots is s.roots  # factored once, kept
+
+
+# --- Jordan pull-back against the stacked solve it replaced ------------------
+
+def _ref_jordan(L, x):
+    """(semisimple, nilpotent, center_obstructed) by solving the stacked
+    ad-basis system with solve_linear on every call, and the center from
+    its kernel."""
+    from lieembed.exactlin import Poly
+    from lieembed.liecore import _semisimple_poly
+    m = L.ad(x)
+    p = _semisimple_poly(spectrum(L, x))
+    s_mat = m if p == Poly.x() else p.eval_matrix(m)
+    stacked = Matrix.from_columns(
+        [tuple(c for row in L.ad(unit_vector(L.dim, i)).entries for c in row)
+         for i in range(L.dim)])
+    sol = solve_linear(stacked, tuple(c for row in s_mat.entries for c in row))
+    if sol is None:
+        raise CenterObstruction("semisimple part lies outside ad(L)")
+    return sol, vec_sub(x, sol), len(kernel(stacked)) > 0
+
+
+def _jordan_algebras(wave15, wave16, g2):
+    from lieembed.vecfield import so_pq_generators
+    rng = random.Random(9191)
+    heis = LieAlgebra(3, ["x", "y", "z"], {(0, 1): {2: 1}}, name="heisenberg")
+    E = wave15.basis_vector
+    # reductive with a 1-dim center: the centralizer of a compact element
+    torus_centralizer = centralizer(wave15, span(wave15, E("e14"))).as_subalgebra()
+    algebras = [wave15, wave16, g2, heis, torus_centralizer]
+    for L in (so_pq_generators(2, 2), so_pq_generators(1, 3),
+              so_pq_generators(4, 0), g2):
+        algebras.append(LieAlgebra(L.dim, L.basis_names,
+                                   _table_in_basis(L, _dense_basis(L, rng)),
+                                   name=f"rebased {L.name}"))
+    return algebras
+
+
+def test_jordan_matches_stacked_solve_reference(wave15, wave16, g2):
+    rng = random.Random(9192)
+    flags = set()
+    for L in _jordan_algebras(wave15, wave16, g2):
+        elements = [L.basis_vector(i) for i in range(L.dim)]
+        elements += [_rand_element(L, rng, support=4, lo=-3, hi=3) for _ in range(6)]
+        for x in elements:
+            pair = jordan_decomposition(L, x)
+            s, n, obstructed = _ref_jordan(L, x)
+            assert _typed(pair.semisimple) == _typed(s)
+            assert _typed(pair.nilpotent) == _typed(n)
+            assert pair.center_obstructed == obstructed
+            flags.add((L.name, obstructed))
+    assert ("heisenberg", True) in flags and ("sub(7)", True) in flags
+    assert ("g2", False) in flags
+
+
+def test_jordan_outside_ad_image_raises():
+    """[x, y] = y, [x, z] = y + z: the semisimple part of ad x, diag(0, 1, 1),
+    is no ad of an element."""
+    L = LieAlgebra(3, ["x", "y", "z"], {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}})
+    x = L.basis_vector("x")
+    with pytest.raises(CenterObstruction):
+        _ref_jordan(L, x)
+    with pytest.raises(CenterObstruction):
+        jordan_decomposition(L, x)
+    assert L.center_dim() == 0
+
+
+def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
+    import lieembed.liecore as liecore
+    factored = []
+    real_solver = liecore.linear_solver
+    monkeypatch.setattr(liecore, "linear_solver",
+                        lambda m: factored.append(m.rows) or real_solver(m))
+
+    def forbidden(*args):
+        raise AssertionError("no kernel or solve_linear in the Jordan pull-back")
+    monkeypatch.setattr(liecore, "kernel", forbidden)
+    monkeypatch.setattr(liecore, "solve_linear", forbidden)
+    rng = random.Random(9193)
+    heis = LieAlgebra(3, ["x", "y", "z"], {(0, 1): {2: 1}})
+    wave = LieAlgebra.from_json(wave15.to_json())  # nothing cached yet
+    for L in (heis, wave, heis, wave):
+        assert L.center_dim() == (1 if L is heis else 0)
+        for _ in range(5):
+            jordan_decomposition(L, _rand_element(L, rng))
+        assert L.center_dim() == (1 if L is heis else 0)
+    assert factored == [9, 225]

@@ -70,6 +70,26 @@ def test_cli_json_matches_every_golden_case(golden_corpus):
     assert kinds == {"table", "analyze", "embed", "roots", "invariants"}
 
 
+def test_analyze_computes_the_radical_once(monkeypatch):
+    import lieembed.liecore as liecore
+    from lieembed.liecore import LieAlgebra, Subspace
+    calls = []
+    real_radical = liecore.radical
+
+    def counted(obj):
+        calls.append(obj)
+        return real_radical(obj)
+    monkeypatch.setattr(liecore, "radical", counted)
+    monkeypatch.setattr(ops, "radical", counted, raising=False)  # a direct call
+    for name in ("wave15", "wave16", "g2"):
+        L = LieAlgebra.from_json(algebra_by_name(name).to_json(), name=name)
+        calls.clear()
+        payload, text = ops.analyze(L)
+        assert calls == [Subspace.full(L)]
+        assert payload["radical"] == real_radical(L).to_json()
+        assert f"radical: {real_radical(L)} (dim {payload['radical_dim']})" in text
+
+
 def test_other_library_errors_are_failed_preconditions():
     assert ops.error_exit(NotASubalgebra("bracket leaves the subspace")) == (
         5, "error: precondition failed: bracket leaves the subspace")
