@@ -9,9 +9,11 @@ prolonged fields so the plain vector-field bracket closes on the span.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import NotClosed, UnknownName, VariableMismatch
@@ -133,26 +135,83 @@ class PolyVectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def apply_to(self, f: MPoly) -> MPoly:
-        """Derivation: sum_j component_j * d f / d x_j."""
-        out = MPoly(len(self.variables), {})
-        for j, comp in enumerate(self.components):
-            if not comp.is_zero():
-                out = out + comp * f.diff(j)
-        return out
-
     def to_json(self):
         return {"name": self.name,
                 "components": [c.to_json() for c in self.components]}
 
 
+class _Packed:
+    """Fields over the same variables in integer form for the bracket kernel:
+    coefficients times the common denominator ``den``, and each (component,
+    monomial) packed into one int of ``width`` bits per exponent with the
+    component in the slot above.  ``width`` holds twice the top exponent, so
+    adding two packed monomials never carries.  A field is ``(terms,
+    partials)``: ``(j, ((monomial, coeff), ...))`` per nonzero component j,
+    and j -> the packed terms of every ``d_j`` of a component."""
+
+    def __init__(self, fields: Sequence[PolyVectorField]):
+        for f in fields[1:]:
+            if f.variables != fields[0].variables:
+                raise VariableMismatch(f"{fields[0].variables} vs {f.variables}")
+        self.nvars = len(fields[0].variables) if fields else 0
+        terms = [(i, e, c) for f in fields for i, comp in enumerate(f.components)
+                 for e, c in comp.terms.items()]
+        self.den = lcm(*(c.denominator for _, _, c in terms))
+        top = max((x for _, e, _ in terms for x in e), default=0)
+        self.width = (2 * top).bit_length() or 1
+        self.fields = [self._pack(f) for f in fields]
+
+    def _pack(self, f: PolyVectorField):
+        terms = []
+        partials: dict = {}
+        for i, comp in enumerate(f.components):
+            scaled = [(e, c.numerator * (self.den // c.denominator))
+                      for e, c in comp.terms.items()]
+            if scaled:
+                terms.append((i, tuple((self.key(0, e), c) for e, c in scaled)))
+            for e, c in scaled:
+                for j, x in enumerate(e):
+                    if x:
+                        partials.setdefault(j, []).append(
+                            (self.key(i, e) - (1 << j * self.width), c * x))
+        return terms, partials
+
+    def key(self, i: int, e) -> int:
+        w = self.width
+        return sum(x << k * w for k, x in enumerate(e)) + (i << self.nvars * w)
+
+    def unkey(self, key: int):
+        """(component, exponent tuple) of a packed key."""
+        w = self.width
+        mask = (1 << w) - 1
+        return key >> self.nvars * w, tuple((key >> k * w) & mask
+                                           for k in range(self.nvars))
+
+    def bracket(self, a: int, b: int) -> dict:
+        """den**2 * [field a, field b] as {packed key: nonzero int}."""
+        v, w = self.fields[a], self.fields[b]
+        out: dict = {}
+        for sign, (terms, _), (_, partials) in ((1, v, w), (-1, w, v)):
+            for j, comp in terms:
+                d = partials.get(j)
+                if d:
+                    for m, c in comp:
+                        c *= sign
+                        for k, x in d:
+                            out[m + k] = out.get(m + k, 0) + c * x
+        return {k: c for k, c in out.items() if c}
+
+
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     """Lie bracket [v, w]_i = sum_j (v_j d_j w_i - w_j d_j v_i)."""
-    if v.variables != w.variables:
-        raise VariableMismatch(f"{v.variables} vs {w.variables}")
-    comps = tuple(v.apply_to(wc) - w.apply_to(vc)
-                  for vc, wc in zip(v.components, w.components))
-    return PolyVectorField(f"[{v.name},{w.name}]", v.variables, comps)
+    packed = _Packed((v, w))
+    nv, d2 = packed.nvars, packed.den ** 2
+    comps = [{} for _ in range(nv)]
+    for key, c in packed.bracket(0, 1).items():
+        i, e = packed.unkey(key)
+        comps[i][e] = Fraction(c, d2)
+    return PolyVectorField(f"[{v.name},{w.name}]", v.variables,
+                           tuple(MPoly(nv, t) for t in comps))
 
 
 @dataclass(frozen=True)
@@ -185,65 +244,52 @@ class GeneratorCatalog:
                 "fields": [f.to_json() for f in self.fields]}
 
 
-def _field_coordinates(catalog: GeneratorCatalog):
-    """Monomial-coordinate matrix of the catalog fields (one column each)."""
-    keys = []
-    seen = set()
-    for f in catalog.fields:
-        for i, comp in enumerate(f.components):
-            for e in comp.terms:
-                if (i, e) not in seen:
-                    seen.add((i, e))
-                    keys.append((i, e))
-    keys.sort()
-    index = {k: r for r, k in enumerate(keys)}
-
-    def coords(field: PolyVectorField):
-        col = [ZERO] * len(keys)
-        for i, comp in enumerate(field.components):
-            for e, c in comp.terms.items():
-                r = index.get((i, e))
-                if r is None:
-                    return None, (i, e, c)
-                col[r] = c
-        return tuple(col), None
-
-    cols = []
-    for f in catalog.fields:
-        col, _ = coords(f)
-        cols.append(col)
-    return Matrix.from_columns(cols), coords
-
-
 def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
     """Express every pairwise bracket in the generator basis; the resulting
-    table is validated for antisymmetry (by storage) and Jacobi."""
-    matrix, coords = _field_coordinates(catalog)
-    n = len(catalog.fields)
+    table is validated for antisymmetry (by storage) and Jacobi.
+
+    A bracket with a monomial that no field has raises ``NotClosed`` whose
+    ``residual`` is ``(component, exponent tuple, coefficient)`` of the first
+    such term in (component, graded-lex) order.
+    """
+    fields = catalog.fields
+    packed = _Packed(fields)
+    # one row per (component, monomial) of the fields, in sorted order
+    rows = sorted({(i, e) for f in fields for i, comp in enumerate(f.components)
+                   for e in comp.terms})
+    index = {packed.key(i, e): r for r, (i, e) in enumerate(rows)}
+    matrix = Matrix.from_columns(
+        [tuple(f.components[i].terms.get(e, ZERO) for i, e in rows) for f in fields])
+    n = len(fields)
     rank, solve = linear_solver(matrix)
     if rank < n:
         raise ValueError(f"catalog {catalog.name!r} fields are dependent")
+    d2 = packed.den ** 2
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = vf_bracket(catalog.fields[i], catalog.fields[j])
-            col, bad = coords(w)
-            if bad is not None:
-                raise NotClosed(
-                    f"[{catalog.fields[i].name}, {catalog.fields[j].name}] "
-                    f"leaves the span (new monomial in component {bad[0]})",
-                    pair=(catalog.fields[i].name, catalog.fields[j].name),
-                    residual=bad)
+            pair = (fields[i].name, fields[j].name)
+            col = [ZERO] * len(rows)
+            bad = []
+            for key, c in packed.bracket(i, j).items():
+                r = index.get(key)
+                if r is None:
+                    bad.append(packed.unkey(key) + (Fraction(c, d2),))
+                else:
+                    col[r] = Fraction(c, d2)
+            if bad:
+                comp, e, c = min(bad, key=lambda t: (t[0], sum(t[1]), t[1]))
+                raise NotClosed(f"[{pair[0]}, {pair[1]}] leaves the span "
+                                f"(new monomial in component {comp})",
+                                pair=pair, residual=(comp, e, c))
             sol = solve(col)
             if sol is None:
-                raise NotClosed(
-                    f"[{catalog.fields[i].name}, {catalog.fields[j].name}] "
-                    f"leaves the span",
-                    pair=(catalog.fields[i].name, catalog.fields[j].name))
+                raise NotClosed(f"[{pair[0]}, {pair[1]}] leaves the span",
+                                pair=pair)
             comp = {k: c for k, c in enumerate(sol) if c}
             if comp:
                 brackets[(i, j)] = comp
-    names = [f.name for f in catalog.fields]
+    names = [f.name for f in fields]
     return LieAlgebra(n, names, brackets, name=catalog.name)
 
 
@@ -462,6 +508,8 @@ def algebra_by_name(name: str) -> LieAlgebra:
     """Built-in algebras addressable by name: catalog names or so(p,q)."""
     key = name.lower().replace(" ", "")
     if key.startswith("so(") and key.endswith(")"):
-        p, q = key[3:-1].split(",")
-        return so_pq_generators(int(p), int(q))
+        m = re.fullmatch(r"\+?(\d+),\+?(\d+)", key[3:-1], re.ASCII)
+        if m is None or int(m[1]) + int(m[2]) < 2:
+            raise ValueError("expected so(p,q) with integers p, q >= 0 and p + q >= 2")
+        return so_pq_generators(int(m[1]), int(m[2]))
     return structure_constants(catalog_by_name(key))

@@ -109,11 +109,17 @@ def test_embed_precondition_exit_5(run):
     ["analyze", "so(x,2)"],
     ["analyze", "so(-1,3)", "--format", "text"],
     ["analyze", "so(3,-1)"],
+    ["analyze", "so(2,2,1)"],
+    ["analyze", "so()"],
+    ["analyze", "so(2)"],
 ])
 def test_malformed_input_exit_2(run, argv):
     code, _, err = run(argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    if argv[1].startswith("so("):
+        assert err == (f"error: invalid algebra name {argv[1]!r}: expected so(p,q) "
+                       "with integers p, q >= 0 and p + q >= 2\n")
 
 
 def test_zero_denominator_in_table_exit_2(run, tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from lieembed.errors import NotClosed, VariableMismatch
-from lieembed.exactlin import vec_is_zero, vec_scale
+from lieembed.exactlin import Matrix, solve_linear, vec_is_zero, vec_scale
 from lieembed.liecore import killing_signature
 from lieembed.vecfield import (GeneratorCatalog, MPoly, PolyVectorField,
                                algebra_by_name, catalog_by_name, g2_catalog,
@@ -19,6 +19,68 @@ from lieembed.vecfield import (GeneratorCatalog, MPoly, PolyVectorField,
 def _mk_field(name, nvars, comps):
     return PolyVectorField(name, tuple(f"x{i}" for i in range(nvars)),
                            tuple(comps))
+
+
+def _ref_apply(v, f):
+    """Derivation: sum_j v_j * d f / d x_j, in MPoly arithmetic."""
+    out = MPoly(len(v.variables), {})
+    for j, comp in enumerate(v.components):
+        if not comp.is_zero():
+            out = out + comp * f.diff(j)
+    return out
+
+
+def _ref_vf_bracket(v, w):
+    """The bracket before the packed integer kernel: MPoly arithmetic."""
+    if v.variables != w.variables:
+        raise VariableMismatch(f"{v.variables} vs {w.variables}")
+    comps = tuple(_ref_apply(v, wc) - _ref_apply(w, vc)
+                  for vc, wc in zip(v.components, w.components))
+    return PolyVectorField(f"[{v.name},{w.name}]", v.variables, comps)
+
+
+def _typed_terms(field):
+    return [sorted((e, c, type(c)) for e, c in comp.terms.items())
+            for comp in field.components]
+
+
+def _assert_same_bracket(v, w):
+    got, want = vf_bracket(v, w), _ref_vf_bracket(v, w)
+    assert got.name == want.name and got.variables == want.variables
+    assert [c.nvars for c in got.components] == [c.nvars for c in want.components]
+    assert _typed_terms(got) == _typed_terms(want)
+
+
+@pytest.mark.parametrize("catalog", [wave16_catalog, wave15_catalog, g2_catalog])
+def test_vf_bracket_matches_reference_catalog_pairs(catalog):
+    fields = catalog().fields
+    for v in fields:
+        for w in fields:
+            _assert_same_bracket(v, w)
+
+
+@pytest.mark.parametrize("catalog", [wave16_catalog, wave15_catalog, g2_catalog])
+def test_vf_bracket_matches_reference_random_combinations(catalog):
+    cat = catalog()
+    rng = random.Random(10)
+    for _ in range(12):
+        v, w = (cat.combination(
+            [F(rng.randint(-9, 9), rng.randint(1, 97)) if rng.random() < 0.4 else 0
+             for _ in cat.fields]) for _ in range(2))
+        _assert_same_bracket(v, w)
+
+
+def test_vf_bracket_matches_reference_high_degree():
+    # exponents of 300 and more need more than 8 bits per packed exponent
+    x, y, z = (MPoly.var(i, 3) for i in range(3))
+    big = x
+    for _ in range(299):
+        big = big * x
+    v = _mk_field("v", 3, [big * y + F(1, 3), F(2, 7) * big * big * z, y * z])
+    w = _mk_field("w", 3, [F(5, 11) * big * x, x * y * y, big * z * z + x])
+    assert max(sum(e) for comp in v.components for e in comp.terms) >= 300
+    _assert_same_bracket(v, w)
+    _assert_same_bracket(w, v)
 
 
 def test_vf_bracket_constant_coefficient():
@@ -76,6 +138,29 @@ def test_structure_constants_tables_bit_exact(golden_corpus):
     assert structure_constants(g2_catalog()).to_json() == expected["g2"]
 
 
+def test_structure_constants_wave15_matches_reference_table():
+    # coordinates of every reference bracket in the catalog fields
+    cat = wave15_catalog()
+    fields = cat.fields
+    keys = sorted({(i, e) for f in fields for i, comp in enumerate(f.components)
+                   for e in comp.terms})
+    m = Matrix.from_columns([[f.components[i].terms.get(e, F(0)) for i, e in keys]
+                             for f in fields])
+    want = {}
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            w = _ref_vf_bracket(fields[a], fields[b])
+            assert all(e in {k[1] for k in keys if k[0] == i}
+                       for i, comp in enumerate(w.components) for e in comp.terms)
+            sol = solve_linear(m, [w.components[i].terms.get(e, F(0)) for i, e in keys])
+            comp = {k: c for k, c in enumerate(sol) if c}
+            if comp:
+                want[(a, b)] = comp
+    got = structure_constants(cat).brackets
+    assert got == want
+    assert {type(c) for comp in got.values() for c in comp.values()} == {F}
+
+
 def test_structure_constants_commuting_translations():
     nv = 2
     zero = MPoly(nv, {})
@@ -94,8 +179,32 @@ def test_structure_constants_not_closed():
     cat = GeneratorCatalog("bad", ("x",),
                            (PolyVectorField("a", ("x",), (one,)),
                             PolyVectorField("b", ("x",), (x * x,))))
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed) as info:
         structure_constants(cat)
+    assert str(info.value) == "[a, b] leaves the span (new monomial in component 0)"
+    assert info.value.pair == ("a", "b")
+    assert info.value.residual == (0, (1,), F(2))
+    assert type(info.value.residual[2]) is F
+
+
+def test_structure_constants_not_closed_first_term_graded_lex():
+    # [d_x, (x^2 + x y^3) d_x + x d_y] = (2x + y^3) d_x + d_y: three new
+    # terms; the first in (component, graded-lex) order is 2x in component 0
+    # (plain lex order would pick y^3, degree first the 1 in component 1)
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
+    one = MPoly.const(1, 2)
+    zero = MPoly(2, {})
+    cat = GeneratorCatalog("bad2", ("x0", "x1"),
+                           (_mk_field("a", 2, [one, zero]),
+                            _mk_field("b", 2, [x * x + x * y * y * y, x])))
+    with pytest.raises(NotClosed) as info:
+        structure_constants(cat)
+    assert str(info.value) == "[a, b] leaves the span (new monomial in component 0)"
+    assert info.value.pair == ("a", "b")
+    comp, exps, coef = info.value.residual
+    assert (comp, exps, coef) == (0, (1, 0), F(2))
+    assert type(exps) is tuple and all(type(k) is int for k in exps)
+    assert type(coef) is F
 
 
 def test_structure_constants_leaves_span_known_monomials():
