@@ -9,12 +9,12 @@ from .errors import (CenterObstruction, DegenerateRoot, ExtensionDegreeTooHigh,
                      ParseError, UnknownName, UnrecognizedBondPattern,
                      UnrecognizedDiagram, VariableMismatch)
 from .exactlin import (ExactScalar, Matrix, Poly, Rational, char_poly,
-                       determinant, eigenvalues, kernel, make_scalar, min_poly,
-                       rref, solve_linear, symmetric_signature)
+                       eigenvalues, kernel, make_scalar, min_poly, rref,
+                       solve_linear, symmetric_signature)
 from .liecore import (JordanPair, LeviDecomposition, LieAlgebra, Subspace,
                       center, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
-                      jordan_decomposition, killing_form, killing_signature,
+                      jordan_decomposition, killing_signature,
                       levi_decomposition, normalizer, radical,
                       restricted_killing_signature, subalgebra_generated,
                       torus_split)

@@ -65,6 +65,16 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return sign * d * n, k
 
 
+def _real_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d), d > 0: a^2 against d*b^2 if the signs differ."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > d * b * b else sb
+
+
 @dataclass(frozen=True)
 class ExactScalar:
     """Irrational element a + b*sqrt(d) of Q(sqrt d); b is never zero.
@@ -147,15 +157,7 @@ class ExactScalar:
         """Sign of the value as a real number; requires d > 0."""
         if self.d < 0:
             raise ValueError("not a real number")
-        a, b = self.a, self.b
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.d  # compare |a| with |b|sqrt(d)
-        if b > 0:  # a < 0: positive iff b^2 d > a^2
-            return 1 if rhs > lhs else -1
-        return 1 if lhs > rhs else -1
+        return _real_sign(self.a, self.b, self.d)
 
     def sort_key(self):
         return (self.a, self.b)
@@ -171,8 +173,6 @@ def make_scalar(a, b=0, d: int = 0) -> Scalar:
     """Canonical scalar a + b*sqrt(d): Fraction when b = 0, surd otherwise."""
     a, b = rat(a), rat(b)
     if b == 0 or d == 0:
-        if b != 0:
-            return a  # sqrt(0) contributes nothing
         return a
     d0, k = squarefree_split(d)
     if d0 == 1:
@@ -244,16 +244,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_real_imag(u: Vector) -> tuple[Vector, Vector]:
-    """Split a Q(sqrt d) vector into rational (a-part, b-part) vectors."""
-    re, im = [], []
-    for x in u:
-        a, b, _ = scalar_parts(x)
-        re.append(a)
-        im.append(b)
-    return tuple(re), tuple(im)
-
-
 # ----------------------------------------------------------------------------
 # matrices
 
@@ -318,9 +308,6 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         return tuple(_dot(row, v) for row in self.entries)
 
-    def trace(self):
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.entries)
 
@@ -370,6 +357,20 @@ def _scaled_vector(v: Vector) -> tuple[int, int, dict, dict]:
             {k: x.numerator * (den // x.denominator) for k, x in im.items()})
 
 
+def _scaled_rows(vectors: Sequence[Vector]) -> tuple[int, int, list[_IntRow]]:
+    """(den, d, rows) with ``den * v_i = a_i + b_i*sqrt(d)`` for sparse
+    integer rows (a_i, b_i) and den the lcm over all vectors."""
+    parts = [_scaled_vector(v) for v in vectors]
+    den, d = lcm(*(p[0] for p in parts)), 0
+    rows = []
+    for vd, e, a, b in parts:
+        d = _same_d(d, e)
+        f = den // vd
+        rows.append(({k: f * x for k, x in a.items()},
+                     {k: f * x for k, x in b.items()}))
+    return den, d, rows
+
+
 def _unscaled_vector(den: int, d: int, a: Iterable[tuple[int, int]],
                     b: Iterable[tuple[int, int]], width: int) -> Vector:
     """The vector ``(a + b*sqrt(d)) / den`` of the given width, from the
@@ -395,22 +396,31 @@ def _sub_multiple(dst: dict, f: int, src: dict) -> None:
             del dst[k]
 
 
+def _mul_sub(p: tuple[int, int], row: _IntRow, f: tuple[int, int],
+             prow: _IntRow, d: int) -> _IntRow:
+    """``p*row - f*prow`` for p, f in Z[sqrt d] given as pairs (a, b)."""
+    (pa, pb), (ra, rb), (fa, fb), (qa, qb) = p, row, f, prow
+    if pa == 1:
+        a, b = ra.copy(), rb.copy()
+    else:
+        a = {k: pa * x for k, x in ra.items()} if pa else {}
+        b = {k: pa * x for k, x in rb.items()} if pa else {}
+    if pb:
+        _sub_multiple(a, -pb * d, rb)
+        _sub_multiple(b, -pb, ra)
+    if fa:
+        _sub_multiple(a, fa, qa)
+        _sub_multiple(b, fa, qb)
+    if fb:
+        _sub_multiple(a, fb * d, qb)
+        _sub_multiple(b, fb, qa)
+    return a, b
+
+
 def _combine(p: int, row: _IntRow, fa: int, fb: int, prow: _IntRow,
              d: int) -> _IntRow:
     """``p*row - (fa + fb*sqrt d)*prow`` divided by its content."""
-    ra, rb = row
-    pa, pb = prow
-    if p == 1:
-        a, b = ra.copy(), rb.copy()
-    else:
-        a = {k: p * x for k, x in ra.items()}
-        b = {k: p * x for k, x in rb.items()}
-    if fa:
-        _sub_multiple(a, fa, pa)
-        _sub_multiple(b, fa, pb)
-    if fb:
-        _sub_multiple(a, fb * d, pb)
-        _sub_multiple(b, fb, pa)
+    a, b = _mul_sub((p, 0), row, (fa, fb), prow, d)
     g = gcd(*a.values(), *b.values())
     if g > 1:
         a = {k: x // g for k, x in a.items()}
@@ -591,66 +601,58 @@ def linear_solver(m: Matrix) -> tuple[int, Callable[[Vector], Optional[Vector]]]
     return len(pivots), solve
 
 
-def determinant(m: Matrix):
-    """Exact determinant by fraction-free-style Gaussian elimination."""
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    a = [list(r) for r in m.entries]
-    n = m.rows
-    det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        pv = a[c][c]
-        det = det * pv
-        inv = (ONE / pv) if isinstance(pv, Fraction) else pv.inverse()
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+def symmetric_signature(m: Matrix) -> tuple[int, int, int, Scalar]:
+    """(n_pos, n_neg, n_zero, det) of a symmetric matrix over Q or Q(sqrt d),
+    d > 0; d < 0 raises ValueError, as such a form has no signature.
 
-
-def symmetric_signature(m: Matrix) -> tuple[int, int, int]:
-    """Signature (n_pos, n_neg, n_zero) of a symmetric rational matrix.
-
-    Exact congruence diagonalization; no eigenvalues involved.
+    Fraction-free symmetric Bareiss elimination of ``D*m`` over Z[sqrt d]
+    (an empty surd part for rational input), D the lcm of the denominators.
+    Pivots come from the trailing diagonal, rows and columns swapped
+    together; a zero diagonal first gets ``row_k += row_j``, ``col_k +=
+    col_j`` for an entry m_kj != 0.  The pivots are leading principal minors
+    of a congruent matrix (Sylvester), so each division is exact and p_k
+    counts as positive when p_k*p_(k-1) > 0 (Jacobi, p_0 = 1).  An all-zero
+    trailing block counts toward n_zero; det = p_n / D^n, 0 if n_zero > 0.
     """
     n = m.rows
-    a = [list(r) for r in m.entries]
-    pos = neg = zero = 0
-    for i in range(n):
-        if not a[i][i]:
-            j = next((j for j in range(i + 1, n) if a[j][j]), None)
-            if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((j for j in range(i + 1, n) if a[i][j]), None)
-                if j is None:
-                    zero += 1
-                    continue
-                a[i] = [x + y for x, y in zip(a[i], a[j])]
-                for row in a:
-                    row[i] = row[i] + row[j]
-        p = a[i][i]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            if a[i][j]:
-                f = a[i][j] / p
-                a[j] = [x - f * y for x, y in zip(a[j], a[i])]
-        for j in range(i + 1, n):
-            a[j][i] = ZERO
-            a[i][j] = ZERO
-    return pos, neg, zero
+    if m.entries != tuple(zip(*m.entries)):
+        raise ValueError("symmetric matrix required")
+    den, d, scaled = _scaled_rows(m.entries)
+    if d < 0:
+        raise ValueError(f"a form over the imaginary field Q(sqrt({d})) "
+                         "has no signature")
+    rows = dict(enumerate(scaled))
+    pos, prev, prev_sign = 0, (1, 0), 1
+    while rows:
+        k = next((i for i, (a, b) in rows.items() if i in a or i in b), None)
+        if k is None:
+            k = next((i for i, (a, b) in rows.items() if a or b), None)
+            if k is None:
+                break  # the trailing block is zero
+            j = next(iter(rows[k][0] or rows[k][1]))
+            # the new entry (k, k) is m_kk + 2*m_kj + m_jj = 2*m_kj
+            rows[k] = _mul_sub((1, 0), rows[k], (-1, 0), rows[j], d)
+            for part in (part for row in rows.values() for part in row):
+                if j in part:
+                    _sub_multiple(part, -1, {k: part[j]})
+        prow = rows.pop(k)
+        p = (prow[0].get(k, 0), prow[1].get(k, 0))
+        sign = _real_sign(*p, d)
+        pos += sign == prev_sign
+        # (p*row - f*prow) / prev: times the conjugate of prev, over its norm
+        qa, qb = prev
+        norm = qa * qa - d * qb * qb if qb else qa
+        for i, row in rows.items():
+            a, b = _mul_sub(p, row, (row[0].get(k, 0), row[1].get(k, 0)), prow, d)
+            if qb:
+                a, b = _mul_sub((qa, -qb), (a, b), (0, 0), prow, d)
+            rows[i] = ({c: x // norm for c, x in a.items()},
+                       {c: x // norm for c, x in b.items()})
+        prev, prev_sign = p, sign
+    zero = len(rows)
+    det = ZERO if zero else _unscaled_vector(den ** n, d, [(0, prev[0])],
+                                             [(0, prev[1])], 1)[0]
+    return pos, n - zero - pos, zero, det
 
 
 # ----------------------------------------------------------------------------

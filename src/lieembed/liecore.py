@@ -19,8 +19,8 @@ from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
                        poly_ext_gcd, poly_gcd, rat, row_space_basis,
                        scalar_d, scalar_parts, solve_linear, squarefree_part,
                        symmetric_signature, unit_vector, vec_add,
-                       vec_scale, vec_sub, _same_d, _scaled_vector,
-                       _unscaled_vector)
+                       vec_scale, vec_sub, _same_d, _scaled_rows,
+                       _scaled_vector, _unscaled_vector)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -48,10 +48,15 @@ class LieAlgebra:
     def __init__(self, dim: int, basis_names: Sequence[str],
                  brackets: Mapping[tuple[int, int], Mapping[int, Fraction]],
                  name: str = "", validate: bool = True):
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if len(basis_names) != dim:
             raise ValueError("basis name count != dim")
+        self.basis_names = names = tuple(basis_names)
+        if len(set(names)) != dim:
+            repeated = next(x for i, x in enumerate(names) if x in names[:i])
+            raise ValueError(f"repeated basis name {repeated!r}")
         self.dim = dim
-        self.basis_names = tuple(basis_names)
         self.name = name
         table = {}
         for (i, j), comp in brackets.items():
@@ -242,26 +247,14 @@ class LieAlgebra:
     def from_json(cls, obj, name: str = "") -> "LieAlgebra":
         brackets = {}
         for entry in obj.get("brackets", []):
-            comp = {int(k): rat(c) for k, c in entry["c"].items()}
-            brackets[(entry["i"], entry["j"])] = comp
+            pair = (entry["i"], entry["j"])
+            if pair in brackets:
+                raise ValueError(f"two brackets entries for the pair {pair}")
+            brackets[pair] = {int(k): rat(c) for k, c in entry["c"].items()}
         return cls(obj["dim"], obj["basis"], brackets, name=name)
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"
-
-
-def _scaled_rows(vectors: Sequence[Vector]) -> tuple[int, int, list[tuple[dict, dict]]]:
-    """(den, d, rows) with ``den * v_i = a_i + b_i*sqrt(d)`` for sparse
-    integer rows (a_i, b_i) and den the lcm over all vectors."""
-    parts = [_scaled_vector(v) for v in vectors]
-    den, d = lcm(*(p[0] for p in parts)), 0
-    rows = []
-    for vd, e, a, b in parts:
-        d = _same_d(d, e)
-        f = den // vd
-        rows.append(({k: f * x for k, x in a.items()},
-                     {k: f * x for k, x in b.items()}))
-    return den, d, rows
 
 
 def _int_dot(x: dict, y: dict) -> int:
@@ -476,10 +469,6 @@ class Subspace:
 # structural operations
 
 
-def killing_form(L: LieAlgebra) -> Matrix:
-    return L.killing_matrix()
-
-
 def killing_signature(obj) -> tuple[int, int, int]:
     """Signature (n_pos, n_neg, n_zero) of the Killing form of an algebra
     or of a subspace viewed as an algebra in its own right."""
@@ -487,7 +476,7 @@ def killing_signature(obj) -> tuple[int, int, int]:
         if obj.dim == 0:
             return (0, 0, 0)
         return killing_signature(obj.as_subalgebra())
-    return symmetric_signature(obj.killing_matrix())
+    return symmetric_signature(obj.killing_matrix())[:3]
 
 
 def is_negative_definite(sub: Subspace) -> bool:
@@ -498,11 +487,11 @@ def is_negative_definite(sub: Subspace) -> bool:
 def restricted_killing_signature(sub: Subspace) -> tuple[int, int, int]:
     """Signature of the ambient Killing form restricted to the subspace
     (this, not the subalgebra's own form, decides compactness when the
-    subalgebra has a center)."""
+    subalgebra has a center).  Rows over Q(sqrt d) need d > 0."""
     if sub.dim == 0:
         return (0, 0, 0)
     rows = [[sub.algebra.killing(r, s) for s in sub.rows] for r in sub.rows]
-    return symmetric_signature(Matrix(rows))
+    return symmetric_signature(Matrix(rows))[:3]
 
 
 def derived_algebra(sub: Subspace) -> Subspace:

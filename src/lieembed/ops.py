@@ -13,9 +13,8 @@ from .embed import (DEFAULT_BUDGET, embed_abelian_nilpotent,
                     embed_compact_torus, embed_nilpotent, embed_real_torus)
 from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
                      LieEmbedError, ParseError, UnknownName)
-from .exactlin import determinant, format_rat
-from .liecore import (LieAlgebra, Subspace, killing_signature,
-                      levi_decomposition)
+from .exactlin import format_rat, symmetric_signature
+from .liecore import LieAlgebra, Subspace, levi_decomposition
 from .rootsys import (dynkin_type, is_positive, restricted_roots,
                       root_space_decomposition, simple_roots)
 from .vecfield import algebra_by_name, catalog_by_name, invariant_count
@@ -45,8 +44,8 @@ def error_exit(exc: LieEmbedError) -> tuple[int, str]:
 
 
 def analyze(L: LieAlgebra):
-    pos, neg, zero = killing_signature(L)
-    det = format_rat(determinant(L.killing_matrix()))
+    pos, neg, zero, det = symmetric_signature(L.killing_matrix())
+    det = format_rat(det)
     ld = levi_decomposition(Subspace.full(L))
     rad, levi = ld.radical, ld.levi
     payload = {"algebra": L.name, "dim": L.dim, "basis": list(L.basis_names),

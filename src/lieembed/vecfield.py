@@ -508,8 +508,10 @@ def algebra_by_name(name: str) -> LieAlgebra:
     """Built-in algebras addressable by name: catalog names or so(p,q)."""
     key = name.lower().replace(" ", "")
     if key.startswith("so(") and key.endswith(")"):
-        m = re.fullmatch(r"\+?(\d+),\+?(\d+)", key[3:-1], re.ASCII)
+        # at most four digits each, so int() never meets a long string
+        m = re.fullmatch(r"\+?0*(\d{1,4}),\+?0*(\d{1,4})", key[3:-1], re.ASCII)
         if m is None or int(m[1]) + int(m[2]) < 2:
-            raise ValueError("expected so(p,q) with integers p, q >= 0 and p + q >= 2")
+            raise ValueError("expected so(p,q) with integers 0 <= p, q <= 9999 "
+                             "and p + q >= 2")
         return so_pq_generators(int(m[1]), int(m[2]))
     return structure_constants(catalog_by_name(key))

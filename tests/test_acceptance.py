@@ -12,9 +12,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from lieembed.exactlin import (determinant, eigenvalues, make_scalar, min_poly,
-                               poly_gcd, vec_add, vec_is_zero, vec_real_imag,
-                               vec_scale, vec_sub)
+from lieembed.exactlin import (eigenvalues, make_scalar, min_poly, poly_gcd,
+                               scalar_parts, symmetric_signature, vec_add,
+                               vec_is_zero, vec_scale, vec_sub)
 from lieembed.liecore import (NILPOTENT, LieAlgebra, Subspace, center,
                               centralizer, classify_element, derived_algebra,
                               is_ad_nilpotent, jordan_decomposition,
@@ -36,6 +36,11 @@ MI = make_scalar(0, -1, -1)
 
 def span(L, *vs):
     return Subspace(L, vs)
+
+
+def _real_imag(u):
+    """The rational vectors (a, b) of a vector a + b*sqrt(d)."""
+    return tuple(zip(*(scalar_parts(x)[:2] for x in u)))
 
 
 def _passed(n, text):
@@ -63,7 +68,7 @@ def test_criterion_02_so4(so4):
     assert diag.type_label == "A1xA1"
     generated = []
     for root in positives:
-        re, im = vec_real_imag(rsd.space_of(root).rows[0])
+        re, im = _real_imag(rsd.space_of(root).rows[0])
         k = subalgebra_generated(so4, [re, im])
         assert k.dim == 3
         assert killing_signature(k) == (0, 3, 0)
@@ -153,7 +158,7 @@ def test_criterion_06_wave_maximal_compact(wave15):
 
 def test_criterion_07_g2_pipeline(g2):
     X = g2.basis_vector
-    assert determinant(g2.killing_matrix()) != 0
+    assert symmetric_signature(g2.killing_matrix())[3] != 0
     U = span(g2, X("X14"), X("X13"), X("X12"))
     result, torus, cd, _ = embed_nilpotent(g2, U)
     assert result == span(g2, X("X5"), X("X14"), X("X13"), X("X12"),
@@ -198,7 +203,7 @@ def test_criterion_08_g2_maximal_compact(g2):
     positives = [r for r in rsd.roots if is_positive(r)]
     assert len(positives) == 2
     for root in positives:
-        re, im = vec_real_imag(rsd.space_of(root).rows[0])
+        re, im = _real_imag(rsd.space_of(root).rows[0])
         k = subalgebra_generated(g2, [re, im])
         assert k.dim == 3 and killing_signature(k) == (0, 3, 0)
         triples.append(k)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,8 @@ def test_embed_precondition_exit_5(run):
     ["analyze", "so(2,2,1)"],
     ["analyze", "so()"],
     ["analyze", "so(2)"],
+    # more digits than int() converts by default on Python >= 3.11
+    ["analyze", "so(" + "9" * 5000 + ",1)"],
 ])
 def test_malformed_input_exit_2(run, argv):
     code, _, err = run(argv)
@@ -119,7 +122,36 @@ def test_malformed_input_exit_2(run, argv):
     assert err.startswith("error:") and "Traceback" not in err
     if argv[1].startswith("so("):
         assert err == (f"error: invalid algebra name {argv[1]!r}: expected so(p,q) "
-                       "with integers p, q >= 0 and p + q >= 2\n")
+                       "with integers 0 <= p, q <= 9999 and p + q >= 2\n")
+
+
+@pytest.mark.parametrize("table,message", [
+    ({"dim": 2, "basis": ["a", "a"], "brackets": []},
+     "repeated basis name 'a'"),
+    ({"dim": 2, "basis": ["a", "b"],
+      "brackets": [{"i": 0, "j": 1, "c": {"1": "1"}},
+                   {"i": 0, "j": 1, "c": {"0": "1"}}]},
+     "two brackets entries for the pair (0, 1)"),
+    ({"dim": "2", "basis": ["a", "b"], "brackets": []},
+     "dim must be an integer, got '2'"),
+], ids=["repeated basis name", "repeated bracket pair", "string dim"])
+def test_inconsistent_table_exit_2(run, tmp_path, table, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed algebra JSON: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["wave15", "wave16", "g2", "so(2,2)", "so(1,3)",
+                                  "so(4,0)"])
+def test_analyze_json_pinned(run, name):
+    """The whole analyze payload, the Killing determinant string included."""
+    pinned = json.loads((Path(__file__).parent / "data" / "analyze_pinned.json")
+                        .read_text())[name]
+    code, out, err = run(["analyze", name, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
 
 
 def test_zero_denominator_in_table_exit_2(run, tmp_path):

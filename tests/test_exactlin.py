@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from lieembed import exactlin
 from lieembed.errors import ExtensionDegreeTooHigh, ParseError
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
-                               determinant, eigenvalues, factor_roots,
-                               kernel, linear_solver, make_scalar, min_poly,
+                               eigenvalues, factor_roots, kernel,
+                               linear_solver, make_scalar, min_poly,
                                poly_gcd, poly_lcm, rat, rational_roots,
                                row_space_basis, rref, solve_linear,
                                squarefree_split, symmetric_signature,
@@ -704,10 +704,73 @@ def test_rational_roots_divisor_search():
 
 # --- signature / determinant ----------------------------------------------------
 
+def _ref_symmetric_signature(m):
+    """The dense Fraction congruence diagonalization symmetric_signature
+    replaced: (n_pos, n_neg, n_zero) of a symmetric rational matrix."""
+    n = m.rows
+    a = [list(r) for r in m.entries]
+    pos = neg = zero = 0
+    for i in range(n):
+        if not a[i][i]:
+            j = next((j for j in range(i + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[i], a[j] = a[j], a[i]
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if j is None:
+                    zero += 1
+                    continue
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for row in a:
+                    row[i] = row[i] + row[j]
+        p = a[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[i][j]:
+                f = a[i][j] / p
+                a[j] = [x - f * y for x, y in zip(a[j], a[i])]
+        for j in range(i + 1, n):
+            a[j][i] = F(0)
+            a[i][j] = F(0)
+    return pos, neg, zero
+
+
+def _ref_determinant(m):
+    """The dense Fraction Gaussian elimination the determinant came from."""
+    if m.rows != m.cols:
+        raise ValueError("square matrix required")
+    a = [list(r) for r in m.entries]
+    n = m.rows
+    det = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        pv = a[c][c]
+        det = det * pv
+        inv = (F(1) / pv) if isinstance(pv, F) else pv.inverse()
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
 def test_symmetric_signature():
-    assert symmetric_signature(Matrix([[0, 1], [1, 0]])) == (1, 1, 0)
-    assert symmetric_signature(Matrix.zero(3, 3)) == (0, 0, 3)
-    assert symmetric_signature(Matrix([[2, 0], [0, -3]])) == (1, 1, 0)
+    assert symmetric_signature(Matrix([[0, 1], [1, 0]])) == (1, 1, 0, F(-1))
+    assert symmetric_signature(Matrix.zero(3, 3)) == (0, 0, 3, F(0))
+    assert symmetric_signature(Matrix([[2, 0], [0, -3]])) == (1, 1, 0, F(-6))
+    assert symmetric_signature(Matrix([])) == (0, 0, 0, F(1))
+    with pytest.raises(ValueError, match="symmetric matrix required"):
+        symmetric_signature(Matrix([[1, 2], [3, 4]]))
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
@@ -715,13 +778,108 @@ def test_symmetric_signature():
 @settings(max_examples=40, deadline=None)
 def test_signature_counts_sum(rows):
     sym = [[F(rows[i][j] + rows[j][i]) for j in range(3)] for i in range(3)]
-    pos, neg, zero = symmetric_signature(Matrix(sym))
+    pos, neg, zero, _ = symmetric_signature(Matrix(sym))
     assert pos + neg + zero == 3
     _, rank, _ = rref(Matrix(sym))
     assert pos + neg == rank
 
 
 def test_determinant():
-    assert determinant(Matrix([[1, 2], [3, 4]])) == F(-2)
-    assert determinant(Matrix.identity(5)) == F(1)
-    assert determinant(Matrix.zero(2, 2)) == F(0)
+    assert _ref_determinant(Matrix([[1, 2], [3, 4]])) == F(-2)
+    for m, det in ((Matrix([[1, 2], [2, 1]]), F(-3)), (Matrix.identity(5), F(1)),
+                   (Matrix.zero(2, 2), F(0))):
+        assert symmetric_signature(m)[3] == det == _ref_determinant(m)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric rational matrices up to 16x16, numerators and denominators
+    up to 20 bits: dense, zero diagonal, all-zero trailing block, sparse,
+    or a sum of at most three signed rank-1 terms (singular for n > 3)."""
+    n = draw(st.integers(0, 16))
+    entry = st.builds(F, st.integers(-2 ** 20, 2 ** 20),
+                      st.sampled_from((1, 1, 1, 2, 3, 7, 2 ** 20 - 3)))
+    kind = draw(st.sampled_from(("dense", "zero diagonal", "zero trailing block",
+                                 "sparse", "low rank")))
+    if kind == "low rank":
+        a = [[F(0)] * n for _ in range(n)]
+        for _ in range(draw(st.integers(1, 3))):
+            v = draw(st.lists(entry, min_size=n, max_size=n))
+            sign = draw(st.sampled_from((1, -1)))
+            a = [[x + sign * v[i] * v[j] for j, x in enumerate(row)]
+                 for i, row in enumerate(a)]
+        return Matrix(a)
+    size = n * (n + 1) // 2
+    upper = draw(st.lists(entry, min_size=size, max_size=size))
+    if kind == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        upper = [x if k else F(0) for x, k in zip(upper, keep)]
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = upper.pop()
+    if kind == "zero diagonal":
+        for i in range(n):
+            a[i][i] = F(0)
+    elif kind == "zero trailing block":
+        t = draw(st.integers(0, n))
+        for i in range(t, n):
+            for j in range(n):
+                a[i][j] = a[j][i] = F(0)
+    return Matrix(a)
+
+
+@given(_symmetric_matrices())
+@settings(deadline=None)
+def test_symmetric_signature_against_the_fraction_loops(m):
+    sympy = pytest.importorskip("sympy")
+    pos, neg, zero, det = symmetric_signature(m)
+    assert (pos, neg, zero) == _ref_symmetric_signature(m)
+    assert det == _ref_determinant(m) and type(det) is F
+    if m.rows:
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in m.entries]).det()
+        assert det == F(int(want.p), int(want.q))
+
+
+def test_symmetric_signature_over_a_real_quadratic_field():
+    """Over Q(sqrt d), d > 0: pos and neg against the eigenvalue signs at 60
+    digits, zero against the rank, det against the Fraction elimination."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+
+    def real(x):
+        a, b, d = exactlin.scalar_parts(x)
+        return (mpmath.mpf(a.numerator) / a.denominator
+                + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(d))
+
+    for d in (2, 3, 5, 7):
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            a = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.8:
+                        a[i][j] = a[j][i] = make_scalar(_rand_rational(rng, 8),
+                                                        _rand_rational(rng, 8), d)
+            if rng.random() < 0.3:  # singular: the last index repeats the first
+                a[-1] = list(a[0])
+                for row in a:
+                    row[-1] = row[0]
+            m = Matrix(a)
+            pos, neg, zero, det = symmetric_signature(m)
+            with mpmath.workdps(60):
+                values = mpmath.eigsy(mpmath.matrix(
+                    [[real(x) for x in row] for row in a]), eigvals_only=True)
+                big = [v for v in values if abs(v) > mpmath.mpf(10) ** -40]
+            _, rank, _ = rref(m)
+            assert zero == n - rank == n - len(big)
+            assert (pos, neg) == (sum(v > 0 for v in big), sum(v < 0 for v in big))
+            assert det == _ref_determinant(m)
+
+
+def test_symmetric_signature_over_an_imaginary_field_raises():
+    i = make_scalar(0, 1, -1)
+    with pytest.raises(ValueError, match="imaginary field Q\\(sqrt\\(-1\\)\\) "
+                       "has no signature"):
+        symmetric_signature(Matrix([[i, 1], [1, 0]]))

@@ -8,9 +8,10 @@ import pytest
 
 from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
                              InvalidStructureConstants, NotATorus)
-from lieembed.exactlin import (Matrix, determinant, factor_roots, kernel,
-                               row_space_basis, solve_linear, unit_vector,
-                               vec_add, vec_is_zero, vec_scale, vec_sub)
+from lieembed.exactlin import (Matrix, factor_roots, kernel, make_scalar,
+                               row_space_basis, solve_linear,
+                               symmetric_signature, unit_vector, vec_add,
+                               vec_is_zero, vec_scale, vec_sub)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -79,7 +80,7 @@ def test_killing_so3(so3):
 
 
 def test_killing_g2_nondegenerate(g2):
-    assert determinant(g2.killing_matrix()) != 0
+    assert symmetric_signature(g2.killing_matrix())[3] != 0
 
 
 def test_killing_signature_wave(wave15):
@@ -458,6 +459,10 @@ def test_jacobi_check_matches_fraction_reference():
     assert failures >= 12
 
 
+def _trace(m):
+    return sum((m[i, i] for i in range(m.rows)), F(0))
+
+
 def test_killing_matrix_matches_fraction_trace(wave15, g2):
     """K_ij against trace(ad b_i ad b_j) over Fraction matrices, on the
     catalog tables and on dense rebased so(p,q) tables with denominators."""
@@ -469,7 +474,7 @@ def test_killing_matrix_matches_fraction_trace(wave15, g2):
         algebras.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng)))
     for L in algebras:
         ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
-        want = Matrix([[(ads[i] @ ads[j]).trace() for j in range(L.dim)]
+        want = Matrix([[_trace(ads[i] @ ads[j]) for j in range(L.dim)]
                        for i in range(L.dim)])
         assert L.killing_matrix() == want
         assert all(type(x) is F for row in L.killing_matrix().entries for x in row)
@@ -527,6 +532,38 @@ def test_restricted_killing_signature(wave15):
     rot = span(wave15, E("e13"), E("e14"), E("e15"))
     # ambient form restricted to a compact subalgebra is negative definite
     assert restricted_killing_signature(rot) == (0, 3, 0)
+
+
+def test_restricted_killing_signature_over_a_quadratic_field(so4):
+    """Rows in Q(sqrt 5): the span of v+ + x and v- + 2x in so(2,1), v+- the
+    root vectors of x = e2 + 2e3, against sympy's exact eigenvalue signs.
+    Rows in Q(i) have no real signature."""
+    sympy = pytest.importorskip("sympy")
+    from lieembed.exactlin import scalar_parts
+    from lieembed.rootsys import root_space_decomposition
+    from lieembed.vecfield import algebra_by_name
+    L = algebra_by_name("so(2,1)")
+    x = L.element({"e2": 1, "e3": 2})
+    (_, vp), (_, vm) = root_space_decomposition(L, [x]).pairs
+    sub = span(L, vec_add(vp.rows[0], x), vec_add(vm.rows[0], vec_scale(2, x)))
+    assert {scalar_parts(c)[2] for row in sub.rows for c in row} == {0, 5}
+
+    def exact(c):
+        a, b, d = scalar_parts(c)
+        return sympy.Rational(a.numerator, a.denominator) + sympy.Rational(
+            b.numerator, b.denominator) * sympy.sqrt(d)
+
+    K = sympy.Matrix([[exact(L.killing(r, s)) for s in sub.rows] for r in sub.rows])
+    values = K.eigenvals(multiple=True)
+    want = (sum(bool(v.is_positive) for v in values),
+            sum(bool(v.is_negative) for v in values),
+            sum(bool(v.is_zero) for v in values))
+    assert sum(want) == 2
+    assert restricted_killing_signature(sub) == want
+    imaginary = span(so4, vec_add(so4.basis_vector("e1"), vec_scale(
+        make_scalar(1, 1, -1), so4.basis_vector("e2"))))
+    with pytest.raises(ValueError, match="imaginary field"):
+        restricted_killing_signature(imaginary)
 
 
 # --- the integer kernel against the Fraction loops it replaced ----------------

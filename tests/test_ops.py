@@ -90,6 +90,37 @@ def test_analyze_computes_the_radical_once(monkeypatch):
         assert f"radical: {real_radical(L)} (dim {payload['radical_dim']})" in text
 
 
+def test_analyze_eliminates_the_killing_matrix_once(monkeypatch):
+    """One symmetric elimination gives the signature and the determinant;
+    no second signature (killing_signature) and no determinant routine."""
+    import lieembed.exactlin as exactlin
+    import lieembed.liecore as liecore
+    from lieembed.liecore import LieAlgebra
+    calls = []
+    real_signature = exactlin.symmetric_signature
+
+    def counted(m):
+        calls.append(m)
+        return real_signature(m)
+
+    def forbidden(*args):
+        raise AssertionError("killing_signature eliminates the Killing matrix again")
+
+    for module in (exactlin, liecore, ops):
+        monkeypatch.setattr(module, "symmetric_signature", counted, raising=False)
+    monkeypatch.setattr(liecore, "killing_signature", forbidden)
+    assert not hasattr(exactlin, "determinant")
+    for name in ("wave15", "wave16", "g2", "so(2,2)"):
+        L = LieAlgebra.from_json(algebra_by_name(name).to_json(), name=name)
+        calls.clear()
+        payload, _ = ops.analyze(L)
+        assert calls == [L.killing_matrix()]
+        pos, neg, zero, det = real_signature(L.killing_matrix())
+        assert payload["killing"] == {
+            "determinant": ops.format_rat(det),
+            "signature": {"pos": pos, "neg": neg, "zero": zero}}
+
+
 def test_other_library_errors_are_failed_preconditions():
     assert ops.error_exit(NotASubalgebra("bracket leaves the subspace")) == (
         5, "error: precondition failed: bracket leaves the subspace")

@@ -38,10 +38,10 @@ def test_so4_decomposition(so4):
     assert vb.rows == ((F(0), F(1), MI, I, F(1), F(0)),)
     assert rsd.zero_space == span(so4, E("e1"), E("e6"))
     # real and imaginary parts of V_a, V_b generate commuting so(3)s
-    from lieembed.exactlin import vec_real_imag
+    from lieembed.exactlin import scalar_parts
     from lieembed.liecore import killing_signature, subalgebra_generated
-    re_a, im_a = vec_real_imag(va.rows[0])
-    re_b, im_b = vec_real_imag(vb.rows[0])
+    re_a, im_a = zip(*(scalar_parts(x)[:2] for x in va.rows[0]))
+    re_b, im_b = zip(*(scalar_parts(x)[:2] for x in vb.rows[0]))
     ka = subalgebra_generated(so4, [re_a, im_a])
     kb = subalgebra_generated(so4, [re_b, im_b])
     assert ka.dim == 3 and kb.dim == 3
