@@ -73,14 +73,14 @@ def load_algebra(ref: str) -> LieAlgebra:
     except KeyError:
         pass
     except ValueError as exc:  # a malformed so(p,q) name
-        raise ParseError(f"invalid algebra name {ref!r}: {exc}") from None
+        raise ParseError(f"invalid algebra name {ref[:40]!r}: {exc}") from None
     try:
         with open(ref) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read input {ref!r}: {exc}") from None
+        raise ParseError(f"cannot read input {ref[:40]!r}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep
-        raise ParseError(f"invalid JSON in {ref!r}: {exc}") from None
+        raise ParseError(f"invalid JSON in {ref[:40]!r}: {exc}") from None
     try:
         return LieAlgebra.from_json(obj, name=ref)
     except InvalidStructureConstants:

@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit, ParseError)
-from .exactlin import (Matrix, Vector, ZERO, factor_roots, format_rat,
-                       kernel, min_poly, scalar_parts, vec_add, vec_is_zero,
-                       vec_scale, vec_sub)
+from .exactlin import (Matrix, Vector, factor_roots, format_rat, min_poly,
+                       scalar_parts, vec_is_zero)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
@@ -117,19 +116,15 @@ def _candidates(sub: Subspace, budget: int, seed: int):
     for size in range(2, k + 1):
         for positions in combinations(range(k), size):
             for coeffs in product(_COEFFS, repeat=size):
-                v = tuple([ZERO] * sub.algebra.dim)
-                for p, c in zip(positions, coeffs):
-                    v = vec_add(v, vec_scale(c, sub.rows[p]))
-                yield v
+                picked = dict(zip(positions, coeffs))
+                yield sub.from_coords([picked.get(p, 0) for p in range(k)])
                 count += 1
                 if count >= budget:
                     return
     rng = random.Random(seed)
     while count < budget:
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
-        v = tuple([ZERO] * sub.algebra.dim)
-        for c, row in zip(coeffs, sub.rows):
-            v = vec_add(v, vec_scale(c, row))
+        v = sub.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(k)])
         if not vec_is_zero(v):
             yield v
             count += 1
@@ -302,8 +297,7 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
         return None
     shifted = Matrix([[m.entries[i][j] - (best if i == j else 0)
                        for j in range(m.cols)] for i in range(m.rows)])
-    vecs = [space.from_coords(k) for k in kernel(shifted)]
-    return Subspace(L, vecs)
+    return space.kernel_of(shifted)
 
 
 def _real_less(a, b) -> bool:
@@ -448,5 +442,5 @@ def maximal_compact_split(L: LieAlgebra, cartan_data: CartanData,
             raise NotSplit(f"restricted root {root} lacks an opposite space")
         for x in space.rows:
             x_, y_, _h = _complete_sl2(L, x, opposite)
-            circles.append(vec_sub(x_, y_))
+            circles.append(tuple(a - b for a, b in zip(x_, y_)))
     return subalgebra_generated(L, circles)

@@ -220,22 +220,6 @@ def scalar_to_json(x: Scalar) -> dict:
 
 Vector = tuple
 
-def vec(entries) -> Vector:
-    return tuple(rat(x) if isinstance(x, (int, str)) else x for x in entries)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u: Vector) -> bool:
     return all(not x for x in u)
 
@@ -284,17 +268,13 @@ class Matrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def __add__(self, other):
-        return Matrix([vec_add(r, s) for r, s in zip(self.entries, other.entries)])
+        return Matrix([[x + y for x, y in zip(r, s)]
+                       for r, s in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        return Matrix([vec_sub(r, s) for r, s in zip(self.entries, other.entries)])
+        return Matrix([[x - y for x, y in zip(r, s)]
+                       for r, s in zip(self.entries, other.entries)])
 
     def scale(self, c) -> "Matrix":
         return Matrix([[c * x for x in row] for row in self.entries])
@@ -357,7 +337,7 @@ def _scaled_vector(v: Vector) -> tuple[int, int, dict, dict]:
             {k: x.numerator * (den // x.denominator) for k, x in im.items()})
 
 
-def _scaled_rows(vectors: Sequence[Vector]) -> tuple[int, int, list[_IntRow]]:
+def _scaled_rows(vectors: Iterable[Vector]) -> tuple[int, int, list[_IntRow]]:
     """(den, d, rows) with ``den * v_i = a_i + b_i*sqrt(d)`` for sparse
     integer rows (a_i, b_i) and den the lcm over all vectors."""
     parts = [_scaled_vector(v) for v in vectors]
@@ -366,8 +346,8 @@ def _scaled_rows(vectors: Sequence[Vector]) -> tuple[int, int, list[_IntRow]]:
     for vd, e, a, b in parts:
         d = _same_d(d, e)
         f = den // vd
-        rows.append(({k: f * x for k, x in a.items()},
-                     {k: f * x for k, x in b.items()}))
+        rows.append((a, b) if f == 1 else ({k: f * x for k, x in a.items()},
+                                           {k: f * x for k, x in b.items()}))
     return den, d, rows
 
 
@@ -428,33 +408,23 @@ def _combine(p: int, row: _IntRow, fa: int, fb: int, prow: _IntRow,
     return a, b
 
 
-def _rref_rows(rows: list[list]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form of the rows; returns (rows, pivot_columns).
+def _rref_ints(rows: list[_IntRow], d: int) -> tuple[list[_IntRow], list[int]]:
+    """Reduced row echelon form (rows, pivot_columns) of the span of
+    integer rows over Z[sqrt d] (d = 0 for rational rows); the input dicts
+    are never changed.
 
-    Fraction-free Gauss-Jordan over Z[sqrt d] on sparse rows, with d = 0
-    for rational input.  Each row is scaled by the lcm of its denominators
-    to a pair of integer rows.  A pivot a + b*sqrt(d) with b != 0 becomes
-    the rational integer a^2 - d*b^2 by multiplying its row with the
-    conjugate.  For a pivot p, every other row with an entry f in the pivot
-    column becomes ``p*row - f*pivot_row`` (p and f first divided by their
-    gcd) and is divided by its content.  Only at the end is each pivot row
-    divided by its pivot.  RREF is unique, so the result does not depend on
-    the pivot rows chosen.  Raises ExtensionDegreeTooHigh if the entries
-    use two different d.
+    Fraction-free Gauss-Jordan on sparse rows.  A pivot a + b*sqrt(d) with
+    b != 0 becomes the rational integer a^2 - d*b^2 by multiplying its row
+    with the conjugate.  For a pivot p, every other row with an entry f in
+    the pivot column becomes ``p*row - f*pivot_row`` (p and f first divided
+    by their gcd) and is divided by its content.  Each returned row is
+    primitive with a rational integer p at its pivot, so row / p is the
+    RREF row, and the row is unique for the span up to its sign.
     """
-    if not rows:
-        return rows, []
-    width = len(rows[0])
-    d = 0
-    pending: list[_IntRow] = []
-    for row in rows:
-        _, e, a, b = _scaled_vector(row)
-        d = _same_d(d, e)
-        if a or b:
-            pending.append((a, b))
+    pending = [row for row in rows if row[0] or row[1]]
     done: list[_IntRow] = []
     pivots: list[int] = []
-    for c in range(width):
+    for c in sorted({k for a, b in pending for k in (*a, *b)}):
         if not pending:
             break
         # a rational pivot needs no conjugate; a sparse one keeps fill-in low
@@ -477,8 +447,25 @@ def _rref_rows(rows: list[list]) -> tuple[list[Vector], list[int]]:
         pending = [row for row in pending if row[0] or row[1]]
         done.append(pivot)
         pivots.append(c)
+    for i, (a, b) in enumerate(done):
+        g = gcd(*a.values(), *b.values())
+        if g > 1:
+            done[i] = ({k: x // g for k, x in a.items()},
+                       {k: x // g for k, x in b.items()})
+    return done, pivots
+
+
+def _rref_rows(rows: list[list]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form of the rows; returns (rows, pivot_columns),
+    zero rows padding the result to the input's length.  Raises
+    ExtensionDegreeTooHigh if the entries use two different d."""
+    if not rows:
+        return rows, []
+    width = len(rows[0])
+    _, d, scaled = _scaled_rows(rows)
+    reduced, pivots = _rref_ints(scaled, d)
     out = [_unscaled_vector(a[c], d, a.items(), b.items(), width)
-           for (a, b), c in zip(done, pivots)]
+           for (a, b), c in zip(reduced, pivots)]
     out.extend((ZERO,) * width for _ in range(len(rows) - len(out)))
     return out, pivots
 
@@ -489,50 +476,34 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix(rows), len(pivots), pivots
 
 
-def _is_rref(rows: list[Vector], width: int) -> bool:
-    """Whether nonzero rows are the RREF :func:`_rref_rows` would return:
-    increasing pivots equal to ``Fraction(1)``, zeros in the other pivot
-    columns, entries Fraction or ExactScalar (Fraction parts, one d)."""
-    pivots, ds = [], set()
-    for r in rows:
-        p = next(c for c, x in enumerate(r) if x)
-        if len(r) != width or r[p] != 1 or (pivots and p <= pivots[-1]):
-            return False
-        pivots.append(p)
-        for x in r:
-            if type(x) is ExactScalar and type(x.a) is type(x.b) is Fraction and x.b:
-                ds.add(x.d)
-            elif type(x) is not Fraction:
-                return False
-    return len(ds) <= 1 and 0 not in ds and all(
-        not r[p] for i, r in enumerate(rows) for j, p in enumerate(pivots) if i != j)
-
-
 def row_space_basis(vectors: Iterable[Vector], width: int) -> tuple[Vector, ...]:
-    """Canonical RREF basis of the span of the given row vectors; rows that
-    are already that basis come back as they are."""
-    rows = [tuple(v) for v in vectors if not vec_is_zero(v)]
-    if not rows:
-        return ()
-    if _is_rref(rows, width):
-        return tuple(rows)
-    reduced, pivots = _rref_rows(rows)
+    """Canonical RREF basis of the span of the given row vectors (each of
+    length ``width``)."""
+    reduced, pivots = _rref_rows([tuple(v) for v in vectors])
     return tuple(tuple(r) for r in reduced[: len(pivots)])
+
+
+def _kernel_ints(rows: list[_IntRow], d: int,
+                 width: int) -> tuple[list[_IntRow], list[int]]:
+    """Null space of the matrix with the given integer rows over Z[sqrt d]
+    and ``width`` columns, as :func:`_rref_ints` returns it."""
+    reduced, pivots = _rref_ints(rows, d)
+    basis = []
+    for f in sorted(set(range(width)) - set(pivots)):
+        # e_f - sum_r (row_r[f] / p_r) e_(p_r) over pivots p_r, times their lcm
+        used = [(r, p) for r, p in zip(reduced, pivots) if f in r[0] or f in r[1]]
+        den = lcm(*(a[p] for (a, _), p in used))
+        basis.append(({f: den, **{p: -den // a[p] * a[f] for (a, _), p in used if f in a}},
+                      {p: -den // a[p] * b[f] for (a, b), p in used if f in b}))
+    return _rref_ints(basis, d)
 
 
 def kernel(m: Matrix) -> list[Vector]:
     """Canonical RREF basis of the null space of m."""
-    reduced, rank, pivots = rref(m)
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
-        basis.append(tuple(v))
-    return list(row_space_basis(basis, n))
+    _, d, rows = _scaled_rows(m.entries)
+    basis, pivots = _kernel_ints(rows, d, m.cols)
+    return [_unscaled_vector(a[p], d, a.items(), b.items(), m.cols)
+            for (a, b), p in zip(basis, pivots)]
 
 
 def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:

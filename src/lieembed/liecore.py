@@ -14,13 +14,13 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
-from .exactlin import (Matrix, Poly, Vector, ZERO, ONE, factor_roots,
-                       format_rat, kernel, linear_solver, min_poly,
-                       poly_ext_gcd, poly_gcd, rat, row_space_basis,
-                       scalar_d, scalar_parts, solve_linear, squarefree_part,
-                       symmetric_signature, unit_vector, vec_add,
-                       vec_scale, vec_sub, _same_d, _scaled_rows,
-                       _scaled_vector, _unscaled_vector)
+from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
+                       factor_roots, format_rat, linear_solver, min_poly,
+                       poly_ext_gcd, poly_gcd, rat, scalar_d, scalar_parts,
+                       scalar_to_json, squarefree_part, symmetric_signature,
+                       unit_vector, _kernel_ints, _rref_ints,
+                       _same_d, _scaled_rows, _scaled_vector, _sub_multiple,
+                       _unscaled_vector)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -73,6 +73,7 @@ class LieAlgebra:
         self.brackets = table
         self._table: Optional[tuple[int, list[list[dict]]]] = None
         self._killing: Optional[Matrix] = None
+        self._signature: Optional[tuple[int, int, int, Scalar]] = None
         self._ad_solver: Optional[tuple[int, Callable]] = None
         self._spectra: dict[Vector, Spectrum] = {}
         if validate:
@@ -120,12 +121,13 @@ class LieAlgebra:
 
     # -- core operations
 
-    def _bracket_ints(self, x: Vector, y: Vector) -> tuple[int, int, list, list]:
-        """(den, d, a, b) with ``den * [x, y] = a + b*sqrt(d)``, a and b
-        dense integer lists.  Entries over Q(sqrt d) are split into their
+    def _bracket_ints(self, x: tuple, y: tuple) -> tuple[int, int, dict, dict]:
+        """(den, d, a, b) with ``den * [x, y] = a + b*sqrt(d)`` for operands
+        in the scaled form (den, d, a, b) of :func:`_scaled_vector`, a and b
+        sparse integer rows.  Entries over Q(sqrt d) are split into their
         rational and surd parts, on which the bracket is bilinear."""
-        dx, d, xa, xb = _scaled_vector(x)
-        dy, e, ya, yb = _scaled_vector(y)
+        dx, d, xa, xb = x
+        dy, e, ya, yb = y
         d = _same_d(d, e)
         scale, table = self.scaled_table()
         a, b = [0] * self.dim, [0] * self.dim
@@ -134,30 +136,20 @@ class LieAlgebra:
             _accumulate(table, xb, yb, d, a)
             _accumulate(table, xa, yb, 1, b)
             _accumulate(table, xb, ya, 1, b)
-        return scale * dx * dy, d, a, b
+        return scale * dx * dy, d, _sparse(a), _sparse(b) if xb or yb else {}
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        den, d, a, b = self._bracket_ints(x, y)
-        return _unscaled_vector(den, d, enumerate(a), enumerate(b), self.dim)
+        den, d, a, b = self._bracket_ints(_scaled_vector(x), _scaled_vector(y))
+        return _unscaled_vector(den, d, a.items(), b.items(), self.dim)
+
+    def _ad_ints(self, x: tuple) -> list[tuple[int, int, dict, dict]]:
+        """[x, b_j] for each j, in the scaled form of :meth:`_bracket_ints`."""
+        return [self._bracket_ints(x, (1, 0, {j: 1}, {})) for j in range(self.dim)]
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of [x, -], filled as ``D * dx * ad(x)`` (dx the lcm of the
-        denominators of x) from the table rows of x's support."""
-        dx, d, xa, xb = _scaled_vector(x)
-        scale, table = self.scaled_table()
-        n = self.dim
-
-        def fill(xs):
-            m = [[0] * n for _ in range(n)]
-            for i, f in xs.items():
-                for j, row in enumerate(table[i]):
-                    for k, c in row.items():
-                        m[k][j] += f * c
-            return m
-
-        surd = fill(xb) if xb else [()] * n
-        return Matrix([_unscaled_vector(scale * dx, d, enumerate(ra), enumerate(rb), n)
-                       for ra, rb in zip(fill(xa), surd)])
+        """Matrix of [x, -]; column j is [x, b_j], summed in ints."""
+        return Matrix.from_columns([_unscaled_vector(den, d, a.items(), b.items(), self.dim)
+                                    for den, d, a, b in self._ad_ints(_scaled_vector(x))])
 
     def killing_matrix(self) -> Matrix:
         """K_ij = trace(ad b_i ad b_j) = sum_{s,r} c_is^r c_jr^s, summed over
@@ -177,6 +169,13 @@ class LieAlgebra:
                         entries[i][j] = entries[j][i] = Fraction(t, scale * scale)
             self._killing = Matrix(entries)
         return self._killing
+
+    def killing_data(self) -> tuple[int, int, int, Scalar]:
+        """(n_pos, n_neg, n_zero, det) of the Killing form, from one
+        :func:`symmetric_signature` of :meth:`killing_matrix`; kept."""
+        if self._signature is None:
+            self._signature = symmetric_signature(self.killing_matrix())
+        return self._signature
 
     def killing(self, x: Vector, y: Vector):
         K = self.killing_matrix()
@@ -257,8 +256,34 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"
 
 
-def _int_dot(x: dict, y: dict) -> int:
-    return sum(v * y[k] for k, v in x.items() if k in y)
+def _sparse(v: list) -> dict:
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def _add_combination(rows: Sequence[tuple[dict, dict]], fa: dict, fb: dict,
+                     d: int, a: dict, b: dict) -> None:
+    """``a + b*sqrt(d) += sum_i (fa_i + fb_i*sqrt d) * (ra_i + rb_i*sqrt d)``
+    in place, over integer rows (ra_i, rb_i) and integer coefficients keyed
+    by row number; a and b are sparse."""
+    for i, f in fa.items():
+        if f:
+            _sub_multiple(a, -f, rows[i][0])
+            _sub_multiple(b, -f, rows[i][1])
+    for i, g in fb.items():
+        if g:
+            _sub_multiple(a, -g * d, rows[i][1])
+            _sub_multiple(b, -g, rows[i][0])
+
+
+def _transpose(rows: list[tuple[dict, dict]], width: int) -> list[tuple[dict, dict]]:
+    """The ``width`` columns of the matrix with the given sparse rows."""
+    cols: list[tuple[dict, dict]] = [({}, {}) for _ in range(width)]
+    for j, (a, b) in enumerate(rows):
+        for k, x in a.items():
+            cols[k][0][j] = x
+        for k, x in b.items():
+            cols[k][1][j] = x
+    return cols
 
 
 def _accumulate(table: list[list[dict]], xs: dict, ys: dict, f: int,
@@ -275,96 +300,130 @@ def _accumulate(table: list[list[dict]], xs: dict, ys: dict, f: int,
 
 
 class Subspace:
-    """Linear subspace of a LieAlgebra with canonical RREF basis rows.
+    """Linear subspace of a LieAlgebra with a canonical RREF basis.
 
-    The rows are in RREF, so the coordinates of a member v are v at the
+    The state is that basis scaled to one denominator: ``den * row_i =
+    a_i + b_i*sqrt(d)`` with sparse integer rows a_i, b_i (``ints``), den
+    the least such denominator and d = 0 unless a surd part is nonzero.  So
+    a_i is den at its pivot, the coordinates of a member v are v at the
     pivot columns, and v is a member iff ``v - from_coords(v[pivots])`` is
-    zero.  Both are computed over the rows scaled to one common denominator
-    (``den * row = a + b*sqrt(d)``, integer a and b), in plain ints.
+    zero, all computed in plain ints.  ``rows`` is the Fraction (or
+    ExactScalar) view of the basis, built on first use.
     """
 
-    __slots__ = ("algebra", "rows", "pivots", "_scaled")
+    __slots__ = ("algebra", "pivots", "den", "d", "ints", "_rows")
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector]):
-        self.algebra = algebra
-        self.rows = row_space_basis(vectors, algebra.dim)
-        self.pivots = tuple(next(c for c, x in enumerate(r) if x) for r in self.rows)
-        self._scaled: Optional[tuple[int, int, list[tuple[dict, dict]]]] = None
+        self._set(algebra, *_scaled_rows(vectors)[1:])
+
+    def _set(self, algebra: LieAlgebra, d: int, rows: list[tuple[dict, dict]],
+             pivots: Optional[Sequence[int]] = None) -> None:
+        """The span of integer rows (a, b) over Z[sqrt d], scales ignored,
+        kept as the :func:`_rref_ints` rows (or rows that are already those,
+        with their pivots) brought to the lcm of their pivots."""
+        if pivots is None:
+            rows, pivots = _rref_ints(rows, d)
+        den = lcm(*(a[p] for (a, _), p in zip(rows, pivots)))
+        self.ints = tuple((a, b) if a[p] == den else
+                          ({k: x * (den // a[p]) for k, x in a.items()},
+                           {k: x * (den // a[p]) for k, x in b.items()})
+                          for (a, b), p in zip(rows, pivots))
+        self.algebra, self.pivots, self.den = algebra, tuple(pivots), den
+        self.d = d if any(b for _, b in rows) else 0
+        self._rows: Optional[tuple[Vector, ...]] = None
+
+    @classmethod
+    def _span(cls, algebra: LieAlgebra, d: int, rows: list,
+              pivots: Optional[Sequence[int]] = None) -> "Subspace":
+        sub = object.__new__(cls)
+        sub._set(algebra, d, rows, pivots)
+        return sub
 
     @classmethod
     def full(cls, algebra: LieAlgebra) -> "Subspace":
-        return cls(algebra, [unit_vector(algebra.dim, i) for i in range(algebra.dim)])
+        n = algebra.dim
+        return cls._span(algebra, 0, [({i: 1}, {}) for i in range(n)], range(n))
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "Subspace":
-        return cls(algebra, [])
+        return cls._span(algebra, 0, [])
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        if self._rows is None:
+            n = self.algebra.dim
+            self._rows = tuple(_unscaled_vector(self.den, self.d, a.items(), b.items(), n)
+                               for a, b in self.ints)
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.algebra is other.algebra
-                and self.rows == other.rows)
+                and self.pivots == other.pivots and self.den == other.den
+                and self.d == other.d and self.ints == other.ints)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.pivots, self.den, self.d,
+                     tuple(frozenset(a.items()) for a, _ in self.ints)))
 
-    def _scaled_rows(self) -> tuple[int, int, list[tuple[dict, dict]]]:
-        """(den, d, rows): ``den * row_i = a_i + b_i*sqrt(d)`` with den
-        the lcm over all rows; computed on first use and kept."""
-        if self._scaled is None:
-            self._scaled = _scaled_rows(self.rows)
-        return self._scaled
+    def _vecs(self) -> list[tuple[int, int, dict, dict]]:
+        """The basis rows in the scaled form of :func:`_scaled_vector`."""
+        return [(self.den, self.d, a, b) for a, b in self.ints]
 
-    def _combination(self, fa: dict, fb: dict, d: int, a: list,
-                     b: list) -> tuple[int, int]:
+    def _combination(self, fa: dict, fb: dict, d: int, a: dict,
+                     b: dict) -> tuple[int, int]:
         """``a + b*sqrt(d) += sum_i (fa_i + fb_i*sqrt d) * den * row_i`` for
         integer coefficients keyed by row number; returns (den, d)."""
-        den, e, rows = self._scaled_rows()
-        d = _same_d(d, e)
-        for i, (ra, rb) in enumerate(rows):
-            f, g = fa.get(i, 0), fb.get(i, 0)
-            if f:
-                for k, x in ra.items():
-                    a[k] += f * x
-                for k, x in rb.items():
-                    b[k] += f * x
-            if g:
-                gd = g * d
-                for k, x in rb.items():
-                    a[k] += gd * x
-                for k, x in ra.items():
-                    b[k] += g * x
-        return den, d
+        d = _same_d(d, self.d)
+        _add_combination(self.ints, fa, fb, d, a, b)
+        return self.den, d
 
     def _residual(self, dv: int, d: int, va: dict,
-                  vb: dict) -> tuple[int, int, list, list]:
+                  vb: dict) -> tuple[int, int, dict, dict]:
         """(den, d, a, b) with ``den * (v - from_coords(v[pivots])) =
         a + b*sqrt(d)`` for ``v = (va + vb*sqrt d) / dv`` (see
-        :func:`_scaled_vector`), a and b dense integer lists."""
-        n = self.algebra.dim
-        a, b = [0] * n, [0] * n
+        :func:`_scaled_vector`), a and b sparse."""
+        a, b = {}, {}
         den, d = self._combination(
             {i: -va[p] for i, p in enumerate(self.pivots) if p in va},
             {i: -vb[p] for i, p in enumerate(self.pivots) if p in vb}, d, a, b)
-        for k, x in va.items():
-            a[k] += den * x
-        for k, x in vb.items():
-            b[k] += den * x
+        _add_combination([(va, vb)], {0: den}, {}, d, a, b)
         return den * dv, d, a, b
+
+    def _contains(self, v: tuple) -> bool:
+        _, _, a, b = self._residual(*v)
+        return not a and not b
+
+    def _kernel_span(self, d: int, eqs: list[tuple[dict, dict]]) -> "Subspace":
+        """The members whose coordinates x satisfy ``eqs x = 0``, for
+        integer equation rows over Z[sqrt d]."""
+        d = _same_d(d, self.d)
+        (basis, pivots), rows = _kernel_ints(eqs, d, self.dim), []
+        for ka, kb in basis:
+            rows.append(({}, {}))
+            _add_combination(self.ints, ka, kb, d, *rows[-1])
+        # in all of L the kernel's basis is already primitive RREF
+        return Subspace._span(self.algebra, d, rows,
+                              pivots if self.dim == self.algebra.dim else None)
+
+    def kernel_of(self, m: Matrix) -> "Subspace":
+        """The members whose coordinates in the basis rows lie in the
+        kernel of m (all of the subspace when m has no rows)."""
+        return self._kernel_span(*_scaled_rows(m.entries)[1:])
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after elimination against the basis rows."""
         den, d, a, b = self._residual(*_scaled_vector(v))
-        return _unscaled_vector(den, d, enumerate(a), enumerate(b), self.algebra.dim)
+        return _unscaled_vector(den, d, a.items(), b.items(), self.algebra.dim)
 
     def contains(self, v: Vector) -> bool:
-        _, _, a, b = self._residual(*_scaled_vector(v))
-        return not any(a) and not any(b)
+        return self._contains(_scaled_vector(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self._contains(v) for v in other._vecs())
 
     def coords_of(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v in the basis rows, or None if outside."""
@@ -373,67 +432,52 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
     def from_coords(self, coords: Sequence) -> Vector:
-        n = self.algebra.dim
         dc, d, ca, cb = _scaled_vector(coords)
-        a, b = [0] * n, [0] * n
+        a, b = {}, {}
         den, d = self._combination(ca, cb, d, a, b)
-        return _unscaled_vector(den * dc, d, enumerate(a), enumerate(b), n)
+        return _unscaled_vector(den * dc, d, a.items(), b.items(), self.algebra.dim)
+
+    def _with_ints(self, d: int, rows: list[tuple[dict, dict]]) -> "Subspace":
+        return Subspace._span(self.algebra, _same_d(self.d, d), [*self.ints, *rows])
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, self.rows + other.rows)
+        return self._with_ints(other.d, list(other.ints))
 
     def with_vectors(self, vectors: Iterable[Vector]) -> "Subspace":
-        return Subspace(self.algebra, self.rows + tuple(vectors))
+        return self._with_ints(*_scaled_rows(vectors)[1:])
 
     def complement_in(self, larger: "Subspace") -> "Subspace":
         """Canonical complement: rows of ``larger`` whose pivot is not ours."""
         if not larger.contains_subspace(self):
             raise ValueError("complement_in requires containment")
         mine = set(self.pivots)
-        return Subspace(self.algebra,
-                        [r for r, p in zip(larger.rows, larger.pivots) if p not in mine])
+        return Subspace._span(self.algebra, larger.d, [
+            r for r, p in zip(larger.ints, larger.pivots) if p not in mine])
 
     def is_subalgebra(self) -> bool:
-        for i, r in enumerate(self.rows):
-            for s in self.rows[i + 1:]:
-                if not self.contains(self.algebra.bracket(r, s)):
-                    return False
-        return True
+        vecs = self._vecs()
+        return all(self._contains(self.algebra._bracket_ints(x, y))
+                   for i, x in enumerate(vecs) for y in vecs[i + 1:])
 
     def is_abelian(self) -> bool:
-        for i, r in enumerate(self.rows):
-            for s in self.rows[i + 1:]:
-                _, _, a, b = self.algebra._bracket_ints(r, s)
-                if any(a) or any(b):
-                    return False
-        return True
+        vecs = self._vecs()
+        return not any(w[2] or w[3] for i, x in enumerate(vecs) for y in vecs[i + 1:]
+                       for w in [self.algebra._bracket_ints(x, y)])
 
     def restrict(self, m: Matrix) -> Matrix:
         """Matrix of an endomorphism that maps this subspace into itself,
         in the basis rows (0 x 0 for the zero subspace).  The image of each
-        row is summed in ints over m and the rows scaled to common
-        denominators."""
-        if not self.rows:
+        row is summed in ints over the columns of m, scaled to one
+        denominator."""
+        if not self.dim:
             return Matrix([])
-        dm, d, mrows = _scaled_rows(m.entries)
-        den, e, rows = self._scaled_rows()
-        d = _same_d(d, e)
-        den *= dm
-        cols = []
-        for ra, rb in rows:
-            # den * m(row) = wa + wb*sqrt(d)
-            wa, wb = {}, {}
-            for k, (xa, xb) in enumerate(mrows):
-                s, t = _int_dot(xa, ra), 0
-                if d:
-                    s += d * _int_dot(xb, rb)
-                    t = _int_dot(xa, rb) + _int_dot(xb, ra)
-                if s:
-                    wa[k] = s
-                if t:
-                    wb[k] = t
-            _, _, a, b = self._residual(den, d, wa, wb)
-            if any(a) or any(b):
+        dm, d, mcols = _scaled_rows(list(zip(*m.entries)))
+        d = _same_d(d, self.d)
+        den, cols = self.den * dm, []
+        for ra, rb in self.ints:
+            wa, wb = {}, {}  # den * m(row) = wa + wb*sqrt(d)
+            _add_combination(mcols, ra, rb, d, wa, wb)
+            if not self._contains((den, d, wa, wb)):
                 raise ValueError("subspace is not invariant")
             cols.append(_unscaled_vector(
                 den, d, [(i, wa.get(p, 0)) for i, p in enumerate(self.pivots)],
@@ -442,14 +486,17 @@ class Subspace:
 
     def as_subalgebra(self) -> LieAlgebra:
         """This subspace as an abstract algebra in its own RREF basis."""
-        k = self.dim
+        k, vecs = self.dim, self._vecs()
         brackets = {}
         for i in range(k):
             for j in range(i + 1, k):
-                w = self.algebra.bracket(self.rows[i], self.rows[j])
-                coords = self.coords_of(w)
-                if coords is None:
+                w = self.algebra._bracket_ints(vecs[i], vecs[j])
+                if not self._contains(w):
                     raise NotASubalgebra("bracket leaves the subspace")
+                den, d, a, b = w
+                coords = _unscaled_vector(
+                    den, d, [(t, a.get(p, 0)) for t, p in enumerate(self.pivots)],
+                    [(t, b.get(p, 0)) for t, p in enumerate(self.pivots)], k)
                 comp = {t: c for t, c in enumerate(coords) if c}
                 if comp:
                     brackets[(i, j)] = comp
@@ -457,7 +504,6 @@ class Subspace:
         return LieAlgebra(k, names, brackets, name=f"sub({self.dim})", validate=False)
 
     def to_json(self) -> list:
-        from .exactlin import scalar_to_json
         return [[format_rat(x) if isinstance(x, Fraction) else scalar_to_json(x)
                  for x in row] for row in self.rows]
 
@@ -475,8 +521,8 @@ def killing_signature(obj) -> tuple[int, int, int]:
     if isinstance(obj, Subspace):
         if obj.dim == 0:
             return (0, 0, 0)
-        return killing_signature(obj.as_subalgebra())
-    return symmetric_signature(obj.killing_matrix())[:3]
+        obj = obj.as_subalgebra()
+    return obj.killing_data()[:3]
 
 
 def is_negative_definite(sub: Subspace) -> bool:
@@ -495,13 +541,13 @@ def restricted_killing_signature(sub: Subspace) -> tuple[int, int, int]:
 
 
 def derived_algebra(sub: Subspace) -> Subspace:
-    if not sub.is_subalgebra():
-        raise NotASubalgebra("derived algebra of a non-closed subspace")
-    vecs = []
-    for i, r in enumerate(sub.rows):
-        for s in sub.rows[i + 1:]:
-            vecs.append(sub.algebra.bracket(r, s))
-    return Subspace(sub.algebra, vecs)
+    L, vecs, brackets = sub.algebra, sub._vecs(), []
+    for i, x in enumerate(vecs):
+        for y in vecs[i + 1:]:
+            brackets.append(L._bracket_ints(x, y))
+            if not sub._contains(brackets[-1]):
+                raise NotASubalgebra("derived algebra of a non-closed subspace")
+    return Subspace._span(L, sub.d, [w[2:] for w in brackets])
 
 
 def centralizer(L: LieAlgebra, sub: Subspace,
@@ -512,27 +558,23 @@ def centralizer(L: LieAlgebra, sub: Subspace,
         within = Subspace.full(L)
     if sub.dim == 0 or within.dim == 0:
         return within
-    # unknown x = c . within.rows; conditions [s, x] = 0 for basis s
-    rows_out = []
-    for s in sub.rows:
-        cols = [L.bracket(s, r) for r in within.rows]
-        rows_out.extend(Matrix.from_columns(cols).entries)
-    vecs = [within.from_coords(k) for k in kernel(Matrix(rows_out))]
-    return Subspace(L, vecs)
+    # unknown x = c . within.rows; conditions [s, x] = 0 for basis s, each
+    # column [s, r] scaled by the same denominator
+    eqs = []
+    for s in sub._vecs():
+        eqs.extend(_transpose([L._bracket_ints(s, r)[2:] for r in within._vecs()], L.dim))
+    return within._kernel_span(sub.d, eqs)
 
 
 def normalizer(L: LieAlgebra, sub: Subspace) -> Subspace:
     """{x : [x, s] in sub for all s in sub}."""
     if sub.dim == 0:
         return Subspace.full(L)
-    rows_out = []
-    for s in sub.rows:
-        m = L.ad(s)
-        # residual of [x, s] modulo sub must vanish; [x,s] = -ad(s) x
-        cols = [sub.reduce(m.column(j)) for j in range(L.dim)]
-        rows_out.extend(Matrix.from_columns(cols).entries)
-    vecs = list(kernel(Matrix(rows_out)))
-    return Subspace(L, vecs)
+    eqs = []
+    for s in sub._vecs():
+        # the residual of [s, b_j] modulo sub, column j, must vanish
+        eqs.extend(_transpose([sub._residual(*c)[2:] for c in L._ad_ints(s)], L.dim))
+    return Subspace.full(L)._kernel_span(sub.d, eqs)
 
 
 def center(sub: Subspace) -> Subspace:
@@ -556,30 +598,33 @@ def radical(obj) -> Subspace:
     """Maximal solvable ideal, via Killing-orthogonality to the derived
     algebra (Cartan's criterion), verified solvable.  Works in the subspace
     as an algebra, which is L itself when the subspace is all of L; the
-    derived algebra is spanned a batch of brackets at a time until full."""
-    if isinstance(obj, LieAlgebra):
-        sub = Subspace.full(obj)
-    else:
-        sub = obj
-    L = sub.algebra
-    if sub.dim == 0:
+    derived algebra is spanned a batch of table rows at a time until full,
+    and a perfect algebra with a nondegenerate Killing form (the kept
+    :meth:`LieAlgebra.killing_data`) is semisimple."""
+    sub = Subspace.full(obj) if isinstance(obj, LieAlgebra) else obj
+    L, k = sub.algebra, sub.dim
+    if k == 0:
         return sub
-    k = sub.dim
-    whole = k == L.dim
-    inner = L if whole else sub.as_subalgebra()
-    comps = list(inner.brackets.values())
-    der: tuple = ()
-    for start in range(0, len(comps), k):
-        batch = [tuple(c.get(t, ZERO) for t in range(k)) for c in comps[start:start + k]]
-        der = row_space_basis(der + tuple(batch), k)
-        if len(der) == k:
+    inner = L if k == L.dim else sub.as_subalgebra()
+    _, table = inner.scaled_table()
+    keys = list(inner.brackets)
+    der, pivots = [], []
+    for start in range(0, len(keys), k):
+        der, pivots = _rref_ints(der + [(table[i][j], {}) for i, j in keys[start:start + k]], 0)
+        if len(pivots) == k:
             break
-    if not der:
+    if not pivots:
         return sub  # abelian: the whole thing
-    K = inner.killing_matrix()
-    # der is the identity at full rank, and K is symmetric
-    rad_coords = kernel(K if len(der) == k else Matrix([K.apply(d) for d in der]))
-    result = Subspace(L, rad_coords if whole else [sub.from_coords(c) for c in rad_coords])
+    if len(pivots) == k and inner.killing_data()[2] == 0:
+        return Subspace.zero(L)
+    _, _, K = _scaled_rows(inner.killing_matrix().entries)
+    eqs = K
+    if len(pivots) < k:
+        # K is symmetric: the rows der . K
+        eqs = [({}, {}) for _ in der]
+        for (a, _), row in zip(der, eqs):
+            _add_combination(K, a, {}, 0, *row)
+    result = sub._kernel_span(0, eqs)
     if not is_solvable(result):
         raise NotASubalgebra("Killing-orthogonal complement is not solvable")
     return result
@@ -593,7 +638,8 @@ class LeviDecomposition:
 
 def levi_decomposition(sub: Subspace) -> LeviDecomposition:
     """Levi decomposition by iterative lifting of a canonical complement
-    across the derived series of the radical (a linear solve per stage)."""
+    across the derived series of the radical (a linear solve per stage),
+    in ints: the complement's rows x_i share the denominator X."""
     L = sub.algebra
     rad = radical(sub)
     if rad.dim == 0:
@@ -601,19 +647,19 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
     if rad.dim == sub.dim:
         return LeviDecomposition(rad, Subspace.zero(L))
     comp = rad.complement_in(sub)
-    xs = [tuple(r) for r in comp.rows]
-    s_dim = len(xs)
+    s_dim, d = comp.dim, sub.d
+    scale = L.scaled_table()[0]
+    X, xs = comp.den, comp._vecs()  # the x_i share the denominator X
 
-    # structure constants of sub/rad in the images of xs: solve against the
-    # combined (complement | radical) basis once
-    _, solve = linear_solver(Matrix.from_columns([tuple(r) for r in comp.rows] +
-                                                 [tuple(r) for r in rad.rows]))
+    # structure constants of sub/rad: [x_i, x_j] = sum_k c_ij^k x_k modulo
+    # rad, read off the residual at comp's pivots (the x_k vanish at rad's);
+    # C * c_ij^k = ca[k] + cb[k]*sqrt(d), one C for all pairs
     c_table = {}
     for i in range(s_dim):
         for j in range(i + 1, s_dim):
-            sol = solve(L.bracket(xs[i], xs[j]))
-            assert sol is not None
-            c_table[(i, j)] = sol[:s_dim]
+            C, _, a, b = rad._residual(*L._bracket_ints(xs[i], xs[j]))
+            c_table[(i, j)] = ({k: a[p] for k, p in enumerate(comp.pivots) if p in a},
+                               {k: b[p] for k, p in enumerate(comp.pivots) if p in b})
 
     # derived series of the radical
     series = [rad]
@@ -623,54 +669,62 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
             raise NotASubalgebra("radical is not solvable")
 
     # lift stage by stage: after stage m, brackets close modulo series[m+1];
-    # corrections r_i live in series[m], and [r_i, r_j] drops into series[m+1]
-    for stage in range(len(series) - 1):
-        Rj, Rj1 = series[stage], series[stage + 1]
-        if Rj.dim == 0:
-            break
-        r_basis = [tuple(r) for r in Rj.rows]
-        nr = len(r_basis)
-        n_unknowns = s_dim * nr
-        rows_eq: list[list] = []
-        rhs: list = []
-        w_red = [Rj1.reduce(w) for w in r_basis]
-        for i in range(s_dim):
-            for j in range(i + 1, s_dim):
-                defect = L.bracket(xs[i], xs[j])
-                for k, c in enumerate(c_table[(i, j)]):
-                    if c:
-                        defect = vec_sub(defect, vec_scale(c, xs[k]))
-                defect_mod = Rj1.reduce(defect)
-                # defect + [x_i, r_j] - [x_j, r_i] - sum_k c_ij^k r_k = 0
-                # with r_i = sum_a t[i,a] w_a, modulo Rj1
-                col_j = [Rj1.reduce(L.bracket(xs[i], w)) for w in r_basis]
-                col_i = [Rj1.reduce(vec_scale(-1, L.bracket(xs[j], w)))
-                         for w in r_basis]
-                for row_idx in range(L.dim):
-                    eq = [ZERO] * n_unknowns
-                    for a in range(nr):
-                        if col_i[a][row_idx]:
-                            eq[i * nr + a] = eq[i * nr + a] + col_i[a][row_idx]
-                        if col_j[a][row_idx]:
-                            eq[j * nr + a] = eq[j * nr + a] + col_j[a][row_idx]
-                        if w_red[a][row_idx]:
-                            for k, c in enumerate(c_table[(i, j)]):
-                                if c:
-                                    eq[k * nr + a] = eq[k * nr + a] - c * w_red[a][row_idx]
-                    if defect_mod[row_idx] or any(eq):
-                        rows_eq.append(eq)
-                        rhs.append(-defect_mod[row_idx])
-        if rows_eq:
-            sol = solve_linear(Matrix(rows_eq), tuple(rhs))
-            assert sol is not None, "Levi lifting system must be solvable"
-            for i in range(s_dim):
-                corr = tuple([ZERO] * L.dim)
-                for a, w in enumerate(r_basis):
-                    t = sol[i * nr + a]
-                    if t:
-                        corr = vec_add(corr, vec_scale(t, w))
-                xs[i] = vec_add(xs[i], corr)
-    levi = Subspace(L, xs)
+    # corrections r_i = sum_w t[i,w] w live in series[m], and the defect
+    # [x_i, x_j] - sum_k c_ij^k x_k + [x_i, r_j] - [x_j, r_i] - sum_k c_ij^k r_k
+    # must lie in series[m+1]: one column per unknown t[m,w], then the defect
+    for Rj, Rj1 in zip(series, series[1:]):
+        nr, R, ws = Rj.dim, Rj.den, Rj.ints
+        # each column lies in Rj, so modulo Rj1 it is read at Rj's pivots
+        # that are not Rj1's; the residual scales all columns alike
+        below = set(Rj1.pivots)
+        at = [p for p in Rj.pivots if p not in below]
+
+        def mod_rj1(a, b):
+            _, _, a, b = Rj1._residual(1, d, a, b)
+            return ({t: a[q] for t, q in enumerate(at) if q in a},
+                    {t: b[q] for t, q in enumerate(at) if q in b})
+
+        # columns over C*scale*X^2*R: brackets [x, w] times C*X, c*w times scale*X^2
+        rb = [[mod_rj1(*L._bracket_ints(x, w)[2:]) for w in Rj._vecs()] for x in xs]
+        rw = [mod_rj1(*w) for w in ws]
+        fB, fC = C * X, scale * X * X
+        eqs = []
+        for (i, j), (ca, cb) in c_table.items():
+            cols = []
+            for m in range(s_dim):
+                for w in range(nr):
+                    za, zb = {}, {}
+                    _add_combination(rw, {w: -fC * ca.get(m, 0)}, {w: -fC * cb.get(m, 0)},
+                                     d, za, zb)
+                    if m == j:
+                        _add_combination(rb[i], {w: fB}, {}, d, za, zb)
+                    if m == i:
+                        _add_combination(rb[j], {w: -fB}, {}, d, za, zb)
+                    cols.append((za, zb))
+            za, zb = {}, {}
+            f = -scale * X * R
+            _add_combination([x[2:] for x in xs], {k: f * y for k, y in ca.items()},
+                             {k: f * y for k, y in cb.items()}, d, za, zb)
+            _add_combination([L._bracket_ints(xs[i], xs[j])[2:]], {0: C * R}, {}, d, za, zb)
+            cols.append(mod_rj1(za, zb))
+            eqs.extend(_transpose(cols, len(at)))
+        sol, piv = _rref_ints(eqs, d)
+        N = s_dim * nr  # the defect column
+        assert N not in piv, "Levi lifting system must be solvable"
+        # t_u = -(a[N] + b[N]*sqrt d) / a[u]; T*t_u over the common T
+        T = lcm(*(a[u] for (a, _), u in zip(sol, piv)))
+        ta = {u: -a.get(N, 0) * (T // a[u]) for (a, _), u in zip(sol, piv)}
+        tb = {u: -b.get(N, 0) * (T // a[u]) for (a, b), u in zip(sol, piv)}
+        new = []
+        for i, x in enumerate(xs):
+            # (X*R*T) * (x_i + r_i)
+            za, zb = {}, {}
+            _add_combination(ws, {w: X * ta.get(i * nr + w, 0) for w in range(nr)},
+                             {w: X * tb.get(i * nr + w, 0) for w in range(nr)}, d, za, zb)
+            _add_combination([x[2:]], {0: R * T}, {}, d, za, zb)
+            new.append((X * R * T, d, za, zb))
+        X, xs = X * R * T, new
+    levi = Subspace._span(L, d, [x[2:] for x in xs])
     assert levi.dim == s_dim and levi.is_subalgebra()
     return LeviDecomposition(rad, levi)
 
@@ -720,7 +774,7 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     # RREF-canonical solution is returned and flagged)
     obstructed = L.center_dim() > 0
     semisimple = tuple(sol)
-    nilpotent = vec_sub(x, semisimple)
+    nilpotent = tuple(a - b for a, b in zip(x, semisimple))
     return JordanPair(semisimple, nilpotent, center_obstructed=obstructed)
 
 
@@ -819,15 +873,12 @@ def subalgebra_generated(L: LieAlgebra, vectors: Iterable[Vector]) -> Subspace:
     """Smallest bracket-closed subspace containing the vectors."""
     current = Subspace(L, vectors)
     while True:
-        new_vecs = []
-        for i, r in enumerate(current.rows):
-            for s in current.rows[i + 1:]:
-                w = L.bracket(r, s)
-                if not current.contains(w):
-                    new_vecs.append(w)
-        if not new_vecs:
+        vecs = current._vecs()
+        new = [w for i, x in enumerate(vecs) for y in vecs[i + 1:]
+               if not current._contains(w := L._bracket_ints(x, y))]
+        if not new:
             return current
-        current = current.with_vectors(new_vecs)
+        current = current._with_ints(current.d, [w[2:] for w in new])
 
 
 def _check_torus(L: LieAlgebra, T: Subspace):
@@ -864,8 +915,4 @@ def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
             compact_rows.append(b_row)
         else:
             compact_rows.append(a_row)
-    real_part = Subspace(L, [T.from_coords(c) for c in kernel(Matrix(real_rows))]
-                         if real_rows else list(T.rows))
-    compact_part = Subspace(L, [T.from_coords(c) for c in kernel(Matrix(compact_rows))]
-                            if compact_rows else list(T.rows))
-    return real_part, compact_part
+    return T.kernel_of(Matrix(real_rows)), T.kernel_of(Matrix(compact_rows))

@@ -13,7 +13,7 @@ from .embed import (DEFAULT_BUDGET, embed_abelian_nilpotent,
                     embed_compact_torus, embed_nilpotent, embed_real_torus)
 from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
                      LieEmbedError, ParseError, UnknownName)
-from .exactlin import format_rat, symmetric_signature
+from .exactlin import format_rat
 from .liecore import LieAlgebra, Subspace, levi_decomposition
 from .rootsys import (dynkin_type, is_positive, restricted_roots,
                       root_space_decomposition, simple_roots)
@@ -44,7 +44,7 @@ def error_exit(exc: LieEmbedError) -> tuple[int, str]:
 
 
 def analyze(L: LieAlgebra):
-    pos, neg, zero, det = symmetric_signature(L.killing_matrix())
+    pos, neg, zero, det = L.killing_data()
     det = format_rat(det)
     ld = levi_decomposition(Subspace.full(L))
     rad, levi = ld.radical, ld.levi

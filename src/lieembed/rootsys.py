@@ -9,9 +9,9 @@ from typing import Optional, Sequence
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
-                       factor_roots, format_rat, is_complex_positive, kernel,
+                       factor_roots, format_rat, is_complex_positive,
                        min_poly, scalar_d, scalar_sort_key, scalar_to_json,
-                       solve_linear, vec_is_zero, vec_scale)
+                       solve_linear, vec_is_zero)
 from .liecore import LieAlgebra, Subspace, spectrum
 
 
@@ -126,9 +126,9 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
                 shifted = Matrix([[x - lam if i == j else x
                                    for j, x in enumerate(row)]
                                   for i, row in enumerate(m.entries)])
-                vecs = [space.from_coords(c) for c in kernel(shifted)]
-                if vecs:
-                    refined.append((weight + (lam,), Subspace(L, vecs)))
+                eigen = space.kernel_of(shifted)
+                if eigen.dim:
+                    refined.append((weight + (lam,), eigen))
         if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
             raise NotATorus("action is not diagonalizable over the tower")
         spaces = refined
@@ -370,16 +370,16 @@ def _complete_sl2(L: LieAlgebra, x: Vector, opposite: Subspace):
     for w in opposite.rows:
         h_w = L.bracket(x, w)
         cols.append(L.bracket(h_w, x))
-    sol = solve_linear(Matrix.from_columns(cols), vec_scale(2, x))
+    sol = solve_linear(Matrix.from_columns(cols), tuple(2 * c for c in x))
     if sol is None:
         raise DegenerateRoot("no opposite vector completes an sl2 triple")
     y = opposite.from_coords(sol)
     h = L.bracket(x, y)
     if vec_is_zero(h):
         raise DegenerateRoot("bracket of opposite root vectors vanishes")
-    if L.bracket(h, x) != vec_scale(2, x):
+    if L.bracket(h, x) != tuple(2 * c for c in x):
         raise DegenerateRoot("completed triple fails [H, X] = 2X")
-    if L.bracket(h, y) != vec_scale(-2, y):
+    if L.bracket(h, y) != tuple(-2 * c for c in y):
         raise DegenerateRoot("completed triple fails [H, Y] = -2Y")
     return x, y, h
 

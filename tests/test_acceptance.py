@@ -13,8 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from lieembed.exactlin import (eigenvalues, make_scalar, min_poly, poly_gcd,
-                               scalar_parts, symmetric_signature, vec_add,
-                               vec_is_zero, vec_scale, vec_sub)
+                               scalar_parts, symmetric_signature, vec_is_zero)
 from lieembed.liecore import (NILPOTENT, LieAlgebra, Subspace, center,
                               centralizer, classify_element, derived_algebra,
                               is_ad_nilpotent, jordan_decomposition,
@@ -29,6 +28,7 @@ from lieembed.embed import (embed_abelian_nilpotent, embed_compact_torus,
                             maximal_compact_split)
 from lieembed.vecfield import (g2_catalog, structure_constants, invariant_count,
                                wave16_catalog)
+from test_liecore import vec_add, vec_scale, vec_sub
 
 I = make_scalar(0, 1, -1)
 MI = make_scalar(0, -1, -1)

@@ -115,14 +115,21 @@ def test_embed_precondition_exit_5(run):
     ["analyze", "so(2)"],
     # more digits than int() converts by default on Python >= 3.11
     ["analyze", "so(" + "9" * 5000 + ",1)"],
+    # neither a catalog name nor a readable file
+    ["analyze", "x" * 5000],
+    ["analyze", "no/such/" + "x" * 60 + ".json"],
 ])
 def test_malformed_input_exit_2(run, argv):
     code, _, err = run(argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.encode()) < 200  # the input name is cut to 40 characters
     if argv[1].startswith("so("):
-        assert err == (f"error: invalid algebra name {argv[1]!r}: expected so(p,q) "
-                       "with integers 0 <= p, q <= 9999 and p + q >= 2\n")
+        assert err == (f"error: invalid algebra name {argv[1][:40]!r}: expected "
+                       "so(p,q) with integers 0 <= p, q <= 9999 and p + q >= 2\n")
+    elif argv[1].startswith("no/"):
+        assert err == (f"error: cannot read input {argv[1][:40]!r}: "
+                       "No such file or directory\n")
 
 
 @pytest.mark.parametrize("table,message", [
@@ -152,6 +159,20 @@ def test_analyze_json_pinned(run, name):
     code, out, err = run(["analyze", name, "--format", "json"])
     assert (code, err) == (0, "")
     assert out == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
+
+
+_CLI_PINNED = json.loads((Path(__file__).parent / "data" / "cli_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(_CLI_PINNED))
+def test_readme_command_stdout_pinned(run, command, fmt):
+    """The README commands the benchmark's cli workload runs, embed traces
+    included, print byte for byte what they printed before subspaces kept
+    scaled integer rows."""
+    code, out, err = run(command.split() + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == _CLI_PINNED[command][fmt]
 
 
 def test_zero_denominator_in_table_exit_2(run, tmp_path):

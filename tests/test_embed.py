@@ -9,7 +9,7 @@ import pytest
 from lieembed.errors import (ExtensionDegreeTooHigh, NoCompactFound,
                              NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
-from lieembed.exactlin import vec_add, vec_is_zero, vec_scale, vec_sub
+from lieembed.exactlin import vec_is_zero
 from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
                               LieAlgebra, Subspace, centralizer,
                               classify_element, derived_algebra,
@@ -23,6 +23,7 @@ from lieembed.embed import (_candidates, embed_abelian_nilpotent,
                             embed_real_torus, find_compact,
                             find_real_semisimple, maximal_compact_split)
 from lieembed.vecfield import so_pq_generators
+from test_liecore import vec_add, vec_scale, vec_sub
 from test_liecore import _dense_basis, _table_in_basis, _typed
 
 

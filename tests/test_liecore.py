@@ -5,13 +5,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
-                             InvalidStructureConstants, NotATorus)
+                             InvalidStructureConstants, NotASubalgebra,
+                             NotATorus)
 from lieembed.exactlin import (Matrix, factor_roots, kernel, make_scalar,
                                row_space_basis, solve_linear,
-                               symmetric_signature, unit_vector, vec_add,
-                               vec_is_zero, vec_scale, vec_sub)
+                               symmetric_signature, unit_vector, vec_is_zero)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -20,10 +22,23 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               killing_signature, levi_decomposition,
                               normalizer, radical, restricted_killing_signature,
                               spectrum, subalgebra_generated, torus_split)
+from test_exactlin import _reference_rref_rows
 
 
 def span(L, *vs):
     return Subspace(L, vs)
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
 
 
 def _rand_element(L, rng, support=3, lo=-2, hi=2):
@@ -220,6 +235,85 @@ def test_levi_nontrivial_lift():
     assert ld.radical == span(L, L.basis_vector("a"), L.basis_vector("b"))
     assert ld.levi.is_subalgebra() and ld.levi.dim == 3
     assert killing_signature(ld.levi) == (2, 1, 0)
+
+
+def _ref_levi(sub):
+    """levi_decomposition as it ran on Fraction tuples: a linear_solver
+    for the quotient's structure constants, Fraction lifting equations and
+    corrections, one solve_linear per stage."""
+    from lieembed.exactlin import linear_solver
+    L = sub.algebra
+    rad = radical(sub)
+    if rad.dim in (0, sub.dim):
+        return rad, sub if rad.dim == 0 else Subspace.zero(L)
+    xs = [tuple(r) for r in rad.complement_in(sub).rows]
+    s_dim = len(xs)
+    _, solve = linear_solver(Matrix.from_columns(xs + list(rad.rows)))
+    c_table = {(i, j): solve(L.bracket(xs[i], xs[j]))[:s_dim]
+               for i in range(s_dim) for j in range(i + 1, s_dim)}
+    series = [rad]
+    while series[-1].dim > 0:
+        series.append(derived_algebra(series[-1]))
+    for Rj, Rj1 in zip(series, series[1:]):
+        r_basis, nr = list(Rj.rows), Rj.dim
+        w_red = [Rj1.reduce(w) for w in r_basis]
+        rows_eq, rhs = [], []
+        for (i, j), c in c_table.items():
+            defect = L.bracket(xs[i], xs[j])
+            for k, ck in enumerate(c):
+                defect = vec_sub(defect, vec_scale(ck, xs[k]))
+            defect_mod = Rj1.reduce(defect)
+            col_j = [Rj1.reduce(L.bracket(xs[i], w)) for w in r_basis]
+            col_i = [Rj1.reduce(vec_scale(-1, L.bracket(xs[j], w))) for w in r_basis]
+            for row in range(L.dim):
+                eq = [F(0)] * (s_dim * nr)
+                for a in range(nr):
+                    eq[i * nr + a] += col_i[a][row]
+                    eq[j * nr + a] += col_j[a][row]
+                    for k, ck in enumerate(c):
+                        eq[k * nr + a] -= ck * w_red[a][row]
+                if defect_mod[row] or any(eq):
+                    rows_eq.append(eq)
+                    rhs.append(-defect_mod[row])
+        if rows_eq:
+            sol = solve_linear(Matrix(rows_eq), tuple(rhs))
+            for i in range(s_dim):
+                for a, w in enumerate(r_basis):
+                    xs[i] = vec_add(xs[i], vec_scale(sol[i * nr + a], w))
+    return rad, Subspace(L, xs)
+
+
+def _sl2_semidirect(radical_table, rng):
+    """sl2 + R with sl2 = (X, H, Y) acting on R = (a, b, z) as the standard
+    representation on (a, b) and trivially on z, R's own brackets from
+    ``radical_table``, written in a dense random basis."""
+    brackets = {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2},
+                (0, 4): {3: 1}, (1, 3): {3: 1}, (1, 4): {4: -1}, (2, 3): {4: 1},
+                **radical_table}
+    L = LieAlgebra(6, ["X", "H", "Y", "a", "b", "z"], brackets)
+    return LieAlgebra(6, L.basis_names, _table_in_basis(L, _dense_basis(L, rng)))
+
+
+def test_levi_lifting_matches_fraction_reference(wave15, g2, so13):
+    """Nontrivial lifts, one stage (abelian radical) and two (a Heisenberg
+    radical, [a, b] = z), in dense bases where the canonical complement is
+    far from a subalgebra, and the embeds' normalizers and centralizers."""
+    rng = random.Random(7400)
+    E, X = wave15.basis_vector, g2.basis_vector
+    cases = [normalizer(wave15, span(wave15, E("e8"), E("e10"), E("e11"), E("e12"))),
+             normalizer(g2, span(g2, X("X14"), X("X13"), X("X12"))),
+             centralizer(wave15, span(wave15, E("e14"))),
+             centralizer(so13, span(so13, so13.basis_vector("e1")))]
+    for table in ({}, {(3, 4): {5: 1}}) * 3:
+        cases.append(Subspace.full(_sl2_semidirect(table, rng)))
+    lifted = set()
+    for sub in cases:
+        got, (rad, levi) = levi_decomposition(sub), _ref_levi(sub)
+        assert got.radical == rad
+        assert [_typed(r) for r in got.levi.rows] == [_typed(r) for r in levi.rows]
+        if got.levi != rad.complement_in(sub):
+            lifted.add(sum(1 for r in (rad, derived_algebra(rad)) if r.dim))
+    assert lifted == {1, 2}  # lifts through one stage and through two
 
 
 # --- Jordan decomposition ---------------------------------------------------------
@@ -742,6 +836,139 @@ def test_bracket_rejects_two_extensions(so4):
         so4.bracket(x, y)
 
 
+# --- the scaled integer state of a Subspace against the Fraction loops --------
+
+_DIFF_ALGEBRAS: list = []
+
+
+def _diff_algebras(wave15, g2):
+    """wave15, g2, and so(2,2), so(1,3) in a dense random basis; built once."""
+    if not _DIFF_ALGEBRAS:
+        from lieembed.vecfield import so_pq_generators
+        rng = random.Random(7300)
+        _DIFF_ALGEBRAS.extend([wave15, g2])
+        for p, q in ((2, 2), (1, 3)):
+            L = so_pq_generators(p, q)
+            _DIFF_ALGEBRAS.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng),
+                                             name=f"rebased so({p},{q})"))
+    return _DIFF_ALGEBRAS
+
+
+def _ref_basis(vectors):
+    """Canonical RREF rows of the span, by dense Fraction Gauss-Jordan."""
+    rows = [list(v) for v in vectors if not vec_is_zero(v)]
+    if not rows:
+        return ()
+    reduced, pivots = _reference_rref_rows(rows)
+    return tuple(tuple(r) for r in reduced[:len(pivots)])
+
+
+def _ref_derived(S):
+    """Span of the brackets of the basis rows, or NotASubalgebra if one of
+    them leaves S."""
+    L, rows = S.algebra, S.rows
+    brackets = [_ref_bracket(L, r, s) for i, r in enumerate(rows) for s in rows[i + 1:]]
+    if any(_ref_coords_of(S, w) is None for w in brackets):
+        raise NotASubalgebra("derived algebra of a non-closed subspace")
+    return _ref_basis(brackets)
+
+
+def _ref_structure(S):
+    """as_subalgebra's table: coordinates of the brackets of the basis rows
+    (a LieAlgebra takes rational constants only)."""
+    out = {}
+    for i, r in enumerate(S.rows):
+        for j in range(i + 1, S.dim):
+            coords = _ref_coords_of(S, _ref_bracket(S.algebra, r, S.rows[j]))
+            if coords is None:
+                raise NotASubalgebra("bracket leaves the subspace")
+            comp = {t: c for t, c in enumerate(coords) if c}
+            if comp:
+                out[(i, j)] = comp
+    if any(type(c) is not F for comp in out.values() for c in comp.values()):
+        raise TypeError("structure constants must be rational")
+    return out
+
+
+def _same_outcome(got, want):
+    """Both calls return equal values with equal entry types, or both raise
+    the same exception type."""
+    results = []
+    for call in (got, want):
+        try:
+            results.append(("ok", call()))
+        except (NotASubalgebra, ValueError, TypeError) as exc:
+            results.append((type(exc).__name__, None))
+    return results[0] == results[1]
+
+
+@given(st.data())
+# a tenth of the active profile: 10 examples locally, 50 under the ci profile
+@settings(max_examples=max(settings.default.max_examples // 10, 10), deadline=None)
+def test_subspace_state_matches_fraction_loops(wave15, g2, data):
+    """Random spanning sets with duplicate, dependent and zero vectors in
+    shuffled order, over Q, Q(sqrt 2) and Q(i) with 20-bit numerators:
+    rows, reduce, contains, coords_of, from_coords, restrict,
+    derived_algebra and as_subalgebra agree with the Fraction loops in
+    value and entry type, and equal spans give equal, equally hashed
+    subspaces."""
+    L = data.draw(st.sampled_from(_diff_algebras(wave15, g2)), label="algebra")
+    d = data.draw(st.sampled_from([0, 2, -1]), label="d")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    n = L.dim
+    vectors = [_rand_vec(rng, n, 20, d if rng.random() < 0.7 else 0)
+               for _ in range(data.draw(st.integers(0, n), label="k"))]
+    extra = [tuple(F(0) for _ in range(n))]
+    for v in vectors[:3]:
+        w = rng.choice(vectors)
+        extra += [v, vec_scale(F(rng.randint(-9, 9), rng.randint(1, 9)), v),
+                  vec_sub(v, vec_scale(F(rng.randint(1, 9)), w))]
+    spanning = vectors + extra
+    rng.shuffle(spanning)
+
+    S = Subspace(L, spanning)
+    assert [_typed(r) for r in S.rows] == [_typed(r) for r in _ref_basis(spanning)]
+    for other in (Subspace(L, vectors), Subspace(L, S.rows),
+                  Subspace(L, list(reversed(spanning)))):
+        assert other == S and hash(other) == hash(S)
+    root = make_scalar(0, 1, S.d or 2)  # a unit of the field: the same span
+    rescaled = Subspace(L, [vec_scale(root, r) for r in S.rows])
+    assert rescaled == S and hash(rescaled) == hash(S)
+    prefix = Subspace(L, vectors[:-1])
+    assert (prefix == S) == (prefix.rows == S.rows)
+    free = [c for c in range(n) if c not in S.pivots and S.dim and c > S.pivots[0]]
+    if free:  # the same pivots and denominator, another first row
+        moved = Subspace(L, [vec_add(S.rows[0], L.basis_vector(free[0])), *S.rows[1:]])
+        assert moved.pivots == S.pivots and moved != S
+    if S.dim == 0:
+        assert S == Subspace.zero(L) and hash(S) == hash(Subspace.zero(L))
+
+    coords = _rand_vec(rng, S.dim, 20, d)
+    assert _typed(S.from_coords(coords)) == _typed(_ref_from_coords(S, coords))
+    for v in (S.from_coords(coords), _rand_vec(rng, n, 20, d), extra[0]):
+        assert _typed(S.reduce(v)) == _typed(_ref_reduce(S, v))
+        assert _typed(S.coords_of(v)) == _typed(_ref_coords_of(S, v))
+        assert S.contains(v) == vec_is_zero(_ref_reduce(S, v))
+
+    # subalgebras: what a combination of two basis vectors centralizes and
+    # normalizes
+    i, j = rng.sample(range(n), 2)
+    x = vec_add(vec_scale(_rand_vec(rng, 1, 20, d)[0] or F(1), L.basis_vector(i)),
+                vec_scale(_rand_vec(rng, 1, 20, d)[0], L.basis_vector(j)))
+    closed = [centralizer(L, Subspace(L, [x])), normalizer(L, Subspace(L, [x]))]
+    assert closed[0].contains(x) and closed[1].contains_subspace(closed[0])
+    for A in [S] + closed:
+        m = L.ad(A.rows[0] if A.dim else x)
+        if A.dim == 0:  # the reference has no 0 x 0 matrix
+            assert A.restrict(m) == Matrix([])
+        else:
+            assert _same_outcome(lambda: _typed(A.restrict(m)),
+                                 lambda: _typed(_ref_restrict(A, m)))
+        assert _same_outcome(lambda: [_typed(r) for r in derived_algebra(A).rows],
+                             lambda: [_typed(r) for r in _ref_derived(A)])
+        assert _same_outcome(lambda: A.as_subalgebra().brackets, lambda: _ref_structure(A))
+
+
 def test_scaled_table_is_built_once(wave15):
     L = LieAlgebra(wave15.dim, wave15.basis_names, wave15.brackets)
     table = L.scaled_table()
@@ -821,19 +1048,19 @@ def test_radical_of_semisimple_algebra_copies_nothing(g2, monkeypatch):
     copies, brackets, fed = [], [], set()
     monkeypatch.setattr(Subspace, "as_subalgebra",
                         lambda self: copies.append(self))
-    real_bracket, real_basis = LieAlgebra._bracket_ints, liecore.row_space_basis
+    real_bracket, real_rref = LieAlgebra._bracket_ints, liecore._rref_ints
     monkeypatch.setattr(LieAlgebra, "_bracket_ints",
                         lambda self, x, y: brackets.append(x) or real_bracket(self, x, y))
 
-    def basis(vectors, width):
-        vectors = list(vectors)
-        fed.update(vectors)
-        return real_basis(vectors, width)
-    monkeypatch.setattr(liecore, "row_space_basis", basis)
+    def rref(rows, d):
+        fed.update(frozenset(a.items()) for a, _ in rows)
+        return real_rref(rows, d)
+    monkeypatch.setattr(liecore, "_rref_ints", rref)
     assert radical(L).dim == 0
     assert copies == [] and brackets == []
     # the stored brackets that reached a row reduction: about k of them
-    stored = {tuple(c.get(t, F(0)) for t in range(k)) for c in L.brackets.values()}
+    _, table = L.scaled_table()
+    stored = {frozenset(table[i][j].items()) for i, j in L.brackets}
     assert len(stored) > k * (k - 1) // 3  # a dense table
     assert len(fed & stored) <= 2 * k < k * (k - 1) // 2
 
@@ -929,9 +1156,9 @@ def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
                         lambda m: factored.append(m.rows) or real_solver(m))
 
     def forbidden(*args):
-        raise AssertionError("no kernel or solve_linear in the Jordan pull-back")
-    monkeypatch.setattr(liecore, "kernel", forbidden)
-    monkeypatch.setattr(liecore, "solve_linear", forbidden)
+        raise AssertionError("no kernel or row reduction in the Jordan pull-back")
+    monkeypatch.setattr(liecore, "_kernel_ints", forbidden)
+    monkeypatch.setattr(liecore, "_rref_ints", forbidden)
     rng = random.Random(9193)
     heis = LieAlgebra(3, ["x", "y", "z"], {(0, 1): {2: 1}})
     wave = LieAlgebra.from_json(wave15.to_json())  # nothing cached yet

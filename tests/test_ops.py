@@ -4,6 +4,7 @@ ends in a traceback."""
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,52 @@ def test_analyze_computes_the_radical_once(monkeypatch):
         assert calls == [Subspace.full(L)]
         assert payload["radical"] == real_radical(L).to_json()
         assert f"radical: {real_radical(L)} (dim {payload['radical_dim']})" in text
+
+
+@pytest.mark.parametrize("name", ["wave15", "g2"])
+def test_analyze_of_a_semisimple_algebra_takes_no_kernel(name, monkeypatch):
+    """radical reads the kept Killing signature: a perfect algebra with
+    zero == 0 is semisimple, so no null space of the Killing matrix is
+    computed; the payload is the pinned one."""
+    import lieembed.exactlin as exactlin
+    import lieembed.liecore as liecore
+    from lieembed.liecore import LieAlgebra
+    kernels = []
+    for module in (exactlin, liecore):
+        real = module._kernel_ints
+        monkeypatch.setattr(module, "_kernel_ints",
+                            lambda rows, d, width, real=real:
+                            kernels.append(rows) or real(rows, d, width))
+    L = LieAlgebra.from_json(algebra_by_name(name).to_json(), name=name)
+    payload, _ = ops.analyze(L)
+    assert kernels == []
+    pinned = json.loads((Path(__file__).parent / "data" / "analyze_pinned.json")
+                        .read_text())[name]
+    assert json.loads(json.dumps(payload)) == pinned
+    assert L.killing_data() is L.killing_data()  # eliminated once, kept
+
+
+# _scaled_vector calls of the nilpotent embed below: the Fraction rows that
+# remain are the ad matrices handed to restrict and kernel_of in rootsys;
+# with Fraction tuples as subspace state the same request made 3,922
+SCALED_VECTOR_CALLS = 758
+
+
+def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):
+    """Subspaces keep scaled integer rows, so a nilpotent embed of wave15
+    turns few Fraction tuples into ints; the count is pinned so that a
+    round trip through Fraction cannot come back unnoticed."""
+    import lieembed.exactlin as exactlin
+    import lieembed.liecore as liecore
+    from lieembed.liecore import LieAlgebra
+    calls = []
+    real = exactlin._scaled_vector
+    for module in (exactlin, liecore):
+        monkeypatch.setattr(module, "_scaled_vector", lambda v: calls.append(v) or real(v))
+    L = LieAlgebra.from_json(algebra_by_name("wave15").to_json(), name="wave15")
+    vectors = parse_subspace_spec(L, "e8,e10,e11,e12")
+    payload, _ = ops.embed(L, "nilpotent", vectors)
+    assert payload["maximal"] and len(calls) == SCALED_VECTOR_CALLS
 
 
 def test_analyze_eliminates_the_killing_matrix_once(monkeypatch):

@@ -8,14 +8,14 @@ import pytest
 from lieembed.errors import (ExtensionDegreeTooHigh, NotATorus,
                              UnrecognizedBondPattern, UnrecognizedDiagram)
 from lieembed.exactlin import (Matrix, eigenvalues, kernel, make_scalar,
-                               scalar_d, solve_linear, vec_add, vec_is_zero,
-                               vec_scale, vec_sub)
+                               scalar_d, solve_linear, vec_is_zero)
 from lieembed.liecore import LieAlgebra, Subspace, normalizer, torus_split
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
                               sl2_triple)
-from test_liecore import _dense_basis, _table_in_basis, _typed
+from test_liecore import (_dense_basis, _table_in_basis, _typed, vec_add,
+                          vec_scale, vec_sub)
 
 I = make_scalar(0, 1, -1)
 MI = make_scalar(0, -1, -1)
