@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -89,13 +90,20 @@ def load_algebra(ref: str) -> LieAlgebra:
         raise ParseError(f"malformed algebra JSON: {exc}") from None
 
 
+def _write(lines) -> None:
+    """Print the lines to stdout, the one place the commands write data.
+    When the reader has gone (``| head -1``), later writes and the flush at
+    exit go to the null device, so the command keeps its own exit code."""
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(result, fmt: str) -> int:
     payload, text = result
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text:
-            print(line)
+    _write([json.dumps(payload, indent=2, sort_keys=True)] if fmt == "json" else text)
     return ops.EXIT_OK
 
 
@@ -142,10 +150,15 @@ def cmd_verify(args) -> int:
     else:
         corpus = corpus_mod.load_shipped_corpus()
     results, ok = corpus_mod.run_corpus(corpus)
-    for r in results:
-        print(r.summary())
-    print(f"{sum(r.passed for r in results)}/{len(results)} cases passed")
+    _write([*(r.summary() for r in results),
+            f"{sum(r.passed for r in results)}/{len(results)} cases passed"])
     return ops.EXIT_OK if ok else ops.EXIT_MISMATCH
+
+
+def _budget(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated combinations, e.g. 'e8+e10, e11'")
     sp.add_argument("--seed", type=int, default=None,
                     help="search seed (default LIEEMBED_SEED or 0)")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                     help="canonical search budget (candidate count)")
     common(sp)
     sp.set_defaults(func=cmd_embed)

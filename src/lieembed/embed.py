@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Optional, Sequence
 
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
@@ -103,31 +103,25 @@ _COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
 
 
 def _candidates(sub: Subspace, budget: int, seed: int):
-    """Deterministic candidate elements of a subspace: basis rows, then
-    integer combinations with coefficients in {-2..2}, then seeded
-    pseudo-random rational combinations."""
-    count = 0
-    for row in sub.rows:
-        yield row
-        count += 1
-        if count >= budget:
-            return
-    k = sub.dim
-    for size in range(2, k + 1):
-        for positions in combinations(range(k), size):
-            for coeffs in product(_COEFFS, repeat=size):
-                picked = dict(zip(positions, coeffs))
-                yield sub.from_coords([picked.get(p, 0) for p in range(k)])
-                count += 1
-                if count >= budget:
-                    return
-    rng = random.Random(seed)
-    while count < budget:
-        v = sub.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                             for _ in range(k)])
-        if not vec_is_zero(v):
-            yield v
-            count += 1
+    """The first ``budget`` deterministic candidate elements of a subspace:
+    basis rows, then integer combinations with coefficients in {-2..2},
+    then seeded pseudo-random rational combinations."""
+    def stream():
+        yield from sub.rows
+        k = sub.dim
+        for size in range(2, k + 1):
+            for positions in combinations(range(k), size):
+                for coeffs in product(_COEFFS, repeat=size):
+                    picked = dict(zip(positions, coeffs))
+                    yield sub.from_coords([picked.get(p, 0) for p in range(k)])
+        rng = random.Random(seed)
+        while True:
+            v = sub.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(k)])
+            if not vec_is_zero(v):
+                yield v
+
+    return islice(stream(), max(budget, 0))
 
 
 def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET,

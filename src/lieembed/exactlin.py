@@ -508,68 +508,51 @@ def kernel(m: Matrix) -> list[Vector]:
 
 def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     """Particular solution of m x = rhs (free variables 0), or None."""
-    aug = Matrix([list(row) + [b] for row, b in zip(m.entries, rhs)])
-    reduced, rank, pivots = rref(aug)
-    if m.cols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entries[r][m.cols]
-    return tuple(x)
+    return linear_solver(m)[1](rhs)
 
 
 def linear_solver(m: Matrix) -> tuple[int, Callable[[Vector], Optional[Vector]]]:
-    """Factor a rational matrix once for repeated solves: (rank, solve).
+    """Factor m once for repeated solves: (rank, solve).
 
-    Row reduction of ``[m | I]`` gives ``T`` with ``T m`` in reduced echelon
-    form.  ``solve`` maps ``b`` to the solution read off the pivot rows of
-    ``T b`` with free unknowns 0, summed over the nonzero entries of ``b``
-    only, or to None when a lower entry of ``T b`` is nonzero (``b`` is
-    outside the column span): for every ``b``, ``solve_linear(m, b)``.
+    The columns of ``D*m`` (D the lcm of the denominators), column j tagged
+    with a 1 at position ``R + n-1-j`` for R rows and n columns, go through
+    one :func:`_rref_ints`.  A reduced row with its pivot among the first R
+    positions is ``(D*m*x, x)`` for the x in its tags, and these rows are
+    the echelon basis of the column span.  ``solve`` writes ``b`` over that
+    basis from its entries at the pivots and returns None when the residual
+    is nonzero (``b`` is outside the span), else the combination of the
+    tags, free unknowns 0.  Raises ExtensionDegreeTooHigh if m and b use
+    two different d.
     """
-    n = m.cols
-    # sparse rows of [m | I]: (entries of m, entries of the identity part)
-    rows = [({c: x for c, x in enumerate(row) if x}, {r: ONE})
-            for r, row in enumerate(m.entries)]
-    pivots: list[int] = []  # the pivot column of each pivot row
-    for c in range(n):
-        r = len(pivots)
-        # the sparsest candidate keeps fill-in low; the solution is unique
-        pivot = min((i for i in range(r, len(rows)) if c in rows[i][0]),
-                    key=lambda i: len(rows[i][0]) + len(rows[i][1]), default=None)
-        if pivot is None:
-            continue  # a free column
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][0][c]
-        rows[r] = tuple({k: inv * x for k, x in part.items()} for part in rows[r])
-        for i, row in enumerate(rows):
-            f = row[0].get(c)
-            if f and i != r:
-                for dst, src in zip(row, rows[r]):
-                    for k, x in src.items():
-                        y = dst.get(k, ZERO) - f * x
-                        if y:
-                            dst[k] = y
-                        else:
-                            del dst[k]
-        pivots.append(c)
-    row_of = {c: i for i, c in enumerate(pivots)}
-    t_columns: list[list] = [[] for _ in rows]
-    for i, (_, t_row) in enumerate(rows):
-        for r, x in t_row.items():
-            t_columns[r].append((i, x))
+    R, n = m.rows, m.cols
+    den, d, rows = _scaled_rows(zip(*m.entries))
+    for j, (a, _) in enumerate(rows):
+        a[R + n - 1 - j] = 1
+    # With the tags reversed, a row that vanishes on m reduces to a kernel
+    # vector whose pivot is its last nonzero unknown: a column that depends
+    # on the columns before it, a free column.  Gauss-Jordan clears these
+    # pivots from every solution row, so the free unknowns come out 0.
+    reduced, pivots = _rref_ints(rows, d)
+    rank = sum(p < R for p in pivots)
+    top = lcm(*(a[p] for (a, _), p in zip(reduced, pivots[:rank])))
+    basis = [(p, top // row[0][p], row) for row, p in zip(reduced, pivots[:rank])]
 
     def solve(rhs: Vector) -> Optional[Vector]:
-        acc: dict = {}
-        for r, b in enumerate(rhs):
-            if b:
-                for i, x in t_columns[r]:
-                    acc[i] = acc.get(i, ZERO) + b * x
-        if any(x for i, x in acc.items() if i >= len(pivots)):
-            return None
-        return tuple(acc.get(row_of.get(c), ZERO) for c in range(n))
+        scale, e, ra, rb = _scaled_vector(rhs)
+        e = _same_d(d, e)
+        res = ({k: top * x for k, x in ra.items()}, {k: top * x for k, x in rb.items()})
+        for p, f, row in basis:
+            if p in ra or p in rb:
+                res = _mul_sub((1, 0), res, (f * ra.get(p, 0), f * rb.get(p, 0)), row, e)
+        a, b = res
+        if any(k < R for k in (*a, *b)):
+            return None  # b is outside the column span
+        # the tags of a + b*sqrt(d) hold -scale*top/D times x
+        return _unscaled_vector(scale * top, e,
+                                ((R + n - 1 - k, -den * x) for k, x in a.items()),
+                                ((R + n - 1 - k, -den * x) for k, x in b.items()), n)
 
-    return len(pivots), solve
+    return rank, solve
 
 
 def symmetric_signature(m: Matrix) -> tuple[int, int, int, Scalar]:

@@ -53,6 +53,9 @@ class LieAlgebra:
         if len(basis_names) != dim:
             raise ValueError("basis name count != dim")
         self.basis_names = names = tuple(basis_names)
+        bad = [x for x in names if type(x) is not str]
+        if bad:
+            raise ValueError(f"basis names must be strings, got {bad[0]!r}")
         if len(set(names)) != dim:
             repeated = next(x for i, x in enumerate(names) if x in names[:i])
             raise ValueError(f"repeated basis name {repeated!r}")
@@ -247,6 +250,8 @@ class LieAlgebra:
         brackets = {}
         for entry in obj.get("brackets", []):
             pair = (entry["i"], entry["j"])
+            if any(type(x) is not int for x in pair):
+                raise ValueError(f"bracket indices must be integers, got {pair}")
             if pair in brackets:
                 raise ValueError(f"two brackets entries for the pair {pair}")
             brackets[pair] = {int(k): rat(c) for k, c in entry["c"].items()}

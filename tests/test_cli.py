@@ -141,7 +141,14 @@ def test_malformed_input_exit_2(run, argv):
      "two brackets entries for the pair (0, 1)"),
     ({"dim": "2", "basis": ["a", "b"], "brackets": []},
      "dim must be an integer, got '2'"),
-], ids=["repeated basis name", "repeated bracket pair", "string dim"])
+    ({"dim": 2, "basis": ["a", 2], "brackets": []},
+     "basis names must be strings, got 2"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": True, "j": 1, "c": {"0": "1"}}]},
+     "bracket indices must be integers, got (True, 1)"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0.0, "j": 1, "c": {"0": "1"}}]},
+     "bracket indices must be integers, got (0.0, 1)"),
+], ids=["repeated basis name", "repeated bracket pair", "string dim",
+        "integer basis name", "boolean index", "float index"])
 def test_inconsistent_table_exit_2(run, tmp_path, table, message):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))
@@ -223,6 +230,33 @@ def test_search_budget_exhausted_exit_5(run):
                         "--subspace", "e15", "--budget", "1"])
     assert code == 5
     assert "within budget 1" in err
+
+
+def test_search_budget_zero_tries_no_candidate(run):
+    code, out, err = run(["embed", "wave15", "--mode", "nilpotent",
+                          "--subspace", "e8", "--budget", "0"])
+    assert (code, out) == (5, "")
+    assert "within budget 0" in err
+
+
+def test_negative_budget_rejected_by_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "wave15", "--mode", "nilpotent", "--subspace", "e8",
+              "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "not a nonnegative integer: '-1'" in capsys.readouterr().err
+
+
+def test_closed_stdout_keeps_exit_code_and_quiet_stderr():
+    """A reader that closes the pipe before any output (``| head -1`` that
+    has already read its line) neither turns into a traceback on stderr
+    nor changes the exit code."""
+    with subprocess.Popen([sys.executable, "-m", "lieembed", "vf-brackets", "g2",
+                           "--format", "text"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_embed_nilpotent_wave(run):

@@ -138,9 +138,69 @@ def test_solve_linear():
     assert solve_linear(Matrix([[1, 1]]), (F(2),)) == (F(2), F(0))
 
 
+def _ref_linear_solver(m):
+    """Fraction Gauss-Jordan on ``[m | I]`` (the loop linear_solver ran
+    before it read its answers off one _rref_ints), kept as the reference:
+    (rank, solve) with ``solve(b)`` read off the pivot rows of ``T b``."""
+    n = m.cols
+    rows = [({c: x for c, x in enumerate(row) if x}, {r: F(1)})
+            for r, row in enumerate(m.entries)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pivot = min((i for i in range(r, len(rows)) if c in rows[i][0]),
+                    key=lambda i: len(rows[i][0]) + len(rows[i][1]), default=None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F(1) / rows[r][0][c]
+        rows[r] = tuple({k: inv * x for k, x in part.items()} for part in rows[r])
+        for i, row in enumerate(rows):
+            f = row[0].get(c)
+            if f and i != r:
+                for dst, src in zip(row, rows[r]):
+                    for k, x in src.items():
+                        y = dst.get(k, F(0)) - f * x
+                        if y:
+                            dst[k] = y
+                        else:
+                            del dst[k]
+        pivots.append(c)
+    row_of = {c: i for i, c in enumerate(pivots)}
+    t_columns = [[] for _ in rows]
+    for i, (_, t_row) in enumerate(rows):
+        for r, x in t_row.items():
+            t_columns[r].append((i, x))
+
+    def solve(rhs):
+        acc = {}
+        for r, b in enumerate(rhs):
+            if b:
+                for i, x in t_columns[r]:
+                    acc[i] = acc.get(i, F(0)) + b * x
+        if any(x for i, x in acc.items() if i >= len(pivots)):
+            return None
+        return tuple(acc.get(row_of.get(c), F(0)) for c in range(n))
+
+    return len(pivots), solve
+
+
+def _ref_solve_linear(m, rhs):
+    """The solution read off ``rref([m | rhs])`` (solve_linear before it
+    became one linear_solver call), kept as the reference."""
+    reduced, _, pivots = rref(Matrix([list(row) + [b] for row, b in zip(m.entries, rhs)]))
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced.entries[r][m.cols]
+    return tuple(x)
+
+
 def test_linear_solver_matches_solve_linear():
     """Rank, solutions (free unknowns 0, entry types) and the None of a
-    right-hand side outside the column span, at full and lower rank."""
+    right-hand side outside the column span, at full and lower rank,
+    against both references and the one-shot solve_linear."""
     rng = random.Random(7)
     deficient = 0
     for trial in range(60):
@@ -153,7 +213,8 @@ def test_linear_solver_matches_solve_linear():
                          if c == k else x for c, x in enumerate(row)]
                         for row in m.entries])
         rank, solve = linear_solver(m)
-        assert rank == rref(m)[1]
+        ref_rank, ref_solve = _ref_linear_solver(m)
+        assert rank == ref_rank == rref(m)[1]
         deficient += rank < cols
         for _ in range(4):
             if rng.random() < 0.5:  # inside the column span
@@ -161,8 +222,8 @@ def test_linear_solver_matches_solve_linear():
                 b = m.apply(x)
             else:
                 b = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
-            got, want = solve(b), solve_linear(m, b)
-            assert got == want
+            got, want = solve(b), _ref_solve_linear(m, b)
+            assert got == want == ref_solve(b) == solve_linear(m, b)
             assert got is None or all(type(x) is F for x in got)
     assert deficient >= 20
     assert linear_solver(Matrix([[0, 0], [0, 0]]))[0] == 0
@@ -254,19 +315,21 @@ def _flat(obj):
     return [obj]
 
 
-def _rref_results(m, rng):
+def _rref_results(m, rng, solve):
     rhs_in = m.apply([F(rng.randint(-5, 5)) for _ in range(m.cols)])
     rhs_any = tuple(F(rng.randint(-3, 3)) for _ in range(m.rows))
     return (rref(m), row_space_basis(m.entries, m.cols), kernel(m),
-            solve_linear(m, rhs_in), solve_linear(m, rhs_any))
+            solve(m, rhs_in), solve(m, rhs_any))
 
 
 @pytest.mark.parametrize("d", [0, -1, 2, -3, 5])
 def test_rref_kernel_solve_match_fraction_reference(d, monkeypatch):
     cases = _rref_cases(seed=40 + d, count=60, d=d)
-    got = [_rref_results(m, random.Random(i)) for i, m in enumerate(cases)]
+    got = [_rref_results(m, random.Random(i), solve_linear) for i, m in enumerate(cases)]
+    # solve_linear does not go through _rref_rows: the reference solve does
     monkeypatch.setattr(exactlin, "_rref_rows", _reference_rref_rows)
-    want = [_rref_results(m, random.Random(i)) for i, m in enumerate(cases)]
+    want = [_rref_results(m, random.Random(i), _ref_solve_linear)
+            for i, m in enumerate(cases)]
     for m, g, w in zip(cases, got, want):
         assert _same(g, w), m.entries
 
@@ -277,6 +340,63 @@ def test_rref_mixed_extensions_rejected():
     for call in (lambda: rref(m), lambda: kernel(m),
                  lambda: row_space_basis(m.entries, 2),
                  lambda: solve_linear(m, (F(1), F(1)))):
+        with pytest.raises(ExtensionDegreeTooHigh):
+            call()
+
+
+_EXTENSIONS = [0, 2, 3, 5, -1, -3]
+
+
+@pytest.mark.parametrize("d", _EXTENSIONS)
+def test_linear_solver_matches_fraction_references(d, monkeypatch):
+    """linear_solver and solve_linear against the Fraction Gauss-Jordan and
+    the rref of [m | b] with the reference _rref_rows: ranks, solutions
+    with free unknowns 0 and their entry types, None for right-hand sides
+    outside the span, over Q(sqrt d), at lower rank and on 0x0, 1x0, 3x0
+    and 5x0 shapes."""
+    rng = random.Random(80 + d)
+
+    def entry():
+        a = _rand_rational(rng, rng.randint(1, 12))
+        return make_scalar(a, _rand_rational(rng, 6), d) if d and rng.random() < 0.5 else a
+
+    cases = []
+    for m in _rref_cases(seed=60 + d, count=25, d=d) + [Matrix([[]] * 3), Matrix([[]] * 5)]:
+        sides = [m.apply([entry() for _ in range(m.cols)]) for _ in range(2)]
+        sides += [tuple(entry() for _ in range(m.rows)) for _ in range(2)]
+        rank, solve = linear_solver(m)
+        cases.append((m, sides, rank, [solve(b) for b in sides],
+                      [solve_linear(m, b) for b in sides]))
+    monkeypatch.setattr(exactlin, "_rref_rows", _reference_rref_rows)
+    deficient = outside = empty = 0
+    for m, sides, rank, solved, one_shot in cases:
+        ref_rank, ref_solve = _ref_linear_solver(m)
+        assert rank == ref_rank == rref(m)[1], m.entries
+        want = [_ref_solve_linear(m, b) for b in sides]
+        assert _same(solved, want) and _same(one_shot, want), m.entries
+        assert _same(solved, [ref_solve(b) for b in sides]), m.entries
+        deficient += rank < m.cols
+        outside += want.count(None)
+        empty += m.cols == 0
+    assert deficient >= 10 and outside >= 20 and empty >= 4
+
+
+@pytest.mark.parametrize("d", [d for d in _EXTENSIONS if d])
+def test_linear_solver_mixed_extensions_rejected(d):
+    """Two different d in m raise when m is factored; a right-hand side
+    over another d than m raises in solve, as the rref of [m | b] does."""
+    e = next(e for e in _EXTENSIONS if e not in (0, d))
+    root_d, root_e = make_scalar(1, 1, d), make_scalar(0, 2, e)
+    mixed = Matrix([[root_d, F(1)], [F(0), root_e], [F(1), F(1)]])
+    for call in (lambda: linear_solver(mixed), lambda: solve_linear(mixed, (1, 0, 0)),
+                 lambda: _ref_solve_linear(mixed, (1, 0, 0))):
+        with pytest.raises(ExtensionDegreeTooHigh):
+            call()
+    m = Matrix([[root_d, F(1)], [F(0), F(1)]])
+    _, solve = linear_solver(m)
+    assert solve((root_d, F(0))) == (F(1), F(0))
+    for call in (lambda: solve((root_e, F(0))), lambda: solve_linear(m, (F(0), root_e)),
+                 lambda: _ref_solve_linear(m, (root_e, F(0)))):
         with pytest.raises(ExtensionDegreeTooHigh):
             call()
 
