@@ -20,14 +20,15 @@ from typing import Optional, Sequence
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit, ParseError)
-from .exactlin import (Matrix, Vector, factor_roots, format_rat, min_poly,
-                       scalar_parts, vec_is_zero)
+from .exactlin import (Matrix, Vector, factor_roots, format_rat,
+                       is_complex_positive, min_poly, scalar_d, vec_is_zero)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
                       jordan_decomposition, levi_decomposition, normalizer,
                       center, spectrum, subalgebra_generated, torus_split)
-from .rootsys import RootSpaceDecomposition, _complete_sl2
+from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
+                      root_space_decomposition, simple_roots)
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10_000
@@ -190,13 +191,16 @@ def _max_torus_of_definite(sub: Subspace) -> Subspace:
     return torus
 
 
-def _check_real_torus(L: LieAlgebra, A: Subspace):
-    if not A.is_abelian():
-        raise NotATorus("input is not abelian")
-    for r in A.rows:
-        if classify_element(L, r) != REAL_SEMISIMPLE:
-            raise NotATorus(
-                f"{L.format_element(r)} is not real semisimple")
+def _check_input(error: type, L: LieAlgebra, U: Subspace, closed: bool,
+                 closure: str, ok, noun: str):
+    """Raise ``error`` unless U is closed (``closed`` is that verdict, and
+    ``closure`` names the property) and ``ok(L, r)`` holds for every basis
+    row r, which ``noun`` names."""
+    if not closed:
+        raise error(f"input is not {closure}")
+    for r in U.rows:
+        if not ok(L, r):
+            raise error(f"{L.format_element(r)} is not {noun}")
 
 
 def embed_real_torus(L: LieAlgebra, A: Subspace,
@@ -205,7 +209,9 @@ def embed_real_torus(L: LieAlgebra, A: Subspace,
     """Grow a real torus to a maximal one and a maximally real Cartan:
     centralizer / derived / center loop, adjoining a real-semisimple element
     of the derived part while its Killing form stays indefinite."""
-    _check_real_torus(L, A)
+    _check_input(NotATorus, L, A, A.is_abelian(), "abelian",
+                 lambda L, r: classify_element(L, r) == REAL_SEMISIMPLE,
+                 "real semisimple")
     trace = EmbeddingTrace(L, A)
     current = A
     for _ in range(L.dim + 1):
@@ -265,15 +271,6 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
 # abelian nilpotent embedding
 
 
-def _check_abelian_nilpotent(L: LieAlgebra, U: Subspace):
-    if not U.is_abelian():
-        raise NotAbelianNilpotent("input is not abelian")
-    for r in U.rows:
-        if not is_ad_nilpotent(L, r):
-            raise NotAbelianNilpotent(
-                f"{L.format_element(r)} is not ad-nilpotent")
-
-
 def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
                               ) -> Optional[Subspace]:
     """Eigenspace of ad(alpha) on ``space`` for its largest positive real
@@ -281,25 +278,13 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
     m = space.restrict(L.ad(alpha))
     best = None
     for lam, _ in factor_roots(min_poly(m)):
-        a, b, d = scalar_parts(lam)
-        if d < 0:
-            continue
-        positive = (lam > 0) if d == 0 else (lam.real_sign() > 0)
-        if positive and (best is None or _real_less(best, lam)):
+        if scalar_d(lam) >= 0 and is_complex_positive(lam if best is None else lam - best):
             best = lam
     if best is None:
         return None
     shifted = Matrix([[m.entries[i][j] - (best if i == j else 0)
                        for j in range(m.cols)] for i in range(m.rows)])
     return space.kernel_of(shifted)
-
-
-def _real_less(a, b) -> bool:
-    diff = b - a
-    _, _, d = scalar_parts(diff)
-    if d == 0:
-        return diff > 0
-    return diff.real_sign() > 0
 
 
 def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,
@@ -310,7 +295,8 @@ def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,
     adjoin from the derived radical of the centralizer, then nilpotent
     Jordan parts, then single eigenvectors of a real-semisimple element of
     the indefinite Levi part."""
-    _check_abelian_nilpotent(L, U)
+    _check_input(NotAbelianNilpotent, L, U, U.is_abelian(), "abelian",
+                 is_ad_nilpotent, "ad-nilpotent")
     trace = EmbeddingTrace(L, U)
     current = U
     for _ in range(2 * L.dim + 2):
@@ -351,21 +337,14 @@ def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,
 # general nilpotent embedding
 
 
-def _check_nilpotent(L: LieAlgebra, U: Subspace):
-    if not U.is_subalgebra():
-        raise NotNilpotent("input is not a subalgebra")
-    for r in U.rows:
-        if not is_ad_nilpotent(L, r):
-            raise NotNilpotent(f"{L.format_element(r)} is not ad-nilpotent")
-
-
 def embed_nilpotent(L: LieAlgebra, U: Subspace,
                     budget: int = DEFAULT_BUDGET, seed: Optional[int] = None
                     ) -> tuple[Subspace, Subspace, CartanData, EmbeddingTrace]:
     """Grow an ad-nilpotent subalgebra to a maximal one; also return the
     real torus representing radical/U and the maximally split Cartan built
     from it."""
-    _check_nilpotent(L, U)
+    _check_input(NotNilpotent, L, U, U.is_subalgebra(), "a subalgebra",
+                 is_ad_nilpotent, "ad-nilpotent")
     trace = EmbeddingTrace(L, U)
     current = U
     for _ in range(2 * L.dim + 2):
@@ -421,7 +400,6 @@ def maximal_compact_split(L: LieAlgebra, cartan_data: CartanData,
     circle.  Requires a nonzero real part."""
     if cartan_data.real_part.dim == 0:
         raise NotSplit("no real torus: use the compact-torus route")
-    from .rootsys import is_positive, root_space_decomposition, simple_roots
     roots = decomposition.roots
     values = {r.values for r in roots}
     one_sided = any((-r).values not in values for r in roots)

@@ -159,9 +159,6 @@ class ExactScalar:
             raise ValueError("not a real number")
         return _real_sign(self.a, self.b, self.d)
 
-    def sort_key(self):
-        return (self.a, self.b)
-
     def __repr__(self):
         return f"({format_rat(self.a)}+{format_rat(self.b)}*sqrt({self.d}))"
 
@@ -474,13 +471,6 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form: (reduced, rank, pivot_columns)."""
     rows, pivots = _rref_rows([list(r) for r in m.entries])
     return Matrix(rows), len(pivots), pivots
-
-
-def row_space_basis(vectors: Iterable[Vector], width: int) -> tuple[Vector, ...]:
-    """Canonical RREF basis of the span of the given row vectors (each of
-    length ``width``)."""
-    reduced, pivots = _rref_rows([tuple(v) for v in vectors])
-    return tuple(tuple(r) for r in reduced[: len(pivots)])
 
 
 def _kernel_ints(rows: list[_IntRow], d: int,
@@ -909,32 +899,27 @@ def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
 def _krylov_annihilator(rows: list[list[tuple[int, int]]], start: int) -> list[int]:
     """Integer coefficients of the lowest-degree p with p(A) e_start = 0.
 
-    The Krylov vectors ``A^k e_start`` are reduced fraction-free against the
-    earlier ones; each reduced row carries its integer combination of the
-    powers of A, and row and combination are divided by their joint content
-    after every elimination step.
+    ``A^k e_start``, tagged with a 1 at position ``n + k``, is reduced by
+    :func:`_combine` against the earlier rows in insertion order, so its
+    tags carry its combination of the powers of A.  The first row left with
+    no entry below n holds p in its tags.
     """
     n = len(rows)
-    echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combo)
+    echelon: list[tuple[int, _IntRow]] = []  # (pivot, row)
     power = [0] * n
     power[start] = 1
     while True:
-        work, combo = power, [0] * len(echelon) + [1]
-        for p, row, row_combo in echelon:
-            f = work[p]
+        k = len(echelon)
+        row = ({**{j: x for j, x in enumerate(power) if x}, n + k: 1}, {})
+        for p, prow in echelon:
+            f = row[0].get(p, 0)
             if f:
-                g = row[p]
-                work = [g * x - f * y for x, y in zip(work, row)]
-                combo = [g * x - f * y for x, y in
-                         zip(combo, row_combo + [0] * (len(combo) - len(row_combo)))]
-                content = gcd(*work, *combo)
-                if content > 1:
-                    work = [x // content for x in work]
-                    combo = [x // content for x in combo]
-        pivot = next((j for j, x in enumerate(work) if x), None)
-        if pivot is None:
-            return combo
-        echelon.append((pivot, work, combo))
+                g = gcd(prow[0][p], f)
+                row = _combine(prow[0][p] // g, row, f // g, 0, prow, 0)
+        pivot = min(row[0])
+        if pivot >= n:
+            return [row[0].get(n + j, 0) for j in range(k + 1)]
+        echelon.append((pivot, row))
         power = _int_apply(rows, power)
 
 

@@ -254,11 +254,26 @@ class LieAlgebra:
                 raise ValueError(f"bracket indices must be integers, got {pair}")
             if pair in brackets:
                 raise ValueError(f"two brackets entries for the pair {pair}")
-            brackets[pair] = {int(k): rat(c) for k, c in entry["c"].items()}
+            comp = entry["c"]
+            if not isinstance(comp, dict):
+                raise ValueError("bracket components must be an object, "
+                                 f"got {type(comp).__name__}")
+            bad = [k for k in comp if not _canonical_int(k)]
+            if bad:
+                raise ValueError("bracket component keys must be canonical "
+                                 f"decimal integers, got {bad[0]!r}")
+            brackets[pair] = {int(k): rat(c) for k, c in comp.items()}
         return cls(obj["dim"], obj["basis"], brackets, name=name)
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"
+
+
+def _canonical_int(key: str) -> bool:
+    """Whether key is an int as ``str`` writes it: ASCII digits, no padding,
+    no sign but ``-``; so no two accepted keys ("1", "01") name one index."""
+    digits = key.removeprefix("-")
+    return digits.isascii() and digits.isdigit() and (digits[0] != "0" or key == "0")
 
 
 def _sparse(v: list) -> dict:

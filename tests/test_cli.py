@@ -147,8 +147,15 @@ def test_malformed_input_exit_2(run, argv):
      "bracket indices must be integers, got (True, 1)"),
     ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0.0, "j": 1, "c": {"0": "1"}}]},
      "bracket indices must be integers, got (0.0, 1)"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": {" 1": "1", "1": "2"}}]},
+     "bracket component keys must be canonical decimal integers, got ' 1'"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": {"1.5": "1"}}]},
+     "bracket component keys must be canonical decimal integers, got '1.5'"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": ["1"]}]},
+     "bracket components must be an object, got list"),
 ], ids=["repeated basis name", "repeated bracket pair", "string dim",
-        "integer basis name", "boolean index", "float index"])
+        "integer basis name", "boolean index", "float index", "aliased component keys",
+        "decimal component key", "list of components"])
 def test_inconsistent_table_exit_2(run, tmp_path, table, message):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))

@@ -9,7 +9,7 @@ import pytest
 from lieembed.errors import (ExtensionDegreeTooHigh, NoCompactFound,
                              NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
-from lieembed.exactlin import vec_is_zero
+from lieembed.exactlin import make_scalar, vec_is_zero
 from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
                               LieAlgebra, Subspace, centralizer,
                               classify_element, derived_algebra,
@@ -18,13 +18,15 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
                               restricted_killing_signature, spectrum,
                               subalgebra_generated)
 from lieembed.rootsys import restricted_roots
-from lieembed.embed import (_candidates, embed_abelian_nilpotent,
+from lieembed.embed import (_candidates, _positive_real_eigenspace,
+                            embed_abelian_nilpotent,
                             embed_compact_torus, embed_nilpotent,
                             embed_real_torus, find_compact,
                             find_real_semisimple, maximal_compact_split)
 from lieembed.vecfield import so_pq_generators
 from test_liecore import vec_add, vec_scale, vec_sub
 from test_liecore import _dense_basis, _table_in_basis, _typed
+from test_exactlin import _block_diag
 
 
 def span(L, *vs):
@@ -86,6 +88,24 @@ def test_embed_real_torus_rejects_bad_input(wave15):
         embed_real_torus(wave15, span(wave15, E("e8")))
     with pytest.raises(NotATorus):
         embed_real_torus(wave15, span(wave15, E("e14")))  # compact, not real
+
+
+@pytest.mark.parametrize("embed,error,rows,message", [
+    (embed_real_torus, NotATorus, [{"X": 1}, {"Y": 1}], "input is not abelian"),
+    (embed_real_torus, NotATorus, [{"X": 1, "Y": -1}], "X-Y is not real semisimple"),
+    (embed_abelian_nilpotent, NotAbelianNilpotent, [{"X": 1}, {"H": 1}],
+     "input is not abelian"),
+    (embed_abelian_nilpotent, NotAbelianNilpotent, [{"X": 2, "H": 1}],
+     "X+1/2*H is not ad-nilpotent"),
+    (embed_nilpotent, NotNilpotent, [{"X": 1}, {"Y": 1}], "input is not a subalgebra"),
+    (embed_nilpotent, NotNilpotent, [{"H": 1}], "H is not ad-nilpotent"),
+], ids=["torus closure", "torus row", "abelian closure", "abelian row",
+        "nilpotent closure", "nilpotent row"])
+def test_embed_precondition_messages_pinned(sl2, embed, error, rows, message):
+    """Each mode's closure failure and basis-row failure, message verbatim."""
+    with pytest.raises(error) as info:
+        embed(sl2, Subspace(sl2, [sl2.element(r) for r in rows]))
+    assert str(info.value) == message
 
 
 # --- compact torus embedding ------------------------------------------------------
@@ -162,6 +182,38 @@ def test_embed_abelian_nilpotent_monotone(wave15):
         result, trace = embed_abelian_nilpotent(wave15, start)
         assert result.contains_subspace(start)
         assert trace.replay() == result
+
+
+def _semidirect(blocks):
+    """x acting on the span of v_i by the block-diagonal matrix M, so that
+    [x, v_i] = M v_i; returns the algebra, x and the span of the v_i."""
+    m = _block_diag(blocks).entries
+    k = len(m)
+    brackets = {(0, i + 1): {j + 1: m[j][i] for j in range(k) if m[j][i]}
+                for i in range(k)}
+    L = LieAlgebra(k + 1, ["x"] + [f"v{i}" for i in range(k)], brackets)
+    return L, L.basis_vector(0), Subspace(L, [L.basis_vector(i + 1) for i in range(k)])
+
+
+@pytest.mark.parametrize("blocks,best", [
+    # 1, 2 and 1 +- sqrt 2: the largest positive real is a surd
+    ([[[1]], [[2]], [[0, 1], [1, 2]]], make_scalar(1, 1, 2)),
+    # 1, 2 and 5 +- i: complex eigenvalues are skipped, however large
+    ([[[1]], [[2]], [[0, -26], [1, 10]]], F(2)),
+    # -1 +- sqrt 2 and 3
+    ([[[0, 1], [1, -2]], [[3]]], F(3)),
+])
+def test_positive_real_eigenspace_takes_the_largest_positive_real(blocks, best):
+    L, x, space = _semidirect(blocks)
+    eig = _positive_real_eigenspace(L, x, space)
+    assert eig.dim == 1
+    v = eig.rows[0]
+    assert L.bracket(x, v) == tuple(best * c for c in v)
+
+
+def test_positive_real_eigenspace_none_without_positive_real():
+    L, x, space = _semidirect([[[-1]], [[0, -2], [1, 0]], [[0]]])  # -1, +-i sqrt 2, 0
+    assert _positive_real_eigenspace(L, x, space) is None
 
 
 def test_embed_abelian_nilpotent_rejects(wave15):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                eigenvalues, factor_roots, kernel,
                                linear_solver, make_scalar, min_poly,
                                poly_gcd, poly_lcm, rat, rational_roots,
-                               row_space_basis, rref, solve_linear,
+                               rref, solve_linear,
                                squarefree_split, symmetric_signature,
                                unit_vector)
 
@@ -318,8 +319,7 @@ def _flat(obj):
 def _rref_results(m, rng, solve):
     rhs_in = m.apply([F(rng.randint(-5, 5)) for _ in range(m.cols)])
     rhs_any = tuple(F(rng.randint(-3, 3)) for _ in range(m.rows))
-    return (rref(m), row_space_basis(m.entries, m.cols), kernel(m),
-            solve(m, rhs_in), solve(m, rhs_any))
+    return rref(m), kernel(m), solve(m, rhs_in), solve(m, rhs_any)
 
 
 @pytest.mark.parametrize("d", [0, -1, 2, -3, 5])
@@ -338,7 +338,6 @@ def test_rref_mixed_extensions_rejected():
     root2, root3 = make_scalar(0, 1, 2), make_scalar(1, 1, 3)
     m = Matrix([[root2, 0], [0, root3]])
     for call in (lambda: rref(m), lambda: kernel(m),
-                 lambda: row_space_basis(m.entries, 2),
                  lambda: solve_linear(m, (F(1), F(1)))):
         with pytest.raises(ExtensionDegreeTooHigh):
             call()
@@ -401,35 +400,6 @@ def test_linear_solver_mixed_extensions_rejected(d):
             call()
 
 
-def _counting_rref_rows(monkeypatch):
-    """Replace _rref_rows by a wrapper that records each input."""
-    calls = []
-    real = exactlin._rref_rows
-    monkeypatch.setattr(exactlin, "_rref_rows",
-                        lambda rows: calls.append(rows) or real(rows))
-    return calls
-
-
-def _bogus_surd(a, d):
-    """An ExactScalar with b = 0, which the constructor refuses."""
-    x = object.__new__(ExactScalar)
-    for name, value in (("a", a), ("b", F(0)), ("d", d)):
-        object.__setattr__(x, name, value)
-    return x
-
-
-def test_row_space_basis_of_rref_input_is_that_input():
-    r2 = make_scalar(F(1, 3), F(-2), 2)
-    cases = [
-        [unit_vector(4, i) for i in range(4)],
-        [(F(1), F(0), F(-7, 3), F(0)), (F(0), F(1), F(5), F(0))],
-        [(F(0), F(1), r2, F(0), F(2)), (F(0), F(0), F(0), F(1), -r2)],
-        kernel(Matrix([[F(1), F(2), F(3), F(4)], [F(2), F(-1), F(0), F(1, 5)]])),
-    ]
-    for rows in cases:
-        assert _same(row_space_basis(rows, len(rows[0])), tuple(rows))
-
-
 def _reference_kernel(m):
     """The null space as kernel built it on the Fraction RREF: e_f minus the
     pivot entries of each free column f, then row-reduced."""
@@ -455,33 +425,6 @@ def test_kernel_matches_fraction_reference(d):
     cases += [m.scale(F(0)) for m in cases[4:10]]
     for m in cases:
         assert _same(kernel(m), _reference_kernel(m)), m.entries
-
-
-def test_row_space_basis_near_misses_are_reduced(monkeypatch):
-    """Rows one step off canonical RREF go through elimination, and match
-    the reference on the same numbers with canonical entry types."""
-    r2 = make_scalar(0, 1, 2)
-    near_misses = {
-        "pivot 2": [(F(2), F(0), F(1)), (F(0), F(1), F(3))],
-        "nonzero above a pivot": [(F(1), F(4), F(1)), (F(0), F(1), F(3))],
-        "int 1 pivot": [(1, F(0), F(1)), (F(0), F(1), F(3))],
-        "int 0 entry": [(F(1), 0, F(1)), (F(0), F(1), F(3))],
-        "surd with b = 0": [(F(1), F(0), _bogus_surd(F(1, 2), 2)), (F(0), F(1), r2)],
-        "pivots out of order": [(F(0), F(1), F(3)), (F(1), F(0), F(1))],
-        "repeated pivot": [(F(1), F(0), F(1)), (F(1), F(0), F(2))],
-    }
-    canonical = {int: F, ExactScalar: lambda x: make_scalar(x.a, x.b, x.d), F: F}
-    calls = _counting_rref_rows(monkeypatch)
-    for label, rows in near_misses.items():
-        got = row_space_basis(rows, 3)
-        assert len(calls) == 1, label
-        calls.clear()
-        fixed = [[canonical[type(x)](x) for x in r] for r in rows]
-        reduced, pivots = _reference_rref_rows(fixed)
-        assert _same(got, tuple(tuple(r) for r in reduced[:len(pivots)])), label
-    # RREF-shaped rows in two quadratic fields are rejected as before
-    with pytest.raises(ExtensionDegreeTooHigh):
-        row_space_basis([(F(1), F(0), r2), (F(0), F(1), make_scalar(0, 1, 3))], 3)
 
 
 def test_rref_against_sympy():
@@ -670,6 +613,61 @@ def _min_poly_cases(seed, count):
 def test_min_poly_matches_fraction_reference():
     for m in _min_poly_cases(seed=20, count=40):
         assert min_poly(m) == _reference_min_poly(m), m.entries
+
+
+def _ref_krylov_annihilator(rows, start):
+    """Dense fraction-free elimination of the Krylov vectors with a separate
+    list of combination coefficients (the loop _krylov_annihilator ran
+    before it went through _combine), kept as the reference."""
+    n = len(rows)
+    echelon = []  # (pivot, row, combo)
+    power = [0] * n
+    power[start] = 1
+    while True:
+        work, combo = power, [0] * len(echelon) + [1]
+        for p, row, row_combo in echelon:
+            f = work[p]
+            if f:
+                g = row[p]
+                work = [g * x - f * y for x, y in zip(work, row)]
+                combo = [g * x - f * y for x, y in
+                         zip(combo, row_combo + [0] * (len(combo) - len(row_combo)))]
+                content = gcd(*work, *combo)
+                if content > 1:
+                    work = [x // content for x in work]
+                    combo = [x // content for x in combo]
+        pivot = next((j for j, x in enumerate(work) if x), None)
+        if pivot is None:
+            return combo
+        echelon.append((pivot, work, combo))
+        power = exactlin._int_apply(rows, power)
+
+
+def _int_rows(m):
+    """The sparse integer rows of D*m that min_poly hands the annihilator."""
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    return [[(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x]
+            for row in m.entries]
+
+
+def test_krylov_annihilator_matches_dense_reference(monkeypatch):
+    """The tagged _combine elimination gives the dense one's integer
+    coefficients, sign and content included, from every start vector of
+    the min_poly cases (zero, scalar, nilpotent, derogatory, random up to
+    20 bits) and of dense 20-bit matrices; min_poly is unchanged when it
+    runs on the reference."""
+    rng = random.Random(22)
+    dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
+             for n in (2, 5, 8, 8)]
+    cases = _min_poly_cases(seed=22, count=40) + dense
+    for m in cases:
+        rows = _int_rows(m)
+        for start in range(m.rows):
+            want = _ref_krylov_annihilator(rows, start)
+            assert exactlin._krylov_annihilator(rows, start) == want, (m.entries, start)
+    got = [min_poly(m) for m in cases]
+    monkeypatch.setattr(exactlin, "_krylov_annihilator", _ref_krylov_annihilator)
+    assert got == [min_poly(m) for m in cases]
 
 
 def test_min_poly_known_values():

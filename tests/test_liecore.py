@@ -12,8 +12,8 @@ from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
                              InvalidStructureConstants, NotASubalgebra,
                              NotATorus)
 from lieembed.exactlin import (Matrix, factor_roots, kernel, make_scalar,
-                               row_space_basis, solve_linear,
-                               symmetric_signature, unit_vector, vec_is_zero)
+                               solve_linear, symmetric_signature,
+                               unit_vector, vec_is_zero)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -49,6 +49,23 @@ def _rand_element(L, rng, support=3, lo=-2, hi=2):
 
 
 # --- brackets and ad ----------------------------------------------------------
+
+def test_from_json_component_keys_are_canonical_integers():
+    """A key that is not the decimal text of its index would alias another
+    key ("01", " 1", "+1" all read as 1) and is rejected; so are a decimal
+    fraction, a non-ASCII digit and a "c" that is not an object."""
+    def table(c):
+        return {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": c}]}
+
+    assert LieAlgebra.from_json(table({"1": "2"})).brackets == {(0, 1): {1: F(2)}}
+    for key in (" 1", "01", "+1", "-0", "1.5", "1 ", "\u0661", ""):
+        with pytest.raises(ValueError, match="canonical decimal integers"):
+            LieAlgebra.from_json(table({key: "1"}))
+    with pytest.raises(ValueError, match="must be an object, got list"):
+        LieAlgebra.from_json(table(["1"]))
+    with pytest.raises(InvalidStructureConstants, match="component index -1"):
+        LieAlgebra.from_json(table({"-1": "1"}))
+
 
 def test_bracket_wave_appendix_entry(wave15):
     e1, e2 = wave15.basis_vector("e1"), wave15.basis_vector("e2")
@@ -994,7 +1011,7 @@ def _ref_radical(obj):
             w = inner.bracket(unit_vector(k, i), unit_vector(k, j))
             if not vec_is_zero(w):
                 der_rows.append(w)
-    der = row_space_basis(der_rows, k)
+    der = _ref_basis(der_rows)
     if not der:
         return sub
     K = inner.killing_matrix()
