@@ -20,15 +20,15 @@ from typing import Optional, Sequence
 from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit, ParseError)
-from .exactlin import (Matrix, Vector, factor_roots, format_rat,
-                       is_complex_positive, min_poly, scalar_d, vec_is_zero)
+from .exactlin import (Vector, factor_roots, format_rat, is_complex_positive,
+                       scalar_d, vec_is_zero, _min_poly_ints, _scaled_vector)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
                       jordan_decomposition, levi_decomposition, normalizer,
                       center, spectrum, subalgebra_generated, torus_split)
-from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
-                      root_space_decomposition, simple_roots)
+from .rootsys import (RootSpaceDecomposition, _complete_sl2, _eigenspace,
+                      is_positive, root_space_decomposition, simple_roots)
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10_000
@@ -275,16 +275,14 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
                               ) -> Optional[Subspace]:
     """Eigenspace of ad(alpha) on ``space`` for its largest positive real
     eigenvalue, or None when no nonzero real eigenvalue exists."""
-    m = space.restrict(L.ad(alpha))
+    block = space.ad_block(L._ad_ints(_scaled_vector(alpha)))
     best = None
-    for lam, _ in factor_roots(min_poly(m)):
+    for lam, _ in factor_roots(_min_poly_ints(*block)):
         if scalar_d(lam) >= 0 and is_complex_positive(lam if best is None else lam - best):
             best = lam
     if best is None:
         return None
-    shifted = Matrix([[m.entries[i][j] - (best if i == j else 0)
-                       for j in range(m.cols)] for i in range(m.rows)])
-    return space.kernel_of(shifted)
+    return _eigenspace(space, block, best)
 
 
 def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,

@@ -22,11 +22,15 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+# the least limit an interpreter can set on int() of a decimal string, so
+# that every string rat accepts converts under any limit
+_MAX_DIGITS = 640
 
 
 def rat(x) -> Fraction:
     """Coerce an int, string like ``-3/4``, or Fraction to Fraction.  Other
-    string forms (``1e3000000`` takes seconds) raise ParseError."""
+    string forms (``1e3000000`` takes seconds) and a numerator or
+    denominator of more than ``_MAX_DIGITS`` digits raise ParseError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -34,6 +38,9 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         if not _RATIONAL_RE.fullmatch(x):
             raise ParseError(f"not a rational p/q: {x[:40]!r}")
+        if len(x) > _MAX_DIGITS and max(map(len, re.findall("[0-9]+", x))) > _MAX_DIGITS:
+            raise ParseError(f"more than {_MAX_DIGITS} digits in a rational p/q: "
+                             f"{x[:40]!r}...")
         return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
 
@@ -361,6 +368,17 @@ def _unscaled_vector(den: int, d: int, a: Iterable[tuple[int, int]],
         if x:
             out[k] = ExactScalar(out[k], Fraction(x, den), d)
     return tuple(out)
+
+
+def _slot_width(bound: int) -> int:
+    """Bits w per slot for packing a sparse integer row {l: c_l} into the
+    one int ``sum c_l * 2**(w*l)`` (Kronecker substitution; von zur Gathen
+    & Gerhard, *Modern Computer Algebra*, 8.4), where ``bound`` bounds
+    every slot of every packed sum in absolute value.  Then |c_l| <
+    2**(w-1), and such a sum is 0 exactly when every slot is."""
+    w = bound.bit_length() + 1
+    assert abs(bound) < 1 << (w - 1)
+    return w
 
 
 def _sub_multiple(dst: dict, f: int, src: dict) -> None:
@@ -855,23 +873,31 @@ def char_poly(m: Matrix) -> Poly:
 
 
 def min_poly(m: Matrix) -> Poly:
-    """Monic minimal polynomial of a rational square matrix.
-
-    Works on the integer matrix ``A = D*m``, with ``D`` the lcm of the
-    denominators, stored as sparse rows.  Each standard basis vector that
-    the polynomial found so far does not annihilate (integer Horner test)
-    contributes its Krylov annihilator, and the lcm of those is the minimal
-    polynomial of A; then ``mp_m(t) = mp_A(D*t) / (lead * D^k)``.  Raises
-    ValueError for a non-square matrix or one with extension scalars.
-    """
+    """Monic minimal polynomial of a rational square matrix (see
+    :func:`_min_poly_ints`).  Raises ValueError for a non-square matrix or
+    one with extension scalars."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     if not all(isinstance(x, Fraction) for row in m.entries for x in row):
         raise ValueError("min_poly needs a rational matrix")
-    n = m.rows
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    rows = [[(j, x.numerator * (scale // x.denominator))
-             for j, x in enumerate(row) if x] for row in m.entries]
+    return _min_poly_ints(*_scaled_rows(m.entries))
+
+
+def _min_poly_ints(scale: int, d: int, rows: list[_IntRow]) -> Poly:
+    """Monic minimal polynomial of the square matrix m with rows
+    ``(a_i + b_i*sqrt(d)) / scale``, as :func:`_scaled_rows` gives them.
+
+    Works on the integer matrix ``A = scale*m`` (the rows a_i).  Each
+    standard basis vector that the polynomial found so far does not
+    annihilate (integer Horner test) contributes its Krylov annihilator,
+    and the lcm of those is the minimal polynomial of A; then ``mp_m(t) =
+    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError when a surd
+    part b_i is nonzero.
+    """
+    if any(b for _, b in rows):
+        raise ValueError("min_poly needs a rational matrix")
+    n = len(rows)
+    rows = [list(a.items()) for a, _ in rows]
     result = Poly([1])
     ints = [1]  # primitive integer multiple of result
     for start in range(n):

@@ -15,12 +15,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
-                       factor_roots, format_rat, linear_solver, min_poly,
-                       poly_ext_gcd, poly_gcd, rat, scalar_d, scalar_parts,
-                       scalar_to_json, squarefree_part, symmetric_signature,
-                       unit_vector, _kernel_ints, _rref_ints,
-                       _same_d, _scaled_rows, _scaled_vector, _sub_multiple,
-                       _unscaled_vector)
+                       factor_roots, format_rat, linear_solver, poly_ext_gcd,
+                       poly_gcd, rat, scalar_d, scalar_parts, scalar_to_json,
+                       squarefree_part, symmetric_signature, unit_vector,
+                       _kernel_ints, _min_poly_ints, _rref_ints, _same_d,
+                       _scaled_rows, _scaled_vector, _slot_width,
+                       _sub_multiple, _unscaled_vector)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -48,8 +48,7 @@ class LieAlgebra:
     def __init__(self, dim: int, basis_names: Sequence[str],
                  brackets: Mapping[tuple[int, int], Mapping[int, Fraction]],
                  name: str = "", validate: bool = True):
-        if type(dim) is not int:
-            raise ValueError(f"dim must be an integer, got {dim!r}")
+        _check_dim(dim)
         if len(basis_names) != dim:
             raise ValueError("basis name count != dim")
         self.basis_names = names = tuple(basis_names)
@@ -216,21 +215,27 @@ class LieAlgebra:
         return self._table
 
     def _check_jacobi(self):
+        """The Jacobi sum of every basis triple, on packed table rows: with
+        P[a][m] the row D*[b_a, b_m] packed by :func:`_slot_width`,
+        D^2*[b_a, [b_j, b_k]] is the int ``sum_m v_m * P[a][m]`` over the
+        entries v_m of D*[b_j, b_k].  A slot of the three-term sum is at
+        most 3*n*max|c|^2 in absolute value, so the sum is 0 exactly when
+        the identity holds on the triple."""
         n = self.dim
         _, table = self.scaled_table()
+        top = max((abs(c) for ti in table for row in ti for c in row.values()), default=0)
+        w = _slot_width(3 * n * top * top)
+        packed = [[sum(c << w * l for l, c in row.items()) for row in ti] for ti in table]
         for i in range(n):
-            ti = table[i]
+            ti, pi = table[i], packed[i]
             for j in range(i + 1, n):
-                tj, tij = table[j], ti[j]
+                tj, pj, tij = table[j], packed[j], ti[j]
                 for k in range(j + 1, n):
-                    tk = table[k]
                     # [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]]
-                    total = [0] * n
-                    for inner, outer in ((tj[k], ti), (tk[i], tj), (tij, tk)):
-                        for m, v in inner.items():
-                            for l, w in outer[m].items():
-                                total[l] += v * w
-                    if any(total):
+                    pk = packed[k]
+                    if (sum(v * pi[m] for m, v in tj[k].items())
+                            + sum(v * pj[m] for m, v in table[k][i].items())
+                            + sum(v * pk[m] for m, v in tij.items())):
                         raise InvalidStructureConstants(
                             f"Jacobi identity fails on basis triple "
                             f"({self.basis_names[i]}, {self.basis_names[j]}, "
@@ -247,6 +252,8 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, obj, name: str = "") -> "LieAlgebra":
+        dim = _check_dim(obj["dim"])
+        width = len(str(dim))
         brackets = {}
         for entry in obj.get("brackets", []):
             pair = (entry["i"], entry["j"])
@@ -262,11 +269,25 @@ class LieAlgebra:
             if bad:
                 raise ValueError("bracket component keys must be canonical "
                                  f"decimal integers, got {bad[0]!r}")
+            # a key with more digits than dim is out of range, decided
+            # before int(), which a long key can take past the
+            # interpreter's limit on digits
+            long = [k for k in comp if len(k.removeprefix("-")) > width]
+            if long:
+                raise InvalidStructureConstants(
+                    f"bracket {pair} has component index {long[0][:20]}... "
+                    f"({len(long[0].removeprefix('-'))} digits) outside 0..{dim - 1}")
             brackets[pair] = {int(k): rat(c) for k, c in comp.items()}
-        return cls(obj["dim"], obj["basis"], brackets, name=name)
+        return cls(dim, obj["basis"], brackets, name=name)
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"
+
+
+def _check_dim(dim) -> int:
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    return dim
 
 
 def _canonical_int(key: str) -> bool:
@@ -484,25 +505,25 @@ class Subspace:
         return not any(w[2] or w[3] for i, x in enumerate(vecs) for y in vecs[i + 1:]
                        for w in [self.algebra._bracket_ints(x, y)])
 
-    def restrict(self, m: Matrix) -> Matrix:
-        """Matrix of an endomorphism that maps this subspace into itself,
-        in the basis rows (0 x 0 for the zero subspace).  The image of each
-        row is summed in ints over the columns of m, scaled to one
-        denominator."""
-        if not self.dim:
-            return Matrix([])
-        dm, d, mcols = _scaled_rows(list(zip(*m.entries)))
-        d = _same_d(d, self.d)
-        den, cols = self.den * dm, []
+    def ad_block(self, ad_cols: list[tuple[int, int, dict, dict]]
+                 ) -> tuple[int, int, list[tuple[dict, dict]]]:
+        """ad(x) on this subspace, in its basis rows, for the columns
+        ``ad_cols = L._ad_ints(x)``: (den, d, rows) with ``den * block =
+        a + b*sqrt(d)`` for the integer rows (a_t, b_t), block[t][i] the
+        coordinate t of [x, row_i] (no rows for the zero subspace).  Each
+        [x, row_i] is summed in ints over the columns.  Raises ValueError
+        when one leaves the subspace."""
+        dx, d = ad_cols[0][:2] if ad_cols else (1, 0)
+        d, den = _same_d(d, self.d), self.den * dx
+        cols, mcols = [], [c[2:] for c in ad_cols]
         for ra, rb in self.ints:
-            wa, wb = {}, {}  # den * m(row) = wa + wb*sqrt(d)
+            wa, wb = {}, {}  # den * [x, row] = wa + wb*sqrt(d)
             _add_combination(mcols, ra, rb, d, wa, wb)
             if not self._contains((den, d, wa, wb)):
                 raise ValueError("subspace is not invariant")
-            cols.append(_unscaled_vector(
-                den, d, [(i, wa.get(p, 0)) for i, p in enumerate(self.pivots)],
-                [(i, wb.get(p, 0)) for i, p in enumerate(self.pivots)], self.dim))
-        return Matrix.from_columns(cols)
+            cols.append(({i: wa[p] for i, p in enumerate(self.pivots) if p in wa},
+                         {i: wb[p] for i, p in enumerate(self.pivots) if p in wb}))
+        return den, d, _transpose(cols, self.dim)
 
     def as_subalgebra(self) -> LieAlgebra:
         """This subspace as an abstract algebra in its own RREF basis."""
@@ -870,10 +891,11 @@ def _semisimple_kind(roots) -> str:
 
 def spectrum(L: LieAlgebra, x: Vector) -> Spectrum:
     """Spectrum of ad(x), computed once per element and kept on L.  The
-    element must have rational coordinates (see :func:`min_poly`)."""
+    element must have rational coordinates (see :func:`_min_poly_ints`)."""
     s = L._spectra.get(x)
     if s is None:
-        s = L._spectra[x] = Spectrum(min_poly(L.ad(x)))
+        block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
+        s = L._spectra[x] = Spectrum(_min_poly_ints(*block))
     return s
 
 

@@ -4,14 +4,17 @@ Dynkin classification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
                        factor_roots, format_rat, is_complex_positive,
-                       min_poly, scalar_d, scalar_sort_key, scalar_to_json,
-                       solve_linear, vec_is_zero)
+                       scalar_d, scalar_parts, scalar_sort_key,
+                       scalar_to_json, solve_linear, vec_is_zero,
+                       _min_poly_ints, _same_d, _scaled_vector,
+                       _sub_multiple)
 from .liecore import LieAlgebra, Subspace, spectrum
 
 
@@ -94,6 +97,11 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     of the minimal polynomial of ad(h) on the ambient.  Weights come sorted
     within each space, spaces in order.
 
+    Each ad(h) is read once, as the integer columns of
+    :meth:`LieAlgebra._ad_ints`, and each space's block of it
+    (:meth:`Subspace.ad_block`) gives the space's eigenspaces as kernels of
+    integer rows.
+
     Returns a list of (eigenvalue tuple, Subspace); raises NotATorus if the
     ambient is not invariant or the action is not diagonalizable over the
     scalar tower, and ExtensionDegreeTooHigh if the weights need two
@@ -102,17 +110,17 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     spaces: list[tuple[tuple, Subspace]] = [
         ((), Subspace.full(L) if ambient is None else ambient)]
     seen_d = set()
-    for step, h in enumerate(basis):
-        ad_h = L.ad(h)
+    for h in basis:
+        cols = L._ad_ints(_scaled_vector(h))
         try:
             if ambient is None:
-                blocks = [ad_h]
                 roots = spectrum(L, h).roots
             else:
-                blocks = [ambient.restrict(ad_h)]
-                roots = factor_roots(min_poly(blocks[0]))
-            if step:
-                blocks = [space.restrict(ad_h) for _, space in spaces]
+                whole = ambient.ad_block(cols)
+                roots = factor_roots(_min_poly_ints(*whole))
+            # the first step's one space is the ambient, whose block is whole
+            blocks = [whole if space is ambient else space.ad_block(cols)
+                      for _, space in spaces]
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
         lams = [lam for lam, _mult in roots]
@@ -121,18 +129,34 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
             raise ExtensionDegreeTooHigh(
                 "torus weights span two quadratic extensions")
         refined = []
-        for (weight, space), m in zip(spaces, blocks):
+        for (weight, space), block in zip(spaces, blocks):
             for lam in lams:
-                shifted = Matrix([[x - lam if i == j else x
-                                   for j, x in enumerate(row)]
-                                  for i, row in enumerate(m.entries)])
-                eigen = space.kernel_of(shifted)
+                eigen = _eigenspace(space, block, lam)
                 if eigen.dim:
                     refined.append((weight + (lam,), eigen))
         if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
             raise NotATorus("action is not diagonalizable over the tower")
         spaces = refined
     return spaces
+
+
+def _eigenspace(space: Subspace, block: tuple, lam: Scalar) -> Subspace:
+    """The members of ``space`` that the block (den, d, rows) of
+    :meth:`Subspace.ad_block` scales by lam: the kernel of ``q*den*(block
+    - lam)``, q the denominator of lam, as integer rows over Z[sqrt d]."""
+    den, d, rows = block
+    la, lb, e = scalar_parts(lam)
+    q = lcm(la.denominator, lb.denominator)
+    fa, fb = (den * x.numerator * (q // x.denominator) for x in (la, lb))
+    eqs = []
+    for i, (a, b) in enumerate(rows):
+        a, b = {k: q * x for k, x in a.items()}, {k: q * x for k, x in b.items()}
+        if fa:
+            _sub_multiple(a, fa, {i: 1})
+        if fb:
+            _sub_multiple(b, fb, {i: 1})
+        eqs.append((a, b))
+    return space._kernel_span(_same_d(d, e), eqs)
 
 
 def root_space_decomposition(L: LieAlgebra, cartan,

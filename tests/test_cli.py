@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,39 @@ def test_component_index_out_of_range_exit_3(run, tmp_path):
     assert code == 3
     assert "component index 5" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit", [None, "0", "640"])
+def test_over_long_key_and_coefficient(tmp_path, limit):
+    """A component key with more digits than dim is an out-of-range index
+    (exit 3), and a coefficient with more than 640 digits in its numerator
+    or denominator a parse error that names the limit (exit 2), whatever
+    the interpreter's limit on converting decimal strings to int."""
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    cases = [({"1" + "0" * 5000: "1"}, 3, "component index 10000000000000000000... "
+              "(5001 digits) outside 0..1"),
+             ({"-" + "9" * 5000: "1"}, 3, "component index -9999999999999999999... "
+              "(5000 digits) outside 0..1"),
+             ({"1": "1" * 5000}, 2, "more than 640 digits in a rational p/q"),
+             ({"1": "1/" + "3" * 641}, 2, "more than 640 digits in a rational p/q")]
+    for comp, code, message in cases:
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
+                                    "brackets": [{"i": 0, "j": 1, "c": comp}]}))
+        proc = subprocess.run([sys.executable, "-m", "lieembed", "analyze", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert len(proc.stderr) < 200
+    # 640 digits parse under every limit
+    path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": [
+        {"i": 0, "j": 1, "c": {"1": "1/" + "3" * 640}}]}))
+    proc = subprocess.run([sys.executable, "-m", "lieembed", "analyze", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["radical_dim"] == 2
 
 
 def test_extension_too_high_exit_4(run, tmp_path):

@@ -13,7 +13,8 @@ from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
                              NotATorus)
 from lieembed.exactlin import (Matrix, factor_roots, kernel, make_scalar,
                                solve_linear, symmetric_signature,
-                               unit_vector, vec_is_zero)
+                               unit_vector, vec_is_zero, _scaled_vector,
+                               _unscaled_vector)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -409,7 +410,7 @@ def test_classify_same_with_cold_and_warm_spectrum_cache(wave15, monkeypatch):
             MIXED_SEMISIMPLE} <= set(cold)
     assert sum(o.startswith("raises") for o in cold) >= 5
     analysed = []
-    monkeypatch.setattr(liecore, "min_poly", analysed.append)
+    monkeypatch.setattr(liecore, "_min_poly_ints", lambda *block: analysed.append(block))
     assert [outcome(x) for x in elements] == cold
     assert analysed == []
 
@@ -570,6 +571,116 @@ def test_jacobi_check_matches_fraction_reference():
     assert failures >= 12
 
 
+def _jacobi_sums(L):
+    """(i, j, k, slots) for every basis triple i < j < k, the slots of the
+    Jacobi sum on the scaled table by the dict loop of
+    LieAlgebra._check_jacobi before it packed the table rows into ints."""
+    n, (_, table) = L.dim, L.scaled_table()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [0] * n
+                for inner, outer in ((table[j][k], table[i]), (table[k][i], table[j]),
+                                     (table[i][j], table[k])):
+                    for m, v in inner.items():
+                        for l, w in outer[m].items():
+                            total[l] += v * w
+                yield i, j, k, total
+
+
+def _ref_check_jacobi(L):
+    """The dict-loop check, kept as the reference: the message for the
+    first failing basis triple, or None."""
+    for i, j, k, total in _jacobi_sums(L):
+        if any(total):
+            return (f"Jacobi identity fails on basis triple ({L.basis_names[i]}, "
+                    f"{L.basis_names[j]}, {L.basis_names[k]})")
+    return None
+
+
+def _packed_verdict(n, table):
+    """(packed verdict, dict-loop verdict) of one table: None or the
+    message for the first failing triple."""
+    L = LieAlgebra(n, [f"f{a}" for a in range(n)], table, validate=False)
+    try:
+        L._check_jacobi()
+        got = None
+    except InvalidStructureConstants as exc:
+        got = str(exc)
+    return got, _ref_check_jacobi(L)
+
+
+_REBASED_TABLES: list = []
+
+
+def _rebased_tables(wave15, g2):
+    """(dim, table) of wave15, g2, so(2,2), so(1,3) and so(4,0) in a dense
+    random basis; built once."""
+    if not _REBASED_TABLES:
+        from lieembed.vecfield import so_pq_generators
+        rng = random.Random(7400)
+        for L in (wave15, g2, *(so_pq_generators(p, q) for p, q in ((2, 2), (1, 3), (4, 0)))):
+            _REBASED_TABLES.append((L.dim, _dense_rebased(L, rng)))
+    return _REBASED_TABLES
+
+
+@given(st.data())
+@settings(max_examples=max(settings.default.max_examples // 4, 10), deadline=None)
+def test_packed_jacobi_matches_dict_loop(wave15, g2, data):
+    """The packed Jacobi check against the dict loop: the same verdict and
+    the same first failing triple, on rebased catalog tables as they are
+    or with one coefficient corrupted, and on random tables whose every entry is
+    +-max|c|, which puts the slots near the width bound."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    n, table = data.draw(st.sampled_from(_rebased_tables(wave15, g2)), label="table")
+    table = dict(table)
+    if data.draw(st.booleans(), label="corrupt"):
+        pair = rng.choice([(a, b) for a in range(n) for b in range(a + 1, n)])
+        k = rng.randrange(n)
+        comp = dict(table.get(pair, {}))
+        comp[k] = comp.get(k, F(0)) + F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+        table[pair] = comp
+    got, want = _packed_verdict(n, table)
+    assert got == want
+    n = data.draw(st.integers(3, 8), label="n")
+    top = F(data.draw(st.integers(1, 2 ** 64), label="max|c|"), data.draw(st.integers(1, 7)))
+    signs = data.draw(st.sampled_from(["random", "+", "-"]), label="signs")
+    table = {(a, b): {c: top * (rng.choice((-1, 1)) if signs == "random" else
+                                1 if signs == "+" else -1) for c in range(n)}
+             for a in range(n) for b in range(a + 1, n)}
+    got, want = _packed_verdict(n, table)
+    assert got == want
+
+
+def test_packed_jacobi_width_covers_the_slot_bound(wave15, g2, monkeypatch):
+    """_check_jacobi sizes its slots from 3*n*max|c|^2, the width holds
+    that bound, and no Jacobi sum of the test tables exceeds it."""
+    import lieembed.liecore as liecore
+    from lieembed.exactlin import _slot_width
+    for bound in (0, 1, 2, 3, 2 ** 64 - 1, 2 ** 64, 3 * 15 * (2 ** 17) ** 2):
+        assert bound < 1 << (_slot_width(bound) - 1)
+    widths = []
+    monkeypatch.setattr(liecore, "_slot_width",
+                        lambda bound: widths.append(bound) or _slot_width(bound))
+    rng = random.Random(7401)
+    tables = list(_rebased_tables(wave15, g2))
+    for n in (3, 5, 8):  # every entry +-c, and every entry c
+        for signs in ((-1, 1), (1,)):
+            tables.append((n, {(a, b): {k: F(9) * rng.choice(signs) for k in range(n)}
+                               for a in range(n) for b in range(a + 1, n)}))
+    for n, table in tables:
+        L = LieAlgebra(n, [f"f{a}" for a in range(n)], table, validate=False)
+        widths.clear()
+        try:
+            L._check_jacobi()
+        except InvalidStructureConstants:
+            pass
+        _, scaled = L.scaled_table()
+        top = max(abs(c) for row in scaled for comp in row for c in comp.values())
+        assert widths == [3 * n * top * top]
+        assert max(abs(x) for *_, total in _jacobi_sums(L) for x in total) <= widths[0]
+
+
 def _trace(m):
     return sum((m[i, i] for i in range(m.rows)), F(0))
 
@@ -679,8 +790,10 @@ def test_restricted_killing_signature_over_a_quadratic_field(so4):
 
 # --- the integer kernel against the Fraction loops it replaced ----------------
 # Reference copies of the Fraction loops of LieAlgebra.bracket/ad and
-# Subspace.reduce/coords_of/from_coords/restrict before they ran on the
-# integer table; outputs must agree in value and in entry type.
+# Subspace.reduce/coords_of/from_coords and of Subspace.restrict (the
+# Fraction matrix of an endomorphism on the subspace, which ad_block
+# replaced) before they ran on the integer table; outputs must agree in
+# value and in entry type.
 
 def _ref_bracket(L, x, y):
     def basis_bracket(i, j):
@@ -745,6 +858,20 @@ def _ref_restrict(S, m):
     return Matrix.from_columns(cols)
 
 
+def _block_key(block):
+    """The entries of a (den, d, rows) block as Fraction (or ExactScalar)
+    rows: equal matrices give equal keys whatever their scale."""
+    den, d, rows = block
+    return tuple(_unscaled_vector(den, d, a.items(), b.items(), len(rows)) for a, b in rows)
+
+
+def _ad_on(S, x):
+    """The block of ad(x) on S (:meth:`Subspace.ad_block`) as the Fraction
+    (or ExactScalar) matrix that ``_ref_restrict(S, L.ad(x))`` gives."""
+    den, d, rows = S.ad_block(S.algebra._ad_ints(_scaled_vector(x)))
+    return Matrix([_unscaled_vector(den, d, a.items(), b.items(), S.dim) for a, b in rows])
+
+
 def _typed(v):
     """Entries with their types, so that 1/2 and an ExactScalar differ."""
     if v is None:
@@ -787,7 +914,7 @@ def _kernel_algebras(wave15, g2):
 
 @pytest.mark.parametrize("d", [0, -1, 2])
 def test_integer_kernel_matches_fraction_reference(wave15, g2, d):
-    """bracket, ad, reduce, coords_of, from_coords and restrict against the
+    """bracket, ad, reduce, coords_of and from_coords against the
     Fraction loops: rational vectors of 1-40 bits with mixed denominators
     (d = 0) or vectors over Q(sqrt d), zero vectors, members and
     non-members of random subspaces."""
@@ -838,11 +965,10 @@ def test_restrict_matches_fraction_reference(wave15, g2, so4):
     for _root, space in rsd.pairs:
         cases.append((so4, space, so4.basis_vector("e1")))
     for L, S, x in cases:
-        m = L.ad(x)
-        assert _typed(S.restrict(m)) == _typed(_ref_restrict(S, m))
+        assert _typed(_ad_on(S, x)) == _typed(_ref_restrict(S, L.ad(x)))
     outside = span(so4, so4.basis_vector("e2"))
     with pytest.raises(ValueError, match="not invariant"):
-        outside.restrict(so4.ad(so4.basis_vector("e1")))
+        _ad_on(outside, so4.basis_vector("e1"))
 
 
 def test_bracket_rejects_two_extensions(so4):
@@ -925,7 +1051,7 @@ def _same_outcome(got, want):
 def test_subspace_state_matches_fraction_loops(wave15, g2, data):
     """Random spanning sets with duplicate, dependent and zero vectors in
     shuffled order, over Q, Q(sqrt 2) and Q(i) with 20-bit numerators:
-    rows, reduce, contains, coords_of, from_coords, restrict,
+    rows, reduce, contains, coords_of, from_coords, ad_block,
     derived_algebra and as_subalgebra agree with the Fraction loops in
     value and entry type, and equal spans give equal, equally hashed
     subspaces."""
@@ -975,12 +1101,12 @@ def test_subspace_state_matches_fraction_loops(wave15, g2, data):
     closed = [centralizer(L, Subspace(L, [x])), normalizer(L, Subspace(L, [x]))]
     assert closed[0].contains(x) and closed[1].contains_subspace(closed[0])
     for A in [S] + closed:
-        m = L.ad(A.rows[0] if A.dim else x)
+        y = A.rows[0] if A.dim else x
         if A.dim == 0:  # the reference has no 0 x 0 matrix
-            assert A.restrict(m) == Matrix([])
+            assert _ad_on(A, y) == Matrix([])
         else:
-            assert _same_outcome(lambda: _typed(A.restrict(m)),
-                                 lambda: _typed(_ref_restrict(A, m)))
+            assert _same_outcome(lambda: _typed(_ad_on(A, y)),
+                                 lambda: _typed(_ref_restrict(A, L.ad(y))))
         assert _same_outcome(lambda: [_typed(r) for r in derived_algebra(A).rows],
                              lambda: [_typed(r) for r in _ref_derived(A)])
         assert _same_outcome(lambda: A.as_subalgebra().brackets, lambda: _ref_structure(A))

@@ -114,27 +114,40 @@ def test_analyze_of_a_semisimple_algebra_takes_no_kernel(name, monkeypatch):
     assert L.killing_data() is L.killing_data()  # eliminated once, kept
 
 
-# _scaled_vector calls of the nilpotent embed below: 758 are the Fraction
-# rows of the ad matrices handed to restrict and kernel_of in rootsys (with
-# Fraction tuples as subspace state the same request made 3,922); 19 are
-# linear_solver scaling its input, the 15 columns of the ad map and 4 Jordan
-# parts pulled back through it
-SCALED_VECTOR_CALLS = 777
+# _scaled_vector calls of the nilpotent embed below, by caller: 42 weight
+# rows in torus_split's kernel_of, 26 Killing-matrix rows (radical and
+# symmetric_signature), 30 for the ad map (15 ad columns, 15 solver
+# columns), 8 for the 4 Jordan parts pulled back through it, 6 spanning
+# vectors, and 14 elements whose ad columns spectrum, rootsys and embed read.
+# With Fraction ad matrices handed to restrict and kernel_of the request
+# made 777 calls, and with Fraction tuples as subspace state 3,922
+SCALED_VECTOR_CALLS = 126
 
 
 def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):
     """Subspaces keep scaled integer rows, so a nilpotent embed of wave15
     turns few Fraction tuples into ints; the count is pinned so that a
-    round trip through Fraction cannot come back unnoticed."""
+    round trip through Fraction cannot come back unnoticed.  Every
+    lieembed module that binds _scaled_vector is patched, so a by-name
+    import cannot hide calls."""
+    import importlib
+    import pkgutil
+    import lieembed
     import lieembed.exactlin as exactlin
-    import lieembed.liecore as liecore
     from lieembed.liecore import LieAlgebra
     # built before counting: algebra_by_name keeps the catalog algebras
     L = LieAlgebra.from_json(algebra_by_name("wave15").to_json(), name="wave15")
     calls = []
     real = exactlin._scaled_vector
-    for module in (exactlin, liecore):
-        monkeypatch.setattr(module, "_scaled_vector", lambda v: calls.append(v) or real(v))
+    patched = set()
+    for info in pkgutil.iter_modules(lieembed.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"lieembed.{info.name}")
+        if hasattr(module, "_scaled_vector"):
+            monkeypatch.setattr(module, "_scaled_vector", lambda v: calls.append(v) or real(v))
+            patched.add(info.name)
+    assert {"exactlin", "liecore", "rootsys", "embed"} <= patched
     vectors = parse_subspace_spec(L, "e8,e10,e11,e12")
     payload, _ = ops.embed(L, "nilpotent", vectors)
     assert payload["maximal"] and len(calls) == SCALED_VECTOR_CALLS

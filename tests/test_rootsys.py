@@ -7,15 +7,17 @@ import pytest
 
 from lieembed.errors import (ExtensionDegreeTooHigh, NotATorus,
                              UnrecognizedBondPattern, UnrecognizedDiagram)
-from lieembed.exactlin import (Matrix, eigenvalues, kernel, make_scalar,
-                               scalar_d, solve_linear, vec_is_zero)
+from lieembed.exactlin import (Matrix, eigenvalues, factor_roots,
+                               is_complex_positive, kernel, make_scalar,
+                               min_poly, scalar_d, solve_linear, vec_is_zero,
+                               _scaled_vector)
 from lieembed.liecore import LieAlgebra, Subspace, normalizer, torus_split
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
                               sl2_triple)
-from test_liecore import (_dense_basis, _table_in_basis, _typed, vec_add,
-                          vec_scale, vec_sub)
+from test_liecore import (_dense_basis, _ref_restrict, _table_in_basis, _typed,
+                          vec_add, vec_scale, vec_sub)
 
 I = make_scalar(0, 1, -1)
 MI = make_scalar(0, -1, -1)
@@ -334,7 +336,7 @@ def test_compact_cartan_eigenvalues_in_sqrt_minus_two(g2):
     J1 = vec_add(X("X5"), X("X10"))
     J2 = vec_sub(X("X4"), X("X11"))
     K = subalgebra_generated(g2, [J1, J2])
-    ev = eigenvalues(K.restrict(g2.ad(J1)))
+    ev = eigenvalues(_ref_restrict(K, g2.ad(J1)))
     ds = {scalar_d(lam) for lam, _ in ev if scalar_d(lam)}
     assert ds == {-2}
 
@@ -374,7 +376,7 @@ def _ref_joint_eigenspaces(L, basis, ambient=None):
     seen_d = {0}
     for h in basis:
         try:
-            restricted = ambient.restrict(L.ad(h))
+            restricted = _ref_restrict(ambient, L.ad(h))
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
         eigens = []
@@ -408,13 +410,18 @@ def _typed_spaces(spaces):
 
 def _joint_cases(wave15, g2):
     """(label, algebra, torus basis, ambient or None)."""
-    from lieembed.liecore import subalgebra_generated
+    from lieembed.liecore import centralizer, subalgebra_generated
     from lieembed.vecfield import so_pq_generators
     E, X = wave15.basis_vector, g2.basis_vector
     ut = span(wave15, E("e8"), E("e10"), E("e11"), E("e12"),
               vec_sub(E("e4"), E("e15")), vec_sub(E("e6"), E("e13")))
     g2_ut = span(g2, *(X(b) for b in ("X5", "X14", "X13", "X12", "X11", "X9")))
     j1 = vec_add(X("X5"), X("X10"))
+    # X_a + c*X_-a for a root a of the split Cartan, and the Cartan elements
+    # that a vanishes on: weights in Q(sqrt 2)
+    wave_r2 = [wave15.element({"e1": -1, "e8": 1, "e9": F(-1, 2), "e10": 1}),
+               vec_sub(E("e7m16"), E("e2"))]
+    g2_r2 = [vec_sub(X("X14"), X("X1")), X("X8")]
     cases = [
         ("wave15", wave15, [E("e7m16"), E("e2"), E("e14")], None),
         ("wave15 normalizer(ut)", wave15, [E("e7m16"), E("e2")],
@@ -425,6 +432,10 @@ def _joint_cases(wave15, g2):
         ("g2 compact, Q(sqrt -2)", g2, [j1], None),
         ("g2 compact on K", g2, [j1],
          subalgebra_generated(g2, [j1, vec_sub(X("X4"), X("X11"))])),
+        ("wave15 Q(sqrt 2)", wave15, wave_r2, None),
+        ("wave15 Q(sqrt 2) on a centralizer", wave15, wave_r2,
+         centralizer(wave15, span(wave15, E("e14")))),
+        ("g2 Q(sqrt 2)", g2, g2_r2, None),
     ]
     # dense rebased tables; the tori are given in the original basis, and
     # the mixed one of so(2,2) is a compact and a real element
@@ -433,8 +444,11 @@ def _joint_cases(wave15, g2):
                  ("compact, Q(sqrt -1)", [{"e1": 1}, {"e6": 1}]),
                  ("mixed", [{"e1": 1, "e6": 1},
                             {"e1": 1, "e2": 1, "e3": 1, "e4": -1, "e5": 1, "e6": -1}]),
-                 ("mixed element", [{"e1": 2, "e2": 1, "e3": 1, "e4": -1, "e5": 1}])],
-        (1, 3): [("mixed", [{"e1": 1}, {"e6": 1}]), ("real", [{"e2": 1}])],
+                 ("mixed element", [{"e1": 2, "e2": 1, "e3": 1, "e4": -1, "e5": 1}]),
+                 ("real, Q(sqrt 2)", [{"e1": -1, "e3": 3, "e4": -3, "e6": 1},
+                                      {"e2": 1, "e5": -1}])],
+        (1, 3): [("mixed", [{"e1": 1}, {"e6": 1}]), ("real", [{"e2": 1}]),
+                 ("real, Q(sqrt 2)", [{"e1": 1, "e2": 1}])],
         (4, 0): [("compact, Q(sqrt -1)", [{"e1": 1}, {"e6": 1}]),
                  ("compact element", [{"e3": 2, "e4": 1}])],
     }
@@ -462,7 +476,118 @@ def test_joint_eigenspaces_match_intersection_reference(wave15, g2):
         assert sum(s.dim for _, s in got) == (L.dim if ambient is None
                                                else ambient.dim), label
         kinds.update(scalar_d(w) for weight, _ in got for w in weight)
-    assert kinds == {0, -1, -2}  # rational and both imaginary fields
+    assert kinds == {0, 2, -1, -2}  # rational, real and both imaginary fields
+
+
+# --- integer ad blocks against the Fraction restriction they replaced ----------
+# Reference copies of joint_eigenspaces and embed._positive_real_eigenspace
+# as they ran on Fraction matrices: ad(h) restricted to each space by
+# _ref_restrict, eigenvalues from min_poly, and each eigenspace the kernel_of
+# of the shifted Fraction block.
+
+def _ref_block(space, m):
+    return _ref_restrict(space, m) if space.dim else Matrix([])
+
+
+def _ref_eigenspace(space, m, lam):
+    shifted = Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(m.entries)])
+    return space.kernel_of(shifted)
+
+
+def _ref_restricted_eigenspaces(L, basis, ambient=None):
+    spaces = [((), Subspace.full(L) if ambient is None else ambient)]
+    seen_d = set()
+    for h in basis:
+        ad_h = L.ad(h)
+        try:
+            if ambient is None:
+                roots = factor_roots(min_poly(ad_h), single_extension=False)
+            else:
+                roots = factor_roots(min_poly(_ref_block(ambient, ad_h)))
+            blocks = [_ref_block(space, ad_h) for _, space in spaces]
+        except ValueError:
+            raise NotATorus("ambient space is not invariant under the torus")
+        lams = [lam for lam, _mult in roots]
+        seen_d.update(scalar_d(lam) for lam in lams if scalar_d(lam))
+        if len(seen_d) > 1:
+            raise ExtensionDegreeTooHigh("torus weights span two quadratic extensions")
+        refined = []
+        for (weight, space), m in zip(spaces, blocks):
+            for lam in lams:
+                eigen = _ref_eigenspace(space, m, lam)
+                if eigen.dim:
+                    refined.append((weight + (lam,), eigen))
+        if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
+            raise NotATorus("action is not diagonalizable over the tower")
+        spaces = refined
+    return spaces
+
+
+def _ref_positive_real_eigenspace(L, alpha, space):
+    m = _ref_restrict(space, L.ad(alpha))
+    best = None
+    for lam, _ in factor_roots(min_poly(m)):
+        if scalar_d(lam) >= 0 and is_complex_positive(lam if best is None else lam - best):
+            best = lam
+    return None if best is None else _ref_eigenspace(space, m, best)
+
+
+def test_integer_blocks_match_fraction_restriction(wave15, g2, monkeypatch):
+    """joint_eigenspaces with and without an ambient, torus_split and
+    _positive_real_eigenspace against the Fraction restriction, with
+    weights in Q, Q(sqrt 2), Q(i) and Q(sqrt -2): weight values and entry
+    types, and every space."""
+    import lieembed.rootsys as rootsys
+    from lieembed.embed import _positive_real_eigenspace
+    kinds = set()
+    for label, L, basis, ambient in _joint_cases(wave15, g2):
+        got = joint_eigenspaces(L, basis, ambient)
+        assert _typed_spaces(got) == _typed_spaces(
+            _ref_restricted_eigenspaces(L, basis, ambient)), label
+        kinds.update(scalar_d(w) for weight, _ in got for w in weight)
+        space = Subspace.full(L) if ambient is None else ambient
+        for alpha in basis:
+            assert (_positive_real_eigenspace(L, alpha, space)
+                    == _ref_positive_real_eigenspace(L, alpha, space)), label
+        torus = Subspace(L, basis)
+        got = torus_split(L, torus)
+        with monkeypatch.context() as patch:
+            patch.setattr(rootsys, "joint_eigenspaces", _ref_restricted_eigenspaces)
+            assert got == torus_split(L, torus), label
+    assert kinds == {0, 2, -1, -2}
+
+
+def test_surd_and_non_invariant_inputs_raise_as_before(so22, so4):
+    """A torus basis element with surd coordinates, in the first or a later
+    position, with or without an ambient, and an ambient the torus does
+    not preserve: the same error and message as the Fraction restriction."""
+    from lieembed.embed import _positive_real_eigenspace
+    r2, r3 = make_scalar(0, 1, 2), make_scalar(0, 1, 3)
+    E, R = so22.basis_vector, so4.basis_vector
+    full = Subspace.full(so22)
+    cases = [(so22, [vec_scale(r2, E("e2"))], None),
+             (so22, [E("e2"), vec_scale(r2, E("e5"))], None),
+             (so22, [vec_scale(r2, E("e2"))], full),
+             (so22, [E("e2"), vec_scale(I, E("e5"))], full),
+             (so22, [E("e2"), tuple(r3 if k == 1 else r2 if k == 4 else F(0)
+                                    for k in range(6))], None),
+             (so4, [R("e1"), vec_scale(r3, R("e6"))], None),
+             (so4, [R("e1"), vec_scale(I, R("e6"))], Subspace.full(so4)),
+             (so22, [E("e1")], span(so22, E("e2"))),
+             (so22, [E("e2"), E("e1")], span(so22, E("e2"), E("e5")))]
+    for L, basis, ambient in cases:
+        outcomes = []
+        for fn in (joint_eigenspaces, _ref_restricted_eigenspaces):
+            with pytest.raises((NotATorus, ExtensionDegreeTooHigh)) as info:
+                fn(L, basis, ambient)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1], basis
+    for alpha, space, match in ((vec_scale(r2, E("e2")), full, "rational matrix"),
+                                (E("e1"), span(so22, E("e2")), "not invariant")):
+        for fn in (_positive_real_eigenspace, _ref_positive_real_eigenspace):
+            with pytest.raises(ValueError, match=match):
+                fn(so22, alpha, space)
 
 
 def test_mixed_torus_splits_into_real_and_compact(so22):
@@ -479,7 +604,7 @@ def test_joint_eigenspaces_rejections_match_reference(so22, wave15):
     E = so22.basis_vector
     not_invariant = span(so22, E("e2"))
     nilpotent = wave15.basis_vector("e8")
-    for fn in (joint_eigenspaces, _ref_joint_eigenspaces):
+    for fn in (joint_eigenspaces, _ref_joint_eigenspaces, _ref_restricted_eigenspaces):
         with pytest.raises(NotATorus, match="not invariant"):
             fn(so22, [E("e1")], not_invariant)
         with pytest.raises(NotATorus, match="not diagonalizable"):
@@ -494,7 +619,7 @@ def test_joint_eigenspaces_rejections_match_reference(so22, wave15):
     u = [F(1), F(0), F(-1), F(0), F(0), F(0)]
     v = [F(0), F(0), F(0), F(1), F(0), F(2)]
     for basis in ([tuple(u), tuple(v)], [tuple(vec_add(u, v))]):
-        for fn in (joint_eigenspaces, _ref_joint_eigenspaces):
+        for fn in (joint_eigenspaces, _ref_joint_eigenspaces, _ref_restricted_eigenspaces):
             with pytest.raises(ExtensionDegreeTooHigh):
                 fn(L, basis)
         with pytest.raises(ExtensionDegreeTooHigh):
@@ -509,7 +634,7 @@ def test_zero_ambient_gives_empty_decomposition(so22):
     E = so22.basis_vector
     basis = [E("e1"), E("e6")]
     zero = Subspace.zero(so22)
-    assert zero.restrict(so22.ad(E("e1"))) == Matrix([])
+    assert zero.ad_block(so22._ad_ints(_scaled_vector(E("e1"))))[2] == []
     rsd = restricted_roots(zero, basis)
     assert rsd.pairs == () and rsd.zero_space.dim == 0
     assert repr(rsd.zero_space) == "<>"
@@ -525,9 +650,9 @@ def test_joint_eigenspaces_read_the_cached_spectra(wave15, monkeypatch):
     basis = [E("e7m16"), E("e2"), E("e14")]
     analysed = []
     for module in (liecore, rootsys):
-        real = module.min_poly
-        monkeypatch.setattr(module, "min_poly",
-                            lambda m, real=real: analysed.append(m) or real(m))
+        real = module._min_poly_ints
+        monkeypatch.setattr(module, "_min_poly_ints", lambda *block, real=real:
+                            analysed.append(block) or real(*block))
     # the semisimplicity checks compute one spectrum per element; the
     # whole-algebra eigenspaces read those
     root_space_decomposition(L, basis)
