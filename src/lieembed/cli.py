@@ -25,6 +25,7 @@ from . import corpus as corpus_mod
 from . import ops
 from .embed import DEFAULT_BUDGET
 from .errors import InvalidStructureConstants, LieEmbedError, ParseError
+from .exactlin import rat
 from .liecore import LieAlgebra
 from .vecfield import algebra_by_name
 
@@ -44,11 +45,9 @@ def parse_combination(text: str, names=None) -> dict:
             raise ParseError(f"cannot parse element term at {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         try:
-            coef = Fraction(m.group("coef") or 1)
+            coef = rat(m.group("coef") or 1)
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {m.group('coef')!r}") from None
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError(f"bad coefficient: {exc}") from None
+            raise ParseError(f"zero denominator in {m.group('coef')[:40]!r}") from None
         name = m.group("name")
         if names is not None and name not in names:
             raise ParseError(f"unknown basis name {name!r}")

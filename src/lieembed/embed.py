@@ -21,14 +21,14 @@ from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit, ParseError)
 from .exactlin import (Vector, factor_roots, format_rat, is_complex_positive,
-                       scalar_d, vec_is_zero, _min_poly_ints, _scaled_vector)
+                       min_poly, scalar_d, vec_is_zero, _scaled_vector)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
                       jordan_decomposition, levi_decomposition, normalizer,
                       center, spectrum, subalgebra_generated, torus_split)
-from .rootsys import (RootSpaceDecomposition, _complete_sl2, _eigenspace,
-                      is_positive, root_space_decomposition, simple_roots)
+from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
+                      root_space_decomposition, simple_roots)
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10_000
@@ -277,12 +277,12 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
     eigenvalue, or None when no nonzero real eigenvalue exists."""
     block = space.ad_block(L._ad_ints(_scaled_vector(alpha)))
     best = None
-    for lam, _ in factor_roots(_min_poly_ints(*block)):
+    for lam, _ in factor_roots(min_poly(block)):
         if scalar_d(lam) >= 0 and is_complex_positive(lam if best is None else lam - best):
             best = lam
     if best is None:
         return None
-    return _eigenspace(space, block, best)
+    return space.eigenspace(block, best)
 
 
 def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,

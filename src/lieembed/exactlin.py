@@ -21,28 +21,49 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
-# the least limit an interpreter can set on int() of a decimal string, so
-# that every string rat accepts converts under any limit
-_MAX_DIGITS = 640
+_RATIONAL_RE = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
+# the interpreter's default limit on int() of a decimal string: a longer
+# numerator or denominator is refused, whatever the limit is set to
+_MAX_DIGITS = 4300
+# the least limit an interpreter can set, so a chunk of this many digits
+# converts under every limit
+_CHUNK_DIGITS = 640
 
 
 def rat(x) -> Fraction:
     """Coerce an int, string like ``-3/4``, or Fraction to Fraction.  Other
     string forms (``1e3000000`` takes seconds) and a numerator or
-    denominator of more than ``_MAX_DIGITS`` digits raise ParseError."""
+    denominator of more than ``_MAX_DIGITS`` digits raise ParseError; the
+    answer does not depend on the interpreter's limit on converting
+    decimal strings to int."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if not _RATIONAL_RE.fullmatch(x):
+        m = _RATIONAL_RE.fullmatch(x)
+        if not m:
             raise ParseError(f"not a rational p/q: {x[:40]!r}")
-        if len(x) > _MAX_DIGITS and max(map(len, re.findall("[0-9]+", x))) > _MAX_DIGITS:
+        if len(x) <= _CHUNK_DIGITS:
+            return Fraction(x)
+        sign, num, den = m.groups()
+        if max(len(num), len(den or "")) > _MAX_DIGITS:
             raise ParseError(f"more than {_MAX_DIGITS} digits in a rational p/q: "
                              f"{x[:40]!r}...")
-        return Fraction(x)
+        num, den = _digits_to_int(num), _digits_to_int(den or "1")
+        if not den:
+            raise ZeroDivisionError(f"zero denominator in {x[:40]!r}...")
+        return Fraction(-num if sign == "-" else num, den)
     raise TypeError(f"not a rational: {x!r}")
+
+
+def _digits_to_int(digits: str) -> int:
+    """int(digits) for ASCII digits, converted ``_CHUNK_DIGITS`` at a time."""
+    n = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[i:i + _CHUNK_DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
 
 
 def format_rat(x: Fraction) -> str:
@@ -368,17 +389,6 @@ def _unscaled_vector(den: int, d: int, a: Iterable[tuple[int, int]],
         if x:
             out[k] = ExactScalar(out[k], Fraction(x, den), d)
     return tuple(out)
-
-
-def _slot_width(bound: int) -> int:
-    """Bits w per slot for packing a sparse integer row {l: c_l} into the
-    one int ``sum c_l * 2**(w*l)`` (Kronecker substitution; von zur Gathen
-    & Gerhard, *Modern Computer Algebra*, 8.4), where ``bound`` bounds
-    every slot of every packed sum in absolute value.  Then |c_l| <
-    2**(w-1), and such a sum is 0 exactly when every slot is."""
-    w = bound.bit_length() + 1
-    assert abs(bound) < 1 << (w - 1)
-    return w
 
 
 def _sub_multiple(dst: dict, f: int, src: dict) -> None:
@@ -872,28 +882,26 @@ def char_poly(m: Matrix) -> Poly:
     return Poly([Fraction(c * scale ** k, scale ** n) for k, c in enumerate(coeffs)])
 
 
-def min_poly(m: Matrix) -> Poly:
-    """Monic minimal polynomial of a rational square matrix (see
-    :func:`_min_poly_ints`).  Raises ValueError for a non-square matrix or
-    one with extension scalars."""
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    if not all(isinstance(x, Fraction) for row in m.entries for x in row):
-        raise ValueError("min_poly needs a rational matrix")
-    return _min_poly_ints(*_scaled_rows(m.entries))
-
-
-def _min_poly_ints(scale: int, d: int, rows: list[_IntRow]) -> Poly:
-    """Monic minimal polynomial of the square matrix m with rows
-    ``(a_i + b_i*sqrt(d)) / scale``, as :func:`_scaled_rows` gives them.
+def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
+    """Monic minimal polynomial of a rational square matrix: a Matrix, or
+    the scaled integer rows (scale, d, rows) of one, ``(a_i +
+    b_i*sqrt(d)) / scale`` for its row i, as :func:`_scaled_rows` and
+    :meth:`Subspace.ad_block` give them.
 
     Works on the integer matrix ``A = scale*m`` (the rows a_i).  Each
     standard basis vector that the polynomial found so far does not
     annihilate (integer Horner test) contributes its Krylov annihilator,
     and the lcm of those is the minimal polynomial of A; then ``mp_m(t) =
-    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError when a surd
-    part b_i is nonzero.
+    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for a
+    non-square matrix or one with extension scalars (a nonzero b_i).
     """
+    if isinstance(m, Matrix):
+        if m.rows != m.cols:
+            raise ValueError("square matrix required")
+        if not all(isinstance(x, Fraction) for row in m.entries for x in row):
+            raise ValueError("min_poly needs a rational matrix")
+        m = _scaled_rows(m.entries)
+    scale, _, rows = m
     if any(b for _, b in rows):
         raise ValueError("min_poly needs a rational matrix")
     n = len(rows)

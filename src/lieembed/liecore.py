@@ -15,12 +15,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
-                       factor_roots, format_rat, linear_solver, poly_ext_gcd,
-                       poly_gcd, rat, scalar_d, scalar_parts, scalar_to_json,
-                       squarefree_part, symmetric_signature, unit_vector,
-                       _kernel_ints, _min_poly_ints, _rref_ints, _same_d,
-                       _scaled_rows, _scaled_vector, _slot_width,
-                       _sub_multiple, _unscaled_vector)
+                       factor_roots, format_rat, linear_solver, min_poly,
+                       poly_ext_gcd, poly_gcd, rat, scalar_d, scalar_parts,
+                       scalar_to_json, squarefree_part, symmetric_signature,
+                       unit_vector, _kernel_ints, _rref_ints, _same_d,
+                       _scaled_rows, _scaled_vector, _sub_multiple,
+                       _unscaled_vector)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -216,15 +216,17 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         """The Jacobi sum of every basis triple, on packed table rows: with
-        P[a][m] the row D*[b_a, b_m] packed by :func:`_slot_width`,
-        D^2*[b_a, [b_j, b_k]] is the int ``sum_m v_m * P[a][m]`` over the
-        entries v_m of D*[b_j, b_k].  A slot of the three-term sum is at
-        most 3*n*max|c|^2 in absolute value, so the sum is 0 exactly when
-        the identity holds on the triple."""
+        P[a][m] the row D*[b_a, b_m] packed into the one int ``sum_l c_l *
+        2**(w*l)`` (Kronecker substitution; von zur Gathen & Gerhard,
+        *Modern Computer Algebra*, 8.4), D^2*[b_a, [b_j, b_k]] is the int
+        ``sum_m v_m * P[a][m]`` over the entries v_m of D*[b_j, b_k].  A
+        slot of the three-term sum is at most 3*n*max|c|^2 < 2**(w-1) in
+        absolute value, so the sum is 0 exactly when every slot is, that is
+        when the identity holds on the triple."""
         n = self.dim
         _, table = self.scaled_table()
         top = max((abs(c) for ti in table for row in ti for c in row.values()), default=0)
-        w = _slot_width(3 * n * top * top)
+        w = (3 * n * top * top).bit_length() + 1
         packed = [[sum(c << w * l for l, c in row.items()) for row in ti] for ti in table]
         for i in range(n):
             ti, pi = table[i], packed[i]
@@ -450,6 +452,25 @@ class Subspace:
         return Subspace._span(self.algebra, d, rows,
                               pivots if self.dim == self.algebra.dim else None)
 
+    def eigenspace(self, block: tuple[int, int, list[tuple[dict, dict]]],
+                   lam: Scalar) -> "Subspace":
+        """The members that ad(x) scales by lam, for its block on this
+        subspace from :meth:`ad_block`: the kernel of ``q*den*(block -
+        lam)``, q the denominator of lam, as integer rows over Z[sqrt d]."""
+        den, d, rows = block
+        la, lb, e = scalar_parts(lam)
+        q = lcm(la.denominator, lb.denominator)
+        fa, fb = (den * x.numerator * (q // x.denominator) for x in (la, lb))
+        eqs = []
+        for i, (a, b) in enumerate(rows):
+            a, b = {k: q * x for k, x in a.items()}, {k: q * x for k, x in b.items()}
+            if fa:
+                _sub_multiple(a, fa, {i: 1})
+            if fb:
+                _sub_multiple(b, fb, {i: 1})
+            eqs.append((a, b))
+        return self._kernel_span(_same_d(d, e), eqs)
+
     def kernel_of(self, m: Matrix) -> "Subspace":
         """The members whose coordinates in the basis rows lie in the
         kernel of m (all of the subspace when m has no rows)."""
@@ -512,14 +533,15 @@ class Subspace:
         a + b*sqrt(d)`` for the integer rows (a_t, b_t), block[t][i] the
         coordinate t of [x, row_i] (no rows for the zero subspace).  Each
         [x, row_i] is summed in ints over the columns.  Raises ValueError
-        when one leaves the subspace."""
+        when one leaves the subspace, which all of L cannot."""
         dx, d = ad_cols[0][:2] if ad_cols else (1, 0)
         d, den = _same_d(d, self.d), self.den * dx
         cols, mcols = [], [c[2:] for c in ad_cols]
+        whole = self.dim == self.algebra.dim
         for ra, rb in self.ints:
             wa, wb = {}, {}  # den * [x, row] = wa + wb*sqrt(d)
             _add_combination(mcols, ra, rb, d, wa, wb)
-            if not self._contains((den, d, wa, wb)):
+            if not whole and not self._contains((den, d, wa, wb)):
                 raise ValueError("subspace is not invariant")
             cols.append(({i: wa[p] for i, p in enumerate(self.pivots) if p in wa},
                          {i: wb[p] for i, p in enumerate(self.pivots) if p in wb}))
@@ -889,13 +911,16 @@ def _semisimple_kind(roots) -> str:
     return MIXED_SEMISIMPLE
 
 
-def spectrum(L: LieAlgebra, x: Vector) -> Spectrum:
-    """Spectrum of ad(x), computed once per element and kept on L.  The
-    element must have rational coordinates (see :func:`_min_poly_ints`)."""
+def spectrum(L: LieAlgebra, x: Vector, block: Optional[tuple] = None) -> Spectrum:
+    """Spectrum of ad(x), computed once per element and kept on L, from
+    ``block``, ad(x) on all of L as :meth:`Subspace.ad_block` gives it, when
+    the caller has it.  The element must have rational coordinates (see
+    :func:`min_poly`)."""
     s = L._spectra.get(x)
     if s is None:
-        block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
-        s = L._spectra[x] = Spectrum(_min_poly_ints(*block))
+        if block is None:
+            block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
+        s = L._spectra[x] = Spectrum(min_poly(block))
     return s
 
 

@@ -4,17 +4,14 @@ Dynkin classification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
                        factor_roots, format_rat, is_complex_positive,
-                       scalar_d, scalar_parts, scalar_sort_key,
-                       scalar_to_json, solve_linear, vec_is_zero,
-                       _min_poly_ints, _same_d, _scaled_vector,
-                       _sub_multiple)
+                       min_poly, scalar_d, scalar_sort_key, scalar_to_json,
+                       solve_linear, vec_is_zero, _scaled_vector)
 from .liecore import LieAlgebra, Subspace, spectrum
 
 
@@ -99,28 +96,27 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
 
     Each ad(h) is read once, as the integer columns of
     :meth:`LieAlgebra._ad_ints`, and each space's block of it
-    (:meth:`Subspace.ad_block`) gives the space's eigenspaces as kernels of
-    integer rows.
+    (:meth:`Subspace.ad_block`) gives the space's eigenspaces
+    (:meth:`Subspace.eigenspace`).
 
     Returns a list of (eigenvalue tuple, Subspace); raises NotATorus if the
     ambient is not invariant or the action is not diagonalizable over the
     scalar tower, and ExtensionDegreeTooHigh if the weights need two
     quadratic extensions.
     """
-    spaces: list[tuple[tuple, Subspace]] = [
-        ((), Subspace.full(L) if ambient is None else ambient)]
+    top = Subspace.full(L) if ambient is None else ambient
+    spaces: list[tuple[tuple, Subspace]] = [((), top)]
     seen_d = set()
-    for h in basis:
+    for step, h in enumerate(basis):
         cols = L._ad_ints(_scaled_vector(h))
         try:
-            if ambient is None:
-                roots = spectrum(L, h).roots
-            else:
-                whole = ambient.ad_block(cols)
-                roots = factor_roots(_min_poly_ints(*whole))
-            # the first step's one space is the ambient, whose block is whole
-            blocks = [whole if space is ambient else space.ad_block(cols)
-                      for _, space in spaces]
+            # the ambient's block gives the roots (for L, on a cold spectrum
+            # cache) and is the block of the first step's one space
+            whole = top.ad_block(cols) if ambient is not None or not step else None
+            roots = (spectrum(L, h, whole).roots if ambient is None
+                     else factor_roots(min_poly(whole)))
+            blocks = ([whole] if not step
+                      else [space.ad_block(cols) for _, space in spaces])
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
         lams = [lam for lam, _mult in roots]
@@ -131,32 +127,13 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
         refined = []
         for (weight, space), block in zip(spaces, blocks):
             for lam in lams:
-                eigen = _eigenspace(space, block, lam)
+                eigen = space.eigenspace(block, lam)
                 if eigen.dim:
                     refined.append((weight + (lam,), eigen))
         if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
             raise NotATorus("action is not diagonalizable over the tower")
         spaces = refined
     return spaces
-
-
-def _eigenspace(space: Subspace, block: tuple, lam: Scalar) -> Subspace:
-    """The members of ``space`` that the block (den, d, rows) of
-    :meth:`Subspace.ad_block` scales by lam: the kernel of ``q*den*(block
-    - lam)``, q the denominator of lam, as integer rows over Z[sqrt d]."""
-    den, d, rows = block
-    la, lb, e = scalar_parts(lam)
-    q = lcm(la.denominator, lb.denominator)
-    fa, fb = (den * x.numerator * (q // x.denominator) for x in (la, lb))
-    eqs = []
-    for i, (a, b) in enumerate(rows):
-        a, b = {k: q * x for k, x in a.items()}, {k: q * x for k, x in b.items()}
-        if fa:
-            _sub_multiple(a, fa, {i: 1})
-        if fb:
-            _sub_multiple(b, fb, {i: 1})
-        eqs.append((a, b))
-    return space._kernel_span(_same_d(d, e), eqs)
 
 
 def root_space_decomposition(L: LieAlgebra, cartan,

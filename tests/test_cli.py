@@ -88,34 +88,60 @@ def test_component_index_out_of_range_exit_3(run, tmp_path):
 @pytest.mark.parametrize("limit", [None, "0", "640"])
 def test_over_long_key_and_coefficient(tmp_path, limit):
     """A component key with more digits than dim is an out-of-range index
-    (exit 3), and a coefficient with more than 640 digits in its numerator
+    (exit 3), and a coefficient with more than 4300 digits in its numerator
     or denominator a parse error that names the limit (exit 2), whatever
-    the interpreter's limit on converting decimal strings to int."""
+    the interpreter's limit on converting decimal strings to int; a
+    coefficient of 641 to 4300 digits loads under every limit, in a table
+    and in an element on the command line."""
     env = dict(os.environ)
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     if limit is not None:
         env["PYTHONINTMAXSTRDIGITS"] = limit
+    path = tmp_path / "long.json"
+
+    def analyze(comp):
+        path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
+                                    "brackets": [{"i": 0, "j": 1, "c": comp}]}))
+        return subprocess.run([sys.executable, "-m", "lieembed", "analyze", str(path)],
+                              capture_output=True, text=True, env=env)
+
     cases = [({"1" + "0" * 5000: "1"}, 3, "component index 10000000000000000000... "
               "(5001 digits) outside 0..1"),
              ({"-" + "9" * 5000: "1"}, 3, "component index -9999999999999999999... "
               "(5000 digits) outside 0..1"),
-             ({"1": "1" * 5000}, 2, "more than 640 digits in a rational p/q"),
-             ({"1": "1/" + "3" * 641}, 2, "more than 640 digits in a rational p/q")]
+             ({"1": "1" * 4301}, 2, "more than 4300 digits in a rational p/q"),
+             ({"1": "1/" + "3" * 4301}, 2, "more than 4300 digits in a rational p/q"),
+             ({"1": "7" * 700 + "/" + "0" * 700}, 2, "zero denominator in '777")]
     for comp, code, message in cases:
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
-                                    "brackets": [{"i": 0, "j": 1, "c": comp}]}))
-        proc = subprocess.run([sys.executable, "-m", "lieembed", "analyze", str(path)],
-                              capture_output=True, text=True, env=env)
+        proc = analyze(comp)
         assert (proc.returncode, proc.stdout) == (code, "")
         assert proc.stderr.startswith("error:") and message in proc.stderr
         assert len(proc.stderr) < 200
-    # 640 digits parse under every limit
-    path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": [
-        {"i": 0, "j": 1, "c": {"1": "1/" + "3" * 640}}]}))
-    proc = subprocess.run([sys.executable, "-m", "lieembed", "analyze", str(path)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and json.loads(proc.stdout)["radical_dim"] == 2
+    # [a, b] = c*b: the same answer for every c != 0, however many digits
+    short = analyze({"1": "-2/3"})
+    assert short.returncode == 0 and json.loads(short.stdout)["radical_dim"] == 2
+    for c in ("1/" + "3" * 640, "-" + "1" * 641, "1" * 4300 + "/" + "7" * 4300):
+        proc = analyze({"1": c})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, short.stdout, "")
+    # the same limits on the coefficients of an element on the command line,
+    # where a subspace is its span, whatever the scale
+
+    def embed(spec):
+        return subprocess.run([sys.executable, "-m", "lieembed", "embed", "wave15",
+                               "--mode", "compact-torus", f"--subspace={spec}"],
+                              capture_output=True, text=True, env=env)
+
+    unit = embed("e15")
+    assert unit.returncode == 0 and unit.stdout
+    for spec in ("3" * 700 + "/7*e15", "-" + "1" * 4300 + "e15"):
+        proc = embed(spec)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, unit.stdout, "")
+    for spec, message in (("1" * 4301 + "e15", "more than 4300 digits in a rational p/q"),
+                          ("3" * 700 + "/0*e15", "zero denominator in '333")):
+        proc = embed(spec)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert len(proc.stderr) < 200
 
 
 def test_extension_too_high_exit_4(run, tmp_path):

@@ -332,9 +332,9 @@ def test_find_compact_analyses_each_element_once(wave15, monkeypatch):
     L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
     E = L.basis_vector
     analysed = []
-    core = liecore._min_poly_ints
-    monkeypatch.setattr(liecore, "_min_poly_ints",
-                        lambda *block: analysed.append(_block_key(block)) or core(*block))
+    min_poly = liecore.min_poly
+    monkeypatch.setattr(liecore, "min_poly",
+                        lambda block: analysed.append(_block_key(block)) or min_poly(block))
     der = span(L, E("e5"), E("e6"), E("e7m16"), E("e8"), E("e9"), E("e12"))
     assert find_compact(der, d_required=-1) == vec_add(E("e5"), vec_scale(2, E("e12")))
     assert analysed and len(analysed) == len(set(analysed))

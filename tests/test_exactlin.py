@@ -34,6 +34,21 @@ def test_rat_accepts_only_p_over_q():
         rat("1/0")
 
 
+def test_rat_long_digit_strings():
+    """Numerators and denominators of up to 4300 digits convert in chunks
+    of 640, with the value int() gives; longer ones raise ParseError."""
+    for num, den in (("9" * 641, "1"), ("12" * 1000, "7" * 650), ("1" * 4300, "3" * 4300),
+                     ("0" * 4300, "5"), ("5", "0" * 4299 + "2")):
+        for sign in ("", "-", "+"):
+            assert rat(f" {sign}{num}/{den}\n") == F(int(sign + num), int(den))
+        assert rat(sign + num) == int(sign + num)
+    for text in ("1" * 4301, "1/" + "1" * 4301, "-" + "1" * 4301 + "/2"):
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            rat(text)
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        rat("1" * 700 + "/" + "0" * 4300)
+
+
 def test_squarefree_split():
     assert squarefree_split(12) == (3, 2)
     assert squarefree_split(-8) == (-2, 2)

@@ -11,7 +11,7 @@ from lieembed.exactlin import (Matrix, eigenvalues, factor_roots,
                                is_complex_positive, kernel, make_scalar,
                                min_poly, scalar_d, solve_linear, vec_is_zero,
                                _scaled_vector)
-from lieembed.liecore import LieAlgebra, Subspace, normalizer, torus_split
+from lieembed.liecore import LieAlgebra, Subspace, normalizer, spectrum, torus_split
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
@@ -650,9 +650,9 @@ def test_joint_eigenspaces_read_the_cached_spectra(wave15, monkeypatch):
     basis = [E("e7m16"), E("e2"), E("e14")]
     analysed = []
     for module in (liecore, rootsys):
-        real = module._min_poly_ints
-        monkeypatch.setattr(module, "_min_poly_ints", lambda *block, real=real:
-                            analysed.append(block) or real(*block))
+        real = module.min_poly
+        monkeypatch.setattr(module, "min_poly", lambda block, real=real:
+                            analysed.append(block) or real(block))
     # the semisimplicity checks compute one spectrum per element; the
     # whole-algebra eigenspaces read those
     root_space_decomposition(L, basis)
@@ -664,6 +664,25 @@ def test_joint_eigenspaces_read_the_cached_spectra(wave15, monkeypatch):
     ambient = normalizer(L, span(L, E("e8"), E("e10"), E("e11"), E("e12")))
     joint_eigenspaces(L, basis[:2], ambient)
     assert len(analysed) == len(basis) + 2
+
+
+def test_joint_eigenspaces_read_each_ad_once(wave15, monkeypatch):
+    """Each ad(h) is read once: on a cold spectrum cache the first step's
+    block of all of L also gives the spectrum, which is then kept."""
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
+    E = L.basis_vector
+    basis = [E("e7m16"), E("e2"), E("e14")]
+    reads = []
+    real = LieAlgebra._ad_ints
+    monkeypatch.setattr(LieAlgebra, "_ad_ints",
+                        lambda self, x: reads.append(x) or real(self, x))
+    joint_eigenspaces(L, basis[:1])
+    assert len(reads) == 1 and basis[0] in L._spectra
+    for h in basis:
+        spectrum(L, h)
+    reads.clear()
+    joint_eigenspaces(L, basis)
+    assert len(reads) == len(basis)
 
 
 def _sl2_sum():
