@@ -44,9 +44,11 @@ def rat(x) -> Fraction:
         m = _RATIONAL_RE.fullmatch(x)
         if not m:
             raise ParseError(f"not a rational p/q: {x[:40]!r}")
-        if len(x) <= _CHUNK_DIGITS:
-            return Fraction(x)
         sign, num, den = m.groups()
+        if len(x) <= _CHUNK_DIGITS:
+            num = -int(num) if sign == "-" else int(num)
+            # Fraction(n, 0) raises what Fraction("n/0") raises
+            return Fraction(num, int(den)) if den else Fraction(num)
         if max(len(num), len(den or "")) > _MAX_DIGITS:
             raise ParseError(f"more than {_MAX_DIGITS} digits in a rational p/q: "
                              f"{x[:40]!r}...")
@@ -73,24 +75,33 @@ def format_rat(x: Fraction) -> str:
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (d, k) with n = d*k**2 and d squarefree (sign kept on d)."""
+    """Return (d, k) with n = d*k**2 and d squarefree (sign kept on d).
+
+    Trial division takes out each prime p with p^3 <= m, the part of |n|
+    not yet factored, and stops as soon as m is a square; so it costs at
+    most |n|^(1/3) / 2 divisions.  Every prime factor of the m left over
+    exceeds m^(1/3), so m, not a square, is a prime or a product of two
+    distinct primes: squarefree.
+    """
     if n == 0:
         return 0, 1
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    d, k = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            k *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    return sign * d * n, k
+    sign, n = (1 if n > 0 else -1), abs(n)
+    d, k, p = 1, 1, 2
+    while True:
+        r = isqrt(n)
+        if r * r == n:
+            return sign * d, k * r
+        while p * p * p <= n and n % p:
+            p += 1 if p == 2 else 2
+        if p * p * p > n:
+            return sign * d * n, k
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        k *= p ** (e // 2)
+        if e % 2:
+            d *= p
 
 
 def _real_sign(a, b, d: int) -> int:
@@ -107,8 +118,9 @@ def _real_sign(a, b, d: int) -> int:
 class ExactScalar:
     """Irrational element a + b*sqrt(d) of Q(sqrt d); b is never zero.
 
-    Construction goes through :func:`make_scalar`, which demotes b == 0 to a
-    plain Fraction; that keeps the "all nonrational scalars share one d"
+    :func:`make_scalar` builds one from any d and demotes b == 0 to a plain
+    Fraction; arithmetic keeps the operands' squarefree d and demotes the
+    same way.  That keeps the "all nonrational scalars share one d"
     bookkeeping local to actual surds.
     """
 
@@ -137,7 +149,8 @@ class ExactScalar:
             if other.d != self.d:
                 raise ExtensionDegreeTooHigh(
                     f"mixing sqrt({self.d}) with sqrt({other.d})")
-            return make_scalar(self.a + other.a, self.b + other.b, self.d)
+            b = self.b + other.b
+            return ExactScalar(self.a + other.a, b, self.d) if b else self.a + other.a
         return NotImplemented
 
     __radd__ = __add__
@@ -157,11 +170,9 @@ class ExactScalar:
             if other.d != self.d:
                 raise ExtensionDegreeTooHigh(
                     f"mixing sqrt({self.d}) with sqrt({other.d})")
-            return make_scalar(
-                self.a * other.a + self.b * other.b * self.d,
-                self.a * other.b + self.b * other.a,
-                self.d,
-            )
+            a = self.a * other.a + self.b * other.b * self.d
+            b = self.a * other.b + self.b * other.a
+            return ExactScalar(a, b, self.d) if b else a
         return NotImplemented
 
     __rmul__ = __mul__
@@ -736,12 +747,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_scalar(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_matrix(self, m: Matrix) -> Matrix:
         n = m.rows
         acc = Matrix.zero(n, n)
@@ -957,172 +962,298 @@ def _krylov_annihilator(rows: list[list[tuple[int, int]]], start: int) -> list[i
         power = _int_apply(rows, power)
 
 
-# --- factorization over the scalar tower -------------------------------------
+# --- roots over the scalar tower ---------------------------------------------
+#
+# Integer polynomials are lists of ints, lowest degree first, without
+# trailing zeros.  The ``_zp_*`` helpers work modulo m: a prime p while
+# factoring, a power of p while lifting.
 
 
 def _int_clear(p: Poly) -> list[int]:
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    g = 0
-    ints = [int(c * lcm) for c in p.coeffs]
-    for c in ints:
-        g = gcd(g, abs(c))
+    """The primitive integer multiple of p with the sign of its lead."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
     return [c // g for c in ints] if g else ints
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def _zp(a: Iterable[int], m: int) -> list[int]:
+    """a mod m, trailing zeros dropped."""
+    out = [c % m for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots (without multiplicity), by divisor search."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    roots = []
-    coeffs = _int_clear(p)
-    k = 0
-    while coeffs[k] == 0:
+def _zp_add(a: list[int], b: list[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return _zp([x + y for x, y in zip(a, b)] + a[len(b):], m)
+
+
+def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _zp(out, m)
+
+
+def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r mod m and deg r < deg b; lc(b) is a unit mod m."""
+    r, n = [c % m for c in a], len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n] * inv % m
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    return _zp(q, m), _zp(r[:n], m)
+
+
+def _zp_monic(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod the prime p; a is nonzero."""
+    while b:
+        a, b = b, _zp_divmod(a, b, p)[1]
+    return _zp_monic(a, p)
+
+
+def _zp_powmod(a: list[int], e: int, mod: list[int], m: int) -> list[int]:
+    """a^e rem mod, modulo m."""
+    out, a = [1], _zp_divmod(a, mod, m)[1]
+    while e:
+        if e & 1:
+            out = _zp_divmod(_zp_mul(out, a, m), mod, m)[1]
+        e >>= 1
+        if e:
+            a = _zp_divmod(_zp_mul(a, a, m), mod, m)[1]
+    return out
+
+
+def _primes():
+    yield 2
+    n = 3
+    while True:
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
+def _squarefree_prime(f: list[int], tries: Optional[int] = 12) -> Optional[int]:
+    """The smallest prime p not dividing lc(f) with f squarefree mod p,
+    among the first ``tries`` primes (all for None), or None.  Such a p
+    proves f squarefree over Q, and a squarefree f has one."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    for i, p in enumerate(_primes()):
+        if i == tries:
+            return None
+        if f[-1] % p and len(_zp_gcd(_zp(f, p), _zp(df, p), p)) == 1:
+            return p
+
+
+def is_squarefree(p: Poly) -> bool:
+    """Whether the nonzero rational polynomial p has no repeated factor:
+    by :func:`_squarefree_prime`, else by the gcd of p and p' over Q."""
+    return (_squarefree_prime(_int_clear(p)) is not None
+            or poly_gcd(p, p.derivative()).degree == 0)
+
+
+def _local_factors(f: list[int], p: int) -> Optional[list[list[int]]]:
+    """The monic irreducible factors mod p of f (squarefree mod p, p not
+    dividing lc(f)) when all have degree <= 2, else None: the roots of
+    gcd(f, x^p - x), found by evaluation, and the factors of gcd(rest,
+    x^(p^2) - x), split by :func:`_zp_split_quadratics`."""
+    fp = _zp_monic(_zp(f, p), p)
+    xp = _zp_powmod([0, 1], p, fp, p)
+    lin = _zp_gcd(fp, _zp_add(xp, [0, -1], p), p)
+    rest = _zp_divmod(fp, lin, p)[0]
+    quad = [1]
+    if len(rest) > 1:
+        quad = _zp_gcd(rest, _zp_add(_zp_powmod(xp, p, rest, p), [0, -1], p), p)
+    if len(lin) + len(quad) < len(fp) + 1:
+        return None  # a factor of degree >= 3 is left
+    return ([[-a % p, 1] for a in range(p) if not _horner(lin, a, p)]
+            + _zp_split_quadratics(quad, p))
+
+
+def _zp_split_quadratics(g: list[int], p: int) -> list[list[int]]:
+    """The factors of g, a product of distinct monic irreducible quadratics
+    mod p, by Cantor-Zassenhaus: gcd(g, u^((p^2 - 1)/2) - 1) for u the
+    base-p digit lists of p, p + 1, ... (x, x + 1, ... first), so every
+    run makes the same trials.  Mod 2 there is one such quadratic."""
+    if len(g) <= 3:
+        return [g] if len(g) == 3 else []
+    k = p
+    while True:
+        u, n = [], k
+        while n:
+            n, c = divmod(n, p)
+            u.append(c)
         k += 1
-    if k:
-        roots.append(ZERO)
-        coeffs = coeffs[k:]
-    if len(coeffs) > 1:
-        a0, an = coeffs[0], coeffs[-1]
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if p.eval_scalar(cand) == 0 and cand not in roots:
-                        roots.append(cand)
-    return roots
+        w = _zp_gcd(g, _zp_add(_zp_powmod(u, (p * p - 1) // 2, g, p), [-1], p), p)
+        if 1 < len(w) < len(g):
+            return (_zp_split_quadratics(w, p)
+                    + _zp_split_quadratics(_zp_divmod(g, w, p)[0], p))
 
 
-def _sqrt_rational(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
+def _horner(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lift(f: list[int], h: list[int], p: int, top: int) -> list[int]:
+    """The monic factor of f mod ``top`` = p^(2^j) that is h mod p, for h
+    monic, irreducible mod p and a simple factor of f mod p.  A root r of
+    h = x - r takes Newton steps r - f(r)/f'(r).  A quadratic takes
+    quadratic Hensel steps (MCA Alg. 15.10) of f = g*h keeping only s = 1/g
+    rem h: h + (s*(f - g*h) rem h) is h + (s*f rem h), and s*(2 - s*g) rem
+    h is 1/g for the new g = f quo h."""
+    m = p
+    if len(h) == 2:
+        r, df = -h[0], [i * c for i, c in enumerate(f)][1:]
+        while m < top:
+            m *= m
+            r = (r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
+        return [-r % m, 1]
+    g = _zp_divmod(f, h, p)[0]
+    s = _zp_powmod(g, p * p - 2, h, p)  # 1/g in the field F_p[x]/(h)
+    while m < top:
+        m *= m
+        h = _zp_add(h, _zp_divmod(_zp_mul(s, _zp_divmod(f, h, m)[1], m), h, m)[1], m)
+        if m < top:
+            sg = _zp_divmod(_zp_mul(s, _zp_divmod(f, h, m)[0], m), h, m)[1]
+            s = _zp_divmod(_zp_mul(s, _zp_add([2], [-c for c in sg], m), m), h, m)[1]
+    return h
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> Optional[list[int]]:
+    """f / g over Z when g divides f, else None; f(0) != 0."""
+    if not g[0] or f[0] % g[0]:
         return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    r, n = list(f), len(g) - 1
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n], g[-1])
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for i, y in enumerate(g):
+                r[k + i] -= c * y
+    return None if any(r[:n]) else q
 
 
-def _quadratic_roots(p_coef: Fraction, q_coef: Fraction) -> tuple[Scalar, Scalar]:
-    """Roots of t^2 + p t + q over the tower."""
-    disc = p_coef * p_coef - 4 * q_coef
-    r = _sqrt_rational(disc) if disc >= 0 else None
-    if r is not None:
-        return (-p_coef + r) / 2, (-p_coef - r) / 2
-    # disc = (m/n): sqrt = sqrt(m n)/n
-    m_, n_ = disc.numerator, disc.denominator
-    d, k = squarefree_split(m_ * n_)
-    half_b = Fraction(k, 2 * n_)
-    return (make_scalar(-p_coef / 2, half_b, d),
-            make_scalar(-p_coef / 2, -half_b, d))
+def _small_factors(f: list[int], p: Optional[int] = None) -> list[list[int]]:
+    """The irreducible factors over Z, primitive with a positive lead, of a
+    squarefree primitive f with f(0) != 0 and lc(f) > 0 when all have
+    degree <= 2; raises ExtensionDegreeTooHigh otherwise.  p is
+    :func:`_squarefree_prime` of f, found here when None.
 
-
-def _split_quartic(p: Poly) -> Optional[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
-    """Split a monic rational quartic into two rational quadratics
-    (t^2 + p1 t + q1)(t^2 + p2 t + q2) via the resolvent cubic."""
-    e, c, b, a, lead = (list(p.coeffs) + [ZERO] * 5)[:5]
-    assert lead == 1
-    resolvent = Poly([-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1])
-    for y0 in rational_roots(resolvent):
-        disc = a * a - 4 * b + 4 * y0
-        r = _sqrt_rational(disc)
-        if r is None:
-            continue
-        p1, p2 = (a + r) / 2, (a - r) / 2
-        if p1 != p2:
-            # solve q1 + q2 = y0, p1*q2 + p2*q1 = c
-            q2 = (c - p2 * y0) / (p1 - p2)
-            q1 = y0 - q2
-        else:
-            dq = _sqrt_rational(y0 * y0 - 4 * e)
-            if dq is None:
-                continue
-            q1, q2 = (y0 + dq) / 2, (y0 - dq) / 2
-        f1 = Poly([q1, p1, 1])
-        f2 = Poly([q2, p2, 1])
-        if (f1 * f2) == p:
-            return (p1, q1), (p2, q2)
-    return None
-
-
-def _factor_squarefree(p: Poly) -> list[Scalar]:
-    """Roots of a monic squarefree rational polynomial, all lying in Q or a
-    quadratic extension; raises ExtensionDegreeTooHigh otherwise."""
-    roots: list[Scalar] = []
-    p = p.monic()
-    for r in rational_roots(p):
-        roots.append(r)
-        p = p.exact_div(Poly([-r, 1]))
-    while p.degree > 0:
-        if p.degree == 2:
-            r1, r2 = _quadratic_roots(p.coeffs[1], p.coeffs[0])
-            roots.extend([r1, r2])
-            break
-        if p.degree == 4:
-            split = _split_quartic(p)
-            if split is None:
-                raise ExtensionDegreeTooHigh(
-                    "quartic does not split into rational quadratics")
-            for pq in split:
-                roots.extend(_quadratic_roots(pq[0], pq[1]))
-            break
-        if p.degree % 2 == 0 and all(not c for c in p.coeffs[1::2]):
-            # even polynomial h(t^2): peel rational roots of h
-            h = Poly(p.coeffs[0::2])
-            hr = rational_roots(h)
-            if not hr:
-                raise ExtensionDegreeTooHigh(
-                    f"irreducible factor of degree {p.degree}")
-            for s in hr:
-                h = h.exact_div(Poly([-s, 1]))
-                roots.extend(_quadratic_roots(ZERO, -s))
-            if h.degree > 0:
-                # re-expand the unsplit part back in t and keep going
-                rem = [ZERO] * (2 * h.degree + 1)
-                for i, cc in enumerate(h.coeffs):
-                    rem[2 * i] = cc
-                p = Poly(rem)
-                if p.degree not in (2, 4):
-                    raise ExtensionDegreeTooHigh(
-                        f"irreducible factor of degree {p.degree}")
-                continue
-            break
+    The factors mod p are lifted to a power M of p above 2*B, B = lc(f) *
+    2 * ||f||_2: by Mignotte a factor G of degree <= 2 has |G_i| <=
+    binom(2, i) * M(G) <= 2 * ||f||_2, so lc(f)/lc(G) * G is lc(f) times
+    its lifted factor in symmetric residues mod M.  Trial division over Z
+    by each lifted factor and each product of two lifted linear factors
+    thus finds every factor of degree <= 2."""
+    if len(f) <= 3:
+        return [f]
+    p = p or _squarefree_prime(f, None)
+    local = _local_factors(f, p)
+    if local is None:
         raise ExtensionDegreeTooHigh(
-            f"irreducible factor of degree {p.degree} (odd, no rational root)")
-    return roots
+            f"a factor of degree {len(f) - 1} with an irreducible factor of "
+            "degree >= 3")
+    lc, top = f[-1], p
+    while top <= 4 * lc * (isqrt(sum(c * c for c in f)) + 1):
+        top *= top
+
+    def trial(h):
+        # lc(f) * h in symmetric residues mod top, made primitive
+        c = [x * lc % top for x in h]
+        c = [x - top if 2 * x > top else x for x in c]
+        g = gcd(*c)
+        quo = _exact_quotient(rest, [x // g for x in c])
+        if quo is not None:
+            found.append([x // g for x in c])
+        return quo
+
+    found: list[list[int]] = []
+    rest, unmatched = f, []
+    for h in sorted((_lift(f, h, p, top) for h in local), key=len):
+        quo = trial(h)
+        if quo is not None:
+            rest = quo
+        elif len(h) == 2:
+            unmatched.append(h)
+    while unmatched:
+        h = unmatched.pop()
+        for i, h2 in enumerate(unmatched):
+            quo = trial(_zp_mul(h, h2, top))
+            if quo is not None:
+                rest = quo
+                del unmatched[i]
+                break
+    if len(rest) > 1:
+        raise ExtensionDegreeTooHigh(
+            f"a factor of degree {len(rest) - 1} with no factor of degree <= 2")
+    return found
+
+
+def _quadratic_roots(a: int, b: int, c: int) -> tuple[Scalar, Scalar]:
+    """Roots (-b +- sqrt(b^2 - 4ac)) / 2a of a x^2 + b x + c, integers with
+    a nonzero discriminant."""
+    d, k = squarefree_split(b * b - 4 * a * c)
+    mid, half = Fraction(-b, 2 * a), Fraction(k, 2 * a)
+    if d == 1:
+        return mid + half, mid - half
+    return ExactScalar(mid, half, d), ExactScalar(mid, -half, d)
 
 
 def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, int]]:
-    """Full factorization of a rational polynomial into roots with
-    multiplicities over Q or quadratic extensions.
+    """Roots with multiplicities of a nonzero rational polynomial, sorted,
+    when every irreducible factor over Q has degree <= 2; raises
+    ExtensionDegreeTooHigh otherwise.
 
-    With ``single_extension`` every irrational root must share one
-    squarefree d; otherwise multiple quadratic fields may appear side by
-    side (useful for sign-pattern classification only).
+    The primitive integer multiple of p, the power of t taken off, is
+    squarefree when :func:`_squarefree_prime` finds a prime; else it is
+    split by Yun's squarefree decomposition.  :func:`_small_factors`
+    factors each squarefree part.  With ``single_extension`` every
+    irrational root must share one squarefree d; otherwise several
+    quadratic fields may appear side by side (for classification only).
     """
-    out: list[tuple[Scalar, int]] = []
-    for f, mult in squarefree_decomposition(p):
-        for root in _factor_squarefree(f):
-            out.append((root, mult))
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    f = _int_clear(p)
+    if f[-1] < 0:
+        f = [-c for c in f]
+    zeros = next(i for i, c in enumerate(f) if c)
+    out: list[tuple[Scalar, int]] = [(ZERO, zeros)] if zeros else []
+    f = f[zeros:]
+    if len(f) > 1:
+        prime = _squarefree_prime(f)
+        parts = ([(f, 1)] if prime else
+                 [(_int_clear(g), mult) for g, mult in squarefree_decomposition(Poly(f))])
+        for g, mult in parts:
+            for h in _small_factors(g, prime):
+                roots = [Fraction(-h[0], h[1])] if len(h) == 2 else _quadratic_roots(*h[::-1])
+                out.extend((root, mult) for root in roots)
     if single_extension:
         ds = {scalar_d(r) for r, _ in out if scalar_d(r) != 0}
         if len(ds) > 1:
             raise ExtensionDegreeTooHigh(
                 f"roots need two distinct quadratic extensions: {sorted(ds)}")
-    out.sort(key=lambda rm: scalar_sort_key(rm[0]))
+    out.sort(key=lambda rm: (*scalar_sort_key(rm[0]), scalar_d(rm[0])))
     return out
 
 

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
-                       factor_roots, format_rat, linear_solver, min_poly,
-                       poly_ext_gcd, poly_gcd, rat, scalar_d, scalar_parts,
+                       factor_roots, format_rat, is_squarefree, linear_solver,
+                       min_poly, poly_ext_gcd, rat, scalar_d, scalar_parts,
                        scalar_to_json, squarefree_part, symmetric_signature,
                        unit_vector, _kernel_ints, _rref_ints, _same_d,
                        _scaled_rows, _scaled_vector, _sub_multiple,
@@ -64,7 +64,7 @@ class LieAlgebra:
         for (i, j), comp in brackets.items():
             if not (0 <= i < j < dim):
                 raise InvalidStructureConstants(f"bad bracket index pair {(i, j)}")
-            comp = {k: rat(c) for k, c in comp.items() if rat(c) != 0}
+            comp = {k: v for k, c in comp.items() if (v := rat(c))}
             for k in comp:
                 if not 0 <= k < dim:
                     raise InvalidStructureConstants(
@@ -858,7 +858,7 @@ class Spectrum:
     def __init__(self, mp: Poly):
         self.min_poly = mp
         self.nilpotent = not any(mp.coeffs[:-1])
-        self.semisimple = poly_gcd(mp, mp.derivative()).degree == 0
+        self.semisimple = is_squarefree(mp)
         self._roots: Optional[list] = None
         # the exception's args only: a kept exception keeps its frames alive
         self._failure: Optional[tuple] = None

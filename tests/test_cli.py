@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,47 @@ def test_roots_and_dynkin(run):
                         "--ambient", "X5,X14,X13,X12,X11,X9",
                         "--positive-system", "as-given"])
     assert json.loads(out)["type"] == "G2"
+
+
+def _semidirect_table(path, images):
+    """x acting on v1..vn by [x, v_i] = sum_j images[i][j] v_j."""
+    n = len(images)
+    brackets = [{"i": 0, "j": i + 1,
+                 "c": {str(j + 1): str(c) for j, c in enumerate(row) if c}}
+                for i, row in enumerate(images)]
+    path.write_text(json.dumps({"dim": n + 1,
+                                "basis": ["x"] + [f"v{i}" for i in range(1, n + 1)],
+                                "brackets": brackets}))
+    return str(path)
+
+
+def test_roots_of_a_degree_six_product_in_one_field(run, tmp_path):
+    """ad(x) on Q^6 is the companion matrix of (t^2-2)(t^2-2t-1)(t^2-4t+2):
+    six roots a + b*sqrt(2), a in {0, 1, 2}, b = +-1, each on a line."""
+    c = [4, 0, -20, 12, 7, -6]  # the product, monic, constant term first
+    images = [[int(j == i + 1) for j in range(6)] for i in range(5)] + [[-x for x in c]]
+    code, out, _ = run(["roots", _semidirect_table(tmp_path / "q6.json", images),
+                        "--cartan", "x"])
+    assert code == 0
+    payload = json.loads(out)
+    assert [(r["root"], r["dim"]) for r in payload["roots"]] == [
+        ([{"a": str(a), "b": str(b), "d": 2}], 1) for a in (0, 1, 2) for b in (-1, 1)]
+    assert len(payload["zero_space"]) == 1
+
+
+@pytest.mark.parametrize("n", [5, 10 ** 12 + 39, 10 ** 16 + 61])
+def test_roots_over_a_large_imaginary_field(run, tmp_path, n):
+    """[x, v1] = v2, [x, v2] = -n*v1: roots +-sqrt(-n) for the primes n,
+    with the same output at every size, in well under a second."""
+    path = _semidirect_table(tmp_path / "rot.json", [[0, 1], [-n, 0]])
+    start = time.perf_counter()
+    code, out, _ = run(["roots", path, "--cartan", "x", "--format", "text"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines() == [
+        f"root ((0+-1*sqrt(-{n}))): dim 1 <v1+((0+1/{n}*sqrt(-{n})))*v2>",
+        f"root ((0+1*sqrt(-{n}))): dim 1 <v1+((0+-1/{n}*sqrt(-{n})))*v2>",
+        "zero space: <x>"]
 
 
 def test_repeated_cartan_joins_values(run):

@@ -2,6 +2,7 @@
 maximal compact construction, canonical element search."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from lieembed.errors import (ExtensionDegreeTooHigh, NoCompactFound,
                              NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
-from lieembed.exactlin import make_scalar, vec_is_zero
+from lieembed.exactlin import Poly, make_scalar, vec_is_zero
 from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
                               LieAlgebra, Subspace, centralizer,
                               classify_element, derived_algebra,
@@ -27,7 +28,7 @@ from lieembed.vecfield import so_pq_generators
 from test_liecore import vec_add, vec_scale, vec_sub
 from test_liecore import (_block_key, _dense_basis, _ref_restrict, _table_in_basis,
                           _typed)
-from test_exactlin import _block_diag
+from test_exactlin import _block_diag, _perfbench_module
 
 
 def span(L, *vs):
@@ -454,6 +455,39 @@ def test_killing_norm_sign_of_real_and_compact_elements(wave15, wave16, g2):
                 continue
             seen[kind] += 1
     assert min(seen.values()) >= 15
+
+
+def test_dense_so13_element_with_an_irreducible_quartic_is_classified_fast():
+    """v = (0, 4/3, 7, 0, 6, 0) in a dense so(1,3) table has the minimal
+    polynomial t^5 + (198526/81) t^3 + (12085138705/6561) t, whose quartic
+    factor is irreducible; classifying v raises within a second."""
+    rng = random.Random(9090)
+    _rebased_so(2, 2, rng)
+    L = _rebased_so(1, 3, rng)
+    v = (F(0), F(4, 3), F(7), F(0), F(6), F(0))
+    start = time.perf_counter()
+    with pytest.raises(ExtensionDegreeTooHigh, match="a factor of degree 4"):
+        classify_element(L, v)
+    assert time.perf_counter() - start < 1
+    assert spectrum(L, v).min_poly == Poly(
+        [0, F(12085138705, 6561), 0, F(198526, 81), 0, 1])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_real_torus_of_a_dense_so33(seed):
+    """so(3,3) under a seeded unimodular change of basis (the benchmark's
+    generator): the maximal real torus is a split Cartan subalgebra, found
+    in seconds, though the candidates' minimal polynomials reach degree 13
+    and coefficients of 187 bits."""
+    rebase = _perfbench_module("rebase")
+    names, table = rebase.so_pq(3, 3)
+    P = rebase.unimodular(len(names), random.Random(f"so33:{seed}"))
+    L = LieAlgebra.from_json(rebase.table_to_json(
+        names, rebase.rebase(table, P, rebase.inverse(P))))
+    start = time.perf_counter()
+    torus, cd, _ = embed_real_torus(L, Subspace(L, []))
+    assert time.perf_counter() - start < 5
+    assert (torus.dim, cd.cartan.dim, cd.real_part.dim, cd.compact_part.dim) == (3, 3, 3, 0)
 
 
 def _ref_find_real_semisimple(sub, budget, seed=0):

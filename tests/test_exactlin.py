@@ -1,8 +1,12 @@
 """Exact scalar arithmetic, matrices and polynomial factorization."""
 
+import importlib
 import random
+import sys
+import time
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +17,10 @@ from lieembed.errors import ExtensionDegreeTooHigh, ParseError
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                eigenvalues, factor_roots, kernel,
                                linear_solver, make_scalar, min_poly,
-                               poly_gcd, poly_lcm, rat, rational_roots,
+                               poly_gcd, poly_lcm, rat,
                                rref, solve_linear,
-                               squarefree_split, symmetric_signature,
+                               squarefree_decomposition, squarefree_split,
+                               symmetric_signature,
                                unit_vector)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
@@ -32,6 +37,22 @@ def test_rat_accepts_only_p_over_q():
             rat(text)
     with pytest.raises(ZeroDivisionError):
         rat("1/0")
+
+
+@given(st.sampled_from(("", "+", "-")), st.integers(0, 10 ** 40),
+       st.one_of(st.none(), st.integers(0, 10 ** 40)), st.sampled_from(("", " ", "\n")))
+def test_rat_matches_fraction_on_short_strings(sign, num, den, pad):
+    """rat builds the Fraction from its own match: the value Fraction(text)
+    gives, and for a zero denominator the same ZeroDivisionError text."""
+    text = f"{pad}{sign}{num}{'' if den is None else f'/{den}'}{pad}"
+    try:
+        want = F(text)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError) as got:
+            rat(text)
+        assert str(got.value) == str(exc)
+        return
+    assert rat(text) == want
 
 
 def test_rat_long_digit_strings():
@@ -802,35 +823,103 @@ def test_char_poly_against_sympy():
         assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
 
 
+def _sympy_fits(sympy, t, expr, single_extension=True):
+    """sympy's verdict: every irreducible factor of expr has degree <= 2
+    (and, with ``single_extension``, the quadratic ones share one field)."""
+    factors = [sympy.Poly(f, t) for f, _ in sympy.factor_list(expr, t)[1]]
+    discs = [sympy.Rational(f.discriminant()) for f in factors if f.degree() == 2]
+    fields = {squarefree_split(r.p * r.q)[0] for r in discs}
+    return (all(f.degree() <= 2 for f in factors)
+            and (len(fields) <= 1 or not single_extension))
+
+
+def _sympy_roots(sympy, t, expr):
+    return {sympy.expand(r): k for r, k in sympy.roots(expr, t).items()}
+
+
+def _roots_as_sympy(sympy, roots):
+    got = {}
+    for lam, mult in roots:
+        key = _sympy_scalar(sympy, lam)
+        got[key] = got.get(key, 0) + mult
+    return got
+
+
+def _sympy_expr(sympy, t, p):
+    return sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+               for i, c in enumerate(p.coeffs))
+
+
 def test_eigenvalues_against_sympy():
     """Eigenvalue multisets equal sympy's roots of the characteristic
     polynomial when these lie in Q or one Q(sqrt d); ExtensionDegreeTooHigh
-    exactly when they do not.  The random entries have 2-bit numerators:
-    rational_roots trial-divides the scaled constant term, which does not
-    finish within 5 s for a 3 x 3 matrix of 17-bit entries."""
+    exactly when they do not.  The random entries have 20-bit numerators."""
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     in_tower = 0
-    for m in _eigen_cases(seed=32, bits=2, count=40):
+    for m in _eigen_cases(seed=32, bits=20, count=40):
         mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                             for row in m.entries])
         cp = mat.charpoly(t).as_expr()
-        factors = [sympy.Poly(f, t) for f, _ in sympy.factor_list(cp, t)[1]]
-        discs = [sympy.Rational(f.discriminant()) for f in factors if f.degree() == 2]
-        fields = {squarefree_split(r.p * r.q)[0] for r in discs}
-        fits = all(f.degree() <= 2 for f in factors) and len(fields) <= 1
-        if not fits:
+        if not _sympy_fits(sympy, t, cp):
             with pytest.raises(ExtensionDegreeTooHigh):
                 eigenvalues(m)
             continue
         in_tower += 1
-        want = {sympy.expand(r): k for r, k in sympy.roots(cp, t).items()}
-        got = {}
-        for lam, mult in eigenvalues(m):
-            key = _sympy_scalar(sympy, lam)
-            got[key] = got.get(key, 0) + mult
-        assert got == want, m.entries
+        assert _roots_as_sympy(sympy, eigenvalues(m)) == _sympy_roots(sympy, t, cp), m.entries
     assert in_tower >= 20
+
+
+def _squarefree_number(rng, bits):
+    while True:
+        d, _ = squarefree_split(rng.choice((-1, 1)) * rng.randint(2, 2 ** bits))
+        if d != 1:
+            return d
+
+
+def _field_product(rng, bits, cubic):
+    """A seeded product of rational linear factors and quadratic ones
+    whose roots lie in one Q(sqrt d), all with ``bits``-bit coefficients,
+    some of them repeated; times the irreducible cubic (w*t - s)^3 - c
+    (c not a cube) when ``cubic``."""
+    d = _squarefree_number(rng, rng.choice((2, 8, bits)))
+    num = lambda: rng.randint(-2 ** bits, 2 ** bits)  # noqa: E731
+    pos = lambda: rng.randint(1, 2 ** bits)  # noqa: E731
+    p = Poly([1])
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            f = Poly([num(), pos()])
+        else:
+            # (w*t - u)^2 - d*v^2: roots (u +- v*sqrt(d)) / w
+            u, v, w = num(), pos(), pos()
+            f = Poly([u * u - d * v * v, -2 * u * w, w * w])
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            p = p * f
+    if rng.random() < 0.2:
+        p = p * Poly([0, 1])
+    if cubic:
+        s, w = num(), pos()
+        c = next(c for c in iter(lambda: rng.randint(2, 2 ** bits), None)
+                 if round(c ** (1 / 3)) ** 3 != c)
+        p = p * Poly([-s ** 3 - c, 3 * s * s * w, -3 * s * w * w, w ** 3])
+    return p
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(deadline=None)
+def test_factor_roots_against_sympy_factor_list(rng, cubic):
+    """Products of linear and quadratic factors over one field with 20-bit
+    coefficients give sympy's roots; an irreducible cubic factor raises."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    p = _field_product(rng, 20, cubic)
+    expr = _sympy_expr(sympy, t, p)
+    assert _sympy_fits(sympy, t, expr) != cubic
+    if cubic:
+        with pytest.raises(ExtensionDegreeTooHigh):
+            factor_roots(p)
+        return
+    assert _roots_as_sympy(sympy, factor_roots(p)) == _sympy_roots(sympy, t, expr)
 
 
 def test_eigenvalues_quartic_resolvent():
@@ -850,13 +939,229 @@ def test_eigenvalues_two_extensions_rejected():
 
 
 def test_eigenvalues_cubic_rejected():
-    with pytest.raises(ExtensionDegreeTooHigh):
+    with pytest.raises(ExtensionDegreeTooHigh,
+                       match="a factor of degree 3 with no factor of degree <= 2"):
         factor_roots(Poly([-2, 0, 0, 1]))  # t^3 - 2
 
 
-def test_rational_roots_divisor_search():
+def test_factor_roots_rational_roots():
+    """Rational roots with a non-monic integer form, including roots whose
+    numerator and denominator have 60 bits, which a search over divisors
+    of the constant term could not reach."""
     p = Poly([F(-1, 2), F(1, 2)]) * Poly([-2, 1]) * Poly([3, 1])
-    assert sorted(rational_roots(p)) == [F(-3), F(1), F(2)]
+    assert factor_roots(p) == [(F(-3), 1), (F(1), 1), (F(2), 1)]
+    big = [F(2 ** 61 - 1, 2 ** 59 + 5), F(-(2 ** 60 + 33), 3 ** 37), F(7, 9)]
+    p = Poly([1])
+    for r, k in zip(big, (1, 2, 1)):
+        for _ in range(k):
+            p = p * Poly([-r, 1])
+    p = p * Poly([0, 0, 1]) * Poly([F(-1, 3), 1])
+    assert factor_roots(p) == sorted([(big[0], 1), (big[1], 2), (big[2], 1),
+                                      (F(0), 2), (F(1, 3), 1)])
+
+
+def test_factor_roots_splits_every_degree_two_product():
+    """Every polynomial whose irreducible factors have degree <= 2 splits,
+    whatever its degree: (t^2-2)(t^2-2t-1)(t^2-4t+2) has six roots in
+    Q(sqrt 2), and the messages for what does not split state true facts."""
+    p = Poly([-2, 0, 1]) * Poly([-1, -2, 1]) * Poly([2, -4, 1])
+    roots = factor_roots(p)
+    assert [(r.a, r.b, r.d, k) for r, k in roots] == [
+        (F(a), F(b), 2, 1) for a in (0, 1, 2) for b in (-1, 1)]
+    # a degree-6 cofactor: (t^3 - 2)(t^3 - 3) has no factor of degree <= 2
+    with pytest.raises(ExtensionDegreeTooHigh, match="degree 6 with no factor"):
+        factor_roots(Poly([-2, 0, 0, 1]) * Poly([-3, 0, 0, 1]) * Poly([-5, 1]))
+
+
+def test_squarefree_split_large():
+    """Trial division stops at the cube root of what is left, or once that
+    is a square; the leftover is then a prime or a product of two primes."""
+    big, other, mersenne = 10 ** 16 + 61, 1_000_000_007, 2 ** 61 - 1
+    start = time.perf_counter()
+    assert squarefree_split(-4 * big) == (-big, 2)
+    assert squarefree_split(12 * other * other) == (3, 2 * other)
+    assert squarefree_split(5 * 7 ** 3 * other * 998244353) == (35 * other * 998244353, 7)
+    assert squarefree_split(-3 * (2 * mersenne * other) ** 2) == (-3, 2 * mersenne * other)
+    assert time.perf_counter() - start < 1
+    for n in range(-300, 301):
+        d, k = squarefree_split(n)
+        assert d * k * k == n
+        assert n == 0 or all(d % (q * q) for q in range(2, 18))
+
+
+# --- the divisor-search root finder, kept as a reference --------------------------
+
+def _ref_rational_roots(p):
+    """Rational roots of p by trial over the divisors of the scaled constant
+    and leading terms (cost grows with their square roots)."""
+    coeffs = exactlin._int_clear(p)
+    roots = [F(0)] if not coeffs[0] else []
+    coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+
+    def divisors(n):
+        small = [i for i in range(1, isqrt(abs(n)) + 1) if n % i == 0]
+        return sorted({*small, *(abs(n) // i for i in small)})
+
+    def value(x):
+        acc = F(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+
+    if len(coeffs) > 1:
+        for num in divisors(coeffs[0]):
+            for den in divisors(coeffs[-1]):
+                for cand in (F(num, den), F(-num, den)):
+                    if cand not in roots and value(cand) == 0:
+                        roots.append(cand)
+    return roots
+
+
+def _ref_sqrt(x):
+    if x >= 0 and isqrt(x.numerator) ** 2 == x.numerator \
+            and isqrt(x.denominator) ** 2 == x.denominator:
+        return F(isqrt(x.numerator), isqrt(x.denominator))
+    return None
+
+
+def _ref_quadratic_roots(p_coef, q_coef):
+    disc = p_coef * p_coef - 4 * q_coef
+    r = _ref_sqrt(disc)
+    if r is not None:
+        return (-p_coef + r) / 2, (-p_coef - r) / 2
+    d, k = squarefree_split(disc.numerator * disc.denominator)
+    half = F(k, 2 * disc.denominator)
+    return make_scalar(-p_coef / 2, half, d), make_scalar(-p_coef / 2, -half, d)
+
+
+def _ref_split_quartic(p):
+    """(t^2 + p1 t + q1)(t^2 + p2 t + q2) from a rational root of the
+    resolvent cubic, or None."""
+    e, c, b, a, _ = (list(p.coeffs) + [F(0)] * 5)[:5]
+    resolvent = Poly([-(a * a * e - 4 * b * e + c * c), a * c - 4 * e, -b, 1])
+    for y0 in _ref_rational_roots(resolvent):
+        r = _ref_sqrt(a * a - 4 * b + 4 * y0)
+        if r is None:
+            continue
+        p1, p2 = (a + r) / 2, (a - r) / 2
+        if p1 != p2:
+            q2 = (c - p2 * y0) / (p1 - p2)
+            q1 = y0 - q2
+        else:
+            dq = _ref_sqrt(y0 * y0 - 4 * e)
+            if dq is None:
+                continue
+            q1, q2 = (y0 + dq) / 2, (y0 - dq) / 2
+        if Poly([q1, p1, 1]) * Poly([q2, p2, 1]) == p:
+            return (p1, q1), (p2, q2)
+    return None
+
+
+def _ref_factor_squarefree(p):
+    roots = []
+    p = p.monic()
+    for r in _ref_rational_roots(p):
+        roots.append(r)
+        p = p.exact_div(Poly([-r, 1]))
+    while p.degree > 0:
+        if p.degree == 2:
+            return roots + list(_ref_quadratic_roots(p.coeffs[1], p.coeffs[0]))
+        if p.degree == 4:
+            split = _ref_split_quartic(p)
+            if split is None:
+                raise ExtensionDegreeTooHigh("quartic does not split")
+            return roots + [r for pq in split for r in _ref_quadratic_roots(*pq)]
+        if p.degree % 2 or any(p.coeffs[1::2]):
+            raise ExtensionDegreeTooHigh(f"factor of degree {p.degree}")
+        # even polynomial h(t^2): peel the rational roots of h
+        h = Poly(p.coeffs[0::2])
+        hr = _ref_rational_roots(h)
+        if not hr:
+            raise ExtensionDegreeTooHigh(f"factor of degree {p.degree}")
+        for s in hr:
+            h = h.exact_div(Poly([-s, 1]))
+            roots.extend(_ref_quadratic_roots(F(0), -s))
+        if h.degree <= 0:
+            return roots
+        p = Poly([c for cc in h.coeffs for c in (cc, F(0))][:-1])
+        if p.degree not in (2, 4):
+            raise ExtensionDegreeTooHigh(f"factor of degree {p.degree}")
+    return roots
+
+
+def _ref_factor_roots(p, single_extension=True):
+    """factor_roots before modular factorization: rational roots by divisor
+    search, then quadratics, quartics by their resolvent cubic and even
+    polynomials h(t^2) by the rational roots of h; anything else raises."""
+    out = [(root, mult) for f, mult in squarefree_decomposition(p)
+           for root in _ref_factor_squarefree(f)]
+    ds = {exactlin.scalar_d(r) for r, _ in out} - {0}
+    if single_extension and len(ds) > 1:
+        raise ExtensionDegreeTooHigh(f"two quadratic extensions: {sorted(ds)}")
+    return sorted(out, key=lambda rm: (*exactlin.scalar_sort_key(rm[0]),
+                                       exactlin.scalar_d(rm[0])))
+
+
+def _perfbench_module(name):
+    """A module of the benchmark harness in perfbench/, for its inputs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.pop(0)
+
+
+def _workload_polynomials():
+    """(polynomial, single_extension) of every factor_roots call of one
+    verify pass and of rebased passes with seeds 101-103 (the benchmark's
+    requests, run in this process on fresh algebras)."""
+    import lieembed
+    from lieembed import corpus, embed, liecore, rootsys, vecfield
+    child, workloads = _perfbench_module("child"), _perfbench_module("workloads")
+    seen = []
+    real = exactlin.factor_roots
+
+    def record(p, single_extension=True):
+        seen.append((p, single_extension))
+        return real(p, single_extension)
+
+    golden = corpus.load_shipped_corpus()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (liecore, rootsys, embed):
+            mp.setattr(module, "factor_roots", record)
+        vecfield.algebra_by_name.cache_clear()
+        for case in golden["cases"]:
+            corpus.run_case(case)
+        vecfield.algebra_by_name.cache_clear()
+        for seed in (101, 102, 103):
+            for alg in workloads.rebased_plan(golden, seed)["algebras"]:
+                L = lieembed.LieAlgebra.from_json(alg["table"], name=alg["name"])
+                for req in alg["requests"]:
+                    child._request(lieembed, L, req)
+    return seen
+
+
+def test_factor_roots_matches_divisor_search_on_the_workloads():
+    """On every polynomial of the benchmark's verify pass and rebased
+    seeds 101-103, the same roots as the divisor search; where that
+    raises, sympy's factor_list decides."""
+    polys = _workload_polynomials()
+    assert len(polys) >= 100
+    for p, single in polys:
+        try:
+            want = _ref_factor_roots(p, single)
+        except ExtensionDegreeTooHigh:
+            sympy = pytest.importorskip("sympy")
+            t = sympy.Symbol("t")
+            expr = _sympy_expr(sympy, t, p)
+            if _sympy_fits(sympy, t, expr, single):
+                assert (_roots_as_sympy(sympy, factor_roots(p, single))
+                        == _sympy_roots(sympy, t, expr))
+            else:
+                with pytest.raises(ExtensionDegreeTooHigh):
+                    factor_roots(p, single)
+            continue
+        assert factor_roots(p, single) == want, p
 
 
 # --- signature / determinant ----------------------------------------------------
