@@ -771,12 +771,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly([])
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
 def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, u, v) with u*a + v*b = g, g monic."""
     r0, r1 = a, b
@@ -792,13 +786,6 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     lead = r0.lead
     inv = (ONE / lead) if isinstance(lead, Fraction) else lead.inverse()
     return r0.monic(), s0 * inv, t0 * inv
-
-
-def squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return p.exact_div(g).monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -893,12 +880,12 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
     b_i*sqrt(d)) / scale`` for its row i, as :func:`_scaled_rows` and
     :meth:`Subspace.ad_block` give them.
 
-    Works on the integer matrix ``A = scale*m`` (the rows a_i).  Each
-    standard basis vector that the polynomial found so far does not
-    annihilate (integer Horner test) contributes its Krylov annihilator,
-    and the lcm of those is the minimal polynomial of A; then ``mp_m(t) =
-    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for a
-    non-square matrix or one with extension scalars (a nonzero b_i).
+    Works on the integer matrix ``A = scale*m`` (the rows a_i).  For each
+    standard basis vector e with v = r(A) e nonzero (Horner), r, a
+    primitive integer list, becomes lcm(r, ann(e)) = r * ann(v), the
+    Krylov annihilator of v; the last r is the minimal polynomial of A, and
+    ``mp_m(t) = mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for
+    a non-square matrix or one with extension scalars (a nonzero b_i).
     """
     if isinstance(m, Matrix):
         if m.rows != m.cols:
@@ -911,23 +898,19 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
         raise ValueError("min_poly needs a rational matrix")
     n = len(rows)
     rows = [list(a.items()) for a, _ in rows]
-    result = Poly([1])
-    ints = [1]  # primitive integer multiple of result
+    ints = [1]
     for start in range(n):
-        if result.degree >= 1:
-            acc = [0] * n  # Horner: acc = result(A) e_start, up to a scalar
-            acc[start] = ints[-1]
-            for c in reversed(ints[:-1]):
-                acc = _int_apply(rows, acc)
-                acc[start] += c
-            if not any(acc):
-                continue
-        result = poly_lcm(result, Poly(_krylov_annihilator(rows, start)))
-        ints = _int_clear(result)
-        if result.degree == n:
-            break
-    k = result.degree
-    return Poly([Fraction(c, ints[-1] * scale ** (k - j))
+        acc = [0] * n  # Horner: acc = r(A) e_start
+        acc[start] = ints[-1]
+        for c in reversed(ints[:-1]):
+            acc = _int_apply(rows, acc)
+            acc[start] += c
+        if any(acc):
+            # both factors are primitive, so their product is (Gauss)
+            ints = _int_mul(ints, _krylov_annihilator(rows, acc))
+            if len(ints) == n + 1:
+                break
+    return Poly([Fraction(c, ints[-1] * scale ** (len(ints) - 1 - j))
                  for j, c in enumerate(ints)])
 
 
@@ -935,21 +918,20 @@ def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
     return [sum(a * v[j] for j, a in row) for row in rows]
 
 
-def _krylov_annihilator(rows: list[list[tuple[int, int]]], start: int) -> list[int]:
-    """Integer coefficients of the lowest-degree p with p(A) e_start = 0.
+def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
+    """Primitive integer coefficients of the lowest-degree p with p(A) v = 0,
+    for a nonzero integer vector v.
 
-    ``A^k e_start``, tagged with a 1 at position ``n + k``, is reduced by
+    ``A^k v``, tagged with a 1 at position ``n + k``, is reduced by
     :func:`_combine` against the earlier rows in insertion order, so its
     tags carry its combination of the powers of A.  The first row left with
-    no entry below n holds p in its tags.
+    no entry below n holds p in its tags, divided by their content.
     """
     n = len(rows)
     echelon: list[tuple[int, _IntRow]] = []  # (pivot, row)
-    power = [0] * n
-    power[start] = 1
     while True:
         k = len(echelon)
-        row = ({**{j: x for j, x in enumerate(power) if x}, n + k: 1}, {})
+        row = ({**{j: x for j, x in enumerate(v) if x}, n + k: 1}, {})
         for p, prow in echelon:
             f = row[0].get(p, 0)
             if f:
@@ -959,7 +941,7 @@ def _krylov_annihilator(rows: list[list[tuple[int, int]]], start: int) -> list[i
         if pivot >= n:
             return [row[0].get(n + j, 0) for j in range(k + 1)]
         echelon.append((pivot, row))
-        power = _int_apply(rows, power)
+        v = _int_apply(rows, v)
 
 
 # --- roots over the scalar tower ---------------------------------------------
@@ -991,7 +973,7 @@ def _zp_add(a: list[int], b: list[int], m: int) -> list[int]:
     return _zp([x + y for x, y in zip(a, b)] + a[len(b):], m)
 
 
-def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -999,7 +981,11 @@ def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _zp(out, m)
+    return out
+
+
+def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    return _zp(_int_mul(a, b), m)
 
 
 def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -1058,13 +1044,6 @@ def _squarefree_prime(f: list[int], tries: Optional[int] = 12) -> Optional[int]:
             return None
         if f[-1] % p and len(_zp_gcd(_zp(f, p), _zp(df, p), p)) == 1:
             return p
-
-
-def is_squarefree(p: Poly) -> bool:
-    """Whether the nonzero rational polynomial p has no repeated factor:
-    by :func:`_squarefree_prime`, else by the gcd of p and p' over Q."""
-    return (_squarefree_prime(_int_clear(p)) is not None
-            or poly_gcd(p, p.derivative()).degree == 0)
 
 
 def _local_factors(f: list[int], p: int) -> Optional[list[list[int]]]:
@@ -1220,34 +1199,43 @@ def _quadratic_roots(a: int, b: int, c: int) -> tuple[Scalar, Scalar]:
     return ExactScalar(mid, half, d), ExactScalar(mid, -half, d)
 
 
-def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, int]]:
-    """Roots with multiplicities of a nonzero rational polynomial, sorted,
-    when every irreducible factor over Q has degree <= 2; raises
-    ExtensionDegreeTooHigh otherwise.
-
-    The primitive integer multiple of p, the power of t taken off, is
-    squarefree when :func:`_squarefree_prime` finds a prime; else it is
-    split by Yun's squarefree decomposition.  :func:`_small_factors`
-    factors each squarefree part.  With ``single_extension`` every
-    irrational root must share one squarefree d; otherwise several
-    quadratic fields may appear side by side (for classification only).
+def _squarefree_parts(p: Poly) -> tuple[int, Optional[int], list[tuple[list[int], int]]]:
+    """(k, prime, parts) with p = c * t^k * prod g^m over the (g, m) in
+    parts: g squarefree, coprime, primitive, lc(g) > 0, g(0) != 0 and deg g
+    > 0.  prime is :func:`_squarefree_prime` of p / (c t^k), which is then
+    the one part; when there is none, Yun's decomposition gives the parts.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     f = _int_clear(p)
     if f[-1] < 0:
         f = [-c for c in f]
-    zeros = next(i for i, c in enumerate(f) if c)
+    k = next(i for i, c in enumerate(f) if c)
+    f = f[k:]
+    if len(f) == 1:
+        return k, None, []
+    prime = _squarefree_prime(f)
+    if prime:
+        return k, prime, [(f, 1)]
+    return k, None, [(_int_clear(g), mult) for g, mult in squarefree_decomposition(Poly(f))]
+
+
+def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, int]]:
+    """Roots with multiplicities of a nonzero rational polynomial, sorted,
+    when every irreducible factor over Q has degree <= 2; raises
+    ExtensionDegreeTooHigh otherwise.
+
+    :func:`_small_factors` factors each part of :func:`_squarefree_parts`.
+    With ``single_extension`` every irrational root must share one
+    squarefree d; otherwise several quadratic fields may appear side by
+    side (for classification only).
+    """
+    zeros, prime, parts = _squarefree_parts(p)
     out: list[tuple[Scalar, int]] = [(ZERO, zeros)] if zeros else []
-    f = f[zeros:]
-    if len(f) > 1:
-        prime = _squarefree_prime(f)
-        parts = ([(f, 1)] if prime else
-                 [(_int_clear(g), mult) for g, mult in squarefree_decomposition(Poly(f))])
-        for g, mult in parts:
-            for h in _small_factors(g, prime):
-                roots = [Fraction(-h[0], h[1])] if len(h) == 2 else _quadratic_roots(*h[::-1])
-                out.extend((root, mult) for root in roots)
+    for g, mult in parts:
+        for h in _small_factors(g, prime):
+            roots = [Fraction(-h[0], h[1])] if len(h) == 2 else _quadratic_roots(*h[::-1])
+            out.extend((root, mult) for root in roots)
     if single_extension:
         ds = {scalar_d(r) for r, _ in out if scalar_d(r) != 0}
         if len(ds) > 1:

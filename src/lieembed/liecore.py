@@ -15,11 +15,11 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
-                       factor_roots, format_rat, is_squarefree, linear_solver,
-                       min_poly, poly_ext_gcd, rat, scalar_d, scalar_parts,
-                       scalar_to_json, squarefree_part, symmetric_signature,
-                       unit_vector, _kernel_ints, _rref_ints, _same_d,
-                       _scaled_rows, _scaled_vector, _sub_multiple,
+                       factor_roots, format_rat, linear_solver, min_poly,
+                       poly_ext_gcd, rat, scalar_d, scalar_parts,
+                       scalar_to_json, symmetric_signature, unit_vector,
+                       _kernel_ints, _rref_ints, _same_d, _scaled_rows,
+                       _scaled_vector, _squarefree_parts, _sub_multiple,
                        _unscaled_vector)
 
 NILPOTENT = "nilpotent"
@@ -548,7 +548,7 @@ class Subspace:
         return den, d, _transpose(cols, self.dim)
 
     def as_subalgebra(self) -> LieAlgebra:
-        """This subspace as an abstract algebra in its own RREF basis."""
+        """This subspace as an abstract algebra over Q in its own RREF basis."""
         k, vecs = self.dim, self._vecs()
         brackets = {}
         for i in range(k):
@@ -563,6 +563,9 @@ class Subspace:
                 comp = {t: c for t, c in enumerate(coords) if c}
                 if comp:
                     brackets[(i, j)] = comp
+        if any(not isinstance(c, Fraction) for comp in brackets.values() for c in comp.values()):
+            raise ExtensionDegreeTooHigh(
+                f"a subalgebra with structure constants in Q(sqrt({self.d})), not Q")
         names = [f"s{t + 1}" for t in range(k)]
         return LieAlgebra(k, names, brackets, name=f"sub({self.dim})", validate=False)
 
@@ -805,7 +808,9 @@ def _semisimple_poly(s: Spectrum) -> Poly:
     if s.semisimple:
         return Poly.x()
     mp = s.min_poly
-    g = squarefree_part(mp)
+    g = Poly([0, 1] if s.zeros else [1])  # the squarefree part of mp
+    for f, _ in s.parts:
+        g = g * Poly(f)
     x = Poly.x() % mp
     for _ in range(mp.degree + 1):
         gx = g.compose_mod(x, mp)
@@ -844,7 +849,8 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
 class Spectrum:
     """Spectral summary of ad(x), read off its minimal polynomial.
 
-    ``nilpotent``: the minimal polynomial is t^k.  ``semisimple``: it is
+    ``zeros`` and ``parts``: :func:`_squarefree_parts` of the minimal
+    polynomial.  ``nilpotent``: it is t^k.  ``semisimple``: it is
     squarefree.  ``roots`` is ``factor_roots(min_poly, single_extension=
     False)``, computed on first use and kept; ``kind`` (the
     :func:`classify_element` label) and ``extensions`` (the set of d != 0
@@ -853,12 +859,13 @@ class Spectrum:
     use of any of the three raises ExtensionDegreeTooHigh.
     """
 
-    __slots__ = ("min_poly", "nilpotent", "semisimple", "_roots", "_failure")
+    __slots__ = ("min_poly", "zeros", "parts", "nilpotent", "semisimple", "_roots", "_failure")
 
     def __init__(self, mp: Poly):
         self.min_poly = mp
-        self.nilpotent = not any(mp.coeffs[:-1])
-        self.semisimple = is_squarefree(mp)
+        self.zeros, _, self.parts = _squarefree_parts(mp)
+        self.nilpotent = not self.parts
+        self.semisimple = self.zeros <= 1 and all(m == 1 for _, m in self.parts)
         self._roots: Optional[list] = None
         # the exception's args only: a kept exception keeps its frames alive
         self._failure: Optional[tuple] = None

@@ -355,3 +355,39 @@ def test_criterion_11_determinism_verify():
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
     _passed(11, "two consecutive verify runs are byte-identical")
+
+
+_NO_DEPENDENCIES = """
+import contextlib, importlib, io, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import lieembed
+from lieembed import corpus
+for info in pkgutil.iter_modules(lieembed.__path__):
+    if info.name != "__main__":
+        importlib.import_module("lieembed." + info.name)
+results, ok = corpus.run_corpus(corpus.load_shipped_corpus())
+assert ok and len(results) == 27
+# lieembed.__main__ runs the CLI on import and exits
+sys.argv = ["lieembed", "verify"]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        importlib.import_module("lieembed.__main__")
+except SystemExit as exc:
+    assert exc.code == 0
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def test_no_runtime_dependencies():
+    """In a fresh interpreter without site-packages (-S), importing every
+    lieembed module and replaying the shipped corpus loads only lieembed
+    and the standard library."""
+    import lieembed
+    from pathlib import Path
+    src = str(Path(lieembed.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _NO_DEPENDENCIES, src],
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "lieembed.cli" in loaded and "lieembed.ops" in loaded
+    tops = {name.split(".")[0] for name in loaded} - {"__main__"}
+    assert {t for t in tops if t != "lieembed" and t not in sys.stdlib_module_names} == set()

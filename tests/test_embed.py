@@ -1,12 +1,17 @@
 """Embedding procedures: tori, abelian and general nilpotent algebras,
 maximal compact construction, canonical element search."""
 
+import json
 import random
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
+from lieembed import corpus, ops
 from lieembed.errors import (ExtensionDegreeTooHigh, NoCompactFound,
                              NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
@@ -488,6 +493,41 @@ def test_real_torus_of_a_dense_so33(seed):
     torus, cd, _ = embed_real_torus(L, Subspace(L, []))
     assert time.perf_counter() - start < 5
     assert (torus.dim, cd.cartan.dim, cd.real_part.dim, cd.compact_part.dim) == (3, 3, 3, 0)
+
+
+
+@pytest.mark.parametrize("seed, d", [(1, 177), (2, 221)])
+def test_dense_g2_nilpotent_embed_exits_4(seed, d, tmp_path):
+    """The paper's g2 nilpotent embed under a seeded unimodular change of
+    basis, its subspace <X14, X13, X12> mapped with it: the abelian step's
+    eigenvector lies over Q(sqrt d), so the normalizer's Levi step meets a
+    subalgebra whose structure constants are irrational.  That is a stated
+    ExtensionDegreeTooHigh (exit 4) within a second, not a traceback."""
+    rebase = _perfbench_module("rebase")
+    cases = {c["name"]: c for c in corpus.load_shipped_corpus()["cases"]}
+    names, table = rebase.table_from_json(cases["g2-commutator-table"]["expect"])
+    P = rebase.unimodular(len(names), random.Random(f"dense:g2-embed-nilpotent:{seed}"))
+    Pinv = rebase.inverse(P)
+    doc = rebase.table_to_json(names, rebase.rebase(table, P, Pinv))
+    rows = [rebase.row_times([F(x) for x in row], Pinv)
+            for row in cases["g2-embed-nilpotent"]["subspace"]]
+    message = f"structure constants in Q(sqrt({d})), not Q"
+    L = LieAlgebra.from_json(doc)
+    start = time.perf_counter()
+    with pytest.raises(ExtensionDegreeTooHigh, match=re.escape(message)):
+        ops.embed(L, "nilpotent", [L.element(r) for r in rows])
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(doc))
+    spec = ",".join("".join(f"{'-' if c < 0 else '+'}{abs(c)}*{names[k]}"
+                            for k, c in enumerate(r) if c) for r in rows)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "lieembed", "embed", str(path),
+                           "--mode", "nilpotent", f"--subspace={spec}"],
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"error: scalar tower exceeded: a subalgebra with {message}\n"
 
 
 def _ref_find_real_semisimple(sub, budget, seed=0):

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic, matrices and polynomial factorization."""
 
+import functools
 import importlib
 import random
 import sys
@@ -17,7 +18,7 @@ from lieembed.errors import ExtensionDegreeTooHigh, ParseError
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                eigenvalues, factor_roots, kernel,
                                linear_solver, make_scalar, min_poly,
-                               poly_gcd, poly_lcm, rat,
+                               poly_gcd, rat,
                                rref, solve_linear,
                                squarefree_decomposition, squarefree_split,
                                symmetric_signature,
@@ -550,8 +551,9 @@ def test_min_poly_divides_char_poly():
 
 
 def _reference_min_poly(m):
-    """Krylov minimal polynomial over Fraction vectors (the algorithm
-    min_poly used before its integer rewrite), kept as the reference."""
+    """Krylov minimal polynomial over Fraction vectors, the lcm of the
+    annihilators of the unit vectors (the algorithm min_poly used before
+    its integer rewrite), kept as the reference."""
     n = m.rows
     result = Poly([1])
     for start in range(n):
@@ -562,7 +564,8 @@ def _reference_min_poly(m):
                 acc = tuple(x + c * ei for x, ei in zip(m.apply(acc), e))
             if all(not x for x in acc):
                 continue
-        result = poly_lcm(result, _reference_annihilator(m, start))
+        a, b = result, _reference_annihilator(m, start)
+        result = (a * b).exact_div(poly_gcd(a, b)).monic()
         if result.degree == n:
             break
     return result
@@ -652,14 +655,13 @@ def test_min_poly_matches_fraction_reference():
         assert min_poly(m) == _reference_min_poly(m), m.entries
 
 
-def _ref_krylov_annihilator(rows, start):
-    """Dense fraction-free elimination of the Krylov vectors with a separate
-    list of combination coefficients (the loop _krylov_annihilator ran
-    before it went through _combine), kept as the reference."""
-    n = len(rows)
+def _ref_krylov_annihilator(rows, v):
+    """Dense fraction-free elimination of the Krylov vectors of the integer
+    vector v with a separate list of combination coefficients (the loop
+    _krylov_annihilator ran before it went through _combine), kept as the
+    reference."""
     echelon = []  # (pivot, row, combo)
-    power = [0] * n
-    power[start] = 1
+    power = v
     while True:
         work, combo = power, [0] * len(echelon) + [1]
         for p, row, row_combo in echelon:
@@ -689,10 +691,11 @@ def _int_rows(m):
 
 def test_krylov_annihilator_matches_dense_reference(monkeypatch):
     """The tagged _combine elimination gives the dense one's integer
-    coefficients, sign and content included, from every start vector of
-    the min_poly cases (zero, scalar, nilpotent, derogatory, random up to
-    20 bits) and of dense 20-bit matrices; min_poly is unchanged when it
-    runs on the reference."""
+    coefficients, sign and content included, from every unit vector of the
+    min_poly cases (zero, scalar, nilpotent, derogatory, random up to 20
+    bits) and of dense 20-bit matrices, and from every Horner vector that
+    min_poly hands it; min_poly is unchanged when it runs on the
+    reference."""
     rng = random.Random(22)
     dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
              for n in (2, 5, 8, 8)]
@@ -700,11 +703,64 @@ def test_krylov_annihilator_matches_dense_reference(monkeypatch):
     for m in cases:
         rows = _int_rows(m)
         for start in range(m.rows):
-            want = _ref_krylov_annihilator(rows, start)
-            assert exactlin._krylov_annihilator(rows, start) == want, (m.entries, start)
+            e = [int(i == start) for i in range(m.rows)]
+            assert exactlin._krylov_annihilator(rows, e) == _ref_krylov_annihilator(rows, e)
+    calls = []
+    real = exactlin._krylov_annihilator
+    monkeypatch.setattr(exactlin, "_krylov_annihilator",
+                        lambda rows, v: calls.append((rows, v)) or real(rows, v))
     got = [min_poly(m) for m in cases]
+    assert len([v for _, v in calls if sum(map(abs, v)) != 1]) >= 20
+    for rows, v in calls:
+        assert real(rows, v) == _ref_krylov_annihilator(rows, v), (rows, v)
     monkeypatch.setattr(exactlin, "_krylov_annihilator", _ref_krylov_annihilator)
     assert got == [min_poly(m) for m in cases]
+
+
+def _dense_rebased_algebras():
+    """wave15 and so(3,3) under seeded unimodular changes of basis, built
+    as the benchmark's rebased workload builds its tables."""
+    from lieembed import corpus
+    from lieembed.liecore import LieAlgebra
+    rebase = _perfbench_module("rebase")
+    cases = {c["name"]: c for c in corpus.load_shipped_corpus()["cases"]}
+    wave16 = rebase.table_from_json(cases["wave16-commutator-table"]["expect"])
+    out = []
+    for label, (names, table) in (("wave15", rebase.wave15_from_wave16(*wave16)),
+                                  ("so33", rebase.so_pq(3, 3))):
+        P = rebase.unimodular(len(names), random.Random(f"min-poly:{label}"))
+        out.append(LieAlgebra.from_json(rebase.table_to_json(
+            names, rebase.rebase(table, P, rebase.inverse(P)))))
+    return out
+
+
+def test_min_poly_matches_fraction_reference_on_dense_ad_blocks():
+    """min_poly of integer ad blocks equals the Fraction Krylov lcm, on
+    dense rebased wave15 and so(3,3): ad(x) on all of L (derogatory, as
+    the kernel has dimension at least the rank) and on the Krylov space of
+    ad(x) through a basis element (cyclic), for x a basis element or a
+    combination with coefficients +-1, +-2."""
+    from lieembed.liecore import Subspace
+    rng = random.Random(17)
+    cyclic = derogatory = 0
+    for L in _dense_rebased_algebras():
+        n = L.dim
+        xs = [unit_vector(n, i) for i in range(0, n, 6)]
+        xs += [tuple(F(rng.choice((-2, -1, 0, 0, 1, 2))) for _ in range(n))
+               for _ in range(2)]
+        for x in xs:
+            y, krylov = unit_vector(n, rng.randrange(n)), []
+            while Subspace(L, krylov + [y]).dim > len(krylov):
+                krylov.append(y)
+                y = L.bracket(x, y)
+            for S in (Subspace.full(L), Subspace(L, krylov)):
+                den, _, rows = block = S.ad_block(L._ad_ints(exactlin._scaled_vector(x)))
+                m = Matrix([[F(a.get(j, 0), den) for j in range(S.dim)] for a, _ in rows])
+                mp = min_poly(block)
+                assert mp == _reference_min_poly(m), (L.name, x, S.dim)
+                cyclic += mp.degree == S.dim
+                derogatory += mp.degree < S.dim
+    assert cyclic >= 4 and derogatory >= 4
 
 
 def test_min_poly_known_values():
@@ -1111,24 +1167,32 @@ def _perfbench_module(name):
         sys.path.pop(0)
 
 
-def _workload_polynomials():
-    """(polynomial, single_extension) of every factor_roots call of one
-    verify pass and of rebased passes with seeds 101-103 (the benchmark's
-    requests, run in this process on fresh algebras)."""
+@functools.cache
+def _workload_calls():
+    """The arguments (polynomial, single_extension) of every factor_roots
+    call and the result of every min_poly call of one verify pass and of
+    rebased passes with seeds 101-103 (the benchmark's requests, run in
+    this process on fresh algebras)."""
     import lieembed
     from lieembed import corpus, embed, liecore, rootsys, vecfield
     child, workloads = _perfbench_module("child"), _perfbench_module("workloads")
-    seen = []
-    real = exactlin.factor_roots
+    polys, min_polys = [], []
+    real_roots, real_min_poly = exactlin.factor_roots, exactlin.min_poly
 
     def record(p, single_extension=True):
-        seen.append((p, single_extension))
-        return real(p, single_extension)
+        polys.append((p, single_extension))
+        return real_roots(p, single_extension)
+
+    def record_min_poly(m):
+        min_polys.append(real_min_poly(m))
+        return min_polys[-1]
 
     golden = corpus.load_shipped_corpus()
     with pytest.MonkeyPatch.context() as mp:
         for module in (liecore, rootsys, embed):
             mp.setattr(module, "factor_roots", record)
+        for module in (liecore, embed):
+            mp.setattr(module, "min_poly", record_min_poly)
         vecfield.algebra_by_name.cache_clear()
         for case in golden["cases"]:
             corpus.run_case(case)
@@ -1138,14 +1202,14 @@ def _workload_polynomials():
                 L = lieembed.LieAlgebra.from_json(alg["table"], name=alg["name"])
                 for req in alg["requests"]:
                     child._request(lieembed, L, req)
-    return seen
+    return polys, min_polys
 
 
 def test_factor_roots_matches_divisor_search_on_the_workloads():
     """On every polynomial of the benchmark's verify pass and rebased
     seeds 101-103, the same roots as the divisor search; where that
     raises, sympy's factor_list decides."""
-    polys = _workload_polynomials()
+    polys = _workload_calls()[0]
     assert len(polys) >= 100
     for p, single in polys:
         try:

@@ -1017,7 +1017,7 @@ def _ref_structure(S):
             if comp:
                 out[(i, j)] = comp
     if any(type(c) is not F for comp in out.values() for c in comp.values()):
-        raise TypeError("structure constants must be rational")
+        raise ExtensionDegreeTooHigh("structure constants must be rational")
     return out
 
 
@@ -1028,7 +1028,7 @@ def _same_outcome(got, want):
     for call in (got, want):
         try:
             results.append(("ok", call()))
-        except (NotASubalgebra, ValueError, TypeError) as exc:
+        except (NotASubalgebra, ExtensionDegreeTooHigh, ValueError, TypeError) as exc:
             results.append((type(exc).__name__, None))
     return results[0] == results[1]
 
@@ -1299,3 +1299,92 @@ def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
             jordan_decomposition(L, _rand_element(L, rng))
         assert L.center_dim() == (1 if L is heis else 0)
     assert factored == [9, 225]
+
+
+# --- spectra: one squarefree split ----------------------------------------------
+
+def _ref_nilpotent_semisimple(p):
+    """The definitions: t^k has no coefficient below its lead, and p is
+    squarefree when gcd(p, p') over Q is a constant."""
+    from lieembed.exactlin import poly_gcd
+    return not any(p.coeffs[:-1]), poly_gcd(p, p.derivative()).degree == 0
+
+
+def _product_one_to_38():
+    """prod (t - a) for a = 1..38: each of the first 12 primes is at most
+    37, so none keeps it squarefree."""
+    from lieembed.exactlin import Poly
+    out = Poly([1])
+    for a in range(1, 39):
+        out = out * Poly([-a, 1])
+    return out
+
+
+def _spectrum_polys():
+    """t^k * f for k = 0..3, with f constant, squarefree or with a
+    repeated quadratic factor, and the product of t - a for a = 1..38
+    times 1, t and t - 1."""
+    from lieembed.exactlin import Poly
+    t = Poly.x()
+    quad = t * t - Poly([3])
+    fs = [Poly([1]), t - Poly([F(5, 2)]), quad * (t + Poly([7])),
+          quad * quad * (t - Poly([1])), (t * t + Poly([1])) * quad * quad]
+    wide = _product_one_to_38()
+    return ([Poly([0] * k + [1]) * f for k in range(4) for f in fs]
+            + [wide, t * wide, wide * (t - Poly([1]))])
+
+
+def test_spectrum_flags_match_their_definitions():
+    """Spectrum.nilpotent and .semisimple, read off the squarefree parts,
+    equal the definitions on every minimal polynomial of a verify pass and
+    of rebased seeds 101-103 and on constructed t^k * f; the parts times t
+    (when k > 0) are the squarefree part p / gcd(p, p')."""
+    from lieembed.exactlin import Poly, poly_gcd
+    from lieembed.liecore import Spectrum
+    from test_exactlin import _workload_calls
+    polys = _workload_calls()[1] + _spectrum_polys()
+    assert len(polys) >= 150
+    seen = set()
+    for p in polys:
+        s = Spectrum(p)
+        nilpotent, semisimple = _ref_nilpotent_semisimple(p)
+        assert (s.nilpotent, s.semisimple) == (nilpotent, semisimple), p
+        seen.add((nilpotent, semisimple))
+        g = Poly([0, 1] if s.zeros else [1])
+        for f, _ in s.parts:
+            g = g * Poly(f)
+        assert g.monic() == p.exact_div(poly_gcd(p, p.derivative())).monic(), p
+    assert seen == {(True, False), (True, True), (False, True), (False, False)}
+
+
+def test_squarefree_parts_of_a_product_with_no_good_small_prime():
+    """prod (t - a), a = 1..38: every one of the first 12 primes is at most
+    37 and leaves it with a repeated root, so Yun's decomposition decides
+    and factor_roots gives 38 simple roots."""
+    from lieembed.exactlin import Poly, _squarefree_parts, _squarefree_prime
+    wide = _product_one_to_38()
+    k, prime, parts = _squarefree_parts(wide)
+    assert (k, prime, [m for _, m in parts]) == (0, None, [1])
+    assert _squarefree_prime(parts[0][0]) is None
+    assert factor_roots(wide) == [(F(a), 1) for a in range(1, 39)]
+    k, prime, parts = _squarefree_parts(wide * Poly([-1, 1]))
+    assert (k, prime, sorted(len(f) - 1 for f, _ in parts)) == (0, None, [1, 37])
+    assert sorted(m for _, m in parts) == [1, 2]
+
+
+def test_nilpotent_spectrum_tries_no_prime(wave15, monkeypatch):
+    """A nilpotent spectrum, and its roots, take no squarefree prime."""
+    from lieembed import exactlin
+    from lieembed.exactlin import Poly
+    from lieembed.liecore import Spectrum
+    calls = []
+    real = exactlin._squarefree_prime
+    monkeypatch.setattr(exactlin, "_squarefree_prime",
+                        lambda f, tries=12: calls.append(f) or real(f, tries))
+    L = LieAlgebra(wave15.dim, wave15.basis_names, wave15.brackets, name="cold")
+    for s in [Spectrum(Poly([0] * k + [1])) for k in range(1, 5)] + [
+            spectrum(L, L.basis_vector(b)) for b in ("e8", "e10", "e11")]:
+        assert s.nilpotent and s.kind == NILPOTENT
+        assert s.roots == [(0, s.min_poly.degree)]
+    assert calls == []
+    assert not Spectrum(Poly([-2, 0, 1])).nilpotent and len(calls) == 1
