@@ -125,24 +125,37 @@ def _candidates(sub: Subspace, budget: int, seed: int):
     return islice(stream(), max(budget, 0))
 
 
+def _screen(sub: Subspace, budget: int, seed: Optional[int], sign: int, accept
+            ) -> Optional[Vector]:
+    """First canonical candidate v of ``sub`` with sign * B(v,v) > 0 that
+    ``accept(L, v)`` takes, or None.  B(v,v) is the sum of the squared
+    eigenvalues of ad(v): positive for a real-semisimple element, negative
+    for a compact one, so a candidate of the other sign is skipped
+    unclassified (it still counts toward ``budget``)."""
+    L = sub.algebra
+    seed = search_seed() if seed is None else seed
+    for v in _candidates(sub, budget, seed):
+        if sign * L.killing(v, v) <= 0:
+            continue
+        try:
+            if accept(L, v):
+                return v
+        except ExtensionDegreeTooHigh:
+            continue  # eigenvalues outside the tower: not representable
+    return None
+
+
 def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET,
                          seed: Optional[int] = None) -> Vector:
     """First canonical element of ``sub`` that is real-semisimple with a
     nonzero eigenvalue in the ambient algebra."""
-    L = sub.algebra
-    seed = search_seed() if seed is None else seed
-    for v in _candidates(sub, budget, seed):
-        # B(v,v) = sum of squared eigenvalues of ad(v) > 0 if real semisimple
-        if vec_is_zero(v) or L.killing(v, v) <= 0:
-            continue
-        try:
-            if classify_element(L, v) == REAL_SEMISIMPLE:
-                return v
-        except ExtensionDegreeTooHigh:
-            continue  # eigenvalues outside the tower: not representable
-    raise NoRealSemisimpleFound(
-        f"no real-semisimple element in a {sub.dim}-dim subspace "
-        f"within budget {budget}")
+    v = _screen(sub, budget, seed, 1,
+                lambda L, v: classify_element(L, v) == REAL_SEMISIMPLE)
+    if v is None:
+        raise NoRealSemisimpleFound(
+            f"no real-semisimple element in a {sub.dim}-dim subspace "
+            f"within budget {budget}")
+    return v
 
 
 def find_compact(sub: Subspace, d_required: Optional[int] = None,
@@ -150,27 +163,19 @@ def find_compact(sub: Subspace, d_required: Optional[int] = None,
                  seed: Optional[int] = None) -> Vector:
     """First canonical compact-semisimple element whose eigenvalues stay in
     one quadratic extension compatible with ``d_required``."""
-    L = sub.algebra
-    seed = search_seed() if seed is None else seed
-    for v in _candidates(sub, budget, seed):
-        # B(v,v) = sum of squared eigenvalues of ad(v) < 0 if compact
-        if vec_is_zero(v) or L.killing(v, v) >= 0:
-            continue
-        try:
-            if classify_element(L, v) != COMPACT_SEMISIMPLE:
-                continue
-        except ExtensionDegreeTooHigh:
-            continue  # eigenvalues outside the tower: not representable
-        # classified, so the roots are factored; compact implies ad(v) != 0
+    def fits(L, v):
+        if classify_element(L, v) != COMPACT_SEMISIMPLE:
+            return False
+        # classified, so the roots are factored; compact means some d < 0
         ds = spectrum(L, v).extensions
-        if len(ds) > 1:
-            continue
-        if d_required is not None and ds and ds != {d_required}:
-            continue
-        return v
-    raise NoCompactFound(
-        f"no compatible compact element in a {sub.dim}-dim subspace "
-        f"within budget {budget}")
+        return len(ds) == 1 and d_required in (None, *ds)
+
+    v = _screen(sub, budget, seed, -1, fits)
+    if v is None:
+        raise NoCompactFound(
+            f"no compatible compact element in a {sub.dim}-dim subspace "
+            f"within budget {budget}")
+    return v
 
 
 # ----------------------------------------------------------------------------
@@ -203,6 +208,14 @@ def _check_input(error: type, L: LieAlgebra, U: Subspace, closed: bool,
             raise error(f"{L.format_element(r)} is not {noun}")
 
 
+def _central(L: LieAlgebra, x: Vector) -> bool:
+    """ad(x) = 0: its minimal polynomial t is nilpotent and semisimple, so
+    x belongs to every torus mode's input, and torus_split puts it in both
+    the real and the compact part."""
+    s = spectrum(L, x)
+    return s.nilpotent and s.semisimple
+
+
 def embed_real_torus(L: LieAlgebra, A: Subspace,
                      budget: int = DEFAULT_BUDGET, seed: Optional[int] = None
                      ) -> tuple[Subspace, CartanData, EmbeddingTrace]:
@@ -210,29 +223,24 @@ def embed_real_torus(L: LieAlgebra, A: Subspace,
     centralizer / derived / center loop, adjoining a real-semisimple element
     of the derived part while its Killing form stays indefinite."""
     _check_input(NotATorus, L, A, A.is_abelian(), "abelian",
-                 lambda L, r: classify_element(L, r) == REAL_SEMISIMPLE,
-                 "real semisimple")
+                 lambda L, r: classify_element(L, r) == REAL_SEMISIMPLE
+                 or _central(L, r), "real semisimple")
     trace = EmbeddingTrace(L, A)
     current = A
     for _ in range(L.dim + 1):
         zc = centralizer(L, current)
         der = derived_algebra(zc)
         if is_negative_definite(der):
-            break
+            break  # current is unchanged: this pass's zc and der still hold
         new = find_real_semisimple(der, budget=budget, seed=seed)
         current = current.with_vectors([new])
         trace.record(RULE_REAL_ADJOIN, [new], current)
     else:
         raise NoRealSemisimpleFound("torus embedding did not terminate")
-    zc = centralizer(L, current)
-    der = derived_algebra(zc)
-    ctr = center(zc)
-    real_part, compact_center = torus_split(L, ctr)
-    der_torus = _max_torus_of_definite(der)
-    compact_part = compact_center.sum(der_torus)
+    real_part, compact_center = torus_split(L, center(zc))
+    compact_part = compact_center.sum(_max_torus_of_definite(der))
     cartan = real_part.sum(compact_part)
-    data = CartanData(cartan, real_part, compact_part)
-    return real_part, data, trace
+    return real_part, CartanData(cartan, real_part, compact_part), trace
 
 
 def embed_compact_torus(L: LieAlgebra, T: Subspace,
@@ -245,7 +253,7 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
         raise NotATorus("input is not abelian")
     d_ctx: Optional[int] = None
     for r in T.rows:
-        if classify_element(L, r) != COMPACT_SEMISIMPLE:
+        if classify_element(L, r) != COMPACT_SEMISIMPLE and not _central(L, r):
             raise NotATorus(f"{L.format_element(r)} is not compact")
         ds = spectrum(L, r).extensions
         if len(ds) > 1 or (d_ctx is not None and ds and ds != {d_ctx}):
@@ -268,7 +276,7 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
 
 
 # ----------------------------------------------------------------------------
-# abelian nilpotent embedding
+# abelian (3.2) and general (3.3) nilpotent embeddings
 
 
 def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
@@ -285,99 +293,76 @@ def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
     return space.eigenspace(block, best)
 
 
+# What tells the two modes apart: the rules of the derived, Jordan and
+# eigenvector steps; how many of a step's elements are adjoined (3.2 takes
+# the first, since two of them need not commute); the error and the name in
+# its message.
+_ABELIAN = ((RULE_AB_DERIVED, RULE_AB_JORDAN, RULE_AB_EIGEN),
+            lambda found: list(islice(found, 1)), NotAbelianNilpotent,
+            "abelian nilpotent")
+_GENERAL = ((RULE_NIL_DERIVED, RULE_NIL_JORDAN, RULE_NIL_EIGEN), list,
+            NotNilpotent, "nilpotent")
+
+
+def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
+                    budget: int, seed: Optional[int]):
+    """The loop of both nilpotent embeddings.  Each pass takes the Levi
+    decomposition of ``closure(L, current)`` (the centralizer for 3.2, the
+    normalizer for 3.3) and adjoins elements from the first step that finds
+    any: rows of the derived radical outside current, the nilpotent Jordan
+    parts of the complement of current in the radical, and an eigenspace of
+    a real-semisimple element of an indefinite Levi part.  Returns (the
+    maximal algebra, the last pass's Levi decomposition, the trace)."""
+    (derived_rule, jordan_rule, eigen_rule), take, error, name = mode
+    trace = EmbeddingTrace(L, U)
+    current = U
+    for _ in range(2 * L.dim + 2):
+        ld = levi_decomposition(closure(L, current))
+        rprime = derived_algebra(ld.radical)
+        if not current.contains_subspace(rprime):
+            rule, new = derived_rule, take(r for r in rprime.rows if not current.contains(r))
+        else:
+            parts = (jordan_decomposition(L, v).nilpotent
+                     for v in current.complement_in(ld.radical).rows)
+            rule, new = jordan_rule, take(n for n in parts
+                                          if not vec_is_zero(n) and not current.contains(n))
+        if not new and ld.levi.dim and not is_negative_definite(ld.levi):
+            alpha = find_real_semisimple(ld.levi, budget=budget, seed=seed)
+            eig = _positive_real_eigenspace(L, alpha, ld.levi)
+            if eig is None or eig.dim == 0:
+                raise NoRealSemisimpleFound(
+                    "no nonzero real eigenvalue on the Levi part")
+            rule, new = eigen_rule, take(eig.rows)
+        if not new:
+            return current, ld, trace
+        current = current.with_vectors(new)
+        trace.record(rule, new, current)
+    raise error(f"{name} embedding did not terminate")
+
+
 def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,
                             budget: int = DEFAULT_BUDGET,
                             seed: Optional[int] = None
                             ) -> tuple[Subspace, EmbeddingTrace]:
     """Grow an abelian algebra of ad-nilpotent elements to a maximal one:
-    adjoin from the derived radical of the centralizer, then nilpotent
-    Jordan parts, then single eigenvectors of a real-semisimple element of
-    the indefinite Levi part."""
+    the nilpotent loop on centralizers, one element per step."""
     _check_input(NotAbelianNilpotent, L, U, U.is_abelian(), "abelian",
                  is_ad_nilpotent, "ad-nilpotent")
-    trace = EmbeddingTrace(L, U)
-    current = U
-    for _ in range(2 * L.dim + 2):
-        zc = centralizer(L, current)
-        ld = levi_decomposition(zc)
-        rprime = derived_algebra(ld.radical)
-        if not current.contains_subspace(rprime):
-            new = next(r for r in rprime.rows if not current.contains(r))
-            current = current.with_vectors([new])
-            trace.record(RULE_AB_DERIVED, [new], current)
-            continue
-        comp = current.complement_in(ld.radical)
-        adjoined = None
-        for v in comp.rows:
-            pair = jordan_decomposition(L, v)
-            if not vec_is_zero(pair.nilpotent) and not current.contains(pair.nilpotent):
-                adjoined = pair.nilpotent
-                break
-        if adjoined is not None:
-            current = current.with_vectors([adjoined])
-            trace.record(RULE_AB_JORDAN, [adjoined], current)
-            continue
-        if ld.levi.dim and not is_negative_definite(ld.levi):
-            alpha = find_real_semisimple(ld.levi, budget=budget, seed=seed)
-            eig = _positive_real_eigenspace(L, alpha, ld.levi)
-            if eig is None or eig.dim == 0:
-                raise NoRealSemisimpleFound(
-                    "no nonzero real eigenvalue on the Levi part")
-            new = eig.rows[0]
-            current = current.with_vectors([new])
-            trace.record(RULE_AB_EIGEN, [new], current)
-            continue
-        return current, trace
-    raise NotAbelianNilpotent("abelian nilpotent embedding did not terminate")
-
-
-# ----------------------------------------------------------------------------
-# general nilpotent embedding
+    current, _, trace = _grow_nilpotent(L, U, centralizer, _ABELIAN, budget, seed)
+    return current, trace
 
 
 def embed_nilpotent(L: LieAlgebra, U: Subspace,
                     budget: int = DEFAULT_BUDGET, seed: Optional[int] = None
                     ) -> tuple[Subspace, Subspace, CartanData, EmbeddingTrace]:
-    """Grow an ad-nilpotent subalgebra to a maximal one; also return the
-    real torus representing radical/U and the maximally split Cartan built
-    from it."""
+    """Grow an ad-nilpotent subalgebra to a maximal one (the nilpotent loop
+    on normalizers, every element of a step); also return the real torus
+    representing radical/U and the maximally split Cartan built from it."""
     _check_input(NotNilpotent, L, U, U.is_subalgebra(), "a subalgebra",
                  is_ad_nilpotent, "ad-nilpotent")
-    trace = EmbeddingTrace(L, U)
-    current = U
-    for _ in range(2 * L.dim + 2):
-        nm = normalizer(L, current)
-        ld = levi_decomposition(nm)
-        rprime = derived_algebra(ld.radical)
-        if not current.contains_subspace(rprime):
-            new_rows = [r for r in rprime.rows if not current.contains(r)]
-            current = current.with_vectors(new_rows)
-            trace.record(RULE_NIL_DERIVED, new_rows, current)
-            continue
-        comp = current.complement_in(ld.radical)
-        nil_parts = []
-        for v in comp.rows:
-            pair = jordan_decomposition(L, v)
-            if not vec_is_zero(pair.nilpotent) and not current.contains(pair.nilpotent):
-                nil_parts.append(pair.nilpotent)
-        if nil_parts:
-            current = current.with_vectors(nil_parts)
-            trace.record(RULE_NIL_JORDAN, nil_parts, current)
-            continue
-        if ld.levi.dim and not is_negative_definite(ld.levi):
-            alpha = find_real_semisimple(ld.levi, budget=budget, seed=seed)
-            eig = _positive_real_eigenspace(L, alpha, ld.levi)
-            if eig is None or eig.dim == 0:
-                raise NoRealSemisimpleFound(
-                    "no nonzero real eigenvalue on the Levi part")
-            current = current.with_vectors(eig.rows)
-            trace.record(RULE_NIL_EIGEN, list(eig.rows), current)
-            continue
-        break  # current is unchanged: this pass's nm and ld still hold
-    else:
-        raise NotNilpotent("nilpotent embedding did not terminate")
-    torus = current.complement_in(ld.radical)
-    real_part, _compact = torus_split(L, torus)
+    current, ld, trace = _grow_nilpotent(L, U, normalizer, _GENERAL, budget, seed)
+    # the last pass left current unchanged, so its Levi decomposition holds
+    real_part, _compact = torus_split(L, current.complement_in(ld.radical))
     _, cartan, _ = embed_real_torus(L, real_part, budget=budget, seed=seed)
     return current, real_part, cartan, trace
 

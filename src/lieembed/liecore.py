@@ -968,7 +968,9 @@ def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
 
     Each joint weight w = a + b*sqrt(d) is a linear functional on T; the
     real part is cut out by Im(w) = 0 and the compact part by Re(w) = 0,
-    both linear conditions on torus coordinates.
+    both linear conditions on torus coordinates.  Every weight vanishes on
+    the part of T in the center z(L), so that part lies in both (wave16:
+    real 3 + compact 2 in a 4-dim Cartan).
     """
     from .rootsys import joint_eigenspaces  # rootsys imports this module
     _check_torus(L, T)

@@ -250,6 +250,23 @@ def test_readme_command_stdout_pinned(run, command, fmt):
     assert out == _CLI_PINNED[command][fmt]
 
 
+@pytest.mark.parametrize("algebra,mode,spec", [
+    ("wave16", "torus", "e2,e7,e16"),
+    ("so(0,2)", "torus", "e1"),
+    ("so(0,2)", "compact-torus", "e1"),
+    ("wave16", "compact-torus", "e3+2*e11,e8+1/4*e9,e13,e16"),
+])
+def test_torus_output_round_trips(run, algebra, mode, spec):
+    """A torus mode's output, fed back as its input, gives the same output.
+    e16 of wave16 and e1 of so(0,2) are central: ad x = 0 is nilpotent and
+    semisimple at once, so both torus modes take such an element."""
+    code, out, err = run(["embed", algebra, "--mode", mode, "--format", "text"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].split(": ")[1] == "<" + spec.replace(",", ", ") + ">"
+    assert run(["embed", algebra, "--mode", mode, "--subspace", spec,
+                "--format", "text"]) == (0, out, "")
+
+
 def test_zero_denominator_in_table_exit_2(run, tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({

@@ -100,13 +100,16 @@ def test_embed_real_torus_rejects_bad_input(wave15):
 @pytest.mark.parametrize("embed,error,rows,message", [
     (embed_real_torus, NotATorus, [{"X": 1}, {"Y": 1}], "input is not abelian"),
     (embed_real_torus, NotATorus, [{"X": 1, "Y": -1}], "X-Y is not real semisimple"),
+    (embed_real_torus, NotATorus, [{"X": 1}], "X is not real semisimple"),
+    (embed_compact_torus, NotATorus, [{"X": 1}], "X is not compact"),
     (embed_abelian_nilpotent, NotAbelianNilpotent, [{"X": 1}, {"H": 1}],
      "input is not abelian"),
     (embed_abelian_nilpotent, NotAbelianNilpotent, [{"X": 2, "H": 1}],
      "X+1/2*H is not ad-nilpotent"),
     (embed_nilpotent, NotNilpotent, [{"X": 1}, {"Y": 1}], "input is not a subalgebra"),
     (embed_nilpotent, NotNilpotent, [{"H": 1}], "H is not ad-nilpotent"),
-], ids=["torus closure", "torus row", "abelian closure", "abelian row",
+], ids=["torus closure", "torus row", "torus nilpotent row", "compact nilpotent row",
+        "abelian closure", "abelian row",
         "nilpotent closure", "nilpotent row"])
 def test_embed_precondition_messages_pinned(sl2, embed, error, rows, message):
     """Each mode's closure failure and basis-row failure, message verbatim."""
@@ -687,3 +690,48 @@ def test_embed_nilpotent_reuses_the_last_passes_normalizer(wave15, g2, monkeypat
         passes = len(trace.steps) + 1
         assert [kind for kind, _ in calls] == ["nm", "ld"] * passes
         assert calls[-2][1] == result  # the last pass already saw the result
+
+
+# where each golden embed case's answer sits in the canonical candidate order:
+# (finder, dimension of its subspace, index of the returned candidate), in
+# call order; a construction put ahead of these candidates changes the corpus
+GOLDEN_CANDIDATES = {
+    "wave-embed-nilpotent": [("find_real_semisimple", 6, 0)],
+    "g2-embed-nilpotent": [("find_real_semisimple", 3, 1)],
+    # row 0 + 2*row 5 of the 6-dim subspace, e5 + 2*e12
+    "wave-embed-compact-torus": [("find_compact", 6, 72)],
+    "so22-embed-torus": [],
+    "so13-embed-torus": [],
+    "so4-embed-torus": [],
+}
+
+
+def test_golden_answers_sit_at_pinned_candidate_indices(monkeypatch):
+    import lieembed.embed as embed
+    calls, streamed = [], []
+    real_candidates = embed._candidates
+
+    def candidates(sub, budget, seed):
+        streamed.clear()
+        for v in real_candidates(sub, budget, seed):
+            streamed.append(v)
+            yield v
+
+    def recorded(name, finder):
+        def wrapper(sub, *args, **kwargs):
+            v = finder(sub, *args, **kwargs)
+            assert streamed[-1] == v  # the finder returns its last candidate
+            calls.append((name, sub.dim, len(streamed) - 1))
+            return v
+        return wrapper
+
+    monkeypatch.setattr(embed, "_candidates", candidates)
+    for name in ("find_real_semisimple", "find_compact"):
+        monkeypatch.setattr(embed, name, recorded(name, getattr(embed, name)))
+    cases = [c for c in corpus.load_shipped_corpus()["cases"] if c["kind"] == "embed"]
+    got = {}
+    for case in cases:
+        calls.clear()
+        assert corpus.run_case(case).passed
+        got[case["name"]] = list(calls)
+    assert got == GOLDEN_CANDIDATES

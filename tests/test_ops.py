@@ -114,6 +114,28 @@ def test_analyze_of_a_semisimple_algebra_takes_no_kernel(name, monkeypatch):
     assert L.killing_data() is L.killing_data()  # eliminated once, kept
 
 
+_EMBED_PINNED = json.loads((Path(__file__).parent / "data" / "embed_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("case", _EMBED_PINNED,
+                         ids=lambda c: f"{c['algebra']}-{c['mode']}-{c['subspace'] or 'zero'}")
+def test_embed_payload_and_text_pinned(case, monkeypatch):
+    """Abelian-nilpotent and nilpotent embeds that no golden case covers,
+    traces included, as they were before the two modes shared one loop."""
+    monkeypatch.delenv("LIEEMBED_SEED", raising=False)
+    L = load_algebra(case["algebra"])
+    payload, text = ops.embed(L, case["mode"], parse_subspace_spec(L, case["subspace"]))
+    assert json.loads(json.dumps(payload)) == case["json"]
+    assert text == case["text"]
+
+
+def test_embed_pinned_cases_reach_every_nilpotent_rule():
+    from lieembed import embed
+    rules = {s["rule"] for c in _EMBED_PINNED for s in c["json"]["trace"]["steps"]}
+    assert rules == {embed.RULE_AB_DERIVED, embed.RULE_AB_JORDAN, embed.RULE_AB_EIGEN,
+                     embed.RULE_NIL_DERIVED, embed.RULE_NIL_JORDAN, embed.RULE_NIL_EIGEN}
+
+
 # _scaled_vector calls of the nilpotent embed below, by caller: 42 weight
 # rows in torus_split's kernel_of, 26 Killing-matrix rows (radical and
 # symmetric_signature), 30 for the ad map (15 ad columns, 15 solver
@@ -288,3 +310,4 @@ def test_fuzz_corpus_cases(case):
     assert isinstance(result, CaseResult)
     assert result.passed == (not result.diffs)
     assert all(d.startswith("error: ") or ": got " in d for d in result.diffs)
+
