@@ -6,11 +6,9 @@ metadata; the shipped corpus lives in ``data/golden.json``."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 
 from . import ops
-from .errors import LieEmbedError, ParseError
+from .errors import LieEmbedError, ParseError, Record
 from .exactlin import rat
 from .vecfield import algebra_by_name
 
@@ -36,11 +34,8 @@ GOLDEN_KEYS = {
 }
 
 
-@dataclass
-class CaseResult:
-    name: str
-    passed: bool
-    diffs: list
+class CaseResult(Record):
+    __slots__ = ("name", "passed", "diffs")  # str, bool, list of str
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -51,6 +46,9 @@ class CaseResult:
 
 
 def load_shipped_corpus() -> dict:
+    # imported here, not at the top: only verify reads the corpus, and
+    # importlib.resources loads inspect on Python 3.12 and later
+    from importlib import resources
     data = resources.files("lieembed").joinpath("data/golden.json").read_text()
     return json.loads(data)
 

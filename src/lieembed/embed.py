@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice, product
 from typing import Optional, Sequence
 
-from .errors import (ExtensionDegreeTooHigh, NoCompactFound,
+from .errors import (ExtensionDegreeTooHigh, Frozen, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
-                     NotNilpotent, NotSplit, ParseError)
+                     NotNilpotent, NotSplit, ParseError, Record)
 from .exactlin import (Vector, factor_roots, format_rat, is_complex_positive,
                        min_poly, scalar_d, vec_is_zero, _scaled_vector)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
@@ -51,11 +50,8 @@ def search_seed() -> int:
         raise ParseError(f"LIEEMBED_SEED must be an integer, got {env!r}") from None
 
 
-@dataclass
-class TraceStep:
-    rule: str
-    adjoined: tuple
-    dim_after: int
+class TraceStep(Record):
+    __slots__ = ("rule", "adjoined", "dim_after")  # str, tuple of vectors, int
 
     def to_json(self, L: LieAlgebra):
         return {"rule": self.rule,
@@ -64,11 +60,12 @@ class TraceStep:
                 "dim_after": self.dim_after}
 
 
-@dataclass
-class EmbeddingTrace:
-    algebra: LieAlgebra
-    start: Subspace
-    steps: list = field(default_factory=list)
+class EmbeddingTrace(Record):
+    __slots__ = ("algebra", "start", "steps")
+
+    def __init__(self, algebra: LieAlgebra, start: Subspace,
+                 steps: Optional[list] = None):
+        super().__init__(algebra, start, [] if steps is None else steps)
 
     def record(self, rule: str, adjoined: Sequence[Vector], current: Subspace):
         self.steps.append(TraceStep(rule, tuple(adjoined), current.dim))
@@ -84,11 +81,8 @@ class EmbeddingTrace:
                 "steps": [s.to_json(self.algebra) for s in self.steps]}
 
 
-@dataclass(frozen=True)
-class CartanData:
-    cartan: Subspace
-    real_part: Subspace
-    compact_part: Subspace
+class CartanData(Frozen):
+    __slots__ = ("cartan", "real_part", "compact_part")  # Subspaces
 
     def to_json(self):
         return {"cartan": self.cartan.to_json(),

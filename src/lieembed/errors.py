@@ -1,4 +1,51 @@
-"""Exception types shared across the package."""
+"""Exception types and the value-record bases shared across the package."""
+
+
+class Record:
+    """A value over the fields named, in order, by the subclass's
+    ``__slots__``: built by position or keyword, equal by class and fields,
+    shown as ``Name(field=value, ...)``; mutable and unhashable."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if (len(args) + len(kwargs) != len(names)
+                or not set(kwargs) <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"({', '.join(names)})")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle call __init__: Frozen bars setattr
+        return type(self), self._fields()
+
+
+class Frozen(Record):
+    """A :class:`Record` that is hashable and cannot be assigned to."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LieEmbedError(Exception):

@@ -10,12 +10,11 @@ Matrices and polynomials are generic over both scalar kinds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import ExtensionDegreeTooHigh, ParseError
+from .errors import ExtensionDegreeTooHigh, Frozen, ParseError
 
 Rational = Fraction
 
@@ -38,7 +37,7 @@ def rat(x) -> Fraction:
     decimal strings to int."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         m = _RATIONAL_RE.fullmatch(x)
@@ -114,8 +113,7 @@ def _real_sign(a, b, d: int) -> int:
     return sa if a * a > d * b * b else sb
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(Frozen):
     """Irrational element a + b*sqrt(d) of Q(sqrt d); b is never zero.
 
     :func:`make_scalar` builds one from any d and demotes b == 0 to a plain
@@ -124,13 +122,15 @@ class ExactScalar:
     bookkeeping local to actual surds.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        if self.b == 0:
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        if b == 0:
             raise ValueError("rational values are represented as Fraction")
+        setattr_ = object.__setattr__
+        setattr_(self, "a", a)
+        setattr_(self, "b", b)
+        setattr_(self, "d", d)
 
     @property
     def conjugate(self) -> "ExactScalar":

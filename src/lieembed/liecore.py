@@ -7,12 +7,11 @@ equality of their rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import (CenterObstruction, ExtensionDegreeTooHigh,
+from .errors import (CenterObstruction, ExtensionDegreeTooHigh, Frozen,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
                        factor_roots, format_rat, linear_solver, min_poly,
@@ -255,6 +254,10 @@ class LieAlgebra:
     @classmethod
     def from_json(cls, obj, name: str = "") -> "LieAlgebra":
         dim = _check_dim(obj["dim"])
+        basis = obj["basis"]
+        if not isinstance(basis, list):  # a string would split into letters
+            raise ValueError("basis must be a list of names, "
+                             f"got {type(basis).__name__}")
         width = len(str(dim))
         brackets = {}
         for entry in obj.get("brackets", []):
@@ -280,7 +283,7 @@ class LieAlgebra:
                     f"bracket {pair} has component index {long[0][:20]}... "
                     f"({len(long[0].removeprefix('-'))} digits) outside 0..{dim - 1}")
             brackets[pair] = {int(k): rat(c) for k, c in comp.items()}
-        return cls(dim, obj["basis"], brackets, name=name)
+        return cls(dim, basis, brackets, name=name)
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"
@@ -696,10 +699,8 @@ def radical(obj) -> Subspace:
     return result
 
 
-@dataclass(frozen=True)
-class LeviDecomposition:
-    radical: Subspace
-    levi: Subspace
+class LeviDecomposition(Frozen):
+    __slots__ = ("radical", "levi")  # Subspace, Subspace
 
 
 def levi_decomposition(sub: Subspace) -> LeviDecomposition:
@@ -795,11 +796,12 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
     return LeviDecomposition(rad, levi)
 
 
-@dataclass(frozen=True)
-class JordanPair:
-    semisimple: Vector
-    nilpotent: Vector
-    center_obstructed: bool = False
+class JordanPair(Frozen):
+    __slots__ = ("semisimple", "nilpotent", "center_obstructed")
+
+    def __init__(self, semisimple: Vector, nilpotent: Vector,
+                 center_obstructed: bool = False):
+        super().__init__(semisimple, nilpotent, center_obstructed)
 
 
 def _semisimple_poly(s: Spectrum) -> Poly:

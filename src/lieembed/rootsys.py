@@ -3,10 +3,9 @@ Dynkin classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, NotATorus,
+from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
                        factor_roots, format_rat, is_complex_positive,
@@ -19,15 +18,15 @@ def format_scalar(x: Scalar) -> str:
     return repr(x) if isinstance(x, ExactScalar) else format_rat(x)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Frozen):
     """Values of a root functional on an ordered torus/Cartan basis."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if all(not v for v in self.values):
+    def __init__(self, values: tuple):
+        if all(not v for v in values):
             raise ValueError("a root is a nonzero functional")
+        object.__setattr__(self, "values", values)
 
     def __neg__(self):
         return Root(tuple(-v for v in self.values))
@@ -51,12 +50,11 @@ class Root:
         return "(" + ", ".join(format_scalar(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class RootSpaceDecomposition:
-    algebra: LieAlgebra
-    cartan_basis: tuple          # ordered basis the root values refer to
-    pairs: tuple                 # ((Root, Subspace), ...) sorted by root key
-    zero_space: Subspace
+class RootSpaceDecomposition(Frozen):
+    __slots__ = ("algebra",       # LieAlgebra
+                 "cartan_basis",  # ordered basis the root values refer to
+                 "pairs",         # ((Root, Subspace), ...) sorted by root key
+                 "zero_space")    # Subspace
 
     @property
     def roots(self) -> list[Root]:
@@ -229,11 +227,10 @@ def bond(a: Root, b: Root, all_positives: Sequence[Root]) -> tuple[int, int, int
         f"integral combinations {sorted(present)} match no diagram rule")
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
-    nodes: tuple                 # simple roots, sorted
-    bonds: tuple                 # (i, j, multiplicity, arrow_from, arrow_to)
-    type_label: str
+class DynkinDiagram(Frozen):
+    __slots__ = ("nodes",        # simple roots, sorted
+                 "bonds",        # (i, j, multiplicity, arrow_from, arrow_to)
+                 "type_label")
 
     def to_json(self):
         return {"type": self.type_label,

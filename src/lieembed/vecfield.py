@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import NotClosed, UnknownName, VariableMismatch
+from .errors import Frozen, NotClosed, UnknownName, VariableMismatch
 from .exactlin import (Matrix, ZERO, ONE, format_rat, linear_solver, rat,
                        rref)
 from .liecore import LieAlgebra
@@ -120,17 +119,15 @@ class MPoly:
         return f"MPoly({self.canonical_terms()})"
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
+class PolyVectorField(Frozen):
     """Vector field with one polynomial component per variable."""
 
-    name: str
-    variables: tuple
-    components: tuple
+    __slots__ = ("name", "variables", "components")
 
-    def __post_init__(self):
-        if len(self.components) != len(self.variables):
+    def __init__(self, name: str, variables: tuple, components: tuple):
+        if len(components) != len(variables):
             raise ValueError("component count != variable count")
+        super().__init__(name, variables, components)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -214,11 +211,8 @@ def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
                            tuple(MPoly(nv, t) for t in comps))
 
 
-@dataclass(frozen=True)
-class GeneratorCatalog:
-    name: str
-    variables: tuple
-    fields: tuple
+class GeneratorCatalog(Frozen):
+    __slots__ = ("name", "variables", "fields")  # str, tuple, PolyVectorFields
 
     def field(self, name: str) -> PolyVectorField:
         for f in self.fields:

@@ -378,6 +378,28 @@ print("\\n".join(sorted(sys.modules)))
 """
 
 
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lieembed.cli
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """A fresh ``import lieembed.cli`` (-S, no site-packages) loads none of
+    dataclasses, inspect, ast, dis or tokenize: together about half of the
+    import time of the package, paid by every CLI process."""
+    import lieembed
+    from pathlib import Path
+    src = str(Path(lieembed.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _COLD_START, src],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "lieembed.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
 def test_no_runtime_dependencies():
     """In a fresh interpreter without site-packages (-S), importing every
     lieembed module and replaying the shipped corpus loads only lieembed

@@ -214,9 +214,16 @@ def test_malformed_input_exit_2(run, argv):
      "bracket component keys must be canonical decimal integers, got '1.5'"),
     ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": ["1"]}]},
      "bracket components must be an object, got list"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": {"1": True}}]},
+     "not a rational: True"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "c": {"1": False}}]},
+     "not a rational: False"),
+    ({"dim": 2, "basis": "ab", "brackets": []},
+     "basis must be a list of names, got str"),
 ], ids=["repeated basis name", "repeated bracket pair", "string dim",
         "integer basis name", "boolean index", "float index", "aliased component keys",
-        "decimal component key", "list of components"])
+        "decimal component key", "list of components", "boolean coefficient true",
+        "boolean coefficient false", "string basis"])
 def test_inconsistent_table_exit_2(run, tmp_path, table, message):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))
@@ -576,6 +583,8 @@ def test_verify_non_object_corpus_exit_2(run, tmp_path, corpus):
      "ValueError('coordinate length != dim')"),
     ("so22-roots", "cartan", [["1/0", "1", "0", "0", "0", "0"]],
      "ZeroDivisionError('Fraction(1, 0)')"),
+    ("so22-embed-torus", "subspace", [[True, 0, 0, 0, 0, 0]],
+     "TypeError('not a rational: True')"),
 ])
 def test_verify_malformed_case_fails(run, tmp_path, golden_corpus, name, key,
                                      value, diff):

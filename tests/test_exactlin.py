@@ -40,6 +40,13 @@ def test_rat_accepts_only_p_over_q():
         rat("1/0")
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0, None])
+def test_rat_rejects_bool_float_none(value):
+    """A JSON true is not the coefficient 1 (bool is a subclass of int)."""
+    with pytest.raises(TypeError, match=f"^not a rational: {value!r}$"):
+        rat(value)
+
+
 @given(st.sampled_from(("", "+", "-")), st.integers(0, 10 ** 40),
        st.one_of(st.none(), st.integers(0, 10 ** 40)), st.sampled_from(("", " ", "\n")))
 def test_rat_matches_fraction_on_short_strings(sign, num, den, pad):
