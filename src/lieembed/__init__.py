@@ -4,8 +4,8 @@ subalgebras."""
 
 from .errors import (CenterObstruction, DegenerateRoot, ExtensionDegreeTooHigh,
                      InvalidStructureConstants, LieEmbedError, NoCompactFound,
-                     NoRealSemisimpleFound, NotASubalgebra, NotATorus,
-                     NotAbelianNilpotent, NotClosed, NotNilpotent, NotSplit,
+                     NoRealSemisimpleFound, NotAPositiveSystem, NotASubalgebra,
+                     NotATorus, NotAbelianNilpotent, NotClosed, NotNilpotent, NotSplit,
                      ParseError, UnknownName, UnrecognizedBondPattern,
                      UnrecognizedDiagram, VariableMismatch)
 from .exactlin import (ExactScalar, Matrix, Poly, Rational, char_poly,

@@ -107,6 +107,10 @@ class DegenerateRoot(LieEmbedError):
     """Bracket of opposite root spaces vanishes; no sl2 triple."""
 
 
+class NotAPositiveSystem(LieEmbedError):
+    """Roots taken as positive hold a root and its negative."""
+
+
 class UnrecognizedBondPattern(LieEmbedError):
     """Integral combinations of two simple roots match no diagram rule."""
 

@@ -433,21 +433,26 @@ def _mul_sub(p: tuple[int, int], row: _IntRow, f: tuple[int, int],
     return a, b
 
 
+def _primitive(row: _IntRow) -> _IntRow:
+    """The row divided by its content, the gcd of its entries."""
+    a, b = row
+    g = gcd(*a.values(), *b.values())
+    if g > 1:
+        return {k: x // g for k, x in a.items()}, {k: x // g for k, x in b.items()}
+    return row
+
+
 def _combine(p: int, row: _IntRow, fa: int, fb: int, prow: _IntRow,
              d: int) -> _IntRow:
     """``p*row - (fa + fb*sqrt d)*prow`` divided by its content."""
-    a, b = _mul_sub((p, 0), row, (fa, fb), prow, d)
-    g = gcd(*a.values(), *b.values())
-    if g > 1:
-        a = {k: x // g for k, x in a.items()}
-        b = {k: x // g for k, x in b.items()}
-    return a, b
+    return _primitive(_mul_sub((p, 0), row, (fa, fb), prow, d))
 
 
-def _rref_ints(rows: list[_IntRow], d: int) -> tuple[list[_IntRow], list[int]]:
+def _rref_ints(rows: list[_IntRow], d: int,
+               reverse: bool = False) -> tuple[list[_IntRow], list[int]]:
     """Reduced row echelon form (rows, pivot_columns) of the span of
-    integer rows over Z[sqrt d] (d = 0 for rational rows); the input dicts
-    are never changed.
+    integer rows over Z[sqrt d] (d = 0 for rational rows), with the columns
+    taken last to first if ``reverse``; the input dicts are never changed.
 
     Fraction-free Gauss-Jordan on sparse rows.  A pivot a + b*sqrt(d) with
     b != 0 becomes the rational integer a^2 - d*b^2 by multiplying its row
@@ -460,7 +465,7 @@ def _rref_ints(rows: list[_IntRow], d: int) -> tuple[list[_IntRow], list[int]]:
     pending = [row for row in rows if row[0] or row[1]]
     done: list[_IntRow] = []
     pivots: list[int] = []
-    for c in sorted({k for a, b in pending for k in (*a, *b)}):
+    for c in sorted({k for a, b in pending for k in (*a, *b)}, reverse=reverse):
         if not pending:
             break
         # a rational pivot needs no conjugate; a sparse one keeps fill-in low
@@ -483,12 +488,7 @@ def _rref_ints(rows: list[_IntRow], d: int) -> tuple[list[_IntRow], list[int]]:
         pending = [row for row in pending if row[0] or row[1]]
         done.append(pivot)
         pivots.append(c)
-    for i, (a, b) in enumerate(done):
-        g = gcd(*a.values(), *b.values())
-        if g > 1:
-            done[i] = ({k: x // g for k, x in a.items()},
-                       {k: x // g for k, x in b.items()})
-    return done, pivots
+    return [_primitive(row) for row in done], pivots
 
 
 def _rref_rows(rows: list[list]) -> tuple[list[Vector], list[int]]:
@@ -515,16 +515,24 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 def _kernel_ints(rows: list[_IntRow], d: int,
                  width: int) -> tuple[list[_IntRow], list[int]]:
     """Null space of the matrix with the given integer rows over Z[sqrt d]
-    and ``width`` columns, as :func:`_rref_ints` returns it."""
-    reduced, pivots = _rref_ints(rows, d)
+    and ``width`` columns: (rows, pivots), each row an integer multiple of
+    the RREF row with a rational integer at its pivot (not always
+    primitive), pivots ascending.
+
+    The columns are eliminated last to first, so a reduced row touches only
+    its pivot and free columns below it.  For a free column f, e_f - sum_r
+    (row_r[f] / p_r) e_(p_r) then starts at f and is zero at every other
+    free column: it is already the kernel's RREF row with pivot f."""
+    reduced, pivots = _rref_ints(rows, d, reverse=True)
+    free = sorted(set(range(width)) - set(pivots))
     basis = []
-    for f in sorted(set(range(width)) - set(pivots)):
-        # e_f - sum_r (row_r[f] / p_r) e_(p_r) over pivots p_r, times their lcm
+    for f in free:
+        # times the lcm of the pivots used
         used = [(r, p) for r, p in zip(reduced, pivots) if f in r[0] or f in r[1]]
         den = lcm(*(a[p] for (a, _), p in used))
         basis.append(({f: den, **{p: -den // a[p] * a[f] for (a, _), p in used if f in a}},
                       {p: -den // a[p] * b[f] for (a, b), p in used if f in b}))
-    return _rref_ints(basis, d)
+    return basis, free
 
 
 def kernel(m: Matrix) -> list[Vector]:
@@ -540,23 +548,31 @@ def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
     return linear_solver(m)[1](rhs)
 
 
-def linear_solver(m: Matrix) -> tuple[int, Callable[[Vector], Optional[Vector]]]:
-    """Factor m once for repeated solves: (rank, solve).
+def linear_solver(m: Union[Matrix, tuple[int, int, list[_IntRow]]], height: int = 0
+                  ) -> tuple[int, Callable[[Vector], Optional[Vector]]]:
+    """Factor a matrix once for repeated solves: (rank, solve).
 
-    The columns of ``D*m`` (D the lcm of the denominators), column j tagged
-    with a 1 at position ``R + n-1-j`` for R rows and n columns, go through
-    one :func:`_rref_ints`.  A reduced row with its pivot among the first R
-    positions is ``(D*m*x, x)`` for the x in its tags, and these rows are
-    the echelon basis of the column span.  ``solve`` writes ``b`` over that
-    basis from its entries at the pivots and returns None when the residual
-    is nonzero (``b`` is outside the span), else the combination of the
-    tags, free unknowns 0.  Raises ExtensionDegreeTooHigh if m and b use
-    two different d.
+    ``m`` is a Matrix, whose ``solve`` takes a vector b, or the scaled
+    integer columns (D, d, cols) of a matrix with ``height`` rows, column j
+    being ``(a_j + b_j*sqrt(d)) / D``, whose ``solve`` takes b in the scaled
+    form (scale, e, a, b) of :func:`_scaled_vector`.  A Matrix is scaled
+    once here and goes the integer way.
+
+    The columns ``D*m_j``, column j tagged with a 1 at position ``R + n-1-j``
+    for R rows and n columns, go through one :func:`_rref_ints`.  A reduced
+    row with its pivot among the first R positions is ``(D*m*x, x)`` for the
+    x in its tags, and these rows are the echelon basis of the column span.
+    ``solve`` writes b over that basis from its entries at the pivots and
+    returns None when the residual is nonzero (b is outside the span), else
+    the combination of the tags, free unknowns 0.  Raises
+    ExtensionDegreeTooHigh if m and b use two different d.
     """
-    R, n = m.rows, m.cols
-    den, d, rows = _scaled_rows(zip(*m.entries))
-    for j, (a, _) in enumerate(rows):
-        a[R + n - 1 - j] = 1
+    if isinstance(m, Matrix):
+        rank, solve = linear_solver(_scaled_rows(zip(*m.entries)), m.rows)
+        return rank, lambda rhs: solve(_scaled_vector(rhs))
+    den, d, cols = m
+    R, n = height, len(cols)
+    rows = [({**a, R + n - 1 - j: 1}, b) for j, (a, b) in enumerate(cols)]
     # With the tags reversed, a row that vanishes on m reduces to a kernel
     # vector whose pivot is its last nonzero unknown: a column that depends
     # on the columns before it, a free column.  Gauss-Jordan clears these
@@ -566,8 +582,8 @@ def linear_solver(m: Matrix) -> tuple[int, Callable[[Vector], Optional[Vector]]]
     top = lcm(*(a[p] for (a, _), p in zip(reduced, pivots[:rank])))
     basis = [(p, top // row[0][p], row) for row, p in zip(reduced, pivots[:rank])]
 
-    def solve(rhs: Vector) -> Optional[Vector]:
-        scale, e, ra, rb = _scaled_vector(rhs)
+    def solve(rhs: tuple[int, int, dict, dict]) -> Optional[Vector]:
+        scale, e, ra, rb = rhs
         e = _same_d(d, e)
         res = ({k: top * x for k, x in ra.items()}, {k: top * x for k, x in rb.items()})
         for p, f, row in basis:
@@ -584,9 +600,12 @@ def linear_solver(m: Matrix) -> tuple[int, Callable[[Vector], Optional[Vector]]]
     return rank, solve
 
 
-def symmetric_signature(m: Matrix) -> tuple[int, int, int, Scalar]:
+def symmetric_signature(m: Union[Matrix, tuple[int, int, list[_IntRow]]]
+                        ) -> tuple[int, int, int, Scalar]:
     """(n_pos, n_neg, n_zero, det) of a symmetric matrix over Q or Q(sqrt d),
-    d > 0; d < 0 raises ValueError, as such a form has no signature.
+    d > 0: a Matrix, or its scaled integer rows (D, d, rows), row i being
+    ``(a_i + b_i*sqrt(d)) / D``, as :func:`_scaled_rows` gives them; d < 0
+    raises ValueError, as such a form has no signature.
 
     Fraction-free symmetric Bareiss elimination of ``D*m`` over Z[sqrt d]
     (an empty surd part for rational input), D the lcm of the denominators.
@@ -596,11 +615,17 @@ def symmetric_signature(m: Matrix) -> tuple[int, int, int, Scalar]:
     of a congruent matrix (Sylvester), so each division is exact and p_k
     counts as positive when p_k*p_(k-1) > 0 (Jacobi, p_0 = 1).  An all-zero
     trailing block counts toward n_zero; det = p_n / D^n, 0 if n_zero > 0.
+    The given rows are never changed.
     """
-    n = m.rows
-    if m.entries != tuple(zip(*m.entries)):
+    if isinstance(m, Matrix):
+        if m.rows != m.cols:
+            raise ValueError("symmetric matrix required")
+        m = _scaled_rows(m.entries)
+    den, d, scaled = m
+    n = len(scaled)
+    if any(j >= n or scaled[j][t].get(i) != x
+           for i, row in enumerate(scaled) for t in (0, 1) for j, x in row[t].items()):
         raise ValueError("symmetric matrix required")
-    den, d, scaled = _scaled_rows(m.entries)
     if d < 0:
         raise ValueError(f"a form over the imaginary field Q(sqrt({d})) "
                          "has no signature")
@@ -615,9 +640,12 @@ def symmetric_signature(m: Matrix) -> tuple[int, int, int, Scalar]:
             j = next(iter(rows[k][0] or rows[k][1]))
             # the new entry (k, k) is m_kk + 2*m_kj + m_jj = 2*m_kj
             rows[k] = _mul_sub((1, 0), rows[k], (-1, 0), rows[j], d)
-            for part in (part for row in rows.values() for part in row):
-                if j in part:
-                    _sub_multiple(part, -1, {k: part[j]})
+            for i, row in rows.items():
+                if j in row[0] or j in row[1]:
+                    rows[i] = tuple(part.copy() for part in row)
+                    for part in rows[i]:
+                        if j in part:
+                            _sub_multiple(part, -1, {k: part[j]})
         prow = rows.pop(k)
         p = (prow[0].get(k, 0), prow[1].get(k, 0))
         sign = _real_sign(*p, d)

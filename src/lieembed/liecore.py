@@ -17,7 +17,7 @@ from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
                        factor_roots, format_rat, linear_solver, min_poly,
                        poly_ext_gcd, rat, scalar_d, scalar_parts,
                        scalar_to_json, symmetric_signature, unit_vector,
-                       _kernel_ints, _rref_ints, _same_d, _scaled_rows,
+                       _kernel_ints, _primitive, _rref_ints, _same_d, _scaled_rows,
                        _scaled_vector, _squarefree_parts, _sub_multiple,
                        _unscaled_vector)
 
@@ -38,8 +38,8 @@ class LieAlgebra:
 
     The integer table ``D * c``, with ``D`` the lcm of all denominators, is
     built once and kept on the algebra (:meth:`scaled_table`).
-    :meth:`bracket`, :meth:`ad`, the Jacobi check and the Killing matrix
-    all sum over it in plain ints and divide by the scale once per entry.
+    :meth:`bracket`, :meth:`ad`, :meth:`ad_map`, the Jacobi check and the
+    Killing table (:meth:`killing_table`) all sum over it in plain ints.
     The Jacobi identity is checked on construction: it is homogeneous
     quadratic in the constants, so scaling keeps every verdict.
     """
@@ -73,7 +73,7 @@ class LieAlgebra:
                 table[(i, j)] = comp
         self.brackets = table
         self._table: Optional[tuple[int, list[list[dict]]]] = None
-        self._killing: Optional[Matrix] = None
+        self._killing: Optional[tuple[int, list[tuple[dict, dict]]]] = None
         self._signature: Optional[tuple[int, int, int, Scalar]] = None
         self._ad_solver: Optional[tuple[int, Callable]] = None
         self._spectra: dict[Vector, Spectrum] = {}
@@ -152,43 +152,62 @@ class LieAlgebra:
         return Matrix.from_columns([_unscaled_vector(den, d, a.items(), b.items(), self.dim)
                                     for den, d, a, b in self._ad_ints(_scaled_vector(x))])
 
-    def killing_matrix(self) -> Matrix:
-        """K_ij = trace(ad b_i ad b_j) = sum_{s,r} c_is^r c_jr^s, summed over
-        the integer table ``D * c`` and divided by ``D^2`` once."""
+    def killing_table(self) -> tuple[int, list[tuple[dict, dict]]]:
+        """(D^2, rows), rows[i] = (D^2 * K_i, {}) a sparse integer row with
+        an empty surd part, for the Killing form K_ij = trace(ad b_i ad b_j)
+        = sum_{s,r} c_is^r c_jr^s summed over the integer table ``D * c``;
+        built on first use and kept."""
         if self._killing is None:
             scale, table = self.scaled_table()
             n = self.dim
             # nonzero entries (r, s) of D * ad(b_i), as (s, r, value)
             ads = [[(s, r, v) for s, row in enumerate(table[i]) for r, v in row.items()]
                    for i in range(n)]
-            entries = [[ZERO] * n for _ in range(n)]
+            rows: list[tuple[dict, dict]] = [({}, {}) for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     tj = table[j]
                     t = sum(v * tj[r].get(s, 0) for s, r, v in ads[i])
                     if t:
-                        entries[i][j] = entries[j][i] = Fraction(t, scale * scale)
-            self._killing = Matrix(entries)
+                        rows[i][0][j] = rows[j][0][i] = t
+            self._killing = scale * scale, rows
         return self._killing
+
+    def killing_matrix(self) -> Matrix:
+        """The Killing form's matrix, read off :meth:`killing_table`."""
+        den, rows = self.killing_table()
+        return Matrix([[Fraction(a.get(j, 0), den) for j in range(self.dim)]
+                       for a, _ in rows])
 
     def killing_data(self) -> tuple[int, int, int, Scalar]:
         """(n_pos, n_neg, n_zero, det) of the Killing form, from one
-        :func:`symmetric_signature` of :meth:`killing_matrix`; kept."""
+        :func:`symmetric_signature` of :meth:`killing_table`; kept."""
         if self._signature is None:
-            self._signature = symmetric_signature(self.killing_matrix())
+            den, rows = self.killing_table()
+            self._signature = symmetric_signature((den, 0, rows))
         return self._signature
 
-    def killing(self, x: Vector, y: Vector):
-        K = self.killing_matrix()
-        return sum((xi * kj for xi, kj in zip(x, K.apply(y)) if xi and kj), ZERO)
+    def killing(self, x: Vector, y: Vector) -> Scalar:
+        """B(x, y), summed in ints over :meth:`killing_table`."""
+        den, rows = self.killing_table()
+        dx, d, xa, xb = _scaled_vector(x)
+        dy, e, ya, yb = _scaled_vector(y)
+        d = _same_d(d, e)
+        a, b = _form_ints(rows, d, (xa, xb), (ya, yb))
+        return _unscaled_vector(den * dx * dy, d, [(0, a)], [(0, b)], 1)[0]
 
     def ad_map(self) -> tuple[int, Callable]:
         """(rank, solve) of y -> ad(y), the n*n x n matrix whose column i is
-        ad(b_i) read row by row (:func:`linear_solver`); factored once, kept."""
+        ad(b_i) read row by row (:func:`linear_solver` of the scaled table's
+        columns, so ``solve`` takes the scaled form of :func:`_scaled_vector`);
+        factored once, kept."""
         if self._ad_solver is None:
-            cols = [tuple(c for row in self.ad(unit_vector(self.dim, i)).entries
-                          for c in row) for i in range(self.dim)]
-            self._ad_solver = linear_solver(Matrix.from_columns(cols))
+            n = self.dim
+            scale, table = self.scaled_table()
+            # entry (r, c) of D * ad(b_i) is D * [b_i, b_c] at r
+            cols = [({r * n + c: v for c, row in enumerate(table[i]) for r, v in row.items()}, {})
+                    for i in range(n)]
+            self._ad_solver = linear_solver((scale, 0, cols), n * n)
         return self._ad_solver
 
     def center_dim(self) -> int:
@@ -321,6 +340,19 @@ def _add_combination(rows: Sequence[tuple[dict, dict]], fa: dict, fb: dict,
             _sub_multiple(b, -g, rows[i][0])
 
 
+def _form_ints(rows: Sequence[tuple[dict, dict]], d: int, x: tuple[dict, dict],
+               y: tuple[dict, dict]) -> tuple[int, int]:
+    """(a, b) with ``x . K . y = a + b*sqrt(d)`` for the integer rows of a
+    symmetric K and integer vectors x, y over Z[sqrt d]."""
+    (xa, xb), ka, kb = x, {}, {}
+    _add_combination(rows, y[0], y[1], d, ka, kb)  # K y, K being symmetric
+    return _dot(xa, ka) + d * _dot(xb, kb), _dot(xa, kb) + _dot(xb, ka)
+
+
+def _dot(u: dict, v: dict) -> int:
+    return sum(c * v.get(k, 0) for k, c in u.items())
+
+
 def _transpose(rows: list[tuple[dict, dict]], width: int) -> list[tuple[dict, dict]]:
     """The ``width`` columns of the matrix with the given sparse rows."""
     cols: list[tuple[dict, dict]] = [({}, {}) for _ in range(width)]
@@ -451,9 +483,11 @@ class Subspace:
         for ka, kb in basis:
             rows.append(({}, {}))
             _add_combination(self.ints, ka, kb, d, *rows[-1])
-        # in all of L the kernel's basis is already primitive RREF
-        return Subspace._span(self.algebra, d, rows,
-                              pivots if self.dim == self.algebra.dim else None)
+        # a kernel row starts at its pivot t and is zero at the other
+        # pivots; our rows are zero at each other's pivots and start there,
+        # so the mapped rows are RREF rows with pivots at our pivots t
+        return Subspace._span(self.algebra, d, [_primitive(r) for r in rows],
+                              [self.pivots[t] for t in pivots])
 
     def eigenspace(self, block: tuple[int, int, list[tuple[dict, dict]]],
                    lam: Scalar) -> "Subspace":
@@ -605,8 +639,12 @@ def restricted_killing_signature(sub: Subspace) -> tuple[int, int, int]:
     subalgebra has a center).  Rows over Q(sqrt d) need d > 0."""
     if sub.dim == 0:
         return (0, 0, 0)
-    rows = [[sub.algebra.killing(r, s) for s in sub.rows] for r in sub.rows]
-    return symmetric_signature(Matrix(rows))[:3]
+    den, K = sub.algebra.killing_table()
+    gram = [[_form_ints(K, sub.d, x, y) for y in sub.ints] for x in sub.ints]
+    rows = [({j: a for j, (a, _) in enumerate(g) if a}, {j: b for j, (_, b) in enumerate(g) if b})
+            for g in gram]
+    d = sub.d if any(b for _, b in rows) else 0
+    return symmetric_signature((den * sub.den ** 2, d, rows))[:3]
 
 
 def derived_algebra(sub: Subspace) -> Subspace:
@@ -686,7 +724,7 @@ def radical(obj) -> Subspace:
         return sub  # abelian: the whole thing
     if len(pivots) == k and inner.killing_data()[2] == 0:
         return Subspace.zero(L)
-    _, _, K = _scaled_rows(inner.killing_matrix().entries)
+    _, K = inner.killing_table()
     eqs = K
     if len(pivots) < k:
         # K is symmetric: the rows der . K
@@ -837,7 +875,7 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     else:
         s_mat = p.eval_matrix(m)
     # y with ad(y) = s_mat, free coordinates 0
-    sol = L.ad_map()[1](tuple(c for row in s_mat.entries for c in row))
+    sol = L.ad_map()[1](_scaled_vector(tuple(c for row in s_mat.entries for c in row)))
     if sol is None:
         raise CenterObstruction("semisimple part lies outside ad(L)")
     # nontrivial center: the pair is only canonical modulo the center (the
@@ -978,19 +1016,16 @@ def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
     _check_torus(L, T)
     if T.dim == 0:
         return T, T
-    pairs = joint_eigenspaces(L, list(T.rows))
     real_rows = []     # rows whose kernel is the real part
     compact_rows = []  # rows whose kernel is the compact part
-    for weight, _space in pairs:
-        a_row = [scalar_parts(w)[0] for w in weight]
-        b_row = [scalar_parts(w)[1] for w in weight]
-        d = next((scalar_parts(w)[2] for w in weight if scalar_parts(w)[2]), 0)
+    for weight, _space in joint_eigenspaces(L, list(T.rows)):
+        # den * weight = a + b*sqrt(d): the real and surd parts as int rows
+        _, d, a, b = _scaled_vector(weight)
         if d < 0:
-            real_rows.append(b_row)      # imaginary part must vanish
-            compact_rows.append(a_row)   # real part must vanish
+            real_rows.append((b, {}))     # imaginary part must vanish
+            compact_rows.append((a, {}))  # real part must vanish
         elif d > 0:
-            compact_rows.append(a_row)   # whole (real) value must vanish
-            compact_rows.append(b_row)
+            compact_rows += [(a, {}), (b, {})]  # whole (real) value must vanish
         else:
-            compact_rows.append(a_row)
-    return T.kernel_of(Matrix(real_rows)), T.kernel_of(Matrix(compact_rows))
+            compact_rows.append((a, {}))
+    return T._kernel_span(0, real_rows), T._kernel_span(0, compact_rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .embed import (DEFAULT_BUDGET, embed_abelian_nilpotent,
                     embed_compact_torus, embed_nilpotent, embed_real_torus)
 from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
-                     LieEmbedError, ParseError, UnknownName)
+                     LieEmbedError, NotAPositiveSystem, ParseError, UnknownName)
 from .exactlin import format_rat
 from .liecore import LieAlgebra, Subspace, levi_decomposition
 from .rootsys import (dynkin_type, is_positive, restricted_roots,
@@ -109,9 +109,14 @@ def roots(rsd):
 
 def dynkin(rsd, positive_system: str):
     """Simple roots and diagram label; ``as-given`` takes every root of the
-    decomposition as positive (a one-sided ambient)."""
+    decomposition as positive (a one-sided ambient), and raises
+    NotAPositiveSystem when they hold a root and its negative."""
     if positive_system == "as-given":
         positives = rsd.roots
+        values = {r.values for r in positives}
+        both = next((r for r in positives if (-r).values in values), None)
+        if both is not None:
+            raise NotAPositiveSystem(f"the as-given roots hold both {both} and {-both}")
     else:
         positives = [r for r in rsd.roots if is_positive(r)]
     simples = simple_roots(positives)

@@ -95,7 +95,8 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     Each ad(h) is read once, as the integer columns of
     :meth:`LieAlgebra._ad_ints`, and each space's block of it
     (:meth:`Subspace.ad_block`) gives the space's eigenspaces
-    (:meth:`Subspace.eigenspace`).
+    (:meth:`Subspace.eigenspace`), until they fill the space: eigenspaces of
+    distinct eigenvalues are independent, so no further lambda has one.
 
     Returns a list of (eigenvalue tuple, Subspace); raises NotATorus if the
     ambient is not invariant or the action is not diagonalizable over the
@@ -124,10 +125,14 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
                 "torus weights span two quadratic extensions")
         refined = []
         for (weight, space), block in zip(spaces, blocks):
+            left = space.dim
             for lam in lams:
+                if not left:
+                    break
                 eigen = space.eigenspace(block, lam)
                 if eigen.dim:
                     refined.append((weight + (lam,), eigen))
+                    left -= eigen.dim
         if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
             raise NotATorus("action is not diagonalizable over the tower")
         spaces = refined

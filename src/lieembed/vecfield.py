@@ -248,14 +248,16 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
     """
     fields = catalog.fields
     packed = _Packed(fields)
-    # one row per (component, monomial) of the fields, in sorted order
-    rows = sorted({(i, e) for f in fields for i, comp in enumerate(f.components)
-                   for e in comp.terms})
-    index = {packed.key(i, e): r for r, (i, e) in enumerate(rows)}
-    matrix = Matrix.from_columns(
-        [tuple(f.components[i].terms.get(e, ZERO) for i, e in rows) for f in fields])
+    # one row per packed (component, monomial) key of the fields, in order;
+    # column f holds den * the coefficients of field f
+    shift = packed.nvars * packed.width
+    keys = sorted({(i << shift) + k for terms, _ in packed.fields
+                   for i, comp in terms for k, _ in comp})
+    index = {key: r for r, key in enumerate(keys)}
+    cols = [({index[(i << shift) + k]: c for i, comp in terms for k, c in comp}, {})
+            for terms, _ in packed.fields]
     n = len(fields)
-    rank, solve = linear_solver(matrix)
+    rank, solve = linear_solver((packed.den, 0, cols), len(keys))
     if rank < n:
         raise ValueError(f"catalog {catalog.name!r} fields are dependent")
     d2 = packed.den ** 2
@@ -263,20 +265,19 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
     for i in range(n):
         for j in range(i + 1, n):
             pair = (fields[i].name, fields[j].name)
-            col = [ZERO] * len(rows)
-            bad = []
+            col, bad = {}, []
             for key, c in packed.bracket(i, j).items():
                 r = index.get(key)
                 if r is None:
                     bad.append(packed.unkey(key) + (Fraction(c, d2),))
                 else:
-                    col[r] = Fraction(c, d2)
+                    col[r] = c
             if bad:
                 comp, e, c = min(bad, key=lambda t: (t[0], sum(t[1]), t[1]))
                 raise NotClosed(f"[{pair[0]}, {pair[1]}] leaves the span "
                                 f"(new monomial in component {comp})",
                                 pair=pair, residual=(comp, e, c))
-            sol = solve(col)
+            sol = solve((d2, 0, col, {}))
             if sol is None:
                 raise NotClosed(f"[{pair[0]}, {pair[1]}] leaves the span",
                                 pair=pair)

@@ -317,6 +317,19 @@ def test_unrecognized_root_system_exit_5(run):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algebra, cartan, root", [
+    ("wave15", "e7m16,e2,e14", "(-1, -1, 0)"),
+    ("so(2,2)", "e1,e6", "((0+-1*sqrt(-1)), (0+-1*sqrt(-1)))")])
+def test_as_given_roots_with_a_root_and_its_negative_exit_5(run, algebra, cartan, root):
+    """Every root of a whole-algebra decomposition comes with its negative,
+    so no as-given root is simple; the first such root is named."""
+    code, out, err = run(["dynkin", algebra, "--cartan", cartan,
+                          "--positive-system", "as-given"])
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: precondition failed: the as-given roots hold both {root} ")
+    assert "Traceback" not in err
+
+
 def test_search_budget_exhausted_exit_5(run):
     code, _, err = run(["embed", "wave15", "--mode", "compact-torus",
                         "--subspace", "e15", "--budget", "1"])

@@ -444,6 +444,52 @@ def test_linear_solver_mixed_extensions_rejected(d):
             call()
 
 
+def _int_columns(cols, extra):
+    """(D, d, cols): the vectors as integer rows over Z[sqrt d], scaled by
+    D = extra * the lcm of the denominators."""
+    from lieembed.exactlin import scalar_parts
+    parts = [[scalar_parts(x) for x in col] for col in cols]
+    D = extra * lcm(1, *(x.denominator for col in parts for a, b, _ in col for x in (a, b)))
+    d = next((e for col in parts for _, _, e in col if e), 0)
+    return D, d, [({i: a.numerator * (D // a.denominator) for i, (a, _, _) in enumerate(col) if a},
+                   {i: b.numerator * (D // b.denominator) for i, (_, b, _) in enumerate(col) if b})
+                  for col in parts]
+
+
+@pytest.mark.parametrize("d", _EXTENSIONS)
+def test_linear_solver_on_scaled_columns_matches_the_reference(d):
+    """linear_solver given a matrix's scaled integer columns (D, d, cols),
+    D not the least scale, and its height, its solve given scaled
+    right-hand sides (scale, d, a, b), against the Fraction Gauss-Jordan
+    reference: rank, solutions with free unknowns 0 and their entry types,
+    None outside the span; the given dicts are left as they were."""
+    import copy
+    rng = random.Random(90 + d)
+
+    def entry():
+        a = _rand_rational(rng, rng.randint(1, 12))
+        return make_scalar(a, _rand_rational(rng, 6), d) if d and rng.random() < 0.5 else a
+
+    deficient = outside = 0
+    for m in _rref_cases(seed=70 + d, count=25, d=d) + [Matrix([[]] * 3)]:
+        scaled = _int_columns(list(zip(*m.entries)), rng.choice((1, 2, 6)))
+        kept = copy.deepcopy(scaled)
+        rank, solve = linear_solver(scaled, m.rows)
+        ref_rank, ref_solve = _ref_linear_solver(m)
+        assert rank == ref_rank, m.entries
+        sides = [m.apply([entry() for _ in range(m.cols)]) for _ in range(2)]
+        sides += [tuple(entry() for _ in range(m.rows)) for _ in range(2)]
+        for b in sides:
+            D, e, (col,) = _int_columns([b], rng.choice((1, 3)))
+            rhs = (D, e, *col)
+            got = solve(rhs)
+            assert _same(got, ref_solve(b)), (m.entries, b)
+            outside += got is None
+        assert scaled == kept
+        deficient += rank < m.cols
+    assert deficient >= 5 and outside >= 10
+
+
 def _reference_kernel(m):
     """The null space as kernel built it on the Fraction RREF: e_f minus the
     pivot entries of each free column f, then row-reduced."""
@@ -1304,6 +1350,15 @@ def test_symmetric_signature():
     assert symmetric_signature(Matrix([])) == (0, 0, 0, F(1))
     with pytest.raises(ValueError, match="symmetric matrix required"):
         symmetric_signature(Matrix([[1, 2], [3, 4]]))
+    # scaled rows (D, d, rows): the zero diagonal takes the congruence step
+    # first, and the given rows are left as they were
+    rows = [({1: 3}, {}), ({0: 3, 2: 1}, {}), ({1: 1}, {})]
+    assert symmetric_signature((2, 0, rows)) == symmetric_signature(
+        Matrix([[0, F(3, 2), 0], [F(3, 2), 0, F(1, 2)], [0, F(1, 2), 0]]))
+    assert rows == [({1: 3}, {}), ({0: 3, 2: 1}, {}), ({1: 1}, {})]
+    for bad in ([({1: 1}, {}), ({}, {})], [({0: 1, 1: 1}, {})]):
+        with pytest.raises(ValueError, match="symmetric matrix required"):
+            symmetric_signature((1, 0, bad))
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),

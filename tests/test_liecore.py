@@ -2,6 +2,7 @@
 Levi and Jordan decompositions, element classification."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -690,6 +691,39 @@ def test_killing_matrix_matches_fraction_trace(wave15, g2):
         assert all(type(x) is F for row in L.killing_matrix().entries for x in row)
 
 
+@pytest.mark.parametrize("d", [0, 2, 3, -1, -3])
+def test_killing_matches_x_K_y(wave15, g2, d):
+    """The integer B(x, y) against x . K . y summed over the Fraction
+    killing_matrix (which test_killing_matrix_matches_fraction_trace checks),
+    value and entry type, on seeded vectors over Q or Q(sqrt d) and the zero
+    vector; restricted_killing_signature against symmetric_signature of the
+    Fraction Gram matrix of the subspace's rows, or the same ValueError."""
+    rng = random.Random(4100 + d)
+    for L in _kernel_algebras(wave15, g2):
+        K = L.killing_matrix()
+
+        def form(x, y):
+            return sum((a * b for a, b in zip(x, K.apply(y)) if a and b), F(0))
+
+        vecs = [(F(0),) * L.dim] + [_rand_vec(rng, L.dim, 8, d) for _ in range(12)]
+        for x in vecs:
+            y = rng.choice(vecs)
+            for a, b in ((x, y), (x, x)):
+                want = form(a, b)
+                got = L.killing(a, b)
+                assert got == want and type(got) is type(want), (L, a, b)
+        for k in (1, 2, 4):
+            sub = Subspace(L, rng.sample(vecs[1:], k))
+            try:
+                want = symmetric_signature(Matrix([[form(r, s) for s in sub.rows]
+                                                   for r in sub.rows]))[:3]
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    restricted_killing_signature(sub)
+            else:
+                assert restricted_killing_signature(sub) == want, (L, sub)
+
+
 def test_solvable_derived_is_nilpotent(wave15, g2):
     # derived algebra of the radical of a normalizer consists of nilpotents
     for L, names in ((wave15, ("e8", "e10", "e11", "e12")),
@@ -774,6 +808,14 @@ def test_restricted_killing_signature_over_a_quadratic_field(so4):
         make_scalar(1, 1, -1), so4.basis_vector("e2"))))
     with pytest.raises(ValueError, match="imaginary field"):
         restricted_killing_signature(imaginary)
+    # e13 + i*e14 in wave15's so(3), K = c*I there: its Gram matrix is the
+    # rational [[0]], which has a signature
+    W = algebra_by_name("wave15")
+    isotropic = span(W, vec_add(W.basis_vector("e13"),
+                                vec_scale(make_scalar(0, 1, -1), W.basis_vector("e14"))))
+    (row,) = isotropic.rows
+    assert W.killing(row, row) == 0
+    assert restricted_killing_signature(isotropic) == (0, 0, 1)
 
 
 # --- the integer kernel against the Fraction loops it replaced ----------------
@@ -1284,7 +1326,7 @@ def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
     factored = []
     real_solver = liecore.linear_solver
     monkeypatch.setattr(liecore, "linear_solver",
-                        lambda m: factored.append(m.rows) or real_solver(m))
+                        lambda m, height: factored.append(height) or real_solver(m, height))
 
     def forbidden(*args):
         raise AssertionError("no kernel or row reduction in the Jordan pull-back")

@@ -136,14 +136,17 @@ def test_embed_pinned_cases_reach_every_nilpotent_rule():
                      embed.RULE_NIL_DERIVED, embed.RULE_NIL_JORDAN, embed.RULE_NIL_EIGEN}
 
 
-# _scaled_vector calls of the nilpotent embed below, by caller: 42 weight
-# rows in torus_split's kernel_of, 26 Killing-matrix rows (radical and
-# symmetric_signature), 30 for the ad map (15 ad columns, 15 solver
-# columns), 8 for the 4 Jordan parts pulled back through it, 6 spanning
-# vectors, and 14 elements whose ad columns spectrum, rootsys and embed read.
-# With Fraction ad matrices handed to restrict and kernel_of the request
-# made 777 calls, and with Fraction tuples as subspace state 3,922
-SCALED_VECTOR_CALLS = 126
+# _scaled_vector calls of the nilpotent embed below, by caller: 26 joint
+# weights in torus_split (one per weight of its two calls), 6 spanning
+# vectors, 14 elements whose ad columns spectrum, rootsys and embed read,
+# 4 Jordan elements whose Fraction ad matrix is built and 4 semisimple parts
+# pulled back through the ad map, and 2 Killing norms of screened
+# candidates.  The Killing form and the ad map read the scaled table and
+# scale no vector.  With Fraction Killing and ad matrices and Fraction
+# weight rows the request made 126 calls, with Fraction ad matrices handed
+# to restrict and kernel_of 777, and with Fraction tuples as subspace
+# state 3,922
+SCALED_VECTOR_CALLS = 56
 
 
 def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):
@@ -199,7 +202,8 @@ def test_analyze_eliminates_the_killing_matrix_once(monkeypatch):
         L = LieAlgebra.from_json(algebra_by_name(name).to_json(), name=name)
         calls.clear()
         payload, _ = ops.analyze(L)
-        assert calls == [L.killing_matrix()]
+        den, rows = L.killing_table()
+        assert calls == [(den, 0, rows)]
         pos, neg, zero, det = real_signature(L.killing_matrix())
         assert payload["killing"] == {
             "determinant": ops.format_rat(det),

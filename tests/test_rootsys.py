@@ -685,6 +685,25 @@ def test_joint_eigenspaces_read_each_ad_once(wave15, monkeypatch):
     assert len(reads) == len(basis)
 
 
+def test_joint_eigenspaces_stop_once_a_space_is_filled(wave15, g2, monkeypatch):
+    """A space tries eigenvalues only until its eigenspaces fill it: on
+    each space the last eigenspace computed is the one that completes it."""
+    tried = {}  # id -> (space, eigenspace dims in call order)
+    real = Subspace.eigenspace
+
+    def counted(self, block, lam):
+        eigen = real(self, block, lam)
+        tried.setdefault(id(self), (self, []))[1].append(eigen.dim)
+        return eigen
+
+    monkeypatch.setattr(Subspace, "eigenspace", counted)
+    for L, names in ((wave15, ("e7m16", "e2", "e14")), (g2, ("X6", "X8"))):
+        joint_eigenspaces(L, [L.basis_vector(n) for n in names])
+    assert len(tried) > 10
+    for space, dims in tried.values():
+        assert sum(dims) == space.dim and dims[-1] > 0
+
+
 def _sl2_sum():
     """sl2 + sl2 in bases (X, H, Y) and (X', H', Y')."""
     sl2 = {(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}}
