@@ -4,7 +4,9 @@ Rational numbers are plain ``fractions.Fraction``.  Irrational values are
 ``ExactScalar`` instances ``a + b*sqrt(d)`` with ``b != 0`` and ``d`` a
 squarefree integer (possibly negative); arithmetic that lands back in Q
 returns a ``Fraction`` again, so rationality is visible in the type.
-Matrices and polynomials are generic over both scalar kinds.
+Matrices are generic over both scalar kinds.  Polynomials are computed
+on as primitive integer lists; :class:`Poly` is only the value that
+:func:`min_poly` and :func:`char_poly` return.
 """
 
 from __future__ import annotations
@@ -671,7 +673,9 @@ def symmetric_signature(m: Union[Matrix, tuple[int, int, list[_IntRow]]]
 
 
 class Poly:
-    """Dense univariate polynomial, coefficients lowest degree first."""
+    """Dense univariate polynomial, coefficients lowest degree first: the
+    value :func:`min_poly` and :func:`char_poly` return.  It has no
+    arithmetic; the package computes with primitive integer lists."""
 
     __slots__ = ("coeffs",)
 
@@ -681,20 +685,9 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    @property
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -702,137 +695,8 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return Poly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly([])
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dq = other.degree, self.degree - other.degree
-        if dq < 0:
-            return Poly([]), Poly(rem)
-        lead = other.lead
-        inv = (ONE / lead) if isinstance(lead, Fraction) else lead.inverse()
-        quo = [ZERO] * (dq + 1)
-        for k in range(dq, -1, -1):
-            if len(rem) < dn + k + 1 or not rem[dn + k]:
-                continue
-            f = rem[dn + k] * inv
-            quo[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[i + k] = rem[i + k] - f * c
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.lead
-        inv = (ONE / lead) if isinstance(lead, Fraction) else lead.inverse()
-        return Poly([c * inv for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        n = m.rows
-        acc = Matrix.zero(n, n)
-        for c in reversed(self.coeffs):
-            acc = (acc @ m) + Matrix.identity(n).scale(c)
-        return acc
-
-    def compose_mod(self, arg: "Poly", mod: "Poly") -> "Poly":
-        """self(arg) reduced modulo mod."""
-        acc = Poly([])
-        for c in reversed(self.coeffs):
-            acc = (acc * arg + Poly([c])) % mod
-        return acc
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Poly([1]), Poly([])
-    t0, t1 = Poly([]), Poly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.lead
-    inv = (ONE / lead) if isinstance(lead, Fraction) else lead.inverse()
-    return r0.monic(), s0 * inv, t0 * inv
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = prod f_i^i with the f_i squarefree, coprime."""
-    p = p.monic()
-    out = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
-    w = p.exact_div(g)
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        f = w.exact_div(y)
-        if f.degree > 0:
-            out.append((f.monic(), i))
-        w, g = y, g.exact_div(y)
-        i += 1
-    return out
 
 
 # --- characteristic polynomial -----------------------------------------------
@@ -928,11 +792,7 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
     rows = [list(a.items()) for a, _ in rows]
     ints = [1]
     for start in range(n):
-        acc = [0] * n  # Horner: acc = r(A) e_start
-        acc[start] = ints[-1]
-        for c in reversed(ints[:-1]):
-            acc = _int_apply(rows, acc)
-            acc[start] += c
+        acc = _int_horner(rows, ints, start)
         if any(acc):
             # both factors are primitive, so their product is (Gauss)
             ints = _int_mul(ints, _krylov_annihilator(rows, acc))
@@ -944,6 +804,17 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
 
 def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
     return [sum(a * v[j] for j, a in row) for row in rows]
+
+
+def _int_horner(rows: list[list[tuple[int, int]]], f: list[int], j: int) -> list[int]:
+    """f(A) e_j by Horner's rule, for the integer matrix A given by its
+    sparse rows and an integer list f."""
+    acc = [0] * len(rows)
+    acc[j] = f[-1]
+    for c in reversed(f[:-1]):
+        acc = _int_apply(rows, acc)
+        acc[j] += c
+    return acc
 
 
 def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
@@ -979,10 +850,11 @@ def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int]) -> list
 # factoring, a power of p while lifting.
 
 
-def _int_clear(p: Poly) -> list[int]:
-    """The primitive integer multiple of p with the sign of its lead."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+def _int_clear(coeffs: Sequence) -> list[int]:
+    """The primitive integer multiple, with the sign of its lead, of a
+    polynomial given by its rational (or integer) coefficients."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = gcd(*ints)
     return [c // g for c in ints] if g else ints
 
@@ -1161,6 +1033,48 @@ def _exact_quotient(f: list[int], g: list[int]) -> Optional[list[int]]:
     return None if any(r[:n]) else q
 
 
+def _int_prem(a: list[int], f: list[int]) -> tuple[list[int], int]:
+    """(r, c) with c*a = q*f + r over Z for some q, c a power of lc(f) and
+    r of length deg f: pseudo-division (MCA ch. 6)."""
+    r, n, c = list(a), len(f) - 1, 1
+    for k in range(len(r) - 1 - n, -1, -1):
+        q = r[k + n]
+        if q:
+            r = [x * f[-1] for x in r]
+            c *= f[-1]
+            for i, y in enumerate(f):
+                r[k + i] -= q * y
+    return (r + [0] * n)[:n], c
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd with lc > 0 of two nonzero integer lists without
+    trailing zeros, by primitive pseudo-remainders."""
+    while b:
+        r = _int_prem(a, b)[0]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, _int_clear(r)
+    a = _int_clear(a)
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """The squarefree decomposition over Z (Yun, MCA 14.6, in its gcd
+    form) of a primitive f with lc(f) > 0 and f(0) != 0: the (g, m) with f
+    = prod g^m, g squarefree, coprime, primitive, lc(g) > 0 and deg g > 0,
+    m increasing.  w = f / gcd(f, f') holds each factor once; each round
+    the factors of multiplicity m leave w."""
+    g = _int_gcd(f, [i * c for i, c in enumerate(f)][1:])
+    w, out, m = _exact_quotient(f, g), [], 1
+    while len(w) > 1:
+        y = _int_gcd(w, g)
+        if len(y) < len(w):
+            out.append((_exact_quotient(w, y), m))
+        w, g, m = y, _exact_quotient(g, y), m + 1
+    return out
+
+
 def _small_factors(f: list[int], p: Optional[int] = None) -> list[list[int]]:
     """The irreducible factors over Z, primitive with a positive lead, of a
     squarefree primitive f with f(0) != 0 and lc(f) > 0 when all have
@@ -1231,11 +1145,11 @@ def _squarefree_parts(p: Poly) -> tuple[int, Optional[int], list[tuple[list[int]
     """(k, prime, parts) with p = c * t^k * prod g^m over the (g, m) in
     parts: g squarefree, coprime, primitive, lc(g) > 0, g(0) != 0 and deg g
     > 0.  prime is :func:`_squarefree_prime` of p / (c t^k), which is then
-    the one part; when there is none, Yun's decomposition gives the parts.
+    the one part; when there is none, :func:`_yun` gives the parts.
     """
-    if p.is_zero():
+    if not p.coeffs:
         raise ValueError("zero polynomial")
-    f = _int_clear(p)
+    f = _int_clear(p.coeffs)
     if f[-1] < 0:
         f = [-c for c in f]
     k = next(i for i, c in enumerate(f) if c)
@@ -1243,9 +1157,7 @@ def _squarefree_parts(p: Poly) -> tuple[int, Optional[int], list[tuple[list[int]
     if len(f) == 1:
         return k, None, []
     prime = _squarefree_prime(f)
-    if prime:
-        return k, prime, [(f, 1)]
-    return k, None, [(_int_clear(g), mult) for g, mult in squarefree_decomposition(Poly(f))]
+    return k, prime, [(f, 1)] if prime else _yun(f)
 
 
 def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, int]]:
@@ -1258,7 +1170,13 @@ def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, i
     squarefree d; otherwise several quadratic fields may appear side by
     side (for classification only).
     """
-    zeros, prime, parts = _squarefree_parts(p)
+    return _part_roots(*_squarefree_parts(p), single_extension)
+
+
+def _part_roots(zeros: int, prime: Optional[int], parts: list[tuple[list[int], int]],
+                single_extension: bool) -> list[tuple[Scalar, int]]:
+    """:func:`factor_roots` of the polynomial whose :func:`_squarefree_parts`
+    are (zeros, prime, parts)."""
     out: list[tuple[Scalar, int]] = [(ZERO, zeros)] if zeros else []
     for g, mult in parts:
         for h in _small_factors(g, prime):

@@ -14,12 +14,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh, Frozen,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
 from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
-                       factor_roots, format_rat, linear_solver, min_poly,
-                       poly_ext_gcd, rat, scalar_d, scalar_parts,
-                       scalar_to_json, symmetric_signature, unit_vector,
-                       _kernel_ints, _primitive, _rref_ints, _same_d, _scaled_rows,
-                       _scaled_vector, _squarefree_parts, _sub_multiple,
-                       _unscaled_vector)
+                       format_rat, linear_solver, min_poly, rat, scalar_d,
+                       scalar_parts, scalar_to_json, symmetric_signature,
+                       unit_vector, _int_clear, _int_horner, _int_mul, _int_prem,
+                       _kernel_ints, _part_roots, _primitive, _rref_ints, _same_d,
+                       _scaled_rows, _scaled_vector, _squarefree_parts,
+                       _sub_multiple, _unscaled_vector)
 
 NILPOTENT = "nilpotent"
 REAL_SEMISIMPLE = "real_semisimple"
@@ -508,11 +508,6 @@ class Subspace:
             eqs.append((a, b))
         return self._kernel_span(_same_d(d, e), eqs)
 
-    def kernel_of(self, m: Matrix) -> "Subspace":
-        """The members whose coordinates in the basis rows lie in the
-        kernel of m (all of the subspace when m has no rows)."""
-        return self._kernel_span(*_scaled_rows(m.entries)[1:])
-
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after elimination against the basis rows."""
         den, d, a, b = self._residual(*_scaled_vector(v))
@@ -842,40 +837,62 @@ class JordanPair(Frozen):
         super().__init__(semisimple, nilpotent, center_obstructed)
 
 
-def _semisimple_poly(s: Spectrum) -> Poly:
-    """Polynomial p with p(m) the semisimple part of the matrix m whose
-    spectrum is s (Newton iteration in Q[t]/(minpoly))."""
+def _semisimple_poly(s: Spectrum) -> tuple[list[int], int]:
+    """(p, den): the integer list p over den > 0 with (p/den)(m) the
+    semisimple part of the matrix m whose spectrum is s.
+
+    Newton's step x <- x - g(x)/g'(t) in Q[t]/(M) from x = t (MCA ch. 9),
+    for M the integer minimal polynomial and g its squarefree part; the
+    division is a solve of the multiplication by g', factored once.  As
+    g'(x) = g'(t) mod g, each step adds a factor of g to g(x), so g(x) = 0
+    mod M within the largest multiplicity of steps.  g(x) is summed over Z
+    by Horner's rule with pseudo-division by M."""
     if s.semisimple:
-        return Poly.x()
-    mp = s.min_poly
-    g = Poly([0, 1] if s.zeros else [1])  # the squarefree part of mp
+        return [0, 1], 1
+    M = _int_clear(s.min_poly.coeffs)
+    n = len(M) - 1
+    g = [0, 1] if s.zeros else [1]
     for f, _ in s.parts:
-        g = g * Poly(f)
-    x = Poly.x() % mp
-    for _ in range(mp.degree + 1):
-        gx = g.compose_mod(x, mp)
-        if gx.is_zero():
-            break
-        gpx = g.derivative().compose_mod(x, mp)
-        gcd_, u, _ = poly_ext_gcd(gpx, mp)
-        assert gcd_.degree == 0, "g' must stay invertible mod the min poly"
-        inv = u * (ONE / gcd_.coeffs[0])
-        x = (x - gx * inv % mp) % mp
-    else:
-        raise ArithmeticError("Jordan Newton iteration failed to converge")
-    return x
+        g = _int_mul(g, f)
+    # column j, t^j * g' mod M, is r / c
+    cols = [_int_prem([0] * j + [i * c for i, c in enumerate(g)][1:], M) for j in range(n)]
+    top = lcm(*(c for _, c in cols))
+    solve = linear_solver((top, 0, [({i: v * (top // c) for i, v in enumerate(r) if v}, {})
+                                    for r, c in cols]), n)[1]
+    x = (ZERO, ONE) + (ZERO,) * (n - 2)
+    for _ in range(max([s.zeros, *(m for _, m in s.parts)])):
+        xd = lcm(*(c.denominator for c in x))
+        xi = [c.numerator * (xd // c.denominator) for c in x]
+        h, hd = [g[-1]], 1  # g(x) = h / hd mod M
+        for c in reversed(g[:-1]):
+            h, e = _int_prem(_int_mul(h, xi), M)
+            hd *= e * xd
+            h[0] += c * hd
+        if not any(h):
+            return xi, xd
+        y = solve((hd, 0, {i: v for i, v in enumerate(h) if v}, {}))
+        x = tuple(a - b for a, b in zip(x, y))
+    raise ArithmeticError("Jordan Newton iteration failed to converge")
 
 
 def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
-    """Jordan pair (semisimple, nilpotent) of x pulled back through ad."""
-    m = L.ad(x)
-    p = _semisimple_poly(spectrum(L, x))
-    if p == Poly.x():
-        s_mat = m
-    else:
-        s_mat = p.eval_matrix(m)
-    # y with ad(y) = s_mat, free coordinates 0
-    sol = L.ad_map()[1](_scaled_vector(tuple(c for row in s_mat.entries for c in row)))
+    """Jordan pair (semisimple, nilpotent) of x pulled back through ad.
+
+    With A = den*ad(x) the integer matrix of the ad columns and p/pd =
+    :func:`_semisimple_poly` with k + 1 coefficients, q(t) = sum p_j
+    den^(k-j) t^j has q(A) = den^k * pd * p(ad x); its columns, summed by
+    Horner's rule, go to the :meth:`LieAlgebra.ad_map` solve in that
+    scale."""
+    den, _, rows = block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
+    p, pd = _semisimple_poly(spectrum(L, x, block))
+    k, n = len(p) - 1, L.dim
+    q = [c * den ** (k - j) for j, c in enumerate(p)]
+    rows = [list(a.items()) for a, _ in rows]
+    flat = {}
+    for c in range(n):
+        flat.update((r * n + c, v) for r, v in enumerate(_int_horner(rows, q, c)) if v)
+    # y with ad(y) = p(ad x), free coordinates 0
+    sol = L.ad_map()[1]((den ** k * pd, 0, flat, {}))
     if sol is None:
         raise CenterObstruction("semisimple part lies outside ad(L)")
     # nontrivial center: the pair is only canonical modulo the center (the
@@ -889,21 +906,22 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
 class Spectrum:
     """Spectral summary of ad(x), read off its minimal polynomial.
 
-    ``zeros`` and ``parts``: :func:`_squarefree_parts` of the minimal
-    polynomial.  ``nilpotent``: it is t^k.  ``semisimple``: it is
+    ``zeros``, ``prime`` and ``parts``: :func:`_squarefree_parts` of the
+    minimal polynomial.  ``nilpotent``: it is t^k.  ``semisimple``: it is
     squarefree.  ``roots`` is ``factor_roots(min_poly, single_extension=
-    False)``, computed on first use and kept; ``kind`` (the
+    False)``, factored from the parts on first use and kept; ``kind`` (the
     :func:`classify_element` label) and ``extensions`` (the set of d != 0
     with sqrt(d) among the roots, which may lie in several quadratic
     fields) are read off it.  When the roots leave the scalar tower, every
     use of any of the three raises ExtensionDegreeTooHigh.
     """
 
-    __slots__ = ("min_poly", "zeros", "parts", "nilpotent", "semisimple", "_roots", "_failure")
+    __slots__ = ("min_poly", "zeros", "prime", "parts", "nilpotent", "semisimple",
+                 "_roots", "_failure")
 
     def __init__(self, mp: Poly):
         self.min_poly = mp
-        self.zeros, _, self.parts = _squarefree_parts(mp)
+        self.zeros, self.prime, self.parts = _squarefree_parts(mp)
         self.nilpotent = not self.parts
         self.semisimple = self.zeros <= 1 and all(m == 1 for _, m in self.parts)
         self._roots: Optional[list] = None
@@ -914,7 +932,7 @@ class Spectrum:
     def roots(self) -> list:
         if self._roots is None and self._failure is None:
             try:
-                self._roots = factor_roots(self.min_poly, single_extension=False)
+                self._roots = _part_roots(self.zeros, self.prime, self.parts, False)
             except ExtensionDegreeTooHigh as exc:
                 self._failure = exc.args
         if self._failure is not None:

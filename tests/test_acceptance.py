@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lieembed.exactlin import (eigenvalues, make_scalar, min_poly, poly_gcd,
+from lieembed.exactlin import (eigenvalues, make_scalar, min_poly,
                                scalar_parts, symmetric_signature, vec_is_zero)
 from lieembed.liecore import (NILPOTENT, LieAlgebra, Subspace, center,
                               centralizer, classify_element, derived_algebra,
@@ -28,6 +28,7 @@ from lieembed.embed import (embed_abelian_nilpotent, embed_compact_torus,
                             maximal_compact_split)
 from lieembed.vecfield import (g2_catalog, structure_constants, invariant_count,
                                wave16_catalog)
+from polyref import is_squarefree
 from test_liecore import vec_add, vec_scale, vec_sub
 
 I = make_scalar(0, 1, -1)
@@ -312,8 +313,7 @@ def test_criterion_10_property_suites(wave15, g2, so4, so13, so22):
             assert vec_add(pair.semisimple, pair.nilpotent) == x
             assert vec_is_zero(L.bracket(pair.semisimple, pair.nilpotent))
             assert is_ad_nilpotent(L, pair.nilpotent)
-            mp = min_poly(L.ad(pair.semisimple))
-            assert poly_gcd(mp, mp.derivative()).degree == 0
+            assert is_squarefree(min_poly(L.ad(pair.semisimple)))
 
     # centralizer Levi identity for every torus in the corpus
     tori = [
@@ -398,6 +398,21 @@ def test_cli_import_loads_no_introspection_modules():
     loaded = set(proc.stdout.split())
     assert "lieembed.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_one_polynomial_representation():
+    """``Poly`` is only the value min_poly and char_poly return, with no
+    arithmetic, and exactlin has no Fraction polynomial gcds: the package
+    computes with primitive integer lists, so a second polynomial
+    representation cannot come back unnoticed."""
+    from lieembed import exactlin
+    assert {k for k in vars(exactlin.Poly) if not k.startswith("_")} == {"coeffs", "degree"}
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                  "__rmul__", "__truediv__", "__floordiv__", "__mod__", "__divmod__",
+                  "__pow__", "__call__"}
+    assert arithmetic & set(dir(exactlin.Poly)) == set()
+    for name in ("poly_gcd", "poly_ext_gcd", "squarefree_decomposition"):
+        assert not hasattr(exactlin, name)
 
 
 def test_no_runtime_dependencies():

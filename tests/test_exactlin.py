@@ -17,12 +17,10 @@ from lieembed import exactlin
 from lieembed.errors import ExtensionDegreeTooHigh, ParseError
 from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                eigenvalues, factor_roots, kernel,
-                               linear_solver, make_scalar, min_poly,
-                               poly_gcd, rat,
-                               rref, solve_linear,
-                               squarefree_decomposition, squarefree_split,
-                               symmetric_signature,
-                               unit_vector)
+                               linear_solver, make_scalar, min_poly, rat,
+                               rref, solve_linear, squarefree_split,
+                               symmetric_signature, unit_vector)
+from polyref import QPoly, poly_gcd, squarefree_decomposition
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
@@ -536,13 +534,13 @@ def test_rref_against_sympy():
 def _naive_char_poly(m: Matrix) -> Poly:
     """Independent oracle: cofactor expansion of det(tI - m) over Poly."""
     n = m.rows
-    entries = [[Poly([-m.entries[i][j], 1]) if i == j else Poly([-m.entries[i][j]])
+    entries = [[QPoly([-m.entries[i][j], 1]) if i == j else QPoly([-m.entries[i][j]])
                 for j in range(n)] for i in range(n)]
 
     def det(rows, cols):
         if len(cols) == 1:
             return entries[rows[0]][cols[0]]
-        total = Poly([])
+        total = QPoly([])
         for k, c in enumerate(cols):
             minor = det(rows[1:], cols[:k] + cols[k + 1:])
             term = entries[rows[0]][c] * minor
@@ -567,7 +565,7 @@ def test_char_poly_vs_cofactor_oracle():
 def test_char_poly_so4_boost(so4):
     # direct expansion oracle for ad(e1): t^2 (t^2+1)^2
     m = so4.ad(so4.basis_vector("e1"))
-    expected = Poly([0, 0, 1]) * Poly([1, 0, 1]) * Poly([1, 0, 1])
+    expected = QPoly([0, 0, 1]) * QPoly([1, 0, 1]) * QPoly([1, 0, 1])
     assert char_poly(m) == expected
     assert char_poly(m) == _naive_char_poly(m)
 
@@ -578,7 +576,7 @@ def test_char_poly_wave_levi_boost(wave15):
     from lieembed.liecore import Subspace
     S = Subspace(wave15, [wave15.basis_vector(n)
                           for n in ("e2", "e4", "e6", "e13", "e14", "e15")])
-    expected = Poly([0, 0, 1]) * Poly([-1, 0, 1]) * Poly([-1, 0, 1])
+    expected = QPoly([0, 0, 1]) * QPoly([-1, 0, 1]) * QPoly([-1, 0, 1])
     for boost in ("e2", "e6"):
         ad = wave15.ad(wave15.basis_vector(boost))
         m = Matrix.from_columns([S.coords_of(ad.apply(r)) for r in S.rows])
@@ -591,7 +589,7 @@ def test_cayley_hamilton(n, seed):
     rng = random.Random(seed)
     m = Matrix([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
     p = char_poly(m)
-    assert p.eval_matrix(m).is_zero()
+    assert QPoly(p.coeffs).eval_matrix(m).is_zero()
 
 
 def test_min_poly_divides_char_poly():
@@ -599,8 +597,8 @@ def test_min_poly_divides_char_poly():
     for n in (3, 4, 6):
         m = Matrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
         mp, cp = min_poly(m), char_poly(m)
-        assert (cp % mp).is_zero()
-        assert mp.eval_matrix(m).is_zero()
+        assert (QPoly(cp.coeffs) % mp).is_zero()
+        assert QPoly(mp.coeffs).eval_matrix(m).is_zero()
 
 
 def _reference_min_poly(m):
@@ -608,7 +606,7 @@ def _reference_min_poly(m):
     annihilators of the unit vectors (the algorithm min_poly used before
     its integer rewrite), kept as the reference."""
     n = m.rows
-    result = Poly([1])
+    result = QPoly([1])
     for start in range(n):
         if result.degree >= 1:
             e = unit_vector(n, start)
@@ -639,7 +637,7 @@ def _reference_annihilator(m, start):
                 combo = [a - f * b for a, b in
                          zip(combo, rc + [F(0)] * (len(combo) - len(rc)))]
         if all(not x for x in work):
-            return Poly(combo).monic()
+            return QPoly(combo).monic()
         inv = 1 / next(x for x in work if x)
         rows.append([inv * x for x in work])
         combos.append([inv * x for x in combo])
@@ -817,10 +815,10 @@ def test_min_poly_matches_fraction_reference_on_dense_ad_blocks():
 
 
 def test_min_poly_known_values():
-    t = Poly.x()
+    t = QPoly([0, 1])
     assert min_poly(Matrix([[0, 0], [0, 0]])) == t
-    assert min_poly(Matrix.identity(3).scale(F(5, 2))) == t - Poly([F(5, 2)])
-    assert min_poly(Matrix([[F(-3, 4)]])) == t + Poly([F(3, 4)])
+    assert min_poly(Matrix.identity(3).scale(F(5, 2))) == t - QPoly([F(5, 2)])
+    assert min_poly(Matrix([[F(-3, 4)]])) == t + QPoly([F(3, 4)])
     assert min_poly(_block_diag([_jordan(0, 3), _jordan(0, 1)])) == t * t * t
     assert min_poly(Matrix([])) == Poly([1])
 
@@ -885,10 +883,10 @@ def test_eigenvalues_reconstruct_char_poly():
             ev = eigenvalues(m)
         except ExtensionDegreeTooHigh:
             continue
-        prod = Poly([1])
+        prod = QPoly([1])
         for lam, mult in ev:
             for _ in range(mult):
-                prod = prod * Poly([-lam, 1])
+                prod = prod * QPoly([-lam, 1])
         # rational coefficients throughout: compare against char poly
         assert Poly([c for c in prod.coeffs]) == char_poly(m)
         assert sum(mult for _, mult in ev) == n
@@ -994,23 +992,23 @@ def _field_product(rng, bits, cubic):
     d = _squarefree_number(rng, rng.choice((2, 8, bits)))
     num = lambda: rng.randint(-2 ** bits, 2 ** bits)  # noqa: E731
     pos = lambda: rng.randint(1, 2 ** bits)  # noqa: E731
-    p = Poly([1])
+    p = QPoly([1])
     for _ in range(rng.randint(1, 5)):
         if rng.random() < 0.5:
-            f = Poly([num(), pos()])
+            f = QPoly([num(), pos()])
         else:
             # (w*t - u)^2 - d*v^2: roots (u +- v*sqrt(d)) / w
             u, v, w = num(), pos(), pos()
-            f = Poly([u * u - d * v * v, -2 * u * w, w * w])
+            f = QPoly([u * u - d * v * v, -2 * u * w, w * w])
         for _ in range(rng.choice((1, 1, 1, 2))):
             p = p * f
     if rng.random() < 0.2:
-        p = p * Poly([0, 1])
+        p = p * QPoly([0, 1])
     if cubic:
         s, w = num(), pos()
         c = next(c for c in iter(lambda: rng.randint(2, 2 ** bits), None)
                  if round(c ** (1 / 3)) ** 3 != c)
-        p = p * Poly([-s ** 3 - c, 3 * s * s * w, -3 * s * w * w, w ** 3])
+        p = p * QPoly([-s ** 3 - c, 3 * s * s * w, -3 * s * w * w, w ** 3])
     return p
 
 
@@ -1041,9 +1039,9 @@ def test_eigenvalues_quartic_resolvent():
 def test_eigenvalues_two_extensions_rejected():
     # (t^2+1)(t^2+2) needs both sqrt(-1) and sqrt(-2)
     with pytest.raises(ExtensionDegreeTooHigh):
-        factor_roots(Poly([1, 0, 1]) * Poly([2, 0, 1]))
+        factor_roots(QPoly([1, 0, 1]) * QPoly([2, 0, 1]))
     # but classification mode tolerates them side by side
-    roots = factor_roots(Poly([1, 0, 1]) * Poly([2, 0, 1]), single_extension=False)
+    roots = factor_roots(QPoly([1, 0, 1]) * QPoly([2, 0, 1]), single_extension=False)
     assert len(roots) == 4
 
 
@@ -1057,14 +1055,14 @@ def test_factor_roots_rational_roots():
     """Rational roots with a non-monic integer form, including roots whose
     numerator and denominator have 60 bits, which a search over divisors
     of the constant term could not reach."""
-    p = Poly([F(-1, 2), F(1, 2)]) * Poly([-2, 1]) * Poly([3, 1])
+    p = QPoly([F(-1, 2), F(1, 2)]) * QPoly([-2, 1]) * QPoly([3, 1])
     assert factor_roots(p) == [(F(-3), 1), (F(1), 1), (F(2), 1)]
     big = [F(2 ** 61 - 1, 2 ** 59 + 5), F(-(2 ** 60 + 33), 3 ** 37), F(7, 9)]
-    p = Poly([1])
+    p = QPoly([1])
     for r, k in zip(big, (1, 2, 1)):
         for _ in range(k):
-            p = p * Poly([-r, 1])
-    p = p * Poly([0, 0, 1]) * Poly([F(-1, 3), 1])
+            p = p * QPoly([-r, 1])
+    p = p * QPoly([0, 0, 1]) * QPoly([F(-1, 3), 1])
     assert factor_roots(p) == sorted([(big[0], 1), (big[1], 2), (big[2], 1),
                                       (F(0), 2), (F(1, 3), 1)])
 
@@ -1073,13 +1071,13 @@ def test_factor_roots_splits_every_degree_two_product():
     """Every polynomial whose irreducible factors have degree <= 2 splits,
     whatever its degree: (t^2-2)(t^2-2t-1)(t^2-4t+2) has six roots in
     Q(sqrt 2), and the messages for what does not split state true facts."""
-    p = Poly([-2, 0, 1]) * Poly([-1, -2, 1]) * Poly([2, -4, 1])
+    p = QPoly([-2, 0, 1]) * QPoly([-1, -2, 1]) * QPoly([2, -4, 1])
     roots = factor_roots(p)
     assert [(r.a, r.b, r.d, k) for r, k in roots] == [
         (F(a), F(b), 2, 1) for a in (0, 1, 2) for b in (-1, 1)]
     # a degree-6 cofactor: (t^3 - 2)(t^3 - 3) has no factor of degree <= 2
     with pytest.raises(ExtensionDegreeTooHigh, match="degree 6 with no factor"):
-        factor_roots(Poly([-2, 0, 0, 1]) * Poly([-3, 0, 0, 1]) * Poly([-5, 1]))
+        factor_roots(QPoly([-2, 0, 0, 1]) * QPoly([-3, 0, 0, 1]) * QPoly([-5, 1]))
 
 
 def test_squarefree_split_large():
@@ -1103,7 +1101,7 @@ def test_squarefree_split_large():
 def _ref_rational_roots(p):
     """Rational roots of p by trial over the divisors of the scaled constant
     and leading terms (cost grows with their square roots)."""
-    coeffs = exactlin._int_clear(p)
+    coeffs = exactlin._int_clear(p.coeffs)
     roots = [F(0)] if not coeffs[0] else []
     coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
 
@@ -1161,7 +1159,7 @@ def _ref_split_quartic(p):
             if dq is None:
                 continue
             q1, q2 = (y0 + dq) / 2, (y0 - dq) / 2
-        if Poly([q1, p1, 1]) * Poly([q2, p2, 1]) == p:
+        if QPoly([q1, p1, 1]) * QPoly([q2, p2, 1]) == p:
             return (p1, q1), (p2, q2)
     return None
 
@@ -1171,7 +1169,7 @@ def _ref_factor_squarefree(p):
     p = p.monic()
     for r in _ref_rational_roots(p):
         roots.append(r)
-        p = p.exact_div(Poly([-r, 1]))
+        p = p.exact_div(QPoly([-r, 1]))
     while p.degree > 0:
         if p.degree == 2:
             return roots + list(_ref_quadratic_roots(p.coeffs[1], p.coeffs[0]))
@@ -1183,16 +1181,16 @@ def _ref_factor_squarefree(p):
         if p.degree % 2 or any(p.coeffs[1::2]):
             raise ExtensionDegreeTooHigh(f"factor of degree {p.degree}")
         # even polynomial h(t^2): peel the rational roots of h
-        h = Poly(p.coeffs[0::2])
+        h = QPoly(p.coeffs[0::2])
         hr = _ref_rational_roots(h)
         if not hr:
             raise ExtensionDegreeTooHigh(f"factor of degree {p.degree}")
         for s in hr:
-            h = h.exact_div(Poly([-s, 1]))
+            h = h.exact_div(QPoly([-s, 1]))
             roots.extend(_ref_quadratic_roots(F(0), -s))
         if h.degree <= 0:
             return roots
-        p = Poly([c for cc in h.coeffs for c in (cc, F(0))][:-1])
+        p = QPoly([c for cc in h.coeffs for c in (cc, F(0))][:-1])
         if p.degree not in (2, 4):
             raise ExtensionDegreeTooHigh(f"factor of degree {p.degree}")
     return roots
@@ -1223,18 +1221,28 @@ def _perfbench_module(name):
 @functools.cache
 def _workload_calls():
     """The arguments (polynomial, single_extension) of every factor_roots
-    call and the result of every min_poly call of one verify pass and of
-    rebased passes with seeds 101-103 (the benchmark's requests, run in
-    this process on fresh algebras)."""
+    call and of every Spectrum's roots (its polynomial rebuilt from the
+    squarefree parts it factors), and the result of every min_poly call,
+    of one verify pass and of rebased passes with seeds 101-103 (the
+    benchmark's requests, run in this process on fresh algebras)."""
     import lieembed
     from lieembed import corpus, embed, liecore, rootsys, vecfield
     child, workloads = _perfbench_module("child"), _perfbench_module("workloads")
     polys, min_polys = [], []
     real_roots, real_min_poly = exactlin.factor_roots, exactlin.min_poly
+    real_parts = exactlin._part_roots
 
     def record(p, single_extension=True):
         polys.append((p, single_extension))
         return real_roots(p, single_extension)
+
+    def record_parts(zeros, prime, parts, single_extension):
+        p = QPoly([0] * zeros + [1])
+        for g, mult in parts:
+            for _ in range(mult):
+                p = p * QPoly(g)
+        polys.append((p, single_extension))
+        return real_parts(zeros, prime, parts, single_extension)
 
     def record_min_poly(m):
         min_polys.append(real_min_poly(m))
@@ -1242,8 +1250,9 @@ def _workload_calls():
 
     golden = corpus.load_shipped_corpus()
     with pytest.MonkeyPatch.context() as mp:
-        for module in (liecore, rootsys, embed):
+        for module in (rootsys, embed):
             mp.setattr(module, "factor_roots", record)
+        mp.setattr(liecore, "_part_roots", record_parts)
         for module in (liecore, embed):
             mp.setattr(module, "min_poly", record_min_poly)
         vecfield.algebra_by_name.cache_clear()

@@ -24,6 +24,7 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               killing_signature, levi_decomposition,
                               normalizer, radical, restricted_killing_signature,
                               spectrum, subalgebra_generated, torus_split)
+from polyref import QPoly, is_squarefree, poly_gcd
 from test_exactlin import _reference_rref_rows
 
 
@@ -358,7 +359,7 @@ def test_jordan_mixed_commuting(wave15):
 
 
 def test_jordan_invariants_random(wave15, g2):
-    from lieembed.exactlin import min_poly, poly_gcd
+    from lieembed.exactlin import min_poly
     rng = random.Random(5)
     for L in (wave15, g2):
         for _ in range(50):
@@ -369,8 +370,7 @@ def test_jordan_invariants_random(wave15, g2):
             assert is_ad_nilpotent(L, pair.nilpotent)
             # squarefree minimal polynomial certifies ad-semisimplicity
             # without factoring (eigenvalues may leave the quadratic tower)
-            mp = min_poly(L.ad(pair.semisimple))
-            assert poly_gcd(mp, mp.derivative()).degree == 0
+            assert is_squarefree(min_poly(L.ad(pair.semisimple)))
 
 
 def test_jordan_center_flag():
@@ -1262,11 +1262,10 @@ def _ref_jordan(L, x):
     """(semisimple, nilpotent, center_obstructed) by solving the stacked
     ad-basis system with solve_linear on every call, and the center from
     its kernel."""
-    from lieembed.exactlin import Poly
     from lieembed.liecore import _semisimple_poly
     m = L.ad(x)
-    p = _semisimple_poly(spectrum(L, x))
-    s_mat = m if p == Poly.x() else p.eval_matrix(m)
+    p, den = _semisimple_poly(spectrum(L, x))
+    s_mat = QPoly([F(c, den) for c in p]).eval_matrix(m)
     stacked = Matrix.from_columns(
         [tuple(c for row in L.ad(unit_vector(L.dim, i)).entries for c in row)
          for i in range(L.dim)])
@@ -1309,6 +1308,38 @@ def test_jordan_matches_stacked_solve_reference(wave15, wave16, g2):
     assert ("g2", False) in flags
 
 
+def test_jordan_of_non_semisimple_elements_in_a_dense_basis(wave15, g2):
+    """jordan_decomposition of non-semisimple elements of wave15 and g2 in
+    a seeded dense basis meets the definition, checked without the Newton
+    step: x = s + n, [s, n] = 0, a power of ad n is 0, and ad s has a
+    squarefree minimal polynomial.  Mapped back to the paper basis, the
+    pair is the paper basis's own pair."""
+    from lieembed.exactlin import min_poly
+    rng = random.Random(2121)
+    for L0 in (wave15, g2):
+        f = _dense_basis(L0, rng)
+        to_f = Matrix.from_columns(f)
+        L = LieAlgebra(L0.dim, L0.basis_names, _table_in_basis(L0, f), name="dense")
+        tried = mixed = 0
+        while mixed < 6:
+            y = _rand_element(L0, rng, support=4, lo=-3, hi=3)
+            x = solve_linear(to_f, y)
+            if spectrum(L, x).semisimple:
+                continue
+            pair = jordan_decomposition(L, x)
+            assert vec_add(pair.semisimple, pair.nilpotent) == x
+            assert vec_is_zero(L.bracket(pair.semisimple, pair.nilpotent))
+            power, k = L.ad(pair.nilpotent), 1
+            while k < L.dim:
+                power, k = power @ power, 2 * k
+            assert power.is_zero()
+            assert is_squarefree(min_poly(L.ad(pair.semisimple)))
+            assert to_f.apply(pair.semisimple) == jordan_decomposition(L0, y).semisimple
+            tried += 1
+            mixed += not vec_is_zero(pair.semisimple)
+        assert tried < 40
+
+
 def test_jordan_outside_ad_image_raises():
     """[x, y] = y, [x, z] = y + z: the semisimple part of ad x, diag(0, 1, 1),
     is no ad of an element."""
@@ -1325,8 +1356,8 @@ def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
     import lieembed.liecore as liecore
     factored = []
     real_solver = liecore.linear_solver
-    monkeypatch.setattr(liecore, "linear_solver",
-                        lambda m, height: factored.append(height) or real_solver(m, height))
+    monkeypatch.setattr(liecore, "linear_solver", lambda m, height:
+                        factored.append((height, len(m[2]))) or real_solver(m, height))
 
     def forbidden(*args):
         raise AssertionError("no kernel or row reduction in the Jordan pull-back")
@@ -1340,7 +1371,10 @@ def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
         for _ in range(5):
             jordan_decomposition(L, _rand_element(L, rng))
         assert L.center_dim() == (1 if L is heis else 0)
-    assert factored == [9, 225]
+    # the ad maps (n*n rows, n columns); the other solves are the Newton
+    # step's square ones for 1/g' mod the minimal polynomial
+    assert [h for h, n in factored if h == n * n] == [9, 225]
+    assert all(h == n for h, n in factored if h != n * n)
 
 
 # --- spectra: one squarefree split ----------------------------------------------
@@ -1348,17 +1382,15 @@ def test_ad_map_is_factored_once_per_algebra(wave15, monkeypatch):
 def _ref_nilpotent_semisimple(p):
     """The definitions: t^k has no coefficient below its lead, and p is
     squarefree when gcd(p, p') over Q is a constant."""
-    from lieembed.exactlin import poly_gcd
-    return not any(p.coeffs[:-1]), poly_gcd(p, p.derivative()).degree == 0
+    return not any(p.coeffs[:-1]), is_squarefree(p)
 
 
 def _product_one_to_38():
     """prod (t - a) for a = 1..38: each of the first 12 primes is at most
     37, so none keeps it squarefree."""
-    from lieembed.exactlin import Poly
-    out = Poly([1])
+    out = QPoly([1])
     for a in range(1, 39):
-        out = out * Poly([-a, 1])
+        out = out * QPoly([-a, 1])
     return out
 
 
@@ -1366,14 +1398,13 @@ def _spectrum_polys():
     """t^k * f for k = 0..3, with f constant, squarefree or with a
     repeated quadratic factor, and the product of t - a for a = 1..38
     times 1, t and t - 1."""
-    from lieembed.exactlin import Poly
-    t = Poly.x()
-    quad = t * t - Poly([3])
-    fs = [Poly([1]), t - Poly([F(5, 2)]), quad * (t + Poly([7])),
-          quad * quad * (t - Poly([1])), (t * t + Poly([1])) * quad * quad]
+    t = QPoly([0, 1])
+    quad = t * t - QPoly([3])
+    fs = [QPoly([1]), t - QPoly([F(5, 2)]), quad * (t + QPoly([7])),
+          quad * quad * (t - QPoly([1])), (t * t + QPoly([1])) * quad * quad]
     wide = _product_one_to_38()
-    return ([Poly([0] * k + [1]) * f for k in range(4) for f in fs]
-            + [wide, t * wide, wide * (t - Poly([1]))])
+    return ([QPoly([0] * k + [1]) * f for k in range(4) for f in fs]
+            + [wide, t * wide, wide * (t - QPoly([1]))])
 
 
 def test_spectrum_flags_match_their_definitions():
@@ -1381,7 +1412,6 @@ def test_spectrum_flags_match_their_definitions():
     equal the definitions on every minimal polynomial of a verify pass and
     of rebased seeds 101-103 and on constructed t^k * f; the parts times t
     (when k > 0) are the squarefree part p / gcd(p, p')."""
-    from lieembed.exactlin import Poly, poly_gcd
     from lieembed.liecore import Spectrum
     from test_exactlin import _workload_calls
     polys = _workload_calls()[1] + _spectrum_polys()
@@ -1392,9 +1422,10 @@ def test_spectrum_flags_match_their_definitions():
         nilpotent, semisimple = _ref_nilpotent_semisimple(p)
         assert (s.nilpotent, s.semisimple) == (nilpotent, semisimple), p
         seen.add((nilpotent, semisimple))
-        g = Poly([0, 1] if s.zeros else [1])
+        g = QPoly([0, 1] if s.zeros else [1])
         for f, _ in s.parts:
-            g = g * Poly(f)
+            g = g * QPoly(f)
+        p = QPoly(p.coeffs)
         assert g.monic() == p.exact_div(poly_gcd(p, p.derivative())).monic(), p
     assert seen == {(True, False), (True, True), (False, True), (False, False)}
 
@@ -1403,15 +1434,48 @@ def test_squarefree_parts_of_a_product_with_no_good_small_prime():
     """prod (t - a), a = 1..38: every one of the first 12 primes is at most
     37 and leaves it with a repeated root, so Yun's decomposition decides
     and factor_roots gives 38 simple roots."""
-    from lieembed.exactlin import Poly, _squarefree_parts, _squarefree_prime
+    from lieembed.exactlin import _squarefree_parts, _squarefree_prime
     wide = _product_one_to_38()
     k, prime, parts = _squarefree_parts(wide)
     assert (k, prime, [m for _, m in parts]) == (0, None, [1])
     assert _squarefree_prime(parts[0][0]) is None
     assert factor_roots(wide) == [(F(a), 1) for a in range(1, 39)]
-    k, prime, parts = _squarefree_parts(wide * Poly([-1, 1]))
+    k, prime, parts = _squarefree_parts(wide * QPoly([-1, 1]))
     assert (k, prime, sorted(len(f) - 1 for f, _ in parts)) == (0, None, [1, 37])
     assert sorted(m for _, m in parts) == [1, 2]
+
+
+def test_integer_yun_against_sympy_sqf_list():
+    """The squarefree parts of t^k * prod (t - a)^m, a rational, with
+    repeated factors (so that no prime proves them squarefree and Yun's
+    decomposition over Z runs) and of prod (t - a), a = 1..38, times 1,
+    (t - 1) and (t - 2)^2 equal sympy's sqf_list of p / t^k."""
+    sympy = pytest.importorskip("sympy")
+    from lieembed.exactlin import _squarefree_parts
+    t = sympy.Symbol("t")
+    rng = random.Random(2122)
+    wide = _product_one_to_38()
+    cases = [wide, wide * QPoly([-1, 1]), wide * QPoly([4, -4, 1])]
+    for _ in range(40):
+        p = QPoly([0] * rng.randint(0, 3) + [rng.choice((1, F(-2, 3)))])
+        for a in rng.sample(range(1, 30), rng.randint(1, 5)):
+            a = F(rng.choice((-1, 1)) * a, rng.choice((1, 1, 2, 5)))
+            for _ in range(rng.randint(1, 4)):
+                p = p * QPoly([-a, 1])
+        cases.append(p)
+    yun = 0
+    for p in cases:
+        k, prime, parts = _squarefree_parts(p)
+        zeros = next(i for i, c in enumerate(p.coeffs) if c)
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** (i - zeros)
+                   for i, c in enumerate(p.coeffs))
+        want = set()
+        for g, m in sympy.Poly(expr, t).sqf_list()[1]:
+            g = sympy.Poly(g, t).clear_denoms()[1].primitive()[1].all_coeffs()[::-1]
+            want.add((tuple(int(c) * (1 if g[-1] > 0 else -1) for c in g), m))
+        assert k == zeros and {(tuple(g), m) for g, m in parts} == want, p
+        yun += prime is None
+    assert yun >= 35
 
 
 def test_nilpotent_spectrum_tries_no_prime(wave15, monkeypatch):

@@ -138,15 +138,15 @@ def test_embed_pinned_cases_reach_every_nilpotent_rule():
 
 # _scaled_vector calls of the nilpotent embed below, by caller: 26 joint
 # weights in torus_split (one per weight of its two calls), 6 spanning
-# vectors, 14 elements whose ad columns spectrum, rootsys and embed read,
-# 4 Jordan elements whose Fraction ad matrix is built and 4 semisimple parts
-# pulled back through the ad map, and 2 Killing norms of screened
-# candidates.  The Killing form and the ad map read the scaled table and
-# scale no vector.  With Fraction Killing and ad matrices and Fraction
-# weight rows the request made 126 calls, with Fraction ad matrices handed
-# to restrict and kernel_of 777, and with Fraction tuples as subspace
-# state 3,922
-SCALED_VECTOR_CALLS = 56
+# vectors, 12 elements whose ad columns spectrum, rootsys and embed read,
+# 4 Jordan elements whose ad columns also give their spectrum, and 2
+# Killing norms of screened candidates.  The Killing form, the ad map and
+# the Jordan pull-back read integer tables and scale no further vector.
+# With a Fraction ad matrix and semisimple part per Jordan element the
+# request made 56 calls, with Fraction Killing and ad matrices and Fraction
+# weight rows 126, with Fraction ad matrices handed to restrict and
+# kernel_of 777, and with Fraction tuples as subspace state 3,922
+SCALED_VECTOR_CALLS = 50
 
 
 def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):

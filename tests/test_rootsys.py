@@ -10,7 +10,7 @@ from lieembed.errors import (ExtensionDegreeTooHigh, NotATorus,
 from lieembed.exactlin import (Matrix, eigenvalues, factor_roots,
                                is_complex_positive, kernel, make_scalar,
                                min_poly, scalar_d, solve_linear, vec_is_zero,
-                               _scaled_vector)
+                               _scaled_rows, _scaled_vector)
 from lieembed.liecore import LieAlgebra, Subspace, normalizer, spectrum, torus_split
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
@@ -482,8 +482,8 @@ def test_joint_eigenspaces_match_intersection_reference(wave15, g2):
 # --- integer ad blocks against the Fraction restriction they replaced ----------
 # Reference copies of joint_eigenspaces and embed._positive_real_eigenspace
 # as they ran on Fraction matrices: ad(h) restricted to each space by
-# _ref_restrict, eigenvalues from min_poly, and each eigenspace the kernel_of
-# of the shifted Fraction block.
+# _ref_restrict, eigenvalues from min_poly, and each eigenspace the part of
+# the space whose coordinates lie in the kernel of the shifted Fraction block.
 
 def _ref_block(space, m):
     return _ref_restrict(space, m) if space.dim else Matrix([])
@@ -492,7 +492,7 @@ def _ref_block(space, m):
 def _ref_eigenspace(space, m, lam):
     shifted = Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
                       for i, row in enumerate(m.entries)])
-    return space.kernel_of(shifted)
+    return space._kernel_span(*_scaled_rows(shifted.entries)[1:])
 
 
 def _ref_restricted_eigenspaces(L, basis, ambient=None):
@@ -716,17 +716,18 @@ def _sl2_sum():
 def test_whole_algebra_eigenspaces_read_the_cached_roots(wave15, monkeypatch):
     import lieembed.exactlin as exactlin
     import lieembed.liecore as liecore
-    import lieembed.rootsys as rootsys
     from lieembed.liecore import classify_element
     L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
     E = L.basis_vector
     basis = [E("e7m16"), E("e2"), E("e14")]
     want = root_space_decomposition(wave15, basis).to_json()
+    # every factoring, by factor_roots or a Spectrum's roots, factors its
+    # squarefree parts with _part_roots
     factored = []
-    for module in (exactlin, liecore, rootsys):
-        real = module.factor_roots
-        monkeypatch.setattr(module, "factor_roots", lambda p, *a, real=real, **k:
-                            factored.append(p) or real(p, *a, **k))
+    for module in (exactlin, liecore):
+        real = module._part_roots
+        monkeypatch.setattr(module, "_part_roots", lambda *a, real=real:
+                            factored.append(a) or real(*a))
     for h in basis:
         classify_element(L, h)
     assert len(factored) == len(basis)
