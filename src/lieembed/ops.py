@@ -13,7 +13,7 @@ from .embed import (DEFAULT_BUDGET, embed_abelian_nilpotent,
                     embed_compact_torus, embed_nilpotent, embed_real_torus)
 from .errors import (ExtensionDegreeTooHigh, InvalidStructureConstants,
                      LieEmbedError, NotAPositiveSystem, ParseError, UnknownName)
-from .exactlin import format_rat
+from .exactlin import ZERO, format_rat
 from .liecore import LieAlgebra, Subspace, levi_decomposition
 from .rootsys import (dynkin_type, is_positive, restricted_roots,
                       root_space_decomposition, simple_roots)
@@ -143,7 +143,7 @@ def vf_invariants(catalog: str, combos):
     unknown = [n for combo in combos for n in combo if n not in names]
     if unknown:
         raise ParseError(f"unknown basis name {unknown[0]!r}")
-    fields = [cat.combination([combo.get(n, 0) for n in names])
+    fields = [cat.combination([combo.get(n, ZERO) for n in names])
               for combo in combos]
     count = invariant_count(fields, len(cat.variables))
     payload = {"n_vars": len(cat.variables), "fields": len(fields),

@@ -12,12 +12,11 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import Frozen, NotClosed, UnknownName, VariableMismatch
-from .exactlin import (Matrix, ZERO, ONE, format_rat, linear_solver, rat,
-                       rref)
+from .exactlin import ZERO, ONE, _rref_ints, format_rat, linear_solver, rat
 from .liecore import LieAlgebra
 
 _PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -223,15 +222,17 @@ class GeneratorCatalog(Frozen):
     def combination(self, coeffs: Sequence) -> PolyVectorField:
         """Rational combination of the catalog fields."""
         nv = len(self.variables)
-        comps = [MPoly(nv, {}) for _ in range(nv)]
+        comps = [{} for _ in range(nv)]
         parts = []
         for c, f in zip(coeffs, self.fields):
             c = rat(c)
             if c:
                 parts.append(f"{format_rat(c)}*{f.name}")
-                for i in range(nv):
-                    comps[i] = comps[i] + c * f.components[i]
-        return PolyVectorField("+".join(parts) or "0", self.variables, tuple(comps))
+                for out, comp in zip(comps, f.components):
+                    for e, x in comp.terms.items():
+                        out[e] = out.get(e, ZERO) + c * x
+        return PolyVectorField("+".join(parts) or "0", self.variables,
+                               tuple(MPoly(nv, t) for t in comps))
 
     def to_json(self):
         return {"name": self.name, "vars": list(self.variables),
@@ -288,25 +289,51 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
     return LieAlgebra(n, names, brackets, name=catalog.name)
 
 
+@lru_cache(maxsize=None)
+def _points(n_vars: int) -> tuple:
+    """The five evaluation points of :func:`invariant_count`, each
+    coordinate a pair (a_i, b_i) standing for a_i / b_i."""
+    points = [tuple((_PRIMES[i % len(_PRIMES)], 1) for i in range(n_vars))]
+    rng = random.Random(0)
+    for _ in range(4):
+        points.append(tuple((rng.randint(-19, 19), rng.randint(1, 7))
+                            for _ in range(n_vars)))
+    return tuple(points)
+
+
 def invariant_count(fields: Sequence[PolyVectorField], n_vars: int) -> int:
     """Number of functionally independent joint invariants:
     n_vars minus the generic rank of the coefficient matrix.
 
     Generic rank is the maximum exact rank over a fixed deterministic
-    sequence of five rational evaluation points.
+    sequence of five rational evaluation points; the points stop at the
+    first whose rank reaches min(len(fields), n_vars), which no point can
+    pass.  A point a_i / b_i is evaluated in integers: with D_i the top
+    degree of variable i, a monomial x^e is taken as
+    prod a_i^e_i * b_i^(D_i - e_i) and each coefficient as its multiple of
+    the common denominator, so every entry is the rational one times one
+    nonzero factor and the rank is the same.
     """
     if not fields:
         return n_vars
-    points = [tuple(Fraction(_PRIMES[i % len(_PRIMES)]) for i in range(n_vars))]
-    rng = random.Random(0)
-    for _ in range(4):
-        points.append(tuple(Fraction(rng.randint(-19, 19), rng.randint(1, 7))
-                            for _ in range(n_vars)))
+    terms = [[comp.terms for comp in f.components] for f in fields]
+    den = lcm(*(c.denominator for f in terms for t in f for c in t.values()))
+    scaled = [[[(e, c.numerator * (den // c.denominator)) for e, c in t.items()]
+               for t in f] for f in terms]
+    monomials = {e for f in terms for t in f for e in t}
+    top = [max(k) for k in zip(*monomials)]
+    cap = min(len(fields), n_vars)
     best = 0
-    for p in points:
-        rows = [[comp.eval(p) for comp in f.components] for f in fields]
-        _, rank, _ = rref(Matrix(rows))
-        best = max(best, rank)
+    for point in _points(n_vars):
+        w = [[a ** k * b ** (d - k) for k in range(d + 1)]
+             for (a, b), d in zip(point, top)]
+        value = {e: prod(wi[k] for wi, k in zip(w, e)) for e in monomials}
+        rows = [({j: v for j, t in enumerate(f)
+                  if (v := sum(c * value[e] for e, c in t))}, {})
+                for f in scaled]
+        best = max(best, len(_rref_ints(rows, 0)[1]))
+        if best >= cap:
+            break
     return n_vars - best
 
 
@@ -326,27 +353,23 @@ def so_pq_generators(p: int, q: int) -> LieAlgebra:
         raise ValueError("p + q must be at least 2")
     metric = [1] * p + [-1] * q
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def gen(i, j):
-        m = [[ZERO] * n for _ in range(n)]
-        m[i][j] = ONE
-        m[j][i] = -ONE if metric[i] * metric[j] == 1 else ONE
-        return Matrix(m)
-
-    gens = [gen(i, j) for i, j in pairs]
+    # the two entries (row, column, value) of E_ij -+ E_ji
+    gens = [((i, j, 1), (j, i, -metric[i] * metric[j])) for i, j in pairs]
     # coordinates of a matrix in the generator basis: entry (i, j), i < j
     index = {pr: k for k, pr in enumerate(pairs)}
     brackets = {}
-    for a in range(len(gens)):
+    for a, ga in enumerate(gens):
         for b in range(a + 1, len(gens)):
-            comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-            comp = {}
-            for (i, j), k in index.items():
-                c = comm.entries[i][j]
-                if c:
-                    comp[k] = c
+            comm: dict = {}
+            for sign, x, y in ((1, ga, gens[b]), (-1, gens[b], ga)):
+                for r, m, u in x:
+                    for m2, c, v in y:
+                        if m == m2:
+                            comm[r, c] = comm.get((r, c), 0) + sign * u * v
+            comp = sorted((index[rc], v) for rc, v in comm.items()
+                          if v and rc in index)
             if comp:
-                brackets[(a, b)] = comp
+                brackets[(a, b)] = dict(comp)
     names = [f"e{k + 1}" for k in range(len(pairs))]
     return LieAlgebra(len(pairs), names, brackets, name=f"so({p},{q})")
 

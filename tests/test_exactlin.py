@@ -913,10 +913,40 @@ def _eigen_cases(seed, bits, count):
     return cases
 
 
-def _sympy_scalar(sympy, x):
-    a, b, d = exactlin.scalar_parts(x)
-    return sympy.expand(sympy.Rational(a.numerator, a.denominator)
-                        + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(d))
+def _squarefree_key(sympy, m: int) -> tuple[int, int]:
+    """(s, k) with m = s * k^2, s squarefree, from sympy's factorint."""
+    s, k = -1 if m < 0 else 1, 1
+    for prime, e in sympy.factorint(abs(m)).items():
+        s *= prime ** (e % 2)
+        k *= prime ** (e // 2)
+    return s, k
+
+
+def _root_key(sympy, a, b, m: int) -> tuple[F, F, int]:
+    """The number a + b*sqrt(m) as (a, b', s) with s squarefree and
+    b' = b*k for m = s*k^2, and (a, 0, 0) when it is rational: one key per
+    number, whatever form its radical was written in."""
+    if not b:
+        return F(a), F(0), 0
+    s, k = _squarefree_key(sympy, m)
+    return F(a), F(b) * k, s
+
+
+def _sympy_root_key(sympy, r):
+    """The key of a sympy number rational + rational * (principal square
+    root of an integer)."""
+    a, b, m = F(0), F(0), 0
+    for term in sympy.Add.make_args(sympy.expand(r)):
+        c, rest = term.as_coeff_Mul()
+        c = F(int(c.p), int(c.q))
+        if rest == 1:
+            a += c
+            continue
+        square = rest ** 2
+        assert square.is_Integer and (rest.is_positive or (rest / sympy.I).is_positive), r
+        assert b == 0, r
+        b, m = c, int(square)
+    return _root_key(sympy, a, b, m)
 
 
 def test_char_poly_against_sympy():
@@ -941,13 +971,19 @@ def _sympy_fits(sympy, t, expr, single_extension=True):
 
 
 def _sympy_roots(sympy, t, expr):
-    return {sympy.expand(r): k for r, k in sympy.roots(expr, t).items()}
+    """sympy's roots of expr as {key: multiplicity}, compared as numbers."""
+    got = {}
+    for r, mult in sympy.roots(expr, t).items():
+        key = _sympy_root_key(sympy, r)
+        got[key] = got.get(key, 0) + mult
+    return got
 
 
 def _roots_as_sympy(sympy, roots):
+    """Our (root, multiplicity) list in the keys of :func:`_sympy_roots`."""
     got = {}
     for lam, mult in roots:
-        key = _sympy_scalar(sympy, lam)
+        key = _root_key(sympy, *exactlin.scalar_parts(lam))
         got[key] = got.get(key, 0) + mult
     return got
 
@@ -1027,6 +1063,21 @@ def test_factor_roots_against_sympy_factor_list(rng, cubic):
             factor_roots(p)
         return
     assert _roots_as_sympy(sympy, factor_roots(p)) == _sympy_roots(sympy, t, expr)
+
+
+def test_factor_roots_against_sympy_with_a_radicand_sympy_leaves_unsplit():
+    """t^3 + 7867838603152383 t, 7867838603152383 = 3 * 122887^2 * 173669:
+    sympy writes the roots +-sqrt(7867838603152383)*I and factor_roots
+    +-122887*sqrt(521007)*I, the same numbers."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    n = 7867838603152383
+    assert n == 3 * 122887 ** 2 * 173669
+    p = Poly([0, n, 0, 1])
+    want = _sympy_roots(sympy, t, _sympy_expr(sympy, t, p))
+    assert _roots_as_sympy(sympy, factor_roots(p)) == want
+    assert _roots_as_sympy(sympy, factor_roots(p)) == {
+        (F(0), F(0), 0): 1, (F(0), F(122887), -521007): 1, (F(0), F(-122887), -521007): 1}
 
 
 def test_eigenvalues_quartic_resolvent():

@@ -3,9 +3,11 @@ counts."""
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
+from lieembed import vecfield
 from lieembed.errors import NotClosed, VariableMismatch
 from lieembed.exactlin import Matrix, solve_linear, vec_is_zero
 from lieembed.liecore import killing_signature
@@ -15,6 +17,8 @@ from lieembed.vecfield import (GeneratorCatalog, MPoly, PolyVectorField,
                                structure_constants, vf_bracket,
                                wave15_catalog, wave16_catalog)
 from test_liecore import vec_add, vec_scale, vec_sub
+from vfref import (combination_reference, invariant_count_reference,
+                   so_pq_reference)
 
 
 def _mk_field(name, nvars, comps):
@@ -294,6 +298,16 @@ def test_so_pq_closure_random():
         assert L.dim == n  # construction validated Jacobi already
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_so_pq_matches_matrix_commutators(n):
+    """Every so(p, q) with p + q = n has the brackets and JSON of the
+    Fraction matrix commutators of its generators."""
+    for p in range(n + 1):
+        got, want = so_pq_generators(p, n - p), so_pq_reference(p, n - p)
+        assert got.brackets == want.brackets
+        assert got.to_json() == want.to_json()
+
+
 def test_algebra_by_name():
     assert algebra_by_name("so(2,2)").name == "so(2,2)"
     assert algebra_by_name("wave15").dim == 15
@@ -335,6 +349,173 @@ def test_invariant_counts_similarity_subalgebras(name, specs, expected):
     cat = wave16_catalog()
     fields = [_combination(cat, s) for s in specs]
     assert invariant_count(fields, 5) == expected
+
+
+# evaluation points of each similarity case: the first point (the primes)
+# already reaches the rank cap min(fields, n_vars) = 3 for these six
+ONE_POINT = {"L1,0", "L2,0", "L3,0", "L1,1", "L1,2", "L3,3"}
+
+
+def _points_evaluated(monkeypatch, fields, n_vars):
+    """(count, points) with one integer RREF per evaluated point."""
+    calls = []
+    real = vecfield._rref_ints
+
+    def counting(rows, d, *args):
+        calls.append(len(rows))
+        return real(rows, d, *args)
+
+    monkeypatch.setattr(vecfield, "_rref_ints", counting)
+    count = invariant_count(fields, n_vars)
+    monkeypatch.undo()
+    return count, len(calls)
+
+
+@pytest.mark.parametrize("name,specs,expected",
+                         SIMILARITY_CASES, ids=[c[0] for c in SIMILARITY_CASES])
+def test_invariant_count_stops_at_the_rank_cap(monkeypatch, name, specs, expected):
+    cat = wave16_catalog()
+    fields = [_combination(cat, s) for s in specs]
+    count, points = _points_evaluated(monkeypatch, fields, 5)
+    assert count == expected
+    assert points == (1 if name in ONE_POINT else 5)
+
+
+def test_invariant_count_cap_is_the_number_of_variables(monkeypatch):
+    """Six fields on five variables reach rank 5 at the first point and
+    stop there: the cap is min(len(fields), n_vars), not len(fields)."""
+    cat = wave16_catalog()
+    fields = [cat.field(n) for n in ("e8", "e10", "e11", "e12", "e16", "e7")]
+    assert _points_evaluated(monkeypatch, fields, 5) == (0, 1)
+    assert _points_evaluated(monkeypatch, fields[:5], 5) == (0, 1)
+    assert _points_evaluated(monkeypatch, fields[:4], 5) == (1, 1)
+
+
+def _cancelling_pair(rng, cat):
+    """Coefficients of a combination of two catalog fields in which one
+    shared (component, monomial) term cancels; None if no pair shares one."""
+    fields = cat.fields
+    pairs = [(a, b, key) for a in range(len(fields)) for b in range(a + 1, len(fields))
+             for key in _keys(fields[a]) & _keys(fields[b])]
+    if not pairs:
+        return None
+    a, b, (i, e) = rng.choice(pairs)
+    coeffs = [F(0)] * len(fields)
+    coeffs[a] = fields[b].components[i].terms[e]
+    coeffs[b] = -fields[a].components[i].terms[e]
+    return coeffs
+
+
+def _keys(field):
+    return {(i, e) for i, comp in enumerate(field.components) for e in comp.terms}
+
+
+def _random_field_sets(cat, seed, count):
+    """Lists of 1-6 fields: random rational combinations of a few catalog
+    fields, the zero combination, repeats and multiples of earlier ones,
+    differences of earlier coefficient vectors and two-field combinations
+    with a cancelling term."""
+    rng = random.Random(seed)
+    n = len(cat.fields)
+    for _ in range(count):
+        support = rng.sample(range(n), rng.randint(1, 4))
+        vectors = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.1:
+                c = [F(0)] * n
+            elif kind < 0.3 and vectors:
+                c = [F(rng.choice((1, -2, 3))) * x for x in rng.choice(vectors)]
+            elif kind < 0.45 and len(vectors) >= 2:
+                u, v = rng.sample(vectors, 2)
+                c = [x - y for x, y in zip(u, v)]
+            elif kind < 0.6:
+                c = _cancelling_pair(rng, cat) or [F(0)] * n
+            else:
+                c = [F(0)] * n
+                for k in support:
+                    if rng.random() < 0.8:
+                        c[k] = F(rng.randint(-9, 9), rng.randint(1, 9))
+            vectors.append(c)
+        yield [cat.combination(c) for c in vectors]
+
+
+@pytest.mark.parametrize("catalog", [wave16_catalog, g2_catalog])
+def test_invariant_count_matches_fraction_evaluation(catalog):
+    """The integer evaluation with its early stop counts what the
+    Fraction evaluation at all five points counts."""
+    cat = catalog()
+    nv = len(cat.variables)
+    counts = set()
+    for fields in _random_field_sets(cat, seed=22, count=150):
+        want = invariant_count_reference(fields, nv)
+        assert invariant_count(fields, nv) == want, [f.name for f in fields]
+        counts.add(want)
+    assert len(counts) >= 3
+
+
+def test_invariant_count_matches_fraction_evaluation_on_three_field_spans(monkeypatch):
+    """Three random combinations of each three wave16 fields.  Many of
+    these spans (e1, e2, e9 among them) stay below rank 3 at the first
+    point, so the rational points (coordinates a_i / b_i, b_i > 1) decide."""
+    cat = wave16_catalog()
+    rng = random.Random(25)
+    n = len(cat.fields)
+    past_first = 0
+    for support in combinations(range(n), 3):
+        vectors = [[F(0)] * n for _ in range(3)]
+        for c in vectors:
+            for k in support:
+                c[k] = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        fields = [cat.combination(c) for c in vectors]
+        count, points = _points_evaluated(monkeypatch, fields, 5)
+        assert count == invariant_count_reference(fields, 5), support
+        past_first += points > 1
+    assert past_first >= 10
+
+
+def test_invariant_count_matches_fraction_evaluation_similarity_cases():
+    """The similarity cases with each field scaled and a dependent field
+    added: the same counts as the Fraction evaluation."""
+    cat = wave16_catalog()
+    rng = random.Random(23)
+    for _, specs, expected in SIMILARITY_CASES:
+        scales = [F(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in specs]
+        fields = [_combination(cat, [(k * F(c), name) for c, name in s])
+                  for k, s in zip(scales, specs)]
+        assert invariant_count(fields, 5) == invariant_count_reference(fields, 5) == expected
+        extra = fields + [_combination(cat, specs[0] + specs[1])]
+        assert invariant_count(extra, 5) == invariant_count_reference(extra, 5)
+
+
+@pytest.mark.parametrize("catalog", [wave16_catalog, wave15_catalog, g2_catalog])
+def test_combination_matches_mpoly_sum(catalog):
+    cat = catalog()
+    rng = random.Random(24)
+    n = len(cat.fields)
+    vectors = [[F(0)] * n, [F(1)] * n]
+    for _ in range(40):
+        vectors.append([F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.3
+                        else F(0) for _ in range(n)])
+        vectors.append(_cancelling_pair(rng, cat) or vectors[-1])
+    for c in vectors:
+        got, want = cat.combination(c), combination_reference(cat, c)
+        assert got.name == want.name and got.variables == want.variables
+        assert got.components == want.components
+
+
+def test_combination_cancels_to_zero():
+    """e7 - e16 - e7m16 over wave16's fields and wave15's e7m16: every
+    term cancels, and no zero coefficient is kept."""
+    base = wave16_catalog()
+    cat = GeneratorCatalog("mixed", base.variables,
+                           base.fields + (wave15_catalog().field("e7m16"),))
+    coeffs = [F(0)] * len(cat.fields)
+    coeffs[6], coeffs[15], coeffs[16] = F(1), F(-1), F(-1)
+    got = cat.combination(coeffs)
+    assert got.name == "1*e7+-1*e16+-1*e7m16"
+    assert got.is_zero() and all(c.terms == {} for c in got.components)
+    assert got.components == combination_reference(cat, coeffs).components
 
 
 def test_invariant_count_empty_and_monotone():
