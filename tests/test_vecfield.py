@@ -343,27 +343,14 @@ SIMILARITY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,specs,expected",
-                         SIMILARITY_CASES, ids=[c[0] for c in SIMILARITY_CASES])
-def test_invariant_counts_similarity_subalgebras(name, specs, expected):
-    cat = wave16_catalog()
-    fields = [_combination(cat, s) for s in specs]
-    assert invariant_count(fields, 5) == expected
-
-
-# evaluation points of each similarity case: the first point (the primes)
-# already reaches the rank cap min(fields, n_vars) = 3 for these six
-ONE_POINT = {"L1,0", "L2,0", "L3,0", "L1,1", "L1,2", "L3,3"}
-
-
 def _points_evaluated(monkeypatch, fields, n_vars):
     """(count, points) with one integer RREF per evaluated point."""
     calls = []
     real = vecfield._rref_ints
 
-    def counting(rows, d, *args):
-        calls.append(len(rows))
-        return real(rows, d, *args)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(vecfield, "_rref_ints", counting)
     count = invariant_count(fields, n_vars)
@@ -371,14 +358,18 @@ def _points_evaluated(monkeypatch, fields, n_vars):
     return count, len(calls)
 
 
+# the first point (the primes) already reaches the rank cap
+# min(fields, n_vars) = 3 of these six; the others take all five points
+ONE_POINT = {"L1,0", "L2,0", "L3,0", "L1,1", "L1,2", "L3,3"}
+
+
 @pytest.mark.parametrize("name,specs,expected",
                          SIMILARITY_CASES, ids=[c[0] for c in SIMILARITY_CASES])
-def test_invariant_count_stops_at_the_rank_cap(monkeypatch, name, specs, expected):
+def test_invariant_counts_similarity_subalgebras(monkeypatch, name, specs, expected):
     cat = wave16_catalog()
     fields = [_combination(cat, s) for s in specs]
-    count, points = _points_evaluated(monkeypatch, fields, 5)
-    assert count == expected
-    assert points == (1 if name in ONE_POINT else 5)
+    assert _points_evaluated(monkeypatch, fields, 5) == (
+        expected, 1 if name in ONE_POINT else 5)
 
 
 def test_invariant_count_cap_is_the_number_of_variables(monkeypatch):
@@ -389,6 +380,10 @@ def test_invariant_count_cap_is_the_number_of_variables(monkeypatch):
     assert _points_evaluated(monkeypatch, fields, 5) == (0, 1)
     assert _points_evaluated(monkeypatch, fields[:5], 5) == (0, 1)
     assert _points_evaluated(monkeypatch, fields[:4], 5) == (1, 1)
+
+
+def _keys(field):
+    return {(i, e) for i, comp in enumerate(field.components) for e in comp.terms}
 
 
 def _cancelling_pair(rng, cat):
@@ -404,10 +399,6 @@ def _cancelling_pair(rng, cat):
     coeffs[a] = fields[b].components[i].terms[e]
     coeffs[b] = -fields[a].components[i].terms[e]
     return coeffs
-
-
-def _keys(field):
-    return {(i, e) for i, comp in enumerate(field.components) for e in comp.terms}
 
 
 def _random_field_sets(cat, seed, count):
