@@ -12,11 +12,12 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from .errors import Frozen, NotClosed, UnknownName, VariableMismatch
-from .exactlin import ZERO, ONE, _rref_ints, format_rat, linear_solver, rat
+from .exactlin import (Matrix, ZERO, ONE, format_rat, linear_solver, rat,
+                       rref)
 from .liecore import LieAlgebra
 
 _PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -291,12 +292,12 @@ def structure_constants(catalog: GeneratorCatalog) -> LieAlgebra:
 
 @lru_cache(maxsize=None)
 def _points(n_vars: int) -> tuple:
-    """The five evaluation points of :func:`invariant_count`, each
-    coordinate a pair (a_i, b_i) standing for a_i / b_i."""
-    points = [tuple((_PRIMES[i % len(_PRIMES)], 1) for i in range(n_vars))]
+    """The five evaluation points of :func:`invariant_count`: the primes,
+    then four seeded random rational points."""
+    points = [tuple(Fraction(_PRIMES[i % len(_PRIMES)]) for i in range(n_vars))]
     rng = random.Random(0)
     for _ in range(4):
-        points.append(tuple((rng.randint(-19, 19), rng.randint(1, 7))
+        points.append(tuple(Fraction(rng.randint(-19, 19), rng.randint(1, 7))
                             for _ in range(n_vars)))
     return tuple(points)
 
@@ -306,32 +307,18 @@ def invariant_count(fields: Sequence[PolyVectorField], n_vars: int) -> int:
     n_vars minus the generic rank of the coefficient matrix.
 
     Generic rank is the maximum exact rank over a fixed deterministic
-    sequence of five rational evaluation points; the points stop at the
-    first whose rank reaches min(len(fields), n_vars), which no point can
-    pass.  A point a_i / b_i is evaluated in integers: with D_i the top
-    degree of variable i, a monomial x^e is taken as
-    prod a_i^e_i * b_i^(D_i - e_i) and each coefficient as its multiple of
-    the common denominator, so every entry is the rational one times one
-    nonzero factor and the rank is the same.
+    sequence of five rational evaluation points.  The points stop at the
+    first whose rank reaches the number of fields or of components, which
+    no point can pass.
     """
     if not fields:
         return n_vars
-    terms = [[comp.terms for comp in f.components] for f in fields]
-    den = lcm(*(c.denominator for f in terms for t in f for c in t.values()))
-    scaled = [[[(e, c.numerator * (den // c.denominator)) for e, c in t.items()]
-               for t in f] for f in terms]
-    monomials = {e for f in terms for t in f for e in t}
-    top = [max(k) for k in zip(*monomials)]
-    cap = min(len(fields), n_vars)
+    cap = min(len(fields), len(fields[0].components))
     best = 0
-    for point in _points(n_vars):
-        w = [[a ** k * b ** (d - k) for k in range(d + 1)]
-             for (a, b), d in zip(point, top)]
-        value = {e: prod(wi[k] for wi, k in zip(w, e)) for e in monomials}
-        rows = [({j: v for j, t in enumerate(f)
-                  if (v := sum(c * value[e] for e, c in t))}, {})
-                for f in scaled]
-        best = max(best, len(_rref_ints(rows, 0)[1]))
+    for p in _points(n_vars):
+        rows = [[comp.eval(p) for comp in f.components] for f in fields]
+        _, rank, _ = rref(Matrix(rows))
+        best = max(best, rank)
         if best >= cap:
             break
     return n_vars - best

@@ -415,14 +415,6 @@ def test_one_polynomial_representation():
         assert not hasattr(exactlin, name)
 
 
-def test_no_fraction_matrices_in_vecfield():
-    """so(p,q) brackets come from the two integer entries of each generator
-    and invariant counts from the integer RREF, so vecfield imports neither
-    the Fraction ``Matrix`` nor ``rref``."""
-    from lieembed import vecfield
-    assert not hasattr(vecfield, "Matrix") and not hasattr(vecfield, "rref")
-
-
 def test_no_runtime_dependencies():
     """In a fresh interpreter without site-packages (-S), importing every
     lieembed module and replaying the shipped corpus loads only lieembed

@@ -308,6 +308,17 @@ def test_so_pq_matches_matrix_commutators(n):
         assert got.to_json() == want.to_json()
 
 
+def test_so_pq_builds_without_matrix_products(monkeypatch):
+    """so(p, q) brackets come from the two integer entries of each
+    generator: building one performs no Fraction Matrix arithmetic."""
+    def refuse(*args):
+        raise AssertionError("Matrix arithmetic")
+
+    for op in ("__matmul__", "__sub__", "__add__"):
+        monkeypatch.setattr(Matrix, op, refuse)
+    assert so_pq_generators.__wrapped__(4, 3).dim == 21
+
+
 def test_algebra_by_name():
     assert algebra_by_name("so(2,2)").name == "so(2,2)"
     assert algebra_by_name("wave15").dim == 15
@@ -344,22 +355,22 @@ SIMILARITY_CASES = [
 
 
 def _points_evaluated(monkeypatch, fields, n_vars):
-    """(count, points) with one integer RREF per evaluated point."""
+    """(count, points) with one RREF per evaluated point."""
     calls = []
-    real = vecfield._rref_ints
+    real = vecfield.rref
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(vecfield, "_rref_ints", counting)
+    monkeypatch.setattr(vecfield, "rref", counting)
     count = invariant_count(fields, n_vars)
     monkeypatch.undo()
     return count, len(calls)
 
 
 # the first point (the primes) already reaches the rank cap
-# min(fields, n_vars) = 3 of these six; the others take all five points
+# min(fields, components) = 3 of these six; the others take all five points
 ONE_POINT = {"L1,0", "L2,0", "L3,0", "L1,1", "L1,2", "L3,3"}
 
 
@@ -372,14 +383,23 @@ def test_invariant_counts_similarity_subalgebras(monkeypatch, name, specs, expec
         expected, 1 if name in ONE_POINT else 5)
 
 
-def test_invariant_count_cap_is_the_number_of_variables(monkeypatch):
+def test_invariant_count_cap_is_the_number_of_components(monkeypatch):
     """Six fields on five variables reach rank 5 at the first point and
-    stop there: the cap is min(len(fields), n_vars), not len(fields)."""
+    stop there: the cap is min(len(fields), components), not len(fields)."""
     cat = wave16_catalog()
     fields = [cat.field(n) for n in ("e8", "e10", "e11", "e12", "e16", "e7")]
     assert _points_evaluated(monkeypatch, fields, 5) == (0, 1)
     assert _points_evaluated(monkeypatch, fields[:5], 5) == (0, 1)
     assert _points_evaluated(monkeypatch, fields[:4], 5) == (1, 1)
+
+
+def test_invariant_count_cap_ignores_a_smaller_n_vars():
+    """e6, e7, e10, e11 with n_vars = 3 have rank 3 at the first point and
+    4 at the second: the cap comes from the five components, so a caller's
+    smaller n_vars does not stop the points early."""
+    cat = wave16_catalog()
+    fields = [cat.field(n) for n in ("e6", "e7", "e10", "e11")]
+    assert invariant_count(fields, 3) == invariant_count_reference(fields, 3) == -1
 
 
 def _keys(field):
@@ -433,8 +453,8 @@ def _random_field_sets(cat, seed, count):
 
 @pytest.mark.parametrize("catalog", [wave16_catalog, g2_catalog])
 def test_invariant_count_matches_fraction_evaluation(catalog):
-    """The integer evaluation with its early stop counts what the
-    Fraction evaluation at all five points counts."""
+    """The evaluation with its early stop counts what the evaluation at
+    all five points counts."""
     cat = catalog()
     nv = len(cat.variables)
     counts = set()
@@ -448,7 +468,7 @@ def test_invariant_count_matches_fraction_evaluation(catalog):
 def test_invariant_count_matches_fraction_evaluation_on_three_field_spans(monkeypatch):
     """Three random combinations of each three wave16 fields.  Many of
     these spans (e1, e2, e9 among them) stay below rank 3 at the first
-    point, so the rational points (coordinates a_i / b_i, b_i > 1) decide."""
+    point, so the later rational points decide."""
     cat = wave16_catalog()
     rng = random.Random(25)
     n = len(cat.fields)
@@ -467,7 +487,7 @@ def test_invariant_count_matches_fraction_evaluation_on_three_field_spans(monkey
 
 def test_invariant_count_matches_fraction_evaluation_similarity_cases():
     """The similarity cases with each field scaled and a dependent field
-    added: the same counts as the Fraction evaluation."""
+    added: the same counts as the evaluation at all five points."""
     cat = wave16_catalog()
     rng = random.Random(23)
     for _, specs, expected in SIMILARITY_CASES:

@@ -1,11 +1,11 @@
 """Fraction references for the vector-field tests.
 
 The package builds so(p,q) from the two entries of each generator,
-evaluates invariant counts in integers and sums catalog combinations
-term by term.  The references here keep the constructions over Q that
-share no code with those paths: 4x4 (and larger) Fraction ``Matrix``
-commutators, ``MPoly.eval`` at the five points followed by a Fraction
-``rref``, and chained ``MPoly`` arithmetic.
+stops the invariant-count points at the rank cap and sums catalog
+combinations term by term.  The references here keep the constructions
+without those shortcuts: 4x4 (and larger) Fraction ``Matrix``
+commutators, ``MPoly.eval`` and ``rref`` at all five points, and chained
+``MPoly`` arithmetic.
 """
 
 import random
