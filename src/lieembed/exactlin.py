@@ -2,7 +2,8 @@
 
 Rational numbers are plain ``fractions.Fraction``.  Irrational values are
 ``ExactScalar`` instances ``a + b*sqrt(d)`` with ``b != 0`` and ``d`` a
-squarefree integer (possibly negative); arithmetic that lands back in Q
+non-square integer (possibly negative), squarefree but for primes above
+the trial bound of :func:`squarefree_split`; arithmetic that lands back in Q
 returns a ``Fraction`` again, so rationality is visible in the type.
 Matrices are generic over both scalar kinds.  Polynomials are computed
 on as primitive integer lists; :class:`Poly` is only the value that
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -75,14 +77,20 @@ def format_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (d, k) with n = d*k**2 and d squarefree (sign kept on d).
+# squarefree_split tries no divisor above this: an embed search may split one
+# discriminant per screened candidate, so a call stays within ~5*10^4 divisions
+_TRIAL_BOUND = 10 ** 5
 
-    Trial division takes out each prime p with p^3 <= m, the part of |n|
-    not yet factored, and stops as soon as m is a square; so it costs at
-    most |n|^(1/3) / 2 divisions.  Every prime factor of the m left over
-    exceeds m^(1/3), so m, not a square, is a prime or a product of two
-    distinct primes: squarefree.
+
+def squarefree_split(n: int) -> tuple[int, int]:
+    """Return (d, k) with n = d*k**2 (sign kept on d) and d squarefree but
+    for primes above _TRIAL_BOUND.
+
+    Trial division takes out each prime p <= _TRIAL_BOUND with p^3 <= m,
+    the part of |n| not yet factored, and stops as soon as m is a square.
+    Past p^3 > m, m is a prime or a product of two distinct primes.  Past
+    the bound, m stays whole in d, which may then keep the square of a
+    large prime: Q(sqrt d) is right, but d is not its canonical name.
     """
     if n == 0:
         return 0, 1
@@ -92,9 +100,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
         r = isqrt(n)
         if r * r == n:
             return sign * d, k * r
-        while p * p * p <= n and n % p:
+        while p * p * p <= n and p <= _TRIAL_BOUND and n % p:
             p += 1 if p == 2 else 2
-        if p * p * p > n:
+        if p * p * p > n or p > _TRIAL_BOUND:
             return sign * d * n, k
         e = 0
         while n % p == 0:
@@ -119,7 +127,7 @@ class ExactScalar(Frozen):
     """Irrational element a + b*sqrt(d) of Q(sqrt d); b is never zero.
 
     :func:`make_scalar` builds one from any d and demotes b == 0 to a plain
-    Fraction; arithmetic keeps the operands' squarefree d and demotes the
+    Fraction; arithmetic keeps the operands' d and demotes the
     same way.  That keeps the "all nonrational scalars share one d"
     bookkeeping local to actual surds.
     """
@@ -181,7 +189,7 @@ class ExactScalar(Frozen):
 
     def inverse(self):
         norm = self.a * self.a - self.b * self.b * self.d
-        # norm != 0 because d is squarefree and not a perfect square
+        # norm != 0 because d is not a perfect square
         return ExactScalar(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
@@ -699,71 +707,55 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-# --- characteristic polynomial -----------------------------------------------
+# --- characteristic and minimal polynomials ----------------------------------
 
 
-def _char_poly_bareiss_int(scaled: list[list[int]]) -> list[int]:
-    """Coefficients (constant first) of det(tI - M) for an integer matrix M,
-    by fraction-free (Bareiss) elimination of tI - M over Z[t].  Each entry
-    is a plain integer coefficient list, trimmed, so ``[]`` is zero."""
+def _int_matrix(m: Union[Matrix, tuple[int, int, list[_IntRow]]], name: str
+                ) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(scale, the sparse integer rows of ``A = scale*m``) for a square
+    matrix m, a Matrix or scaled rows (scale, d, rows); ValueError when m is
+    not square or not rational."""
+    if isinstance(m, Matrix):
+        if m.rows != m.cols:
+            raise ValueError("square matrix required")
+        if not all(isinstance(x, Fraction) for row in m.entries for x in row):
+            raise ValueError(f"{name} needs a rational matrix")
+        m = _scaled_rows(m.entries)
+    scale, _, rows = m
+    if any(b for _, b in rows):
+        raise ValueError(f"{name} needs a rational matrix")
+    return scale, [list(a.items()) for a, _ in rows]
 
-    def bareiss(p, q, r, s, div):
-        # (p*q - r*s) / div; the division is exact
-        num = [0] * (max(len(p) + len(q), len(r) + len(s)) - 1)
-        for f, g, sign in ((p, q, 1), (r, s, -1)):
-            for i, x in enumerate(f):
-                if x:
-                    for j, y in enumerate(g):
-                        num[i + j] += sign * x * y
-        while num and not num[-1]:
-            num.pop()
-        quo = [0] * max(len(num) - len(div) + 1, 0)
-        for k in range(len(quo) - 1, -1, -1):
-            c, rem = divmod(num[k + len(div) - 1], div[-1])
-            assert rem == 0, "fraction-free division must be exact"
-            quo[k] = c
-            for i, y in enumerate(div):
-                num[i + k] -= c * y
-        assert not any(num), "fraction-free division must be exact"
-        return quo
 
-    n = len(scaled)
-    a = [[[-x, 1] if i == j else [-x] if x else []
-          for j, x in enumerate(row)] for i, row in enumerate(scaled)]
-    prev = [1]
-    sign = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                # impossible for tI - M: it would force a zero determinant
-                raise ArithmeticError("characteristic matrix went singular")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = bareiss(a[k][k], a[i][j], a[i][k], a[k][j], prev)
-            a[i][k] = []
-        prev = a[k][k]
-    return [sign * c for c in a[n - 1][n - 1]]
+def _monic_poly(ints: list[int], scale: int) -> Poly:
+    """The monic ``f(scale*t) / (lead * scale^deg f)`` of m from the integer
+    polynomial f of ``A = scale*m``."""
+    k = len(ints) - 1
+    return Poly([Fraction(c, ints[-1] * scale ** (k - j)) for j, c in enumerate(ints)])
 
 
 def char_poly(m: Matrix) -> Poly:
     """Monic characteristic polynomial det(tI - m) of a rational square
     matrix, fraction-free.  Raises ValueError for a non-square matrix or
-    one with extension scalars."""
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    if not all(isinstance(x, Fraction) for row in m.entries for x in row):
-        raise ValueError("char_poly needs a rational matrix")
-    n = m.rows
-    if n == 0:
-        return Poly([1])
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    coeffs = _char_poly_bareiss_int([[x.numerator * (scale // x.denominator)
-                                      for x in row] for row in m.entries])
-    # char_m(t) = D^-n * char_{D m}(D t)
-    return Poly([Fraction(c * scale ** k, scale ** n) for k, c in enumerate(coeffs)])
+    one with extension scalars.
+
+    The Krylov spaces W_j of e_1, ..., e_j under ``A = scale*m`` are
+    A-invariant, so the annihilators of e_j modulo W_(j-1) multiply to
+    char_A (von zur Gathen & Gerhard, MCA, ch. 12).  Each comes from
+    :func:`_krylov_annihilator` on one echelon of W_(j-1), its tags dropped.
+    """
+    scale, rows = _int_matrix(m, "char_poly")
+    n = len(rows)
+    ints, echelon = [1], []
+    for start in range(n):
+        # both factors are primitive, so their product is (Gauss)
+        ints = _int_mul(ints, _krylov_annihilator(
+            rows, [int(i == start) for i in range(n)], echelon))
+        if len(ints) == n + 1:
+            break
+        echelon = [(p, ({j: x for j, x in a.items() if j < n}, b))
+                   for p, (a, b) in echelon]
+    return _monic_poly(ints, scale)
 
 
 def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
@@ -779,17 +771,8 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
     ``mp_m(t) = mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for
     a non-square matrix or one with extension scalars (a nonzero b_i).
     """
-    if isinstance(m, Matrix):
-        if m.rows != m.cols:
-            raise ValueError("square matrix required")
-        if not all(isinstance(x, Fraction) for row in m.entries for x in row):
-            raise ValueError("min_poly needs a rational matrix")
-        m = _scaled_rows(m.entries)
-    scale, _, rows = m
-    if any(b for _, b in rows):
-        raise ValueError("min_poly needs a rational matrix")
+    scale, rows = _int_matrix(m, "min_poly")
     n = len(rows)
-    rows = [list(a.items()) for a, _ in rows]
     ints = [1]
     for start in range(n):
         acc = _int_horner(rows, ints, start)
@@ -798,8 +781,7 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
             ints = _int_mul(ints, _krylov_annihilator(rows, acc))
             if len(ints) == n + 1:
                 break
-    return Poly([Fraction(c, ints[-1] * scale ** (len(ints) - 1 - j))
-                 for j, c in enumerate(ints)])
+    return _monic_poly(ints, scale)
 
 
 def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
@@ -817,19 +799,24 @@ def _int_horner(rows: list[list[tuple[int, int]]], f: list[int], j: int) -> list
     return acc
 
 
-def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
-    """Primitive integer coefficients of the lowest-degree p with p(A) v = 0,
-    for a nonzero integer vector v.
+def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int],
+                        echelon: Optional[list[tuple[int, _IntRow]]] = None
+                        ) -> list[int]:
+    """Primitive integer coefficients of the lowest-degree p with p(A) v in
+    the span of ``echelon``, the untagged rows (pivot, row) of an
+    A-invariant subspace (none by default): the Krylov annihilator of the
+    integer vector v, modulo that subspace.
 
     ``A^k v``, tagged with a 1 at position ``n + k``, is reduced by
-    :func:`_combine` against the earlier rows in insertion order, so its
-    tags carry its combination of the powers of A.  The first row left with
-    no entry below n holds p in its tags, divided by their content.
+    :func:`_combine` against the rows of ``echelon`` in insertion order and
+    appended to it, so its tags carry its combination of the powers of A.
+    The first row left with no entry below n holds p in its tags, divided
+    by their content.
     """
     n = len(rows)
-    echelon: list[tuple[int, _IntRow]] = []  # (pivot, row)
-    while True:
-        k = len(echelon)
+    if echelon is None:
+        echelon = []
+    for k in count():
         row = ({**{j: x for j, x in enumerate(v) if x}, n + k: 1}, {})
         for p, prow in echelon:
             f = row[0].get(p, 0)

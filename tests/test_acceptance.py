@@ -415,6 +415,22 @@ def test_one_polynomial_representation():
         assert not hasattr(exactlin, name)
 
 
+def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
+    """char_poly and min_poly both read their polynomial from
+    _krylov_annihilator; the Z[t] Bareiss char_poly is gone."""
+    from lieembed import exactlin
+    assert not hasattr(exactlin, "_char_poly_bareiss_int")
+    calls = []
+    real = exactlin._krylov_annihilator
+    monkeypatch.setattr(exactlin, "_krylov_annihilator",
+                        lambda *args: calls.append(args) or real(*args))
+    m = exactlin.Matrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    assert exactlin.char_poly(m) == exactlin.Poly([10, 23, -10, 1])
+    assert len(calls) == 3  # e2 lies in the Krylov space of e1
+    assert exactlin.min_poly(m) == exactlin.Poly([10, 23, -10, 1])
+    assert len(calls) == 5
+
+
 def test_no_runtime_dependencies():
     """In a fresh interpreter without site-packages (-S), importing every
     lieembed module and replaying the shipped corpus loads only lieembed

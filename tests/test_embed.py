@@ -499,13 +499,21 @@ def test_real_torus_of_a_dense_so33(seed):
 
 
 
-@pytest.mark.parametrize("seed, d", [(1, 177), (2, 221)])
+@pytest.mark.parametrize("seed, d", [
+    (1, 177), (2, 221), (4, 7),
+    pytest.param(3, 3615744333935014946628424493057005440725427905291298008438650084149499735474858868703074950136164445593609,
+                 id="3-351bit"),
+    # (128257 * 390343)^2 * 1679068029954695671: both primes lie past the
+    # trial bound of squarefree_split, so d keeps their square
+    pytest.param(5, 4208460336233006135372983448228234518471, id="5-132bit")])
 def test_dense_g2_nilpotent_embed_exits_4(seed, d, tmp_path):
     """The paper's g2 nilpotent embed under a seeded unimodular change of
     basis, its subspace <X14, X13, X12> mapped with it: the abelian step's
     eigenvector lies over Q(sqrt d), so the normalizer's Levi step meets a
     subalgebra whose structure constants are irrational.  That is a stated
-    ExtensionDegreeTooHigh (exit 4) within a second, not a traceback."""
+    ExtensionDegreeTooHigh (exit 4) within a second, not a traceback.  In
+    seed 3 a 441-bit discriminant leaves a 344-bit cofactor after the small
+    primes, which trial division to its cube root would never finish."""
     rebase = _perfbench_module("rebase")
     cases = {c["name"]: c for c in corpus.load_shipped_corpus()["cases"]}
     names, table = rebase.table_from_json(cases["g2-commutator-table"]["expect"])
@@ -527,7 +535,7 @@ def test_dense_g2_nilpotent_embed_exits_4(seed, d, tmp_path):
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "lieembed", "embed", str(path),
                            "--mode", "nilpotent", f"--subspace={spec}"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == f"error: scalar tower exceeded: a subalgebra with {message}\n"

@@ -949,6 +949,27 @@ def _sympy_root_key(sympy, r):
     return _root_key(sympy, a, b, m)
 
 
+def test_char_poly_krylov_product_against_sympy():
+    """The product of the relative Krylov annihilators of the unit vectors
+    is sympy's charpoly on the min_poly cases (zero, scalar, nilpotent,
+    derogatory and their shear conjugates, where the Krylov spaces of the
+    unit vectors overlap) and on dense 20-bit matrices up to 14 x 14, and
+    the cofactor expansion where n <= 6."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(23)
+    dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
+             for n in (8, 10, 14)]
+    for m in _min_poly_cases(seed=23, count=30) + dense:
+        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in m.entries])
+        got = char_poly(m)
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got.coeffs] == \
+            mat.charpoly(t).all_coeffs()[::-1], m.entries
+        if m.rows <= 6:
+            assert got == _naive_char_poly(m)
+
+
 def test_char_poly_against_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
@@ -1132,8 +1153,9 @@ def test_factor_roots_splits_every_degree_two_product():
 
 
 def test_squarefree_split_large():
-    """Trial division stops at the cube root of what is left, or once that
-    is a square; the leftover is then a prime or a product of two primes."""
+    """Trial division stops at the cube root of what is left, at
+    _TRIAL_BOUND, or once what is left is a square; at the cube root the
+    leftover is a prime or a product of two primes."""
     big, other, mersenne = 10 ** 16 + 61, 1_000_000_007, 2 ** 61 - 1
     start = time.perf_counter()
     assert squarefree_split(-4 * big) == (-big, 2)
@@ -1145,6 +1167,23 @@ def test_squarefree_split_large():
         d, k = squarefree_split(n)
         assert d * k * k == n
         assert n == 0 or all(d % (q * q) for q in range(2, 18))
+
+
+def test_squarefree_split_stops_at_the_trial_bound():
+    """A product of two 100-bit primes is kept whole, within 0.1 s, where
+    trial division to its cube root would take about 2^66 steps.  Past the
+    bound d can keep the square of a large prime: Q(sqrt d) is right, d
+    is not its canonical name."""
+    p, q = 633825300114115826648258445337, 1267650600227076479992096358423
+    start = time.perf_counter()
+    assert squarefree_split(p * q) == (p * q, 1)
+    assert time.perf_counter() - start < 0.1
+    assert squarefree_split(-12 * p * q) == (-3 * p * q, 2)
+    big = 100003  # the first prime past the bound
+    assert exactlin._TRIAL_BOUND < big
+    assert squarefree_split(7 * (big * p) ** 2) == (7, big * p)
+    assert squarefree_split(big * big * 200003) == (big * big * 200003, 1)
+    assert squarefree_split(99991 * 99991 * 200003) == (200003, 99991)  # a prime below it
 
 
 # --- the divisor-search root finder, kept as a reference --------------------------
