@@ -110,7 +110,7 @@ def _candidates(sub: Subspace, budget: int, seed: int):
                     picked = dict(zip(positions, coeffs))
                     yield sub.from_coords([picked.get(p, 0) for p in range(k)])
         rng = random.Random(seed)
-        while True:
+        while k:  # a 0-dim subspace has no nonzero element to draw
             v = sub.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                  for _ in range(k)])
             if not vec_is_zero(v):

@@ -5,9 +5,11 @@ Rational numbers are plain ``fractions.Fraction``.  Irrational values are
 non-square integer (possibly negative), squarefree but for primes above
 the trial bound of :func:`squarefree_split`; arithmetic that lands back in Q
 returns a ``Fraction`` again, so rationality is visible in the type.
-Matrices are generic over both scalar kinds.  Polynomials are computed
-on as primitive integer lists; :class:`Poly` is only the value that
-:func:`min_poly` and :func:`char_poly` return.
+The linear algebra computes on sparse integer rows over Z[sqrt d];
+:class:`Matrix` is only the value it reads and returns, with no
+arithmetic.  Polynomials are computed on as primitive integer lists;
+:class:`Poly` is only the value that :func:`min_poly` and
+:func:`char_poly` return.
 """
 
 from __future__ import annotations
@@ -293,17 +295,10 @@ class Matrix:
             raise ValueError("ragged matrix")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
-        n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged matrix")
+        return cls(list(zip(*cols)))
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
@@ -314,39 +309,8 @@ class Matrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def __add__(self, other):
-        return Matrix([[x + y for x, y in zip(r, s)]
-                       for r, s in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return Matrix([[x - y for x, y in zip(r, s)]
-                       for r, s in zip(self.entries, other.entries)])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([[c * x for x in row] for row in self.entries])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        bt = list(zip(*other.entries))
-        return Matrix([[_dot(row, col) for col in bt] for row in self.entries])
-
-    def apply(self, v: Vector) -> Vector:
-        return tuple(_dot(row, v) for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.entries)
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _dot(u, v):
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 # A row over Z[sqrt d] is a pair of sparse integer rows (a, b), column -> int,

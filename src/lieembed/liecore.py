@@ -684,29 +684,22 @@ def center(sub: Subspace) -> Subspace:
     return centralizer(sub.algebra, sub, within=sub)
 
 
-def is_solvable(sub: Subspace) -> bool:
-    current = sub
-    for _ in range(sub.algebra.dim + 1):
-        if current.dim == 0:
-            return True
-        nxt = derived_algebra(current)
-        if nxt.dim == current.dim:
-            return False
-        current = nxt
-    return False
-
-
 def radical(obj) -> Subspace:
-    """Maximal solvable ideal, via Killing-orthogonality to the derived
-    algebra (Cartan's criterion), verified solvable.  Works in the subspace
-    as an algebra, which is L itself when the subspace is all of L; the
-    derived algebra is spanned a batch of table rows at a time until full,
-    and a perfect algebra with a nondegenerate Killing form (the kept
-    :meth:`LieAlgebra.killing_data`) is semisimple."""
+    """Maximal solvable ideal: the first term of :func:`_radical_series`."""
+    return _radical_series(obj)[0]
+
+
+def _radical_series(obj) -> list[Subspace]:
+    """The radical, Killing-orthogonal to the derived algebra (Cartan's
+    criterion), and its derived series down to 0, raising NotASubalgebra
+    where the series stalls.  Works in the subspace as an algebra (L itself
+    for all of L), spanning the derived algebra a batch of table rows at a
+    time until full; a perfect algebra with a nondegenerate Killing form
+    (the kept :meth:`LieAlgebra.killing_data`) is semisimple."""
     sub = Subspace.full(obj) if isinstance(obj, LieAlgebra) else obj
     L, k = sub.algebra, sub.dim
     if k == 0:
-        return sub
+        return [sub]
     inner = L if k == L.dim else sub.as_subalgebra()
     _, table = inner.scaled_table()
     keys = list(inner.brackets)
@@ -716,9 +709,9 @@ def radical(obj) -> Subspace:
         if len(pivots) == k:
             break
     if not pivots:
-        return sub  # abelian: the whole thing
+        return [sub, Subspace.zero(L)]  # abelian: the whole thing
     if len(pivots) == k and inner.killing_data()[2] == 0:
-        return Subspace.zero(L)
+        return [Subspace.zero(L)]
     _, K = inner.killing_table()
     eqs = K
     if len(pivots) < k:
@@ -726,10 +719,12 @@ def radical(obj) -> Subspace:
         eqs = [({}, {}) for _ in der]
         for (a, _), row in zip(der, eqs):
             _add_combination(K, a, {}, 0, *row)
-    result = sub._kernel_span(0, eqs)
-    if not is_solvable(result):
-        raise NotASubalgebra("Killing-orthogonal complement is not solvable")
-    return result
+    series = [sub._kernel_span(0, eqs)]
+    while series[-1].dim > 0:
+        series.append(derived_algebra(series[-1]))
+        if series[-1].dim == series[-2].dim:
+            raise NotASubalgebra("Killing-orthogonal complement is not solvable")
+    return series
 
 
 class LeviDecomposition(Frozen):
@@ -741,7 +736,8 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
     across the derived series of the radical (a linear solve per stage),
     in ints: the complement's rows x_i share the denominator X."""
     L = sub.algebra
-    rad = radical(sub)
+    series = _radical_series(sub)
+    rad = series[0]
     if rad.dim == 0:
         return LeviDecomposition(rad, sub)
     if rad.dim == sub.dim:
@@ -760,13 +756,6 @@ def levi_decomposition(sub: Subspace) -> LeviDecomposition:
             C, _, a, b = rad._residual(*L._bracket_ints(xs[i], xs[j]))
             c_table[(i, j)] = ({k: a[p] for k, p in enumerate(comp.pivots) if p in a},
                                {k: b[p] for k, p in enumerate(comp.pivots) if p in b})
-
-    # derived series of the radical
-    series = [rad]
-    while series[-1].dim > 0:
-        series.append(derived_algebra(series[-1]))
-        if series[-1].dim == series[-2].dim:
-            raise NotASubalgebra("radical is not solvable")
 
     # lift stage by stage: after stage m, brackets close modulo series[m+1];
     # corrections r_i = sum_w t[i,w] w live in series[m], and the defect

@@ -1,9 +1,10 @@
-"""Polynomial arithmetic over Q for the tests' reference oracles.
+"""Polynomial and matrix arithmetic over Q for the tests' reference oracles.
 
-``lieembed.exactlin.Poly`` is a plain value: coefficients, degree,
-equality.  The package computes with primitive integer lists.  The
-references here keep the schoolbook arithmetic over Q, which shares no
-code with that integer path.
+``lieembed.exactlin.Poly`` and ``lieembed.exactlin.Matrix`` are plain
+values: coefficients and degree, entries and shape, equality.  The
+package computes with primitive integer lists and sparse integer rows.
+The references here keep the schoolbook arithmetic over Q, which shares
+no code with that integer path.
 """
 
 from fractions import Fraction
@@ -74,11 +75,60 @@ class QPoly(Poly):
     def derivative(self):
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        acc = Matrix.zero(m.rows, m.rows)
+    def eval_matrix(self, m: Matrix) -> "QMatrix":
+        acc, one = QMatrix.zero(m.rows, m.rows), QMatrix.identity(m.rows)
         for c in reversed(self.coeffs):
-            acc = (acc @ m) + Matrix.identity(m.rows).scale(c)
+            acc = (acc @ m) + one.scale(c)
         return acc
+
+
+class QMatrix(Matrix):
+    """A Matrix with arithmetic; equal to the Matrix with the same entries,
+    and built from one or from rows."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        super().__init__(entries.entries if isinstance(entries, Matrix) else entries)
+
+    @classmethod
+    def identity(cls, n: int) -> "QMatrix":
+        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "QMatrix":
+        return cls([[Fraction(0)] * cols for _ in range(rows)])
+
+    def __add__(self, other):
+        return QMatrix([[x + y for x, y in zip(r, s)]
+                        for r, s in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return QMatrix([[x - y for x, y in zip(r, s)]
+                        for r, s in zip(self.entries, other.entries)])
+
+    def scale(self, c) -> "QMatrix":
+        return QMatrix([[c * x for x in row] for row in self.entries])
+
+    def __matmul__(self, other: Matrix) -> "QMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        bt = list(zip(*other.entries))
+        return QMatrix([[_dot(row, col) for col in bt] for row in self.entries])
+
+    def apply(self, v):
+        return tuple(_dot(row, v) for row in self.entries)
+
+    def is_zero(self) -> bool:
+        return not any(any(row) for row in self.entries)
+
+
+def _dot(u, v):
+    acc = Fraction(0)
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
 
 
 def poly_gcd(a, b) -> QPoly:

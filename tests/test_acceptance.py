@@ -415,6 +415,21 @@ def test_one_polynomial_representation():
         assert not hasattr(exactlin, name)
 
 
+def test_matrix_is_a_plain_value():
+    """``Matrix`` is only the value the linear algebra reads and returns:
+    entries, shape, equality and indexing, with no Fraction arithmetic
+    beside the package's integer rows, so none can come back unnoticed;
+    the tests' ``QMatrix`` keeps it for the references."""
+    from lieembed import exactlin
+    assert {k for k in vars(exactlin.Matrix) if not k.startswith("_")} == {
+        "entries", "rows", "cols", "from_columns"}
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                  "__rmul__", "__matmul__", "__rmatmul__", "__truediv__",
+                  "__floordiv__", "__mod__", "__pow__", "__call__"}
+    assert arithmetic & set(dir(exactlin.Matrix)) == set()
+    assert not hasattr(exactlin, "_dot")
+
+
 def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
     """char_poly and min_poly both read their polynomial from
     _krylov_annihilator; the Z[t] Bareiss char_poly is gone."""

@@ -324,6 +324,36 @@ def test_find_real_semisimple_budget(so3):
         find_real_semisimple(Subspace.full(so3), budget=50)
 
 
+_ZERO_SUBSPACE_SEARCH = """
+from lieembed import ops
+from lieembed.embed import find_compact, find_real_semisimple
+from lieembed.liecore import Subspace
+from lieembed.vecfield import algebra_by_name
+S = Subspace.zero(algebra_by_name("wave15"))
+for search in (find_real_semisimple, find_compact):
+    try:
+        search(S, budget=3)
+    except Exception as exc:
+        print(type(exc).__name__, *ops.error_exit(exc))
+"""
+
+
+def test_searches_of_a_zero_subspace_end_at_once():
+    """A 0-dim subspace has no candidate: both searches raise their
+    documented error (exit 5) at once instead of drawing zero vectors
+    forever; a fresh interpreter with a time limit, since a hang would
+    never return to the test."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _ZERO_SUBSPACE_SEARCH],
+                          capture_output=True, text=True, timeout=10, check=True)
+    assert time.perf_counter() - start < 5
+    assert proc.stdout.splitlines() == [
+        "NoRealSemisimpleFound 5 error: precondition failed: no real-semisimple "
+        "element in a 0-dim subspace within budget 3",
+        "NoCompactFound 5 error: precondition failed: no compatible compact "
+        "element in a 0-dim subspace within budget 3"]
+
+
 def test_find_compact_prefers_compatible_extension(wave15):
     E = wave15.basis_vector
     # derived algebra of the centralizer of e15: the plane-conformal part
@@ -698,6 +728,33 @@ def test_embed_nilpotent_reuses_the_last_passes_normalizer(wave15, g2, monkeypat
         passes = len(trace.steps) + 1
         assert [kind for kind, _ in calls] == ["nm", "ld"] * passes
         assert calls[-2][1] == result  # the last pass already saw the result
+
+
+def test_levi_decomposition_derives_each_series_term_once(monkeypatch):
+    """Each Levi decomposition of the golden nilpotent embeds derives each
+    term of its radical's derived series once: the radical's solvability
+    check and the lifting share one series.  The normalizers that reach the
+    lifting have the pinned (dim, radical series) below."""
+    import lieembed.embed as embed
+    import lieembed.liecore as liecore
+    derived, per_call = [], []
+    real_der, real_ld = liecore.derived_algebra, embed.levi_decomposition
+    monkeypatch.setattr(liecore, "derived_algebra",
+                        lambda sub: derived.append(sub) or real_der(sub))
+
+    def levi_decomposition(sub):
+        derived.clear()
+        ld = real_ld(sub)
+        per_call.append((sub.dim, [s.dim for s in derived]))
+        assert len(set(derived)) == len(derived), sub
+        return ld
+    monkeypatch.setattr(embed, "levi_decomposition", levi_decomposition)
+    cases = {c["name"]: c for c in corpus.load_shipped_corpus()["cases"]}
+    for name, lifted in (("wave-embed-nilpotent", (11, [5, 4])),
+                         ("g2-embed-nilpotent", (9, [6, 5, 3]))):
+        per_call.clear()
+        assert corpus.run_case(cases[name]).passed
+        assert lifted in per_call, per_call
 
 
 # where each golden embed case's answer sits in the canonical candidate order:

@@ -20,7 +20,7 @@ from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                linear_solver, make_scalar, min_poly, rat,
                                rref, solve_linear, squarefree_split,
                                symmetric_signature, unit_vector)
-from polyref import QPoly, poly_gcd, squarefree_decomposition
+from polyref import QMatrix, QPoly, poly_gcd, squarefree_decomposition
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
@@ -125,10 +125,27 @@ def test_real_sign():
     assert make_scalar(0, -1, 5).real_sign() == -1
 
 
+# --- matrices ------------------------------------------------------------------
+
+def test_matrix_from_columns():
+    """Columns become rows transposed; no columns give the 0x0 matrix, and
+    ragged columns raise what ragged rows raise, whichever column is the
+    shortest."""
+    m = Matrix.from_columns([(1, 2, 3), (4, 5, 6)])
+    assert m == Matrix([[1, 4], [2, 5], [3, 6]]) and (m.rows, m.cols) == (3, 2)
+    empty = Matrix.from_columns([])
+    assert empty == Matrix([]) and (empty.rows, empty.cols) == (0, 0)
+    for cols in ([(1,), (2, 3)], [(1, 2), (3,)], [(1, 2), (), (3, 4)]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            Matrix.from_columns(cols)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Matrix([[1], [2, 3]])
+
+
 # --- rref / kernel / solve -----------------------------------------------------
 
 def test_rref_identity():
-    m = Matrix.identity(3)
+    m = QMatrix.identity(3)
     red, rank, piv = rref(m)
     assert red == m and rank == 3 and piv == [0, 1, 2]
 
@@ -165,8 +182,8 @@ def test_rank_nullity(rows):
 
 
 def test_kernel_trivial_cases():
-    assert kernel(Matrix.identity(3)) == []
-    assert kernel(Matrix.zero(2, 2)) == [unit_vector(2, 0), unit_vector(2, 1)]
+    assert kernel(QMatrix.identity(3)) == []
+    assert kernel(QMatrix.zero(2, 2)) == [unit_vector(2, 0), unit_vector(2, 1)]
 
 
 def test_kernel_so13_boost_zero_eigenspace(so13):
@@ -175,7 +192,7 @@ def test_kernel_so13_boost_zero_eigenspace(so13):
 
 
 def test_solve_linear():
-    assert solve_linear(Matrix.identity(2), (F(3), F(5))) == (F(3), F(5))
+    assert solve_linear(QMatrix.identity(2), (F(3), F(5))) == (F(3), F(5))
     assert solve_linear(Matrix([[1, 2], [2, 4]]), (1, 3)) is None
     # underdetermined: canonical particular solution has free vars zero
     assert solve_linear(Matrix([[1, 1]]), (F(2),)) == (F(2), F(0))
@@ -262,7 +279,7 @@ def test_linear_solver_matches_solve_linear():
         for _ in range(4):
             if rng.random() < 0.5:  # inside the column span
                 x = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cols)]
-                b = m.apply(x)
+                b = QMatrix(m).apply(x)
             else:
                 b = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
             got, want = solve(b), _ref_solve_linear(m, b)
@@ -319,7 +336,7 @@ def _rref_cases(seed, count, d=0):
             return make_scalar(a, _rand_rational(rng, bits), d)
         return a
 
-    cases = [Matrix([]), Matrix([[]]), Matrix.zero(3, 4), Matrix.zero(1, 1)]
+    cases = [QMatrix([]), QMatrix([[]]), QMatrix.zero(3, 4), QMatrix.zero(1, 1)]
     for _ in range(count):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         bits = rng.randint(1, 40)
@@ -327,8 +344,8 @@ def _rref_cases(seed, count, d=0):
         kind = rng.random()
         if kind < 0.25:  # rank at most k: a product of rows x k and k x cols
             k = rng.randint(1, min(rows, cols))
-            a = Matrix([[entry(bits) for _ in range(k)] for _ in range(rows)])
-            b = Matrix([[entry(bits) for _ in range(cols)] for _ in range(k)])
+            a = QMatrix([[entry(bits) for _ in range(k)] for _ in range(rows)])
+            b = QMatrix([[entry(bits) for _ in range(cols)] for _ in range(k)])
             cases.append(a @ b)
             continue
         m = [[entry(bits) if rng.random() < density else F(0)
@@ -338,10 +355,10 @@ def _rref_cases(seed, count, d=0):
             m.append(list(m[0]))
             m.append([entry(3) * x for x in m[-1]])
             rng.shuffle(m)
-        cases.append(Matrix(m))
+        cases.append(QMatrix(m))
     for _ in range(4):
-        cases.append(Matrix([[entry(12) for _ in range(rng.randint(1, 9))]]))
-        cases.append(Matrix([[entry(12)] for _ in range(rng.randint(1, 9))]))
+        cases.append(QMatrix([[entry(12) for _ in range(rng.randint(1, 9))]]))
+        cases.append(QMatrix([[entry(12)] for _ in range(rng.randint(1, 9))]))
     return cases
 
 
@@ -402,7 +419,7 @@ def test_linear_solver_matches_fraction_references(d, monkeypatch):
         return make_scalar(a, _rand_rational(rng, 6), d) if d and rng.random() < 0.5 else a
 
     cases = []
-    for m in _rref_cases(seed=60 + d, count=25, d=d) + [Matrix([[]] * 3), Matrix([[]] * 5)]:
+    for m in _rref_cases(seed=60 + d, count=25, d=d) + [QMatrix([[]] * 3), QMatrix([[]] * 5)]:
         sides = [m.apply([entry() for _ in range(m.cols)]) for _ in range(2)]
         sides += [tuple(entry() for _ in range(m.rows)) for _ in range(2)]
         rank, solve = linear_solver(m)
@@ -469,7 +486,7 @@ def test_linear_solver_on_scaled_columns_matches_the_reference(d):
         return make_scalar(a, _rand_rational(rng, 6), d) if d and rng.random() < 0.5 else a
 
     deficient = outside = 0
-    for m in _rref_cases(seed=70 + d, count=25, d=d) + [Matrix([[]] * 3)]:
+    for m in _rref_cases(seed=70 + d, count=25, d=d) + [QMatrix([[]] * 3)]:
         scaled = _int_columns(list(zip(*m.entries)), rng.choice((1, 2, 6)))
         kept = copy.deepcopy(scaled)
         rank, solve = linear_solver(scaled, m.rows)
@@ -551,7 +568,7 @@ def _naive_char_poly(m: Matrix) -> Poly:
 
 
 def test_char_poly_zero_matrix():
-    assert char_poly(Matrix.zero(4, 4)) == Poly([0, 0, 0, 0, 1])
+    assert char_poly(QMatrix.zero(4, 4)) == Poly([0, 0, 0, 0, 1])
 
 
 def test_char_poly_vs_cofactor_oracle():
@@ -579,7 +596,7 @@ def test_char_poly_wave_levi_boost(wave15):
     expected = QPoly([0, 0, 1]) * QPoly([-1, 0, 1]) * QPoly([-1, 0, 1])
     for boost in ("e2", "e6"):
         ad = wave15.ad(wave15.basis_vector(boost))
-        m = Matrix.from_columns([S.coords_of(ad.apply(r)) for r in S.rows])
+        m = Matrix.from_columns([S.coords_of(QMatrix(ad).apply(r)) for r in S.rows])
         assert char_poly(m) == expected
 
 
@@ -605,7 +622,7 @@ def _reference_min_poly(m):
     """Krylov minimal polynomial over Fraction vectors, the lcm of the
     annihilators of the unit vectors (the algorithm min_poly used before
     its integer rewrite), kept as the reference."""
-    n = m.rows
+    n, m = m.rows, QMatrix(m)
     result = QPoly([1])
     for start in range(n):
         if result.degree >= 1:
@@ -654,7 +671,7 @@ def _shear_conjugate(b, rng, shears=6):
              for r in range(n)]
         s_inv = [[F(int(r == k)) - (c if (r, k) == (i, j) else 0) for k in range(n)]
                  for r in range(n)]
-        b = Matrix(s) @ b @ Matrix(s_inv)
+        b = QMatrix(s) @ b @ QMatrix(s_inv)
     return b
 
 
@@ -681,7 +698,7 @@ def _min_poly_cases(seed, count):
     derogatory (repeated Jordan blocks) and diagonalizable with repeats."""
     rng = random.Random(seed)
     cases = [Matrix([[0] * n for _ in range(n)]) for n in (1, 2, 4)]
-    cases += [Matrix.identity(n).scale(F(-7, 3)) for n in (1, 3)]
+    cases += [QMatrix.identity(n).scale(F(-7, 3)) for n in (1, 3)]
     cases += [Matrix([[F(rng.randint(-99, 99), rng.randint(1, 9))]]) for _ in range(3)]
     for _ in range(count):
         n = rng.randint(1, 7)
@@ -817,7 +834,7 @@ def test_min_poly_matches_fraction_reference_on_dense_ad_blocks():
 def test_min_poly_known_values():
     t = QPoly([0, 1])
     assert min_poly(Matrix([[0, 0], [0, 0]])) == t
-    assert min_poly(Matrix.identity(3).scale(F(5, 2))) == t - QPoly([F(5, 2)])
+    assert min_poly(QMatrix.identity(3).scale(F(5, 2))) == t - QPoly([F(5, 2)])
     assert min_poly(Matrix([[F(-3, 4)]])) == t + QPoly([F(3, 4)])
     assert min_poly(_block_diag([_jordan(0, 3), _jordan(0, 1)])) == t * t * t
     assert min_poly(Matrix([])) == Poly([1])
@@ -1444,7 +1461,7 @@ def _ref_determinant(m):
 
 def test_symmetric_signature():
     assert symmetric_signature(Matrix([[0, 1], [1, 0]])) == (1, 1, 0, F(-1))
-    assert symmetric_signature(Matrix.zero(3, 3)) == (0, 0, 3, F(0))
+    assert symmetric_signature(QMatrix.zero(3, 3)) == (0, 0, 3, F(0))
     assert symmetric_signature(Matrix([[2, 0], [0, -3]])) == (1, 1, 0, F(-6))
     assert symmetric_signature(Matrix([])) == (0, 0, 0, F(1))
     with pytest.raises(ValueError, match="symmetric matrix required"):
@@ -1473,8 +1490,8 @@ def test_signature_counts_sum(rows):
 
 def test_determinant():
     assert _ref_determinant(Matrix([[1, 2], [3, 4]])) == F(-2)
-    for m, det in ((Matrix([[1, 2], [2, 1]]), F(-3)), (Matrix.identity(5), F(1)),
-                   (Matrix.zero(2, 2), F(0))):
+    for m, det in ((Matrix([[1, 2], [2, 1]]), F(-3)), (QMatrix.identity(5), F(1)),
+                   (QMatrix.zero(2, 2), F(0))):
         assert symmetric_signature(m)[3] == det == _ref_determinant(m)
 
 

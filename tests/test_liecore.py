@@ -24,7 +24,7 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               killing_signature, levi_decomposition,
                               normalizer, radical, restricted_killing_signature,
                               spectrum, subalgebra_generated, torus_split)
-from polyref import QPoly, is_squarefree, poly_gcd
+from polyref import QMatrix, QPoly, is_squarefree, poly_gcd
 from test_exactlin import _reference_rref_rows
 
 
@@ -90,7 +90,7 @@ def test_bracket_g2_appendix_entry(g2):
 
 
 def test_ad_zero_and_nilpotent_translation(wave15):
-    assert wave15.ad(tuple([F(0)] * 15)).is_zero()
+    assert QMatrix(wave15.ad(tuple([F(0)] * 15))).is_zero()
     assert is_ad_nilpotent(wave15, wave15.basis_vector("e8"))
 
 
@@ -105,8 +105,14 @@ def test_ad_diagonal_on_g2_pair(g2):
 
 def test_killing_abelian_is_zero():
     ab = LieAlgebra(2, ["a", "b"], {})
-    assert ab.killing_matrix().is_zero()
+    assert QMatrix(ab.killing_matrix()).is_zero()
     assert killing_signature(ab) == (0, 0, 2)
+
+
+def test_zero_dimensional_algebra_has_0x0_matrices():
+    L = LieAlgebra(0, [], {})
+    assert L.ad(()) == L.killing_matrix() == Matrix([])
+    assert (L.ad(()).rows, L.ad(()).cols) == (0, 0)
 
 
 def test_killing_so3(so3):
@@ -355,7 +361,7 @@ def test_jordan_mixed_commuting(wave15):
     assert pair.semisimple == E("e2")
     assert pair.nilpotent == E("e11")
     # matrix-level check: ad splits accordingly
-    assert wave15.ad(pair.semisimple) + wave15.ad(pair.nilpotent) == wave15.ad(x)
+    assert QMatrix(wave15.ad(pair.semisimple)) + wave15.ad(pair.nilpotent) == wave15.ad(x)
 
 
 def test_jordan_invariants_random(wave15, g2):
@@ -684,7 +690,7 @@ def test_killing_matrix_matches_fraction_trace(wave15, g2):
         L = so_pq_generators(p, q)
         algebras.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng)))
     for L in algebras:
-        ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+        ads = [QMatrix(L.ad(L.basis_vector(i))) for i in range(L.dim)]
         want = Matrix([[_trace(ads[i] @ ads[j]) for j in range(L.dim)]
                        for i in range(L.dim)])
         assert L.killing_matrix() == want
@@ -700,7 +706,7 @@ def test_killing_matches_x_K_y(wave15, g2, d):
     Fraction Gram matrix of the subspace's rows, or the same ValueError."""
     rng = random.Random(4100 + d)
     for L in _kernel_algebras(wave15, g2):
-        K = L.killing_matrix()
+        K = QMatrix(L.killing_matrix())
 
         def form(x, y):
             return sum((a * b for a, b in zip(x, K.apply(y)) if a and b), F(0))
@@ -881,7 +887,7 @@ def _ref_from_coords(S, coords):
 def _ref_restrict(S, m):
     cols = []
     for r in S.rows:
-        c = _ref_coords_of(S, m.apply(r))
+        c = _ref_coords_of(S, QMatrix(m).apply(r))
         if c is None:
             raise ValueError("subspace is not invariant")
         cols.append(c)
@@ -1170,7 +1176,7 @@ def _ref_radical(obj):
     der = _ref_basis(der_rows)
     if not der:
         return sub
-    K = inner.killing_matrix()
+    K = QMatrix(inner.killing_matrix())
     rad_coords = kernel(Matrix([K.apply(d) for d in der]))
     return Subspace(sub.algebra, [sub.from_coords(c) for c in rad_coords])
 
@@ -1318,7 +1324,7 @@ def test_jordan_of_non_semisimple_elements_in_a_dense_basis(wave15, g2):
     rng = random.Random(2121)
     for L0 in (wave15, g2):
         f = _dense_basis(L0, rng)
-        to_f = Matrix.from_columns(f)
+        to_f = QMatrix(Matrix.from_columns(f))
         L = LieAlgebra(L0.dim, L0.basis_names, _table_in_basis(L0, f), name="dense")
         tried = mixed = 0
         while mixed < 6:
@@ -1329,7 +1335,7 @@ def test_jordan_of_non_semisimple_elements_in_a_dense_basis(wave15, g2):
             pair = jordan_decomposition(L, x)
             assert vec_add(pair.semisimple, pair.nilpotent) == x
             assert vec_is_zero(L.bracket(pair.semisimple, pair.nilpotent))
-            power, k = L.ad(pair.nilpotent), 1
+            power, k = QMatrix(L.ad(pair.nilpotent)), 1
             while k < L.dim:
                 power, k = power @ power, 2 * k
             assert power.is_zero()

@@ -75,13 +75,13 @@ def test_analyze_computes_the_radical_once(monkeypatch):
     import lieembed.liecore as liecore
     from lieembed.liecore import LieAlgebra, Subspace
     calls = []
-    real_radical = liecore.radical
+    real_radical, real_series = liecore.radical, liecore._radical_series
 
     def counted(obj):
         calls.append(obj)
-        return real_radical(obj)
-    monkeypatch.setattr(liecore, "radical", counted)
-    monkeypatch.setattr(ops, "radical", counted, raising=False)  # a direct call
+        return real_series(obj)
+    # radical and levi_decomposition both read the series
+    monkeypatch.setattr(liecore, "_radical_series", counted)
     for name in ("wave15", "wave16", "g2"):
         L = LieAlgebra.from_json(algebra_by_name(name).to_json(), name=name)
         calls.clear()

@@ -308,17 +308,6 @@ def test_so_pq_matches_matrix_commutators(n):
         assert got.to_json() == want.to_json()
 
 
-def test_so_pq_builds_without_matrix_products(monkeypatch):
-    """so(p, q) brackets come from the two integer entries of each
-    generator: building one performs no Fraction Matrix arithmetic."""
-    def refuse(*args):
-        raise AssertionError("Matrix arithmetic")
-
-    for op in ("__matmul__", "__sub__", "__add__"):
-        monkeypatch.setattr(Matrix, op, refuse)
-    assert so_pq_generators.__wrapped__(4, 3).dim == 21
-
-
 def test_algebra_by_name():
     assert algebra_by_name("so(2,2)").name == "so(2,2)"
     assert algebra_by_name("wave15").dim == 15

@@ -3,7 +3,7 @@
 The package builds so(p,q) from the two entries of each generator,
 stops the invariant-count points at the rank cap and sums catalog
 combinations term by term.  The references here keep the constructions
-without those shortcuts: 4x4 (and larger) Fraction ``Matrix``
+without those shortcuts: 4x4 (and larger) Fraction ``QMatrix``
 commutators, ``MPoly.eval`` and ``rref`` at all five points, and chained
 ``MPoly`` arithmetic.
 """
@@ -14,6 +14,7 @@ from fractions import Fraction
 from lieembed.exactlin import Matrix, rref
 from lieembed.liecore import LieAlgebra
 from lieembed.vecfield import MPoly, PolyVectorField
+from polyref import QMatrix
 
 _PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -30,7 +31,7 @@ def so_pq_reference(p: int, q: int) -> LieAlgebra:
         m = [[Fraction(0)] * n for _ in range(n)]
         m[i][j] = Fraction(1)
         m[j][i] = Fraction(-1 if metric[i] * metric[j] == 1 else 1)
-        return Matrix(m)
+        return QMatrix(m)
 
     gens = [gen(i, j) for i, j in pairs]
     brackets = {}
