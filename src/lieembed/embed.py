@@ -19,15 +19,15 @@ from typing import Optional, Sequence
 from .errors import (ExtensionDegreeTooHigh, Frozen, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
                      NotNilpotent, NotSplit, ParseError, Record)
-from .exactlin import (Vector, factor_roots, format_rat, is_complex_positive,
-                       min_poly, scalar_d, vec_is_zero, _scaled_vector)
+from .exactlin import (Vector, format_rat, is_complex_positive, scalar_d,
+                       vec_is_zero)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
-                      jordan_decomposition, levi_decomposition, normalizer,
-                      center, spectrum, subalgebra_generated, torus_split)
+                      jordan_decomposition, normalizer, center, spectrum,
+                      subalgebra_generated, torus_split, _levi, _radical_series)
 from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
-                      root_space_decomposition, simple_roots)
+                      joint_eigenspaces, root_space_decomposition, simple_roots)
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10_000
@@ -243,17 +243,13 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
     """Grow a compact torus to a maximally compact Cartan subalgebra by the
     dual centralizer / center / derived chain, adjoining compact elements
     whose eigenvalues stay in the torus's quadratic extension."""
-    if not T.is_abelian():
-        raise NotATorus("input is not abelian")
-    d_ctx: Optional[int] = None
-    for r in T.rows:
-        if classify_element(L, r) != COMPACT_SEMISIMPLE and not _central(L, r):
-            raise NotATorus(f"{L.format_element(r)} is not compact")
-        ds = spectrum(L, r).extensions
-        if len(ds) > 1 or (d_ctx is not None and ds and ds != {d_ctx}):
-            raise NotATorus("torus eigenvalues span two extensions")
-        if ds:
-            (d_ctx,) = ds
+    _check_input(NotATorus, L, T, T.is_abelian(), "abelian",
+                 lambda L, r: classify_element(L, r) == COMPACT_SEMISIMPLE
+                 or _central(L, r), "compact")
+    fields = set().union(*(spectrum(L, r).extensions for r in T.rows))
+    if len(fields) > 1:
+        raise NotATorus("torus eigenvalues span two extensions")
+    d_ctx = next(iter(fields), None)
     current = T
     for _ in range(L.dim + 1):
         zc = centralizer(L, current)
@@ -276,15 +272,12 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
 def _positive_real_eigenspace(L: LieAlgebra, alpha: Vector, space: Subspace
                               ) -> Optional[Subspace]:
     """Eigenspace of ad(alpha) on ``space`` for its largest positive real
-    eigenvalue, or None when no nonzero real eigenvalue exists."""
-    block = space.ad_block(L._ad_ints(_scaled_vector(alpha)))
-    best = None
-    for lam, _ in factor_roots(min_poly(block)):
+    eigenvalue, or None when no positive real eigenvalue exists."""
+    best, eig = None, None
+    for (lam,), eigen in joint_eigenspaces(L, [alpha], space):
         if scalar_d(lam) >= 0 and is_complex_positive(lam if best is None else lam - best):
-            best = lam
-    if best is None:
-        return None
-    return space.eigenspace(block, best)
+            best, eig = lam, eigen
+    return eig
 
 
 # What tells the two modes apart: the rules of the derived, Jordan and
@@ -300,19 +293,23 @@ _GENERAL = ((RULE_NIL_DERIVED, RULE_NIL_JORDAN, RULE_NIL_EIGEN), list,
 
 def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
                     budget: int, seed: Optional[int]):
-    """The loop of both nilpotent embeddings.  Each pass takes the Levi
-    decomposition of ``closure(L, current)`` (the centralizer for 3.2, the
-    normalizer for 3.3) and adjoins elements from the first step that finds
-    any: rows of the derived radical outside current, the nilpotent Jordan
-    parts of the complement of current in the radical, and an eigenspace of
-    a real-semisimple element of an indefinite Levi part.  Returns (the
-    maximal algebra, the last pass's Levi decomposition, the trace)."""
+    """The loop of both nilpotent embeddings.  Each pass takes the radical
+    series of ``closure(L, current)`` (the centralizer for 3.2, the
+    normalizer for 3.3) and the Levi decomposition lifted across it, and
+    adjoins elements from the first step that finds any: rows of the
+    derived radical (the series' second term) outside current, the
+    nilpotent Jordan parts of the complement of current in the radical, and
+    an eigenspace of a real-semisimple element of an indefinite Levi part.
+    Returns (the maximal algebra, the last pass's Levi decomposition, the
+    trace)."""
     (derived_rule, jordan_rule, eigen_rule), take, error, name = mode
     trace = EmbeddingTrace(L, U)
     current = U
     for _ in range(2 * L.dim + 2):
-        ld = levi_decomposition(closure(L, current))
-        rprime = derived_algebra(ld.radical)
+        sub = closure(L, current)
+        series = _radical_series(sub)
+        ld = _levi(sub, series)
+        rprime = series[1] if len(series) > 1 else series[0]  # [r, r], or r = 0
         if not current.contains_subspace(rprime):
             rule, new = derived_rule, take(r for r in rprime.rows if not current.contains(r))
         else:
@@ -323,7 +320,7 @@ def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
         if not new and ld.levi.dim and not is_negative_definite(ld.levi):
             alpha = find_real_semisimple(ld.levi, budget=budget, seed=seed)
             eig = _positive_real_eigenspace(L, alpha, ld.levi)
-            if eig is None or eig.dim == 0:
+            if eig is None:
                 raise NoRealSemisimpleFound(
                     "no nonzero real eigenvalue on the Levi part")
             rule, new = eigen_rule, take(eig.rows)

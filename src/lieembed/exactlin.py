@@ -1111,37 +1111,37 @@ def _squarefree_parts(p: Poly) -> tuple[int, Optional[int], list[tuple[list[int]
     return k, prime, [(f, 1)] if prime else _yun(f)
 
 
-def factor_roots(p: Poly, single_extension: bool = True) -> list[tuple[Scalar, int]]:
+def factor_roots(p: Poly) -> list[tuple[Scalar, int]]:
     """Roots with multiplicities of a nonzero rational polynomial, sorted,
-    when every irreducible factor over Q has degree <= 2; raises
+    when every irreducible factor over Q has degree <= 2 and every
+    irrational root lies in one quadratic field; raises
     ExtensionDegreeTooHigh otherwise.
 
-    :func:`_small_factors` factors each part of :func:`_squarefree_parts`.
-    With ``single_extension`` every irrational root must share one
-    squarefree d; otherwise several quadratic fields may appear side by
-    side (for classification only).
+    :func:`_part_roots` factors the parts of :func:`_squarefree_parts`.
     """
-    return _part_roots(*_squarefree_parts(p), single_extension)
+    out = _part_roots(*_squarefree_parts(p))
+    ds = {scalar_d(r) for r, _ in out if scalar_d(r)}
+    if len(ds) > 1:
+        raise ExtensionDegreeTooHigh(
+            f"roots need two distinct quadratic extensions: {sorted(ds)}")
+    return out
 
 
-def _part_roots(zeros: int, prime: Optional[int], parts: list[tuple[list[int], int]],
-                single_extension: bool) -> list[tuple[Scalar, int]]:
-    """:func:`factor_roots` of the polynomial whose :func:`_squarefree_parts`
-    are (zeros, prime, parts)."""
+def _part_roots(zeros: int, prime: Optional[int], parts: list[tuple[list[int], int]]
+                ) -> list[tuple[Scalar, int]]:
+    """Sorted roots with multiplicities of the polynomial whose
+    :func:`_squarefree_parts` are (zeros, prime, parts), in as many
+    quadratic fields as they need; raises ExtensionDegreeTooHigh when a
+    factor has no split of degree <= 2 (:func:`_small_factors`)."""
     out: list[tuple[Scalar, int]] = [(ZERO, zeros)] if zeros else []
     for g, mult in parts:
         for h in _small_factors(g, prime):
             roots = [Fraction(-h[0], h[1])] if len(h) == 2 else _quadratic_roots(*h[::-1])
             out.extend((root, mult) for root in roots)
-    if single_extension:
-        ds = {scalar_d(r) for r, _ in out if scalar_d(r) != 0}
-        if len(ds) > 1:
-            raise ExtensionDegreeTooHigh(
-                f"roots need two distinct quadratic extensions: {sorted(ds)}")
     out.sort(key=lambda rm: (*scalar_sort_key(rm[0]), scalar_d(rm[0])))
     return out
 
 
 def eigenvalues(m: Matrix) -> list[tuple[Scalar, int]]:
     """Eigenvalues with multiplicities over Q or one quadratic extension."""
-    return factor_roots(char_poly(m), single_extension=True)
+    return factor_roots(char_poly(m))

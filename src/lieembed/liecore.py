@@ -733,10 +733,14 @@ class LeviDecomposition(Frozen):
 
 def levi_decomposition(sub: Subspace) -> LeviDecomposition:
     """Levi decomposition by iterative lifting of a canonical complement
-    across the derived series of the radical (a linear solve per stage),
+    across the derived series of the radical (a linear solve per stage)."""
+    return _levi(sub, _radical_series(sub))
+
+
+def _levi(sub: Subspace, series: list[Subspace]) -> LeviDecomposition:
+    """:func:`levi_decomposition` of sub, given its :func:`_radical_series`;
     in ints: the complement's rows x_i share the denominator X."""
     L = sub.algebra
-    series = _radical_series(sub)
     rad = series[0]
     if rad.dim == 0:
         return LeviDecomposition(rad, sub)
@@ -897,12 +901,12 @@ class Spectrum:
 
     ``zeros``, ``prime`` and ``parts``: :func:`_squarefree_parts` of the
     minimal polynomial.  ``nilpotent``: it is t^k.  ``semisimple``: it is
-    squarefree.  ``roots`` is ``factor_roots(min_poly, single_extension=
-    False)``, factored from the parts on first use and kept; ``kind`` (the
-    :func:`classify_element` label) and ``extensions`` (the set of d != 0
-    with sqrt(d) among the roots, which may lie in several quadratic
-    fields) are read off it.  When the roots leave the scalar tower, every
-    use of any of the three raises ExtensionDegreeTooHigh.
+    squarefree.  ``roots`` are its roots by :func:`_part_roots`, in as many
+    quadratic fields as they need, factored from the parts on first use
+    and kept; ``kind`` (the :func:`classify_element` label) and
+    ``extensions`` (the set of d != 0 with sqrt(d) among the roots) are
+    read off them.  When the roots leave the scalar tower, every use of
+    any of the three raises ExtensionDegreeTooHigh.
     """
 
     __slots__ = ("min_poly", "zeros", "prime", "parts", "nilpotent", "semisimple",
@@ -921,7 +925,7 @@ class Spectrum:
     def roots(self) -> list:
         if self._roots is None and self._failure is None:
             try:
-                self._roots = _part_roots(self.zeros, self.prime, self.parts, False)
+                self._roots = _part_roots(self.zeros, self.prime, self.parts)
             except ExtensionDegreeTooHigh as exc:
                 self._failure = exc.args
         if self._failure is not None:
@@ -930,39 +934,22 @@ class Spectrum:
 
     @property
     def kind(self) -> str:
+        """Semisimple: real when every root is real, compact when every
+        root is 0 or purely imaginary, mixed otherwise."""
         if self.nilpotent:
             return NILPOTENT  # minimal polynomial t^k: all eigenvalues zero
         if not self.semisimple:
             return GENERAL
-        return _semisimple_kind(self.roots)
+        parts = [scalar_parts(r) for r, _ in self.roots]
+        if all(d >= 0 for _, _, d in parts):
+            return REAL_SEMISIMPLE
+        if all(a == 0 and d <= 0 for a, _, d in parts):
+            return COMPACT_SEMISIMPLE
+        return MIXED_SEMISIMPLE
 
     @property
     def extensions(self) -> frozenset:
         return frozenset(scalar_d(r) for r, _ in self.roots if scalar_d(r))
-
-
-def _semisimple_kind(roots) -> str:
-    """Label of a semisimple element from its eigenvalues."""
-    all_real = True
-    all_imag = True
-    for r, _ in roots:
-        a, b, d = scalar_parts(r)
-        if d < 0:
-            all_real = False
-            if a != 0:
-                all_imag = False
-        elif d > 0:
-            all_imag = False  # nonzero real irrational value
-        else:
-            if a != 0:
-                all_imag = False
-        if not all_real and not all_imag:
-            break
-    if all_real:
-        return REAL_SEMISIMPLE
-    if all_imag:
-        return COMPACT_SEMISIMPLE
-    return MIXED_SEMISIMPLE
 
 
 def spectrum(L: LieAlgebra, x: Vector, block: Optional[tuple] = None) -> Spectrum:

@@ -7,11 +7,10 @@ from typing import Optional, Sequence
 
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
-from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj,
-                       factor_roots, format_rat, is_complex_positive,
-                       min_poly, scalar_d, scalar_sort_key, scalar_to_json,
-                       solve_linear, vec_is_zero, _scaled_vector)
-from .liecore import LieAlgebra, Subspace, spectrum
+from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj, format_rat,
+                       is_complex_positive, min_poly, scalar_d, scalar_sort_key,
+                       scalar_to_json, solve_linear, vec_is_zero, _scaled_vector)
+from .liecore import LieAlgebra, Spectrum, Subspace, spectrum
 
 
 def format_scalar(x: Scalar) -> str:
@@ -100,31 +99,35 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
 
     Returns a list of (eigenvalue tuple, Subspace); raises NotATorus if the
     ambient is not invariant or the action is not diagonalizable over the
-    scalar tower, and ExtensionDegreeTooHigh if the weights need two
-    quadratic extensions.
+    scalar tower, ExtensionDegreeTooHigh if the weights need two quadratic
+    extensions, and :func:`min_poly`'s ValueError for an element with
+    irrational coordinates.
     """
     top = Subspace.full(L) if ambient is None else ambient
     spaces: list[tuple[tuple, Subspace]] = [((), top)]
     seen_d = set()
-    for step, h in enumerate(basis):
-        cols = L._ad_ints(_scaled_vector(h))
+
+    def ad_on(space, cols):
         try:
-            # the ambient's block gives the roots (for L, on a cold spectrum
-            # cache) and is the block of the first step's one space
-            whole = top.ad_block(cols) if ambient is not None or not step else None
-            roots = (spectrum(L, h, whole).roots if ambient is None
-                     else factor_roots(min_poly(whole)))
-            blocks = ([whole] if not step
-                      else [space.ad_block(cols) for _, space in spaces])
+            return space.ad_block(cols)
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
+
+    for step, h in enumerate(basis):
+        cols = L._ad_ints(_scaled_vector(h))
+        # the ambient's block gives the roots (for L, on a cold spectrum
+        # cache) and is the block of the first step's one space
+        whole = ad_on(top, cols) if ambient is not None or not step else None
+        roots = (spectrum(L, h, whole) if ambient is None
+                 else Spectrum(min_poly(whole))).roots
         lams = [lam for lam, _mult in roots]
         seen_d.update(scalar_d(lam) for lam in lams if scalar_d(lam))
         if len(seen_d) > 1:
             raise ExtensionDegreeTooHigh(
                 "torus weights span two quadratic extensions")
         refined = []
-        for (weight, space), block in zip(spaces, blocks):
+        for weight, space in spaces:
+            block = whole if not step else ad_on(space, cols)
             left = space.dim
             for lam in lams:
                 if not left:

@@ -446,6 +446,20 @@ def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
     assert len(calls) == 5
 
 
+def test_one_spectral_path():
+    """Spectrum reads every minimal polynomial's roots: factor_roots takes
+    only the polynomial, rootsys and embed bind no factoring of their own
+    (embed's eigenvector step is a joint_eigenspaces call), and liecore
+    labels a spectrum without a second flag loop."""
+    import inspect
+    from lieembed import embed, exactlin, liecore, rootsys
+    assert list(inspect.signature(exactlin.factor_roots).parameters) == ["p"]
+    for name in ("factor_roots", "min_poly", "_scaled_vector"):
+        assert not hasattr(embed, name), name
+    assert not hasattr(rootsys, "factor_roots")
+    assert not hasattr(liecore, "_semisimple_kind")
+
+
 def test_no_runtime_dependencies():
     """In a fresh interpreter without site-packages (-S), importing every
     lieembed module and replaying the shipped corpus loads only lieembed

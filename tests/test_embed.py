@@ -153,6 +153,27 @@ def test_embed_compact_torus_rejects_real(so22):
         embed_compact_torus(so22, span(so22, so22.basis_vector("e2")))
 
 
+def test_compact_torus_fields_are_the_union_of_the_rows():
+    """In sl2 + sl2 + sl2, X - Y has weights +-2i and X' - 2Y' has weights
+    +-2 sqrt(-2): a torus of the two rows needs two fields.  The rows are
+    all checked compact first, so a non-compact row is reported before
+    two fields (H'' beside a row over both)."""
+    sl2 = {(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}}
+    table = {(i + k, j + k): {c + k: v for c, v in comp.items()}
+             for k in (0, 3, 6) for (i, j), comp in sl2.items()}
+    L = LieAlgebra(9, ["X", "H", "Y", "X'", "H'", "Y'", "X''", "H''", "Y''"], table)
+    u, v = L.element({"X": 1, "Y": -1}), L.element({"X'": 1, "Y'": -2})
+    for rows, message in (([u], None), ([v], None),
+                          ([u, v], "torus eigenvalues span two extensions"),
+                          ([vec_add(u, v), L.basis_vector("H''")], "H'' is not compact")):
+        if message is None:
+            embed_compact_torus(L, span(L, *rows))
+            continue
+        with pytest.raises(NotATorus) as info:
+            embed_compact_torus(L, span(L, *rows))
+        assert str(info.value) == message
+
+
 # --- abelian nilpotent ------------------------------------------------------------
 
 def test_embed_abelian_nilpotent_sl2(sl2):
@@ -704,11 +725,11 @@ def test_embed_nilpotent_reuses_the_last_passes_normalizer(wave15, g2, monkeypat
     the loop; the results and traces are the ones pinned below."""
     import lieembed.embed as embed
     calls = []
-    real_nm, real_ld = embed.normalizer, embed.levi_decomposition
+    real_nm, real_levi = embed.normalizer, embed._levi
     monkeypatch.setattr(embed, "normalizer",
                         lambda L, sub: calls.append(("nm", sub)) or real_nm(L, sub))
-    monkeypatch.setattr(embed, "levi_decomposition",
-                        lambda sub: calls.append(("ld", sub)) or real_ld(sub))
+    monkeypatch.setattr(embed, "_levi", lambda sub, series:
+                        calls.append(("ld", sub)) or real_levi(sub, series))
     cases = [
         (wave15, ("e8", "e10", "e11", "e12"),
          [("3.3/step4-eigenvector", ["e4-e15", "e6-e13"], 6)],
@@ -731,24 +752,38 @@ def test_embed_nilpotent_reuses_the_last_passes_normalizer(wave15, g2, monkeypat
 
 
 def test_levi_decomposition_derives_each_series_term_once(monkeypatch):
-    """Each Levi decomposition of the golden nilpotent embeds derives each
-    term of its radical's derived series once: the radical's solvability
-    check and the lifting share one series.  The normalizers that reach the
-    lifting have the pinned (dim, radical series) below."""
+    """Each pass of the golden nilpotent embeds derives each term of its
+    radical's derived series once: the radical's solvability check, the
+    lifting and the loop's derived radical share one series, and the loop
+    derives nothing itself.  The normalizers that reach the lifting have
+    the pinned (dim, radical series) below."""
     import lieembed.embed as embed
     import lieembed.liecore as liecore
-    derived, per_call = [], []
-    real_der, real_ld = liecore.derived_algebra, embed.levi_decomposition
+    derived, per_call, in_loop = [], [], []
+    real_der, real_series, real_levi = (liecore.derived_algebra, embed._radical_series,
+                                        embed._levi)
+    real_grow, real_embed_der = embed._grow_nilpotent, embed.derived_algebra
     monkeypatch.setattr(liecore, "derived_algebra",
                         lambda sub: derived.append(sub) or real_der(sub))
+    monkeypatch.setattr(embed, "_radical_series",
+                        lambda sub: derived.clear() or real_series(sub))
 
-    def levi_decomposition(sub):
-        derived.clear()
-        ld = real_ld(sub)
+    def _levi(sub, series):
+        ld = real_levi(sub, series)
         per_call.append((sub.dim, [s.dim for s in derived]))
         assert len(set(derived)) == len(derived), sub
         return ld
-    monkeypatch.setattr(embed, "levi_decomposition", levi_decomposition)
+
+    def grow(*args):
+        in_loop.append(True)
+        try:
+            return real_grow(*args)
+        finally:
+            in_loop.pop()
+    monkeypatch.setattr(embed, "_levi", _levi)
+    monkeypatch.setattr(embed, "_grow_nilpotent", grow)
+    monkeypatch.setattr(embed, "derived_algebra", lambda sub: (
+        pytest.fail("the loop derives the radical again") if in_loop else real_embed_der(sub)))
     cases = {c["name"]: c for c in corpus.load_shipped_corpus()["cases"]}
     for name, lifted in (("wave-embed-nilpotent", (11, [5, 4])),
                          ("g2-embed-nilpotent", (9, [6, 5, 3]))):

@@ -1127,11 +1127,13 @@ def test_eigenvalues_quartic_resolvent():
 
 def test_eigenvalues_two_extensions_rejected():
     # (t^2+1)(t^2+2) needs both sqrt(-1) and sqrt(-2)
-    with pytest.raises(ExtensionDegreeTooHigh):
-        factor_roots(QPoly([1, 0, 1]) * QPoly([2, 0, 1]))
-    # but classification mode tolerates them side by side
-    roots = factor_roots(QPoly([1, 0, 1]) * QPoly([2, 0, 1]), single_extension=False)
-    assert len(roots) == 4
+    p = QPoly([1, 0, 1]) * QPoly([2, 0, 1])
+    with pytest.raises(ExtensionDegreeTooHigh, match="two distinct quadratic"):
+        factor_roots(p)
+    # but the roots every spectrum reads hold them side by side
+    roots = exactlin._part_roots(*exactlin._squarefree_parts(p))
+    assert roots == _ref_factor_roots(p, single_extension=False)
+    assert {exactlin.scalar_d(r) for r, _ in roots} == {-1, -2}
 
 
 def test_eigenvalues_cubic_rejected():
@@ -1327,29 +1329,25 @@ def _perfbench_module(name):
 
 @functools.cache
 def _workload_calls():
-    """The arguments (polynomial, single_extension) of every factor_roots
-    call and of every Spectrum's roots (its polynomial rebuilt from the
-    squarefree parts it factors), and the result of every min_poly call,
-    of one verify pass and of rebased passes with seeds 101-103 (the
-    benchmark's requests, run in this process on fresh algebras)."""
+    """Every polynomial whose roots were factored (rebuilt from the
+    squarefree parts that :func:`exactlin._part_roots` factors, for
+    factor_roots and every Spectrum alike), and the result of every
+    min_poly call, of one verify pass and of rebased passes with seeds
+    101-103 (the benchmark's requests, run in this process on fresh
+    algebras)."""
     import lieembed
-    from lieembed import corpus, embed, liecore, rootsys, vecfield
+    from lieembed import corpus, liecore, rootsys, vecfield
     child, workloads = _perfbench_module("child"), _perfbench_module("workloads")
     polys, min_polys = [], []
-    real_roots, real_min_poly = exactlin.factor_roots, exactlin.min_poly
-    real_parts = exactlin._part_roots
+    real_min_poly, real_parts = exactlin.min_poly, exactlin._part_roots
 
-    def record(p, single_extension=True):
-        polys.append((p, single_extension))
-        return real_roots(p, single_extension)
-
-    def record_parts(zeros, prime, parts, single_extension):
+    def record_parts(zeros, prime, parts):
         p = QPoly([0] * zeros + [1])
         for g, mult in parts:
             for _ in range(mult):
                 p = p * QPoly(g)
-        polys.append((p, single_extension))
-        return real_parts(zeros, prime, parts, single_extension)
+        polys.append(p)
+        return real_parts(zeros, prime, parts)
 
     def record_min_poly(m):
         min_polys.append(real_min_poly(m))
@@ -1357,10 +1355,9 @@ def _workload_calls():
 
     golden = corpus.load_shipped_corpus()
     with pytest.MonkeyPatch.context() as mp:
-        for module in (rootsys, embed):
-            mp.setattr(module, "factor_roots", record)
-        mp.setattr(liecore, "_part_roots", record_parts)
-        for module in (liecore, embed):
+        for module in (exactlin, liecore):
+            mp.setattr(module, "_part_roots", record_parts)
+        for module in (liecore, rootsys):
             mp.setattr(module, "min_poly", record_min_poly)
         vecfield.algebra_by_name.cache_clear()
         for case in golden["cases"]:
@@ -1374,27 +1371,46 @@ def _workload_calls():
     return polys, min_polys
 
 
+def _assert_roots_match_oracles(p, roots):
+    """``roots()``, the roots of p in as many quadratic fields as they
+    need, are the divisor search's; where that gives up, sympy's
+    factor_list decides between its roots and ExtensionDegreeTooHigh.
+    Returns the divisor search's roots, or None."""
+    try:
+        want = _ref_factor_roots(p, single_extension=False)
+    except ExtensionDegreeTooHigh:
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        expr = _sympy_expr(sympy, t, p)
+        if _sympy_fits(sympy, t, expr, single_extension=False):
+            assert _roots_as_sympy(sympy, roots()) == _sympy_roots(sympy, t, expr), p
+        else:
+            with pytest.raises(ExtensionDegreeTooHigh):
+                roots()
+        return None
+    assert roots() == want, p
+    return want
+
+
 def test_factor_roots_matches_divisor_search_on_the_workloads():
     """On every polynomial of the benchmark's verify pass and rebased
-    seeds 101-103, the same roots as the divisor search; where that
-    raises, sympy's factor_list decides."""
+    seeds 101-103: _part_roots gives the divisor search's roots (or
+    sympy's verdict where that raises), and factor_roots gives the same
+    roots when they lie in one field and raises when they span two."""
     polys = _workload_calls()[0]
     assert len(polys) >= 100
-    for p, single in polys:
+    for p in polys:
+        _assert_roots_match_oracles(
+            p, lambda: exactlin._part_roots(*exactlin._squarefree_parts(p)))
         try:
-            want = _ref_factor_roots(p, single)
+            roots = exactlin._part_roots(*exactlin._squarefree_parts(p))
         except ExtensionDegreeTooHigh:
-            sympy = pytest.importorskip("sympy")
-            t = sympy.Symbol("t")
-            expr = _sympy_expr(sympy, t, p)
-            if _sympy_fits(sympy, t, expr, single):
-                assert (_roots_as_sympy(sympy, factor_roots(p, single))
-                        == _sympy_roots(sympy, t, expr))
-            else:
-                with pytest.raises(ExtensionDegreeTooHigh):
-                    factor_roots(p, single)
-            continue
-        assert factor_roots(p, single) == want, p
+            roots = None
+        if roots is None or len({exactlin.scalar_d(r) for r, _ in roots} - {0}) > 1:
+            with pytest.raises(ExtensionDegreeTooHigh):
+                factor_roots(p)
+        else:
+            assert factor_roots(p) == roots, p
 
 
 # --- signature / determinant ----------------------------------------------------

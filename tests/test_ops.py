@@ -138,7 +138,8 @@ def test_embed_pinned_cases_reach_every_nilpotent_rule():
 
 # _scaled_vector calls of the nilpotent embed below, by caller: 26 joint
 # weights in torus_split (one per weight of its two calls), 6 spanning
-# vectors, 12 elements whose ad columns spectrum, rootsys and embed read,
+# vectors, 12 elements whose ad columns spectrum and rootsys read (embed's
+# eigenvector step goes through rootsys.joint_eigenspaces),
 # 4 Jordan elements whose ad columns also give their spectrum, and 2
 # Killing norms of screened candidates.  The Killing form, the ad map and
 # the Jordan pull-back read integer tables and scale no further vector.
@@ -172,7 +173,7 @@ def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):
         if hasattr(module, "_scaled_vector"):
             monkeypatch.setattr(module, "_scaled_vector", lambda v: calls.append(v) or real(v))
             patched.add(info.name)
-    assert {"exactlin", "liecore", "rootsys", "embed"} <= patched
+    assert {"exactlin", "liecore", "rootsys"} <= patched
     vectors = parse_subspace_spec(L, "e8,e10,e11,e12")
     payload, _ = ops.embed(L, "nilpotent", vectors)
     assert payload["maximal"] and len(calls) == SCALED_VECTOR_CALLS

@@ -11,7 +11,8 @@ from lieembed.exactlin import (Matrix, eigenvalues, factor_roots,
                                is_complex_positive, kernel, make_scalar,
                                min_poly, scalar_d, solve_linear, vec_is_zero,
                                _scaled_rows, _scaled_vector)
-from lieembed.liecore import LieAlgebra, Subspace, normalizer, spectrum, torus_split
+from lieembed.liecore import (LieAlgebra, Spectrum, Subspace, normalizer, spectrum,
+                              torus_split)
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
@@ -501,10 +502,8 @@ def _ref_restricted_eigenspaces(L, basis, ambient=None):
     for h in basis:
         ad_h = L.ad(h)
         try:
-            if ambient is None:
-                roots = factor_roots(min_poly(ad_h), single_extension=False)
-            else:
-                roots = factor_roots(min_poly(_ref_block(ambient, ad_h)))
+            whole = ad_h if ambient is None else _ref_block(ambient, ad_h)
+            roots = Spectrum(min_poly(whole)).roots
             blocks = [_ref_block(space, ad_h) for _, space in spaces]
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
@@ -560,20 +559,28 @@ def test_integer_blocks_match_fraction_restriction(wave15, g2, monkeypatch):
 
 def test_surd_and_non_invariant_inputs_raise_as_before(so22, so4):
     """A torus basis element with surd coordinates, in the first or a later
-    position, with or without an ambient, and an ambient the torus does
-    not preserve: the same error and message as the Fraction restriction."""
+    position, with or without an ambient, raises min_poly's ValueError, as
+    root_space_decomposition and classify_element do on it.  Coordinates in
+    two fields, and an ambient the torus does not preserve: the same error
+    and message as the Fraction restriction."""
     from lieembed.embed import _positive_real_eigenspace
+    from lieembed.liecore import classify_element
     r2, r3 = make_scalar(0, 1, 2), make_scalar(0, 1, 3)
     E, R = so22.basis_vector, so4.basis_vector
     full = Subspace.full(so22)
-    cases = [(so22, [vec_scale(r2, E("e2"))], None),
-             (so22, [E("e2"), vec_scale(r2, E("e5"))], None),
-             (so22, [vec_scale(r2, E("e2"))], full),
-             (so22, [E("e2"), vec_scale(I, E("e5"))], full),
-             (so22, [E("e2"), tuple(r3 if k == 1 else r2 if k == 4 else F(0)
+    surd = [(so22, [vec_scale(r2, E("e2"))], None),
+            (so22, [E("e2"), vec_scale(r2, E("e5"))], None),
+            (so22, [vec_scale(r2, E("e2"))], full),
+            (so22, [E("e2"), vec_scale(I, E("e5"))], full),
+            (so4, [R("e1"), vec_scale(r3, R("e6"))], None),
+            (so4, [R("e1"), vec_scale(I, R("e6"))], Subspace.full(so4))]
+    for L, basis, ambient in surd:
+        for fn in (joint_eigenspaces, root_space_decomposition,
+                   lambda L, basis, _: classify_element(L, basis[-1])):
+            with pytest.raises(ValueError, match="min_poly needs a rational matrix"):
+                fn(L, basis, ambient)
+    cases = [(so22, [E("e2"), tuple(r3 if k == 1 else r2 if k == 4 else F(0)
                                     for k in range(6))], None),
-             (so4, [R("e1"), vec_scale(r3, R("e6"))], None),
-             (so4, [R("e1"), vec_scale(I, R("e6"))], Subspace.full(so4)),
              (so22, [E("e1")], span(so22, E("e2"))),
              (so22, [E("e2"), E("e1")], span(so22, E("e2"), E("e5")))]
     for L, basis, ambient in cases:
@@ -583,11 +590,13 @@ def test_surd_and_non_invariant_inputs_raise_as_before(so22, so4):
                 fn(L, basis, ambient)
             outcomes.append((type(info.value), str(info.value)))
         assert outcomes[0] == outcomes[1], basis
-    for alpha, space, match in ((vec_scale(r2, E("e2")), full, "rational matrix"),
-                                (E("e1"), span(so22, E("e2")), "not invariant")):
-        for fn in (_positive_real_eigenspace, _ref_positive_real_eigenspace):
-            with pytest.raises(ValueError, match=match):
-                fn(so22, alpha, space)
+    alpha = vec_scale(r2, E("e2"))
+    for fn in (_positive_real_eigenspace, _ref_positive_real_eigenspace):
+        with pytest.raises(ValueError, match="rational matrix"):
+            fn(so22, alpha, full)
+    # the eigenvector step goes through joint_eigenspaces
+    with pytest.raises(NotATorus, match="not invariant"):
+        _positive_real_eigenspace(so22, E("e1"), span(so22, E("e2")))
 
 
 def test_mixed_torus_splits_into_real_and_compact(so22):
