@@ -728,23 +728,28 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
     b_i*sqrt(d)) / scale`` for its row i, as :func:`_scaled_rows` and
     :meth:`Subspace.ad_block` give them.
 
-    Works on the integer matrix ``A = scale*m`` (the rows a_i).  For each
-    standard basis vector e with v = r(A) e nonzero (Horner), r, a
-    primitive integer list, becomes lcm(r, ann(e)) = r * ann(v), the
-    Krylov annihilator of v; the last r is the minimal polynomial of A, and
-    ``mp_m(t) = mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for
-    a non-square matrix or one with extension scalars (a nonzero b_i).
+    Works on the integer matrix ``A = scale*m`` (the rows a_i).  r, a
+    primitive integer list, starts as ann(e_0); one :func:`_int_horner`
+    pass of r over the later unit vectors finds the first e with v = r(A) e
+    nonzero, r becomes lcm(r, ann(e)) = r * ann(v), and the next pass starts
+    after e.  The last r is the minimal polynomial of A, and ``mp_m(t) =
+    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for a non-square
+    matrix or one with extension scalars (a nonzero b_i).
     """
     scale, rows = _int_matrix(m, "min_poly")
     n = len(rows)
-    ints = [1]
-    for start in range(n):
-        acc = _int_horner(rows, ints, start)
-        if any(acc):
-            # both factors are primitive, so their product is (Gauss)
-            ints = _int_mul(ints, _krylov_annihilator(rows, acc))
-            if len(ints) == n + 1:
-                break
+    ints, start = _krylov_annihilator(rows, [1] + [0] * (n - 1)) if n else [1], 1
+    while start < n and len(ints) <= n:
+        packed, w = _int_horner(rows, ints, range(start, n))
+        # slots below the first nonzero one are 0 in every row
+        low = min([(p & -p).bit_length() for p in packed if p], default=0)
+        if not low:
+            break
+        t = (low - 1) // w
+        # both factors are primitive, so their product is (Gauss)
+        ints = _int_mul(ints, _krylov_annihilator(
+            rows, [_int_slots(p >> w * t, w, 1)[0] for p in packed]))
+        start += t + 1
     return _monic_poly(ints, scale)
 
 
@@ -752,15 +757,31 @@ def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
     return [sum(a * v[j] for j, a in row) for row in rows]
 
 
-def _int_horner(rows: list[list[tuple[int, int]]], f: list[int], j: int) -> list[int]:
-    """f(A) e_j by Horner's rule, for the integer matrix A given by its
-    sparse rows and an integer list f."""
-    acc = [0] * len(rows)
-    acc[j] = f[-1]
+def _int_horner(rows: list[list[tuple[int, int]]], f: list[int], starts: Sequence[int]
+                ) -> tuple[list[int], int]:
+    """(packed, w): signed w-bit slot t of packed[i] is (f(A) e_s)_i for the
+    t-th s of ``starts``, from one Horner pass over all of them (Kronecker
+    substitution, as in :meth:`LieAlgebra._check_jacobi`).  Every Horner
+    partial is at most ``sum |f_k| N^k < 2^(w-1)``, N = max(1, max row
+    l1-norm of A), in absolute value, so a packed int is 0 exactly when its
+    slots are."""
+    norm, bound = max([1] + [sum(abs(a) for _, a in row) for row in rows]), 0
+    for c in reversed(f):
+        bound = bound * norm + abs(c)
+    w, unit = bound.bit_length() + 1, [0] * len(rows)
+    for t, s in enumerate(starts):
+        unit[s] = 1 << w * t
+    acc = [f[-1] * u for u in unit]
     for c in reversed(f[:-1]):
-        acc = _int_apply(rows, acc)
-        acc[j] += c
-    return acc
+        acc = [x + c * u for x, u in zip(_int_apply(rows, acc), unit)]
+    return acc, w
+
+
+def _int_slots(p: int, w: int, k: int) -> list[int]:
+    """The k lowest signed w-bit slots of a packed int."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    p += half * ((1 << w * k) - 1) // mask  # each slot biased into [0, 2^w)
+    return [(p >> w * t & mask) - half for t in range(k)]
 
 
 def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int],

@@ -17,8 +17,8 @@ from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
                        format_rat, linear_solver, min_poly, rat, scalar_d,
                        scalar_parts, scalar_to_json, symmetric_signature,
                        unit_vector, _int_clear, _int_horner, _int_mul, _int_prem,
-                       _kernel_ints, _part_roots, _primitive, _rref_ints, _same_d,
-                       _scaled_rows, _scaled_vector, _squarefree_parts,
+                       _int_slots, _kernel_ints, _part_roots, _primitive, _rref_ints,
+                       _same_d, _scaled_rows, _scaled_vector, _squarefree_parts,
                        _sub_multiple, _unscaled_vector)
 
 NILPOTENT = "nilpotent"
@@ -873,17 +873,17 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
 
     With A = den*ad(x) the integer matrix of the ad columns and p/pd =
     :func:`_semisimple_poly` with k + 1 coefficients, q(t) = sum p_j
-    den^(k-j) t^j has q(A) = den^k * pd * p(ad x); its columns, summed by
-    Horner's rule, go to the :meth:`LieAlgebra.ad_map` solve in that
-    scale."""
+    den^(k-j) t^j has q(A) = den^k * pd * p(ad x); its columns, from one
+    packed :func:`_int_horner` pass over every unit vector, go to the
+    :meth:`LieAlgebra.ad_map` solve in that scale."""
     den, _, rows = block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
     p, pd = _semisimple_poly(spectrum(L, x, block))
     k, n = len(p) - 1, L.dim
     q = [c * den ** (k - j) for j, c in enumerate(p)]
     rows = [list(a.items()) for a, _ in rows]
-    flat = {}
-    for c in range(n):
-        flat.update((r * n + c, v) for r, v in enumerate(_int_horner(rows, q, c)) if v)
+    packed, w = _int_horner(rows, q, range(n))
+    flat = {r * n + c: v for r, word in enumerate(packed)
+            for c, v in enumerate(_int_slots(word, w, n)) if v}
     # y with ad(y) = p(ad x), free coordinates 0
     sol = L.ad_map()[1]((den ** k * pd, 0, flat, {}))
     if sol is None:

@@ -156,3 +156,16 @@ def squarefree_decomposition(p) -> list:
             out.append((f, i))
         w, g, i = y, g.exact_div(y), i + 1
     return out
+
+
+def horner_per_start(rows, f, j):
+    """f(A) e_j by Horner's rule, one start vector at a time, for the
+    integer matrix A given by its sparse rows ``[(column, entry), ...]``
+    and the integer coefficients f, lowest degree first: the loop that the
+    packed ``exactlin._int_horner`` replaced, kept as its reference."""
+    acc = [0] * len(rows)
+    acc[j] = f[-1]
+    for c in reversed(f[:-1]):
+        acc = [sum(a * acc[k] for k, a in row) for row in rows]
+        acc[j] += c
+    return acc

@@ -446,6 +446,46 @@ def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
     assert len(calls) == 5
 
 
+def test_one_packed_horner_pass_per_annihilator(monkeypatch, wave15):
+    """min_poly evaluates r(A) on all of its later start vectors in one
+    packed _int_horner pass per Krylov annihilator after the first (a last
+    pass may find every slot 0), and jordan_decomposition takes all of
+    q(ad x) from one pass: no per-start Horner loop is left."""
+    import inspect
+    from lieembed import exactlin, liecore
+    assert list(inspect.signature(exactlin._int_horner).parameters) == ["rows", "f", "starts"]
+    passes, calls = [], []
+    horner, krylov = exactlin._int_horner, exactlin._krylov_annihilator
+    monkeypatch.setattr(exactlin, "_int_horner",
+                        lambda *args: passes.append(args[2]) or horner(*args))
+    monkeypatch.setattr(exactlin, "_krylov_annihilator",
+                        lambda *args: calls.append(args) or krylov(*args))
+    rng = random.Random(26)
+    cases = [exactlin.Matrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]]),
+             exactlin.Matrix([[F(int(i == j), 3) for j in range(8)] for i in range(8)]),
+             exactlin.Matrix([[0] * 6 for _ in range(6)]),
+             exactlin.Matrix([[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]),
+             wave15.ad(wave15.basis_vector("e1"))]
+    counts = []
+    for m in cases:
+        passes.clear()
+        calls.clear()
+        min_poly(m)
+        assert len(calls) - 1 <= len(passes) <= len(calls), (m, passes, calls)
+        assert all(p[-1] == m.rows - 1 for p in passes)
+        counts.append((len(passes), len(calls)))
+    # e3 after e1's block; a scalar or zero matrix: ann(e1), then one pass
+    # over the other 7 or 5 unit vectors finds every slot 0
+    assert counts[:3] == [(1, 2), (1, 1), (1, 1)]
+    jordan = []
+    monkeypatch.setattr(liecore, "_int_horner",
+                        lambda *args: jordan.append(args[2]) or horner(*args))
+    E = wave15.basis_vector
+    pair = jordan_decomposition(wave15, vec_add(E("e2"), E("e11")))
+    assert jordan == [range(wave15.dim)]
+    assert (pair.semisimple, pair.nilpotent) == (E("e2"), E("e11"))
+
+
 def test_one_spectral_path():
     """Spectrum reads every minimal polynomial's roots: factor_roots takes
     only the polynomial, rootsys and embed bind no factoring of their own

@@ -20,7 +20,8 @@ from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
                                linear_solver, make_scalar, min_poly, rat,
                                rref, solve_linear, squarefree_split,
                                symmetric_signature, unit_vector)
-from polyref import QMatrix, QPoly, poly_gcd, squarefree_decomposition
+from polyref import (QMatrix, QPoly, horner_per_start, poly_gcd,
+                     squarefree_decomposition)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
@@ -829,6 +830,91 @@ def test_min_poly_matches_fraction_reference_on_dense_ad_blocks():
                 cyclic += mp.degree == S.dim
                 derogatory += mp.degree < S.dim
     assert cyclic >= 4 and derogatory >= 4
+
+
+def _check_packed_horner(rows, f, starts):
+    """Every slot of one packed Horner pass equals the per-start Horner of
+    its start vector; a packed row is 0 exactly when its slots are."""
+    packed, w = exactlin._int_horner(rows, f, starts)
+    assert len(packed) == len(rows)
+    columns = [horner_per_start(rows, f, s) for s in starts]
+    for i, p in enumerate(packed):
+        slots = exactlin._int_slots(p, w, len(starts))
+        assert slots == [col[i] for col in columns], (rows, f, starts, i)
+        assert (p == 0) == (not any(slots))
+    return packed, w
+
+
+def _poly_cases(rng, degree):
+    """Integer polynomials up to ``degree`` with zero and negative
+    coefficients, and the monomial t^degree."""
+    out = [[0] * degree + [1], [rng.choice((-1, 1)) * rng.randint(1, 9)]]
+    for _ in range(2):
+        f = [rng.choice((0, 0, 1, -1, rng.randint(-2 ** 20, 2 ** 20)))
+             for _ in range(rng.randint(1, degree + 1))]
+        out.append(f[:-1] + [f[-1] or -3])
+    return out
+
+
+def test_packed_horner_matches_per_start_horner():
+    """One packed pass gives, slot by slot, the per-start Horner of
+    tests/polyref.py on the min_poly cases, dense 20-bit matrices and the
+    ad blocks of dense rebased wave15 and so(3,3), for start ranges that
+    begin at 0, 1, halfway and at the last index, a shuffled subset, and f
+    with zero and negative coefficients."""
+    from lieembed.liecore import Subspace
+    rng = random.Random(26)
+    dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
+             for n in (3, 6, 9)]
+    blocks = [_int_rows(m) for m in _min_poly_cases(seed=26, count=30) + dense]
+    for L in _dense_rebased_algebras():
+        for x in (unit_vector(L.dim, 0), unit_vector(L.dim, 7),
+                  tuple(F(rng.choice((-2, -1, 0, 1, 2))) for _ in range(L.dim))):
+            _, _, rows = Subspace.full(L).ad_block(L._ad_ints(exactlin._scaled_vector(x)))
+            blocks.append([list(a.items()) for a, _ in rows])
+    for rows in blocks:
+        n = len(rows)
+        for f in _poly_cases(rng, n + 1):
+            for lo in sorted({0, 1, n // 2, n - 1} & set(range(n))):
+                _check_packed_horner(rows, f, range(lo, n))
+            _check_packed_horner(rows, f, rng.sample(range(n), n // 2))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40) | st.just(0), min_size=n, max_size=n)
+             | st.just([0] * n), min_size=n, max_size=n),
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=n + 2),
+    st.integers(0, max(n - 1, 0)))))
+def test_packed_horner_property(case):
+    """Sizes 0-12, entries up to +-2^40, zero rows, any integer f: every
+    slot equals the per-start Horner."""
+    dense, f, lo = case
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in dense]
+    _check_packed_horner(rows, f, range(lo, len(rows)))
+
+
+def test_packed_horner_slot_width_is_tight():
+    """Near the bound: f(A) e_s reaches sum |f_k| N^k, so its slot needs
+    every one of the w bits; the same values packed and decoded in w - 1
+    bits come out wrong."""
+    big = [[(0, -2 ** 64)]]                          # (-2^64)^8 = 2^512
+    swap = [[(1, 2 ** 63)], [(0, 2 ** 63)]]           # the swap, times 2^63
+    cases = [(big, [0] * 8 + [1]), (big, [0] * 9 + [-1]),
+             (swap, [0] * 8 + [1]), (swap, [0] * 10 + [1]), (swap, [0] * 9 + [1])]
+    for rows, f in cases:
+        packed, w = _check_packed_horner(rows, f, range(len(rows)))
+        values = [horner_per_start(rows, f, s) for s in range(len(rows))]
+        top = max(abs(v) for col in values for v in col)
+        assert top == sum(abs(c) * (2 ** 64 if rows is big else 2 ** 63) ** k
+                          for k, c in enumerate(f))
+        assert w == top.bit_length() + 1
+        tight = [[col[i] for col in values] for i in range(len(rows))]
+        tight = [row for row in tight if max(row) == top]
+        assert tight
+        for row in tight:
+            narrow = sum(v << (w - 1) * t for t, v in enumerate(row))
+            assert exactlin._int_slots(narrow, w - 1, len(row)) != row
 
 
 def test_min_poly_known_values():
