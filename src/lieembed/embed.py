@@ -24,8 +24,9 @@ from .exactlin import (Vector, format_rat, is_complex_positive, scalar_d,
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       Subspace, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,
-                      jordan_decomposition, normalizer, center, spectrum,
-                      subalgebra_generated, torus_split, _levi, _radical_series)
+                      jordan_decomposition, levi_decomposition, normalizer,
+                      center, spectrum, subalgebra_generated, torus_split,
+                      _radical_series)
 from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
                       joint_eigenspaces, root_space_decomposition, simple_roots)
 
@@ -307,8 +308,8 @@ def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
     current = U
     for _ in range(2 * L.dim + 2):
         sub = closure(L, current)
-        series = _radical_series(sub)
-        ld = _levi(sub, series)
+        series = _radical_series(sub)  # kept: the Levi lifting reads it again
+        ld = levi_decomposition(sub)
         rprime = series[1] if len(series) > 1 else series[0]  # [r, r], or r = 0
         if not current.contains_subspace(rprime):
             rule, new = derived_rule, take(r for r in rprime.rows if not current.contains(r))

@@ -77,6 +77,10 @@ class LieAlgebra:
         self._signature: Optional[tuple[int, int, int, Scalar]] = None
         self._ad_solver: Optional[tuple[int, Callable]] = None
         self._spectra: dict[Vector, Spectrum] = {}
+        # rootsys.joint_eigenspaces per (ordered basis, ambient) and
+        # _radical_series per subspace, kept as :func:`spectrum` keeps spectra
+        self._eigenspaces: dict[tuple, tuple] = {}
+        self._series: dict[Subspace, tuple[Subspace, ...]] = {}
         if validate:
             self._check_jacobi()
 
@@ -690,13 +694,23 @@ def radical(obj) -> Subspace:
 
 
 def _radical_series(obj) -> list[Subspace]:
+    """The radical of a subspace (all of L for an algebra) and its derived
+    series down to 0, derived once per subspace and kept on the algebra; a
+    call that raises keeps nothing."""
+    sub = Subspace.full(obj) if isinstance(obj, LieAlgebra) else obj
+    kept = sub.algebra._series.get(sub)
+    if kept is None:
+        kept = sub.algebra._series[sub] = tuple(_derive_radical_series(sub))
+    return list(kept)
+
+
+def _derive_radical_series(sub: Subspace) -> list[Subspace]:
     """The radical, Killing-orthogonal to the derived algebra (Cartan's
     criterion), and its derived series down to 0, raising NotASubalgebra
     where the series stalls.  Works in the subspace as an algebra (L itself
     for all of L), spanning the derived algebra a batch of table rows at a
     time until full; a perfect algebra with a nondegenerate Killing form
     (the kept :meth:`LieAlgebra.killing_data`) is semisimple."""
-    sub = Subspace.full(obj) if isinstance(obj, LieAlgebra) else obj
     L, k = sub.algebra, sub.dim
     if k == 0:
         return [sub]
@@ -733,14 +747,10 @@ class LeviDecomposition(Frozen):
 
 def levi_decomposition(sub: Subspace) -> LeviDecomposition:
     """Levi decomposition by iterative lifting of a canonical complement
-    across the derived series of the radical (a linear solve per stage)."""
-    return _levi(sub, _radical_series(sub))
-
-
-def _levi(sub: Subspace, series: list[Subspace]) -> LeviDecomposition:
-    """:func:`levi_decomposition` of sub, given its :func:`_radical_series`;
-    in ints: the complement's rows x_i share the denominator X."""
-    L = sub.algebra
+    across the derived series of the radical (a linear solve per stage),
+    the kept :func:`_radical_series`; in ints: the complement's rows x_i
+    share the denominator X."""
+    L, series = sub.algebra, _radical_series(sub)
     rad = series[0]
     if rad.dim == 0:
         return LeviDecomposition(rad, sub)

@@ -725,11 +725,11 @@ def test_embed_nilpotent_reuses_the_last_passes_normalizer(wave15, g2, monkeypat
     the loop; the results and traces are the ones pinned below."""
     import lieembed.embed as embed
     calls = []
-    real_nm, real_levi = embed.normalizer, embed._levi
+    real_nm, real_levi = embed.normalizer, embed.levi_decomposition
     monkeypatch.setattr(embed, "normalizer",
                         lambda L, sub: calls.append(("nm", sub)) or real_nm(L, sub))
-    monkeypatch.setattr(embed, "_levi", lambda sub, series:
-                        calls.append(("ld", sub)) or real_levi(sub, series))
+    monkeypatch.setattr(embed, "levi_decomposition", lambda sub:
+                        calls.append(("ld", sub)) or real_levi(sub))
     cases = [
         (wave15, ("e8", "e10", "e11", "e12"),
          [("3.3/step4-eigenvector", ["e4-e15", "e6-e13"], 6)],
@@ -756,20 +756,22 @@ def test_levi_decomposition_derives_each_series_term_once(monkeypatch):
     radical's derived series once: the radical's solvability check, the
     lifting and the loop's derived radical share one series, and the loop
     derives nothing itself.  The normalizers that reach the lifting have
-    the pinned (dim, radical series) below."""
+    the pinned (dim, radical series) below.  The catalog algebras are
+    built again first, so that no series is kept from an earlier test."""
     import lieembed.embed as embed
     import lieembed.liecore as liecore
+    import lieembed.vecfield as vecfield
     derived, per_call, in_loop = [], [], []
     real_der, real_series, real_levi = (liecore.derived_algebra, embed._radical_series,
-                                        embed._levi)
+                                        embed.levi_decomposition)
     real_grow, real_embed_der = embed._grow_nilpotent, embed.derived_algebra
     monkeypatch.setattr(liecore, "derived_algebra",
                         lambda sub: derived.append(sub) or real_der(sub))
     monkeypatch.setattr(embed, "_radical_series",
                         lambda sub: derived.clear() or real_series(sub))
 
-    def _levi(sub, series):
-        ld = real_levi(sub, series)
+    def levi(sub):
+        ld = real_levi(sub)
         per_call.append((sub.dim, [s.dim for s in derived]))
         assert len(set(derived)) == len(derived), sub
         return ld
@@ -780,11 +782,12 @@ def test_levi_decomposition_derives_each_series_term_once(monkeypatch):
             return real_grow(*args)
         finally:
             in_loop.pop()
-    monkeypatch.setattr(embed, "_levi", _levi)
+    monkeypatch.setattr(embed, "levi_decomposition", levi)
     monkeypatch.setattr(embed, "_grow_nilpotent", grow)
     monkeypatch.setattr(embed, "derived_algebra", lambda sub: (
         pytest.fail("the loop derives the radical again") if in_loop else real_embed_der(sub)))
     cases = {c["name"]: c for c in corpus.load_shipped_corpus()["cases"]}
+    vecfield.algebra_by_name.cache_clear()
     for name, lifted in (("wave-embed-nilpotent", (11, [5, 4])),
                          ("g2-embed-nilpotent", (9, [6, 5, 3]))):
         per_call.clear()

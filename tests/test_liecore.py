@@ -241,6 +241,53 @@ def test_levi_semisimple_input(sl2):
     assert ld.radical.dim == 0 and ld.levi == Subspace.full(sl2)
 
 
+def test_radical_and_levi_derive_the_series_once(wave16, g2, monkeypatch):
+    """radical and levi_decomposition of one subspace share one derived
+    series, kept on the algebra: an algebra argument is its full subspace."""
+    import lieembed.liecore as liecore
+    derived = []
+    real = liecore.derived_algebra
+    monkeypatch.setattr(liecore, "derived_algebra",
+                        lambda sub: derived.append(sub) or real(sub))
+    L = LieAlgebra.from_json(wave16.to_json())
+    M = LieAlgebra.from_json(g2.to_json())
+    X = M.basis_vector
+    for obj, full, steps in ((L, Subspace.full(L), 1),
+                             (normalizer(M, span(M, X("X14"), X("X13"), X("X12"))), None, 3)):
+        derived.clear()
+        rad = radical(obj)
+        assert len(derived) == steps
+        ld = levi_decomposition(full or obj)
+        assert len(derived) == steps and ld.radical == rad
+    assert list(L._series) == [Subspace.full(L)]
+
+
+def test_kept_radical_series_is_not_the_returned_list(wave16):
+    from lieembed.liecore import _radical_series
+    L = LieAlgebra.from_json(wave16.to_json())
+    first = _radical_series(L)
+    want = list(first)
+    first.clear()
+    assert _radical_series(Subspace.full(L)) == want
+
+
+def test_a_failing_radical_series_raises_on_every_call(sl2):
+    L = LieAlgebra.from_json(sl2.to_json())
+    X = L.basis_vector
+    for _ in range(2):
+        with pytest.raises(NotASubalgebra):
+            radical(span(L, X("X"), X("Y")))
+        assert L._series == {}
+
+
+def test_copies_of_an_algebra_keep_their_own_radical_series(wave16):
+    L1, L2 = (LieAlgebra.from_json(wave16.to_json()) for _ in range(2))
+    rad = radical(L1)
+    assert L2._series == {}
+    assert radical(L2).algebra is L2 and rad.algebra is L1
+    assert radical(L2).to_json() == rad.to_json()
+
+
 def test_levi_nontrivial_lift():
     # 2d abelian ideal acted on by sl2 is not complemented by coordinates:
     # basis (X, H, Y, a, b) with sl2 acting on <a, b> as the standard rep,

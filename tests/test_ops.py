@@ -138,16 +138,18 @@ def test_embed_pinned_cases_reach_every_nilpotent_rule():
 
 # _scaled_vector calls of the nilpotent embed below, by caller: 26 joint
 # weights in torus_split (one per weight of its two calls), 6 spanning
-# vectors, 12 elements whose ad columns spectrum and rootsys read (embed's
-# eigenvector step goes through rootsys.joint_eigenspaces),
+# vectors, 9 elements whose ad columns spectrum and rootsys read (embed's
+# eigenvector step goes through rootsys.joint_eigenspaces; the second
+# torus_split of the same torus reads the kept joint eigenspaces),
 # 4 Jordan elements whose ad columns also give their spectrum, and 2
 # Killing norms of screened candidates.  The Killing form, the ad map and
 # the Jordan pull-back read integer tables and scale no further vector.
-# With a Fraction ad matrix and semisimple part per Jordan element the
-# request made 56 calls, with Fraction Killing and ad matrices and Fraction
+# With the torus's ad columns read again by the second torus_split the
+# request made 50 calls, with a Fraction ad matrix and semisimple part per
+# Jordan element 56, with Fraction Killing and ad matrices and Fraction
 # weight rows 126, with Fraction ad matrices handed to restrict and
 # kernel_of 777, and with Fraction tuples as subspace state 3,922
-SCALED_VECTOR_CALLS = 50
+SCALED_VECTOR_CALLS = 47
 
 
 def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):

@@ -694,9 +694,15 @@ def test_joint_eigenspaces_read_each_ad_once(wave15, monkeypatch):
     assert len(reads) == len(basis)
 
 
+def _cold(L):
+    """A copy of L that keeps nothing yet."""
+    return LieAlgebra.from_json(L.to_json(), name=L.name)
+
+
 def test_joint_eigenspaces_stop_once_a_space_is_filled(wave15, g2, monkeypatch):
     """A space tries eigenvalues only until its eigenspaces fill it: on
-    each space the last eigenspace computed is the one that completes it."""
+    each space the last eigenspace computed is the one that completes it.
+    Cold copies, since the algebras keep their joint eigenspaces."""
     tried = {}  # id -> (space, eigenspace dims in call order)
     real = Subspace.eigenspace
 
@@ -707,10 +713,81 @@ def test_joint_eigenspaces_stop_once_a_space_is_filled(wave15, g2, monkeypatch):
 
     monkeypatch.setattr(Subspace, "eigenspace", counted)
     for L, names in ((wave15, ("e7m16", "e2", "e14")), (g2, ("X6", "X8"))):
+        L = _cold(L)
         joint_eigenspaces(L, [L.basis_vector(n) for n in names])
     assert len(tried) > 10
     for space, dims in tried.values():
         assert sum(dims) == space.dim and dims[-1] > 0
+
+
+def test_a_torus_is_decomposed_once_per_algebra(wave15, monkeypatch):
+    """A second decomposition, restricted decomposition or split of the same
+    torus on one algebra forms no eigenspace, and gives what a cold copy
+    of the algebra gives."""
+    L = _cold(wave15)
+    E = L.basis_vector
+    basis = [E("e7m16"), E("e2"), E("e14")]
+    ambient = normalizer(L, span(L, E("e8"), E("e10"), E("e11"), E("e12")))
+    calls = [
+        (lambda M: root_space_decomposition(M, [M.element(h) for h in basis]),
+         lambda r: r.to_json()),
+        (lambda M: restricted_roots(Subspace(M, ambient.rows), [M.element(h)
+                                                               for h in basis[:2]]),
+         lambda r: r.to_json()),
+        (lambda M: torus_split(M, Subspace(M, [M.element(h) for h in basis])),
+         lambda parts: [part.to_json() for part in parts]),
+    ]
+    formed = []
+    real = Subspace.eigenspace
+    monkeypatch.setattr(Subspace, "eigenspace",
+                        lambda self, block, lam: formed.append(lam) or real(self, block, lam))
+    for call, as_json in calls:
+        call(L)
+        formed.clear()
+        again = call(L)
+        assert formed == []
+        assert as_json(again) == as_json(call(_cold(L)))
+        assert formed  # the cold copy forms its eigenspaces
+
+
+def test_kept_eigenspaces_are_not_the_returned_list(wave15):
+    L = _cold(wave15)
+    basis = [L.basis_vector("e7m16"), L.basis_vector("e2")]
+    first = joint_eigenspaces(L, basis)
+    want = list(first)
+    first.clear()
+    second = joint_eigenspaces(L, basis)
+    assert second == want and second is not first
+    second.append(second.pop(0))
+    assert joint_eigenspaces(L, basis) == want
+
+
+def test_a_failing_torus_raises_on_every_call():
+    """The two-field element and a non-invariant ambient raise each time,
+    and leave nothing kept."""
+    L = _sl2_sum()
+    # X - Y has weights +-2i, X' + 2Y' has weights +-2 sqrt 2
+    h = (F(1), F(0), F(-1), F(1), F(0), F(2))
+    # [H, X + Y] = 2X - 2Y leaves <X + Y>
+    ambient = span(L, L.element({"X": 1, "Y": 1}))
+    for basis, amb, error, match in (([h], None, ExtensionDegreeTooHigh, "two quadratic"),
+                                     ([L.basis_vector("H")], ambient, NotATorus,
+                                      "not invariant")):
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                joint_eigenspaces(L, basis, amb)
+            assert L._eigenspaces == {}
+
+
+def test_copies_of_an_algebra_keep_their_own_eigenspaces(wave15):
+    L1, L2 = _cold(wave15), _cold(wave15)
+    basis = [L1.basis_vector("e7m16"), L1.basis_vector("e2")]
+    one = joint_eigenspaces(L1, basis)
+    assert L2._eigenspaces == {}
+    two = joint_eigenspaces(L2, basis)
+    assert {s.algebra for _, s in one} == {L1} and {s.algebra for _, s in two} == {L2}
+    assert [(w, s.to_json()) for w, s in one] == [(w, s.to_json()) for w, s in two]
+    assert len(L1._eigenspaces) == len(L2._eigenspaces) == 1
 
 
 def _sl2_sum():
