@@ -35,7 +35,8 @@ _TERM_RE = re.compile(
 
 def parse_combination(text: str, names=None) -> dict:
     """Name -> coefficient map of one linear combination, e.g. ``-e13+e6``
-    or ``2e12+1/2*e5``; names outside ``names`` (when given) are errors."""
+    or ``2e12+1/2*e5``; names outside ``names`` (when given) are errors, and
+    so is a term after the first that does not start with ``+`` or ``-``."""
     pos = 0
     coords = {}
     text = text.strip()
@@ -43,6 +44,8 @@ def parse_combination(text: str, names=None) -> dict:
         m = _TERM_RE.match(text, pos)
         if not m:
             raise ParseError(f"cannot parse element term at {text[pos:]!r}")
+        if pos and not m.group("sign"):
+            raise ParseError(f"expected + or - before {text[pos:].strip()[:40]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         try:
             coef = rat(m.group("coef") or 1)

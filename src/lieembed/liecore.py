@@ -37,11 +37,12 @@ class LieAlgebra:
     :class:`InvalidStructureConstants`, and so does a Jacobi failure.
 
     The integer table ``D * c``, with ``D`` the lcm of all denominators, is
-    built once and kept on the algebra (:meth:`scaled_table`).
-    :meth:`bracket`, :meth:`ad`, :meth:`ad_map`, the Jacobi check and the
-    Killing table (:meth:`killing_table`) all sum over it in plain ints.
-    The Jacobi identity is checked on construction: it is homogeneous
-    quadratic in the constants, so scaling keeps every verdict.
+    built on construction (:meth:`scaled_table`).  :meth:`bracket`,
+    :meth:`ad`, :meth:`ad_map`, the Jacobi check and the Killing table
+    (:meth:`killing_table`) all sum over it in plain ints.  The Jacobi
+    identity is checked on construction: it is homogeneous quadratic in the
+    constants, so scaling keeps every verdict.  Every other result the
+    algebra keeps goes through :meth:`kept`.
     """
 
     def __init__(self, dim: int, basis_names: Sequence[str],
@@ -72,17 +73,29 @@ class LieAlgebra:
             if comp:
                 table[(i, j)] = comp
         self.brackets = table
-        self._table: Optional[tuple[int, list[list[dict]]]] = None
-        self._killing: Optional[tuple[int, list[tuple[dict, dict]]]] = None
-        self._signature: Optional[tuple[int, int, int, Scalar]] = None
-        self._ad_solver: Optional[tuple[int, Callable]] = None
-        self._spectra: dict[Vector, Spectrum] = {}
-        # rootsys.joint_eigenspaces per (ordered basis, ambient) and
-        # _radical_series per subspace, kept as :func:`spectrum` keeps spectra
-        self._eigenspaces: dict[tuple, tuple] = {}
-        self._series: dict[Subspace, tuple[Subspace, ...]] = {}
+        scale = lcm(*(c.denominator for comp in table.values()
+                      for c in comp.values()))
+        empty: dict = {}
+        rows: list[list[dict]] = [[empty] * dim for _ in range(dim)]
+        for (i, j), comp in table.items():
+            row = {k: c.numerator * (scale // c.denominator)
+                   for k, c in comp.items()}
+            rows[i][j] = row
+            rows[j][i] = {k: -v for k, v in row.items()}
+        self._scaled = scale, rows
+        self._store: dict[tuple, object] = {}
         if validate:
             self._check_jacobi()
+
+    def kept(self, key: tuple, make: Callable[[], object]):
+        """The result kept under ``key``, a tuple whose first entry names
+        its kind, such as ``("spectrum", x)`` or ``("series", sub)``:
+        ``make()`` on first use, kept for the algebra's life.  A ``make``
+        that raises keeps nothing."""
+        value = self._store.get(key)
+        if value is None:
+            value = self._store[key] = make()
+        return value
 
     # -- construction helpers
 
@@ -161,7 +174,7 @@ class LieAlgebra:
         an empty surd part, for the Killing form K_ij = trace(ad b_i ad b_j)
         = sum_{s,r} c_is^r c_jr^s summed over the integer table ``D * c``;
         built on first use and kept."""
-        if self._killing is None:
+        def make():
             scale, table = self.scaled_table()
             n = self.dim
             # nonzero entries (r, s) of D * ad(b_i), as (s, r, value)
@@ -174,8 +187,8 @@ class LieAlgebra:
                     t = sum(v * tj[r].get(s, 0) for s, r, v in ads[i])
                     if t:
                         rows[i][0][j] = rows[j][0][i] = t
-            self._killing = scale * scale, rows
-        return self._killing
+            return scale * scale, rows
+        return self.kept(("killing_table",), make)
 
     def killing_matrix(self) -> Matrix:
         """The Killing form's matrix, read off :meth:`killing_table`."""
@@ -186,10 +199,8 @@ class LieAlgebra:
     def killing_data(self) -> tuple[int, int, int, Scalar]:
         """(n_pos, n_neg, n_zero, det) of the Killing form, from one
         :func:`symmetric_signature` of :meth:`killing_table`; kept."""
-        if self._signature is None:
-            den, rows = self.killing_table()
-            self._signature = symmetric_signature((den, 0, rows))
-        return self._signature
+        den, rows = self.killing_table()
+        return self.kept(("killing_data",), lambda: symmetric_signature((den, 0, rows)))
 
     def killing(self, x: Vector, y: Vector) -> Scalar:
         """B(x, y), summed in ints over :meth:`killing_table`."""
@@ -205,14 +216,14 @@ class LieAlgebra:
         ad(b_i) read row by row (:func:`linear_solver` of the scaled table's
         columns, so ``solve`` takes the scaled form of :func:`_scaled_vector`);
         factored once, kept."""
-        if self._ad_solver is None:
+        def make():
             n = self.dim
             scale, table = self.scaled_table()
             # entry (r, c) of D * ad(b_i) is D * [b_i, b_c] at r
             cols = [({r * n + c: v for c, row in enumerate(table[i]) for r, v in row.items()}, {})
                     for i in range(n)]
-            self._ad_solver = linear_solver((scale, 0, cols), n * n)
-        return self._ad_solver
+            return linear_solver((scale, 0, cols), n * n)
+        return self.kept(("ad_map",), make)
 
     def center_dim(self) -> int:
         """Dimension of the center (kernel of the adjoint map)."""
@@ -221,20 +232,8 @@ class LieAlgebra:
     def scaled_table(self) -> tuple[int, list[list[dict]]]:
         """(D, table) with D the lcm of all denominators and table[a][b] =
         D * [b_a, b_b] as a sparse integer row, both orders stored; built on
-        first use and kept.  Zero brackets share one empty row."""
-        if self._table is None:
-            n = self.dim
-            scale = lcm(*(c.denominator for comp in self.brackets.values()
-                          for c in comp.values()))
-            empty: dict = {}
-            table: list[list[dict]] = [[empty] * n for _ in range(n)]
-            for (i, j), comp in self.brackets.items():
-                row = {k: c.numerator * (scale // c.denominator)
-                       for k, c in comp.items()}
-                table[i][j] = row
-                table[j][i] = {k: -v for k, v in row.items()}
-            self._table = scale, table
-        return self._table
+        construction.  Zero brackets share one empty row."""
+        return self._scaled
 
     def _check_jacobi(self):
         """The Jacobi sum of every basis triple, on packed table rows: with
@@ -698,10 +697,7 @@ def _radical_series(obj) -> list[Subspace]:
     series down to 0, derived once per subspace and kept on the algebra; a
     call that raises keeps nothing."""
     sub = Subspace.full(obj) if isinstance(obj, LieAlgebra) else obj
-    kept = sub.algebra._series.get(sub)
-    if kept is None:
-        kept = sub.algebra._series[sub] = tuple(_derive_radical_series(sub))
-    return list(kept)
+    return list(sub.algebra.kept(("series", sub), lambda: tuple(_derive_radical_series(sub))))
 
 
 def _derive_radical_series(sub: Subspace) -> list[Subspace]:
@@ -967,12 +963,8 @@ def spectrum(L: LieAlgebra, x: Vector, block: Optional[tuple] = None) -> Spectru
     ``block``, ad(x) on all of L as :meth:`Subspace.ad_block` gives it, when
     the caller has it.  The element must have rational coordinates (see
     :func:`min_poly`)."""
-    s = L._spectra.get(x)
-    if s is None:
-        if block is None:
-            block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
-        s = L._spectra[x] = Spectrum(min_poly(block))
-    return s
+    return L.kept(("spectrum", x), lambda: Spectrum(min_poly(
+        block or Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x))))))
 
 
 def classify_element(L: LieAlgebra, x: Vector) -> str:

@@ -102,12 +102,14 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     scalar tower, ExtensionDegreeTooHigh if the weights need two quadratic
     extensions, and :func:`min_poly`'s ValueError for an element with
     irrational coordinates.  The spaces are kept on L per (ordered basis,
-    ambient), as spectra are; a call that raises keeps nothing.
+    ambient) (:meth:`LieAlgebra.kept`); a call that raises keeps nothing.
     """
-    key = (tuple(map(tuple, basis)), ambient)
-    kept = L._eigenspaces.get(key)
-    if kept is not None:
-        return list(kept)
+    return list(L.kept(("eigenspaces", tuple(map(tuple, basis)), ambient),
+                       lambda: _derive_joint_eigenspaces(L, basis, ambient)))
+
+
+def _derive_joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
+                              ambient: Optional[Subspace]) -> tuple:
     top = Subspace.full(L) if ambient is None else ambient
     spaces: list[tuple[tuple, Subspace]] = [((), top)]
     seen_d = set()
@@ -144,8 +146,7 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
         if sum(s.dim for _, s in refined) != sum(s.dim for _, s in spaces):
             raise NotATorus("action is not diagonalizable over the tower")
         spaces = refined
-    L._eigenspaces[key] = tuple(spaces)
-    return spaces
+    return tuple(spaces)
 
 
 def root_space_decomposition(L: LieAlgebra, cartan,

@@ -400,6 +400,26 @@ def test_subspace_spec_parsing(run):
     assert len(payload["maximal"]) == 4
 
 
+def test_terms_after_the_first_need_a_sign(run):
+    """A term after the first starts with + or -: "e8 e10" is not the one
+    vector e8+e10, and "e1*e2" is not e1+e2.  The README forms parse as
+    before."""
+    from fractions import Fraction as F
+
+    from lieembed.cli import parse_combination, parse_subspace_spec
+    from lieembed.vecfield import algebra_by_name
+    for spec in ("e8 e10", "e1*e2"):
+        code, out, err = run(["embed", "wave15", "--mode", "abelian-nilpotent",
+                              "--subspace", spec])
+        assert (code, out) == (2, "") and err.startswith("error: expected + or - before")
+    L = algebra_by_name("wave15")
+    assert parse_subspace_spec(L, "e8+e10, e11, -e13+e6") == [
+        L.element({"e8": 1, "e10": 1}), L.element({"e11": 1}),
+        L.element({"e13": -1, "e6": 1})]
+    assert parse_combination("2e12+1/2*e5") == {"e12": F(2), "e5": F(1, 2)}
+    assert parse_combination("3/7*e15") == {"e15": F(3, 7)}
+
+
 def test_roots_and_dynkin(run):
     code, out, _ = run(["roots", "so(4,0)", "--cartan", "e1,e6"])
     assert code == 0

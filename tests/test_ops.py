@@ -213,6 +213,28 @@ def test_analyze_eliminates_the_killing_matrix_once(monkeypatch):
             "signature": {"pos": pos, "neg": neg, "zero": zero}}
 
 
+def test_one_store_keeps_every_kind_once(wave16):
+    """On a cold copy of wave16, analyze, a nilpotent embed and a roots call
+    leave every kind of kept result in the algebra's one store
+    (LieAlgebra.kept), and repeating them adds no entry and makes none
+    again."""
+    from lieembed.liecore import LieAlgebra
+    L = LieAlgebra.from_json(wave16.to_json(), name="wave16")
+
+    def requests():
+        ops.analyze(L)
+        ops.embed(L, "nilpotent", parse_subspace_spec(L, "e8,e10,e11,e12"))
+        ops.roots(ops.decompose(L, parse_subspace_spec(L, "e7,e2,e14"), None))
+
+    requests()
+    kept = dict(L._store)
+    assert {key[0] for key in kept} == {"killing_table", "killing_data", "ad_map",
+                                        "spectrum", "eigenspaces", "series"}
+    requests()
+    assert L._store.keys() == kept.keys()
+    assert all(L._store[key] is value for key, value in kept.items())
+
+
 def test_other_library_errors_are_failed_preconditions():
     assert ops.error_exit(NotASubalgebra("bracket leaves the subspace")) == (
         5, "error: precondition failed: bracket leaves the subspace")
