@@ -4,12 +4,12 @@ Commands: analyze, embed, roots, dynkin, vf-brackets, vf-invariants, verify.
 Each command parses its arguments into one ``ops`` call and prints the
 payload.  stdout carries data (JSON by default), stderr carries
 diagnostics.  Exit codes: 0 success, 1 verification mismatch, 2 parse
-error (including an unknown catalog, a JSON document whose top level is
-not an object, and a non-integer ``LIEEMBED_SEED``), 3 invalid structure
-constants in the input (index out of range or bad Jacobi), 4 scalar-tower
-overflow, 5 embedding precondition failure (including a candidate search
-that exhausts its budget, and a root system that matches no Dynkin
-diagram).
+error (including an unknown catalog and a JSON document whose top level
+is not an object), 3 invalid structure constants in the input (index out
+of range or bad Jacobi), 4 scalar-tower overflow, 5 embedding precondition
+failure (including a candidate search that exhausts its budget, and a root
+system that matches no Dynkin diagram).  Every result depends only on the
+command's arguments and input files; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def cmd_analyze(args) -> int:
 def cmd_embed(args) -> int:
     L = load_algebra(args.input)
     return _emit(ops.embed(L, args.mode, parse_subspace_spec(L, args.subspace),
-                           args.seed, args.budget), args.format)
+                           args.budget), args.format)
 
 
 def cmd_roots(args) -> int:
@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "nilpotent"))
     sp.add_argument("--subspace", default="",
                     help="comma-separated combinations, e.g. 'e8+e10, e11'")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="search seed (default LIEEMBED_SEED or 0)")
     sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                     help="canonical search budget (candidate count)")
     common(sp)

@@ -3,14 +3,14 @@ subalgebras, abelian and general ad-nilpotent algebras into maximal ones,
 and maximal-compact construction from simple restricted roots.
 
 Every nondeterministic "pick any element" in the underlying procedures is
-resolved by a canonical enumeration (RREF basis order, then small integer
-combinations, then seeded pseudo-random combinations), so runs are
-reproducible; traces record each adjoined element with a rule label.
+resolved by one canonical enumeration (RREF basis order, then small integer
+combinations, then one fixed pseudo-random stream), so a search depends
+only on its arguments; traces record each adjoined element with a rule
+label.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import (ExtensionDegreeTooHigh, Frozen, NoCompactFound,
                      NoRealSemisimpleFound, NotAbelianNilpotent, NotATorus,
-                     NotNilpotent, NotSplit, ParseError, Record)
+                     NotNilpotent, NotSplit, Record)
 from .exactlin import (Vector, format_rat, is_complex_positive, scalar_d,
                        vec_is_zero)
 from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
@@ -30,7 +30,6 @@ from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
 from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
                       joint_eigenspaces, root_space_decomposition, simple_roots)
 
-DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10_000
 
 RULE_REAL_ADJOIN = "3.1/step3-adjoin-real"
@@ -41,14 +40,6 @@ RULE_AB_EIGEN = "3.2/eigenvector"
 RULE_NIL_DERIVED = "3.3/step2-adjoin-derived"
 RULE_NIL_JORDAN = "3.3/step3-jordan-nilpotent"
 RULE_NIL_EIGEN = "3.3/step4-eigenvector"
-
-
-def search_seed() -> int:
-    env = os.environ.get("LIEEMBED_SEED")
-    try:
-        return int(env) if env else DEFAULT_SEED
-    except ValueError:
-        raise ParseError(f"LIEEMBED_SEED must be an integer, got {env!r}") from None
 
 
 class TraceStep(Record):
@@ -98,10 +89,10 @@ class CartanData(Frozen):
 _COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
 
 
-def _candidates(sub: Subspace, budget: int, seed: int):
-    """The first ``budget`` deterministic candidate elements of a subspace:
+def _candidates(sub: Subspace, budget: int):
+    """The first ``budget`` canonical candidate elements of a subspace:
     basis rows, then integer combinations with coefficients in {-2..2},
-    then seeded pseudo-random rational combinations."""
+    then rational combinations from one fixed pseudo-random stream."""
     def stream():
         yield from sub.rows
         k = sub.dim
@@ -110,7 +101,7 @@ def _candidates(sub: Subspace, budget: int, seed: int):
                 for coeffs in product(_COEFFS, repeat=size):
                     picked = dict(zip(positions, coeffs))
                     yield sub.from_coords([picked.get(p, 0) for p in range(k)])
-        rng = random.Random(seed)
+        rng = random.Random(0)
         while k:  # a 0-dim subspace has no nonzero element to draw
             v = sub.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                  for _ in range(k)])
@@ -120,16 +111,14 @@ def _candidates(sub: Subspace, budget: int, seed: int):
     return islice(stream(), max(budget, 0))
 
 
-def _screen(sub: Subspace, budget: int, seed: Optional[int], sign: int, accept
-            ) -> Optional[Vector]:
+def _screen(sub: Subspace, budget: int, sign: int, accept) -> Optional[Vector]:
     """First canonical candidate v of ``sub`` with sign * B(v,v) > 0 that
     ``accept(L, v)`` takes, or None.  B(v,v) is the sum of the squared
     eigenvalues of ad(v): positive for a real-semisimple element, negative
     for a compact one, so a candidate of the other sign is skipped
     unclassified (it still counts toward ``budget``)."""
     L = sub.algebra
-    seed = search_seed() if seed is None else seed
-    for v in _candidates(sub, budget, seed):
+    for v in _candidates(sub, budget):
         if sign * L.killing(v, v) <= 0:
             continue
         try:
@@ -140,11 +129,10 @@ def _screen(sub: Subspace, budget: int, seed: Optional[int], sign: int, accept
     return None
 
 
-def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET,
-                         seed: Optional[int] = None) -> Vector:
+def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET) -> Vector:
     """First canonical element of ``sub`` that is real-semisimple with a
     nonzero eigenvalue in the ambient algebra."""
-    v = _screen(sub, budget, seed, 1,
+    v = _screen(sub, budget, 1,
                 lambda L, v: classify_element(L, v) == REAL_SEMISIMPLE)
     if v is None:
         raise NoRealSemisimpleFound(
@@ -154,8 +142,7 @@ def find_real_semisimple(sub: Subspace, budget: int = DEFAULT_BUDGET,
 
 
 def find_compact(sub: Subspace, d_required: Optional[int] = None,
-                 budget: int = DEFAULT_BUDGET,
-                 seed: Optional[int] = None) -> Vector:
+                 budget: int = DEFAULT_BUDGET) -> Vector:
     """First canonical compact-semisimple element whose eigenvalues stay in
     one quadratic extension compatible with ``d_required``."""
     def fits(L, v):
@@ -165,7 +152,7 @@ def find_compact(sub: Subspace, d_required: Optional[int] = None,
         ds = spectrum(L, v).extensions
         return len(ds) == 1 and d_required in (None, *ds)
 
-    v = _screen(sub, budget, seed, -1, fits)
+    v = _screen(sub, budget, -1, fits)
     if v is None:
         raise NoCompactFound(
             f"no compatible compact element in a {sub.dim}-dim subspace "
@@ -211,8 +198,7 @@ def _central(L: LieAlgebra, x: Vector) -> bool:
     return s.nilpotent and s.semisimple
 
 
-def embed_real_torus(L: LieAlgebra, A: Subspace,
-                     budget: int = DEFAULT_BUDGET, seed: Optional[int] = None
+def embed_real_torus(L: LieAlgebra, A: Subspace, budget: int = DEFAULT_BUDGET
                      ) -> tuple[Subspace, CartanData, EmbeddingTrace]:
     """Grow a real torus to a maximal one and a maximally real Cartan:
     centralizer / derived / center loop, adjoining a real-semisimple element
@@ -227,7 +213,7 @@ def embed_real_torus(L: LieAlgebra, A: Subspace,
         der = derived_algebra(zc)
         if is_negative_definite(der):
             break  # current is unchanged: this pass's zc and der still hold
-        new = find_real_semisimple(der, budget=budget, seed=seed)
+        new = find_real_semisimple(der, budget=budget)
         current = current.with_vectors([new])
         trace.record(RULE_REAL_ADJOIN, [new], current)
     else:
@@ -239,8 +225,7 @@ def embed_real_torus(L: LieAlgebra, A: Subspace,
 
 
 def embed_compact_torus(L: LieAlgebra, T: Subspace,
-                        budget: int = DEFAULT_BUDGET,
-                        seed: Optional[int] = None) -> CartanData:
+                        budget: int = DEFAULT_BUDGET) -> CartanData:
     """Grow a compact torus to a maximally compact Cartan subalgebra by the
     dual centralizer / center / derived chain, adjoining compact elements
     whose eigenvalues stay in the torus's quadratic extension."""
@@ -258,7 +243,7 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
         if der.dim == 0:
             real_part, compact_part = torus_split(L, zc)
             return CartanData(zc, real_part, compact_part)
-        new = find_compact(der, d_required=d_ctx, budget=budget, seed=seed)
+        new = find_compact(der, d_required=d_ctx, budget=budget)
         if d_ctx is None:
             ds = spectrum(L, new).extensions
             d_ctx = next(iter(ds), None)
@@ -292,8 +277,7 @@ _GENERAL = ((RULE_NIL_DERIVED, RULE_NIL_JORDAN, RULE_NIL_EIGEN), list,
             NotNilpotent, "nilpotent")
 
 
-def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
-                    budget: int, seed: Optional[int]):
+def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple, budget: int):
     """The loop of both nilpotent embeddings.  Each pass takes the radical
     series of ``closure(L, current)`` (the centralizer for 3.2, the
     normalizer for 3.3) and the Levi decomposition lifted across it, and
@@ -319,7 +303,7 @@ def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
             rule, new = jordan_rule, take(n for n in parts
                                           if not vec_is_zero(n) and not current.contains(n))
         if not new and ld.levi.dim and not is_negative_definite(ld.levi):
-            alpha = find_real_semisimple(ld.levi, budget=budget, seed=seed)
+            alpha = find_real_semisimple(ld.levi, budget=budget)
             eig = _positive_real_eigenspace(L, alpha, ld.levi)
             if eig is None:
                 raise NoRealSemisimpleFound(
@@ -333,29 +317,27 @@ def _grow_nilpotent(L: LieAlgebra, U: Subspace, closure, mode: tuple,
 
 
 def embed_abelian_nilpotent(L: LieAlgebra, U: Subspace,
-                            budget: int = DEFAULT_BUDGET,
-                            seed: Optional[int] = None
+                            budget: int = DEFAULT_BUDGET
                             ) -> tuple[Subspace, EmbeddingTrace]:
     """Grow an abelian algebra of ad-nilpotent elements to a maximal one:
     the nilpotent loop on centralizers, one element per step."""
     _check_input(NotAbelianNilpotent, L, U, U.is_abelian(), "abelian",
                  is_ad_nilpotent, "ad-nilpotent")
-    current, _, trace = _grow_nilpotent(L, U, centralizer, _ABELIAN, budget, seed)
+    current, _, trace = _grow_nilpotent(L, U, centralizer, _ABELIAN, budget)
     return current, trace
 
 
-def embed_nilpotent(L: LieAlgebra, U: Subspace,
-                    budget: int = DEFAULT_BUDGET, seed: Optional[int] = None
+def embed_nilpotent(L: LieAlgebra, U: Subspace, budget: int = DEFAULT_BUDGET
                     ) -> tuple[Subspace, Subspace, CartanData, EmbeddingTrace]:
     """Grow an ad-nilpotent subalgebra to a maximal one (the nilpotent loop
     on normalizers, every element of a step); also return the real torus
     representing radical/U and the maximally split Cartan built from it."""
     _check_input(NotNilpotent, L, U, U.is_subalgebra(), "a subalgebra",
                  is_ad_nilpotent, "ad-nilpotent")
-    current, ld, trace = _grow_nilpotent(L, U, normalizer, _GENERAL, budget, seed)
+    current, ld, trace = _grow_nilpotent(L, U, normalizer, _GENERAL, budget)
     # the last pass left current unchanged, so its Levi decomposition holds
     real_part, _compact = torus_split(L, current.complement_in(ld.radical))
-    _, cartan, _ = embed_real_torus(L, real_part, budget=budget, seed=seed)
+    _, cartan, _ = embed_real_torus(L, real_part, budget=budget)
     return current, real_part, cartan, trace
 
 

@@ -53,7 +53,7 @@ class LieEmbedError(Exception):
 
 
 class ParseError(LieEmbedError, ValueError):
-    """Malformed input: element text, a JSON document, a name or a seed."""
+    """Malformed input: element text, a JSON document or a name."""
 
 
 class UnknownName(LieEmbedError, KeyError):

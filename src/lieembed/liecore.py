@@ -454,6 +454,11 @@ class Subspace:
         """The basis rows in the scaled form of :func:`_scaled_vector`."""
         return [(self.den, self.d, a, b) for a, b in self.ints]
 
+    def _brackets(self):
+        """``L._bracket_ints(x, y)`` for each pair of basis rows x before y."""
+        vecs, L = self._vecs(), self.algebra
+        return (L._bracket_ints(x, y) for i, x in enumerate(vecs) for y in vecs[i + 1:])
+
     def _combination(self, fa: dict, fb: dict, d: int, a: dict,
                      b: dict) -> tuple[int, int]:
         """``a + b*sqrt(d) += sum_i (fa_i + fb_i*sqrt d) * den * row_i`` for
@@ -552,14 +557,10 @@ class Subspace:
             r for r, p in zip(larger.ints, larger.pivots) if p not in mine])
 
     def is_subalgebra(self) -> bool:
-        vecs = self._vecs()
-        return all(self._contains(self.algebra._bracket_ints(x, y))
-                   for i, x in enumerate(vecs) for y in vecs[i + 1:])
+        return all(self._contains(w) for w in self._brackets())
 
     def is_abelian(self) -> bool:
-        vecs = self._vecs()
-        return not any(w[2] or w[3] for i, x in enumerate(vecs) for y in vecs[i + 1:]
-                       for w in [self.algebra._bracket_ints(x, y)])
+        return not any(w[2] or w[3] for w in self._brackets())
 
     def ad_block(self, ad_cols: list[tuple[int, int, dict, dict]]
                  ) -> tuple[int, int, list[tuple[dict, dict]]]:
@@ -646,13 +647,12 @@ def restricted_killing_signature(sub: Subspace) -> tuple[int, int, int]:
 
 
 def derived_algebra(sub: Subspace) -> Subspace:
-    L, vecs, brackets = sub.algebra, sub._vecs(), []
-    for i, x in enumerate(vecs):
-        for y in vecs[i + 1:]:
-            brackets.append(L._bracket_ints(x, y))
-            if not sub._contains(brackets[-1]):
-                raise NotASubalgebra("derived algebra of a non-closed subspace")
-    return Subspace._span(L, sub.d, [w[2:] for w in brackets])
+    rows = []
+    for w in sub._brackets():
+        if not sub._contains(w):
+            raise NotASubalgebra("derived algebra of a non-closed subspace")
+        rows.append(w[2:])
+    return Subspace._span(sub.algebra, sub.d, rows)
 
 
 def centralizer(L: LieAlgebra, sub: Subspace,
@@ -983,18 +983,17 @@ def subalgebra_generated(L: LieAlgebra, vectors: Iterable[Vector]) -> Subspace:
     """Smallest bracket-closed subspace containing the vectors."""
     current = Subspace(L, vectors)
     while True:
-        vecs = current._vecs()
-        new = [w for i, x in enumerate(vecs) for y in vecs[i + 1:]
-               if not current._contains(w := L._bracket_ints(x, y))]
+        new = [w for w in current._brackets() if not current._contains(w)]
         if not new:
             return current
         current = current._with_ints(current.d, [w[2:] for w in new])
 
 
-def _check_torus(L: LieAlgebra, T: Subspace):
+def _check_torus(L: LieAlgebra, T: Subspace, basis: Iterable[Vector]):
+    """Raise NotATorus unless T is abelian and each of its ``basis`` vectors semisimple."""
     if not T.is_abelian():
         raise NotATorus("subspace is not abelian")
-    for r in T.rows:
+    for r in basis:
         if not spectrum(L, r).semisimple:
             raise NotATorus(f"element {L.format_element(r)} is not semisimple")
 
@@ -1009,7 +1008,7 @@ def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
     real 3 + compact 2 in a 4-dim Cartan).
     """
     from .rootsys import joint_eigenspaces  # rootsys imports this module
-    _check_torus(L, T)
+    _check_torus(L, T, T.rows)
     if T.dim == 0:
         return T, T
     real_rows = []     # rows whose kernel is the real part

@@ -63,27 +63,26 @@ def analyze(L: LieAlgebra):
     return payload, text
 
 
-def embed(L: LieAlgebra, mode: str, vectors, seed=None, budget=DEFAULT_BUDGET):
+def embed(L: LieAlgebra, mode: str, vectors, budget=DEFAULT_BUDGET):
     """Grow the span of ``vectors`` by one of the four embedding modes."""
     sub = Subspace(L, vectors)
-    opts = {"seed": seed, "budget": budget}
     if mode == "torus":
-        torus, cd, trace = embed_real_torus(L, sub, **opts)
+        torus, cd, trace = embed_real_torus(L, sub, budget)
         payload = {"max_real_torus": torus.to_json(), "cartan": cd.to_json(),
                    "trace": trace.to_json()}
         text = [f"maximal real torus: {torus}", f"cartan: {cd.cartan}",
                 f"  real part: {cd.real_part}",
                 f"  compact part: {cd.compact_part}"]
     elif mode == "compact-torus":
-        cd = embed_compact_torus(L, sub, **opts)
+        cd = embed_compact_torus(L, sub, budget)
         payload = {"cartan": cd.to_json()}
         text = [f"maximally compact cartan: {cd.cartan}"]
     elif mode == "abelian-nilpotent":
-        result, trace = embed_abelian_nilpotent(L, sub, **opts)
+        result, trace = embed_abelian_nilpotent(L, sub, budget)
         payload = {"maximal": result.to_json(), "trace": trace.to_json()}
         text = [f"maximal abelian nilpotent: {result}"]
     elif mode == "nilpotent":
-        result, torus, cd, trace = embed_nilpotent(L, sub, **opts)
+        result, torus, cd, trace = embed_nilpotent(L, sub, budget)
         payload = {"maximal": result.to_json(), "torus": torus.to_json(),
                    "cartan": cd.to_json(), "trace": trace.to_json()}
         text = [f"maximal nilpotent: {result}", f"torus: {torus}",

@@ -10,7 +10,7 @@ from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj, format_rat,
                        is_complex_positive, min_poly, scalar_d, scalar_sort_key,
                        scalar_to_json, solve_linear, vec_is_zero, _scaled_vector)
-from .liecore import LieAlgebra, Spectrum, Subspace, spectrum
+from .liecore import LieAlgebra, Spectrum, Subspace, _check_torus, spectrum
 
 
 def format_scalar(x: Scalar) -> str:
@@ -154,12 +154,7 @@ def root_space_decomposition(L: LieAlgebra, cartan,
                              ) -> RootSpaceDecomposition:
     """Decompose ambient (default L) under the ordered Cartan/torus basis."""
     basis = _ordered_basis(cartan)
-    torus = Subspace(L, basis)
-    if not torus.is_abelian():
-        raise NotATorus("basis does not span an abelian subalgebra")
-    for h in basis:
-        if not spectrum(L, h).semisimple:
-            raise NotATorus(f"{L.format_element(h)} is not semisimple")
+    _check_torus(L, Subspace(L, basis), basis)
     spaces = joint_eigenspaces(L, basis, ambient)
     pairs = []
     zero_vecs = []

@@ -500,6 +500,24 @@ def test_one_spectral_path():
     assert not hasattr(liecore, "_semisimple_kind")
 
 
+def test_searches_depend_only_on_their_arguments():
+    """No lieembed module reads the process environment, and no search or
+    embedding function takes a seed: one candidate stream serves them all."""
+    import inspect
+    import tokenize
+    from pathlib import Path
+    import lieembed
+    from lieembed import embed, ops
+    for path in sorted(Path(lieembed.__file__).parent.glob("*.py")):
+        with path.open("rb") as fh:  # names in code, not in strings or comments
+            names = {t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+    for module in (embed, ops):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__:
+                assert "seed" not in inspect.signature(fn).parameters, name
+
+
 def test_no_runtime_dependencies():
     """In a fresh interpreter without site-packages (-S), importing every
     lieembed module and replaying the shipped corpus loads only lieembed

@@ -592,11 +592,11 @@ def test_dense_g2_nilpotent_embed_exits_4(seed, d, tmp_path):
     assert proc.stderr == f"error: scalar tower exceeded: a subalgebra with {message}\n"
 
 
-def _ref_find_real_semisimple(sub, budget, seed=0):
+def _ref_find_real_semisimple(sub, budget):
     """find_real_semisimple before the Killing-sign screen: every nonzero
     candidate is classified."""
     L = sub.algebra
-    for v in _candidates(sub, budget, seed):
+    for v in _candidates(sub, budget):
         if vec_is_zero(v):
             continue
         try:
@@ -609,10 +609,10 @@ def _ref_find_real_semisimple(sub, budget, seed=0):
         f"within budget {budget}")
 
 
-def _ref_find_compact(sub, d_required, budget, seed=0):
+def _ref_find_compact(sub, d_required, budget):
     """find_compact before the Killing-sign screen."""
     L = sub.algebra
-    for v in _candidates(sub, budget, seed):
+    for v in _candidates(sub, budget):
         if vec_is_zero(v):
             continue
         try:
@@ -651,7 +651,7 @@ def _search_subspaces(wave15, g2):
             if der.dim == 0:
                 break
             subs.append(der)
-            current = current.with_vectors([find_compact(der, d_required=d_ctx, seed=0)])
+            current = current.with_vectors([find_compact(der, d_required=d_ctx)])
     for L, names in ((wave15, ("e8", "e10", "e11", "e12")),
                      (g2, ("X14", "X13", "X12"))):
         U = Subspace(L, [L.basis_vector(b) for b in names])
@@ -682,14 +682,14 @@ def test_screened_searches_match_unscreened_reference(wave15, g2):
                      for d in (None, -1, -3, 2)]
         for search, ref, kw in searches:
             want = _outcome(ref, sub, budget=150, **kw)
-            assert _outcome(search, sub, budget=150, seed=0, **kw) == want
+            assert _outcome(search, sub, budget=150, **kw) == want
             if isinstance(want, tuple):
                 continue
             found += 1
-            pos = next(i for i, v in enumerate(_candidates(sub, 150, 0))
+            pos = next(i for i, v in enumerate(_candidates(sub, 150))
                        if _typed(v) == want)
             for budget in (pos, pos + 1):
-                assert (_outcome(search, sub, budget=budget, seed=0, **kw) ==
+                assert (_outcome(search, sub, budget=budget, **kw) ==
                         _outcome(ref, sub, budget=budget, **kw))
     assert found >= 15
 
@@ -708,9 +708,9 @@ def test_classification_reached_only_by_candidates_of_the_right_sign(wave15,
                               (find_real_semisimple, levi, 1),
                               (find_real_semisimple, der, 1)):
         reached.clear()
-        found = search(sub, seed=0)
+        found = search(sub)
         tried = []
-        for v in _candidates(sub, 10_000, 0):
+        for v in _candidates(sub, 10_000):
             tried.append(v)
             if v == found:
                 break
@@ -814,9 +814,9 @@ def test_golden_answers_sit_at_pinned_candidate_indices(monkeypatch):
     calls, streamed = [], []
     real_candidates = embed._candidates
 
-    def candidates(sub, budget, seed):
+    def candidates(sub, budget):
         streamed.clear()
-        for v in real_candidates(sub, budget, seed):
+        for v in real_candidates(sub, budget):
             streamed.append(v)
             yield v
 

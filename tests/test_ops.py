@@ -119,10 +119,9 @@ _EMBED_PINNED = json.loads((Path(__file__).parent / "data" / "embed_pinned.json"
 
 @pytest.mark.parametrize("case", _EMBED_PINNED,
                          ids=lambda c: f"{c['algebra']}-{c['mode']}-{c['subspace'] or 'zero'}")
-def test_embed_payload_and_text_pinned(case, monkeypatch):
+def test_embed_payload_and_text_pinned(case):
     """Abelian-nilpotent and nilpotent embeds that no golden case covers,
     traces included, as they were before the two modes shared one loop."""
-    monkeypatch.delenv("LIEEMBED_SEED", raising=False)
     L = load_algebra(case["algebra"])
     payload, text = ops.embed(L, case["mode"], parse_subspace_spec(L, case["subspace"]))
     assert json.loads(json.dumps(payload)) == case["json"]

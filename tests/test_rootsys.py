@@ -799,6 +799,17 @@ def _sl2_sum():
     return LieAlgebra(6, ["X", "H", "Y", "X'", "H'", "Y'"], table)
 
 
+def test_torus_check_reads_every_basis_vector():
+    """H and X' commute, and X' is nilpotent: root_space_decomposition and
+    torus_split run one check over every vector they decompose by."""
+    L = _sl2_sum()
+    E = L.basis_vector
+    with pytest.raises(NotATorus, match="X' is not semisimple"):
+        root_space_decomposition(L, [E("H"), E("X'")])
+    with pytest.raises(NotATorus, match="X' is not semisimple"):
+        torus_split(L, span(L, E("H"), E("X'")))
+
+
 def test_whole_algebra_eigenspaces_read_the_cached_roots(wave15, monkeypatch):
     import lieembed.exactlin as exactlin
     import lieembed.liecore as liecore
