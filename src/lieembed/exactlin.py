@@ -36,32 +36,48 @@ _CHUNK_DIGITS = 640
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string like ``-3/4``, or Fraction to Fraction.  Other
-    string forms (``1e3000000`` takes seconds) and a numerator or
-    denominator of more than ``_MAX_DIGITS`` digits raise ParseError; the
-    answer does not depend on the interpreter's limit on converting
-    decimal strings to int."""
+    """Coerce an int, string like ``-3/4``, or Fraction to Fraction, a
+    string by :func:`_rat_pair`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        m = _RATIONAL_RE.fullmatch(x)
-        if not m:
-            raise ParseError(f"not a rational p/q: {x[:40]!r}")
-        sign, num, den = m.groups()
-        if len(x) <= _CHUNK_DIGITS:
-            num = -int(num) if sign == "-" else int(num)
-            # Fraction(n, 0) raises what Fraction("n/0") raises
-            return Fraction(num, int(den)) if den else Fraction(num)
+    return Fraction(*_rat_pair(x))
+
+
+def _rat_pair(x) -> tuple[int, int]:
+    """(p, q) in lowest terms with q > 0 and :func:`rat` (x) = p/q, a string
+    parsed with no Fraction built.  Other string forms (``1e3000000`` takes
+    seconds) and a numerator or denominator of more than ``_MAX_DIGITS``
+    digits raise ParseError; the answer does not depend on the
+    interpreter's limit on converting decimal strings to int."""
+    if not isinstance(x, str):
+        if isinstance(x, Fraction):
+            return x.numerator, x.denominator
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x, 1
+        raise TypeError(f"not a rational: {x!r}")
+    m = _RATIONAL_RE.fullmatch(x)
+    if not m:
+        raise ParseError(f"not a rational p/q: {x[:40]!r}")
+    sign, num, den = m.groups()
+    if len(x) <= _CHUNK_DIGITS:
+        num = -int(num) if sign == "-" else int(num)
+        if den is None:
+            return num, 1
+        den = int(den)
+        if not den:  # what Fraction(num, 0) raises
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+    else:
         if max(len(num), len(den or "")) > _MAX_DIGITS:
             raise ParseError(f"more than {_MAX_DIGITS} digits in a rational p/q: "
                              f"{x[:40]!r}...")
         num, den = _digits_to_int(num), _digits_to_int(den or "1")
         if not den:
             raise ZeroDivisionError(f"zero denominator in {x[:40]!r}...")
-        return Fraction(-num if sign == "-" else num, den)
-    raise TypeError(f"not a rational: {x!r}")
+        num = -num if sign == "-" else num
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _digits_to_int(digits: str) -> int:

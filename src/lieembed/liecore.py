@@ -17,7 +17,7 @@ from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
                        format_rat, linear_solver, min_poly, rat, scalar_d,
                        scalar_parts, scalar_to_json, symmetric_signature,
                        unit_vector, _int_clear, _int_horner, _int_mul, _int_prem,
-                       _int_slots, _kernel_ints, _part_roots, _primitive, _rref_ints,
+                       _int_slots, _kernel_ints, _part_roots, _primitive, _rat_pair, _rref_ints,
                        _same_d, _scaled_rows, _scaled_vector, _squarefree_parts,
                        _sub_multiple, _unscaled_vector)
 
@@ -32,21 +32,24 @@ class LieAlgebra:
     """Finite-dimensional real Lie algebra given by structure constants.
 
     ``brackets`` maps (i, j) with i < j to {k: c} for
-    [b_i, b_j] = sum_k c * b_k; antisymmetry is implied by storage.  Index
-    pairs and components outside the basis raise
-    :class:`InvalidStructureConstants`, and so does a Jacobi failure.
+    [b_i, b_j] = sum_k c * b_k, each c anything :func:`rat` takes;
+    antisymmetry is implied by storage.  Index pairs and components outside
+    the basis raise :class:`InvalidStructureConstants`, and so does a Jacobi
+    failure.
 
     The integer table ``D * c``, with ``D`` the lcm of all denominators, is
-    built on construction (:meth:`scaled_table`).  :meth:`bracket`,
-    :meth:`ad`, :meth:`ad_map`, the Jacobi check and the Killing table
-    (:meth:`killing_table`) all sum over it in plain ints.  The Jacobi
-    identity is checked on construction: it is homogeneous quadratic in the
-    constants, so scaling keeps every verdict.  Every other result the
+    built on construction (:meth:`scaled_table`) from the reduced integer
+    pairs of :func:`_rat_pair`, so a string coefficient never becomes a
+    Fraction; :attr:`brackets` is read back off it on first use.
+    :meth:`bracket`, :meth:`ad`, :meth:`ad_map`, the Jacobi check and the
+    Killing table (:meth:`killing_table`) all sum over it in plain ints.
+    The Jacobi identity is checked on construction: it is homogeneous
+    quadratic in the constants, so scaling keeps every verdict.  Every other result the
     algebra keeps goes through :meth:`kept`.
     """
 
     def __init__(self, dim: int, basis_names: Sequence[str],
-                 brackets: Mapping[tuple[int, int], Mapping[int, Fraction]],
+                 brackets: Mapping[tuple[int, int], Mapping[int, object]],
                  name: str = "", validate: bool = True):
         _check_dim(dim)
         if len(basis_names) != dim:
@@ -64,7 +67,7 @@ class LieAlgebra:
         for (i, j), comp in brackets.items():
             if not (0 <= i < j < dim):
                 raise InvalidStructureConstants(f"bad bracket index pair {(i, j)}")
-            comp = {k: v for k, c in comp.items() if (v := rat(c))}
+            comp = {k: pq for k, c in comp.items() if (pq := _rat_pair(c))[0]}
             for k in comp:
                 if not 0 <= k < dim:
                     raise InvalidStructureConstants(
@@ -72,14 +75,11 @@ class LieAlgebra:
                         f"0..{dim - 1}")
             if comp:
                 table[(i, j)] = comp
-        self.brackets = table
-        scale = lcm(*(c.denominator for comp in table.values()
-                      for c in comp.values()))
+        scale = lcm(*(q for comp in table.values() for _, q in comp.values()))
         empty: dict = {}
         rows: list[list[dict]] = [[empty] * dim for _ in range(dim)]
         for (i, j), comp in table.items():
-            row = {k: c.numerator * (scale // c.denominator)
-                   for k, c in comp.items()}
+            row = {k: p * (scale // q) for k, (p, q) in comp.items()}
             rows[i][j] = row
             rows[j][i] = {k: -v for k, v in row.items()}
         self._scaled = scale, rows
@@ -96,6 +96,16 @@ class LieAlgebra:
         if value is None:
             value = self._store[key] = make()
         return value
+
+    @property
+    def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """{(i, j): {k: c}} for i < j with [b_i, b_j] = sum_k c * b_k and
+        every c nonzero, read off :meth:`scaled_table` on first use; kept."""
+        def make():
+            scale, table = self.scaled_table()
+            return {(i, j): {k: Fraction(v, scale) for k, v in row.items()}
+                    for i, j, row in _bracket_rows(table)}
+        return self.kept(("brackets",), make)
 
     # -- construction helpers
 
@@ -172,22 +182,42 @@ class LieAlgebra:
     def killing_table(self) -> tuple[int, list[tuple[dict, dict]]]:
         """(D^2, rows), rows[i] = (D^2 * K_i, {}) a sparse integer row with
         an empty surd part, for the Killing form K_ij = trace(ad b_i ad b_j)
-        = sum_{s,r} c_is^r c_jr^s summed over the integer table ``D * c``;
-        built on first use and kept."""
+        = sum_{s,r} c_is^r c_jr^s over the integer table ``D * c``; built on
+        first use and kept.
+
+        Each row is one packed int (Kronecker substitution, as in
+        :meth:`_check_jacobi`): with Q[r][s] the entries s of D*[b_j, b_r]
+        packed into slot j, D^2 * K_i is ``sum v * Q[r][s]`` over the
+        entries v = D*c_is^r of D*ad(b_i).  A slot is at most
+        n^2*max|c|^2 < 2**(w-1) in absolute value.  Both sums run over the
+        nonzero brackets [b_i, b_j], i < j, each standing for its negative
+        [b_j, b_i] too."""
         def make():
             scale, table = self.scaled_table()
             n = self.dim
-            # nonzero entries (r, s) of D * ad(b_i), as (s, r, value)
-            ads = [[(s, r, v) for s, row in enumerate(table[i]) for r, v in row.items()]
-                   for i in range(n)]
-            rows: list[tuple[dict, dict]] = [({}, {}) for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    tj = table[j]
-                    t = sum(v * tj[r].get(s, 0) for s, r, v in ads[i])
-                    if t:
-                        rows[i][0][j] = rows[j][0][i] = t
-            return scale * scale, rows
+            pairs = _bracket_rows(table)
+            top = max([abs(c) for _, _, row in pairs for c in row.values()], default=0)
+            w = (n * n * top * top).bit_length() + 1
+            packed: list[dict] = [{} for _ in range(n)]  # packed[r][s] = Q[r][s]
+            for i, j, row in pairs:
+                qi, qj = packed[i], packed[j]
+                for s, c in row.items():
+                    qj[s] = qj.get(s, 0) + (c << w * i)
+                    qi[s] = qi.get(s, 0) - (c << w * j)
+            sums = [0] * n
+            for i, j, row in pairs:
+                # the entries v at (r, j) of D*ad(b_i), and -v at (r, i) of D*ad(b_j)
+                ki = kj = 0
+                for r, v in row.items():
+                    q = packed[r]
+                    if j in q:
+                        ki += v * q[j]
+                    if i in q:
+                        kj += v * q[i]
+                sums[i] += ki
+                sums[j] -= kj
+            return scale * scale, [({j: x for j, x in enumerate(_int_slots(k, w, n)) if x}, {})
+                                   for k in sums]
         return self.kept(("killing_table",), make)
 
     def killing_matrix(self) -> Matrix:
@@ -304,7 +334,7 @@ class LieAlgebra:
                 raise InvalidStructureConstants(
                     f"bracket {pair} has component index {long[0][:20]}... "
                     f"({len(long[0].removeprefix('-'))} digits) outside 0..{dim - 1}")
-            brackets[pair] = {int(k): rat(c) for k, c in comp.items()}
+            brackets[pair] = {int(k): c for k, c in comp.items()}
         return cls(dim, basis, brackets, name=name)
 
     def __repr__(self):
@@ -322,6 +352,12 @@ def _canonical_int(key: str) -> bool:
     no sign but ``-``; so no two accepted keys ("1", "01") name one index."""
     digits = key.removeprefix("-")
     return digits.isascii() and digits.isdigit() and (digits[0] != "0" or key == "0")
+
+
+def _bracket_rows(table: list[list[dict]]) -> list[tuple[int, int, dict]]:
+    """(i, j, D*[b_i, b_j]) for each nonzero bracket of a scaled table, i < j."""
+    return [(i, j, row) for i, ti in enumerate(table) for j in range(i + 1, len(ti))
+            if (row := ti[j])]
 
 
 def _sparse(v: list) -> dict:
@@ -712,10 +748,10 @@ def _derive_radical_series(sub: Subspace) -> list[Subspace]:
         return [sub]
     inner = L if k == L.dim else sub.as_subalgebra()
     _, table = inner.scaled_table()
-    keys = list(inner.brackets)
+    brackets = [(row, {}) for _, _, row in _bracket_rows(table)]
     der, pivots = [], []
-    for start in range(0, len(keys), k):
-        der, pivots = _rref_ints(der + [(table[i][j], {}) for i, j in keys[start:start + k]], 0)
+    for start in range(0, len(brackets), k):
+        der, pivots = _rref_ints(der + brackets[start:start + k], 0)
         if len(pivots) == k:
             break
     if not pivots:
@@ -882,8 +918,9 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     den^(k-j) t^j has q(A) = den^k * pd * p(ad x); its columns, from one
     packed :func:`_int_horner` pass over every unit vector, go to the
     :meth:`LieAlgebra.ad_map` solve in that scale."""
-    den, _, rows = block = Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x)))
-    p, pd = _semisimple_poly(spectrum(L, x, block))
+    cols = L._ad_ints(_scaled_vector(x))
+    den, _, rows = Subspace.full(L).ad_block(cols)
+    p, pd = _semisimple_poly(spectrum(L, x, cols))
     k, n = len(p) - 1, L.dim
     q = [c * den ** (k - j) for j, c in enumerate(p)]
     rows = [list(a.items()) for a, _ in rows]
@@ -958,13 +995,13 @@ class Spectrum:
         return frozenset(scalar_d(r) for r, _ in self.roots if scalar_d(r))
 
 
-def spectrum(L: LieAlgebra, x: Vector, block: Optional[tuple] = None) -> Spectrum:
+def spectrum(L: LieAlgebra, x: Vector, cols: Optional[list] = None) -> Spectrum:
     """Spectrum of ad(x), computed once per element and kept on L, from
-    ``block``, ad(x) on all of L as :meth:`Subspace.ad_block` gives it, when
-    the caller has it.  The element must have rational coordinates (see
+    ``cols``, the ad columns :meth:`LieAlgebra._ad_ints` of x, when the
+    caller has them.  The element must have rational coordinates (see
     :func:`min_poly`)."""
     return L.kept(("spectrum", x), lambda: Spectrum(min_poly(
-        block or Subspace.full(L).ad_block(L._ad_ints(_scaled_vector(x))))))
+        Subspace.full(L).ad_block(cols or L._ad_ints(_scaled_vector(x))))))
 
 
 def classify_element(L: LieAlgebra, x: Vector) -> str:
@@ -989,13 +1026,34 @@ def subalgebra_generated(L: LieAlgebra, vectors: Iterable[Vector]) -> Subspace:
         current = current._with_ints(current.d, [w[2:] for w in new])
 
 
-def _check_torus(L: LieAlgebra, T: Subspace, basis: Iterable[Vector]):
-    """Raise NotATorus unless T is abelian and each of its ``basis`` vectors semisimple."""
-    if not T.is_abelian():
-        raise NotATorus("subspace is not abelian")
-    for r in basis:
-        if not spectrum(L, r).semisimple:
-            raise NotATorus(f"element {L.format_element(r)} is not semisimple")
+def _torus_ad(L: LieAlgebra, h: Vector) -> tuple[tuple, list]:
+    """(v, cols) for a torus basis element h: its scaled form v
+    (:func:`_scaled_vector`) and its ad columns ``L._ad_ints(v)``, made
+    once and kept on L under ``("ad", h)``.  Only torus bases come here,
+    never a search candidate, so the store grows by n^2 ints per torus
+    element."""
+    def make():
+        v = _scaled_vector(h)
+        return v, L._ad_ints(v)
+    return L.kept(("ad", tuple(h)), make)
+
+
+def _check_torus(L: LieAlgebra, basis: Sequence[Vector]) -> None:
+    """Raise NotATorus unless the basis vectors commute and each is
+    semisimple, both read off their kept :func:`_torus_ad` columns: [h_i,
+    h_j] = sum_k h_j[k] * [h_i, b_k] is summed in ints over the columns of
+    h_i, and the spectrum of h_i comes from the same columns."""
+    kept = [_torus_ad(L, h) for h in basis]
+    for i, ((_, d, _, _), cols) in enumerate(kept):
+        mcols = [c[2:] for c in cols]
+        for (_, e, ha, hb), _ in kept[i + 1:]:
+            a, b = {}, {}
+            _add_combination(mcols, ha, hb, _same_d(d, e), a, b)
+            if a or b:
+                raise NotATorus("subspace is not abelian")
+    for h, (_, cols) in zip(basis, kept):
+        if not spectrum(L, h, cols).semisimple:
+            raise NotATorus(f"element {L.format_element(h)} is not semisimple")
 
 
 def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
@@ -1008,7 +1066,7 @@ def torus_split(L: LieAlgebra, T: Subspace) -> tuple[Subspace, Subspace]:
     real 3 + compact 2 in a 4-dim Cartan).
     """
     from .rootsys import joint_eigenspaces  # rootsys imports this module
-    _check_torus(L, T, T.rows)
+    _check_torus(L, T.rows)
     if T.dim == 0:
         return T, T
     real_rows = []     # rows whose kernel is the real part

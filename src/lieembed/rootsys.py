@@ -9,8 +9,8 @@ from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj, format_rat,
                        is_complex_positive, min_poly, scalar_d, scalar_sort_key,
-                       scalar_to_json, solve_linear, vec_is_zero, _scaled_vector)
-from .liecore import LieAlgebra, Spectrum, Subspace, _check_torus, spectrum
+                       scalar_to_json, solve_linear, vec_is_zero)
+from .liecore import LieAlgebra, Spectrum, Subspace, _check_torus, _torus_ad, spectrum
 
 
 def format_scalar(x: Scalar) -> str:
@@ -92,10 +92,12 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     within each space, spaces in order.
 
     Each ad(h) is read once, as the integer columns of
-    :meth:`LieAlgebra._ad_ints`, and each space's block of it
-    (:meth:`Subspace.ad_block`) gives the space's eigenspaces
-    (:meth:`Subspace.eigenspace`), until they fill the space: eigenspaces of
-    distinct eigenvalues are independent, so no further lambda has one.
+    :meth:`LieAlgebra._ad_ints` kept on L (:func:`liecore._torus_ad`, which
+    the torus check of :func:`root_space_decomposition` fills too), and
+    each space's block of it (:meth:`Subspace.ad_block`) gives the space's
+    eigenspaces (:meth:`Subspace.eigenspace`), until they fill the space:
+    eigenspaces of distinct eigenvalues are independent, so no further
+    lambda has one.
 
     Returns a list of (eigenvalue tuple, Subspace); raises NotATorus if the
     ambient is not invariant or the action is not diagonalizable over the
@@ -121,11 +123,11 @@ def _derive_joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
             raise NotATorus("ambient space is not invariant under the torus")
 
     for step, h in enumerate(basis):
-        cols = L._ad_ints(_scaled_vector(h))
-        # the ambient's block gives the roots (for L, on a cold spectrum
-        # cache) and is the block of the first step's one space
+        _, cols = _torus_ad(L, h)
+        # the ambient's block gives the roots (for L, the kept spectrum,
+        # from the same columns) and is the block of the first step's one space
         whole = ad_on(top, cols) if ambient is not None or not step else None
-        roots = (spectrum(L, h, whole) if ambient is None
+        roots = (spectrum(L, h, cols) if ambient is None
                  else Spectrum(min_poly(whole))).roots
         lams = [lam for lam, _mult in roots]
         seen_d.update(scalar_d(lam) for lam in lams if scalar_d(lam))
@@ -154,7 +156,7 @@ def root_space_decomposition(L: LieAlgebra, cartan,
                              ) -> RootSpaceDecomposition:
     """Decompose ambient (default L) under the ordered Cartan/torus basis."""
     basis = _ordered_basis(cartan)
-    _check_torus(L, Subspace(L, basis), basis)
+    _check_torus(L, basis)
     spaces = joint_eigenspaces(L, basis, ambient)
     pairs = []
     zero_vecs = []

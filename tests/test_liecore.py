@@ -1,12 +1,15 @@
 """Structural operations: brackets, Killing data, centralizers, radicals,
 Levi and Jordan decompositions, element classification."""
 
+import functools
+import json
 import random
 import re
+from importlib import resources
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
@@ -25,7 +28,7 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               normalizer, radical, restricted_killing_signature,
                               spectrum, subalgebra_generated, torus_split)
 from polyref import QMatrix, QPoly, is_squarefree, poly_gcd
-from test_exactlin import _reference_rref_rows
+from test_exactlin import _perfbench_module, _reference_rref_rows
 
 
 def span(L, *vs):
@@ -510,10 +513,10 @@ def test_torus_split_examples(wave15, so4):
 
 def test_torus_split_rejects_non_torus(wave15):
     E = wave15.basis_vector
-    with pytest.raises(NotATorus):
-        torus_split(wave15, span(wave15, E("e2"), E("e4")))  # not abelian
-    with pytest.raises(NotATorus):
-        torus_split(wave15, span(wave15, E("e8")))  # nilpotent
+    with pytest.raises(NotATorus, match="subspace is not abelian"):
+        torus_split(wave15, span(wave15, E("e2"), E("e4")))
+    with pytest.raises(NotATorus, match="element e8 is not semisimple"):
+        torus_split(wave15, span(wave15, E("e8")))
 
 
 # --- invariants ----------------------------------------------------------------
@@ -748,6 +751,91 @@ def test_killing_matrix_matches_fraction_trace(wave15, g2):
         assert L.killing_matrix() == want
         assert all(type(x) is F for row in L.killing_matrix().entries for x in row)
 
+
+
+def _fraction_killing(n, table):
+    """trace(ad b_i ad b_j) over QMatrix products, from a Fraction table
+    {(i, j): {k: c}}, i < j, that the package did not scale."""
+    def entry(i, s, r):
+        if i == s:
+            return F(0)
+        c = table.get((min(i, s), max(i, s)), {}).get(r, F(0))
+        return c if i < s else -c
+    ads = [QMatrix([[entry(i, s, r) for s in range(n)] for r in range(n)]) for i in range(n)]
+    return Matrix([[_trace(ads[i] @ ads[j]) for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=max(settings.default.max_examples // 10, 10), deadline=None)
+@given(st.sampled_from([(p, n - p) for n in range(2, 6) for p in range(n, -1, -1)]),
+       st.integers(0, 10 ** 6), st.integers(1, 2 ** 40), st.integers(1, 2 ** 8))
+@example((4, 1), 0, 1, 1)
+def test_packed_killing_table_matches_fraction_trace(pq, seed, num, den):
+    """The packed Killing rows equal trace(ad b_i ad b_j) over Fractions on
+    so(p, q), p + q <= 5, under a seeded dense unimodular change of basis
+    (the standard basis for seed 0, where |K_ii| = 2(p+q-2) exceeds
+    max|c|^2 = 1), scaled by num/den (the constants times c are a Lie
+    algebra too), so entries reach 2^40 and the slot width follows them."""
+    rebase = _perfbench_module("rebase")
+    names, table = rebase.so_pq(*pq)
+    n = len(names)
+    P = (rebase.unimodular(n, random.Random(f"killing:{seed}")) if seed else
+         [[int(i == j) for j in range(n)] for i in range(n)])
+    c = F(num, den)
+    moved = {pair: {k: c * x for k, x in comp.items()}
+             for pair, comp in rebase.rebase(table, P, rebase.inverse(P)).items()}
+    L = LieAlgebra(len(names), names, moved)
+    assert L.killing_matrix() == _fraction_killing(L.dim, moved)
+
+
+def test_packed_killing_table_of_0_and_1_dim_algebras():
+    for L in (LieAlgebra(0, [], {}), LieAlgebra(1, ["x"], {})):
+        assert L.killing_table() == (1, [({}, {})] * L.dim)
+        assert L.killing_data()[:3] == (0, 0, L.dim)
+
+
+@functools.cache
+def _catalogs_and_rebased_tables():
+    """Every shipped catalog and so(p,q) the rebased workload loads, and
+    every rebased table of seeds 1-3."""
+    from lieembed.vecfield import _CATALOGS, algebra_by_name, so_pq_generators
+    workloads = _perfbench_module("workloads")
+    golden = json.loads(resources.files("lieembed").joinpath("data/golden.json").read_text())
+    tables = [algebra_by_name(name).to_json() for name in sorted(_CATALOGS)]
+    tables += [so_pq_generators(p, q).to_json() for p, q in ((2, 2), (1, 3), (4, 0), (4, 2))]
+    for seed in (1, 2, 3):
+        tables += [a["table"] for a in workloads.rebased_plan(golden, seed)["algebras"]]
+    return tables
+
+
+def test_from_json_round_trip_keeps_the_table():
+    """from_json(L.to_json()) gives the same integer table, the same
+    brackets and the same JSON, on the shipped catalogs and on the rebased
+    tables."""
+    for obj in _catalogs_and_rebased_tables():
+        L = LieAlgebra.from_json(obj)
+        M = LieAlgebra.from_json(L.to_json())
+        assert M.scaled_table() == L.scaled_table()
+        assert M.brackets == L.brackets
+        assert M.to_json() == L.to_json()
+
+
+def test_string_table_load_calls_no_rat(monkeypatch, wave15):
+    """A coefficient string goes to the integer table without a Fraction:
+    loading string tables calls rat on no coefficient of 640 characters or
+    fewer (a longer one is converted a chunk at a time, also without rat)."""
+    import lieembed.exactlin as exactlin
+    import lieembed.liecore as liecore
+    seen = []
+    for module in (exactlin, liecore):
+        real = module.rat
+        monkeypatch.setattr(module, "rat", lambda x, real=real: seen.append(x) or real(x))
+    long = {"dim": 2, "basis": ["a", "b"],
+            "brackets": [{"i": 0, "j": 1, "c": {"1": "1/" + "3" * 640}}]}
+    for obj in [wave15.to_json(), long] + _catalogs_and_rebased_tables()[-5:]:
+        assert all(isinstance(c, str) for e in obj["brackets"] for c in e["c"].values())
+        LieAlgebra.from_json(obj)
+    assert not [x for x in seen if isinstance(x, str) and len(x) <= 640]
+    assert LieAlgebra.from_json(long).brackets == {(0, 1): {1: F(1, int("3" * 640))}}
 
 @pytest.mark.parametrize("d", [0, 2, 3, -1, -3])
 def test_killing_matches_x_K_y(wave15, g2, d):

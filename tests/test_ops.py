@@ -137,18 +137,20 @@ def test_embed_pinned_cases_reach_every_nilpotent_rule():
 
 # _scaled_vector calls of the nilpotent embed below, by caller: 26 joint
 # weights in torus_split (one per weight of its two calls), 6 spanning
-# vectors, 9 elements whose ad columns spectrum and rootsys read (embed's
-# eigenvector step goes through rootsys.joint_eigenspaces; the second
-# torus_split of the same torus reads the kept joint eigenspaces),
-# 4 Jordan elements whose ad columns also give their spectrum, and 2
-# Killing norms of screened candidates.  The Killing form, the ad map and
-# the Jordan pull-back read integer tables and scale no further vector.
-# With the torus's ad columns read again by the second torus_split the
-# request made 50 calls, with a Fraction ad matrix and semisimple part per
-# Jordan element 56, with Fraction Killing and ad matrices and Fraction
-# weight rows 126, with Fraction ad matrices handed to restrict and
-# kernel_of 777, and with Fraction tuples as subspace state 3,922
-SCALED_VECTOR_CALLS = 47
+# vectors, 5 elements whose ad columns spectrum reads, 3 torus elements
+# whose scaled form and ad columns are kept under ("ad", h) (embed's
+# eigenvector step reads one of them through rootsys.joint_eigenspaces,
+# and both torus_split calls read all three), 4 Jordan elements whose ad
+# columns also give their spectrum, and 2 Killing norms of screened
+# candidates.  The Killing form, the ad map and the Jordan pull-back read
+# integer tables and scale no further vector.  With the eigenvector
+# step's element scaled again for the torus the request made 47 calls,
+# with the torus's ad columns read again by the second torus_split 50,
+# with a Fraction ad matrix and semisimple part per Jordan element 56,
+# with Fraction Killing and ad matrices and Fraction weight rows 126, with
+# Fraction ad matrices handed to restrict and kernel_of 777, and with
+# Fraction tuples as subspace state 3,922
+SCALED_VECTOR_CALLS = 46
 
 
 def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):
@@ -174,7 +176,7 @@ def test_nilpotent_embed_scales_few_fraction_vectors(monkeypatch):
         if hasattr(module, "_scaled_vector"):
             monkeypatch.setattr(module, "_scaled_vector", lambda v: calls.append(v) or real(v))
             patched.add(info.name)
-    assert {"exactlin", "liecore", "rootsys"} <= patched
+    assert {"exactlin", "liecore"} <= patched
     vectors = parse_subspace_spec(L, "e8,e10,e11,e12")
     payload, _ = ops.embed(L, "nilpotent", vectors)
     assert payload["maximal"] and len(calls) == SCALED_VECTOR_CALLS
@@ -228,7 +230,7 @@ def test_one_store_keeps_every_kind_once(wave16):
     requests()
     kept = dict(L._store)
     assert {key[0] for key in kept} == {"killing_table", "killing_data", "ad_map",
-                                        "spectrum", "eigenspaces", "series"}
+                                        "spectrum", "eigenspaces", "series", "ad"}
     requests()
     assert L._store.keys() == kept.keys()
     assert all(L._store[key] is value for key, value in kept.items())

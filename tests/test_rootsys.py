@@ -17,7 +17,7 @@ from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
                               sl2_triple)
-from test_liecore import (_dense_basis, _ref_restrict, _table_in_basis, _typed,
+from test_liecore import (_dense_basis, _rand_element, _ref_restrict, _table_in_basis, _typed,
                           kept_entries, vec_add, vec_scale, vec_sub)
 
 I = make_scalar(0, 1, -1)
@@ -76,10 +76,33 @@ def test_abelian_algebra_all_zero_space():
 
 def test_decomposition_rejects_non_torus(wave15):
     E = wave15.basis_vector
-    with pytest.raises(NotATorus):
+    with pytest.raises(NotATorus, match="element e8 is not semisimple"):
         root_space_decomposition(wave15, [E("e8")])
-    with pytest.raises(NotATorus):
+    with pytest.raises(NotATorus, match="subspace is not abelian"):
         root_space_decomposition(wave15, [E("e2"), E("e4")])
+
+
+def test_torus_check_commutation_matches_the_bracket(wave15, g2):
+    """The torus check's commutation test, summed over the kept ad columns
+    of the first element, agrees with the bracket: on random pairs (which
+    rarely commute) and on commuting pairs, whose elements the check then
+    only needs to be semisimple."""
+    from lieembed.liecore import _check_torus
+    rng = random.Random(30)
+    for L in (_cold(wave15), _cold(g2)):
+        pairs = [(_rand_element(L, rng), _rand_element(L, rng)) for _ in range(15)]
+        x = _rand_element(L, rng)
+        pairs += [(x, vec_scale(F(-2, 3), x)), (x, x)]
+        if L.dim == 15:
+            E = L.basis_vector
+            pairs += [(E("e2"), vec_add(E("e7m16"), E("e14"))), (E("e2"), E("e4"))]
+        for x, y in pairs:
+            try:
+                _check_torus(L, [x, y])
+                verdict = ""
+            except NotATorus as exc:
+                verdict = str(exc)
+            assert (verdict == "subspace is not abelian") == (not vec_is_zero(L.bracket(x, y)))
 
 
 def test_restricted_roots_wave(wave15):
@@ -677,7 +700,8 @@ def test_joint_eigenspaces_read_the_cached_spectra(wave15, monkeypatch):
 
 def test_joint_eigenspaces_read_each_ad_once(wave15, monkeypatch):
     """Each ad(h) is read once: on a cold spectrum cache the first step's
-    block of all of L also gives the spectrum, which is then kept."""
+    columns of all of L also give the spectrum, which is then kept, and the
+    columns are kept too, so a later basis reads only its new elements."""
     L = LieAlgebra.from_json(wave15.to_json(), name="wave15-copy")  # cold cache
     E = L.basis_vector
     basis = [E("e7m16"), E("e2"), E("e14")]
@@ -691,8 +715,62 @@ def test_joint_eigenspaces_read_each_ad_once(wave15, monkeypatch):
         spectrum(L, h)
     reads.clear()
     joint_eigenspaces(L, basis)
-    assert len(reads) == len(basis)
+    assert reads == [(1, 0, {L.index_of(h): 1}, {}) for h in ("e2", "e14")]
 
+
+
+def test_torus_checks_fill_each_ad_once(wave15, monkeypatch):
+    """On a cold copy, a roots call, the decomposition a Dynkin call makes
+    again, and torus_split of the span fill each Cartan element's ad
+    columns once: the torus checks and the joint eigenspaces share the
+    kept ("ad", h) entries."""
+    L = _cold(wave15)
+    E = L.basis_vector
+    basis = [E("e7m16"), E("e2"), E("e14")]
+    fills = []
+    real = LieAlgebra._ad_ints
+    monkeypatch.setattr(LieAlgebra, "_ad_ints",
+                        lambda self, x: fills.append(x) or real(self, x))
+    root_space_decomposition(L, basis)
+    positives = [r for r in root_space_decomposition(L, basis).roots if is_positive(r)]
+    assert dynkin_type(simple_roots(positives), positives).type_label == "A3"
+    torus_split(L, span(L, *basis))
+    assert len(fills) == len(basis)
+    assert sorted(kept_entries(L, "ad")) == sorted((h,) for h in basis)
+
+
+def test_search_candidates_keep_no_ad_columns(wave15):
+    """The compact search keeps no ad columns for its candidates (its answer
+    is candidate 72); only the torus that the embedding ends with has kept
+    columns."""
+    from lieembed.embed import embed_compact_torus, find_compact
+    L = _cold(wave15)
+    E = L.basis_vector
+    der = span(L, E("e5"), E("e6"), E("e7m16"), E("e8"), E("e9"), E("e12"))
+    assert find_compact(der, d_required=-1) == vec_add(E("e5"), vec_scale(2, E("e12")))
+    assert kept_entries(L, "ad") == []
+    cd = embed_compact_torus(L, span(L, E("e15")))
+    assert sorted(kept_entries(L, "ad")) == sorted((r,) for r in cd.cartan.rows)
+
+
+def test_joint_eigenspaces_errors_stand_apart_from_the_torus_check(wave15, so22):
+    """joint_eigenspaces runs no torus check of its own: a nilpotent element
+    whose ad columns the failed check kept still gives the eigenspaces'
+    own error, and a non-invariant ambient raises on the kept columns as on
+    a cold algebra."""
+    L = _cold(wave15)
+    e8 = L.basis_vector("e8")
+    with pytest.raises(NotATorus, match="element e8 is not semisimple"):
+        root_space_decomposition(L, [e8])
+    assert kept_entries(L, "ad") == [(e8,)]
+    with pytest.raises(NotATorus, match="not diagonalizable over the tower"):
+        joint_eigenspaces(L, [e8])
+    M = _cold(so22)
+    E = M.basis_vector
+    for _ in range(2):
+        with pytest.raises(NotATorus, match="not invariant"):
+            joint_eigenspaces(M, [E("e1")], span(M, E("e2")))
+    assert kept_entries(M, "ad") == [(E("e1"),)]
 
 def _cold(L):
     """A copy of L that keeps nothing yet."""
