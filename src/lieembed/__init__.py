@@ -8,9 +8,8 @@ from .errors import (CenterObstruction, DegenerateRoot, ExtensionDegreeTooHigh,
                      NotATorus, NotAbelianNilpotent, NotClosed, NotNilpotent, NotSplit,
                      ParseError, UnknownName, UnrecognizedBondPattern,
                      UnrecognizedDiagram, VariableMismatch)
-from .exactlin import (ExactScalar, Matrix, Poly, Rational, char_poly,
-                       eigenvalues, kernel, make_scalar, min_poly, rref,
-                       solve_linear, symmetric_signature)
+from .exactlin import (ExactScalar, Poly, Rational, make_scalar, min_poly, rref,
+                       symmetric_signature)
 from .liecore import (JordanPair, LeviDecomposition, LieAlgebra, Subspace,
                       center, centralizer, classify_element, derived_algebra,
                       is_ad_nilpotent, is_negative_definite,

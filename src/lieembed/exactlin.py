@@ -5,11 +5,12 @@ Rational numbers are plain ``fractions.Fraction``.  Irrational values are
 non-square integer (possibly negative), squarefree but for primes above
 the trial bound of :func:`squarefree_split`; arithmetic that lands back in Q
 returns a ``Fraction`` again, so rationality is visible in the type.
-The linear algebra computes on sparse integer rows over Z[sqrt d];
-:class:`Matrix` is only the value it reads and returns, with no
-arithmetic.  Polynomials are computed on as primitive integer lists;
-:class:`Poly` is only the value that :func:`min_poly` and
-:func:`char_poly` return.
+The linear algebra takes a matrix in one form, its scaled integer rows
+(D, d, rows): row i is ``(a_i + b_i*sqrt(d)) / D`` for sparse integer
+rows a_i and b_i over Z[sqrt d], as :func:`_scaled_rows` gives them;
+only :func:`rref` takes plain vectors.  Polynomials are
+computed on as primitive integer lists; :class:`Poly` is only the value
+that :func:`min_poly` returns and :func:`factor_roots` reads.
 """
 
 from __future__ import annotations
@@ -293,40 +294,7 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 # ----------------------------------------------------------------------------
-# matrices
-
-
-class Matrix:
-    """Immutable dense matrix over Fraction / ExactScalar entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        data = tuple(tuple(rat(x) if isinstance(x, (int, str)) else x
-                           for x in row) for row in entries)
-        self.entries = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(r) != self.cols for r in data):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise ValueError("ragged matrix")
-        return cls(list(zip(*cols)))
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
+# matrices: scaled integer rows
 
 
 # A row over Z[sqrt d] is a pair of sparse integer rows (a, b), column -> int,
@@ -481,25 +449,15 @@ def _rref_ints(rows: list[_IntRow], d: int,
     return [_primitive(row) for row in done], pivots
 
 
-def _rref_rows(rows: list[list]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form of the rows; returns (rows, pivot_columns),
-    zero rows padding the result to the input's length.  Raises
-    ExtensionDegreeTooHigh if the entries use two different d."""
-    if not rows:
-        return rows, []
-    width = len(rows[0])
+def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form of the span of the rows: (the nonzero
+    reduced rows, their pivot columns), so the rank is the number of
+    pivots.  Raises ExtensionDegreeTooHigh if the entries use two
+    different d."""
     _, d, scaled = _scaled_rows(rows)
     reduced, pivots = _rref_ints(scaled, d)
-    out = [_unscaled_vector(a[c], d, a.items(), b.items(), width)
-           for (a, b), c in zip(reduced, pivots)]
-    out.extend((ZERO,) * width for _ in range(len(rows) - len(out)))
-    return out, pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form: (reduced, rank, pivot_columns)."""
-    rows, pivots = _rref_rows([list(r) for r in m.entries])
-    return Matrix(rows), len(pivots), pivots
+    return [_unscaled_vector(a[c], d, a.items(), b.items(), len(rows[0]))
+            for (a, b), c in zip(reduced, pivots)], pivots
 
 
 def _kernel_ints(rows: list[_IntRow], d: int,
@@ -525,28 +483,13 @@ def _kernel_ints(rows: list[_IntRow], d: int,
     return basis, free
 
 
-def kernel(m: Matrix) -> list[Vector]:
-    """Canonical RREF basis of the null space of m."""
-    _, d, rows = _scaled_rows(m.entries)
-    basis, pivots = _kernel_ints(rows, d, m.cols)
-    return [_unscaled_vector(a[p], d, a.items(), b.items(), m.cols)
-            for (a, b), p in zip(basis, pivots)]
-
-
-def solve_linear(m: Matrix, rhs: Vector) -> Optional[Vector]:
-    """Particular solution of m x = rhs (free variables 0), or None."""
-    return linear_solver(m)[1](rhs)
-
-
-def linear_solver(m: Union[Matrix, tuple[int, int, list[_IntRow]]], height: int = 0
-                  ) -> tuple[int, Callable[[Vector], Optional[Vector]]]:
+def linear_solver(m: tuple[int, int, list[_IntRow]], height: int
+                  ) -> tuple[int, Callable[[tuple], Optional[Vector]]]:
     """Factor a matrix once for repeated solves: (rank, solve).
 
-    ``m`` is a Matrix, whose ``solve`` takes a vector b, or the scaled
-    integer columns (D, d, cols) of a matrix with ``height`` rows, column j
-    being ``(a_j + b_j*sqrt(d)) / D``, whose ``solve`` takes b in the scaled
-    form (scale, e, a, b) of :func:`_scaled_vector`.  A Matrix is scaled
-    once here and goes the integer way.
+    ``m`` is the scaled integer columns (D, d, cols) of a matrix with
+    ``height`` rows, column j being ``(a_j + b_j*sqrt(d)) / D``; ``solve``
+    takes b in the scaled form (scale, e, a, b) of :func:`_scaled_vector`.
 
     The columns ``D*m_j``, column j tagged with a 1 at position ``R + n-1-j``
     for R rows and n columns, go through one :func:`_rref_ints`.  A reduced
@@ -557,9 +500,6 @@ def linear_solver(m: Union[Matrix, tuple[int, int, list[_IntRow]]], height: int 
     the combination of the tags, free unknowns 0.  Raises
     ExtensionDegreeTooHigh if m and b use two different d.
     """
-    if isinstance(m, Matrix):
-        rank, solve = linear_solver(_scaled_rows(zip(*m.entries)), m.rows)
-        return rank, lambda rhs: solve(_scaled_vector(rhs))
     den, d, cols = m
     R, n = height, len(cols)
     rows = [({**a, R + n - 1 - j: 1}, b) for j, (a, b) in enumerate(cols)]
@@ -590,12 +530,12 @@ def linear_solver(m: Union[Matrix, tuple[int, int, list[_IntRow]]], height: int 
     return rank, solve
 
 
-def symmetric_signature(m: Union[Matrix, tuple[int, int, list[_IntRow]]]
+def symmetric_signature(m: tuple[int, int, list[_IntRow]]
                         ) -> tuple[int, int, int, Scalar]:
     """(n_pos, n_neg, n_zero, det) of a symmetric matrix over Q or Q(sqrt d),
-    d > 0: a Matrix, or its scaled integer rows (D, d, rows), row i being
-    ``(a_i + b_i*sqrt(d)) / D``, as :func:`_scaled_rows` gives them; d < 0
-    raises ValueError, as such a form has no signature.
+    d > 0, given by its scaled integer rows (D, d, rows), row i being
+    ``(a_i + b_i*sqrt(d)) / D``; d < 0 raises ValueError, as such a form
+    has no signature.
 
     Fraction-free symmetric Bareiss elimination of ``D*m`` over Z[sqrt d]
     (an empty surd part for rational input), D the lcm of the denominators.
@@ -607,10 +547,6 @@ def symmetric_signature(m: Union[Matrix, tuple[int, int, list[_IntRow]]]
     trailing block counts toward n_zero; det = p_n / D^n, 0 if n_zero > 0.
     The given rows are never changed.
     """
-    if isinstance(m, Matrix):
-        if m.rows != m.cols:
-            raise ValueError("symmetric matrix required")
-        m = _scaled_rows(m.entries)
     den, d, scaled = m
     n = len(scaled)
     if any(j >= n or scaled[j][t].get(i) != x
@@ -662,8 +598,8 @@ def symmetric_signature(m: Union[Matrix, tuple[int, int, list[_IntRow]]]
 
 class Poly:
     """Dense univariate polynomial, coefficients lowest degree first: the
-    value :func:`min_poly` and :func:`char_poly` return.  It has no
-    arithmetic; the package computes with primitive integer lists."""
+    value :func:`min_poly` returns and :func:`factor_roots` reads.  It has
+    no arithmetic; the package computes with primitive integer lists."""
 
     __slots__ = ("coeffs",)
 
@@ -687,73 +623,31 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-# --- characteristic and minimal polynomials ----------------------------------
+# --- minimal polynomials ------------------------------------------------------
 
 
-def _int_matrix(m: Union[Matrix, tuple[int, int, list[_IntRow]]], name: str
-                ) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(scale, the sparse integer rows of ``A = scale*m``) for a square
-    matrix m, a Matrix or scaled rows (scale, d, rows); ValueError when m is
-    not square or not rational."""
-    if isinstance(m, Matrix):
-        if m.rows != m.cols:
-            raise ValueError("square matrix required")
-        if not all(isinstance(x, Fraction) for row in m.entries for x in row):
-            raise ValueError(f"{name} needs a rational matrix")
-        m = _scaled_rows(m.entries)
-    scale, _, rows = m
-    if any(b for _, b in rows):
-        raise ValueError(f"{name} needs a rational matrix")
-    return scale, [list(a.items()) for a, _ in rows]
-
-
-def _monic_poly(ints: list[int], scale: int) -> Poly:
-    """The monic ``f(scale*t) / (lead * scale^deg f)`` of m from the integer
-    polynomial f of ``A = scale*m``."""
-    k = len(ints) - 1
-    return Poly([Fraction(c, ints[-1] * scale ** (k - j)) for j, c in enumerate(ints)])
-
-
-def char_poly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(tI - m) of a rational square
-    matrix, fraction-free.  Raises ValueError for a non-square matrix or
-    one with extension scalars.
-
-    The Krylov spaces W_j of e_1, ..., e_j under ``A = scale*m`` are
-    A-invariant, so the annihilators of e_j modulo W_(j-1) multiply to
-    char_A (von zur Gathen & Gerhard, MCA, ch. 12).  Each comes from
-    :func:`_krylov_annihilator` on one echelon of W_(j-1), its tags dropped.
-    """
-    scale, rows = _int_matrix(m, "char_poly")
-    n = len(rows)
-    ints, echelon = [1], []
-    for start in range(n):
-        # both factors are primitive, so their product is (Gauss)
-        ints = _int_mul(ints, _krylov_annihilator(
-            rows, [int(i == start) for i in range(n)], echelon))
-        if len(ints) == n + 1:
-            break
-        echelon = [(p, ({j: x for j, x in a.items() if j < n}, b))
-                   for p, (a, b) in echelon]
-    return _monic_poly(ints, scale)
-
-
-def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
-    """Monic minimal polynomial of a rational square matrix: a Matrix, or
-    the scaled integer rows (scale, d, rows) of one, ``(a_i +
-    b_i*sqrt(d)) / scale`` for its row i, as :func:`_scaled_rows` and
-    :meth:`Subspace.ad_block` give them.
+def min_poly(m: tuple[int, int, list[_IntRow]]) -> Poly:
+    """Monic minimal polynomial of a rational square matrix, given by its
+    scaled integer rows (scale, d, rows), ``(a_i + b_i*sqrt(d)) / scale``
+    for its row i, as :func:`_scaled_rows` and :meth:`Subspace.ad_block`
+    give them.
 
     Works on the integer matrix ``A = scale*m`` (the rows a_i).  r, a
     primitive integer list, starts as ann(e_0); one :func:`_int_horner`
     pass of r over the later unit vectors finds the first e with v = r(A) e
     nonzero, r becomes lcm(r, ann(e)) = r * ann(v), and the next pass starts
     after e.  The last r is the minimal polynomial of A, and ``mp_m(t) =
-    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for a non-square
-    matrix or one with extension scalars (a nonzero b_i).
+    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for a column
+    index outside 0..n-1 of the n rows, or for extension scalars (a
+    nonzero b_i).
     """
-    scale, rows = _int_matrix(m, "min_poly")
-    n = len(rows)
+    scale, _, scaled = m
+    n = len(scaled)
+    if any(not 0 <= j < n for a, b in scaled for j in (*a, *b)):
+        raise ValueError("square matrix required")
+    if any(b for _, b in scaled):
+        raise ValueError("min_poly needs a rational matrix")
+    rows = [list(a.items()) for a, _ in scaled]
     ints, start = _krylov_annihilator(rows, [1] + [0] * (n - 1)) if n else [1], 1
     while start < n and len(ints) <= n:
         packed, w = _int_horner(rows, ints, range(start, n))
@@ -766,7 +660,8 @@ def min_poly(m: Union[Matrix, tuple[int, int, list[_IntRow]]]) -> Poly:
         ints = _int_mul(ints, _krylov_annihilator(
             rows, [_int_slots(p >> w * t, w, 1)[0] for p in packed]))
         start += t + 1
-    return _monic_poly(ints, scale)
+    k = len(ints) - 1
+    return Poly([Fraction(c, ints[-1] * scale ** (k - j)) for j, c in enumerate(ints)])
 
 
 def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
@@ -800,23 +695,18 @@ def _int_slots(p: int, w: int, k: int) -> list[int]:
     return [(p >> w * t & mask) - half for t in range(k)]
 
 
-def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int],
-                        echelon: Optional[list[tuple[int, _IntRow]]] = None
-                        ) -> list[int]:
-    """Primitive integer coefficients of the lowest-degree p with p(A) v in
-    the span of ``echelon``, the untagged rows (pivot, row) of an
-    A-invariant subspace (none by default): the Krylov annihilator of the
-    integer vector v, modulo that subspace.
+def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
+    """Primitive integer coefficients of the lowest-degree p with p(A) v =
+    0: the Krylov annihilator of the integer vector v.
 
     ``A^k v``, tagged with a 1 at position ``n + k``, is reduced by
-    :func:`_combine` against the rows of ``echelon`` in insertion order and
-    appended to it, so its tags carry its combination of the powers of A.
-    The first row left with no entry below n holds p in its tags, divided
-    by their content.
+    :func:`_combine` against the echelon rows of the powers before it in
+    insertion order and appended to them, so its tags carry its combination
+    of the powers of A.  The first row left with no entry below n holds p
+    in its tags, divided by their content.
     """
     n = len(rows)
-    if echelon is None:
-        echelon = []
+    echelon: list[tuple[int, _IntRow]] = []
     for k in count():
         row = ({**{j: x for j, x in enumerate(v) if x}, n + k: 1}, {})
         for p, prow in echelon:
@@ -1178,7 +1068,3 @@ def _part_roots(zeros: int, prime: Optional[int], parts: list[tuple[list[int], i
     out.sort(key=lambda rm: (*scalar_sort_key(rm[0]), scalar_d(rm[0])))
     return out
 
-
-def eigenvalues(m: Matrix) -> list[tuple[Scalar, int]]:
-    """Eigenvalues with multiplicities over Q or one quadratic extension."""
-    return factor_roots(char_poly(m))

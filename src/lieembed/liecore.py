@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh, Frozen,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
-from .exactlin import (Matrix, Poly, Scalar, Vector, ZERO, ONE,
+from .exactlin import (Poly, Scalar, Vector, ZERO, ONE,
                        format_rat, linear_solver, min_poly, rat, scalar_d,
                        scalar_parts, scalar_to_json, symmetric_signature,
                        unit_vector, _int_clear, _int_horner, _int_mul, _int_prem,
@@ -174,11 +174,6 @@ class LieAlgebra:
         """[x, b_j] for each j, in the scaled form of :meth:`_bracket_ints`."""
         return [self._bracket_ints(x, (1, 0, {j: 1}, {})) for j in range(self.dim)]
 
-    def ad(self, x: Vector) -> Matrix:
-        """Matrix of [x, -]; column j is [x, b_j], summed in ints."""
-        return Matrix.from_columns([_unscaled_vector(den, d, a.items(), b.items(), self.dim)
-                                    for den, d, a, b in self._ad_ints(_scaled_vector(x))])
-
     def killing_table(self) -> tuple[int, list[tuple[dict, dict]]]:
         """(D^2, rows), rows[i] = (D^2 * K_i, {}) a sparse integer row with
         an empty surd part, for the Killing form K_ij = trace(ad b_i ad b_j)
@@ -219,12 +214,6 @@ class LieAlgebra:
             return scale * scale, [({j: x for j, x in enumerate(_int_slots(k, w, n)) if x}, {})
                                    for k in sums]
         return self.kept(("killing_table",), make)
-
-    def killing_matrix(self) -> Matrix:
-        """The Killing form's matrix, read off :meth:`killing_table`."""
-        den, rows = self.killing_table()
-        return Matrix([[Fraction(a.get(j, 0), den) for j in range(self.dim)]
-                       for a, _ in rows])
 
     def killing_data(self) -> tuple[int, int, int, Scalar]:
         """(n_pos, n_neg, n_zero, det) of the Killing form, from one

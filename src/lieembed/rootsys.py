@@ -7,9 +7,10 @@ from typing import Optional, Sequence
 
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
-from .exactlin import (ExactScalar, Matrix, Scalar, Vector, conj, format_rat,
-                       is_complex_positive, min_poly, scalar_d, scalar_sort_key,
-                       scalar_to_json, solve_linear, vec_is_zero)
+from .exactlin import (ExactScalar, Scalar, Vector, conj, format_rat,
+                       is_complex_positive, linear_solver, min_poly, scalar_d,
+                       scalar_sort_key, scalar_to_json, vec_is_zero, _scaled_rows,
+                       _scaled_vector)
 from .liecore import LieAlgebra, Spectrum, Subspace, _check_torus, _torus_ad, spectrum
 
 
@@ -375,19 +376,19 @@ def sl2_triple(L: LieAlgebra, decomposition: RootSpaceDecomposition,
 
 
 def _complete_sl2(L: LieAlgebra, x: Vector, opposite: Subspace):
-    """Find Y in ``opposite`` with [[X, Y], X] = 2 X (then H = [X, Y])."""
-    cols = []
-    for w in opposite.rows:
-        h_w = L.bracket(x, w)
-        cols.append(L.bracket(h_w, x))
-    sol = solve_linear(Matrix.from_columns(cols), tuple(2 * c for c in x))
+    """Find Y in ``opposite`` with [[X, Y], X] = 2 X (then H = [X, Y]): one
+    :func:`linear_solver` solve on the scaled columns [[X, w], X] of the
+    rows w of ``opposite``, free unknowns 0."""
+    cols = [L.bracket(L.bracket(x, w), x) for w in opposite.rows]
+    two_x = tuple(2 * c for c in x)
+    sol = linear_solver(_scaled_rows(cols), L.dim)[1](_scaled_vector(two_x))
     if sol is None:
         raise DegenerateRoot("no opposite vector completes an sl2 triple")
     y = opposite.from_coords(sol)
     h = L.bracket(x, y)
     if vec_is_zero(h):
         raise DegenerateRoot("bracket of opposite root vectors vanishes")
-    if L.bracket(h, x) != tuple(2 * c for c in x):
+    if L.bracket(h, x) != two_x:
         raise DegenerateRoot("completed triple fails [H, X] = 2X")
     if L.bracket(h, y) != tuple(-2 * c for c in y):
         raise DegenerateRoot("completed triple fails [H, Y] = -2Y")

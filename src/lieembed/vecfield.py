@@ -16,8 +16,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import Frozen, NotClosed, UnknownName, VariableMismatch
-from .exactlin import (Matrix, ZERO, ONE, format_rat, linear_solver, rat,
-                       rref)
+from .exactlin import ZERO, ONE, format_rat, linear_solver, rat, rref
 from .liecore import LieAlgebra
 
 _PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -317,8 +316,7 @@ def invariant_count(fields: Sequence[PolyVectorField], n_vars: int) -> int:
     best = 0
     for p in _points(n_vars):
         rows = [[comp.eval(p) for comp in f.components] for f in fields]
-        _, rank, _ = rref(Matrix(rows))
-        best = max(best, rank)
+        best = max(best, len(rref(rows)[1]))
         if best >= cap:
             break
     return n_vars - best

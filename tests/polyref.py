@@ -1,15 +1,16 @@
 """Polynomial and matrix arithmetic over Q for the tests' reference oracles.
 
-``lieembed.exactlin.Poly`` and ``lieembed.exactlin.Matrix`` are plain
-values: coefficients and degree, entries and shape, equality.  The
-package computes with primitive integer lists and sparse integer rows.
-The references here keep the schoolbook arithmetic over Q, which shares
-no code with that integer path.
+``lieembed.exactlin.Poly`` is a plain value: coefficients and degree,
+equality.  The package computes with primitive integer lists and sparse
+integer rows, and has no matrix type.  The references here keep the
+schoolbook arithmetic over Q, which shares no code with that integer
+path: ``QPoly``, the dense ``QMatrix``, the characteristic polynomial by
+Faddeev-LeVerrier and a Gauss-Jordan solve.
 """
 
 from fractions import Fraction
 
-from lieembed.exactlin import ExactScalar, Matrix, Poly
+from lieembed.exactlin import ExactScalar, Poly, rat
 
 
 class QPoly(Poly):
@@ -75,21 +76,46 @@ class QPoly(Poly):
     def derivative(self):
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_matrix(self, m: Matrix) -> "QMatrix":
+    def eval_matrix(self, m: "QMatrix") -> "QMatrix":
         acc, one = QMatrix.zero(m.rows, m.rows), QMatrix.identity(m.rows)
         for c in reversed(self.coeffs):
             acc = (acc @ m) + one.scale(c)
         return acc
 
 
-class QMatrix(Matrix):
-    """A Matrix with arithmetic; equal to the Matrix with the same entries,
-    and built from one or from rows."""
+class QMatrix:
+    """Immutable dense matrix over Fraction / ExactScalar entries, built
+    from rows (ints and ``p/q`` strings become Fractions) or columns, with
+    equality and arithmetic."""
 
-    __slots__ = ()
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        super().__init__(entries.entries if isinstance(entries, Matrix) else entries)
+        data = tuple(tuple(rat(x) if isinstance(x, (int, str)) else x for x in row)
+                     for row in entries)
+        self.entries = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+        if any(len(r) != self.cols for r in data):
+            raise ValueError("ragged matrix")
+
+    @classmethod
+    def from_columns(cls, cols) -> "QMatrix":
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged matrix")
+        return cls(list(zip(*cols)))
+
+    def __eq__(self, other):
+        return isinstance(other, QMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+    def __repr__(self):
+        return f"QMatrix({self.rows}x{self.cols})"
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -110,7 +136,7 @@ class QMatrix(Matrix):
     def scale(self, c) -> "QMatrix":
         return QMatrix([[c * x for x in row] for row in self.entries])
 
-    def __matmul__(self, other: Matrix) -> "QMatrix":
+    def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = list(zip(*other.entries))
@@ -121,6 +147,46 @@ class QMatrix(Matrix):
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
+
+    def trace(self):
+        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+
+
+def reference_char_poly(m: QMatrix) -> QPoly:
+    """det(tI - m) of a square matrix by Faddeev-LeVerrier: with M_0 = 0
+    and c_n = 1, M_k = m M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(m M_k)/k."""
+    n = m.rows
+    coeffs, product = [Fraction(0)] * n + [Fraction(1)], QMatrix.zero(n, n)  # m M_0
+    for k in range(1, n + 1):
+        product = m @ (product + QMatrix.identity(n).scale(coeffs[n - k + 1]))
+        coeffs[n - k] = -product.trace() / k
+    return QPoly(coeffs)
+
+
+def reference_solve(m: QMatrix, rhs):
+    """A solution x of m x = rhs by Gauss-Jordan over Q(sqrt d) on the
+    augmented rows, the free unknowns 0, or None when there is none."""
+    rows = [list(row) + [b] for row, b in zip(m.entries, rhs)]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[-1] for row in rows[r:]):
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
+    return tuple(x)
 
 
 def _dot(u, v):

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lieembed.exactlin import (eigenvalues, make_scalar, min_poly,
+from lieembed.exactlin import (factor_roots, make_scalar, min_poly,
                                scalar_parts, symmetric_signature, vec_is_zero)
 from lieembed.liecore import (NILPOTENT, LieAlgebra, Subspace, center,
                               centralizer, classify_element, derived_algebra,
@@ -28,7 +28,8 @@ from lieembed.embed import (embed_abelian_nilpotent, embed_compact_torus,
                             maximal_compact_split)
 from lieembed.vecfield import (g2_catalog, structure_constants, invariant_count,
                                wave16_catalog)
-from polyref import is_squarefree
+from matrixops import ad, killing_matrix, scaled
+from polyref import QMatrix, is_squarefree, reference_char_poly
 from test_liecore import vec_add, vec_scale, vec_sub
 
 I = make_scalar(0, 1, -1)
@@ -82,7 +83,7 @@ def test_criterion_02_so4(so4):
 
 def test_criterion_03_so13(so13):
     E = so13.basis_vector
-    ev = eigenvalues(so13.ad(E("e1")))
+    ev = factor_roots(reference_char_poly(ad(so13, E("e1"))))
     assert ev == [(F(-1), 2), (F(0), 2), (F(1), 2)]
     rsd = root_space_decomposition(so13, [E("e1")])
     plus = rsd.space_of(Root((F(1),)))
@@ -159,7 +160,7 @@ def test_criterion_06_wave_maximal_compact(wave15):
 
 def test_criterion_07_g2_pipeline(g2):
     X = g2.basis_vector
-    assert symmetric_signature(g2.killing_matrix())[3] != 0
+    assert symmetric_signature(scaled(killing_matrix(g2)))[3] != 0
     U = span(g2, X("X14"), X("X13"), X("X12"))
     result, torus, cd, _ = embed_nilpotent(g2, U)
     assert result == span(g2, X("X5"), X("X14"), X("X13"), X("X12"),
@@ -313,7 +314,7 @@ def test_criterion_10_property_suites(wave15, g2, so4, so13, so22):
             assert vec_add(pair.semisimple, pair.nilpotent) == x
             assert vec_is_zero(L.bracket(pair.semisimple, pair.nilpotent))
             assert is_ad_nilpotent(L, pair.nilpotent)
-            assert is_squarefree(min_poly(L.ad(pair.semisimple)))
+            assert is_squarefree(min_poly(scaled(ad(L, pair.semisimple))))
 
     # centralizer Levi identity for every torus in the corpus
     tori = [
@@ -401,7 +402,7 @@ def test_cli_import_loads_no_introspection_modules():
 
 
 def test_one_polynomial_representation():
-    """``Poly`` is only the value min_poly and char_poly return, with no
+    """``Poly`` is only the value min_poly returns, with no
     arithmetic, and exactlin has no Fraction polynomial gcds: the package
     computes with primitive integer lists, so a second polynomial
     representation cannot come back unnoticed."""
@@ -415,35 +416,45 @@ def test_one_polynomial_representation():
         assert not hasattr(exactlin, name)
 
 
-def test_matrix_is_a_plain_value():
-    """``Matrix`` is only the value the linear algebra reads and returns:
-    entries, shape, equality and indexing, with no Fraction arithmetic
-    beside the package's integer rows, so none can come back unnoticed;
-    the tests' ``QMatrix`` keeps it for the references."""
-    from lieembed import exactlin
-    assert {k for k in vars(exactlin.Matrix) if not k.startswith("_")} == {
-        "entries", "rows", "cols", "from_columns"}
-    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-                  "__rmul__", "__matmul__", "__rmatmul__", "__truediv__",
-                  "__floordiv__", "__mod__", "__pow__", "__call__"}
-    assert arithmetic & set(dir(exactlin.Matrix)) == set()
-    assert not hasattr(exactlin, "_dot")
+_ONE_FORM_GONE = {"Matrix", "char_poly", "eigenvalues", "kernel", "solve_linear"}
+
+
+def test_one_matrix_form():
+    """The package takes a matrix only as scaled integer rows: no module
+    under lieembed defines or imports a Fraction ``Matrix`` or the entry
+    points that read one (``char_poly``, ``eigenvalues``, ``kernel``,
+    ``solve_linear``), and lieembed exports none of them; the tests'
+    ``QMatrix`` keeps the dense form for the references."""
+    import ast
+    from pathlib import Path
+    import lieembed
+    for path in sorted(Path(lieembed.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for a in node.names for part in (a.name.split(".")[-1], a.asname)}
+            elif isinstance(node, ast.Assign) and node in tree.body:  # module level
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            assert not names & _ONE_FORM_GONE, (path.name, node.lineno, names)
+    assert not _ONE_FORM_GONE & (set(vars(lieembed)) | set(getattr(lieembed, "__all__", ())))
 
 
 def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
-    """char_poly and min_poly both read their polynomial from
-    _krylov_annihilator; the Z[t] Bareiss char_poly is gone."""
+    """min_poly reads its polynomial from _krylov_annihilator; the Z[t]
+    Bareiss char_poly is gone."""
     from lieembed import exactlin
     assert not hasattr(exactlin, "_char_poly_bareiss_int")
     calls = []
     real = exactlin._krylov_annihilator
     monkeypatch.setattr(exactlin, "_krylov_annihilator",
                         lambda *args: calls.append(args) or real(*args))
-    m = exactlin.Matrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
-    assert exactlin.char_poly(m) == exactlin.Poly([10, 23, -10, 1])
-    assert len(calls) == 3  # e2 lies in the Krylov space of e1
-    assert exactlin.min_poly(m) == exactlin.Poly([10, 23, -10, 1])
-    assert len(calls) == 5
+    m = QMatrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    assert exactlin.min_poly(scaled(m)) == exactlin.Poly([10, 23, -10, 1])
+    assert len(calls) == 2  # e2 lies in the Krylov space of e1
 
 
 def test_one_packed_horner_pass_per_annihilator(monkeypatch, wave15):
@@ -461,16 +472,16 @@ def test_one_packed_horner_pass_per_annihilator(monkeypatch, wave15):
     monkeypatch.setattr(exactlin, "_krylov_annihilator",
                         lambda *args: calls.append(args) or krylov(*args))
     rng = random.Random(26)
-    cases = [exactlin.Matrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]]),
-             exactlin.Matrix([[F(int(i == j), 3) for j in range(8)] for i in range(8)]),
-             exactlin.Matrix([[0] * 6 for _ in range(6)]),
-             exactlin.Matrix([[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]),
-             wave15.ad(wave15.basis_vector("e1"))]
+    cases = [QMatrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]]),
+             QMatrix([[F(int(i == j), 3) for j in range(8)] for i in range(8)]),
+             QMatrix([[0] * 6 for _ in range(6)]),
+             QMatrix([[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]),
+             ad(wave15, wave15.basis_vector("e1"))]
     counts = []
     for m in cases:
         passes.clear()
         calls.clear()
-        min_poly(m)
+        min_poly(scaled(m))
         assert len(calls) - 1 <= len(passes) <= len(calls), (m, passes, calls)
         assert all(p[-1] == m.rows - 1 for p in passes)
         counts.append((len(passes), len(calls)))

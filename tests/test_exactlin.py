@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from lieembed import exactlin
 from lieembed.errors import ExtensionDegreeTooHigh, ParseError
-from lieembed.exactlin import (ExactScalar, Matrix, Poly, char_poly, conj,
-                               eigenvalues, factor_roots, kernel,
-                               linear_solver, make_scalar, min_poly, rat,
-                               rref, solve_linear, squarefree_split,
-                               symmetric_signature, unit_vector)
+from lieembed.exactlin import (ExactScalar, Poly, conj, factor_roots,
+                               make_scalar, min_poly, rat, rref,
+                               squarefree_split, symmetric_signature,
+                               unit_vector)
+from matrixops import ad, kernel, linear_solver, scaled, solve_linear
 from polyref import (QMatrix, QPoly, horner_per_start, poly_gcd,
-                     squarefree_decomposition)
+                     reference_char_poly, squarefree_decomposition)
 
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=7)
 
@@ -132,44 +132,43 @@ def test_matrix_from_columns():
     """Columns become rows transposed; no columns give the 0x0 matrix, and
     ragged columns raise what ragged rows raise, whichever column is the
     shortest."""
-    m = Matrix.from_columns([(1, 2, 3), (4, 5, 6)])
-    assert m == Matrix([[1, 4], [2, 5], [3, 6]]) and (m.rows, m.cols) == (3, 2)
-    empty = Matrix.from_columns([])
-    assert empty == Matrix([]) and (empty.rows, empty.cols) == (0, 0)
+    m = QMatrix.from_columns([(1, 2, 3), (4, 5, 6)])
+    assert m == QMatrix([[1, 4], [2, 5], [3, 6]]) and (m.rows, m.cols) == (3, 2)
+    empty = QMatrix.from_columns([])
+    assert empty == QMatrix([]) and (empty.rows, empty.cols) == (0, 0)
     for cols in ([(1,), (2, 3)], [(1, 2), (3,)], [(1, 2), (), (3, 4)]):
         with pytest.raises(ValueError, match="ragged matrix"):
-            Matrix.from_columns(cols)
+            QMatrix.from_columns(cols)
     with pytest.raises(ValueError, match="ragged matrix"):
-        Matrix([[1], [2, 3]])
+        QMatrix([[1], [2, 3]])
 
 
 # --- rref / kernel / solve -----------------------------------------------------
 
 def test_rref_identity():
     m = QMatrix.identity(3)
-    red, rank, piv = rref(m)
-    assert red == m and rank == 3 and piv == [0, 1, 2]
+    red, piv = rref(m.entries)
+    assert red == list(m.entries) and len(piv) == 3 and piv == [0, 1, 2]
 
 
 def test_rref_dependent_rows():
-    red, rank, piv = rref(Matrix([[2, 4], [1, 2]]))
-    assert red.entries == ((F(1), F(2)), (F(0), F(0)))
-    assert rank == 1
+    red, piv = rref(QMatrix([[2, 4], [1, 2]]).entries)
+    assert red == [(F(1), F(2))]  # the nonzero rows only
+    assert len(piv) == 1
 
 
 def test_rref_translation_frame_rank():
     # coefficient matrix of <d_t, d_y, d_x> over (t, x, y, z, u)
     rows = [unit_vector(5, 0), unit_vector(5, 2), unit_vector(5, 1)]
-    _, rank, _ = rref(Matrix(rows))
-    assert rank == 3  # leaves 5 - 3 = 2 joint invariants
+    assert len(rref(rows)[1]) == 3  # leaves 5 - 3 = 2 joint invariants
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
                 min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_rref_idempotent(rows):
-    red, _, _ = rref(Matrix(rows))
-    red2, _, _ = rref(red)
+    red, _ = rref(rows)
+    red2, _ = rref(red)
     assert red == red2
 
 
@@ -177,9 +176,8 @@ def test_rref_idempotent(rows):
                 min_size=2, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_rank_nullity(rows):
-    m = Matrix(rows)
-    _, rank, _ = rref(m)
-    assert rank + len(kernel(m)) == m.cols
+    m = QMatrix(rows)
+    assert len(rref(m.entries)[1]) + len(kernel(m)) == m.cols
 
 
 def test_kernel_trivial_cases():
@@ -189,14 +187,14 @@ def test_kernel_trivial_cases():
 
 def test_kernel_so13_boost_zero_eigenspace(so13):
     # zero eigenspace of ad(e1) is two-dimensional
-    assert len(kernel(so13.ad(so13.basis_vector("e1")))) == 2
+    assert len(kernel(ad(so13, so13.basis_vector("e1")))) == 2
 
 
 def test_solve_linear():
     assert solve_linear(QMatrix.identity(2), (F(3), F(5))) == (F(3), F(5))
-    assert solve_linear(Matrix([[1, 2], [2, 4]]), (1, 3)) is None
+    assert solve_linear(QMatrix([[1, 2], [2, 4]]), (1, 3)) is None
     # underdetermined: canonical particular solution has free vars zero
-    assert solve_linear(Matrix([[1, 1]]), (F(2),)) == (F(2), F(0))
+    assert solve_linear(QMatrix([[1, 1]]), (F(2),)) == (F(2), F(0))
 
 
 def _ref_linear_solver(m):
@@ -246,15 +244,18 @@ def _ref_linear_solver(m):
     return len(pivots), solve
 
 
-def _ref_solve_linear(m, rhs):
-    """The solution read off ``rref([m | rhs])`` (solve_linear before it
-    became one linear_solver call), kept as the reference."""
-    reduced, _, pivots = rref(Matrix([list(row) + [b] for row, b in zip(m.entries, rhs)]))
+def _ref_solve_linear(m, rhs, reduce=None):
+    """The solution read off the RREF of ``[m | rhs]`` (the solve before it
+    became one linear_solver call), kept as the reference: ``reduce`` takes
+    rows to (the nonzero reduced rows, pivots), by default the Fraction
+    Gauss-Jordan :func:`_ref_rref`."""
+    reduced, pivots = (reduce or _ref_rref)([list(row) + [rat(b) if isinstance(b, int) else b]
+                                              for row, b in zip(m.entries, rhs)])
     if m.cols in pivots:
         return None
     x = [F(0)] * m.cols
     for r, p in enumerate(pivots):
-        x[p] = reduced.entries[r][m.cols]
+        x[p] = reduced[r][m.cols]
     return tuple(x)
 
 
@@ -266,34 +267,34 @@ def test_linear_solver_matches_solve_linear():
     deficient = 0
     for trial in range(60):
         rows, cols = rng.randint(2, 9), rng.randint(1, 5)
-        m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
+        m = QMatrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
                      else F(0) for _ in range(cols)] for _ in range(rows)])
         if trial % 3 == 0:  # a dependent column: a combination of the others
             k = rng.randrange(cols)
-            m = Matrix([[sum((F(j + 1) * row[j] for j in range(cols) if j != k), F(0))
+            m = QMatrix([[sum((F(j + 1) * row[j] for j in range(cols) if j != k), F(0))
                          if c == k else x for c, x in enumerate(row)]
                         for row in m.entries])
         rank, solve = linear_solver(m)
         ref_rank, ref_solve = _ref_linear_solver(m)
-        assert rank == ref_rank == rref(m)[1]
+        assert rank == ref_rank == len(rref(m.entries)[1])
         deficient += rank < cols
         for _ in range(4):
             if rng.random() < 0.5:  # inside the column span
                 x = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cols)]
-                b = QMatrix(m).apply(x)
+                b = m.apply(x)
             else:
                 b = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
             got, want = solve(b), _ref_solve_linear(m, b)
             assert got == want == ref_solve(b) == solve_linear(m, b)
             assert got is None or all(type(x) is F for x in got)
     assert deficient >= 20
-    assert linear_solver(Matrix([[0, 0], [0, 0]]))[0] == 0
-    assert linear_solver(Matrix([[0, 0], [0, 0]]))[1]((F(0), F(1))) is None
+    assert linear_solver(QMatrix([[0, 0], [0, 0]]))[0] == 0
+    assert linear_solver(QMatrix([[0, 0], [0, 0]]))[1]((F(0), F(1))) is None
 
 
 def _reference_rref_rows(rows):
     """Dense Gauss-Jordan over Fraction/ExactScalar entries (the loop
-    _rref_rows ran before its fraction-free rewrite), kept as the
+    rref ran before its fraction-free rewrite), kept as the
     reference."""
     if not rows:
         return rows, []
@@ -318,6 +319,13 @@ def _reference_rref_rows(rows):
         if r == n_rows:
             break
     return rows, pivots
+
+
+def _ref_rref(rows):
+    """(the nonzero rows, pivots) of the reference RREF of the rows, in the
+    form rref returns."""
+    reduced, pivots = _reference_rref_rows([list(r) for r in rows])
+    return [tuple(r) for r in reduced[:len(pivots)]], pivots
 
 
 def _rand_rational(rng, bits):
@@ -369,26 +377,26 @@ def _same(x, y):
 
 
 def _flat(obj):
-    if isinstance(obj, Matrix):
+    if isinstance(obj, QMatrix):
         obj = obj.entries
     if isinstance(obj, (tuple, list)):
         return [e for item in obj for e in _flat(item)]
     return [obj]
 
 
-def _rref_results(m, rng, solve):
+def _rref_results(m, rng, reduce, solve):
     rhs_in = m.apply([F(rng.randint(-5, 5)) for _ in range(m.cols)])
     rhs_any = tuple(F(rng.randint(-3, 3)) for _ in range(m.rows))
-    return rref(m), kernel(m), solve(m, rhs_in), solve(m, rhs_any)
+    return reduce(m.entries), kernel(m), solve(m, rhs_in), solve(m, rhs_any)
 
 
 @pytest.mark.parametrize("d", [0, -1, 2, -3, 5])
-def test_rref_kernel_solve_match_fraction_reference(d, monkeypatch):
+def test_rref_kernel_solve_match_fraction_reference(d):
     cases = _rref_cases(seed=40 + d, count=60, d=d)
-    got = [_rref_results(m, random.Random(i), solve_linear) for i, m in enumerate(cases)]
-    # solve_linear does not go through _rref_rows: the reference solve does
-    monkeypatch.setattr(exactlin, "_rref_rows", _reference_rref_rows)
-    want = [_rref_results(m, random.Random(i), _ref_solve_linear)
+    got = [_rref_results(m, random.Random(i), rref, solve_linear)
+           for i, m in enumerate(cases)]
+    # the kernel has its own reference (test_kernel_matches_fraction_reference)
+    want = [_rref_results(m, random.Random(i), _ref_rref, _ref_solve_linear)
             for i, m in enumerate(cases)]
     for m, g, w in zip(cases, got, want):
         assert _same(g, w), m.entries
@@ -396,8 +404,8 @@ def test_rref_kernel_solve_match_fraction_reference(d, monkeypatch):
 
 def test_rref_mixed_extensions_rejected():
     root2, root3 = make_scalar(0, 1, 2), make_scalar(1, 1, 3)
-    m = Matrix([[root2, 0], [0, root3]])
-    for call in (lambda: rref(m), lambda: kernel(m),
+    m = QMatrix([[root2, 0], [0, root3]])
+    for call in (lambda: rref(m.entries), lambda: kernel(m),
                  lambda: solve_linear(m, (F(1), F(1)))):
         with pytest.raises(ExtensionDegreeTooHigh):
             call()
@@ -407,9 +415,9 @@ _EXTENSIONS = [0, 2, 3, 5, -1, -3]
 
 
 @pytest.mark.parametrize("d", _EXTENSIONS)
-def test_linear_solver_matches_fraction_references(d, monkeypatch):
+def test_linear_solver_matches_fraction_references(d):
     """linear_solver and solve_linear against the Fraction Gauss-Jordan and
-    the rref of [m | b] with the reference _rref_rows: ranks, solutions
+    the reference RREF of [m | b]: ranks, solutions
     with free unknowns 0 and their entry types, None for right-hand sides
     outside the span, over Q(sqrt d), at lower rank and on 0x0, 1x0, 3x0
     and 5x0 shapes."""
@@ -426,11 +434,10 @@ def test_linear_solver_matches_fraction_references(d, monkeypatch):
         rank, solve = linear_solver(m)
         cases.append((m, sides, rank, [solve(b) for b in sides],
                       [solve_linear(m, b) for b in sides]))
-    monkeypatch.setattr(exactlin, "_rref_rows", _reference_rref_rows)
     deficient = outside = empty = 0
     for m, sides, rank, solved, one_shot in cases:
         ref_rank, ref_solve = _ref_linear_solver(m)
-        assert rank == ref_rank == rref(m)[1], m.entries
+        assert rank == ref_rank == len(_ref_rref(m.entries)[1]), m.entries
         want = [_ref_solve_linear(m, b) for b in sides]
         assert _same(solved, want) and _same(one_shot, want), m.entries
         assert _same(solved, [ref_solve(b) for b in sides]), m.entries
@@ -443,19 +450,19 @@ def test_linear_solver_matches_fraction_references(d, monkeypatch):
 @pytest.mark.parametrize("d", [d for d in _EXTENSIONS if d])
 def test_linear_solver_mixed_extensions_rejected(d):
     """Two different d in m raise when m is factored; a right-hand side
-    over another d than m raises in solve, as the rref of [m | b] does."""
+    over another d than m raises in solve, as rref of [m | b] does."""
     e = next(e for e in _EXTENSIONS if e not in (0, d))
     root_d, root_e = make_scalar(1, 1, d), make_scalar(0, 2, e)
-    mixed = Matrix([[root_d, F(1)], [F(0), root_e], [F(1), F(1)]])
+    mixed = QMatrix([[root_d, F(1)], [F(0), root_e], [F(1), F(1)]])
     for call in (lambda: linear_solver(mixed), lambda: solve_linear(mixed, (1, 0, 0)),
-                 lambda: _ref_solve_linear(mixed, (1, 0, 0))):
+                 lambda: _ref_solve_linear(mixed, (1, 0, 0), rref)):
         with pytest.raises(ExtensionDegreeTooHigh):
             call()
-    m = Matrix([[root_d, F(1)], [F(0), F(1)]])
+    m = QMatrix([[root_d, F(1)], [F(0), F(1)]])
     _, solve = linear_solver(m)
     assert solve((root_d, F(0))) == (F(1), F(0))
     for call in (lambda: solve((root_e, F(0))), lambda: solve_linear(m, (F(0), root_e)),
-                 lambda: _ref_solve_linear(m, (root_e, F(0)))):
+                 lambda: _ref_solve_linear(m, (root_e, F(0)), rref)):
         with pytest.raises(ExtensionDegreeTooHigh):
             call()
 
@@ -490,7 +497,7 @@ def test_linear_solver_on_scaled_columns_matches_the_reference(d):
     for m in _rref_cases(seed=70 + d, count=25, d=d) + [QMatrix([[]] * 3)]:
         scaled = _int_columns(list(zip(*m.entries)), rng.choice((1, 2, 6)))
         kept = copy.deepcopy(scaled)
-        rank, solve = linear_solver(scaled, m.rows)
+        rank, solve = exactlin.linear_solver(scaled, m.rows)
         ref_rank, ref_solve = _ref_linear_solver(m)
         assert rank == ref_rank, m.entries
         sides = [m.apply([entry() for _ in range(m.cols)]) for _ in range(2)]
@@ -536,20 +543,21 @@ def test_kernel_matches_fraction_reference(d):
 def test_rref_against_sympy():
     sympy = pytest.importorskip("sympy")
     for m in _rref_cases(seed=41, count=40):
-        reduced, rank, pivots = rref(m)
+        reduced, pivots = rref(m.entries)
         if not m.rows or not m.cols:
             continue
         want, want_pivots = sympy.Matrix(
             [[sympy.Rational(x.numerator, x.denominator) for x in row]
              for row in m.entries]).rref()
-        assert list(want_pivots) == pivots and rank == len(pivots)
+        assert list(want_pivots) == pivots and len(reduced) == len(pivots)
+        zero_rows = [[0] * m.cols] * (m.rows - len(pivots))
         assert [[sympy.Rational(x.numerator, x.denominator) for x in row]
-                for row in reduced.entries] == want.tolist()
+                for row in reduced] + zero_rows == want.tolist()
 
 
 # --- characteristic / minimal polynomials -------------------------------------
 
-def _naive_char_poly(m: Matrix) -> Poly:
+def _naive_char_poly(m: QMatrix) -> Poly:
     """Independent oracle: cofactor expansion of det(tI - m) over Poly."""
     n = m.rows
     entries = [[QPoly([-m.entries[i][j], 1]) if i == j else QPoly([-m.entries[i][j]])
@@ -568,24 +576,28 @@ def _naive_char_poly(m: Matrix) -> Poly:
     return det(list(range(n)), list(range(n)))
 
 
+# The package has no characteristic polynomial; these check the
+# Faddeev-LeVerrier reference that the eigenvalue tests read, on the
+# package's ad matrices too.
+
 def test_char_poly_zero_matrix():
-    assert char_poly(QMatrix.zero(4, 4)) == Poly([0, 0, 0, 0, 1])
+    assert reference_char_poly(QMatrix.zero(4, 4)) == Poly([0, 0, 0, 0, 1])
 
 
 def test_char_poly_vs_cofactor_oracle():
     rng = random.Random(7)
     for n in (2, 3, 4, 5):
-        m = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3))
+        m = QMatrix([[F(rng.randint(-4, 4), rng.randint(1, 3))
                      for _ in range(n)] for _ in range(n)])
-        assert char_poly(m) == _naive_char_poly(m)
+        assert reference_char_poly(m) == _naive_char_poly(m)
 
 
 def test_char_poly_so4_boost(so4):
     # direct expansion oracle for ad(e1): t^2 (t^2+1)^2
-    m = so4.ad(so4.basis_vector("e1"))
+    m = ad(so4, so4.basis_vector("e1"))
     expected = QPoly([0, 0, 1]) * QPoly([1, 0, 1]) * QPoly([1, 0, 1])
-    assert char_poly(m) == expected
-    assert char_poly(m) == _naive_char_poly(m)
+    assert reference_char_poly(m) == expected
+    assert reference_char_poly(m) == _naive_char_poly(m)
 
 
 def test_char_poly_wave_levi_boost(wave15):
@@ -596,25 +608,24 @@ def test_char_poly_wave_levi_boost(wave15):
                           for n in ("e2", "e4", "e6", "e13", "e14", "e15")])
     expected = QPoly([0, 0, 1]) * QPoly([-1, 0, 1]) * QPoly([-1, 0, 1])
     for boost in ("e2", "e6"):
-        ad = wave15.ad(wave15.basis_vector(boost))
-        m = Matrix.from_columns([S.coords_of(QMatrix(ad).apply(r)) for r in S.rows])
-        assert char_poly(m) == expected
+        ad_boost = ad(wave15, wave15.basis_vector(boost))
+        m = QMatrix.from_columns([S.coords_of(ad_boost.apply(r)) for r in S.rows])
+        assert reference_char_poly(m) == expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 10 ** 6))
 def test_cayley_hamilton(n, seed):
     rng = random.Random(seed)
-    m = Matrix([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
-    p = char_poly(m)
-    assert QPoly(p.coeffs).eval_matrix(m).is_zero()
+    m = QMatrix([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+    assert reference_char_poly(m).eval_matrix(m).is_zero()
 
 
 def test_min_poly_divides_char_poly():
     rng = random.Random(3)
     for n in (3, 4, 6):
-        m = Matrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
-        mp, cp = min_poly(m), char_poly(m)
+        m = QMatrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        mp, cp = min_poly(scaled(m)), reference_char_poly(m)
         assert (QPoly(cp.coeffs) % mp).is_zero()
         assert QPoly(mp.coeffs).eval_matrix(m).is_zero()
 
@@ -623,7 +634,7 @@ def _reference_min_poly(m):
     """Krylov minimal polynomial over Fraction vectors, the lcm of the
     annihilators of the unit vectors (the algorithm min_poly used before
     its integer rewrite), kept as the reference."""
-    n, m = m.rows, QMatrix(m)
+    n = m.rows
     result = QPoly([1])
     for start in range(n):
         if result.degree >= 1:
@@ -685,7 +696,7 @@ def _block_diag(blocks):
             for j, x in enumerate(row):
                 out[at + i][at + j] = F(x)
         at += len(bl)
-    return Matrix(out)
+    return QMatrix(out)
 
 
 def _jordan(lam, k):
@@ -698,14 +709,14 @@ def _min_poly_cases(seed, count):
     some zero entries) and structured ones: zero, scalar, 1x1, nilpotent,
     derogatory (repeated Jordan blocks) and diagonalizable with repeats."""
     rng = random.Random(seed)
-    cases = [Matrix([[0] * n for _ in range(n)]) for n in (1, 2, 4)]
+    cases = [QMatrix([[0] * n for _ in range(n)]) for n in (1, 2, 4)]
     cases += [QMatrix.identity(n).scale(F(-7, 3)) for n in (1, 3)]
-    cases += [Matrix([[F(rng.randint(-99, 99), rng.randint(1, 9))]]) for _ in range(3)]
+    cases += [QMatrix([[F(rng.randint(-99, 99), rng.randint(1, 9))]]) for _ in range(3)]
     for _ in range(count):
         n = rng.randint(1, 7)
         bits = rng.randint(1, 20)
         density = rng.choice((0.3, 0.7, 1.0))
-        cases.append(Matrix([[_rand_rational(rng, bits) if rng.random() < density
+        cases.append(QMatrix([[_rand_rational(rng, bits) if rng.random() < density
                               else F(0) for _ in range(n)] for _ in range(n)]))
     structured = [
         _block_diag([_jordan(0, 3), _jordan(0, 2)]),             # nilpotent
@@ -721,7 +732,7 @@ def _min_poly_cases(seed, count):
 
 def test_min_poly_matches_fraction_reference():
     for m in _min_poly_cases(seed=20, count=40):
-        assert min_poly(m) == _reference_min_poly(m), m.entries
+        assert min_poly(scaled(m)) == _reference_min_poly(m), m.entries
 
 
 def _ref_krylov_annihilator(rows, v):
@@ -766,7 +777,7 @@ def test_krylov_annihilator_matches_dense_reference(monkeypatch):
     min_poly hands it; min_poly is unchanged when it runs on the
     reference."""
     rng = random.Random(22)
-    dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
+    dense = [QMatrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
              for n in (2, 5, 8, 8)]
     cases = _min_poly_cases(seed=22, count=40) + dense
     for m in cases:
@@ -778,12 +789,12 @@ def test_krylov_annihilator_matches_dense_reference(monkeypatch):
     real = exactlin._krylov_annihilator
     monkeypatch.setattr(exactlin, "_krylov_annihilator",
                         lambda rows, v: calls.append((rows, v)) or real(rows, v))
-    got = [min_poly(m) for m in cases]
+    got = [min_poly(scaled(m)) for m in cases]
     assert len([v for _, v in calls if sum(map(abs, v)) != 1]) >= 20
     for rows, v in calls:
         assert real(rows, v) == _ref_krylov_annihilator(rows, v), (rows, v)
     monkeypatch.setattr(exactlin, "_krylov_annihilator", _ref_krylov_annihilator)
-    assert got == [min_poly(m) for m in cases]
+    assert got == [min_poly(scaled(m)) for m in cases]
 
 
 def _dense_rebased_algebras():
@@ -824,7 +835,7 @@ def test_min_poly_matches_fraction_reference_on_dense_ad_blocks():
                 y = L.bracket(x, y)
             for S in (Subspace.full(L), Subspace(L, krylov)):
                 den, _, rows = block = S.ad_block(L._ad_ints(exactlin._scaled_vector(x)))
-                m = Matrix([[F(a.get(j, 0), den) for j in range(S.dim)] for a, _ in rows])
+                m = QMatrix([[F(a.get(j, 0), den) for j in range(S.dim)] for a, _ in rows])
                 mp = min_poly(block)
                 assert mp == _reference_min_poly(m), (L.name, x, S.dim)
                 cyclic += mp.degree == S.dim
@@ -864,7 +875,7 @@ def test_packed_horner_matches_per_start_horner():
     with zero and negative coefficients."""
     from lieembed.liecore import Subspace
     rng = random.Random(26)
-    dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
+    dense = [QMatrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
              for n in (3, 6, 9)]
     blocks = [_int_rows(m) for m in _min_poly_cases(seed=26, count=30) + dense]
     for L in _dense_rebased_algebras():
@@ -919,28 +930,32 @@ def test_packed_horner_slot_width_is_tight():
 
 def test_min_poly_known_values():
     t = QPoly([0, 1])
-    assert min_poly(Matrix([[0, 0], [0, 0]])) == t
-    assert min_poly(QMatrix.identity(3).scale(F(5, 2))) == t - QPoly([F(5, 2)])
-    assert min_poly(Matrix([[F(-3, 4)]])) == t + QPoly([F(3, 4)])
-    assert min_poly(_block_diag([_jordan(0, 3), _jordan(0, 1)])) == t * t * t
-    assert min_poly(Matrix([])) == Poly([1])
+    assert min_poly(scaled(QMatrix([[0, 0], [0, 0]]))) == t
+    assert min_poly(scaled(QMatrix.identity(3).scale(F(5, 2)))) == t - QPoly([F(5, 2)])
+    assert min_poly(scaled(QMatrix([[F(-3, 4)]]))) == t + QPoly([F(3, 4)])
+    assert min_poly(scaled(_block_diag([_jordan(0, 3), _jordan(0, 1)]))) == t * t * t
+    assert min_poly(scaled(QMatrix([]))) == Poly([1])
 
 
 def test_min_poly_rejects_extension_scalars():
     root2 = make_scalar(0, 1, 2)
     with pytest.raises(ValueError, match="rational"):
-        min_poly(Matrix([[root2, 0], [0, 1]]))
+        min_poly(scaled(QMatrix([[root2, 0], [0, 1]])))
     with pytest.raises(ValueError, match="square"):
-        min_poly(Matrix([[1, 2]]))
+        min_poly(scaled(QMatrix([[1, 2]])))
 
 
-def test_char_poly_rejects_extension_scalars():
-    root2 = make_scalar(0, 1, 2)
-    with pytest.raises(ValueError, match="rational"):
-        char_poly(Matrix([[root2, 0], [0, 1]]))
-    with pytest.raises(ValueError, match="square"):
-        char_poly(Matrix([[1, 2]]))
-    assert char_poly(Matrix([])) == Poly([1])
+def test_min_poly_rejects_out_of_range_columns():
+    """n rows may name only columns 0..n-1: a column past the last row or
+    a negative one is refused, not read as another column or left to an
+    IndexError; the given rows are left as they were."""
+    for rows in ([({1: 2}, {})], [({-1: 1}, {}), ({0: 1}, {})],
+                 [({0: 1}, {}), ({2: 1}, {})], [({0: 1}, {-1: 1})]):
+        kept = [(dict(a), dict(b)) for a, b in rows]
+        with pytest.raises(ValueError, match="square matrix required"):
+            min_poly((1, 0, rows))
+        assert rows == kept
+    assert min_poly((2, 0, [({1: 1}, {}), ({0: 1}, {})])) == Poly([F(-1, 4), 0, 1])
 
 
 def test_min_poly_against_sympy():
@@ -955,7 +970,7 @@ def test_min_poly_against_sympy():
 
     for m in _min_poly_cases(seed=21, count=12):
         mp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                         for c in reversed(min_poly(m).coeffs)], t)
+                         for c in reversed(min_poly(scaled(m)).coeffs)], t)
         mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                              for x in row] for row in m.entries])
         assert evaluate(mp.all_coeffs()[::-1], mat).is_zero_matrix
@@ -968,12 +983,12 @@ def test_min_poly_against_sympy():
 # --- eigenvalues ----------------------------------------------------------------
 
 def test_eigenvalues_nilpotent():
-    m = Matrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
-    assert eigenvalues(m) == [(F(0), 3)]
+    m = QMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    assert factor_roots(reference_char_poly(m)) == [(F(0), 3)]
 
 
 def test_eigenvalues_so13_boost(so13):
-    ev = eigenvalues(so13.ad(so13.basis_vector("e1")))
+    ev = factor_roots(reference_char_poly(ad(so13, so13.basis_vector("e1"))))
     assert ev == [(F(-1), 2), (F(0), 2), (F(1), 2)]
 
 
@@ -981,9 +996,9 @@ def test_eigenvalues_reconstruct_char_poly():
     rng = random.Random(11)
     for _ in range(6):
         n = rng.choice((2, 3, 4))
-        m = Matrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        m = QMatrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
         try:
-            ev = eigenvalues(m)
+            ev = factor_roots(reference_char_poly(m))
         except ExtensionDegreeTooHigh:
             continue
         prod = QPoly([1])
@@ -991,7 +1006,7 @@ def test_eigenvalues_reconstruct_char_poly():
             for _ in range(mult):
                 prod = prod * QPoly([-lam, 1])
         # rational coefficients throughout: compare against char poly
-        assert Poly([c for c in prod.coeffs]) == char_poly(m)
+        assert Poly([c for c in prod.coeffs]) == _naive_char_poly(m)
         assert sum(mult for _, mult in ev) == n
 
 
@@ -1011,7 +1026,7 @@ def _eigen_cases(seed, bits, count):
     for _ in range(count):
         n = rng.randint(1, 6)
         density = rng.choice((0.3, 0.7, 1.0))
-        cases.append(Matrix([[_rand_rational(rng, bits) if rng.random() < density
+        cases.append(QMatrix([[_rand_rational(rng, bits) if rng.random() < density
                               else F(0) for _ in range(n)] for _ in range(n)]))
     return cases
 
@@ -1052,27 +1067,6 @@ def _sympy_root_key(sympy, r):
     return _root_key(sympy, a, b, m)
 
 
-def test_char_poly_krylov_product_against_sympy():
-    """The product of the relative Krylov annihilators of the unit vectors
-    is sympy's charpoly on the min_poly cases (zero, scalar, nilpotent,
-    derogatory and their shear conjugates, where the Krylov spaces of the
-    unit vectors overlap) and on dense 20-bit matrices up to 14 x 14, and
-    the cofactor expansion where n <= 6."""
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    rng = random.Random(23)
-    dense = [Matrix([[_rand_rational(rng, 20) for _ in range(n)] for _ in range(n)])
-             for n in (8, 10, 14)]
-    for m in _min_poly_cases(seed=23, count=30) + dense:
-        mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                            for row in m.entries])
-        got = char_poly(m)
-        assert [sympy.Rational(c.numerator, c.denominator) for c in got.coeffs] == \
-            mat.charpoly(t).all_coeffs()[::-1], m.entries
-        if m.rows <= 6:
-            assert got == _naive_char_poly(m)
-
-
 def test_char_poly_against_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
@@ -1080,7 +1074,7 @@ def test_char_poly_against_sympy():
         mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                             for row in m.entries])
         want = mat.charpoly(t).all_coeffs()[::-1]
-        got = char_poly(m).coeffs
+        got = reference_char_poly(m).coeffs
         assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
 
 
@@ -1130,10 +1124,11 @@ def test_eigenvalues_against_sympy():
         cp = mat.charpoly(t).as_expr()
         if not _sympy_fits(sympy, t, cp):
             with pytest.raises(ExtensionDegreeTooHigh):
-                eigenvalues(m)
+                factor_roots(reference_char_poly(m))
             continue
         in_tower += 1
-        assert _roots_as_sympy(sympy, eigenvalues(m)) == _sympy_roots(sympy, t, cp), m.entries
+        roots = factor_roots(reference_char_poly(m))
+        assert _roots_as_sympy(sympy, roots) == _sympy_roots(sympy, t, cp), m.entries
     assert in_tower >= 20
 
 
@@ -1562,17 +1557,17 @@ def _ref_determinant(m):
 
 
 def test_symmetric_signature():
-    assert symmetric_signature(Matrix([[0, 1], [1, 0]])) == (1, 1, 0, F(-1))
-    assert symmetric_signature(QMatrix.zero(3, 3)) == (0, 0, 3, F(0))
-    assert symmetric_signature(Matrix([[2, 0], [0, -3]])) == (1, 1, 0, F(-6))
-    assert symmetric_signature(Matrix([])) == (0, 0, 0, F(1))
+    assert symmetric_signature(scaled(QMatrix([[0, 1], [1, 0]]))) == (1, 1, 0, F(-1))
+    assert symmetric_signature(scaled(QMatrix.zero(3, 3))) == (0, 0, 3, F(0))
+    assert symmetric_signature(scaled(QMatrix([[2, 0], [0, -3]]))) == (1, 1, 0, F(-6))
+    assert symmetric_signature(scaled(QMatrix([]))) == (0, 0, 0, F(1))
     with pytest.raises(ValueError, match="symmetric matrix required"):
-        symmetric_signature(Matrix([[1, 2], [3, 4]]))
+        symmetric_signature(scaled(QMatrix([[1, 2], [3, 4]])))
     # scaled rows (D, d, rows): the zero diagonal takes the congruence step
     # first, and the given rows are left as they were
     rows = [({1: 3}, {}), ({0: 3, 2: 1}, {}), ({1: 1}, {})]
-    assert symmetric_signature((2, 0, rows)) == symmetric_signature(
-        Matrix([[0, F(3, 2), 0], [F(3, 2), 0, F(1, 2)], [0, F(1, 2), 0]]))
+    assert symmetric_signature((2, 0, rows)) == symmetric_signature(scaled(
+        QMatrix([[0, F(3, 2), 0], [F(3, 2), 0, F(1, 2)], [0, F(1, 2), 0]])))
     assert rows == [({1: 3}, {}), ({0: 3, 2: 1}, {}), ({1: 1}, {})]
     for bad in ([({1: 1}, {}), ({}, {})], [({0: 1, 1: 1}, {})]):
         with pytest.raises(ValueError, match="symmetric matrix required"):
@@ -1584,17 +1579,16 @@ def test_symmetric_signature():
 @settings(max_examples=40, deadline=None)
 def test_signature_counts_sum(rows):
     sym = [[F(rows[i][j] + rows[j][i]) for j in range(3)] for i in range(3)]
-    pos, neg, zero, _ = symmetric_signature(Matrix(sym))
+    pos, neg, zero, _ = symmetric_signature(scaled(QMatrix(sym)))
     assert pos + neg + zero == 3
-    _, rank, _ = rref(Matrix(sym))
-    assert pos + neg == rank
+    assert pos + neg == len(rref(sym)[1])
 
 
 def test_determinant():
-    assert _ref_determinant(Matrix([[1, 2], [3, 4]])) == F(-2)
-    for m, det in ((Matrix([[1, 2], [2, 1]]), F(-3)), (QMatrix.identity(5), F(1)),
+    assert _ref_determinant(QMatrix([[1, 2], [3, 4]])) == F(-2)
+    for m, det in ((QMatrix([[1, 2], [2, 1]]), F(-3)), (QMatrix.identity(5), F(1)),
                    (QMatrix.zero(2, 2), F(0))):
-        assert symmetric_signature(m)[3] == det == _ref_determinant(m)
+        assert symmetric_signature(scaled(m))[3] == det == _ref_determinant(m)
 
 
 @st.composite
@@ -1614,7 +1608,7 @@ def _symmetric_matrices(draw):
             sign = draw(st.sampled_from((1, -1)))
             a = [[x + sign * v[i] * v[j] for j, x in enumerate(row)]
                  for i, row in enumerate(a)]
-        return Matrix(a)
+        return QMatrix(a)
     size = n * (n + 1) // 2
     upper = draw(st.lists(entry, min_size=size, max_size=size))
     if kind == "sparse":
@@ -1632,14 +1626,14 @@ def _symmetric_matrices(draw):
         for i in range(t, n):
             for j in range(n):
                 a[i][j] = a[j][i] = F(0)
-    return Matrix(a)
+    return QMatrix(a)
 
 
 @given(_symmetric_matrices())
 @settings(deadline=None)
 def test_symmetric_signature_against_the_fraction_loops(m):
     sympy = pytest.importorskip("sympy")
-    pos, neg, zero, det = symmetric_signature(m)
+    pos, neg, zero, det = symmetric_signature(scaled(m))
     assert (pos, neg, zero) == _ref_symmetric_signature(m)
     assert det == _ref_determinant(m) and type(det) is F
     if m.rows:
@@ -1672,13 +1666,13 @@ def test_symmetric_signature_over_a_real_quadratic_field():
                 a[-1] = list(a[0])
                 for row in a:
                     row[-1] = row[0]
-            m = Matrix(a)
-            pos, neg, zero, det = symmetric_signature(m)
+            m = QMatrix(a)
+            pos, neg, zero, det = symmetric_signature(scaled(m))
             with mpmath.workdps(60):
                 values = mpmath.eigsy(mpmath.matrix(
                     [[real(x) for x in row] for row in a]), eigvals_only=True)
                 big = [v for v in values if abs(v) > mpmath.mpf(10) ** -40]
-            _, rank, _ = rref(m)
+            rank = len(rref(m.entries)[1])
             assert zero == n - rank == n - len(big)
             assert (pos, neg) == (sum(v > 0 for v in big), sum(v < 0 for v in big))
             assert det == _ref_determinant(m)
@@ -1688,4 +1682,4 @@ def test_symmetric_signature_over_an_imaginary_field_raises():
     i = make_scalar(0, 1, -1)
     with pytest.raises(ValueError, match="imaginary field Q\\(sqrt\\(-1\\)\\) "
                        "has no signature"):
-        symmetric_signature(Matrix([[i, 1], [1, 0]]))
+        symmetric_signature(scaled(QMatrix([[i, 1], [1, 0]])))

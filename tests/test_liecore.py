@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from lieembed.errors import (CenterObstruction, ExtensionDegreeTooHigh,
                              InvalidStructureConstants, NotASubalgebra,
                              NotATorus)
-from lieembed.exactlin import (Matrix, Poly, factor_roots, kernel, make_scalar,
-                               scalar_parts, solve_linear, symmetric_signature,
-                               unit_vector, vec_is_zero, _scaled_vector,
-                               _unscaled_vector)
+from lieembed.exactlin import (Poly, factor_roots, make_scalar, scalar_parts,
+                               symmetric_signature, unit_vector, vec_is_zero,
+                               _scaled_vector, _unscaled_vector)
 from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               NILPOTENT, REAL_SEMISIMPLE, LieAlgebra, Subspace,
                               center, centralizer, classify_element,
@@ -27,6 +26,7 @@ from lieembed.liecore import (COMPACT_SEMISIMPLE, GENERAL, MIXED_SEMISIMPLE,
                               killing_signature, levi_decomposition,
                               normalizer, radical, restricted_killing_signature,
                               spectrum, subalgebra_generated, torus_split)
+from matrixops import ad, kernel, killing_matrix, scaled, solve_linear
 from polyref import QMatrix, QPoly, is_squarefree, poly_gcd
 from test_exactlin import _perfbench_module, _reference_rref_rows
 
@@ -98,7 +98,7 @@ def test_bracket_g2_appendix_entry(g2):
 
 
 def test_ad_zero_and_nilpotent_translation(wave15):
-    assert QMatrix(wave15.ad(tuple([F(0)] * 15))).is_zero()
+    assert ad(wave15, tuple([F(0)] * 15)).is_zero()
     assert is_ad_nilpotent(wave15, wave15.basis_vector("e8"))
 
 
@@ -113,23 +113,23 @@ def test_ad_diagonal_on_g2_pair(g2):
 
 def test_killing_abelian_is_zero():
     ab = LieAlgebra(2, ["a", "b"], {})
-    assert QMatrix(ab.killing_matrix()).is_zero()
+    assert killing_matrix(ab).is_zero()
     assert killing_signature(ab) == (0, 0, 2)
 
 
 def test_zero_dimensional_algebra_has_0x0_matrices():
     L = LieAlgebra(0, [], {})
-    assert L.ad(()) == L.killing_matrix() == Matrix([])
-    assert (L.ad(()).rows, L.ad(()).cols) == (0, 0)
+    assert ad(L, ()) == killing_matrix(L) == QMatrix([])
+    assert (ad(L, ()).rows, ad(L, ()).cols) == (0, 0)
 
 
 def test_killing_so3(so3):
-    assert so3.killing_matrix() == Matrix([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
+    assert killing_matrix(so3) == QMatrix([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
     assert killing_signature(so3) == (0, 3, 0)
 
 
 def test_killing_g2_nondegenerate(g2):
-    assert symmetric_signature(g2.killing_matrix())[3] != 0
+    assert symmetric_signature(scaled(killing_matrix(g2)))[3] != 0
 
 
 def test_killing_signature_wave(wave15):
@@ -322,14 +322,14 @@ def _ref_levi(sub):
     """levi_decomposition as it ran on Fraction tuples: a linear_solver
     for the quotient's structure constants, Fraction lifting equations and
     corrections, one solve_linear per stage."""
-    from lieembed.exactlin import linear_solver
+    from matrixops import linear_solver
     L = sub.algebra
     rad = radical(sub)
     if rad.dim in (0, sub.dim):
         return rad, sub if rad.dim == 0 else Subspace.zero(L)
     xs = [tuple(r) for r in rad.complement_in(sub).rows]
     s_dim = len(xs)
-    _, solve = linear_solver(Matrix.from_columns(xs + list(rad.rows)))
+    _, solve = linear_solver(QMatrix.from_columns(xs + list(rad.rows)))
     c_table = {(i, j): solve(L.bracket(xs[i], xs[j]))[:s_dim]
                for i in range(s_dim) for j in range(i + 1, s_dim)}
     series = [rad]
@@ -357,7 +357,7 @@ def _ref_levi(sub):
                     rows_eq.append(eq)
                     rhs.append(-defect_mod[row])
         if rows_eq:
-            sol = solve_linear(Matrix(rows_eq), tuple(rhs))
+            sol = solve_linear(QMatrix(rows_eq), tuple(rhs))
             for i in range(s_dim):
                 for a, w in enumerate(r_basis):
                     xs[i] = vec_add(xs[i], vec_scale(sol[i * nr + a], w))
@@ -416,7 +416,7 @@ def test_jordan_mixed_commuting(wave15):
     assert pair.semisimple == E("e2")
     assert pair.nilpotent == E("e11")
     # matrix-level check: ad splits accordingly
-    assert QMatrix(wave15.ad(pair.semisimple)) + wave15.ad(pair.nilpotent) == wave15.ad(x)
+    assert ad(wave15, pair.semisimple) + ad(wave15, pair.nilpotent) == ad(wave15, x)
 
 
 def test_jordan_invariants_random(wave15, g2):
@@ -431,7 +431,7 @@ def test_jordan_invariants_random(wave15, g2):
             assert is_ad_nilpotent(L, pair.nilpotent)
             # squarefree minimal polynomial certifies ad-semisimplicity
             # without factoring (eigenvalues may leave the quadratic tower)
-            assert is_squarefree(min_poly(L.ad(pair.semisimple)))
+            assert is_squarefree(min_poly(scaled(ad(L, pair.semisimple))))
 
 
 def test_jordan_center_flag():
@@ -591,7 +591,7 @@ def _dense_basis(L, rng):
 def _table_in_basis(L, f):
     """Structure constants of L in the basis f (rows in L's basis)."""
     n = L.dim
-    to_f = Matrix.from_columns(f)
+    to_f = QMatrix.from_columns(f)
     table = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -745,11 +745,11 @@ def test_killing_matrix_matches_fraction_trace(wave15, g2):
         L = so_pq_generators(p, q)
         algebras.append(LieAlgebra(L.dim, L.basis_names, _dense_rebased(L, rng)))
     for L in algebras:
-        ads = [QMatrix(L.ad(L.basis_vector(i))) for i in range(L.dim)]
-        want = Matrix([[_trace(ads[i] @ ads[j]) for j in range(L.dim)]
+        ads = [ad(L, L.basis_vector(i)) for i in range(L.dim)]
+        want = QMatrix([[_trace(ads[i] @ ads[j]) for j in range(L.dim)]
                        for i in range(L.dim)])
-        assert L.killing_matrix() == want
-        assert all(type(x) is F for row in L.killing_matrix().entries for x in row)
+        assert killing_matrix(L) == want
+        assert all(type(x) is F for row in killing_matrix(L).entries for x in row)
 
 
 
@@ -762,7 +762,7 @@ def _fraction_killing(n, table):
         c = table.get((min(i, s), max(i, s)), {}).get(r, F(0))
         return c if i < s else -c
     ads = [QMatrix([[entry(i, s, r) for s in range(n)] for r in range(n)]) for i in range(n)]
-    return Matrix([[_trace(ads[i] @ ads[j]) for j in range(n)] for i in range(n)])
+    return QMatrix([[_trace(ads[i] @ ads[j]) for j in range(n)] for i in range(n)])
 
 
 @settings(max_examples=max(settings.default.max_examples // 10, 10), deadline=None)
@@ -784,7 +784,7 @@ def test_packed_killing_table_matches_fraction_trace(pq, seed, num, den):
     moved = {pair: {k: c * x for k, x in comp.items()}
              for pair, comp in rebase.rebase(table, P, rebase.inverse(P)).items()}
     L = LieAlgebra(len(names), names, moved)
-    assert L.killing_matrix() == _fraction_killing(L.dim, moved)
+    assert killing_matrix(L) == _fraction_killing(L.dim, moved)
 
 
 def test_packed_killing_table_of_0_and_1_dim_algebras():
@@ -846,7 +846,7 @@ def test_killing_matches_x_K_y(wave15, g2, d):
     Fraction Gram matrix of the subspace's rows, or the same ValueError."""
     rng = random.Random(4100 + d)
     for L in _kernel_algebras(wave15, g2):
-        K = QMatrix(L.killing_matrix())
+        K = killing_matrix(L)
 
         def form(x, y):
             return sum((a * b for a, b in zip(x, K.apply(y)) if a and b), F(0))
@@ -861,8 +861,8 @@ def test_killing_matches_x_K_y(wave15, g2, d):
         for k in (1, 2, 4):
             sub = Subspace(L, rng.sample(vecs[1:], k))
             try:
-                want = symmetric_signature(Matrix([[form(r, s) for s in sub.rows]
-                                                   for r in sub.rows]))[:3]
+                want = symmetric_signature(scaled(QMatrix([[form(r, s) for s in sub.rows]
+                                                          for r in sub.rows])))[:3]
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     restricted_killing_signature(sub)
@@ -990,7 +990,7 @@ def _ref_bracket(L, x, y):
 
 
 def _ref_ad(L, x):
-    return Matrix.from_columns([_ref_bracket(L, x, L.basis_vector(j))
+    return QMatrix.from_columns([_ref_bracket(L, x, L.basis_vector(j))
                                 for j in range(L.dim)])
 
 
@@ -1027,11 +1027,11 @@ def _ref_from_coords(S, coords):
 def _ref_restrict(S, m):
     cols = []
     for r in S.rows:
-        c = _ref_coords_of(S, QMatrix(m).apply(r))
+        c = _ref_coords_of(S, m.apply(r))
         if c is None:
             raise ValueError("subspace is not invariant")
         cols.append(c)
-    return Matrix.from_columns(cols)
+    return QMatrix.from_columns(cols)
 
 
 def _block_key(block):
@@ -1043,16 +1043,16 @@ def _block_key(block):
 
 def _ad_on(S, x):
     """The block of ad(x) on S (:meth:`Subspace.ad_block`) as the Fraction
-    (or ExactScalar) matrix that ``_ref_restrict(S, L.ad(x))`` gives."""
+    (or ExactScalar) matrix that ``_ref_restrict(S, ad(L, x))`` gives."""
     den, d, rows = S.ad_block(S.algebra._ad_ints(_scaled_vector(x)))
-    return Matrix([_unscaled_vector(den, d, a.items(), b.items(), S.dim) for a, b in rows])
+    return QMatrix([_unscaled_vector(den, d, a.items(), b.items(), S.dim) for a, b in rows])
 
 
 def _typed(v):
     """Entries with their types, so that 1/2 and an ExactScalar differ."""
     if v is None:
         return None
-    if isinstance(v, Matrix):
+    if isinstance(v, QMatrix):
         return [_typed(row) for row in v.entries]
     return [(type(x).__name__, x) for x in v]
 
@@ -1105,8 +1105,8 @@ def test_integer_kernel_matches_fraction_reference(wave15, g2, d):
             for a, b in ((x, y), (y, x), (x, zero), (zero, y)):
                 assert _typed(L.bracket(a, b)) == _typed(_ref_bracket(L, a, b))
             if trial < 2:
-                assert _typed(L.ad(x)) == _typed(_ref_ad(L, x))
-                assert _typed(L.ad(zero)) == _typed(_ref_ad(L, zero))
+                assert _typed(ad(L, x)) == _typed(_ref_ad(L, x))
+                assert _typed(ad(L, zero)) == _typed(_ref_ad(L, zero))
         for trial in range(6):
             bits = (1, 8, 40)[trial % 3]
             k = rng.randint(0, n - 1)
@@ -1141,7 +1141,7 @@ def test_restrict_matches_fraction_reference(wave15, g2, so4):
     for _root, space in rsd.pairs:
         cases.append((so4, space, so4.basis_vector("e1")))
     for L, S, x in cases:
-        assert _typed(_ad_on(S, x)) == _typed(_ref_restrict(S, L.ad(x)))
+        assert _typed(_ad_on(S, x)) == _typed(_ref_restrict(S, ad(L, x)))
     outside = span(so4, so4.basis_vector("e2"))
     with pytest.raises(ValueError, match="not invariant"):
         _ad_on(outside, so4.basis_vector("e1"))
@@ -1279,10 +1279,10 @@ def test_subspace_state_matches_fraction_loops(wave15, g2, data):
     for A in [S] + closed:
         y = A.rows[0] if A.dim else x
         if A.dim == 0:  # the reference has no 0 x 0 matrix
-            assert _ad_on(A, y) == Matrix([])
+            assert _ad_on(A, y) == QMatrix([])
         else:
             assert _same_outcome(lambda: _typed(_ad_on(A, y)),
-                                 lambda: _typed(_ref_restrict(A, L.ad(y))))
+                                 lambda: _typed(_ref_restrict(A, ad(L, y))))
         assert _same_outcome(lambda: [_typed(r) for r in derived_algebra(A).rows],
                              lambda: [_typed(r) for r in _ref_derived(A)])
         assert _same_outcome(lambda: A.as_subalgebra().brackets, lambda: _ref_structure(A))
@@ -1291,9 +1291,9 @@ def test_subspace_state_matches_fraction_loops(wave15, g2, data):
 def test_scaled_table_is_built_once(wave15):
     L = LieAlgebra(wave15.dim, wave15.basis_names, wave15.brackets)
     table = L.scaled_table()
-    L.killing_matrix()
+    killing_matrix(L)
     L.bracket(L.basis_vector(0), L.basis_vector(1))
-    L.ad(L.basis_vector(2))
+    ad(L, L.basis_vector(2))
     assert L.scaled_table() is table
 
 
@@ -1316,8 +1316,8 @@ def _ref_radical(obj):
     der = _ref_basis(der_rows)
     if not der:
         return sub
-    K = QMatrix(inner.killing_matrix())
-    rad_coords = kernel(Matrix([K.apply(d) for d in der]))
+    K = killing_matrix(inner)
+    rad_coords = kernel(QMatrix([K.apply(d) for d in der]))
     return Subspace(sub.algebra, [sub.from_coords(c) for c in rad_coords])
 
 
@@ -1408,11 +1408,11 @@ def _ref_jordan(L, x):
     ad-basis system with solve_linear on every call, and the center from
     its kernel."""
     from lieembed.liecore import _semisimple_poly
-    m = L.ad(x)
+    m = ad(L, x)
     p, den = _semisimple_poly(spectrum(L, x))
     s_mat = QPoly([F(c, den) for c in p]).eval_matrix(m)
-    stacked = Matrix.from_columns(
-        [tuple(c for row in L.ad(unit_vector(L.dim, i)).entries for c in row)
+    stacked = QMatrix.from_columns(
+        [tuple(c for row in ad(L, unit_vector(L.dim, i)).entries for c in row)
          for i in range(L.dim)])
     sol = solve_linear(stacked, tuple(c for row in s_mat.entries for c in row))
     if sol is None:
@@ -1463,7 +1463,7 @@ def test_jordan_of_non_semisimple_elements_in_a_dense_basis(wave15, g2):
     rng = random.Random(2121)
     for L0 in (wave15, g2):
         f = _dense_basis(L0, rng)
-        to_f = QMatrix(Matrix.from_columns(f))
+        to_f = QMatrix.from_columns(f)
         L = LieAlgebra(L0.dim, L0.basis_names, _table_in_basis(L0, f), name="dense")
         tried = mixed = 0
         while mixed < 6:
@@ -1474,11 +1474,11 @@ def test_jordan_of_non_semisimple_elements_in_a_dense_basis(wave15, g2):
             pair = jordan_decomposition(L, x)
             assert vec_add(pair.semisimple, pair.nilpotent) == x
             assert vec_is_zero(L.bracket(pair.semisimple, pair.nilpotent))
-            power, k = QMatrix(L.ad(pair.nilpotent)), 1
+            power, k = ad(L, pair.nilpotent), 1
             while k < L.dim:
                 power, k = power @ power, 2 * k
             assert power.is_zero()
-            assert is_squarefree(min_poly(L.ad(pair.semisimple)))
+            assert is_squarefree(min_poly(scaled(ad(L, pair.semisimple))))
             assert to_f.apply(pair.semisimple) == jordan_decomposition(L0, y).semisimple
             tried += 1
             mixed += not vec_is_zero(pair.semisimple)

@@ -15,6 +15,7 @@ from lieembed.cli import load_algebra, main, parse_element, parse_subspace_spec
 from lieembed.corpus import GOLDEN_KEYS, CaseResult, run_case
 from lieembed.errors import LieEmbedError, NotASubalgebra
 from lieembed.vecfield import algebra_by_name
+from matrixops import killing_matrix, scaled
 
 # a fifth of the active profile: 20 examples locally, 100 under the ci profile
 FUZZ = settings(max_examples=settings.default.max_examples // 5, deadline=None)
@@ -208,7 +209,7 @@ def test_analyze_eliminates_the_killing_matrix_once(monkeypatch):
         payload, _ = ops.analyze(L)
         den, rows = L.killing_table()
         assert calls == [(den, 0, rows)]
-        pos, neg, zero, det = real_signature(L.killing_matrix())
+        pos, neg, zero, det = real_signature(scaled(killing_matrix(L)))
         assert payload["killing"] == {
             "determinant": ops.format_rat(det),
             "signature": {"pos": pos, "neg": neg, "zero": zero}}

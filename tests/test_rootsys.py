@@ -7,16 +7,17 @@ import pytest
 
 from lieembed.errors import (ExtensionDegreeTooHigh, NotATorus,
                              UnrecognizedBondPattern, UnrecognizedDiagram)
-from lieembed.exactlin import (Matrix, eigenvalues, factor_roots,
-                               is_complex_positive, kernel, make_scalar,
-                               min_poly, scalar_d, solve_linear, vec_is_zero,
-                               _scaled_rows, _scaled_vector)
+from lieembed.exactlin import (factor_roots, is_complex_positive, make_scalar,
+                               min_poly, scalar_d, vec_is_zero, _scaled_rows,
+                               _scaled_vector)
 from lieembed.liecore import (LieAlgebra, Spectrum, Subspace, normalizer, spectrum,
                               torus_split)
 from lieembed.rootsys import (Root, bond, conjugation_pairing, dynkin_type,
                               is_positive, joint_eigenspaces, restricted_roots,
                               root_space_decomposition, simple_roots,
                               sl2_triple)
+from matrixops import ad, kernel, scaled, solve_linear
+from polyref import QMatrix, reference_char_poly, reference_solve
 from test_liecore import (_dense_basis, _rand_element, _ref_restrict, _table_in_basis, _typed,
                           kept_entries, vec_add, vec_scale, vec_sub)
 
@@ -218,8 +219,7 @@ def test_positive_roots_are_integer_combinations_of_simples(g2):
     ut = span(g2, X("X5"), X("X14"), X("X13"), X("X12"), X("X11"), X("X9"))
     rsd = restricted_roots(ut, [X("X6"), X("X8")])
     simples = simple_roots(rsd.roots)
-    from lieembed.exactlin import Matrix, solve_linear
-    m = Matrix.from_columns([s.values for s in simples])
+    m = QMatrix.from_columns([s.values for s in simples])
     for r in rsd.roots:
         sol = solve_linear(m, r.values)
         assert sol is not None
@@ -340,6 +340,32 @@ def test_sl2_triple_so22(so22):
     assert killing_signature(triple_alg) == (2, 1, 0)  # sl(2, R)
 
 
+def test_complete_sl2_matches_a_reference_solve(wave15, g2):
+    """sl2_triple on every root of the Cartan that embed_nilpotent builds
+    from an empty subspace, on wave15, g2 and so(p, q), 3 <= p+q <= 7,
+    q <= p: X is the root space's first row and Y equals the Y of a
+    Fraction Gauss-Jordan solve of [[X, w], X] = 2X over the opposite
+    space's rows w (free unknowns 0), then H = [X, Y]."""
+    from lieembed.embed import embed_nilpotent
+    from lieembed.vecfield import so_pq_generators
+    algebras = [wave15, g2] + [so_pq_generators(p, q) for p in range(2, 8)
+                               for q in range(p + 1) if 3 <= p + q <= 7]
+    roots = surd = 0
+    for L in algebras:
+        _, _, cd, _ = embed_nilpotent(L, Subspace.zero(L))
+        decomposition = root_space_decomposition(L, cd.cartan)
+        for root in decomposition.roots:
+            x, y, h = sl2_triple(L, decomposition, root)
+            opposite = decomposition.space_of(-root)
+            cols = [L.bracket(L.bracket(x, w), x) for w in opposite.rows]
+            coords = reference_solve(QMatrix.from_columns(cols), vec_scale(2, x))
+            assert x == decomposition.space_of(root).rows[0], (L.name, root)
+            assert y == opposite.from_coords(coords) and h == L.bracket(x, y), (L.name, root)
+            roots += 1
+            surd += any(scalar_d(c) for c in y)
+    assert len(algebras) == 18 and (roots, surd) == (184, 108)
+
+
 def test_sl2_triple_degenerate_on_one_sided(wave15):
     from lieembed.errors import DegenerateRoot
     E = wave15.basis_vector
@@ -354,13 +380,12 @@ def test_sl2_triple_degenerate_on_one_sided(wave15):
 def test_compact_cartan_eigenvalues_in_sqrt_minus_two(g2):
     # ad of the first compact generator on the compact subalgebra has
     # eigenvalues in Q(sqrt(-2))
-    from lieembed.exactlin import eigenvalues, scalar_d
     from lieembed.liecore import subalgebra_generated
     X = g2.basis_vector
     J1 = vec_add(X("X5"), X("X10"))
     J2 = vec_sub(X("X4"), X("X11"))
     K = subalgebra_generated(g2, [J1, J2])
-    ev = eigenvalues(_ref_restrict(K, g2.ad(J1)))
+    ev = factor_roots(reference_char_poly(_ref_restrict(K, ad(g2, J1))))
     ds = {scalar_d(lam) for lam, _ in ev if scalar_d(lam)}
     assert ds == {-2}
 
@@ -381,16 +406,17 @@ def test_conjugation_so22_fixes(so22):
 
 # --- joint eigenspaces against the intersection algorithm they replaced --------
 # Reference copy of joint_eigenspaces before it refined by restriction: the
-# eigenvalues of each ad(h) on the ambient come from char_poly, and each
-# weight space is intersected with each eigenspace; Subspace.intersect is
-# kept here as _ref_intersect.
+# eigenvalues of each ad(h) on the ambient come from the characteristic
+# polynomial (Faddeev-LeVerrier in polyref), and each weight space is
+# intersected with each eigenspace; Subspace.intersect is kept here as
+# _ref_intersect.
 
 def _ref_intersect(S, T):
     if not S.rows or not T.rows:
         return Subspace.zero(S.algebra)
     cols = [tuple(r) for r in S.rows] + [vec_scale(-1, r) for r in T.rows]
     return Subspace(S.algebra, [S.from_coords(k[: S.dim])
-                                for k in kernel(Matrix.from_columns(cols))])
+                                for k in kernel(QMatrix.from_columns(cols))])
 
 
 def _ref_joint_eigenspaces(L, basis, ambient=None):
@@ -400,16 +426,16 @@ def _ref_joint_eigenspaces(L, basis, ambient=None):
     seen_d = {0}
     for h in basis:
         try:
-            restricted = _ref_restrict(ambient, L.ad(h))
+            restricted = _ref_restrict(ambient, ad(L, h))
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
         eigens = []
-        for lam, _mult in eigenvalues(restricted):
+        for lam, _mult in factor_roots(reference_char_poly(restricted)):
             seen_d.add(scalar_d(lam))
             if len(seen_d - {0}) > 1:
                 raise ExtensionDegreeTooHigh(
                     "torus weights span two quadratic extensions")
-            shifted = Matrix([[restricted.entries[i][j] - (lam if i == j else 0)
+            shifted = QMatrix([[restricted.entries[i][j] - (lam if i == j else 0)
                                for j in range(restricted.cols)]
                               for i in range(restricted.rows)])
             vecs = [ambient.from_coords(kv) for kv in kernel(shifted)]
@@ -482,7 +508,7 @@ def _joint_cases(wave15, g2):
         f = _dense_basis(L, rng)
         M = LieAlgebra(L.dim, L.basis_names, _table_in_basis(L, f),
                        name=f"rebased so({p},{q})")
-        to_f = Matrix.from_columns(f)
+        to_f = QMatrix.from_columns(f)
         for label, specs in named:
             basis = [solve_linear(to_f, L.element(x)) for x in specs]
             cases.append((f"rebased so({p},{q}) {label}", M, basis, None))
@@ -510,11 +536,11 @@ def test_joint_eigenspaces_match_intersection_reference(wave15, g2):
 # the space whose coordinates lie in the kernel of the shifted Fraction block.
 
 def _ref_block(space, m):
-    return _ref_restrict(space, m) if space.dim else Matrix([])
+    return _ref_restrict(space, m) if space.dim else QMatrix([])
 
 
 def _ref_eigenspace(space, m, lam):
-    shifted = Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+    shifted = QMatrix([[x - lam if i == j else x for j, x in enumerate(row)]
                       for i, row in enumerate(m.entries)])
     return space._kernel_span(*_scaled_rows(shifted.entries)[1:])
 
@@ -523,10 +549,10 @@ def _ref_restricted_eigenspaces(L, basis, ambient=None):
     spaces = [((), Subspace.full(L) if ambient is None else ambient)]
     seen_d = set()
     for h in basis:
-        ad_h = L.ad(h)
+        ad_h = ad(L, h)
         try:
             whole = ad_h if ambient is None else _ref_block(ambient, ad_h)
-            roots = Spectrum(min_poly(whole)).roots
+            roots = Spectrum(min_poly(scaled(whole))).roots
             blocks = [_ref_block(space, ad_h) for _, space in spaces]
         except ValueError:
             raise NotATorus("ambient space is not invariant under the torus")
@@ -547,9 +573,9 @@ def _ref_restricted_eigenspaces(L, basis, ambient=None):
 
 
 def _ref_positive_real_eigenspace(L, alpha, space):
-    m = _ref_restrict(space, L.ad(alpha))
+    m = _ref_restrict(space, ad(L, alpha))
     best = None
-    for lam, _ in factor_roots(min_poly(m)):
+    for lam, _ in factor_roots(min_poly(scaled(m))):
         if scalar_d(lam) >= 0 and is_complex_positive(lam if best is None else lam - best):
             best = lam
     return None if best is None else _ref_eigenspace(space, m, best)

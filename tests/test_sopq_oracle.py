@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from lieembed.exactlin import Matrix, solve_linear
 from lieembed.liecore import (LieAlgebra, Subspace, killing_signature,
                               levi_decomposition, radical, torus_split)
 from lieembed.rootsys import (dynkin_type, is_positive,
                               root_space_decomposition, simple_roots)
 from lieembed.vecfield import so_pq_generators
+from matrixops import solve_linear
+from polyref import QMatrix
 from test_liecore import _dense_basis, _table_in_basis
 
 FORMS = [(p, n - p) for n in range(3, 7) for p in range(n, (n - 1) // 2, -1)]
@@ -39,7 +40,7 @@ def _dense(p, q, seed):
     M = LieAlgebra(L.dim, L.basis_names, _table_in_basis(L, f), name=f"dense so({p},{q})")
     n = p + q
     index = {pr: k for k, pr in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
-    to_f = Matrix.from_columns(f)
+    to_f = QMatrix.from_columns(f)
     cartan = [solve_linear(to_f, L.basis_vector(index[pr])) for pr in _compact_cartan(p, q)]
     return M, cartan
 

@@ -11,7 +11,7 @@ commutators, ``MPoly.eval`` and ``rref`` at all five points, and chained
 import random
 from fractions import Fraction
 
-from lieembed.exactlin import Matrix, rref
+from lieembed.exactlin import rref
 from lieembed.liecore import LieAlgebra
 from lieembed.vecfield import MPoly, PolyVectorField
 from polyref import QMatrix
@@ -59,7 +59,7 @@ def invariant_count_reference(fields, n_vars: int) -> int:
     best = 0
     for p in points:
         rows = [[comp.eval(p) for comp in f.components] for f in fields]
-        best = max(best, rref(Matrix(rows))[1])
+        best = max(best, len(rref(rows)[1]))
     return n_vars - best
 
 
