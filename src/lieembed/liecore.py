@@ -726,16 +726,20 @@ def _radical_series(obj) -> list[Subspace]:
 
 
 def _derive_radical_series(sub: Subspace) -> list[Subspace]:
-    """The radical, Killing-orthogonal to the derived algebra (Cartan's
-    criterion), and its derived series down to 0, raising NotASubalgebra
+    """The radical and its derived series down to 0, raising NotASubalgebra
     where the series stalls.  Works in the subspace as an algebra (L itself
-    for all of L), spanning the derived algebra a batch of table rows at a
-    time until full; a perfect algebra with a nondegenerate Killing form
-    (the kept :meth:`LieAlgebra.killing_data`) is semisimple."""
+    for all of L).  By Cartan's criterion the algebra is semisimple exactly
+    when its Killing form is nondegenerate, so a zero index of 0 in the kept
+    :meth:`LieAlgebra.killing_data` gives the radical 0 before any bracket
+    is formed.  Otherwise the derived algebra is spanned a batch of table
+    rows at a time until full, and the radical is its Killing-orthogonal
+    complement: ker K for a perfect algebra, else ker(der . K)."""
     L, k = sub.algebra, sub.dim
     if k == 0:
         return [sub]
     inner = L if k == L.dim else sub.as_subalgebra()
+    if inner.killing_data()[2] == 0:
+        return [Subspace.zero(L)]
     _, table = inner.scaled_table()
     brackets = [(row, {}) for _, _, row in _bracket_rows(table)]
     der, pivots = [], []
@@ -745,8 +749,6 @@ def _derive_radical_series(sub: Subspace) -> list[Subspace]:
             break
     if not pivots:
         return [sub, Subspace.zero(L)]  # abelian: the whole thing
-    if len(pivots) == k and inner.killing_data()[2] == 0:
-        return [Subspace.zero(L)]
     _, K = inner.killing_table()
     eqs = K
     if len(pivots) < k:

@@ -3,14 +3,15 @@ Dynkin classification."""
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Scalar, Vector, conj, format_rat,
                        is_complex_positive, linear_solver, min_poly, scalar_d,
-                       scalar_sort_key, scalar_to_json, vec_is_zero, _scaled_rows,
-                       _scaled_vector)
+                       scalar_parts, scalar_sort_key, scalar_to_json, vec_is_zero,
+                       _scaled_rows, _scaled_vector)
 from .liecore import LieAlgebra, Spectrum, Subspace, _check_torus, _torus_ad, spectrum
 
 
@@ -213,16 +214,19 @@ def bond(a: Root, b: Root, all_positives: Sequence[Root]) -> tuple[int, int, int
     """Bond between two simple roots: (multiplicity, arrow_from, arrow_to).
 
     arrow_from/arrow_to are 0 for a and 1 for b; (m, -1, -1) when there is
-    no arrow (multiplicity 0 or 1).
+    no arrow (multiplicity 0 or 1).  The combinations m*a + n*b are
+    compared with the positives as the int tuples of :func:`_int_roots`;
+    values over more than one quadratic field raise ExtensionDegreeTooHigh,
+    whether or not a combination adds them.
     """
-    values = {r.values for r in all_positives}
+    ia, ib, *positives = _int_roots([a, b, *all_positives])
+    values = set(positives)
     present = set()
     for m in range(0, 5):
         for n in range(0, 5):
             if (m, n) in ((0, 0), (1, 0), (0, 1)):
                 continue
-            combo = tuple(m * x + n * y for x, y in zip(a.values, b.values))
-            if combo in values:
+            if tuple(m * x + n * y for x, y in zip(ia, ib)) in values:
                 present.add((m, n))
     if not present:
         return (0, -1, -1)
@@ -238,6 +242,21 @@ def bond(a: Root, b: Root, all_positives: Sequence[Root]) -> tuple[int, int, int
         return (3, 1, 0)
     raise UnrecognizedBondPattern(
         f"integral combinations {sorted(present)} match no diagram rule")
+
+
+def _int_roots(roots: Sequence[Root]) -> list[tuple[int, ...]]:
+    """Each root's values v = (p + q*sqrt(d)) / D over one common
+    denominator D of all the values' parts (:func:`scalar_parts`), as the
+    flat tuple (p_1, q_1, p_2, q_2, ...); two values are equal exactly when
+    their pairs are, and the tuples are linear in the roots."""
+    parts = [[scalar_parts(v) for v in r.values] for r in roots]
+    fields = {d for row in parts for _, _, d in row if d}
+    if len(fields) > 1:
+        raise ExtensionDegreeTooHigh(
+            f"roots span more than one quadratic extension: d in {sorted(fields)}")
+    D = lcm(*(x.denominator for row in parts for p, q, _ in row for x in (p, q)))
+    return [tuple(x.numerator * (D // x.denominator) for p, q, _ in row for x in (p, q))
+            for row in parts]
 
 
 class DynkinDiagram(Frozen):

@@ -1350,38 +1350,59 @@ def test_radical_matches_all_pairs_reference(wave15, wave16, g2, so13, so22):
         centralizer(so13, span(so13, so13.basis_vector("e1"))),
         Subspace.zero(g2),
     ]
+    # sl2 on (a, b), z central, in dense bases: both take the degenerate
+    # branch.  With R abelian the derived algebra sl2 + <a, b> misses z, so
+    # the radical is ker(der . K); with [a, b] = z the algebra is perfect,
+    # so the radical is ker K.
+    semidirect = [_sl2_semidirect(table, rng) for table in ({}, {(3, 4): {5: 1}})]
+    assert [derived_algebra(Subspace.full(S)).dim for S in semidirect] == [5, 6]
+    cases += semidirect
     dims = set()
     for obj in cases:
         got, want = radical(obj), _ref_radical(obj)
         assert [_typed(r) for r in got.rows] == [_typed(r) for r in want.rows]
         dims.add((got.dim, obj.dim))
     # semisimple, reductive, solvable and mixed cases all occur
-    assert {(0, 14), (1, 16), (8, 8), (5, 11)} <= dims
+    assert {(0, 14), (1, 16), (8, 8), (5, 11), (3, 6)} <= dims
 
 
-def test_radical_of_semisimple_algebra_copies_nothing(g2, monkeypatch):
+def test_radical_of_semisimple_algebra_copies_nothing(wave15, wave16, g2, monkeypatch):
+    """Cartan's criterion first: on a semisimple algebra (dense g2, wave15
+    and so(3,2)) the radical is read off the kept Killing data, so the
+    algebra is not copied, no bracket is formed and no row reaches a row
+    reduction; on a semisimple subalgebra (the Levi parts of wave16 and of
+    a g2 parabolic) only the copy's brackets are formed, and no row reaches
+    a row reduction either."""
+    import lieembed.exactlin as exactlin
     import lieembed.liecore as liecore
+    from lieembed.vecfield import so_pq_generators
     rng = random.Random(8081)
-    L = LieAlgebra(g2.dim, g2.basis_names, _table_in_basis(g2, _dense_basis(g2, rng)))
-    k = L.dim
-    copies, brackets, fed = [], [], set()
+    algebras = [LieAlgebra(M.dim, M.basis_names, _table_in_basis(M, _dense_basis(M, rng)))
+                for M in (g2, wave15, so_pq_generators(3, 2))]
+    W, G = (LieAlgebra(M.dim, M.basis_names, M.brackets) for M in (wave16, g2))
+    X = G.basis_vector
+    levis = [levi_decomposition(Subspace.full(W)).levi,
+             levi_decomposition(normalizer(G, span(G, X("X14"), X("X13"), X("X12")))).levi]
+    assert [s.dim for s in levis] == [15, 3]
+    copies, brackets, fed = [], [], []
+    real_copy, real_bracket = Subspace.as_subalgebra, LieAlgebra._bracket_ints
     monkeypatch.setattr(Subspace, "as_subalgebra",
-                        lambda self: copies.append(self))
-    real_bracket, real_rref = LieAlgebra._bracket_ints, liecore._rref_ints
+                        lambda self: copies.append(self) or real_copy(self))
     monkeypatch.setattr(LieAlgebra, "_bracket_ints",
                         lambda self, x, y: brackets.append(x) or real_bracket(self, x, y))
-
-    def rref(rows, d):
-        fed.update(frozenset(a.items()) for a, _ in rows)
-        return real_rref(rows, d)
-    monkeypatch.setattr(liecore, "_rref_ints", rref)
-    assert radical(L).dim == 0
-    assert copies == [] and brackets == []
-    # the stored brackets that reached a row reduction: about k of them
-    _, table = L.scaled_table()
-    stored = {frozenset(table[i][j].items()) for i, j in L.brackets}
-    assert len(stored) > k * (k - 1) // 3  # a dense table
-    assert len(fed & stored) <= 2 * k < k * (k - 1) // 2
+    for module in (exactlin, liecore):
+        monkeypatch.setattr(module, "_rref_ints",
+                            lambda rows, d, reverse=False, real=module._rref_ints:
+                            fed.extend(rows) or real(rows, d, reverse))
+    for L in algebras:
+        assert radical(L).dim == 0
+        assert copies == [] and brackets == [] and fed == []
+    for sub in levis:
+        assert radical(sub).dim == 0
+        k = sub.dim
+        assert copies == [sub] and len(brackets) == k * (k - 1) // 2 and fed == []
+        copies.clear()
+        brackets.clear()
 
 
 def test_spectrum_roots_are_the_factored_min_poly(wave15, g2):

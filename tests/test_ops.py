@@ -94,9 +94,9 @@ def test_analyze_computes_the_radical_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["wave15", "g2"])
 def test_analyze_of_a_semisimple_algebra_takes_no_kernel(name, monkeypatch):
-    """radical reads the kept Killing signature: a perfect algebra with
-    zero == 0 is semisimple, so no null space of the Killing matrix is
-    computed; the payload is the pinned one."""
+    """radical reads the kept Killing signature first: zero == 0 alone
+    makes the algebra semisimple (Cartan's criterion), so no null space of
+    the Killing matrix is computed; the payload is the pinned one."""
     import lieembed.exactlin as exactlin
     import lieembed.liecore as liecore
     from lieembed.liecore import LieAlgebra

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lieembed.errors import (ExtensionDegreeTooHigh, NotATorus,
                              UnrecognizedBondPattern, UnrecognizedDiagram)
@@ -250,6 +252,150 @@ def test_bond_unrecognized():
     with pytest.raises(UnrecognizedBondPattern):
         bond(a, b, weird)
 
+
+def _ref_bond(a, b, all_positives):
+    """bond as it was: the combinations m*a + n*b in ExactScalar arithmetic
+    against the positives' value tuples; an error is returned, not raised."""
+    from lieembed import rootsys
+    values = {r.values for r in all_positives}
+    present = set()
+    try:
+        for m in range(0, 5):
+            for n in range(0, 5):
+                if (m, n) in ((0, 0), (1, 0), (0, 1)):
+                    continue
+                combo = tuple(m * x + n * y for x, y in zip(a.values, b.values))
+                if combo in values:
+                    present.add((m, n))
+    except ExtensionDegreeTooHigh as exc:
+        return type(exc)
+    rules = {frozenset(): (0, -1, -1), frozenset(rootsys._SINGLE): (1, -1, -1),
+             frozenset(rootsys._DOUBLE_AB): (2, 0, 1), frozenset(rootsys._DOUBLE_BA): (2, 1, 0),
+             frozenset(rootsys._TRIPLE_AB): (3, 0, 1), frozenset(rootsys._TRIPLE_BA): (3, 1, 0)}
+    return rules.get(frozenset(present), UnrecognizedBondPattern)
+
+
+def _bond_or_error(a, b, all_positives):
+    try:
+        return bond(a, b, all_positives)
+    except (ExtensionDegreeTooHigh, UnrecognizedBondPattern) as exc:
+        return type(exc)
+
+
+def _golden_positives(L, case, cartan):
+    """The positive roots of a golden roots case under the ordered torus
+    basis ``cartan``, taken as the dynkin request takes them."""
+    if case.get("ambient"):
+        ambient = Subspace(L, [tuple(F(x) for x in row) for row in case["ambient"]])
+        rsd = restricted_roots(ambient, cartan)
+    else:
+        rsd = root_space_decomposition(L, cartan)
+    if case.get("positive_system") == "as-given":
+        return rsd.roots
+    return [r for r in rsd.roots if is_positive(r)]
+
+
+def _bond_root_sets(golden_corpus, wave15, g2, so4):
+    """(label, positives) for A3 (wave15), B2 (wave15 restricted), G2 (g2
+    restricted) and the complex A1xA1 of so(4), each under the golden case's
+    torus basis and under a dense basis of the same torus (rows of a unit
+    lower times unit upper matrix, entries -1, 0, 1, scaled by 1, 2 or 1/3),
+    which changes every root's coordinates."""
+    rng = random.Random(3232)
+    cases = {c["name"]: c for c in golden_corpus["cases"]}
+    out = []
+    for name, L in (("wave-absolute-A3", wave15), ("wave-restricted-B2", wave15),
+                    ("g2-restricted-G2", g2), ("so4-roots-dynkin", so4)):
+        case = cases[name]
+        cartan = [tuple(F(x) for x in row) for row in case["cartan"]]
+        k = len(cartan)
+        lo = [[1 if a == b else rng.choice((-1, 0, 1)) if a > b else 0 for b in range(k)]
+              for a in range(k)]
+        up = [[1 if a == b else rng.choice((-1, 0, 1)) if a < b else 0 for b in range(k)]
+              for a in range(k)]
+        P = [[rng.choice((F(1), F(2), F(1, 3))) * sum(lo[a][t] * up[t][b] for t in range(k))
+              for b in range(k)] for a in range(k)]
+        dense = [tuple(sum(P[a][b] * cartan[b][i] for b in range(k)) for i in range(L.dim))
+                 for a in range(k)]
+        for label, basis in ((name, cartan), (f"{name} dense", dense)):
+            out.append((label, _golden_positives(L, case, basis)))
+    return out
+
+
+def test_bond_matches_exact_scalar_reference(golden_corpus, wave15, g2, so4):
+    """bond on int coordinates against the ExactScalar loop it replaced:
+    every ordered pair of simple roots and of positive roots of A3, B2, G2
+    and so(4)'s complex A1xA1, in the paper's torus bases and dense ones,
+    and the same root sets scaled by a nonzero c in Q or Q(sqrt d), under
+    which bonds do not change."""
+    seen = set()
+    for label, positives in _bond_root_sets(golden_corpus, wave15, g2, so4):
+        simples = simple_roots(positives)
+        fields = {d for r in positives for d in map(scalar_d, r.values) if d}
+        scales = [F(1), F(-2, 3), F(5)] + [make_scalar(1, 2, d) for d in fields or (2, -1, 5)]
+        for c in scales:
+            scaled_positives = [Root(tuple(c * v for v in r.values)) for r in positives]
+            by_values = dict(zip((r.values for r in positives), scaled_positives))
+            for a in positives:
+                for b in positives:
+                    if a == b:
+                        continue
+                    want = _ref_bond(a, b, positives)
+                    assert _bond_or_error(a, b, positives) == want, (label, a, b)
+                    ca, cb = by_values[a.values], by_values[b.values]
+                    assert _bond_or_error(ca, cb, scaled_positives) == want, (label, c, a, b)
+                    seen.add((a in simples and b in simples, want))
+        assert len(simples) >= 2, label
+    # simple pairs take every bond rule; some other pairs match none
+    assert {want for simple, want in seen if simple} == {
+        (0, -1, -1), (1, -1, -1), (2, 0, 1), (2, 1, 0), (3, 0, 1), (3, 1, 0)}
+    assert (False, UnrecognizedBondPattern) in seen
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bond_matches_exact_scalar_reference_on_random_roots(data):
+    """Random a, b over Q or one Q(sqrt d), 1 <= rank <= 3, with positives
+    that hold a random set of the combinations m*a + n*b and random other
+    roots, some over a second field: the same bond, or the same error."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rank = data.draw(st.integers(1, 3))
+    d = data.draw(st.sampled_from((0, 2, -1, 5)))
+
+    def root(field):
+        values = tuple(make_scalar(data.draw(small), data.draw(small) if field else 0, field)
+                       for _ in range(rank))
+        assume(any(values))
+        return Root(values)
+
+    a, b = root(d), root(d)
+    combos = [tuple(m * x + n * y for x, y in zip(a.values, b.values))
+              for m in range(5) for n in range(5)]
+    picked = data.draw(st.lists(st.sampled_from(combos), max_size=8))
+    others = [root(data.draw(st.sampled_from((d, d, 3))))
+              for _ in range(data.draw(st.integers(0, 2)))]
+    positives = [a, b] + [Root(v) for v in picked if any(v)] + others
+    fields = {scalar_d(v) for r in positives for v in r.values} - {0}
+    want = ExtensionDegreeTooHigh if len(fields) > 1 else _ref_bond(a, b, positives)
+    assert _bond_or_error(a, b, positives) == want
+
+
+def test_bond_of_roots_over_two_fields_raises_up_front():
+    """Values over Q(sqrt 2) and Q(sqrt 3) raise before any combination is
+    formed: the ExactScalar loop only raised where a combination added the
+    two fields, and here none does."""
+    s2, s3 = make_scalar(0, 1, 2), make_scalar(0, 1, 3)
+    a, b = Root((s2, F(0))), Root((F(0), s3))
+    assert _ref_bond(a, b, [a, b]) == (0, -1, -1)
+    with pytest.raises(ExtensionDegreeTooHigh, match="more than one quadratic extension"):
+        bond(a, b, [a, b])
+    # a rational pair with a positive over a second field
+    r1, r2 = Root((F(1), F(0))), Root((F(0), F(1)))
+    with pytest.raises(ExtensionDegreeTooHigh):
+        bond(r1, r2, [r1, r2, Root((s2, F(1))), Root((s3, F(1)))])
+    # one field throughout is fine
+    c = Root((s2, s2))
+    assert bond(a, c, [a, c]) == _ref_bond(a, c, [a, c]) == (0, -1, -1)
 
 def test_dynkin_labels():
     a, b, c, d = _wave_b2_roots()
