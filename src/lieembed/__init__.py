@@ -8,7 +8,7 @@ from .errors import (CenterObstruction, DegenerateRoot, ExtensionDegreeTooHigh,
                      NotATorus, NotAbelianNilpotent, NotClosed, NotNilpotent, NotSplit,
                      ParseError, UnknownName, UnrecognizedBondPattern,
                      UnrecognizedDiagram, VariableMismatch)
-from .exactlin import (ExactScalar, Poly, Rational, make_scalar, min_poly, rref,
+from .exactlin import (ExactScalar, Rational, make_scalar, min_poly, rref,
                        symmetric_signature)
 from .liecore import (JordanPair, LeviDecomposition, LieAlgebra, Subspace,
                       center, centralizer, classify_element, derived_algebra,

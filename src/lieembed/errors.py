@@ -108,7 +108,8 @@ class DegenerateRoot(LieEmbedError):
 
 
 class NotAPositiveSystem(LieEmbedError):
-    """Roots taken as positive hold a root and its negative."""
+    """Roots taken as positive hold a root and its negative, or a root set
+    to be halved lacks a root's negative."""
 
 
 class UnrecognizedBondPattern(LieEmbedError):

@@ -8,9 +8,9 @@ returns a ``Fraction`` again, so rationality is visible in the type.
 The linear algebra takes a matrix in one form, its scaled integer rows
 (D, d, rows): row i is ``(a_i + b_i*sqrt(d)) / D`` for sparse integer
 rows a_i and b_i over Z[sqrt d], as :func:`_scaled_rows` gives them;
-only :func:`rref` takes plain vectors.  Polynomials are
-computed on as primitive integer lists; :class:`Poly` is only the value
-that :func:`min_poly` returns and :func:`factor_roots` reads.
+only :func:`rref` takes plain vectors.  A polynomial is its primitive
+integer coefficients with a positive lead, lowest degree first: the tuple
+:func:`min_poly` returns and the list every helper computes on.
 """
 
 from __future__ import annotations
@@ -596,48 +596,23 @@ def symmetric_signature(m: tuple[int, int, list[_IntRow]]
 # polynomials
 
 
-class Poly:
-    """Dense univariate polynomial, coefficients lowest degree first: the
-    value :func:`min_poly` returns and :func:`factor_roots` reads.  It has
-    no arithmetic; the package computes with primitive integer lists."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        cs = [rat(c) if isinstance(c, (int, str)) else c for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-
 # --- minimal polynomials ------------------------------------------------------
 
 
-def min_poly(m: tuple[int, int, list[_IntRow]]) -> Poly:
-    """Monic minimal polynomial of a rational square matrix, given by its
-    scaled integer rows (scale, d, rows), ``(a_i + b_i*sqrt(d)) / scale``
-    for its row i, as :func:`_scaled_rows` and :meth:`Subspace.ad_block`
-    give them.
+def min_poly(m: tuple[int, int, list[_IntRow]]) -> tuple[int, ...]:
+    """Minimal polynomial of a rational square matrix, given by its scaled
+    integer rows (scale, d, rows), ``(a_i + b_i*sqrt(d)) / scale`` for its
+    row i, as :func:`_scaled_rows` and :meth:`Subspace.ad_block` give them:
+    its integer coefficients, lowest degree first, with content 1 and a
+    positive lead (Gauss), so the monic polynomial is the tuple over its
+    last entry.
 
     Works on the integer matrix ``A = scale*m`` (the rows a_i).  r, a
     primitive integer list, starts as ann(e_0); one :func:`_int_horner`
     pass of r over the later unit vectors finds the first e with v = r(A) e
     nonzero, r becomes lcm(r, ann(e)) = r * ann(v), and the next pass starts
-    after e.  The last r is the minimal polynomial of A, and ``mp_m(t) =
-    mp_A(scale*t) / (lead * scale^k)``.  Raises ValueError for a column
+    after e.  The last r is the minimal polynomial of A, and mp_m(t) is
+    mp_A(scale*t) up to a rational factor.  Raises ValueError for a column
     index outside 0..n-1 of the n rows, or for extension scalars (a
     nonzero b_i).
     """
@@ -660,8 +635,7 @@ def min_poly(m: tuple[int, int, list[_IntRow]]) -> Poly:
         ints = _int_mul(ints, _krylov_annihilator(
             rows, [_int_slots(p >> w * t, w, 1)[0] for p in packed]))
         start += t + 1
-    k = len(ints) - 1
-    return Poly([Fraction(c, ints[-1] * scale ** (k - j)) for j, c in enumerate(ints)])
+    return tuple(_int_clear([c * scale ** j for j, c in enumerate(ints)]))
 
 
 def _int_apply(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
@@ -729,11 +703,13 @@ def _krylov_annihilator(rows: list[list[tuple[int, int]]], v: list[int]) -> list
 
 
 def _int_clear(coeffs: Sequence) -> list[int]:
-    """The primitive integer multiple, with the sign of its lead, of a
-    polynomial given by its rational (or integer) coefficients."""
+    """The primitive integer multiple with a positive lead of a polynomial
+    given by its rational (or integer) coefficients, no trailing zeros."""
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = gcd(*ints)
+    if ints and ints[-1] < 0:
+        g = -g
     return [c // g for c in ints] if g else ints
 
 
@@ -933,8 +909,7 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
         while r and not r[-1]:
             r.pop()
         a, b = b, _int_clear(r)
-    a = _int_clear(a)
-    return a if a[-1] > 0 else [-c for c in a]
+    return _int_clear(a)
 
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
@@ -1019,34 +994,37 @@ def _quadratic_roots(a: int, b: int, c: int) -> tuple[Scalar, Scalar]:
     return ExactScalar(mid, half, d), ExactScalar(mid, -half, d)
 
 
-def _squarefree_parts(p: Poly) -> tuple[int, Optional[int], list[tuple[list[int], int]]]:
-    """(k, prime, parts) with p = c * t^k * prod g^m over the (g, m) in
-    parts: g squarefree, coprime, primitive, lc(g) > 0, g(0) != 0 and deg g
-    > 0.  prime is :func:`_squarefree_prime` of p / (c t^k), which is then
-    the one part; when there is none, :func:`_yun` gives the parts.
+def _squarefree_parts(f: Sequence[int]) -> tuple[int, Optional[int], list[tuple[list[int], int]]]:
+    """(k, prime, parts) with f = t^k * prod g^m over the (g, m) in parts,
+    for a nonzero primitive f with lc(f) > 0: g squarefree, coprime,
+    primitive, lc(g) > 0, g(0) != 0 and deg g > 0.  prime is
+    :func:`_squarefree_prime` of f / t^k, which is then the one part; when
+    there is none, :func:`_yun` gives the parts.
     """
-    if not p.coeffs:
-        raise ValueError("zero polynomial")
-    f = _int_clear(p.coeffs)
-    if f[-1] < 0:
-        f = [-c for c in f]
     k = next(i for i, c in enumerate(f) if c)
-    f = f[k:]
+    f = list(f[k:])
     if len(f) == 1:
         return k, None, []
     prime = _squarefree_prime(f)
     return k, prime, [(f, 1)] if prime else _yun(f)
 
 
-def factor_roots(p: Poly) -> list[tuple[Scalar, int]]:
-    """Roots with multiplicities of a nonzero rational polynomial, sorted,
-    when every irreducible factor over Q has degree <= 2 and every
-    irrational root lies in one quadratic field; raises
-    ExtensionDegreeTooHigh otherwise.
+def factor_roots(coeffs: Sequence) -> list[tuple[Scalar, int]]:
+    """Roots with multiplicities, sorted, of the nonzero polynomial with
+    the given coefficients (ints, Fractions or ``p/q`` strings, lowest
+    degree first), when every irreducible factor over Q has degree <= 2
+    and every irrational root lies in one quadratic field; raises
+    ExtensionDegreeTooHigh otherwise, ValueError for the zero polynomial
+    and :func:`rat`'s TypeError for another coefficient type.
 
     :func:`_part_roots` factors the parts of :func:`_squarefree_parts`.
     """
-    out = _part_roots(*_squarefree_parts(p))
+    cs = [rat(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        raise ValueError("zero polynomial")
+    out = _part_roots(*_squarefree_parts(_int_clear(cs)))
     ds = {scalar_d(r) for r, _ in out if scalar_d(r)}
     if len(ds) > 1:
         raise ExtensionDegreeTooHigh(

@@ -13,10 +13,10 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (CenterObstruction, ExtensionDegreeTooHigh, Frozen,
                      InvalidStructureConstants, NotASubalgebra, NotATorus)
-from .exactlin import (Poly, Scalar, Vector, ZERO, ONE,
+from .exactlin import (Scalar, Vector, ZERO, ONE,
                        format_rat, linear_solver, min_poly, rat, scalar_d,
                        scalar_parts, scalar_to_json, symmetric_signature,
-                       unit_vector, _int_clear, _int_horner, _int_mul, _int_prem,
+                       unit_vector, _int_horner, _int_mul, _int_prem,
                        _int_slots, _kernel_ints, _part_roots, _primitive, _rat_pair, _rref_ints,
                        _same_d, _scaled_rows, _scaled_vector, _squarefree_parts,
                        _sub_multiple, _unscaled_vector)
@@ -875,7 +875,7 @@ def _semisimple_poly(s: Spectrum) -> tuple[list[int], int]:
     by Horner's rule with pseudo-division by M."""
     if s.semisimple:
         return [0, 1], 1
-    M = _int_clear(s.min_poly.coeffs)
+    M = s.min_poly
     n = len(M) - 1
     g = [0, 1] if s.zeros else [1]
     for f, _ in s.parts:
@@ -933,20 +933,21 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
 class Spectrum:
     """Spectral summary of ad(x), read off its minimal polynomial.
 
-    ``zeros``, ``prime`` and ``parts``: :func:`_squarefree_parts` of the
-    minimal polynomial.  ``nilpotent``: it is t^k.  ``semisimple``: it is
-    squarefree.  ``roots`` are its roots by :func:`_part_roots`, in as many
-    quadratic fields as they need, factored from the parts on first use
-    and kept; ``kind`` (the :func:`classify_element` label) and
-    ``extensions`` (the set of d != 0 with sqrt(d) among the roots) are
-    read off them.  When the roots leave the scalar tower, every use of
-    any of the three raises ExtensionDegreeTooHigh.
+    ``zeros``, ``prime`` and ``parts``: :func:`_squarefree_parts` of
+    ``min_poly``, the tuple of :func:`min_poly`.  ``nilpotent``: it is t^k.
+    ``semisimple``: it is squarefree.  ``roots`` are its roots by
+    :func:`_part_roots`, in as many quadratic fields as they need, factored
+    from the parts on first use and kept; ``kind`` (the
+    :func:`classify_element` label) and ``extensions`` (the set of d != 0
+    with sqrt(d) among the roots) are read off them.  When the roots leave
+    the scalar tower, every use of any of the three raises
+    ExtensionDegreeTooHigh.
     """
 
     __slots__ = ("min_poly", "zeros", "prime", "parts", "nilpotent", "semisimple",
                  "_roots", "_failure")
 
-    def __init__(self, mp: Poly):
+    def __init__(self, mp: tuple[int, ...]):
         self.min_poly = mp
         self.zeros, self.prime, self.parts = _squarefree_parts(mp)
         self.nilpotent = not self.parts

@@ -107,16 +107,22 @@ def roots(rsd):
 
 
 def dynkin(rsd, positive_system: str):
-    """Simple roots and diagram label; ``as-given`` takes every root of the
-    decomposition as positive (a one-sided ambient), and raises
-    NotAPositiveSystem when they hold a root and its negative."""
+    """Simple roots and diagram label.  ``as-given`` takes every root of the
+    decomposition as positive (a one-sided ambient) and raises
+    NotAPositiveSystem when they hold a root and its negative; the
+    first-nonzero rule halves a root set closed under negation and raises
+    it when a root's negative is missing."""
+    values = {r.values for r in rsd.roots}
     if positive_system == "as-given":
         positives = rsd.roots
-        values = {r.values for r in positives}
         both = next((r for r in positives if (-r).values in values), None)
         if both is not None:
             raise NotAPositiveSystem(f"the as-given roots hold both {both} and {-both}")
     else:
+        lone = next((r for r in rsd.roots if (-r).values not in values), None)
+        if lone is not None:
+            raise NotAPositiveSystem(f"the root {lone} has no negative among the roots: "
+                                     "first-nonzero needs a root set closed under negation")
         positives = [r for r in rsd.roots if is_positive(r)]
     simples = simple_roots(positives)
     diag = dynkin_type(simples, positives)

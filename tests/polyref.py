@@ -1,22 +1,53 @@
 """Polynomial and matrix arithmetic over Q for the tests' reference oracles.
 
-``lieembed.exactlin.Poly`` is a plain value: coefficients and degree,
-equality.  The package computes with primitive integer lists and sparse
-integer rows, and has no matrix type.  The references here keep the
-schoolbook arithmetic over Q, which shares no code with that integer
-path: ``QPoly``, the dense ``QMatrix``, the characteristic polynomial by
-Faddeev-LeVerrier and a Gauss-Jordan solve.
+The package has no polynomial or matrix type: a polynomial is a tuple of
+integer coefficients with content 1 and a positive lead (what
+``exactlin.min_poly`` returns), a matrix its sparse integer rows.  The
+references here keep the schoolbook arithmetic over Q, which shares no
+code with that integer path: ``QPoly``, the dense ``QMatrix``, the
+characteristic polynomial by Faddeev-LeVerrier and a Gauss-Jordan solve.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from lieembed.exactlin import ExactScalar, Poly, rat
+from lieembed.exactlin import ExactScalar, rat
 
 
-class QPoly(Poly):
-    """A Poly with arithmetic; equal to the Poly with the same coefficients."""
+class QPoly:
+    """Dense polynomial over Q or Q(sqrt d), coefficients lowest degree
+    first (ints and ``p/q`` strings become Fractions, trailing zeros are
+    dropped), with equality and arithmetic.  ``QPoly(mp).monic()`` reads
+    an integer tuple of the package as its monic polynomial."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [rat(c) if isinstance(c, (int, str)) else c for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def __eq__(self, other):
+        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"QPoly({list(self.coeffs)})"
+
+    def primitive(self) -> tuple:
+        """The integer multiple with content 1 and a positive lead of a
+        nonzero rational polynomial, the form of the package's polynomials."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [int(c * den) for c in self.coeffs]
+        g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        return tuple(c // g for c in ints)
 
     @property
     def lead(self):
@@ -197,22 +228,29 @@ def _dot(u, v):
     return acc
 
 
+def qpoly(p) -> QPoly:
+    """p as a QPoly: a QPoly itself, or a coefficient sequence such as
+    the integer tuple of ``exactlin.min_poly``."""
+    return p if isinstance(p, QPoly) else QPoly(p)
+
+
 def poly_gcd(a, b) -> QPoly:
-    """The monic gcd over Q by Euclid's algorithm."""
-    a, b = QPoly(a.coeffs), QPoly(b.coeffs)
+    """The monic gcd over Q by Euclid's algorithm, of QPolys or
+    coefficient sequences."""
+    a, b = qpoly(a), qpoly(b)
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
 
 
 def is_squarefree(p) -> bool:
-    return poly_gcd(p, QPoly(p.coeffs).derivative()).degree == 0
+    return poly_gcd(p, qpoly(p).derivative()).degree == 0
 
 
 def squarefree_decomposition(p) -> list:
     """Yun's algorithm over Q: the (f, i) with p = lc * prod f^i, the f
     monic, squarefree, coprime and of positive degree."""
-    p = QPoly(p.coeffs).monic()
+    p = qpoly(p).monic()
     g = poly_gcd(p, p.derivative())
     w, out, i = p.exact_div(g), [], 1
     while w.degree > 0:

@@ -83,7 +83,7 @@ def test_criterion_02_so4(so4):
 
 def test_criterion_03_so13(so13):
     E = so13.basis_vector
-    ev = factor_roots(reference_char_poly(ad(so13, E("e1"))))
+    ev = factor_roots(reference_char_poly(ad(so13, E("e1"))).coeffs)
     assert ev == [(F(-1), 2), (F(0), 2), (F(1), 2)]
     rsd = root_space_decomposition(so13, [E("e1")])
     plus = rsd.space_of(Root((F(1),)))
@@ -401,30 +401,10 @@ def test_cli_import_loads_no_introspection_modules():
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
-def test_one_polynomial_representation():
-    """``Poly`` is only the value min_poly returns, with no
-    arithmetic, and exactlin has no Fraction polynomial gcds: the package
-    computes with primitive integer lists, so a second polynomial
-    representation cannot come back unnoticed."""
-    from lieembed import exactlin
-    assert {k for k in vars(exactlin.Poly) if not k.startswith("_")} == {"coeffs", "degree"}
-    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-                  "__rmul__", "__truediv__", "__floordiv__", "__mod__", "__divmod__",
-                  "__pow__", "__call__"}
-    assert arithmetic & set(dir(exactlin.Poly)) == set()
-    for name in ("poly_gcd", "poly_ext_gcd", "squarefree_decomposition"):
-        assert not hasattr(exactlin, name)
-
-
-_ONE_FORM_GONE = {"Matrix", "char_poly", "eigenvalues", "kernel", "solve_linear"}
-
-
-def test_one_matrix_form():
-    """The package takes a matrix only as scaled integer rows: no module
-    under lieembed defines or imports a Fraction ``Matrix`` or the entry
-    points that read one (``char_poly``, ``eigenvalues``, ``kernel``,
-    ``solve_linear``), and lieembed exports none of them; the tests'
-    ``QMatrix`` keeps the dense form for the references."""
+def _assert_gone(gone: set) -> None:
+    """No module under lieembed defines a function or class, imports a
+    name or assigns a module-level name in ``gone``, and lieembed exports
+    none of them."""
     import ast
     from pathlib import Path
     import lieembed
@@ -439,8 +419,26 @@ def test_one_matrix_form():
                 names = {t.id for t in node.targets if isinstance(t, ast.Name)}
             else:
                 continue
-            assert not names & _ONE_FORM_GONE, (path.name, node.lineno, names)
-    assert not _ONE_FORM_GONE & (set(vars(lieembed)) | set(getattr(lieembed, "__all__", ())))
+            assert not names & gone, (path.name, node.lineno, names)
+    assert not gone & (set(vars(lieembed)) | set(getattr(lieembed, "__all__", ())))
+
+
+def test_one_polynomial_representation():
+    """The package has one polynomial form, the primitive integer
+    coefficients that min_poly returns as a tuple: no module under lieembed
+    defines or imports a ``Poly`` value or a Fraction polynomial gcd, and
+    lieembed exports none of them; the tests' ``QPoly`` keeps the
+    arithmetic over Q for the references."""
+    _assert_gone({"Poly", "poly_gcd", "poly_ext_gcd", "squarefree_decomposition"})
+
+
+def test_one_matrix_form():
+    """The package takes a matrix only as scaled integer rows: no module
+    under lieembed defines or imports a Fraction ``Matrix`` or the entry
+    points that read one (``char_poly``, ``eigenvalues``, ``kernel``,
+    ``solve_linear``), and lieembed exports none of them; the tests'
+    ``QMatrix`` keeps the dense form for the references."""
+    _assert_gone({"Matrix", "char_poly", "eigenvalues", "kernel", "solve_linear"})
 
 
 def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
@@ -453,7 +451,8 @@ def test_one_krylov_kernel_for_both_matrix_polynomials(monkeypatch):
     monkeypatch.setattr(exactlin, "_krylov_annihilator",
                         lambda *args: calls.append(args) or real(*args))
     m = QMatrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
-    assert exactlin.min_poly(scaled(m)) == exactlin.Poly([10, 23, -10, 1])
+    # monic over Z, so its integer form is the polynomial itself
+    assert exactlin.min_poly(scaled(m)) == (10, 23, -10, 1)
     assert len(calls) == 2  # e2 lies in the Krylov space of e1
 
 
@@ -504,7 +503,7 @@ def test_one_spectral_path():
     labels a spectrum without a second flag loop."""
     import inspect
     from lieembed import embed, exactlin, liecore, rootsys
-    assert list(inspect.signature(exactlin.factor_roots).parameters) == ["p"]
+    assert list(inspect.signature(exactlin.factor_roots).parameters) == ["coeffs"]
     for name in ("factor_roots", "min_poly", "_scaled_vector"):
         assert not hasattr(embed, name), name
     assert not hasattr(rootsys, "factor_roots")

@@ -330,6 +330,19 @@ def test_as_given_roots_with_a_root_and_its_negative_exit_5(run, algebra, cartan
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algebra, cartan, ambient, root", [
+    ("g2", "X6,X8", "X5,X14,X13,X12,X11,X9", "(-1, 0)"),
+    ("wave15", "e7m16,e2", "e2,e4-e15,e6-e13,e7m16,e8,e10,e11,e12,e14", "(-1, -1)")])
+def test_first_nonzero_on_a_one_sided_ambient_exit_5(run, algebra, cartan, ambient, root):
+    """The paper's one-sided G2 and B2 ambients without ``--positive-system
+    as-given``: the first root with no negative is named, and no diagram of
+    half the positive roots is printed."""
+    code, out, err = run(["dynkin", algebra, "--cartan", cartan, "--ambient", ambient])
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: precondition failed: the root {root} has no negative ")
+    assert "Traceback" not in err
+
+
 def test_search_budget_exhausted_exit_5(run):
     code, _, err = run(["embed", "wave15", "--mode", "compact-torus",
                         "--subspace", "e15", "--budget", "1"])

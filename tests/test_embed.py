@@ -15,7 +15,7 @@ from lieembed import corpus, ops
 from lieembed.errors import (ExtensionDegreeTooHigh, NoCompactFound,
                              NoRealSemisimpleFound, NotATorus,
                              NotAbelianNilpotent, NotNilpotent, NotSplit)
-from lieembed.exactlin import Poly, factor_roots, make_scalar, vec_is_zero
+from lieembed.exactlin import factor_roots, make_scalar, vec_is_zero
 from lieembed.liecore import (COMPACT_SEMISIMPLE, NILPOTENT, REAL_SEMISIMPLE,
                               LieAlgebra, Subspace, centralizer,
                               classify_element, derived_algebra,
@@ -31,7 +31,7 @@ from lieembed.embed import (_candidates, _positive_real_eigenspace,
                             find_real_semisimple, maximal_compact_split)
 from lieembed.vecfield import so_pq_generators
 from matrixops import ad
-from polyref import reference_char_poly
+from polyref import QPoly, reference_char_poly
 from test_liecore import vec_add, vec_scale, vec_sub
 from test_liecore import (_block_key, _dense_basis, _ref_restrict, _table_in_basis,
                           _typed)
@@ -331,7 +331,7 @@ def test_find_real_semisimple_wave_levi(wave15):
     assert found == E("e2")  # first qualifying basis vector in canonical order
     # e6 qualifies too, with the quoted eigenvalue pattern on S
     assert classify_element(wave15, E("e6")) == REAL_SEMISIMPLE
-    ev = factor_roots(reference_char_poly(_ref_restrict(S, ad(wave15, E("e6")))))
+    ev = factor_roots(reference_char_poly(_ref_restrict(S, ad(wave15, E("e6")))).coeffs)
     assert ev == [(F(-1), 2), (F(0), 2), (F(1), 2)]
 
 
@@ -529,7 +529,7 @@ def test_dense_so13_element_with_an_irreducible_quartic_is_classified_fast():
     with pytest.raises(ExtensionDegreeTooHigh, match="a factor of degree 4"):
         classify_element(L, v)
     assert time.perf_counter() - start < 1
-    assert spectrum(L, v).min_poly == Poly(
+    assert QPoly(spectrum(L, v).min_poly).monic() == QPoly(
         [0, F(12085138705, 6561), 0, F(198526, 81), 0, 1])
 
 

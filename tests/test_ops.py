@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lieembed import ops
 from lieembed.cli import load_algebra, main, parse_element, parse_subspace_spec
-from lieembed.corpus import GOLDEN_KEYS, CaseResult, run_case
-from lieembed.errors import LieEmbedError, NotASubalgebra
+from lieembed.corpus import GOLDEN_KEYS, CaseResult, _vectors, run_case
+from lieembed.errors import LieEmbedError, NotAPositiveSystem, NotASubalgebra
 from lieembed.vecfield import algebra_by_name
 from matrixops import killing_matrix, scaled
 
@@ -70,6 +70,34 @@ def test_cli_json_matches_every_golden_case(golden_corpus):
             assert GOLDEN_KEYS[key](payload) == want, (case["name"], key)
         kinds.add(case["kind"])
     assert kinds == {"table", "analyze", "embed", "roots", "invariants"}
+
+
+def test_first_nonzero_refuses_a_one_sided_root_set(golden_corpus):
+    """The first-nonzero rule halves a root set closed under negation.  On
+    the two one-sided golden ambients (the wave B2 and the g2 G2 of the
+    paper) it raises NotAPositiveSystem naming a root whose negative is
+    missing, through ops.dynkin and through the CLI with or without
+    ``--positive-system first-nonzero`` (exit 5, nothing on stdout),
+    instead of labelling half the positive roots A1 and A1xA1; as-given
+    still gives B2 and G2."""
+    cases = [c for c in golden_corpus["cases"] if c.get("positive_system") == "as-given"]
+    assert sorted(c["name"] for c in cases) == ["g2-restricted-G2", "wave-restricted-B2"]
+    for case in cases:
+        L = algebra_by_name(case["algebra"])
+        rsd = ops.decompose(L, _vectors(L, case["cartan"]), _vectors(L, case["ambient"]))
+        values = {r.values for r in rsd.roots}
+        with pytest.raises(NotAPositiveSystem, match="no negative among the roots"
+                           ) as info:
+            ops.dynkin(rsd, "first-nonzero")
+        named = [r for r in rsd.roots if str(info.value).startswith(f"the root {r} ")]
+        assert len(named) == 1 and (-named[0]).values not in values, case["name"]
+        assert ops.dynkin(rsd, "as-given")[0]["type"] == case["expect"]["dynkin"]
+        dynkin = next(argv for argv in _cli_requests(case) if argv[0] == "dynkin")
+        assert dynkin[-2:] == ["--positive-system", "as-given"]
+        for argv in (dynkin[:-2], dynkin[:-1] + ["first-nonzero"]):
+            code, out, err = _main(argv)
+            assert (code, out) == (5, ""), (case["name"], argv)
+            assert err == f"error: precondition failed: {info.value}\n"
 
 
 def test_analyze_computes_the_radical_once(monkeypatch):
