@@ -440,6 +440,99 @@ def test_dynkin_unrecognized_cycle():
         dynkin_type([s1, s2, s3], pos)
 
 
+def _cartan_matrix(kind, r):
+    """Cartan matrix c[i][j] = 2(a_i, a_j)/(a_j, a_j) of a connected type,
+    the simple roots a_i numbered as in Bourbaki (Humphreys, 11.4)."""
+    edges = [(i, i + 1, -1, -1) for i in range(r - 1)]  # (i, j, c_ij, c_ji)
+    if kind == "B":
+        edges[-1] = (r - 2, r - 1, -2, -1)
+    elif kind == "C":
+        edges[-1] = (r - 2, r - 1, -1, -2)
+    elif kind == "D":
+        edges[-1] = (r - 3, r - 1, -1, -1)
+    elif kind == "E":
+        edges = [(0, 2, -1, -1), (1, 3, -1, -1)] + edges[2:]
+    elif kind == "F":
+        edges[1] = (1, 2, -2, -1)
+    elif kind == "G":
+        edges = [(0, 1, -1, -3)]
+    c = [[2 * (i == j) for j in range(r)] for i in range(r)]
+    for i, j, cij, cji in edges:
+        c[i][j], c[j][i] = cij, cji
+    return c
+
+
+def _positive_roots(c):
+    """Positive roots in simple-root coordinates, by height: the a_i-string
+    through a root b runs from b - p*a_i to b + q*a_i with p - q =
+    sum_k b_k c[k][i], and every root below b is known when b is reached."""
+    r = len(c)
+    units = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    roots, layer = set(units), set(units)
+    while layer:
+        up = set()
+        for b in layer:
+            for i, u in enumerate(units):
+                p = 0
+                while tuple(x - (p + 1) * y for x, y in zip(b, u)) in roots:
+                    p += 1
+                if p > sum(x * c[k][i] for k, x in enumerate(b)):
+                    up.add(tuple(x + y for x, y in zip(b, u)))
+        roots |= up
+        layer = up
+    return sorted(roots)
+
+
+_FINITE_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+                 + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+                 + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+_ROOT_COUNTS = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r, "C": lambda r: r * r,
+                "D": lambda r: r * (r - 1), "E": {6: 36, 7: 63, 8: 120}.get,
+                "F": {4: 24}.get, "G": {2: 6}.get}
+
+
+@pytest.mark.parametrize("types", [[t] for t in _FINITE_TYPES] + [[("B", 3), ("G", 2)]],
+                         ids=lambda types: "x".join(f"{k}{r}" for k, r in types))
+def test_dynkin_labels_of_every_finite_type(types):
+    """The positive roots of each type (and of B3xG2) from its Cartan
+    matrix, sent by a fixed unit lower triangular map times 1 + sqrt(2):
+    the label, the simple roots, and each bond's multiplicity c_ij*c_ji
+    with its arrow at the shorter root (c_ij = -m for a_i long)."""
+    blocks = [_cartan_matrix(*t) for t in types]
+    r = sum(map(len, blocks))
+    c = [[0] * r for _ in range(r)]
+    coords, at = [], 0
+    for block in blocks:
+        k = len(block)
+        for i in range(k):
+            c[at + i][at:at + k] = block[i]
+        coords += [(0,) * at + b + (0,) * (r - at - k) for b in _positive_roots(block)]
+        at += k
+    for (kind, rank), block in zip(types, blocks):
+        assert len(_positive_roots(block)) == _ROOT_COUNTS[kind](rank)
+    unit = make_scalar(1, 1, 2)
+    lower = [[1 if i == j else (i + 2 * j) % 3 - 1 if i > j else 0 for j in range(r)]
+             for i in range(r)]
+    image = {b: Root(tuple(unit * sum(b[i] * lower[i][j] for i in range(r)) for j in range(r)))
+             for b in coords}
+    positives = list(image.values())
+    simple = {image[b].values: i for i, b in enumerate(sorted(
+        (b for b in coords if sum(b) == 1), reverse=True))}
+    diag = dynkin_type(simple_roots(positives), positives)
+    assert diag.type_label == "x".join(sorted(f"{k}{rank}" for k, rank in types))
+    assert sorted(simple[n.values] for n in diag.nodes) == list(range(r))
+    bonds = {}
+    for i, j, m, frm, to in diag.bonds:
+        a, b = simple[diag.nodes[i].values], simple[diag.nodes[j].values]
+        assert m == c[a][b] * c[b][a] > 0
+        short = -1 if m == 1 else b if c[a][b] == -m else a
+        assert (-1 if to == -1 else simple[diag.nodes[to].values]) == short
+        assert (frm == -1) == (to == -1)
+        bonds[frozenset((a, b))] = m
+    assert bonds == {frozenset((a, b)): c[a][b] * c[b][a]
+                     for a in range(r) for b in range(a) if c[a][b]}
+
+
 # --- sl2 triples -----------------------------------------------------------------
 
 def test_sl2_triple_g2(g2):
