@@ -26,7 +26,7 @@ from .liecore import (COMPACT_SEMISIMPLE, REAL_SEMISIMPLE, LieAlgebra,
                       is_ad_nilpotent, is_negative_definite,
                       jordan_decomposition, levi_decomposition, normalizer,
                       center, spectrum, subalgebra_generated, torus_split,
-                      _radical_series)
+                      _radical_series, _torus_ad)
 from .rootsys import (RootSpaceDecomposition, _complete_sl2, is_positive,
                       joint_eigenspaces, root_space_decomposition, simple_roots)
 
@@ -190,12 +190,16 @@ def _check_input(error: type, L: LieAlgebra, U: Subspace, closed: bool,
             raise error(f"{L.format_element(r)} is not {noun}")
 
 
-def _central(L: LieAlgebra, x: Vector) -> bool:
-    """ad(x) = 0: its minimal polynomial t is nilpotent and semisimple, so
-    x belongs to every torus mode's input, and torus_split puts it in both
-    the real and the compact part."""
-    s = spectrum(L, x)
-    return s.nilpotent and s.semisimple
+def _torus_row(kind: str):
+    """The row check of a torus mode's input: a row of the ``kind`` of
+    :func:`classify_element`, or central (ad(x) = 0: its minimal polynomial
+    t is nilpotent and semisimple, and torus_split puts x in both the real
+    and the compact part).  The spectrum comes from the row's kept
+    :func:`_torus_ad` columns, which torus_split reads again."""
+    def ok(L: LieAlgebra, x: Vector) -> bool:
+        s = spectrum(L, x, _torus_ad(L, x)[1])
+        return s.kind == kind or (s.nilpotent and s.semisimple)
+    return ok
 
 
 def embed_real_torus(L: LieAlgebra, A: Subspace, budget: int = DEFAULT_BUDGET
@@ -204,8 +208,7 @@ def embed_real_torus(L: LieAlgebra, A: Subspace, budget: int = DEFAULT_BUDGET
     centralizer / derived / center loop, adjoining a real-semisimple element
     of the derived part while its Killing form stays indefinite."""
     _check_input(NotATorus, L, A, A.is_abelian(), "abelian",
-                 lambda L, r: classify_element(L, r) == REAL_SEMISIMPLE
-                 or _central(L, r), "real semisimple")
+                 _torus_row(REAL_SEMISIMPLE), "real semisimple")
     trace = EmbeddingTrace(L, A)
     current = A
     for _ in range(L.dim + 1):
@@ -230,8 +233,7 @@ def embed_compact_torus(L: LieAlgebra, T: Subspace,
     dual centralizer / center / derived chain, adjoining compact elements
     whose eigenvalues stay in the torus's quadratic extension."""
     _check_input(NotATorus, L, T, T.is_abelian(), "abelian",
-                 lambda L, r: classify_element(L, r) == COMPACT_SEMISIMPLE
-                 or _central(L, r), "compact")
+                 _torus_row(COMPACT_SEMISIMPLE), "compact")
     fields = set().union(*(spectrum(L, r).extensions for r in T.rows))
     if len(fields) > 1:
         raise NotATorus("torus eigenvalues span two extensions")

@@ -908,8 +908,13 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     :func:`_semisimple_poly` with k + 1 coefficients, q(t) = sum p_j
     den^(k-j) t^j has q(A) = den^k * pd * p(ad x); its columns, from one
     packed :func:`_int_horner` pass over every unit vector, go to the
-    :meth:`LieAlgebra.ad_map` solve in that scale."""
-    cols = L._ad_ints(_scaled_vector(x))
+    :meth:`LieAlgebra.ad_map` solve in that scale.  An x with irrational
+    coordinates raises ExtensionDegreeTooHigh: its spectrum is not read."""
+    v = _scaled_vector(x)
+    if v[1]:
+        raise ExtensionDegreeTooHigh(
+            f"a Jordan decomposition of an element over Q(sqrt({v[1]})), not Q")
+    cols = L._ad_ints(v)
     den, _, rows = Subspace.full(L).ad_block(cols)
     p, pd = _semisimple_poly(spectrum(L, x, cols))
     k, n = len(p) - 1, L.dim

@@ -3,14 +3,17 @@ Dynkin classification."""
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from itertools import combinations
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import (DegenerateRoot, ExtensionDegreeTooHigh, Frozen, NotATorus,
                      UnrecognizedBondPattern, UnrecognizedDiagram)
 from .exactlin import (ExactScalar, Scalar, Vector, conj, format_rat,
                        is_complex_positive, linear_solver, min_poly, scalar_d,
-                       scalar_parts, scalar_sort_key, scalar_to_json, vec_is_zero,
+                       scalar_parts, scalar_sort_key, scalar_to_json,
+                       symmetric_signature, vec_is_zero,
                        _scaled_rows, _scaled_vector)
 from .liecore import LieAlgebra, Spectrum, Subspace, _check_torus, _torus_ad, spectrum
 
@@ -31,12 +34,6 @@ class Root(Frozen):
 
     def __neg__(self):
         return Root(tuple(-v for v in self.values))
-
-    def plus(self, other: "Root") -> Optional["Root"]:
-        vals = tuple(a + b for a, b in zip(self.values, other.values))
-        if all(not v for v in vals):
-            return None
-        return Root(vals)
 
     def conjugate(self) -> "Root":
         return Root(tuple(conj(v) for v in self.values))
@@ -160,16 +157,16 @@ def root_space_decomposition(L: LieAlgebra, cartan,
     basis = _ordered_basis(cartan)
     _check_torus(L, basis)
     spaces = joint_eigenspaces(L, basis, ambient)
-    pairs = []
-    zero_vecs = []
+    # at most one weight is zero, and its space is already canonical
+    pairs, zero = [], Subspace.zero(L)
     for weight, space in spaces:
-        if all(not w for w in weight):
-            zero_vecs.extend(space.rows)
-        else:
+        if any(weight):
             pairs.append((Root(weight), space))
+        else:
+            zero = space
     pairs.sort(key=lambda p: p[0].sort_key())
     return RootSpaceDecomposition(L, tuple(tuple(b) for b in basis),
-                                  tuple(pairs), Subspace(L, zero_vecs))
+                                  tuple(pairs), zero)
 
 
 def restricted_roots(ambient: Subspace, torus) -> RootSpaceDecomposition:
@@ -187,19 +184,14 @@ def is_positive(r: Root) -> bool:
 
 
 def simple_roots(positives: Sequence[Root]) -> list[Root]:
-    """Positive roots that are not a sum of two positive roots."""
-    values = {r.values for r in positives}
-    simples = []
-    for r in positives:
-        decomposable = False
-        for s in positives:
-            diff = tuple(a - b for a, b in zip(r.values, s.values))
-            if any(diff) and diff in values:
-                decomposable = True
-                break
-        if not decomposable:
-            simples.append(r)
-    simples.sort(key=lambda r: r.sort_key())
+    """Positive roots that are not a sum of two positive roots, compared as
+    the int tuples of :func:`_int_roots`."""
+    ints = _int_roots(positives)
+    values = set(ints)
+    simples = [r for r, v in zip(positives, ints)
+               if not any(w != v and tuple(a - b for a, b in zip(v, w)) in values
+                          for w in ints)]
+    simples.sort(key=Root.sort_key)
     return simples
 
 
@@ -208,6 +200,9 @@ _DOUBLE_AB = {(1, 1), (1, 2)}
 _DOUBLE_BA = {(1, 1), (2, 1)}
 _TRIPLE_AB = {(1, 1), (1, 2), (1, 3), (2, 3)}
 _TRIPLE_BA = {(1, 1), (2, 1), (3, 1), (3, 2)}
+_BONDS = {frozenset(): (0, -1, -1), frozenset(_SINGLE): (1, -1, -1),
+          frozenset(_DOUBLE_AB): (2, 0, 1), frozenset(_DOUBLE_BA): (2, 1, 0),
+          frozenset(_TRIPLE_AB): (3, 0, 1), frozenset(_TRIPLE_BA): (3, 1, 0)}
 
 
 def bond(a: Root, b: Root, all_positives: Sequence[Root]) -> tuple[int, int, int]:
@@ -220,28 +215,18 @@ def bond(a: Root, b: Root, all_positives: Sequence[Root]) -> tuple[int, int, int
     whether or not a combination adds them.
     """
     ia, ib, *positives = _int_roots([a, b, *all_positives])
-    values = set(positives)
-    present = set()
-    for m in range(0, 5):
-        for n in range(0, 5):
-            if (m, n) in ((0, 0), (1, 0), (0, 1)):
-                continue
-            if tuple(m * x + n * y for x, y in zip(ia, ib)) in values:
-                present.add((m, n))
-    if not present:
-        return (0, -1, -1)
-    if present == _SINGLE:
-        return (1, -1, -1)
-    if present == _DOUBLE_AB:
-        return (2, 0, 1)
-    if present == _DOUBLE_BA:
-        return (2, 1, 0)
-    if present == _TRIPLE_AB:
-        return (3, 0, 1)
-    if present == _TRIPLE_BA:
-        return (3, 1, 0)
-    raise UnrecognizedBondPattern(
-        f"integral combinations {sorted(present)} match no diagram rule")
+    return _bond(ia, ib, set(positives))
+
+
+def _bond(ia: tuple, ib: tuple, values: set) -> tuple[int, int, int]:
+    """:func:`bond` of the int tuples ia, ib among the positives' tuples."""
+    present = {(m, n) for m in range(5) for n in range(5) if m + n > 1
+               and tuple(m * x + n * y for x, y in zip(ia, ib)) in values}
+    rule = _BONDS.get(frozenset(present))
+    if rule is None:
+        raise UnrecognizedBondPattern(
+            f"integral combinations {sorted(present)} match no diagram rule")
+    return rule
 
 
 def _int_roots(roots: Sequence[Root]) -> list[tuple[int, ...]]:
@@ -270,113 +255,74 @@ class DynkinDiagram(Frozen):
                 "bonds": [list(b) for b in self.bonds]}
 
 
-def _classify_component(nodes: list[int], edges: dict) -> str:
-    """Label one connected component of the bond graph."""
-    rank = len(nodes)
-    if rank == 1:
-        return "A1"
-    adj = {n: [] for n in nodes}
-    mults = []
-    for (i, j), (mult, frm, to) in edges.items():
-        adj[i].append(j)
-        adj[j].append(i)
-        mults.append((mult, (i, j), (frm, to)))
-    if len(edges) != rank - 1:
+def _classify_component(nodes: list[int], bonds: list[tuple]) -> str:
+    """Label one connected component of the bond graph, its bonds given as
+    (i, j, multiplicity, arrow_from, arrow_to), from its Cartan matrix A.
+
+    Squared lengths l_i go along the tree: a bond of multiplicity m joins a
+    long root to one m times shorter, its arrow pointing to the short one.
+    The diagram is of finite type exactly when the Gram matrix G of the
+    simple roots, (a_i, a_i) = l_i and (a_i, a_j) = -m*min(l_i, l_j)/2, is
+    positive definite; then det A = 2^r * det G / prod l_i, the largest bond
+    and which end of a double bond is a leaf name the type (Humphreys,
+    Introduction to Lie Algebras, 11.4; Kac, Infinite-Dimensional Lie
+    Algebras, ch. 4).
+    """
+    rank, length = len(nodes), {nodes[0]: Fraction(1)}
+    for _ in range(rank):
+        for i, j, m, frm, to in bonds:
+            if (i in length) != (j in length):
+                old, new = (i, j) if i in length else (j, i)
+                ratio = m if new == frm else Fraction(1, m) if new == to else 1
+                length[new] = length[old] * ratio
+    if len(bonds) != rank - 1 or len(length) != rank:
         raise UnrecognizedDiagram("bond graph of a component is not a tree")
-    n_double = sum(1 for m, _, _ in mults if m == 2)
-    n_triple = sum(1 for m, _, _ in mults if m == 3)
-    degrees = {n: len(adj[n]) for n in nodes}
-    max_deg = max(degrees.values())
-    if n_triple:
-        if rank == 2 and n_triple == 1 and len(edges) == 1:
-            return "G2"
-        raise UnrecognizedDiagram("triple bond outside rank 2")
-    if n_double == 0:
-        if max_deg <= 2:
-            return f"A{rank}"
-        centers = [n for n, d in degrees.items() if d == 3]
-        if len(centers) != 1 or max_deg > 3:
-            raise UnrecognizedDiagram("more than one branch node")
-        # branch lengths from the center
-        center = centers[0]
-        lengths = []
-        for start in adj[center]:
-            ln, prev, cur = 1, center, start
-            while True:
-                nxts = [x for x in adj[cur] if x != prev]
-                if not nxts:
-                    break
-                if len(nxts) > 1:
-                    raise UnrecognizedDiagram("nested branch")
-                prev, cur = cur, nxts[0]
-                ln += 1
-            lengths.append(ln)
-        lengths.sort()
-        if lengths[:2] == [1, 1]:
-            return f"D{rank}"
-        if lengths == [1, 2, 2]:
-            return "E6"
-        if lengths == [1, 2, 3]:
-            return "E7"
-        if lengths == [1, 2, 4]:
-            return "E8"
-        raise UnrecognizedDiagram(f"branch lengths {lengths}")
-    if n_double == 1 and max_deg <= 2:
+    # the int rows of 2*unit*G, unit the lcm of the lengths' denominators
+    at, unit = {n: k for k, n in enumerate(nodes)}, lcm(*(x.denominator for x in length.values()))
+    gram = [({k: int(2 * unit * length[n])}, {}) for k, n in enumerate(nodes)]
+    for i, j, m, _, _ in bonds:
+        x = int(-m * unit * min(length[i], length[j]))
+        gram[at[i]][0][at[j]] = gram[at[j]][0][at[i]] = x
+    n_pos, _, _, det = symmetric_signature((2 * unit, 0, gram))
+    if n_pos < rank:
+        raise UnrecognizedDiagram("a component of the bond graph is not of finite type")
+    det = 2 ** rank * det / prod(length.values())
+    mults = {m for _, _, m, _, _ in bonds}
+    if 3 in mults:
+        return "G2"
+    if 2 in mults:
         if rank == 2:
             return "B2"
-        (mult, (i, j), (frm, to)) = next(t for t in mults if t[0] == 2)
-        ends = [n for n, d in degrees.items() if d == 1]
-        short = to if to != -1 else j
-        arrow_from = frm if frm != -1 else i
-        double_pair = {i, j}
-        terminal_in_pair = [n for n in ends if n in double_pair]
-        if not terminal_in_pair:
-            if rank == 4:
-                return "F4"
-            raise UnrecognizedDiagram("interior double bond outside rank 4")
-        if short in terminal_in_pair:
-            return f"B{rank}"  # arrow points outward to the short terminal
-        if arrow_from in terminal_in_pair:
-            return f"C{rank}"  # arrow points inward from the long terminal
-        raise UnrecognizedDiagram("double bond arrow matches neither B nor C")
-    raise UnrecognizedDiagram("multiple double bonds")
+        if det == 1:
+            return "F4"
+        short = next(to for _, _, m, _, to in bonds if m == 2)
+        return ("B" if sum(short in b[:2] for b in bonds) == 1 else "C") + str(rank)
+    if det == rank + 1:
+        return f"A{rank}"
+    return f"D{rank}" if det == 4 else f"E{rank}"
 
 
 def dynkin_type(simples: Sequence[Root],
                 all_positives: Sequence[Root]) -> DynkinDiagram:
-    """Bond graph on the simple roots plus its classification label."""
-    nodes = sorted(simples, key=lambda r: r.sort_key())
-    edges = {}
-    bonds_out = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            mult, frm, to = bond(nodes[i], nodes[j], all_positives)
-            if mult:
-                arrow_from = -1 if frm == -1 else (i, j)[frm]
-                arrow_to = -1 if to == -1 else (i, j)[to]
-                edges[(i, j)] = (mult, arrow_from, arrow_to)
-                bonds_out.append((i, j, mult, arrow_from, arrow_to))
-    # connected components
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in edges:
-        parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for n in range(len(nodes)):
-        comps.setdefault(find(n), []).append(n)
-    labels = []
-    for comp_nodes in comps.values():
-        comp_edges = {(i, j): v for (i, j), v in edges.items()
-                      if i in comp_nodes}
-        labels.append(_classify_component(comp_nodes, comp_edges))
-    labels.sort()
-    return DynkinDiagram(tuple(nodes), tuple(bonds_out), "x".join(labels))
+    """Bond graph on the simple roots plus its classification label; the
+    roots are converted to int tuples (:func:`_int_roots`) once."""
+    nodes = sorted(simples, key=Root.sort_key)
+    ints = _int_roots([*nodes, *all_positives])
+    values = set(ints[len(nodes):])
+    bonds = []
+    for i, j in combinations(range(len(nodes)), 2):
+        mult, frm, to = _bond(ints[i], ints[j], values)
+        if mult:
+            bonds.append((i, j, mult, -1 if frm == -1 else (i, j)[frm],
+                          -1 if to == -1 else (i, j)[to]))
+    labels, left = [], set(range(len(nodes)))
+    while left:
+        comp = {min(left)}
+        while grown := {n for b in bonds if comp & set(b[:2]) for n in b[:2]} - comp:
+            comp |= grown
+        left -= comp
+        labels.append(_classify_component(sorted(comp), [b for b in bonds if b[0] in comp]))
+    return DynkinDiagram(tuple(nodes), tuple(bonds), "x".join(sorted(labels)))
 
 
 def sl2_triple(L: LieAlgebra, decomposition: RootSpaceDecomposition,

@@ -158,6 +158,25 @@ def test_extension_too_high_exit_4(run, tmp_path):
     assert "tower" in err or "extension" in err.lower()
 
 
+
+def test_abelian_nilpotent_jordan_step_over_a_surd_exit_4(run, tmp_path):
+    """Dense so(3,1) under the seeded change of basis "fz:so31:2": the 3.2
+    loop adjoins an eigenvector over Q(sqrt 3), and the next pass's Jordan
+    step meets a radical row over that field.  That is a stated
+    ExtensionDegreeTooHigh (exit 4), not min_poly's ValueError."""
+    import random
+    from test_exactlin import _perfbench_module
+    rebase = _perfbench_module("rebase")
+    names, table = rebase.so_pq(3, 1)
+    P = rebase.unimodular(len(names), random.Random("fz:so31:2"))
+    path = tmp_path / "so31-2.json"
+    path.write_text(json.dumps(rebase.table_to_json(
+        names, rebase.rebase(table, P, rebase.inverse(P)))))
+    code, out, err = run(["embed", str(path), "--mode", "abelian-nilpotent"])
+    assert (code, out) == (4, "")
+    assert err == ("error: scalar tower exceeded: a Jordan decomposition of an element "
+                   "over Q(sqrt(3)), not Q\n")
+
 def test_embed_precondition_exit_5(run):
     code, _, err = run(["embed", "wave15", "--mode", "nilpotent",
                         "--subspace", "e2"])

@@ -120,6 +120,34 @@ def test_embed_precondition_messages_pinned(sl2, embed, error, rows, message):
     assert str(info.value) == message
 
 
+
+def test_torus_modes_fill_each_ad_once(wave15, monkeypatch):
+    """Both torus modes classify their input rows from the kept _torus_ad
+    columns, which torus_split reads again: over one rebased pass of the
+    benchmark (seed 1, draw 0: one so(1,3) torus input is a row of the
+    split center, 39 fills of 38 elements before) and wave15's compact
+    torus embed from its compact Cartan, on a cold copy, no element's ad
+    columns are filled twice."""
+    import lieembed
+    workloads, child = _perfbench_module("workloads"), _perfbench_module("child")
+    calls = []
+    real = LieAlgebra._ad_ints
+    monkeypatch.setattr(LieAlgebra, "_ad_ints",
+                        lambda L, v: calls.append((id(L), repr(v))) or real(L, v))
+    plan = workloads.rebased_plan(corpus.load_shipped_corpus(), 1, 0)
+    for alg in plan["algebras"]:
+        L = LieAlgebra.from_json(alg["table"])
+        for req in alg["requests"]:
+            child._request(lieembed, L, req)
+    assert len(calls) == len(set(calls)) == 38
+    calls.clear()
+    L = LieAlgebra.from_json(wave15.to_json())
+    E = L.basis_vector
+    ck = span(L, vec_add(vec_scale(2, E("e12")), E("e5")),
+              vec_add(E("e9"), vec_scale(4, E("e8"))), E("e15"))
+    assert embed_compact_torus(L, ck).cartan == ck
+    assert len(calls) == len(set(calls)) == 3
+
 # --- compact torus embedding ------------------------------------------------------
 
 def test_embed_compact_torus_wave(wave15):

@@ -404,7 +404,8 @@ def test_dynkin_labels():
     assert dynkin_type([pa, pb], [pa, pb]).type_label == "A1xA1"
     # A3 from explicit positives
     s1, s2, s3 = Root((F(1), F(0), F(0))), Root((F(0), F(1), F(0))), Root((F(0), F(0), F(1)))
-    pos = [s1, s2, s3, s1.plus(s2), s2.plus(s3), s1.plus(s2).plus(s3)]
+    pos = [s1, s2, s3, Root((F(1), F(1), F(0))), Root((F(0), F(1), F(1))),
+           Root((F(1), F(1), F(1)))]
     diag = dynkin_type([s1, s2, s3], pos)
     assert diag.type_label == "A3"
     # middle node is s2: degree 2 in the bond graph
@@ -532,6 +533,44 @@ def test_dynkin_labels_of_every_finite_type(types):
     assert bonds == {frozenset((a, b)): c[a][b] * c[b][a]
                      for a in range(r) for b in range(a) if c[a][b]}
 
+
+
+@pytest.mark.parametrize("rank, bonds", [
+    (5, [(0, k, 1, -1, -1) for k in range(1, 5)]),                    # affine D4
+    (7, [(0, 1, 1, -1, -1), (1, 2, 1, -1, -1), (0, 3, 1, -1, -1),
+         (3, 4, 1, -1, -1), (0, 5, 1, -1, -1), (5, 6, 1, -1, -1)]),  # affine E6
+    (3, [(0, 1, 2, 0, 1), (1, 2, 2, 2, 1)]),                         # affine C2
+    (3, [(0, 1, 3, 0, 1), (0, 2, 1, -1, -1)]),                       # G2, node at the long root
+    (3, [(0, 1, 3, 0, 1), (1, 2, 1, -1, -1)]),                       # G2, node at the short root
+    (5, [(0, 1, 1, -1, -1), (1, 2, 2, 1, 2), (2, 3, 1, -1, -1),
+         (3, 4, 1, -1, -1)]),                                         # interior double bond
+    (4, [(0, 1, 2, 0, 1), (1, 2, 1, -1, -1), (2, 3, 2, 3, 2)]),      # two double bonds
+], ids=["D4-affine", "E6-affine", "C2-affine", "G2-long", "G2-short", "path5-double",
+        "two-doubles"])
+def test_non_finite_diagrams_are_unrecognized(rank, bonds):
+    """Trees whose Gram matrix is not positive definite."""
+    from lieembed.rootsys import _classify_component
+    with pytest.raises(UnrecognizedDiagram, match="not of finite type"):
+        _classify_component(list(range(rank)), bonds)
+    with pytest.raises(UnrecognizedDiagram, match="not a tree"):
+        _classify_component(list(range(rank)), bonds + [(0, rank - 1, 1, -1, -1)])
+
+
+def test_dynkin_type_converts_the_roots_once(g2, monkeypatch):
+    """One _int_roots call per dynkin_type, whatever the rank."""
+    from lieembed import rootsys
+    calls = []
+    real = rootsys._int_roots
+    monkeypatch.setattr(rootsys, "_int_roots", lambda roots: calls.append(1) or real(roots))
+    c = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]  # F4
+    f4 = [Root(tuple(F(x) for x in b)) for b in _positive_roots(c)]
+    X = g2.basis_vector
+    ut = span(g2, X("X5"), X("X14"), X("X13"), X("X12"), X("X11"), X("X9"))
+    for positives in (f4, restricted_roots(ut, [X("X6"), X("X8")]).roots):
+        simples = simple_roots(positives)
+        calls.clear()
+        dynkin_type(simples, positives)
+        assert len(calls) == 1
 
 # --- sl2 triples -----------------------------------------------------------------
 
@@ -886,6 +925,24 @@ def test_surd_and_non_invariant_inputs_raise_as_before(so22, so4):
     with pytest.raises(NotATorus, match="not invariant"):
         _positive_real_eigenspace(so22, E("e1"), span(so22, E("e2")))
 
+
+
+def test_zero_space_is_the_zero_weight_eigenspace(wave15, so22, so4, g2):
+    """The zero space is the zero-weight space of joint_eigenspaces as it
+    is, equal to the span of its rows built again."""
+    E, R, X = wave15.basis_vector, so4.basis_vector, g2.basis_vector
+    cases = [(wave15, [E("e7m16"), E("e2"), E("e14")], None),
+             (wave15, [E("e7m16"), E("e2")],
+              normalizer(wave15, span(wave15, E("e8"), E("e10"), E("e11"), E("e12")))),
+             (so22, [so22.basis_vector("e2"), so22.basis_vector("e5")], None),
+             (so4, [R("e1"), R("e6")], None),
+             (g2, [X("X6"), X("X8")], span(g2, X("X5"), X("X14"), X("X13"), X("X12")))]
+    for L, basis, ambient in cases:
+        rsd = root_space_decomposition(L, basis, ambient)
+        zero = [s for w, s in joint_eigenspaces(L, basis, ambient) if not any(w)]
+        rows = [v for s in zero for v in s.rows]
+        assert rsd.zero_space == Subspace(L, rows)
+        assert len(zero) <= 1 and (not zero or rsd.zero_space is zero[0])
 
 def test_mixed_torus_splits_into_real_and_compact(so22):
     a = so22.element({"e1": 1, "e6": 1})
