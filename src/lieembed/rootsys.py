@@ -3,7 +3,6 @@ Dynkin classification."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from typing import Optional, Sequence
@@ -268,22 +267,22 @@ def _classify_component(nodes: list[int], bonds: list[tuple]) -> str:
     Introduction to Lie Algebras, 11.4; Kac, Infinite-Dimensional Lie
     Algebras, ch. 4).
     """
-    rank, length = len(nodes), {nodes[0]: Fraction(1)}
+    # the first node's length is the product of the multiplicities, so
+    # every length is an int
+    rank, length = len(nodes), {nodes[0]: prod(b[2] for b in bonds)}
     for _ in range(rank):
         for i, j, m, frm, to in bonds:
             if (i in length) != (j in length):
                 old, new = (i, j) if i in length else (j, i)
-                ratio = m if new == frm else Fraction(1, m) if new == to else 1
-                length[new] = length[old] * ratio
+                x = length[old]
+                length[new] = x * m if new == frm else x // m if new == to else x
     if len(bonds) != rank - 1 or len(length) != rank:
         raise UnrecognizedDiagram("bond graph of a component is not a tree")
-    # the int rows of 2*unit*G, unit the lcm of the lengths' denominators
-    at, unit = {n: k for k, n in enumerate(nodes)}, lcm(*(x.denominator for x in length.values()))
-    gram = [({k: int(2 * unit * length[n])}, {}) for k, n in enumerate(nodes)]
+    at = {n: k for k, n in enumerate(nodes)}
+    gram = [({k: 2 * length[n]}, {}) for k, n in enumerate(nodes)]  # the int rows of 2G
     for i, j, m, _, _ in bonds:
-        x = int(-m * unit * min(length[i], length[j]))
-        gram[at[i]][0][at[j]] = gram[at[j]][0][at[i]] = x
-    n_pos, _, _, det = symmetric_signature((2 * unit, 0, gram))
+        gram[at[i]][0][at[j]] = gram[at[j]][0][at[i]] = -m * min(length[i], length[j])
+    n_pos, _, _, det = symmetric_signature((2, 0, gram))
     if n_pos < rank:
         raise UnrecognizedDiagram("a component of the bond graph is not of finite type")
     det = 2 ** rank * det / prod(length.values())

@@ -540,8 +540,8 @@ def test_dynkin_labels_of_every_finite_type(types):
     (7, [(0, 1, 1, -1, -1), (1, 2, 1, -1, -1), (0, 3, 1, -1, -1),
          (3, 4, 1, -1, -1), (0, 5, 1, -1, -1), (5, 6, 1, -1, -1)]),  # affine E6
     (3, [(0, 1, 2, 0, 1), (1, 2, 2, 2, 1)]),                         # affine C2
-    (3, [(0, 1, 3, 0, 1), (0, 2, 1, -1, -1)]),                       # G2, node at the long root
-    (3, [(0, 1, 3, 0, 1), (1, 2, 1, -1, -1)]),                       # G2, node at the short root
+    (3, [(0, 1, 3, 0, 1), (0, 2, 1, -1, -1)]),                       # G2, node at long
+    (3, [(0, 1, 3, 0, 1), (1, 2, 1, -1, -1)]),                       # G2, node at short
     (5, [(0, 1, 1, -1, -1), (1, 2, 2, 1, 2), (2, 3, 1, -1, -1),
          (3, 4, 1, -1, -1)]),                                         # interior double bond
     (4, [(0, 1, 2, 0, 1), (1, 2, 1, -1, -1), (2, 3, 2, 3, 2)]),      # two double bonds
