@@ -158,7 +158,6 @@ def test_extension_too_high_exit_4(run, tmp_path):
     assert "tower" in err or "extension" in err.lower()
 
 
-
 def test_abelian_nilpotent_jordan_step_over_a_surd_exit_4(run, tmp_path):
     """Dense so(3,1) under the seeded change of basis "fz:so31:2": the 3.2
     loop adjoins an eigenvector over Q(sqrt 3), and the next pass's Jordan
@@ -176,6 +175,7 @@ def test_abelian_nilpotent_jordan_step_over_a_surd_exit_4(run, tmp_path):
     assert (code, out) == (4, "")
     assert err == ("error: scalar tower exceeded: a Jordan decomposition of an element "
                    "over Q(sqrt(3)), not Q\n")
+
 
 def test_embed_precondition_exit_5(run):
     code, _, err = run(["embed", "wave15", "--mode", "nilpotent",

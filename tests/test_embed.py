@@ -120,7 +120,6 @@ def test_embed_precondition_messages_pinned(sl2, embed, error, rows, message):
     assert str(info.value) == message
 
 
-
 def test_torus_modes_fill_each_ad_once(wave15, monkeypatch):
     """Both torus modes classify their input rows from the kept _torus_ad
     columns, which torus_split reads again: over one rebased pass of the
@@ -135,8 +134,8 @@ def test_torus_modes_fill_each_ad_once(wave15, monkeypatch):
     monkeypatch.setattr(LieAlgebra, "_ad_ints",
                         lambda L, v: calls.append((id(L), repr(v))) or real(L, v))
     plan = workloads.rebased_plan(corpus.load_shipped_corpus(), 1, 0)
-    for alg in plan["algebras"]:
-        L = LieAlgebra.from_json(alg["table"])
+    algebras = [LieAlgebra.from_json(alg["table"]) for alg in plan["algebras"]]  # ids stay apart
+    for L, alg in zip(algebras, plan["algebras"]):
         for req in alg["requests"]:
             child._request(lieembed, L, req)
     assert len(calls) == len(set(calls)) == 38
@@ -147,6 +146,7 @@ def test_torus_modes_fill_each_ad_once(wave15, monkeypatch):
               vec_add(E("e9"), vec_scale(4, E("e8"))), E("e15"))
     assert embed_compact_torus(L, ck).cartan == ck
     assert len(calls) == len(set(calls)) == 3
+
 
 # --- compact torus embedding ------------------------------------------------------
 

@@ -534,7 +534,6 @@ def test_dynkin_labels_of_every_finite_type(types):
                      for a in range(r) for b in range(a) if c[a][b]}
 
 
-
 @pytest.mark.parametrize("rank, bonds", [
     (5, [(0, k, 1, -1, -1) for k in range(1, 5)]),                    # affine D4
     (7, [(0, 1, 1, -1, -1), (1, 2, 1, -1, -1), (0, 3, 1, -1, -1),
@@ -571,6 +570,7 @@ def test_dynkin_type_converts_the_roots_once(g2, monkeypatch):
         calls.clear()
         dynkin_type(simples, positives)
         assert len(calls) == 1
+
 
 # --- sl2 triples -----------------------------------------------------------------
 
@@ -926,7 +926,6 @@ def test_surd_and_non_invariant_inputs_raise_as_before(so22, so4):
         _positive_real_eigenspace(so22, E("e1"), span(so22, E("e2")))
 
 
-
 def test_zero_space_is_the_zero_weight_eigenspace(wave15, so22, so4, g2):
     """The zero space is the zero-weight space of joint_eigenspaces as it
     is, equal to the span of its rows built again."""
@@ -943,6 +942,7 @@ def test_zero_space_is_the_zero_weight_eigenspace(wave15, so22, so4, g2):
         rows = [v for s in zero for v in s.rows]
         assert rsd.zero_space == Subspace(L, rows)
         assert len(zero) <= 1 and (not zero or rsd.zero_space is zero[0])
+
 
 def test_mixed_torus_splits_into_real_and_compact(so22):
     a = so22.element({"e1": 1, "e6": 1})
@@ -1093,6 +1093,7 @@ def test_joint_eigenspaces_errors_stand_apart_from_the_torus_check(wave15, so22)
         with pytest.raises(NotATorus, match="not invariant"):
             joint_eigenspaces(M, [E("e1")], span(M, E("e2")))
     assert kept_entries(M, "ad") == [(E("e1"),)]
+
 
 def _cold(L):
     """A copy of L that keeps nothing yet."""
