@@ -914,9 +914,9 @@ def jordan_decomposition(L: LieAlgebra, x: Vector) -> JordanPair:
     if v[1]:
         raise ExtensionDegreeTooHigh(
             f"a Jordan decomposition of an element over Q(sqrt({v[1]})), not Q")
-    cols = L._ad_ints(v)
-    den, _, rows = Subspace.full(L).ad_block(cols)
-    p, pd = _semisimple_poly(spectrum(L, x, cols))
+    block = Subspace.full(L).ad_block(L._ad_ints(v))
+    p, pd = _semisimple_poly(spectrum(L, x, block=block))
+    den, _, rows = block
     k, n = len(p) - 1, L.dim
     q = [c * den ** (k - j) for j, c in enumerate(p)]
     rows = [list(a.items()) for a, _ in rows]
@@ -992,13 +992,15 @@ class Spectrum:
         return frozenset(scalar_d(r) for r, _ in self.roots if scalar_d(r))
 
 
-def spectrum(L: LieAlgebra, x: Vector, cols: Optional[list] = None) -> Spectrum:
+def spectrum(L: LieAlgebra, x: Vector, cols: Optional[list] = None,
+             block: Optional[tuple] = None) -> Spectrum:
     """Spectrum of ad(x), computed once per element and kept on L, from
-    ``cols``, the ad columns :meth:`LieAlgebra._ad_ints` of x, when the
-    caller has them.  The element must have rational coordinates (see
+    ``block``, ad(x) on all of L as :meth:`Subspace.ad_block` gives it, or
+    from ``cols``, the ad columns :meth:`LieAlgebra._ad_ints` of x, when
+    the caller has one.  The element must have rational coordinates (see
     :func:`min_poly`)."""
     return L.kept(("spectrum", x), lambda: Spectrum(min_poly(
-        Subspace.full(L).ad_block(cols or L._ad_ints(_scaled_vector(x))))))
+        block or Subspace.full(L).ad_block(cols or L._ad_ints(_scaled_vector(x))))))
 
 
 def classify_element(L: LieAlgebra, x: Vector) -> str:

@@ -87,7 +87,8 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     the earlier elements is invariant under the next ad(h): W splits into
     the kernels of ad(h) restricted to W minus lambda, for each root lambda
     of the minimal polynomial of ad(h) on the ambient.  Weights come sorted
-    within each space, spaces in order.
+    within each space, spaces in order: lexicographically in the weight
+    entries, each by ``(*scalar_sort_key(x), scalar_d(x))``.
 
     Each ad(h) is read once, as the integer columns of
     :meth:`LieAlgebra._ad_ints` kept on L (:func:`liecore._torus_ad`, which
@@ -101,11 +102,55 @@ def joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],
     ambient is not invariant or the action is not diagonalizable over the
     scalar tower, ExtensionDegreeTooHigh if the weights need two quadratic
     extensions, and :func:`min_poly`'s ValueError for an element with
-    irrational coordinates.  The spaces are kept on L per (ordered basis,
-    ambient) (:meth:`LieAlgebra.kept`); a call that raises keeps nothing.
+    irrational coordinates.
+
+    The spaces depend on the span of the basis only, so they are kept on L
+    once per torus (:meth:`LieAlgebra.kept`): under the span and the
+    ambient, with the basis they were derived under.  Another basis of the
+    same span maps each kept weight through the change of basis
+    (:func:`_rebased_weights`).  A basis with irrational coordinates, or a
+    dependent one, is derived on each call and keeps nothing; so does a
+    call that raises.
     """
-    return list(L.kept(("eigenspaces", tuple(map(tuple, basis)), ambient),
-                       lambda: _derive_joint_eigenspaces(L, basis, ambient)))
+    scaled = []
+    for h in basis:
+        v = _torus_ad(L, h)[0]
+        if v[1]:  # irrational coordinates
+            return list(_derive_joint_eigenspaces(L, basis, ambient))
+        scaled.append(v)
+    span = Subspace._span(L, 0, [v[2:] for v in scaled])
+    if span.dim < len(basis):
+        return list(_derive_joint_eigenspaces(L, basis, ambient))
+    # each element's scaled form is kept once, so the deriving basis comes
+    # back as the same objects and compares by identity
+    scaled = tuple(scaled)
+    kept_basis, pairs = L.kept(("eigenspaces", span, ambient),
+                               lambda: (scaled, _derive_joint_eigenspaces(L, basis, ambient)))
+    if kept_basis == scaled:
+        return list(pairs)
+    return _rebased_weights(span, kept_basis, scaled, pairs)
+
+
+def _rebased_weights(span: Subspace, old: Sequence[tuple], new: Sequence[tuple],
+                     pairs: Sequence[tuple]) -> list:
+    """The pairs derived under one basis of ``span`` for another, both
+    given by their scaled forms (:func:`_scaled_vector`): with new_i =
+    sum_j c_ij old_j, a weight w becomes (sum_j c_ij w_j)_i, and the spaces
+    stay.  The c_ij solve the r x r system that both bases give at the
+    span's pivots; the pairs come sorted as a derivation under ``new``
+    gives them."""
+    pivots = span.pivots
+
+    def at_pivots(a):
+        return {t: a[p] for t, p in enumerate(pivots) if p in a}
+
+    solve = linear_solver((1, 0, [(at_pivots(v[2]), {}) for v in old]), span.dim)[1]
+    change = [[x * v[0] for x, v in zip(solve((w[0], 0, at_pivots(w[2]), {})), old)]
+              for w in new]
+    out = [(tuple(sum(c * x for c, x in zip(row, weight)) for row in change), space)
+           for weight, space in pairs]
+    out.sort(key=lambda p: [(*scalar_sort_key(x), scalar_d(x)) for x in p[0]])
+    return out
 
 
 def _derive_joint_eigenspaces(L: LieAlgebra, basis: Sequence[Vector],

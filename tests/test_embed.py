@@ -29,13 +29,14 @@ from lieembed.embed import (_candidates, _positive_real_eigenspace,
                             embed_compact_torus, embed_nilpotent,
                             embed_real_torus, find_compact,
                             find_real_semisimple, maximal_compact_split)
-from lieembed.vecfield import so_pq_generators
+from lieembed.vecfield import algebra_by_name, so_pq_generators
 from matrixops import ad
 from polyref import QPoly, reference_char_poly
 from test_liecore import vec_add, vec_scale, vec_sub
 from test_liecore import (_block_key, _dense_basis, _ref_restrict, _table_in_basis,
                           _typed)
 from test_exactlin import _block_diag, _perfbench_module
+from test_sopq_oracle import FORMS
 
 
 def span(L, *vs):
@@ -867,3 +868,26 @@ def test_golden_answers_sit_at_pinned_candidate_indices(monkeypatch):
         assert corpus.run_case(case).passed
         got[case["name"]] = list(calls)
     assert got == GOLDEN_CANDIDATES
+
+
+# --- basis-free identities between the embed modes --------------------------------
+
+@pytest.mark.parametrize("name", ["wave15", "g2", *(f"so({p},{q})" for p, q in FORMS)])
+def test_embed_modes_agree_on_one_algebra(name):
+    """The restricted-root decomposition g = Z(a) + sum of the g_lambda ties
+    the modes together on any basis (Knapp, Lie Groups Beyond an
+    Introduction, ch. VI).  From empty inputs on a cold copy: the torus,
+    compact-torus and nilpotent modes give Cartans of one dim; the
+    nilpotent mode's real torus a and the torus mode's real part have one
+    dim; the maximal nilpotent algebra has dim (dim L - dim Z(a)) / 2; and
+    the compact-torus mode's compact part is at least the torus mode's.
+    Each mode ends in torus_split, so they share the kept eigenspaces."""
+    L = LieAlgebra.from_json(algebra_by_name(name).to_json(), name=name)
+    zero = Subspace.zero(L)
+    _, torus, _ = embed_real_torus(L, zero)
+    compact = embed_compact_torus(L, zero)
+    nilpotent, real, split, _ = embed_nilpotent(L, zero)
+    assert torus.cartan.dim == compact.cartan.dim == split.cartan.dim
+    assert real.dim == torus.real_part.dim
+    assert 2 * nilpotent.dim == L.dim - centralizer(L, real).dim
+    assert compact.compact_part.dim >= torus.compact_part.dim

@@ -434,6 +434,24 @@ def test_jordan_invariants_random(wave15, g2):
             assert is_squarefree(min_poly(scaled(ad(L, pair.semisimple))))
 
 
+def test_jordan_step_builds_one_ad_block(wave15, monkeypatch):
+    """The Jordan step's spectrum comes from the ad block its Horner pass
+    reads: one Subspace.ad_block per call, on a cold element as on a warm
+    one, and the spectrum is kept."""
+    L = LieAlgebra.from_json(wave15.to_json(), name="wave15")  # cold cache
+    E = L.basis_vector
+    blocks = []
+    real = Subspace.ad_block
+    monkeypatch.setattr(Subspace, "ad_block",
+                        lambda self, cols: blocks.append(cols) or real(self, cols))
+    x = vec_add(E("e2"), E("e11"))
+    for _ in range(2):
+        blocks.clear()
+        assert jordan_decomposition(L, x).semisimple == E("e2")
+        assert len(blocks) == 1
+    assert kept_entries(L, "spectrum") == [(x,)]
+
+
 def test_jordan_center_flag():
     heis = LieAlgebra(3, ["x", "y", "z"], {(0, 1): {2: 1}})
     pair = jordan_decomposition(heis, heis.basis_vector("x"))

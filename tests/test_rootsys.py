@@ -1171,10 +1171,12 @@ def test_a_failing_torus_raises_on_every_call():
     h = (F(1), F(0), F(-1), F(1), F(0), F(2))
     # [H, X + Y] = 2X - 2Y leaves <X + Y>
     ambient = span(L, L.element({"X": 1, "Y": 1}))
-    for basis, amb, error, match in (([h], None, ExtensionDegreeTooHigh, "two quadratic"),
-                                     ([L.basis_vector("H")], ambient, NotATorus,
+    H = L.basis_vector("H")
+    for bases, amb, error, match in (([[h], [vec_scale(2, h)]], None,
+                                      ExtensionDegreeTooHigh, "two quadratic"),
+                                     ([[H], [vec_scale(-3, H)]], ambient, NotATorus,
                                       "not invariant")):
-        for _ in range(2):
+        for basis in bases * 2:  # each basis of the span, twice
             with pytest.raises(error, match=match):
                 joint_eigenspaces(L, basis, amb)
             assert kept_entries(L, "eigenspaces") == []
@@ -1189,6 +1191,125 @@ def test_copies_of_an_algebra_keep_their_own_eigenspaces(wave15):
     assert {s.algebra for _, s in one} == {L1} and {s.algebra for _, s in two} == {L2}
     assert [(w, s.to_json()) for w, s in one] == [(w, s.to_json()) for w, s in two]
     assert len(kept_entries(L1, "eigenspaces")) == len(kept_entries(L2, "eigenspaces")) == 1
+
+
+# --- one kept decomposition per torus ---------------------------------------------
+
+def _rebasings(L, basis, rng, count=20):
+    """``count`` other bases of the span of ``basis``: its images under
+    random invertible integer matrices, entries in -3..3 (-9..9 for one
+    vector)."""
+    r, out = len(basis), []
+    bound = 9 if r == 1 else 3
+    while len(out) < count:
+        rows = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(r)]
+        new = [tuple(sum(c * h[k] for c, h in zip(row, basis)) for k in range(L.dim))
+               for row in rows]
+        if Subspace(L, new).dim == r:
+            out.append(new)
+    return out
+
+
+def _torus_inputs(wave15, g2):
+    """(label, algebra, torus basis, ambient or None): the joint cases
+    (wave15's A3 Cartan, its B2 and g2's G2 restricted tori with their
+    ambients, weights in Q(sqrt 2), Q(i) and Q(sqrt -2), dense so(p, q))
+    and the standard compact Cartans of so(p, q), p + q <= 6."""
+    from test_sopq_oracle import FORMS, _standard
+    cases = _joint_cases(wave15, g2)
+    for p, q in FORMS:
+        L, cartan = _standard(p, q)
+        cases.append((f"so({p},{q})", L, cartan, None))
+    return cases
+
+
+def test_one_kept_decomposition_per_torus(wave15, g2, monkeypatch):
+    """A torus decomposed under one basis serves every basis of its span:
+    under 20 random integer changes of basis of each input,
+    joint_eigenspaces gives exactly what a derivation under that basis
+    gives on a cold copy (weights with their entry types, pair order,
+    spaces), and the algebra derives once and keeps one entry."""
+    import lieembed.rootsys as rootsys
+    derive = rootsys._derive_joint_eigenspaces
+    derived = []
+    monkeypatch.setattr(rootsys, "_derive_joint_eigenspaces",
+                        lambda L, basis, ambient: derived.append(L) or derive(L, basis, ambient))
+    rng = random.Random(3535)
+    kinds = set()
+    for label, L0, basis, ambient in _torus_inputs(wave15, g2):
+        L, fresh = _cold(L0), _cold(L0)
+        amb, fresh_amb = ((None, None) if ambient is None else
+                          (Subspace(L, ambient.rows), Subspace(fresh, ambient.rows)))
+        derived.clear()
+        for new in [basis, *_rebasings(L, basis, rng)]:
+            got = joint_eigenspaces(L, new, amb)
+            assert _typed_spaces(got) == _typed_spaces(derive(fresh, new, fresh_amb)), label
+            kinds.update(scalar_d(w) for weight, _ in got for w in weight)
+        assert derived == [L], label
+        assert len(kept_entries(L, "eigenspaces")) == 1, label
+    assert kinds == {0, 2, -1, -2}
+
+
+def test_a_rebased_pass_derives_each_torus_once(monkeypatch):
+    """Over one rebased pass of the benchmark (seed 7, draw 0), each
+    (span, ambient) is derived once: 12 derivations.  Keyed by the ordered
+    basis there were 18, since each so(2,2) and so(1,3) embed-torus
+    request splits the Cartan its session's roots request decomposed,
+    under the RREF rows of that span."""
+    import lieembed
+    import lieembed.rootsys as rootsys
+    from lieembed import corpus
+    from test_exactlin import _perfbench_module
+    workloads, child = _perfbench_module("workloads"), _perfbench_module("child")
+    derive = rootsys._derive_joint_eigenspaces
+    derived = []
+    monkeypatch.setattr(rootsys, "_derive_joint_eigenspaces", lambda L, basis, ambient:
+                        derived.append((L, Subspace(L, basis), ambient))
+                        or derive(L, basis, ambient))
+    plan = workloads.rebased_plan(corpus.load_shipped_corpus(), 7, 0)
+    for alg in plan["algebras"]:
+        L = LieAlgebra.from_json(alg["table"], name=alg["name"])
+        for req in alg["requests"]:
+            child._request(lieembed, L, req)
+    assert len(derived) == len({(id(L), s, a) for L, s, a in derived}) == 12
+
+
+def test_inputs_that_share_no_kept_torus(so22, so4, monkeypatch):
+    """After the rational span was decomposed, a basis with surd
+    coordinates still raises min_poly's ValueError (the six surd cases of
+    test_surd_and_non_invariant_inputs_raise_as_before), and the dependent
+    bases [h, h] and [h1, h2, h1 + h2] give what the intersection
+    reference gives; neither is served from the kept entry or adds one:
+    each call derives."""
+    import lieembed.rootsys as rootsys
+    derive = rootsys._derive_joint_eigenspaces
+    derived = []
+    monkeypatch.setattr(rootsys, "_derive_joint_eigenspaces",
+                        lambda L, basis, ambient: derived.append(L) or derive(L, basis, ambient))
+    r2, r3 = make_scalar(0, 1, 2), make_scalar(0, 1, 3)
+    cases = [(so22, ("e2",), (r2,), False), (so22, ("e2", "e5"), (1, r2), False),
+             (so22, ("e2",), (r2,), True), (so22, ("e2", "e5"), (1, I), True),
+             (so4, ("e1", "e6"), (1, r3), False), (so4, ("e1", "e6"), (1, I), True)]
+    for L0, names, scales, full in cases:
+        L = _cold(L0)
+        ambient = Subspace.full(L) if full else None
+        rational = [L.basis_vector(n) for n in names]
+        joint_eigenspaces(L, rational, ambient)
+        surd = [vec_scale(c, h) for c, h in zip(scales, rational)]
+        for fn in (joint_eigenspaces, root_space_decomposition):
+            with pytest.raises(ValueError, match="min_poly needs a rational matrix"):
+                fn(L, surd, ambient)
+        assert len(kept_entries(L, "eigenspaces")) == 1
+    L = _cold(so22)
+    h1, h2 = L.basis_vector("e2"), L.basis_vector("e5")
+    joint_eigenspaces(L, [h1])
+    joint_eigenspaces(L, [h1, h2])
+    derived.clear()
+    for basis in ([h1, h1], [h1, h2, vec_add(h1, h2)]):
+        for _ in range(2):
+            assert (_typed_spaces(joint_eigenspaces(L, basis))
+                    == _typed_spaces(_ref_joint_eigenspaces(L, basis))), basis
+    assert len(derived) == 4 and len(kept_entries(L, "eigenspaces")) == 2
 
 
 def _sl2_sum():

@@ -32,17 +32,23 @@ def _compact_cartan(p, q):
     return pairs
 
 
-def _dense(p, q, seed):
-    """so(p, q) in a seeded dense basis f, and the coordinates in f of the
-    generators E_ij -+ E_ji of the compact Cartan's pairs."""
+def _standard(p, q):
+    """so(p, q) in its standard basis, and the generators E_ij -+ E_ji of
+    the compact Cartan's pairs."""
     L = so_pq_generators(p, q)
-    f = _dense_basis(L, random.Random(f"so({p},{q}):{seed}"))
-    M = LieAlgebra(L.dim, L.basis_names, _table_in_basis(L, f), name=f"dense so({p},{q})")
     n = p + q
     index = {pr: k for k, pr in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    return L, [L.basis_vector(index[pr]) for pr in _compact_cartan(p, q)]
+
+
+def _dense(p, q, seed):
+    """so(p, q) in a seeded dense basis f, and the coordinates in f of the
+    generators of the compact Cartan."""
+    L, cartan = _standard(p, q)
+    f = _dense_basis(L, random.Random(f"so({p},{q}):{seed}"))
+    M = LieAlgebra(L.dim, L.basis_names, _table_in_basis(L, f), name=f"dense so({p},{q})")
     to_f = QMatrix.from_columns(f)
-    cartan = [solve_linear(to_f, L.basis_vector(index[pr])) for pr in _compact_cartan(p, q)]
-    return M, cartan
+    return M, [solve_linear(to_f, h) for h in cartan]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
